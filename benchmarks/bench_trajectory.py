@@ -15,6 +15,7 @@ Usage::
 
     python benchmarks/bench_trajectory.py [--output BENCH_trajectory.jsonl]
         [--report bench_report.json] [--from-baseline]
+        [--e2e-from-report BENCH_e2e.json]
 
 ``--from-baseline`` skips the measurement and derives the entry from the
 committed ``BENCH_dataplane.json`` instead (used to seed the trajectory).
@@ -101,6 +102,23 @@ def summarise_remote(report: dict) -> dict:
     return entry
 
 
+def summarise_e2e(report: dict) -> dict:
+    """``campaign_<workload>_<metric>`` fields from a ``benchmarks/e2e/run.py
+    --out`` report: the median of every end-to-end metric (host times in
+    nominal seconds) plus the exact ``sim_events`` / ``sim_convergence_ms``
+    of each workload that simulates, so a trajectory line says what a
+    campaign costs end to end and not only what the kernels do."""
+    entry = {}
+    for workload, result in sorted(report["workloads"].items()):
+        prefix = "campaign_" + workload.replace("-", "_")
+        for metric, summary in sorted(result["end_to_end"].items()):
+            entry[f"{prefix}_{metric}"] = round(summary["median"], 4)
+        entry[f"{prefix}_sim_convergence_ms"] = result["exact"]["sim_convergence_ms"]
+        if "sim_events" in result["record"]:
+            entry[f"{prefix}_sim_events"] = result["record"]["sim_events"]
+    return entry
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--output", default=TRAJECTORY_PATH,
@@ -127,6 +145,10 @@ def main() -> int:
                              " SCALE_REPORT, or a legacy REMOTE_REPORT"
                              " object-path report) instead of"
                              " re-measuring")
+    parser.add_argument("--e2e-from-report", default=None, metavar="PATH",
+                        help="add campaign_<workload>_<metric> fields from an"
+                             " end-to-end report written by"
+                             " benchmarks/e2e/run.py --out")
     arguments = parser.parse_args()
 
     if arguments.from_baseline:
@@ -159,6 +181,9 @@ def main() -> int:
         # curve (10k/100k, 1M behind REMOTE_SCALE_1M=1) takes only a few
         # seconds of CPU and also records the RSS bound.
         entry.update(summarise_remote(run_scale_worker(SCALE_CONFIG)))
+    if arguments.e2e_from_report:
+        with open(arguments.e2e_from_report, "r", encoding="utf-8") as handle:
+            entry.update(summarise_e2e(json.load(handle)))
     if arguments.label:
         entry["label"] = arguments.label
     with open(arguments.output, "a", encoding="utf-8") as handle:

@@ -17,6 +17,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from benchmarks.conftest import REPO_ROOT
 
 TRAJECTORY_PATH = os.path.join(REPO_ROOT, "BENCH_trajectory.jsonl")
@@ -50,6 +52,36 @@ REMOTE_OPTIONAL_FIELDS = {
     "remote_repoint_rss_mb": (int, float),
 }
 
+#: End-to-end campaign block (``--e2e-from-report``): optional as a whole,
+#: but a workload that appears carries every end-to-end metric, as
+#: ``campaign_<workload>_<metric>``.  ``sim_events`` is there for the
+#: workloads that run the simulator.
+E2E_METRICS = (
+    "setup_s", "converge_s", "failover_s", "total_s", "cpu_s",
+    "routes_per_s", "peak_rss_mb", "sim_convergence_ms",
+)
+E2E_WORKLOADS = ("fig4_sc", "fig4_standalone", "churn_failover", "dfz_build")
+
+
+def _check_campaign_block(entry: dict, context: str) -> None:
+    fields = {name for name in entry if name.startswith("campaign_")}
+    expected = set()
+    for workload in E2E_WORKLOADS:
+        block = {f"campaign_{workload}_{metric}" for metric in E2E_METRICS}
+        if block & fields:
+            assert block <= fields, (
+                f"{context}: partial campaign block for {workload}:"
+                f" missing {sorted(block - fields)}"
+            )
+            expected |= block | {f"campaign_{workload}_sim_events"}
+    assert fields <= expected, f"{context}: unknown fields {sorted(fields - expected)}"
+    for name in fields:
+        kind = int if name.endswith("_sim_events") else (int, float)
+        assert isinstance(entry[name], kind) and not isinstance(entry[name], bool), (
+            f"{context}: {name!r} has type {type(entry[name]).__name__}"
+        )
+        assert entry[name] > 0, f"{context}: {name!r} must be positive"
+
 
 def _check_entry(entry: dict, context: str) -> None:
     assert isinstance(entry, dict), f"{context}: not a JSON object"
@@ -66,6 +98,7 @@ def _check_entry(entry: dict, context: str) -> None:
     assert len(year) == 4 and len(month) == 2 and len(day) == 2, (
         f"{context}: date {entry['date']!r} is not ISO formatted"
     )
+    _check_campaign_block(entry, context)
     remote_present = [field for field in REMOTE_FIELDS if field in entry]
     if remote_present:
         assert set(remote_present) == set(REMOTE_FIELDS), (
@@ -110,6 +143,8 @@ def test_writer_emits_schema_conforming_entries(tmp_path):
             os.path.join(REPO_ROOT, "benchmarks", "bench_trajectory.py"),
             "--from-baseline",
             "--skip-remote",
+            "--e2e-from-report",
+            os.path.join(REPO_ROOT, "benchmarks", "e2e", "baseline.json"),
             "--output",
             str(output),
             "--label",
@@ -126,3 +161,23 @@ def test_writer_emits_schema_conforming_entries(tmp_path):
     entry = json.loads(lines[0])
     _check_entry(entry, "fresh entry")
     assert entry["label"] == "schema-check"
+    # The committed e2e baseline holds all four workloads.
+    for workload in E2E_WORKLOADS:
+        assert entry[f"campaign_{workload}_converge_s"] > 0
+    assert entry["campaign_fig4_sc_sim_events"] > 0
+    assert "campaign_dfz_build_sim_events" not in entry
+
+
+def test_partial_or_malformed_campaign_blocks_are_rejected():
+    with open(TRAJECTORY_PATH, "r", encoding="utf-8") as handle:
+        good = json.loads(handle.readline())
+    block = {f"campaign_fig4_sc_{metric}": 1.0 for metric in E2E_METRICS}
+    _check_entry(dict(good, **block), "complete block")
+    for broken in (
+        {k: v for k, v in block.items() if not k.endswith("converge_s")},
+        dict(block, campaign_fig4_sc_total_s="1.0"),
+        dict(block, campaign_fig4_sc_sim_events=1.5),
+        dict(block, campaign_nosuch_converge_s=1.0),
+    ):
+        with pytest.raises(AssertionError):
+            _check_entry(dict(good, **broken), "broken block")

@@ -15,6 +15,7 @@ from repro.bgp.messages import (
     NotificationMessage,
     OpenMessage,
     UpdateMessage,
+    UpdateTrain,
 )
 from repro.bgp.rib import AdjRibIn, LocRib, Route, RibChange, RouteSource
 from repro.bgp.decision import DecisionProcess, best_path, rank_routes
@@ -31,6 +32,7 @@ __all__ = [
     "NotificationMessage",
     "OpenMessage",
     "UpdateMessage",
+    "UpdateTrain",
     "AdjRibIn",
     "LocRib",
     "Route",

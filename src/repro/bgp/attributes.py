@@ -4,13 +4,15 @@ Only the attributes that influence the decision process (and therefore the
 backup-group computation) are modelled: ORIGIN, AS_PATH, NEXT_HOP,
 MULTI_EXIT_DISC, LOCAL_PREF and COMMUNITIES.  Attributes are immutable;
 "modification" helpers return new instances so routes can be shared safely
-between RIBs.
+between RIBs.  The helpers run once or twice per relayed UPDATE, so they
+construct the copy directly instead of going through
+``dataclasses.replace`` (field introspection on every call).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import FrozenSet, Optional, Tuple
 
 from repro.net.addresses import IPv4Address
@@ -107,24 +109,44 @@ class PathAttributes:
 
     def with_next_hop(self, next_hop: IPv4Address) -> "PathAttributes":
         """Copy with a rewritten NEXT_HOP — the controller's core trick."""
-        return replace(self, next_hop=next_hop)
+        return PathAttributes(
+            next_hop, self.as_path, self.origin, self.local_pref, self.med, self.communities
+        )
 
     def with_local_pref(self, local_pref: int) -> "PathAttributes":
         """Copy with a different LOCAL_PREF (set by import policy)."""
         if local_pref < 0:
             raise ValueError(f"local_pref must be non-negative, got {local_pref}")
-        return replace(self, local_pref=local_pref)
+        return PathAttributes(
+            self.next_hop, self.as_path, self.origin, local_pref, self.med, self.communities
+        )
 
     def with_med(self, med: int) -> "PathAttributes":
         """Copy with a different MULTI_EXIT_DISC."""
         if med < 0:
             raise ValueError(f"med must be non-negative, got {med}")
-        return replace(self, med=med)
+        return PathAttributes(
+            self.next_hop, self.as_path, self.origin, self.local_pref, med, self.communities
+        )
 
     def prepended(self, asn: int, count: int = 1) -> "PathAttributes":
         """Copy with ``asn`` prepended to the AS path (done when exporting eBGP)."""
-        return replace(self, as_path=self.as_path.prepend(asn, count))
+        return PathAttributes(
+            self.next_hop,
+            self.as_path.prepend(asn, count),
+            self.origin,
+            self.local_pref,
+            self.med,
+            self.communities,
+        )
 
     def with_community(self, community: Tuple[int, int]) -> "PathAttributes":
         """Copy with an extra community value attached."""
-        return replace(self, communities=self.communities | {community})
+        return PathAttributes(
+            self.next_hop,
+            self.as_path,
+            self.origin,
+            self.local_pref,
+            self.med,
+            self.communities | {community},
+        )

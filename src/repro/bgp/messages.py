@@ -6,6 +6,21 @@ most one NLRI prefix, mirroring the per-prefix processing of the paper's
 Listing 1 and keeping bookkeeping simple; feeds with hundreds of thousands
 of prefixes are simply streams of single-prefix updates (which is also how
 ExaBGP hands routes to user code).
+
+What *is* batched is the transport.  Under a real speaker a burst of
+UPDATEs written to one socket leaves as a few TCP segments, not one
+packet per message; :class:`UpdateTrain` models that: the UPDATEs a
+:class:`~repro.bgp.session.BgpSession` queues in one simulated instant
+(after the first, which leaves at once) travel as one transport segment
+and are unpacked, in order, by the receiving session.  A train is
+coalescing, not a message kind: every member is still a single-NLRI
+:class:`UpdateMessage`, processed exactly as if it had arrived alone.
+
+Why not RFC 4271 NLRI packing (many prefixes per UPDATE sharing one
+attribute set)?  Because the traffic has nothing to pack:
+``synthetic_full_table`` draws a fresh random AS path per route, so on
+every benchmark workload the number of distinct attribute sets is about
+the number of routes.  What a burst does share is its (session, instant).
 """
 
 from __future__ import annotations
@@ -16,6 +31,7 @@ from typing import Optional, Tuple
 
 from repro.bgp.attributes import PathAttributes
 from repro.net.addresses import IPv4Address, IPv4Prefix
+from repro.net.packets import BGP_MESSAGE_BYTES
 
 _message_ids = itertools.count(1)
 
@@ -98,6 +114,19 @@ class UpdateMessage(BgpMessage):
             prefix=self.prefix,
             attributes=self.attributes.with_next_hop(next_hop),
         )
+
+
+@dataclass(frozen=True)
+class UpdateTrain(BgpMessage):
+    """UPDATEs one session sent in the same simulated instant, carried as
+    one transport segment (TCP coalescing) and applied in send order."""
+
+    updates: Tuple[UpdateMessage, ...] = ()
+
+    @property
+    def size_bytes(self) -> int:
+        """Bytes on the wire: what the members would occupy sent alone."""
+        return BGP_MESSAGE_BYTES * len(self.updates)
 
 
 def split_feed(

@@ -5,6 +5,13 @@ experiments: Idle → Connect → OpenSent → OpenConfirm → Established, plus
 hold-timer expiry and administrative/notification shutdown.  The transport
 is abstracted: the owner supplies a ``send`` callable and feeds incoming
 messages to :meth:`BgpSession.receive`.
+
+Sending coalesces like a TCP socket under a burst: the first UPDATE of a
+simulated instant leaves at once; further UPDATEs queued in that same
+instant are corked and leave together as one
+:class:`~repro.bgp.messages.UpdateTrain` when the instant's pending
+events have run.  Links charge a size-independent latency, so every
+UPDATE still arrives when it did and in the order it was sent.
 """
 
 from __future__ import annotations
@@ -18,10 +25,15 @@ from repro.bgp.messages import (
     NotificationMessage,
     OpenMessage,
     UpdateMessage,
+    UpdateTrain,
 )
 from repro.net.addresses import IPv4Address
 from repro.sim.engine import EventHandle, Simulator
 from repro.sim.process import PeriodicProcess
+
+
+#: Bucket edges of the ``bgp.updates_per_train`` histogram.
+TRAIN_SIZE_EDGES = (2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096, 16384, 65536)
 
 
 class BgpSessionState(enum.Enum):
@@ -83,6 +95,18 @@ class BgpSession:
         self.peer_router_id: Optional[IPv4Address] = None
         self.updates_received = 0
         self.updates_sent = 0
+        self.trains_received = 0
+        self.trains_sent = 0
+        #: Instant of the last UPDATE handed to the transport or corked.
+        self._update_sent_at: Optional[float] = None
+        #: UPDATEs of the current instant waiting for the flush event.
+        self._corked: List[UpdateMessage] = []
+        self._telemetry = None
+
+    def attach_telemetry(self, telemetry) -> None:
+        """Enable the passive coalescing metrics: ``bgp.trains_sent`` and
+        the per-train ``bgp.updates_per_train`` histogram."""
+        self._telemetry = telemetry
 
     # ------------------------------------------------------------------
     # Observers
@@ -124,7 +148,7 @@ class BgpSession:
         if self._state is BgpSessionState.IDLE:
             return
         if self._state is BgpSessionState.ESTABLISHED:
-            self._send(NotificationMessage(error_code=6, reason=reason))
+            self._send_control(NotificationMessage(error_code=6, reason=reason))
         self._tear_down(reason)
 
     def connection_lost(self, reason: str = "connection lost") -> None:
@@ -143,7 +167,40 @@ class BgpSession:
                 f"session to {self.peer_ip} is {self._state.value}, cannot send updates"
             )
         self.updates_sent += 1
-        self._send(update)
+        now = self._sim.now
+        if now != self._update_sent_at:
+            self._update_sent_at = now
+            self._send(update)
+            return
+        # Not the first UPDATE of this instant: cork it behind the first.
+        if not self._corked:
+            self._sim.call_soon(self._flush, name=f"bgp-flush:{self.peer_ip}")
+        self._corked.append(update)
+
+    def _flush(self) -> None:
+        """Hand the corked UPDATEs to the transport as one segment.
+
+        Runs as the flush event and ahead of every non-UPDATE send; a
+        flush event that finds the cork already emptied does nothing."""
+        corked = self._corked
+        if not corked:
+            return
+        self._corked = []
+        if len(corked) == 1:
+            self._send(corked[0])
+            return
+        self.trains_sent += 1
+        if self._telemetry is not None:
+            self._telemetry.counter("bgp.trains_sent").inc()
+            self._telemetry.histogram(
+                "bgp.updates_per_train", TRAIN_SIZE_EDGES
+            ).observe(len(corked))
+        self._send(UpdateTrain(updates=tuple(corked)))
+
+    def _send_control(self, message: BgpMessage) -> None:
+        """Send a non-UPDATE message behind whatever is corked (TCP order)."""
+        self._flush()
+        self._send(message)
 
     # ------------------------------------------------------------------
     # Receiving
@@ -156,6 +213,8 @@ class BgpSession:
             self._handle_keepalive()
         elif isinstance(message, UpdateMessage):
             self._handle_update(message)
+        elif isinstance(message, UpdateTrain):
+            self._handle_train(message)
         elif isinstance(message, NotificationMessage):
             self._tear_down(f"notification from peer: {message.reason}")
 
@@ -165,7 +224,7 @@ class BgpSession:
     def _send_open(self) -> None:
         if self._state is not BgpSessionState.CONNECT:
             return
-        self._send(
+        self._send_control(
             OpenMessage(
                 asn=self.local_asn,
                 router_id=self.local_router_id,
@@ -181,7 +240,7 @@ class BgpSession:
 
         def retry() -> None:
             if self._state in (BgpSessionState.CONNECT, BgpSessionState.OPEN_SENT):
-                self._send(
+                self._send_control(
                     OpenMessage(
                         asn=self.local_asn,
                         router_id=self.local_router_id,
@@ -205,14 +264,14 @@ class BgpSession:
         # Re-send our OPEN unconditionally: if ours was lost (e.g. dropped
         # while the peer's L2 address was unresolved) the peer is still
         # waiting for it, and a duplicate OPEN is ignored otherwise.
-        self._send(
+        self._send_control(
             OpenMessage(
                 asn=self.local_asn,
                 router_id=self.local_router_id,
                 hold_time=self.configured_hold_time,
             )
         )
-        self._send(KeepaliveMessage())
+        self._send_control(KeepaliveMessage())
         self._state = BgpSessionState.OPEN_CONFIRM
         self._restart_hold_timer()
 
@@ -228,8 +287,21 @@ class BgpSession:
     def _handle_update(self, update: UpdateMessage) -> None:
         if self._state is not BgpSessionState.ESTABLISHED:
             return
-        self.updates_received += 1
         self._restart_hold_timer()
+        self._deliver_update(update)
+
+    def _handle_train(self, train: UpdateTrain) -> None:
+        if self._state is not BgpSessionState.ESTABLISHED:
+            return
+        self.trains_received += 1
+        self._restart_hold_timer()
+        for update in train.updates:
+            if self._state is not BgpSessionState.ESTABLISHED:
+                return  # a callback reset the session: the rest is lost
+            self._deliver_update(update)
+
+    def _deliver_update(self, update: UpdateMessage) -> None:
+        self.updates_received += 1
         for callback in list(self._update_callbacks):
             callback(self, update)
 
@@ -238,7 +310,7 @@ class BgpSession:
         self._keepalive_process = PeriodicProcess(
             self._sim,
             interval,
-            lambda: self._send(KeepaliveMessage()),
+            lambda: self._send_control(KeepaliveMessage()),
             name=f"bgp-keepalive:{self.peer_ip}",
         )
         self._keepalive_process.start(initial_delay=interval)
@@ -258,6 +330,8 @@ class BgpSession:
     def _tear_down(self, reason: str) -> None:
         was_established = self._state is BgpSessionState.ESTABLISHED
         self._state = BgpSessionState.IDLE
+        # A reset loses what was still in the socket buffer.
+        self._corked = []
         if self._hold_timer is not None:
             self._hold_timer.cancel()
             self._hold_timer = None

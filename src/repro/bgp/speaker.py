@@ -89,8 +89,11 @@ class BgpSpeaker:
     def attach_telemetry(self, telemetry) -> None:
         """Enable control-plane telemetry: per-update counters (cheap —
         update processing is hot during table loads, so no trace event is
-        emitted per update) and ``bgp.session_down`` trace events."""
+        emitted per update), ``bgp.session_down`` trace events and the
+        sessions' per-train coalescing metrics."""
         self._telemetry = telemetry
+        for session in self._sessions.values():
+            session.attach_telemetry(telemetry)
 
     # ------------------------------------------------------------------
     # Peer management
@@ -110,6 +113,7 @@ class BgpSpeaker:
             send=lambda message, peer=config.peer_ip: self._transport(peer, message),
             hold_time=config.hold_time,
         )
+        session.attach_telemetry(self._telemetry)
         session.on_established(self._session_established)
         session.on_down(self._session_down)
         session.on_update(self._session_update)

@@ -19,6 +19,9 @@ from repro.net.addresses import IPv4Address, MacAddress
 
 _packet_ids = itertools.count(1)
 
+#: Nominal wire size of one BGP message inside its transport segment.
+BGP_MESSAGE_BYTES = 64
+
 
 class EtherType(enum.IntEnum):
     """Ethernet payload type identifiers (the subset we model)."""
@@ -104,7 +107,12 @@ class BgpTransport:
     src_ip: IPv4Address
     dst_ip: IPv4Address
     message: Any
-    size_bytes: int = 64
+
+    @property
+    def size_bytes(self) -> int:
+        """Segment size: the message's own size when it has one (an UPDATE
+        train weighs the sum of its members), else one nominal message."""
+        return getattr(self.message, "size_bytes", BGP_MESSAGE_BYTES)
 
 
 @dataclass(frozen=True)

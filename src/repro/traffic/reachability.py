@@ -179,6 +179,11 @@ class ReachabilityMonitor:
         self._sim = sim
         self._tracer = tracer
         self._destinations: Dict[IPv4Address, _DestinationState] = {}
+        #: Prefix length -> masked destination value -> monitored states
+        #: (watch order), so a FIB write finds its covered flows with one
+        #: probe.  A length is indexed the first time a prefix of that
+        #: length changes; ``watch`` drops the whole index.
+        self._covered: Dict[int, Dict[int, List[_DestinationState]]] = {}
         self.evaluations = 0
         #: Detection label of the current reconvergence episode; outages
         #: closing while it is set are attributed to it.
@@ -191,6 +196,7 @@ class ReachabilityMonitor:
         """Start monitoring ``destination`` (covered by ``prefix`` if known)."""
         if destination not in self._destinations:
             self._destinations[destination] = _DestinationState(destination, prefix)
+            self._covered.clear()
 
     def monitored(self) -> List[IPv4Address]:
         """All monitored destinations."""
@@ -210,9 +216,15 @@ class ReachabilityMonitor:
 
     def notify_prefix_change(self, prefix: IPv4Prefix) -> None:
         """A FIB entry for ``prefix`` changed: re-evaluate covered flows."""
-        for state in self._destinations.values():
-            if prefix.contains(state.destination):
-                self._evaluate(state)
+        network, length = prefix.as_tuple()
+        buckets = self._covered.get(length)
+        if buckets is None:
+            buckets = self._covered[length] = {}
+            mask = IPv4Prefix.mask_for(length)
+            for state in self._destinations.values():
+                buckets.setdefault(state.destination.value & mask, []).append(state)
+        for state in buckets.get(network, ()):
+            self._evaluate(state)
 
     def note_detection(self, label: str) -> None:
         """Set the detection label outages closing from here on carry.

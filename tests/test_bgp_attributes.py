@@ -93,6 +93,31 @@ class TestPathAttributes:
         assert (65000, 1) in attrs.communities
         assert self._attrs().communities == frozenset()
 
+    def test_every_copy_helper_keeps_the_other_five_fields(self):
+        base = PathAttributes(
+            next_hop=IPv4Address("10.0.0.2"),
+            as_path=AsPath((65001, 100)),
+            origin=Origin.EGP,
+            local_pref=150,
+            med=5,
+            communities=frozenset({(65001, 7)}),
+        )
+        fields = ("next_hop", "as_path", "origin", "local_pref", "med", "communities")
+        copies = {
+            "next_hop": base.with_next_hop(IPv4Address("10.0.0.9")),
+            "local_pref": base.with_local_pref(300),
+            "med": base.with_med(42),
+            "as_path": base.prepended(65000, 2),
+            "communities": base.with_community((65000, 1)),
+        }
+        for changed, copy in copies.items():
+            assert type(copy) is PathAttributes
+            for name in fields:
+                same = getattr(copy, name) == getattr(base, name)
+                assert same is (name != changed), (changed, name)
+        assert copies["as_path"].as_path.asns == (65000, 65000, 65001, 100)
+        assert copies["communities"].communities == {(65001, 7), (65000, 1)}
+
     def test_origin_ordering(self):
         assert Origin.IGP < Origin.EGP < Origin.INCOMPLETE
 

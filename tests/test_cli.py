@@ -233,6 +233,20 @@ def test_metrics_command_json_mode(capsys):
     }
 
 
+def test_metrics_openmetrics_shows_the_update_train_ratio(capsys):
+    code = main(["metrics", "--prefixes", "30", "--flows", "3", "--openmetrics"])
+    output = capsys.readouterr().out
+    assert code == 0
+    lines = dict(
+        line.rsplit(" ", 1) for line in output.splitlines() if not line.startswith("#")
+    )
+    trains = int(lines["repro_bgp_trains_sent_total"])
+    assert trains >= 1
+    assert int(lines["repro_bgp_updates_per_train_count"]) == trains
+    # Updates per train: the table load rides in a handful of trains.
+    assert float(lines["repro_bgp_updates_per_train_sum"]) / trains > 10
+
+
 def test_trace_command_dumps_events(capsys):
     code = main(["trace", "--prefixes", "30", "--flows", "3"])
     output = capsys.readouterr().out

@@ -166,3 +166,52 @@ class TestDetectionLabels:
         assert monitor.outages(destination) == []
         _, label = monitor.convergence_details(0.0)[destination]
         assert label is None
+
+
+class TestPrefixChangeIndex:
+    """``notify_prefix_change`` finds covered flows through a per-length
+    index; it must re-evaluate exactly what a scan of every destination
+    with ``IPv4Prefix.contains`` would, in watch order."""
+
+    def _monitor(self):
+        from repro.traffic.reachability import ReachabilityMonitor
+
+        traced = []
+
+        class RecordingTracer:
+            def trace(self, destination):
+                traced.append(destination)
+                return True, []
+
+        return traced, ReachabilityMonitor(Simulator(seed=1), RecordingTracer())
+
+    def test_matches_a_containment_scan_for_every_prefix_length(self):
+        from repro.net.addresses import IPv4Prefix
+
+        traced, monitor = self._monitor()
+        watched = [
+            IPv4Address(text)
+            for text in ("20.0.1.9", "20.0.1.1", "20.0.2.1", "20.1.0.1", "99.0.0.1", "20.0.1.200")
+        ]
+        for destination in watched:
+            monitor.watch(destination)
+        for text in ("20.0.1.0/24", "20.0.0.0/16", "20.0.0.0/8", "0.0.0.0/0",
+                     "20.0.1.1/32", "30.0.0.0/8", "20.0.1.128/25"):
+            prefix = IPv4Prefix(text)
+            del traced[:]
+            monitor.notify_prefix_change(prefix)
+            assert traced == [d for d in watched if prefix.contains(d)], text
+        assert monitor.evaluations == 3 + 4 + 5 + 6 + 1 + 0 + 1
+
+    def test_watch_after_a_change_is_seen_by_the_next_change(self):
+        from repro.net.addresses import IPv4Prefix
+
+        traced, monitor = self._monitor()
+        prefix = IPv4Prefix("20.0.1.0/24")
+        monitor.watch(IPv4Address("20.0.1.1"))
+        monitor.notify_prefix_change(prefix)
+        monitor.watch(IPv4Address("20.0.1.2"))
+        monitor.watch(IPv4Address("20.0.1.1"))  # already watched: no duplicate
+        del traced[:]
+        monitor.notify_prefix_change(prefix)
+        assert traced == [IPv4Address("20.0.1.1"), IPv4Address("20.0.1.2")]
