@@ -20,6 +20,7 @@ import json
 import random
 import sys
 import time
+import tracemalloc
 
 from _legacy_dataplane import (
     LegacyFlowTable,
@@ -43,7 +44,7 @@ DEFAULTS = {
     "legacy_flowmod_cap": 3000,
     #: Events in the engine schedule+dispatch measurements.
     "events": 200000,
-    #: Prefixes in the LPM trie measurements.
+    #: Prefixes in the LPM table measurements.
     "prefixes": 50000,
     #: Best-of repeats for linear-cost sections.
     "repeats": 3,
@@ -166,8 +167,10 @@ def bench_events(config):
     def noop():
         pass
 
-    # FIFO/timer pattern: near-now delays in roughly increasing order —
-    # what BFD ticks, keepalives and link latencies actually produce.
+    # FIFO pattern: every event lands after the latest one queued.  Real
+    # campaigns almost never do this (a hold timer parked tens of seconds
+    # ahead makes every sub-second event "early"), so both patterns are
+    # reported, not gated.
     fifo_delays = [i * 1e-6 for i in range(count)]
     rng = random.Random(42)
     random_delays = [rng.random() * 10.0 for _ in range(count)]
@@ -253,20 +256,29 @@ def _prefix_set(count):
     return prefixes
 
 
-def _count_legacy_nodes(table):
-    total = 0
-    stack = [table._root]
-    while stack:
-        node = stack.pop()
-        for child in node.children:
-            if child is not None:
-                total += 1
-                stack.append(child)
-    return total
+def _traced_bytes_per_prefix(make_table, prefixes, churn):
+    """Traced heap bytes per stored prefix, freshly built and after churn.
+
+    The stored values are the (pre-existing) prefix objects, so only the
+    table's own structure is counted.  The churn replay leaves as many
+    prefixes stored as it found, so the two figures are comparable.
+    """
+    gc.collect()
+    tracemalloc.start()
+    base = tracemalloc.get_traced_memory()[0]
+    table = make_table()
+    for prefix in prefixes:
+        table.insert(prefix, prefix)
+    built = tracemalloc.get_traced_memory()[0] - base
+    churn(table)
+    gc.collect()
+    churned = tracemalloc.get_traced_memory()[0] - base
+    tracemalloc.stop()
+    return round(built / len(prefixes), 1), round(churned / len(table), 1)
 
 
 def bench_lpm(config):
-    """LPM trie insert/lookup/delete-churn throughput plus node counts."""
+    """LPM table insert/lookup/delete-churn throughput plus memory."""
     count = config["prefixes"]
     repeats = config["repeats"]
     prefixes = _prefix_set(count)
@@ -304,13 +316,10 @@ def bench_lpm(config):
     new_insert_s = best_of(repeats, new_insert)
     new_lookup_s = best_of(repeats, new_lookup)
 
-    legacy_nodes = _count_legacy_nodes(state["legacy"])
-    new_nodes = state["new"].node_count
-
     # Rolling churn (RIS-replay shape): every round withdraws one window of
     # prefixes and announces a fresh, disjoint window.  The legacy trie
-    # leaks the dead branches of every withdrawn window; the new trie
-    # prunes them, so its node count stays bounded.
+    # leaks the dead branches of every withdrawn window; the per-length
+    # hash stores nothing but live prefixes, so its memory stays bounded.
     rounds = 4
     window = count // 4
     extra = _prefix_set(count + rounds * window)[count:]
@@ -328,8 +337,12 @@ def bench_lpm(config):
     churn_ops = 2 * rounds * window
     legacy_churn_s = best_of(1, lambda: churn(state["legacy"]))
     new_churn_s = best_of(1, lambda: churn(state["new"]))
-    legacy_nodes_after = _count_legacy_nodes(state["legacy"])
-    new_nodes_after = state["new"].node_count
+    state.clear()
+
+    legacy_bytes, legacy_bytes_after = _traced_bytes_per_prefix(
+        LegacyLpmTable, prefixes, churn
+    )
+    new_bytes, new_bytes_after = _traced_bytes_per_prefix(LpmTable, prefixes, churn)
 
     return {
         "prefixes": count,
@@ -343,13 +356,13 @@ def bench_lpm(config):
         "legacy_churn_ops_per_s": round(churn_ops / legacy_churn_s),
         "new_churn_ops_per_s": round(churn_ops / new_churn_s),
         "churn_speedup": round(legacy_churn_s / new_churn_s, 2),
-        "legacy_trie_nodes": legacy_nodes,
-        "new_trie_nodes": new_nodes,
-        "node_reduction": round(legacy_nodes / max(new_nodes, 1), 1),
-        "legacy_trie_nodes_after_churn": legacy_nodes_after,
-        "new_trie_nodes_after_churn": new_nodes_after,
-        "legacy_node_growth": round(legacy_nodes_after / max(legacy_nodes, 1), 2),
-        "new_node_growth": round(new_nodes_after / max(new_nodes, 1), 2),
+        "legacy_bytes_per_prefix": legacy_bytes,
+        "new_bytes_per_prefix": new_bytes,
+        "memory_reduction": round(legacy_bytes / new_bytes, 1),
+        "legacy_bytes_per_prefix_after_churn": legacy_bytes_after,
+        "new_bytes_per_prefix_after_churn": new_bytes_after,
+        "legacy_memory_growth": round(legacy_bytes_after / legacy_bytes, 2),
+        "new_memory_growth": round(new_bytes_after / new_bytes, 2),
     }
 
 
@@ -359,7 +372,7 @@ def main() -> int:
         config.update(json.loads(sys.argv[1]))
     # Section order matters: the engine measurement runs first, on a clean
     # interpreter heap — Python timing numbers sag measurably when a large
-    # workload (the 10k-entry tables, the 100k-prefix tries) has churned
+    # workload (the 10k-entry tables, the 100k-prefix tables) has churned
     # the heap in the same process (see docs/performance.md).  Within each
     # section the legacy/new sides are still measured adjacently.
     report = {

@@ -72,7 +72,6 @@ def summarise(report: dict) -> dict:
         "events_fifo_speedup": fifo["singles_speedup"],
         "events_random_speedup": rand["singles_speedup"],
         "lpm_lookup_speedup": lpm["lookup_speedup"],
-        "trie_nodes": lpm["new_trie_nodes"],
     }
 
 

@@ -43,8 +43,8 @@ def main() -> int:
     print(f"  event-loop speedup (fifo): singles {fifo['singles_speedup']}x "
           f"/ batch {fifo['batch_speedup']}x")
     print(f"  lpm lookup speedup: {report['lpm']['lookup_speedup']}x, "
-          f"trie nodes {report['lpm']['legacy_trie_nodes']} -> "
-          f"{report['lpm']['new_trie_nodes']}")
+          f"bytes/prefix {report['lpm']['legacy_bytes_per_prefix']} -> "
+          f"{report['lpm']['new_bytes_per_prefix']}")
     return 0
 
 

@@ -12,27 +12,15 @@ discussion:
   every dependent prefix; this is the expensive-hardware alternative the
   supercharged design replicates across two devices.
 
-Both are built on :class:`LpmTable`, a *path-compressed* binary trie
-(radix tree) providing longest-prefix-match lookups.  Each node carries
-its full masked network and depth, so walks compare whole bit segments
-with integer xor/shift instead of descending one node per bit, and chains
-with no branch points collapse into a single edge — a 100k-prefix table
-allocates ~2 nodes per stored prefix rather than one per bit.
-
-Two auxiliary structures keep the table fast at DFZ scale (ROADMAP
-item 2; see docs/performance.md):
-
-* a **per-length hash assist** — one ``{network: node}`` dict per active
-  mask length.  ``exact`` and ``remove`` become O(1) dict probes, and on
-  *dense* tables (few distinct lengths, the shape of a provider edge
-  table) ``lookup`` probes the active lengths longest-first instead of
-  walking the trie, which beats the pointer chase by a wide margin;
-* **lazy, amortised deletes** — ``remove`` only blanks the node (O(1))
-  and defers branch pruning until enough dead nodes have accumulated,
-  when one linear compaction pass restores full path compression.  This
-  fixes the churn regression where eager per-delete pruning paid more
-  than the rescan it replaced, while still keeping long insert/delete
-  churn (RIS replay) memory-bounded.
+Both keep their per-prefix state in one :class:`LpmTable` and nowhere
+else, so a FIB write is one dict store.  The table is one
+``{masked network: (prefix, value)}`` dict per active mask length;
+``lookup`` masks the address to each active length, longest first, and
+returns the first hit.  That is at most 32 dict probes and in practice
+~7 (the lengths a provider edge table uses).  Measured against a
+path-compressed trie on 100k prefixes it is faster on insert, lookup,
+miss and churn, also with all of /1–/32 active, at under half the
+memory (docs/performance.md has the table).
 """
 
 from __future__ import annotations
@@ -63,287 +51,76 @@ class FibEntry:
     updated_at: float = 0.0
 
 
-# Trie nodes are plain 7-slot lists — C-speed index access beats attribute
-# access on the per-level hot path, and a list literal is the cheapest
-# allocation Python offers (node churn is constant during RIS replay).
-# Layout: [net, plen, child0, child1, value, has_value, prefix]; the child
-# for bit b lives at index 2 + b.  ``net``/``plen`` are the node's full
-# masked network and depth: a child may sit many bits below its parent
-# (the compressed chain), and the skipped segment is verified with one
-# xor/shift instead of a per-bit walk.  The canonical IPv4Prefix object is
-# kept in the node so a lookup returns it without allocating anything.
-_NET = 0
-_PLEN = 1
-_CHILD = 2  # child for bit b is node[_CHILD + b]
-_VALUE = 4
-_HAS_VALUE = 5
-_PREFIX = 6
-
-
-def _new_node(net: int, plen: int) -> list:
-    return [net, plen, None, None, None, False, None]
-
-
-#: Netmask per prefix length (index = length), shared by the hash-probe
-#: lookup.  Matches :data:`repro.routes.prefixcodec.MASKS`.
+#: Netmask per prefix length (index = length).
 _MASKS: Tuple[int, ...] = tuple(IPv4Prefix.mask_for(plen) for plen in range(33))
-
-#: Length shift/mask of the integer prefix coding (see routes/prefixcodec).
-_CODE_SHIFT = 6
-_CODE_LEN_MASK = (1 << _CODE_SHIFT) - 1
-
-
-def _compress(node: list) -> Optional[list]:
-    """Post-order compaction: drop dead leaves, splice dead pass-throughs.
-
-    Returns the subtree's replacement root (``None`` when it vanished).
-    Recursion is safe: node depths strictly increase along a path and a
-    depth is 0..32, so the stack never exceeds 33 frames.
-    """
-    child = node[2]
-    if child is not None:
-        node[2] = _compress(child)
-    child = node[3]
-    if child is not None:
-        node[3] = _compress(child)
-    if node[5]:
-        return node
-    left = node[2]
-    right = node[3]
-    if left is not None and right is not None:
-        return node  # dead but still a real branch point
-    return left if left is not None else right
 
 
 class LpmTable(Generic[ValueT]):
-    """Path-compressed binary trie mapping IPv4 prefixes to values with LPM lookup.
-
-    Alongside the trie it maintains the per-length hash assist (one
-    ``{network: node}`` dict per active mask length) giving O(1)
-    ``exact``/``remove`` and hash-probe ``lookup`` on dense tables, plus
-    the lazy-delete machinery described in the module docstring.  The
-    ``*_code`` variants take integer-coded prefixes (routes/prefixcodec)
-    and never materialise a prefix object on the way in — the storage key
-    of the full-DFZ scale path.
-    """
-
-    #: Above this many active mask lengths the longest-first hash probe
-    #: can lose to the trie walk (a miss probes every length), so
-    #: ``lookup`` falls back to the pointer chase.  DFZ-shaped tables
-    #: (/8../24 plus a tail) sit at or below it.
-    HASH_LOOKUP_MAX_LENGTHS = 25
-
-    #: Lazy deletes below this count never trigger an in-``remove``
-    #: compaction; small tables compact only via ``node_count``.
-    PRUNE_FLOOR = 4096
+    """IPv4 prefix → value map with longest-prefix-match lookup."""
 
     def __init__(self) -> None:
-        self._root: list = _new_node(0, 0)
-        self._count = 0
-        # Per-length hash assist: plen -> {masked network -> node}.
-        self._len_maps: Dict[int, Dict[int, list]] = {}
+        # plen -> {masked network -> (prefix, value)}; empty buckets are
+        # dropped so ``_lengths`` lists exactly the lengths to probe.
+        self._buckets: Dict[int, Dict[int, Tuple[IPv4Prefix, ValueT]]] = {}
         # Active mask lengths, longest first (the LPM probe order).
         self._lengths: List[int] = []
-        # Valueless nodes left behind by lazy removes, awaiting compaction.
-        self._dead = 0
 
     def insert(self, prefix: IPv4Prefix, value: ValueT) -> bool:
         """Insert or replace; returns ``True`` when the prefix was new."""
-        return self._insert(prefix.network.value, prefix.length, value, prefix)
-
-    def insert_code(self, code: int, value: ValueT) -> bool:
-        """:meth:`insert` keyed by an integer-coded prefix (no object)."""
-        return self._insert(code >> _CODE_SHIFT, code & _CODE_LEN_MASK, value, None)
-
-    def _insert(
-        self, net: int, plen: int, value: ValueT, prefix: Optional[IPv4Prefix]
-    ) -> bool:
-        node = self._root
-        target = None
-        while True:
-            node_plen = node[1]
-            if node_plen == plen:
-                # By construction node[_NET] == net here.
-                if node[5]:
-                    node[4] = value
-                    node[6] = prefix
-                    return False  # replacement; already registered
-                if self._dead:
-                    # Revived what is *usually* a lazily-removed node.  A
-                    # revived split pass-through decrements spuriously, so
-                    # the counter is a heuristic floor — which is fine:
-                    # ``node_count`` compacts unconditionally.
-                    self._dead -= 1
-                node[4] = value
-                node[5] = True
-                node[6] = prefix
-                target = node
-                break
-            bit = (net >> (31 - node_plen)) & 1
-            child = node[2 + bit]
-            if child is None:
-                target = [net, plen, None, None, value, True, prefix]
-                node[2 + bit] = target
-                break
-            child_net = child[0]
-            child_plen = child[1]
-            # Longest common prefix of the target and the child's segment.
-            diff = net ^ child_net
-            if diff:
-                common = 32 - diff.bit_length()
-                if common > plen:
-                    common = plen
-                if common > child_plen:
-                    common = child_plen
-            else:
-                common = plen if plen < child_plen else child_plen
-            if common == child_plen:
-                node = child  # the child's whole segment matches; descend
-                continue
-            # Split the compressed edge at the divergence point.
-            mid = _new_node(child_net & _MASKS[common], common)
-            node[2 + bit] = mid
-            mid[2 + ((child_net >> (31 - common)) & 1)] = child
-            if common == plen:
-                # The target prefix *is* the split point.
-                mid[4] = value
-                mid[5] = True
-                mid[6] = prefix
-                target = mid
-            else:
-                target = [net, plen, None, None, value, True, prefix]
-                mid[2 + ((net >> (31 - common)) & 1)] = target
-            break
-        self._count += 1
-        len_map = self._len_maps.get(plen)
-        if len_map is None:
-            len_map = self._len_maps[plen] = {}
+        net, plen = prefix.as_tuple()
+        bucket = self._buckets.get(plen)
+        if bucket is None:
+            bucket = self._buckets[plen] = {}
             self._lengths.append(plen)
             self._lengths.sort(reverse=True)
-        len_map[net] = target
-        return True
+        is_new = net not in bucket
+        bucket[net] = (prefix, value)
+        return is_new
 
     def remove(self, prefix: IPv4Prefix) -> bool:
-        """Remove the exact prefix; returns whether it was present.
-
-        O(1): the node is located through the per-length hash assist and
-        merely blanked.  Branch pruning is deferred — an amortised
-        compaction runs once enough dead nodes accumulate (and on every
-        ``node_count`` read), so delete churn stays memory-bounded
-        without paying a restructuring walk per delete.
-        """
-        return self._remove(prefix.network.value, prefix.length)
-
-    def remove_code(self, code: int) -> bool:
-        """:meth:`remove` keyed by an integer-coded prefix."""
-        return self._remove(code >> _CODE_SHIFT, code & _CODE_LEN_MASK)
-
-    def _remove(self, net: int, plen: int) -> bool:
-        len_map = self._len_maps.get(plen)
-        if not len_map:
+        """Remove the exact prefix; returns whether it was present."""
+        net, plen = prefix.as_tuple()
+        bucket = self._buckets.get(plen)
+        if bucket is None or bucket.pop(net, None) is None:
             return False
-        node = len_map.pop(net, None)
-        if node is None:
-            return False
-        if not len_map:
-            del self._len_maps[plen]
+        if not bucket:
+            del self._buckets[plen]
             self._lengths.remove(plen)
-        node[4] = None
-        node[5] = False
-        node[6] = None
-        self._count -= 1
-        dead = self._dead + 1
-        self._dead = dead
-        if dead > self.PRUNE_FLOOR and dead > self._count:
-            self._compact()
         return True
 
     def exact(self, prefix: IPv4Prefix) -> Optional[ValueT]:
-        """Value stored for exactly this prefix, if any (O(1))."""
-        len_map = self._len_maps.get(prefix.length)
-        if not len_map:
+        """Value stored for exactly this prefix, if any."""
+        net, plen = prefix.as_tuple()
+        bucket = self._buckets.get(plen)
+        if bucket is None:
             return None
-        node = len_map.get(prefix.network.value)
-        return node[4] if node is not None else None
-
-    def exact_code(self, code: int) -> Optional[ValueT]:
-        """:meth:`exact` keyed by an integer-coded prefix."""
-        len_map = self._len_maps.get(code & _CODE_LEN_MASK)
-        if not len_map:
-            return None
-        node = len_map.get(code >> _CODE_SHIFT)
-        return node[4] if node is not None else None
+        item = bucket.get(net)
+        return item[1] if item is not None else None
 
     def lookup(self, address: IPv4Address) -> Optional[Tuple[IPv4Prefix, ValueT]]:
         """Longest-prefix match for ``address``."""
         value = address.value
-        lengths = self._lengths
-        if len(lengths) <= self.HASH_LOOKUP_MAX_LENGTHS:
-            # Dense-table fast path: probe active lengths longest-first.
-            len_maps = self._len_maps
-            masks = _MASKS
-            for plen in lengths:
-                net = value & masks[plen]
-                node = len_maps[plen].get(net)
-                if node is not None:
-                    prefix = node[6]
-                    if prefix is None:  # int-coded insert: decode lazily
-                        prefix = node[6] = IPv4Prefix(IPv4Address(net), plen)
-                    return prefix, node[4]
-            return None
-        node = self._root
-        best = None
-        while True:
-            if node[5]:
-                best = node
-            node_plen = node[1]
-            if node_plen == 32:
-                break
-            child = node[2 + ((value >> (31 - node_plen)) & 1)]
-            if child is None or (value ^ child[0]) >> (32 - child[1]):
-                break
-            node = child
-        if best is None:
-            return None
-        prefix = best[6]
-        if prefix is None:  # int-coded insert: decode lazily
-            prefix = best[6] = IPv4Prefix(IPv4Address(best[0]), best[1])
-        return prefix, best[4]
+        buckets = self._buckets
+        masks = _MASKS
+        for plen in self._lengths:
+            item = buckets[plen].get(value & masks[plen])
+            if item is not None:
+                return item
+        return None
 
-    def _compact(self) -> None:
-        """Prune every dead branch, restoring full path compression."""
-        root = self._root
-        child = root[2]
-        if child is not None:
-            root[2] = _compress(child)
-        child = root[3]
-        if child is not None:
-            root[3] = _compress(child)
-        self._dead = 0
-
-    @property
-    def node_count(self) -> int:
-        """Number of live trie nodes, root excluded (memory diagnostics).
-
-        Compacts first, so the count reflects the fully-pruned trie the
-        lazy-delete scheme converges to.
-        """
-        self._compact()
-        total = 0
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            for child in (node[2], node[3]):
-                if child is not None:
-                    total += 1
-                    stack.append(child)
-        return total
+    def values(self) -> Iterator[ValueT]:
+        """Every stored value, longest mask length first."""
+        for plen in self._lengths:
+            for _prefix, value in self._buckets[plen].values():
+                yield value
 
     def __len__(self) -> int:
-        return self._count
+        return sum(map(len, self._buckets.values()))
 
     def __contains__(self, prefix: IPv4Prefix) -> bool:
-        return self.exact(prefix) is not None
+        net, plen = prefix.as_tuple()
+        bucket = self._buckets.get(plen)
+        return bucket is not None and net in bucket
 
 
 class FlatFib:
@@ -351,7 +128,6 @@ class FlatFib:
 
     def __init__(self) -> None:
         self._table: LpmTable[FibEntry] = LpmTable()
-        self._prefixes: Dict[IPv4Prefix, FibEntry] = {}
 
     # ------------------------------------------------------------------
     # Mutation (the data-plane write; timing is owned by the FibUpdater)
@@ -360,12 +136,10 @@ class FlatFib:
         """Install or overwrite the entry for ``prefix``."""
         entry = FibEntry(prefix=prefix, adjacency=adjacency, updated_at=now)
         self._table.insert(prefix, entry)
-        self._prefixes[prefix] = entry
         return entry
 
     def delete(self, prefix: IPv4Prefix) -> bool:
         """Remove the entry for ``prefix``; returns whether it existed."""
-        self._prefixes.pop(prefix, None)
         return self._table.remove(prefix)
 
     # ------------------------------------------------------------------
@@ -378,21 +152,21 @@ class FlatFib:
 
     def entry(self, prefix: IPv4Prefix) -> Optional[FibEntry]:
         """Exact-match entry for ``prefix``."""
-        return self._prefixes.get(prefix)
+        return self._table.exact(prefix)
 
     def entries(self) -> Iterator[FibEntry]:
         """Iterate all installed entries."""
-        return iter(self._prefixes.values())
+        return self._table.values()
 
     def prefixes_using(self, mac: MacAddress) -> List[IPv4Prefix]:
         """All prefixes whose adjacency points at ``mac`` (diagnostics)."""
-        return [p for p, e in self._prefixes.items() if e.adjacency.mac == mac]
+        return [e.prefix for e in self._table.values() if e.adjacency.mac == mac]
 
     def __len__(self) -> int:
-        return len(self._prefixes)
+        return len(self._table)
 
     def __contains__(self, prefix: IPv4Prefix) -> bool:
-        return prefix in self._prefixes
+        return prefix in self._table
 
 
 class HierarchicalFib:
@@ -403,11 +177,10 @@ class HierarchicalFib:
     """
 
     def __init__(self) -> None:
-        self._table: LpmTable[int] = LpmTable()
-        self._prefix_pointer: Dict[IPv4Prefix, int] = {}
+        #: prefix → (pointer id, time of the write).
+        self._table: LpmTable[Tuple[int, float]] = LpmTable()
         self._adjacencies: Dict[int, Adjacency] = {}
         self._next_pointer = 1
-        self._updated_at: Dict[IPv4Prefix, float] = {}
 
     # ------------------------------------------------------------------
     # Adjacency (pointer) management
@@ -443,14 +216,10 @@ class HierarchicalFib:
         """Install or move ``prefix`` onto ``pointer``."""
         if pointer not in self._adjacencies:
             raise KeyError(f"unknown adjacency pointer {pointer}")
-        self._table.insert(prefix, pointer)
-        self._prefix_pointer[prefix] = pointer
-        self._updated_at[prefix] = now
+        self._table.insert(prefix, (pointer, now))
 
     def delete(self, prefix: IPv4Prefix) -> bool:
         """Remove ``prefix``; returns whether it existed."""
-        self._prefix_pointer.pop(prefix, None)
-        self._updated_at.pop(prefix, None)
         return self._table.remove(prefix)
 
     def lookup(self, address: IPv4Address) -> Optional[FibEntry]:
@@ -458,30 +227,28 @@ class HierarchicalFib:
         result = self._table.lookup(address)
         if result is None:
             return None
-        prefix, pointer = result
+        prefix, (pointer, updated_at) = result
         return FibEntry(
-            prefix=prefix,
-            adjacency=self._adjacencies[pointer],
-            updated_at=self._updated_at.get(prefix, 0.0),
+            prefix=prefix, adjacency=self._adjacencies[pointer], updated_at=updated_at
         )
 
     def entry(self, prefix: IPv4Prefix) -> Optional[FibEntry]:
         """Exact-match entry for ``prefix`` (pointer resolved)."""
-        pointer = self._prefix_pointer.get(prefix)
-        if pointer is None:
+        stored = self._table.exact(prefix)
+        if stored is None:
             return None
+        pointer, updated_at = stored
         return FibEntry(
-            prefix=prefix,
-            adjacency=self._adjacencies[pointer],
-            updated_at=self._updated_at.get(prefix, 0.0),
+            prefix=prefix, adjacency=self._adjacencies[pointer], updated_at=updated_at
         )
 
     def pointer_of(self, prefix: IPv4Prefix) -> Optional[int]:
         """Pointer id used by ``prefix``, if installed."""
-        return self._prefix_pointer.get(prefix)
+        stored = self._table.exact(prefix)
+        return stored[0] if stored is not None else None
 
     def __len__(self) -> int:
-        return len(self._prefix_pointer)
+        return len(self._table)
 
     def __contains__(self, prefix: IPv4Prefix) -> bool:
-        return prefix in self._prefix_pointer
+        return prefix in self._table

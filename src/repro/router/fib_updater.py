@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Callable, Deque, List, Optional
 
 from repro.net.addresses import IPv4Prefix
 from repro.router.fib import Adjacency, FlatFib
@@ -84,8 +84,6 @@ class FibUpdater:
         self._idle_listeners: List[Callable[[], None]] = []
         self.writes_applied = 0
         self.deletes_applied = 0
-        #: Per-prefix time of the most recent applied write (diagnostics).
-        self.last_applied: Dict[IPv4Prefix, float] = {}
         self._telemetry = None
         self._batch_origin = 0.0
         self._batch_entries = 0
@@ -211,7 +209,6 @@ class FibUpdater:
         else:
             self._fib.write(request.prefix, request.adjacency, now=now)
             self.writes_applied += 1
-        self.last_applied[request.prefix] = now
         if self._telemetry is not None:
             self._batch_entries += 1
             if self._batch_first_pending:

@@ -4,25 +4,21 @@ Time is a float number of **seconds** since the start of the simulation.
 Components schedule callbacks at absolute or relative times; the engine
 executes them in timestamp order (FIFO among equal timestamps).
 
-The hot path is deliberately lean:
+The queue is one binary heap (``heapq``) of plain ``(time, seq, callback,
+event)`` tuples, so every ordering comparison is a C-level tuple compare
+that stops at the unique sequence number.  The event records are single
+``__slots__`` objects that double as their own handles.  A heap is the
+whole design because of what campaigns schedule: hold and keepalive
+timers park tens of seconds ahead, so nearly every sub-second FIB, link
+and BFD event lands *before* the latest queued time (99.8% of scheduled
+events on the ``fig4-*`` benchmark workloads, 88% on ``churn-failover``);
+an append-only in-order lane would serve the remainder only
+(docs/performance.md).
 
-* Queue entries are plain ``(time, seq, callback, event)`` tuples, so
-  every ordering comparison is a C-level tuple compare that stops at the
-  unique sequence number; the event records are single ``__slots__``
-  objects that double as their own handles (no ``@dataclass(order=True)``
-  comparison methods, no second handle allocation).
-* The queue itself is **two lanes**: timers that arrive in timestamp
-  order — the overwhelming majority in a network simulation (link
-  latencies, BFD ticks, keepalives all fire a fixed delta from *now*,
-  which only moves forward) — are appended to a sorted *tail* lane and
-  consumed by pointer, O(1) in and out with no heap sifting.  Only
-  out-of-order arrivals go to the binary-heap lane.  The next event is
-  whichever lane's head has the smaller ``(time, seq)``, so execution
-  order is exactly that of a single priority queue.
-* ``pending_events`` is O(1) (lane lengths minus a live cancelled
-  count), and :meth:`Simulator.schedule_batch` amortises the per-call
-  overhead for components that arm many events at once (failure
-  campaigns, traffic flows).
+``pending_events`` is O(1) (heap length minus a live cancelled count),
+and :meth:`Simulator.schedule_batch` amortises the per-call overhead for
+components that arm many events at once (failure campaigns, traffic
+flows).
 """
 
 from __future__ import annotations
@@ -33,9 +29,6 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 
 _isfinite = math.isfinite
 _INF = float("inf")
-
-#: Compact the tail lane when this many consumed entries pile up.
-_TAIL_COMPACT = 8192
 
 #: A queue entry: (time, sequence, callback, event).
 _Entry = Tuple[float, int, Callable[[], None], "Event"]
@@ -126,16 +119,11 @@ class Simulator:
         from repro.sim.random import SeededRandom
 
         self._now = 0.0
-        #: Out-of-order lane: a binary heap of entries.
+        #: The event queue: a binary heap of entries.
         self._heap: List[_Entry] = []
-        #: In-order lane: entries sorted by construction, consumed from
-        #: ``_tail_pos`` (the already-consumed prefix is compacted away
-        #: periodically).
-        self._tail: List[_Entry] = []
-        self._tail_pos = 0
         self._sequence = 0
         self._executed = 0
-        #: Cancelled events still sitting in a lane (lazily discarded).
+        #: Cancelled events still sitting in the heap (lazily discarded).
         self._cancelled = 0
         self._epoch = 0
         self._running = False
@@ -175,10 +163,10 @@ class Simulator:
     def pending_events(self) -> int:
         """Number of not-yet-cancelled events still in the queue.
 
-        O(1): the lane lengths minus a live count of cancelled-but-queued
+        O(1): the heap length minus a live count of cancelled-but-queued
         events (maintained on cancel and lazy discard), not a scan.
         """
-        return len(self._heap) + len(self._tail) - self._tail_pos - self._cancelled
+        return len(self._heap) - self._cancelled
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -199,16 +187,7 @@ class Simulator:
             if delay < 0:
                 raise SimulationError(f"cannot schedule in the past (delay={delay})")
             raise SimulationError(f"delay must be finite, got {delay}")
-        sequence = self._sequence
-        self._sequence = sequence + 1
-        when = self._now + delay
-        event = Event(when, sequence, callback, name, self)
-        tail = self._tail
-        if not tail or when >= tail[-1][0]:
-            tail.append((when, sequence, callback, event))
-        else:
-            heappush(self._heap, (when, sequence, callback, event))
-        return event
+        return self._push(self._now + delay, callback, name)
 
     def schedule_at(
         self,
@@ -242,9 +221,6 @@ class Simulator:
         """
         now = self._now
         heap = self._heap
-        tail = self._tail
-        tail_append = tail.append
-        last = tail[-1][0] if tail else None
         sequence = self._sequence
         handles: List[EventHandle] = []
         append = handles.append
@@ -258,11 +234,7 @@ class Simulator:
             callback = item[1]
             when = now + delay
             event = Event(when, sequence, callback, item[2] if len(item) > 2 else "", self)
-            if last is None or when >= last:
-                tail_append((when, sequence, callback, event))
-                last = when
-            else:
-                heappush(heap, (when, sequence, callback, event))
+            heappush(heap, (when, sequence, callback, event))
             sequence += 1
             append(event)
         self._sequence = sequence
@@ -276,70 +248,8 @@ class Simulator:
         sequence = self._sequence
         self._sequence = sequence + 1
         event = Event(when, sequence, callback, name, self)
-        tail = self._tail
-        if not tail or when >= tail[-1][0]:
-            tail.append((when, sequence, callback, event))
-        else:
-            heappush(self._heap, (when, sequence, callback, event))
+        heappush(self._heap, (when, sequence, callback, event))
         return event
-
-    # ------------------------------------------------------------------
-    # Queue head selection
-    # ------------------------------------------------------------------
-    def _take(self) -> Optional[_Entry]:
-        """Remove and return the next non-cancelled entry, or ``None``."""
-        heap = self._heap
-        tail = self._tail
-        while True:
-            pos = self._tail_pos
-            if pos < len(tail):
-                entry = tail[pos]
-                if heap and heap[0] < entry:
-                    entry = heappop(heap)
-                else:
-                    pos += 1
-                    if pos == len(tail):
-                        tail.clear()
-                        pos = 0
-                    elif pos > _TAIL_COMPACT:
-                        del tail[:pos]
-                        pos = 0
-                    self._tail_pos = pos
-            elif heap:
-                entry = heappop(heap)
-            else:
-                return None
-            if entry[3].cancelled:
-                self._cancelled -= 1
-                continue
-            return entry
-
-    def _peek(self) -> Optional[Event]:
-        """Return the next non-cancelled event without removing it."""
-        heap = self._heap
-        tail = self._tail
-        while True:
-            pos = self._tail_pos
-            t_entry = tail[pos] if pos < len(tail) else None
-            if heap:
-                h_entry = heap[0]
-                if t_entry is None or h_entry < t_entry:
-                    if h_entry[3].cancelled:
-                        heappop(heap)
-                        self._cancelled -= 1
-                        continue
-                    return h_entry[3]
-            elif t_entry is None:
-                return None
-            if t_entry[3].cancelled:
-                pos += 1
-                if pos == len(tail):
-                    tail.clear()
-                    pos = 0
-                self._tail_pos = pos
-                self._cancelled -= 1
-                continue
-            return t_entry[3]
 
     # ------------------------------------------------------------------
     # Execution
@@ -350,10 +260,9 @@ class Simulator:
         Returns ``True`` if an event was executed, ``False`` if the queue
         was empty (cancelled events are skipped silently).
         """
-        entry = self._take()
-        if entry is None:
+        if self.next_event_time() is None:
             return False
-        when, _sequence, callback, event = entry
+        when, _sequence, callback, event = heappop(self._heap)
         if when < self._now:
             raise SimulationError("event queue corrupted: time went backwards")
         self._now = when
@@ -376,69 +285,31 @@ class Simulator:
         self._running = True
         executed = 0
         heap = self._heap
-        tail = self._tail
         pop = heappop
+        horizon = _INF if until is None else until
+        budget = _INF if max_events is None else max_events
         try:
-            if until is None and max_events is None:
-                # Pure drain: the common case, inlined lane selection and
-                # no bound checks.  The executed counter is accumulated
-                # locally and flushed as a delta in the finally block (a
-                # callback that drives the clock itself via step() stays
-                # correctly counted).
-                while True:
-                    pos = self._tail_pos
-                    if pos < len(tail):
-                        entry = tail[pos]
-                        if heap and heap[0] < entry:
-                            entry = pop(heap)
-                        else:
-                            pos += 1
-                            if pos == len(tail):
-                                tail.clear()
-                                pos = 0
-                            elif pos > _TAIL_COMPACT:
-                                del tail[:pos]
-                                pos = 0
-                            self._tail_pos = pos
-                    elif heap:
-                        entry = pop(heap)
-                    else:
-                        break
-                    when, _sequence, callback, event = entry
-                    if event.cancelled:
-                        self._cancelled -= 1
-                        continue
-                    if when < self._now:
-                        raise SimulationError(
-                            "event queue corrupted: time went backwards"
-                        )
-                    self._now = when
-                    executed += 1
-                    event.executed = True
-                    observer = self._observer
-                    if observer is not None:
-                        observer(event.name, when)
-                    callback()
-                return self._now
-            while True:
-                if max_events is not None and executed >= max_events:
+            # The executed counter is accumulated locally and flushed as a
+            # delta in the finally block (a callback that drives the clock
+            # itself via step() stays correctly counted).
+            while heap and executed < budget:
+                when, _sequence, callback, event = heap[0]
+                if event.cancelled:
+                    pop(heap)
+                    self._cancelled -= 1
+                    continue
+                if when > horizon:
                     break
-                head = self._peek()
-                if head is None:
-                    break
-                if until is not None and head.time > until:
-                    break
-                entry = self._take()
-                when = entry[0]
+                pop(heap)
                 if when < self._now:
                     raise SimulationError("event queue corrupted: time went backwards")
                 self._now = when
                 executed += 1
-                event = entry[3]
                 event.executed = True
-                if self._observer is not None:
-                    self._observer(event.name, when)
-                entry[2]()
+                observer = self._observer
+                if observer is not None:
+                    observer(event.name, when)
+                callback()
             if until is not None and until > self._now:
                 self._now = until
             return self._now
@@ -457,14 +328,18 @@ class Simulator:
     # ------------------------------------------------------------------
     def next_event_time(self) -> Optional[float]:
         """Timestamp of the next pending event, or ``None`` if idle."""
-        event = self._peek()
-        return event.time if event is not None else None
+        heap = self._heap
+        while heap:
+            when, _sequence, _callback, event = heap[0]
+            if not event.cancelled:
+                return when
+            heappop(heap)
+            self._cancelled -= 1
+        return None
 
     def reset(self) -> None:
         """Drop all pending events and rewind the clock to zero."""
         self._heap.clear()
-        self._tail.clear()
-        self._tail_pos = 0
         self._now = 0.0
         self._executed = 0
         self._cancelled = 0

@@ -124,8 +124,9 @@ def test_enqueue_many_preserves_order(sim):
 
 
 def test_last_applied_tracks_times(sim):
-    updater = FibUpdater(sim, FlatFib(), FibUpdaterConfig(first_entry_latency=0.2, per_entry_latency=0.1))
+    fib = FlatFib()
+    updater = FibUpdater(sim, fib, FibUpdaterConfig(first_entry_latency=0.2, per_entry_latency=0.1))
     prefix = _prefix(0)
     updater.enqueue(prefix, ADJ)
     sim.run()
-    assert updater.last_applied[prefix] == pytest.approx(0.2)
+    assert fib.entry(prefix).updated_at == pytest.approx(0.2)

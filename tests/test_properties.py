@@ -46,21 +46,41 @@ def test_prefix_containment_matches_mask_arithmetic(prefix, address):
     assert prefix.contains(address) == expected
 
 
-@given(st.lists(st.tuples(prefixes, st.integers()), max_size=40), ips)
-def test_lpm_returns_longest_matching_prefix(entries, probe):
+# Two fixed addresses next to the random ones, so removes and replaces
+# hit stored prefixes often, crossed with every mask length 0-32.
+_LPM_HOT = [IPv4Address("10.1.2.3"), IPv4Address("10.1.200.7")]
+_lpm_prefixes = st.builds(
+    IPv4Prefix, st.one_of(ips, st.sampled_from(_LPM_HOT)), prefix_lengths
+)
+_lpm_steps = st.lists(
+    st.tuples(st.sampled_from(["insert", "remove"]), _lpm_prefixes, st.integers()),
+    max_size=40,
+)
+
+
+@given(_lpm_steps, ips)
+def test_lpm_returns_longest_matching_prefix(steps, probe):
     table = LpmTable()
     reference = {}
-    for prefix, value in entries:
-        table.insert(prefix, value)
-        reference[prefix] = value
-    result = table.lookup(probe)
-    matching = [prefix for prefix in reference if prefix.contains(probe)]
-    if not matching:
-        assert result is None
-    else:
-        best = max(matching, key=lambda prefix: prefix.length)
-        assert result[0].length == best.length
-        assert result[1] == reference[result[0]]
+    probes = [probe] + _LPM_HOT
+    for action, prefix, value in steps:
+        if action == "insert":
+            assert table.insert(prefix, value) is (prefix not in reference)
+            reference[prefix] = value
+        else:
+            assert table.remove(prefix) is (prefix in reference)
+            reference.pop(prefix, None)
+        assert len(table) == len(reference)
+        assert (prefix in table) is (prefix in reference)
+        assert table.exact(prefix) == reference.get(prefix)
+        for address in probes:
+            matching = [stored for stored in reference if stored.contains(address)]
+            result = table.lookup(address)
+            if not matching:
+                assert result is None
+            else:
+                best = max(matching, key=lambda stored: stored.length)
+                assert result == (best, reference[best])
 
 
 route_sources = st.builds(

@@ -1,4 +1,4 @@
-"""Tests for the LPM trie, flat FIB and hierarchical FIB."""
+"""Tests for the LPM table, flat FIB and hierarchical FIB."""
 
 from repro.net.addresses import IPv4Address, IPv4Prefix, MacAddress
 from repro.router.fib import Adjacency, FlatFib, HierarchicalFib, LpmTable
@@ -58,6 +58,15 @@ class TestLpmTable:
         table.insert(prefix, 1)
         assert prefix in table
         assert IPv4Prefix("10.0.1.0/24") not in table
+
+    def test_contains_is_a_key_test_not_a_value_test(self):
+        table = LpmTable()
+        prefix = IPv4Prefix("10.0.0.0/24")
+        table.insert(prefix, None)
+        assert len(table) == 1
+        assert prefix in table
+        assert table.remove(prefix) is True
+        assert prefix not in table
 
 
 class TestFlatFib:

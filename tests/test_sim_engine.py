@@ -225,3 +225,100 @@ def test_handle_exposes_time_and_name(sim):
     handle = sim.schedule(2.5, lambda: None, name="probe")
     assert handle.time == 2.5
     assert handle.name == "probe"
+
+
+class _CampaignShape:
+    """Schedules through all four entry points and records what should run.
+
+    Mirrors what campaigns do to the queue: a hold timer parked far ahead,
+    then sub-second events that all land before it, many at equal
+    timestamps, some cancelled while queued.
+    """
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.fired = []
+        self.live = set()  # tags scheduled, not cancelled, not yet run
+        self.handles = {}
+        self._tag = 0
+
+    def _callback(self, tag):
+        def fire():
+            self.fired.append((self.sim.now, tag))
+            self.live.remove(tag)
+
+        return fire
+
+    def _note(self, handle):
+        self.live.add(self._tag)
+        self.handles[self._tag] = handle
+        self._tag += 1
+
+    def burst(self, count):
+        sim = self.sim
+        for i in range(count):
+            delay = (i % 7) * 0.01
+            kind = i % 4
+            if kind == 0:
+                self._note(sim.schedule(delay, self._callback(self._tag)))
+            elif kind == 1:
+                self._note(sim.schedule_at(sim.now + delay, self._callback(self._tag)))
+            elif kind == 2:
+                self._note(sim.call_soon(self._callback(self._tag)))
+            else:
+                first = self._tag
+                items = [(delay, self._callback(first + j)) for j in range(3)]
+                for handle in sim.schedule_batch(items):
+                    self._note(handle)
+            if i % 5 == 0:
+                self.cancel(self._tag - 1 - (i % 3))
+
+    def cancel(self, tag):
+        if tag in self.live:
+            assert self.handles[tag].cancel() is True
+            self.live.remove(tag)
+        else:
+            assert self.handles[tag].cancel() is False
+        assert self.sim.pending_events == len(self.live)
+
+
+def test_campaign_shape_runs_in_exact_time_then_sequence_order(sim):
+    shape = _CampaignShape(sim)
+    shape._note(sim.schedule(90.0, shape._callback(0), name="hold"))
+    shape.burst(2000)
+    # A second burst from inside a callback, at an instant that already has
+    # equal-timestamp events queued behind it.
+    sim.schedule_at(0.03, lambda: shape.burst(500))
+    expected_pending = len(shape.live) + 1
+
+    # Peeking discards cancelled heads lazily and must not move the count.
+    assert sim.next_event_time() == 0.0
+    assert sim.pending_events == expected_pending
+
+    sim.run(max_events=100)
+    assert sim.pending_events == expected_pending - 100
+    sim.run(until=1.0)
+    assert shape.fired == sorted(shape.fired)
+    assert len(shape.fired) == len(set(shape.fired))
+    assert shape.live == {0}  # everything but the hold timer ran
+    assert sim.pending_events == 1
+    assert sim.next_event_time() == 90.0
+
+    sim.run()
+    assert shape.fired[-1] == (90.0, 0)
+    assert sim.pending_events == 0
+
+
+def test_handle_cancelled_after_reset_does_not_disturb_the_counter(sim):
+    stale = [sim.schedule(delay, lambda: None) for delay in (90.0, 0.1, 0.1)]
+    stale[1].cancel()
+    sim.reset()
+    fresh = sim.schedule(0.5, lambda: None)
+    assert sim.pending_events == 1
+    assert stale[0].cancel() is True  # it never ran, but it left the queue
+    assert stale[2].cancel() is True
+    assert sim.pending_events == 1
+    fresh.cancel()
+    assert sim.pending_events == 0
+    assert sim.run() == 0.0
+    assert sim.pending_events == 0

@@ -20,6 +20,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 MYPY_TARGETS = [
     "src/repro/routes/prefixcodec.py",
     "src/repro/bgp/rib.py",
+    "src/repro/router/fib.py",
     "src/repro/supercharge/sharding.py",
     "src/repro/telemetry",
     "src/repro/analysis",
@@ -64,6 +65,7 @@ def test_pyproject_mypy_allowlist_matches_this_test():
     expected = {
         "repro.routes.prefixcodec",
         "repro.bgp.rib",
+        "repro.router.fib",
         "repro.supercharge.sharding",
         "repro.telemetry.*",
         "repro.analysis.*",
