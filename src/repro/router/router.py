@@ -208,6 +208,10 @@ class Router:
         """
         return sorted(self._blackholes)
 
+    def blackholes_prefix(self, prefix: IPv4Prefix) -> bool:
+        """Whether exactly ``prefix`` is currently blackholed."""
+        return prefix in self._blackholes
+
     def is_blackholed(self, destination: IPv4Address) -> bool:
         """Whether traffic to ``destination`` is currently blackholed."""
         if not self._blackholes:

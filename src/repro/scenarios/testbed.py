@@ -965,7 +965,9 @@ class ScenarioLab:
     def _replay_churn_update(self, provider: Router, update: UpdateMessage) -> None:
         if update.is_withdraw:
             provider.bgp.withdraw_origin(update.prefix)
-        else:
+        elif not provider.blackholes_prefix(update.prefix):
+            # A remote_withdraw lost the upstream path for this prefix:
+            # re-originating it would attract traffic the provider drops.
             provider.bgp.originate(update.prefix, update.attributes)
 
     def setup_monitoring(self, num_flows: Optional[int] = None) -> None:

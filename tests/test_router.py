@@ -217,6 +217,10 @@ def test_blackholed_prefixes_listed_in_prefix_order(sim):
     assert router.blackholed_prefixes() == sorted(prefixes)
     router.clear_blackhole(prefixes[0])
     assert router.blackholed_prefixes() == sorted(prefixes[1:])
+    # The prefix-keyed query is exact: a covered /24 is not "the" blackhole.
+    assert router.blackholes_prefix(prefixes[1])
+    assert not router.blackholes_prefix(prefixes[0])
+    assert not router.blackholes_prefix(IPv4Prefix("10.1.5.0/24"))
 
 
 def test_bfd_disabled_router_rejects_bfd_peer(sim):

@@ -6,6 +6,7 @@ import pytest
 
 from repro.scenarios.campaign import (
     CampaignRunner,
+    execute_scenario,
     expand_grid,
     run_campaign,
     run_scenario,
@@ -168,6 +169,19 @@ class TestRemoteFailureCampaigns:
         assert first == second
         assert first["churn_updates_replayed"] > base.num_prefixes
         assert first["converged"] and first["recovered"]
+
+    def test_ris_churn_recovers_with_blackholed_prefixes_in_the_replay(self):
+        """The replay must not re-originate prefixes the provider is
+        blackholing after the remote_withdraw: the controller would route
+        them back to a provider that drops them and ``wait_recovered``
+        would burn its whole timeout (it did from ~1k prefixes up)."""
+        record, lab = execute_scenario(get_preset("ris-churn", num_prefixes=1000))
+        assert record["recovered"]
+        assert all(
+            lab.monitor.is_reachable(destination)
+            for destination in lab.monitored_destinations
+        )
+        assert record["sim_time_s"] < 15
 
     def test_churn_grid_axes_expand(self):
         specs = expand_grid(
