@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Quickstart: supercharge a router and measure its failover convergence.
 
-Builds the paper's Figure 4 lab at small scale (1 000 prefixes), loads the
-synthetic full table, disconnects the primary provider and prints the
-data-plane outage observed by 20 monitored flows — once for the stock
-router and once for its supercharged version.
+Builds the paper's Figure 4 lab (the ``figure4`` scenario preset) at small
+scale (1 000 prefixes), loads the synthetic full table, disconnects the
+primary provider and prints the data-plane outage observed by 20 monitored
+flows — once for the stock router and once for its supercharged version.
 
 Run with::
 
@@ -13,23 +13,20 @@ Run with::
 
 from __future__ import annotations
 
-from repro import Simulator, build_convergence_lab
+from repro import Simulator, build_scenario, get_preset
 from repro.experiments.stats import BoxStats
 
 
 def run_mode(supercharged: bool, num_prefixes: int = 1_000) -> BoxStats:
     """Run one failover and return the convergence distribution (seconds)."""
-    sim = Simulator(seed=1)
-    lab = build_convergence_lab(
-        sim,
+    spec = get_preset(
+        "figure4",
         num_prefixes=num_prefixes,
         supercharged=supercharged,
         monitored_flows=20,
     )
-    lab.start()
-    lab.load_feeds()
-    lab.wait_converged()
-    lab.setup_monitoring()
+    lab = build_scenario(Simulator(seed=spec.seed), spec)
+    lab.bring_up()
     result = lab.run_single_failover()
     print(
         f"  detection time          : {result.detection_time * 1e3:7.1f} ms"

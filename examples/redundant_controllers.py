@@ -13,22 +13,16 @@ Run with::
 
 from __future__ import annotations
 
-from repro import Simulator
-from repro.topology.lab import ConvergenceLab, LabConfig
+from repro import Simulator, build_scenario, get_preset
 
 
 def main() -> None:
     sim = Simulator(seed=4)
-    lab = ConvergenceLab(sim, LabConfig(
-        num_prefixes=500,
-        supercharged=True,
-        redundant_controllers=True,
-        monitored_flows=20,
-    )).build()
-    lab.start()
-    lab.load_feeds()
-    lab.wait_converged()
-    lab.setup_monitoring()
+    spec = get_preset(
+        "figure4", num_prefixes=500, redundant_controllers=True, monitored_flows=20
+    )
+    lab = build_scenario(sim, spec)
+    lab.bring_up()
 
     first, second = lab.cluster.replicas()
     print("Replica VNH/VMAC assignments identical without synchronisation:",
@@ -40,7 +34,7 @@ def main() -> None:
 
     result = lab.run_single_failover()
     print(f"\nFailover with both replicas alive : {result.max_convergence_ms:6.1f} ms (worst flow)")
-    lab.restore_primary()
+    lab.restore_provider()
 
     print(f"\nCrashing replica {first.name}…")
     lab.cluster.fail_replica(first.name)

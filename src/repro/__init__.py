@@ -7,13 +7,19 @@ with the slow flat-FIB update path, the supercharged controller that pairs
 the router with an SDN switch, and the evaluation lab and experiment
 harnesses reproducing the paper's Figure 5 and micro-benchmarks.
 
+There is one lab: a :class:`ScenarioSpec` (the paper's testbed is the
+``figure4`` preset, ``supercharged`` on or off) compiled by
+:func:`build_scenario` into a :class:`ScenarioLab`.
+
 Quickstart
 ----------
 
->>> from repro import Simulator, build_convergence_lab
->>> sim = Simulator(seed=1)
->>> lab = build_convergence_lab(sim, num_prefixes=500, supercharged=True)
->>> result = lab.run_failover(num_flows=20)
+>>> from repro import Simulator, build_scenario, get_preset
+>>> spec = get_preset("figure4", num_prefixes=500, monitored_flows=20)
+>>> lab = build_scenario(Simulator(seed=spec.seed), spec)
+>>> lab.bring_up()
+True
+>>> result = lab.run_single_failover()
 >>> result.max_convergence_ms < 1000
 True
 """
@@ -30,7 +36,6 @@ from repro.core import (
     VnhAllocator,
 )
 from repro.routes import synthetic_full_table
-from repro.topology import ConvergenceLab, FailoverResult, LabConfig, build_convergence_lab
 from repro.experiments import (
     BoxStats,
     ControllerMicrobench,
@@ -39,6 +44,7 @@ from repro.experiments import (
 )
 from repro.scenarios import (
     CampaignRunner,
+    FailoverResult,
     FailureInjector,
     FailureSpec,
     ScenarioLab,
@@ -71,15 +77,12 @@ __all__ = [
     "SuperchargedController",
     "VnhAllocator",
     "synthetic_full_table",
-    "ConvergenceLab",
-    "FailoverResult",
-    "LabConfig",
-    "build_convergence_lab",
     "BoxStats",
     "ControllerMicrobench",
     "Figure5Experiment",
     "run_figure5",
     "CampaignRunner",
+    "FailoverResult",
     "FailureInjector",
     "FailureSpec",
     "ScenarioLab",

@@ -53,6 +53,7 @@ from repro.experiments.stats import BoxStats, format_table
 from repro.scenarios import (
     CampaignRunner,
     ScenarioSpecError,
+    build_scenario,
     execute_scenario,
     expand_grid,
     get_preset,
@@ -68,24 +69,18 @@ from repro.telemetry.export import (
     report_to_json,
 )
 from repro.telemetry.process import peak_rss_mb
-from repro.topology.lab import ConvergenceLab, LabConfig
 
 
 def _cmd_failover(arguments: argparse.Namespace) -> int:
-    sim = Simulator(seed=arguments.seed)
-    lab = ConvergenceLab(
-        sim,
-        LabConfig(
-            num_prefixes=arguments.prefixes,
-            supercharged=arguments.supercharged,
-            monitored_flows=arguments.flows,
-            seed=arguments.seed,
-        ),
-    ).build()
-    lab.start()
-    lab.load_feeds()
-    lab.wait_converged()
-    lab.setup_monitoring()
+    spec = get_preset(
+        "figure4",
+        num_prefixes=arguments.prefixes,
+        supercharged=arguments.supercharged,
+        monitored_flows=arguments.flows,
+        seed=arguments.seed,
+    )
+    lab = build_scenario(Simulator(seed=spec.seed), spec)
+    lab.bring_up()
     result = lab.run_single_failover()
     stats = BoxStats.from_samples(result.samples)
     mode = "supercharged" if arguments.supercharged else "standalone"

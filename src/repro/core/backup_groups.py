@@ -165,7 +165,7 @@ class BackupGroupManager:
 
         if not new_next_hops:
             # Prefix disappeared entirely.
-            actions.extend(self._unassign(prefix))
+            self._unassign(prefix)
             if change.old_ranking:
                 actions.append(ProvisioningAction(kind=ActionKind.WITHDRAW, prefix=prefix))
             return actions
@@ -173,7 +173,7 @@ class BackupGroupManager:
         if len(new_next_hops) == 1:
             # No backup available: announce the real next hop (Listing 1's
             # ``len(new) == 1`` branch) and drop any previous group mapping.
-            actions.extend(self._unassign(prefix))
+            self._unassign(prefix)
             actions.append(
                 ProvisioningAction(
                     kind=ActionKind.ANNOUNCE_REAL,
@@ -190,7 +190,7 @@ class BackupGroupManager:
             return actions
 
         if previous_key is not None:
-            actions.extend(self._unassign(prefix))
+            self._unassign(prefix)
 
         group = self._groups.get(key)
         if group is None:
@@ -213,21 +213,15 @@ class BackupGroupManager:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _unassign(self, prefix: IPv4Prefix) -> List[ProvisioningAction]:
+    def _unassign(self, prefix: IPv4Prefix) -> None:
+        """Drop ``prefix`` from its group, which stays alive even when that
+        empties it: its switch rule and VNH remain valid and are reused if
+        the same (primary, backup) pair reappears, which avoids churn
+        during large reconvergence events (:meth:`collect_empty_groups`
+        garbage-collects explicitly)."""
         key = self._group_of_prefix.pop(prefix, None)
-        if key is None:
-            return []
-        group = self._groups.get(key)
-        if group is None:
-            return []
-        group.members.discard(prefix)
-        if not group.members:
-            # Keep empty groups alive: their switch rule and VNH remain valid
-            # and will be reused if the same (primary, backup) pair reappears,
-            # which avoids churn during large reconvergence events.  They can
-            # be garbage collected explicitly.
-            return []
-        return []
+        if key in self._groups:
+            self._groups[key].members.discard(prefix)
 
     def note_group_pointed(self, group: BackupGroup, next_hop: IPv4Address) -> None:
         """Hook: the data-plane convergence procedure repointed ``group``'s

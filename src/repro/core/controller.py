@@ -140,7 +140,6 @@ class SuperchargedController:
         )
         self.bgp.auto_advertise = False
         self.bgp.on_rib_change(self._handle_rib_change)
-        self.bgp.on_peer_down(self._handle_bgp_peer_down)
         self.bfd = BfdManager(
             sim,
             send=self._send_bfd,
@@ -388,9 +387,7 @@ class SuperchargedController:
             index += 1
 
     def _apply_single_action(self, action: ProvisioningAction) -> None:
-        if action.kind is ActionKind.ANNOUNCE_VIRTUAL:
-            self._announce_to_router(action.prefix, action.next_hop)
-        elif action.kind is ActionKind.ANNOUNCE_REAL:
+        if action.kind in (ActionKind.ANNOUNCE_VIRTUAL, ActionKind.ANNOUNCE_REAL):
             self._announce_to_router(action.prefix, action.next_hop)
         elif action.kind is ActionKind.WITHDRAW:
             self.bgp.withdraw_route(self.config.router_ip, action.prefix)
@@ -448,9 +445,6 @@ class SuperchargedController:
                 self._telemetry.emit(
                     "ctrl.peer_restored", controller=self.name, peer=str(peer_ip)
                 )
-
-    def _handle_bgp_peer_down(self, peer_ip: IPv4Address, reason: str) -> None:
-        return
 
     # ------------------------------------------------------------------
     # Switch / data-plane frame handling

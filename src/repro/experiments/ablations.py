@@ -15,10 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from repro.openflow.switch import SwitchConfig
-from repro.router.fib_updater import FibUpdaterConfig
+from repro.scenarios.presets import figure4
+from repro.scenarios.testbed import build_scenario
 from repro.sim.engine import Simulator
-from repro.topology.lab import ConvergenceLab, LabConfig
 
 
 @dataclass(frozen=True)
@@ -32,13 +31,11 @@ class AblationPoint:
     detection_time: Optional[float]
 
 
-def _run_lab(config: LabConfig, monitored_flows: int, seed: int) -> "AblationSample":
-    sim = Simulator(seed=seed)
-    lab = ConvergenceLab(sim, config).build()
-    lab.start()
-    lab.load_feeds()
-    lab.wait_converged()
-    lab.setup_monitoring(monitored_flows)
+def _run_lab(**overrides) -> "AblationSample":
+    """One failover of the Figure-4 lab with ``overrides`` on its spec."""
+    spec = figure4(**overrides)
+    lab = build_scenario(Simulator(seed=spec.seed), spec)
+    lab.bring_up()
     result = lab.run_single_failover()
     samples = sorted(result.samples)
     median = samples[len(samples) // 2] if samples else 0.0
@@ -68,15 +65,10 @@ def sweep_bfd_interval(
     points = []
     for interval in intervals:
         sample = _run_lab(
-            LabConfig(
-                num_prefixes=num_prefixes,
-                supercharged=True,
-                monitored_flows=monitored_flows,
-                seed=seed,
-                bfd_interval=interval,
-            ),
-            monitored_flows,
-            seed,
+            num_prefixes=num_prefixes,
+            monitored_flows=monitored_flows,
+            seed=seed,
+            bfd_interval=interval,
         )
         points.append(
             AblationPoint(
@@ -99,17 +91,11 @@ def sweep_flow_mod_latency(
     """Supercharged convergence as a function of the switch rule-install latency."""
     points = []
     for latency in latencies:
-        switch = SwitchConfig(flow_mod_latency=latency, table_miss="flood")
         sample = _run_lab(
-            LabConfig(
-                num_prefixes=num_prefixes,
-                supercharged=True,
-                monitored_flows=monitored_flows,
-                seed=seed,
-                switch=switch,
-            ),
-            monitored_flows,
-            seed,
+            num_prefixes=num_prefixes,
+            monitored_flows=monitored_flows,
+            seed=seed,
+            flow_mod_latency=latency,
         )
         points.append(
             AblationPoint(
@@ -127,24 +113,21 @@ def compare_fib_designs(
     num_prefixes: int = 2_000,
     monitored_flows: int = 20,
     seed: int = 1,
-    fib_updater: Optional[FibUpdaterConfig] = None,
 ) -> List[AblationPoint]:
     """Flat FIB vs hierarchical (PIC) FIB vs supercharged router."""
-    updater = fib_updater or FibUpdaterConfig()
     configurations = [
-        ("flat-fib (standalone)", LabConfig(
-            num_prefixes=num_prefixes, supercharged=False, seed=seed,
-            monitored_flows=monitored_flows, fib_updater=updater)),
-        ("hierarchical-fib (PIC)", LabConfig(
-            num_prefixes=num_prefixes, supercharged=False, hierarchical_fib=True,
-            seed=seed, monitored_flows=monitored_flows, fib_updater=updater)),
-        ("supercharged", LabConfig(
-            num_prefixes=num_prefixes, supercharged=True, seed=seed,
-            monitored_flows=monitored_flows, fib_updater=updater)),
+        ("flat-fib (standalone)", dict(supercharged=False)),
+        ("hierarchical-fib (PIC)", dict(supercharged=False, hierarchical_fib=True)),
+        ("supercharged", dict(supercharged=True)),
     ]
     points = []
-    for index, (label, config) in enumerate(configurations):
-        sample = _run_lab(config, monitored_flows, seed)
+    for index, (label, mode) in enumerate(configurations):
+        sample = _run_lab(
+            num_prefixes=num_prefixes,
+            monitored_flows=monitored_flows,
+            seed=seed,
+            **mode,
+        )
         points.append(
             AblationPoint(
                 label=label,

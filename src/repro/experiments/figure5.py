@@ -21,9 +21,9 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.experiments.stats import BoxStats, format_table
 from repro.runconfig import env_flag
-from repro.router.fib_updater import FibUpdaterConfig
+from repro.scenarios.presets import figure4
+from repro.scenarios.testbed import build_scenario
 from repro.sim.engine import Simulator
-from repro.topology.lab import ConvergenceLab, FailoverResult, LabConfig
 
 #: Paper x-axis (Figure 5).
 FULL_SCALE_PREFIX_COUNTS: Sequence[int] = (
@@ -88,14 +88,12 @@ class Figure5Experiment:
         repetitions: int = 3,
         monitored_flows: int = 100,
         seed: int = 1,
-        fib_updater: Optional[FibUpdaterConfig] = None,
         modes: Sequence[bool] = (False, True),
     ) -> None:
         self.prefix_counts = list(prefix_counts or active_prefix_counts())
         self.repetitions = repetitions
         self.monitored_flows = monitored_flows
         self.seed = seed
-        self.fib_updater = fib_updater or FibUpdaterConfig()
         self.modes = list(modes)
         self.rows: List[Figure5Row] = []
 
@@ -114,24 +112,19 @@ class Figure5Experiment:
         """Run all repetitions of one box of the figure."""
         samples: List[float] = []
         detections: List[float] = []
-        sim = Simulator(seed=self.seed)
-        lab = ConvergenceLab(
-            sim,
-            LabConfig(
+        lab = build_scenario(
+            Simulator(seed=self.seed),
+            figure4(
                 num_prefixes=num_prefixes,
                 supercharged=supercharged,
                 monitored_flows=self.monitored_flows,
                 seed=self.seed,
-                fib_updater=self.fib_updater,
             ),
-        ).build()
-        lab.start()
-        lab.load_feeds()
-        lab.wait_converged()
-        lab.setup_monitoring()
+        )
+        lab.bring_up()
         for repetition in range(self.repetitions):
             if repetition > 0:
-                lab.restore_primary()
+                lab.restore_provider()
             result = lab.run_single_failover()
             samples.extend(result.samples)
             if result.detection_time is not None:

@@ -121,10 +121,7 @@ class RemoteSuperchargeExperiment:
         spec = self._spec(num_prefixes, grouped)
         sim = Simulator(seed=spec.seed)
         lab = build_scenario(sim, spec)
-        lab.start()
-        lab.load_feeds()
-        lab.wait_converged(timeout=self.timeout)
-        lab.setup_monitoring()
+        lab.bring_up(timeout=self.timeout)
         controller = lab.controllers[0]
         rules_before = controller.provisioner.rules_pushed
         batches_before = controller.provisioner.batches_pushed

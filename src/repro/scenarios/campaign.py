@@ -122,10 +122,7 @@ def execute_scenario(
     emitted (``cli trace --out``), bypassing the ring buffer's capacity."""
     sim = Simulator(seed=spec.seed)
     lab = build_scenario(sim, spec, trace_sink=trace_sink)
-    lab.start()
-    lab.load_feeds()
-    converged = lab.wait_converged(timeout=timeout)
-    lab.setup_monitoring()
+    converged = lab.bring_up(timeout=timeout)
     injector = FailureInjector(lab)
     injector.arm()
     churn_scheduled = lab.start_churn()

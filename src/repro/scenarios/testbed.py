@@ -1,7 +1,10 @@
-"""Compile a :class:`~repro.scenarios.spec.ScenarioSpec` into a wired sim.
+"""The testbed: a :class:`~repro.scenarios.spec.ScenarioSpec` compiled
+into a wired simulation.
 
-:class:`ScenarioLab` generalises the paper's Figure-4 testbed: instead of
-the fixed R1 + R2/R3 fan it wires
+:class:`ScenarioLab` is the only lab in the code base.  The paper's
+Figure-4 testbed is the ``figure4`` preset (one router under test, two
+providers, ``supercharged`` on or off); every other scenario widens the
+same wiring:
 
 * ``num_edge_routers`` routers under test (each with its own traffic
   source; the first one is the measured router),
@@ -11,11 +14,12 @@ the fixed R1 + R2/R3 fan it wires
 * in supercharged mode, one controller per edge router (plus a redundant
   replica when requested) attached to the switch.
 
-The class keeps the experiment workflow of the original lab —
-``build → start → load_feeds → wait_converged → setup_monitoring →
-fail_provider → wait_recovered → measure`` — so the Figure-4 lab
-(:class:`repro.topology.lab.ConvergenceLab`) is now just a preset subclass
-pinning ``num_providers=2`` and the legacy naming.
+Everything that varies between runs is a spec field (table size, BFD,
+REST, switch and FIB-download timing, ...); :class:`AddressPlan` derives
+every address, MAC and switch port from the fan sizes.  The workflow is
+``build_scenario → bring_up → fail_provider → wait_recovered → measure``;
+``bring_up`` is ``start → load_feeds → wait_converged →
+setup_monitoring``, which stay public for callers that time them apart.
 """
 
 from __future__ import annotations
@@ -47,10 +51,9 @@ from repro.telemetry import (
     STAGE_DETECT,
     STAGE_INSTALL,
     STAGE_PUSH,
+    STAGES,
     SimProfiler,
-    StageTimeline,
     Telemetry,
-    timeline_recorder,
 )
 from repro.traffic.flows import FlowSpec
 from repro.traffic.generator import TrafficSource, TrafficSourceConfig
@@ -68,10 +71,9 @@ CONTROLLER_CHANNEL_LATENCY = 1e-3
 class AddressPlan:
     """Deterministic addressing for an arbitrary-size scenario.
 
-    The plan is backwards compatible with the Figure-4 lab: with one edge
-    router and two providers it produces exactly the paper's addresses,
-    MACs and switch ports (R1=.1/port 1, R2=.2/port 2, R3=.3/port 3,
-    controllers .100/.101 on ports 4/5).
+    With one edge router and two providers it produces exactly the
+    paper's Figure-4 addresses, MACs and switch ports (R1=.1/port 1,
+    R2=.2/port 2, R3=.3/port 3, controllers .100/.101 on ports 4/5).
     """
 
     CORE_SUBNET = IPv4Prefix("10.0.0.0/24")
@@ -309,17 +311,11 @@ class ScenarioLab:
         sim: Simulator,
         spec: ScenarioSpec,
         *,
-        fib_updater: Optional[FibUpdaterConfig] = None,
-        switch_config: Optional[SwitchConfig] = None,
         trace_sink: Optional[IO[str]] = None,
     ) -> None:
         spec.validate()
         self.sim = sim
         self.spec = spec
-        self._fib_updater = fib_updater or self._default_fib_updater(spec)
-        self._switch_config = switch_config or SwitchConfig(
-            flow_mod_latency=spec.flow_mod_latency, table_miss="flood"
-        )
         controllers_needed = 0
         if spec.supercharged:
             controllers_needed = spec.num_edge_routers * (
@@ -367,15 +363,12 @@ class ScenarioLab:
         )
         #: Deterministic event-loop profiler (installed by telemetry wiring).
         self.profiler: Optional[SimProfiler] = None
-        #: Per-episode convergence stage marks (detect/decide/push/install).
-        self.stage_timeline = StageTimeline()
-        #: Stage offsets of *closed* episodes (archived by the next
-        #: :meth:`note_failure`), oldest first.
-        self.stage_episodes: List[Dict[str, Optional[float]]] = []
         self._built = False
 
-    @staticmethod
-    def _default_fib_updater(spec: ScenarioSpec) -> FibUpdaterConfig:
+    def _edge_fib_updater(self) -> FibUpdaterConfig:
+        """The routers-under-test FIB download timing: the spec's, with
+        the Nexus-7k defaults for whatever it leaves unset."""
+        spec = self.spec
         defaults = FibUpdaterConfig()
         return FibUpdaterConfig(
             first_entry_latency=(
@@ -440,7 +433,11 @@ class ScenarioLab:
         if self._built:
             return self
         self._built = True
-        self.switch = OpenFlowSwitch(self.sim, "sw1", self._switch_config)
+        self.switch = OpenFlowSwitch(
+            self.sim,
+            "sw1",
+            SwitchConfig(flow_mod_latency=self.spec.flow_mod_latency, table_miss="flood"),
+        )
         self._build_routers()
         self._build_traffic_boards()
         self._wire_links()
@@ -461,6 +458,7 @@ class ScenarioLab:
         spec = self.spec
         plan = self.plan
         edge_bfd = None if spec.supercharged else spec.bfd_interval
+        edge_fib_updater = self._edge_fib_updater()
         for j in range(spec.num_edge_routers):
             edge = Router(
                 self.sim,
@@ -468,7 +466,7 @@ class ScenarioLab:
                 RouterConfig(
                     asn=plan.edge_asn(j),
                     router_id=plan.edge_core_ip(j),
-                    fib_updater=self._fib_updater,
+                    fib_updater=edge_fib_updater,
                     hierarchical_fib=spec.hierarchical_fib,
                     bfd_interval=edge_bfd,
                     bfd_multiplier=spec.bfd_multiplier,
@@ -811,10 +809,10 @@ class ScenarioLab:
     def _wire_telemetry(self) -> None:
         """Attach the scenario's telemetry context to every instrumented
         component at the measured vantage (the first edge router and the
-        controller plane), and subscribe the stage timeline to the trace
-        bus.  Purely observational: no events, randomness or state changes
-        enter the simulation, so the trajectory is identical with
-        telemetry on or off."""
+        controller plane), and subscribe the causal ledger's stage marks
+        to the trace bus.  Purely observational: no events, randomness or
+        state changes enter the simulation, so the trajectory is identical
+        with telemetry on or off."""
         telemetry = self.telemetry
         if telemetry is None:
             return
@@ -840,9 +838,6 @@ class ScenarioLab:
                     telemetry.restored(flow_mod.match.eth_dst, kind="group")
 
             self.switch.on_flow_mod_applied(flow_mod_applied)
-        telemetry.trace.on_emit(
-            timeline_recorder(self.stage_timeline, self._stage_mapping())
-        )
         # Causal ledger: per-outage stage marks folded with the per-prefix
         # restoration instants reported by the measured FIB updater.
         telemetry.trace.on_emit(telemetry.ledger.recorder(self._stage_mapping()))
@@ -855,16 +850,26 @@ class ScenarioLab:
         """Milliseconds from the *first* noted failure to each convergence
         stage's first observation during that episode (all ``None`` when
         telemetry is off or nothing failed).  Later episodes (flap cycles,
-        repeated injections) are archived in :attr:`stage_episodes`."""
-        if self.telemetry is None or self.last_failure_time is None:
-            return {stage: None for stage in ("detect", "decide", "push", "install")}
-        if self.stage_episodes:
-            return dict(self.stage_episodes[0])
-        return self.stage_timeline.offsets_ms(self.last_failure_time)
+        repeated injections) are the ledger's further outages
+        (``telemetry.ledger.outage_summaries()``)."""
+        outages = self.telemetry.causal.outages() if self.telemetry is not None else []
+        if not outages:
+            return {stage: None for stage in STAGES}
+        return self.telemetry.ledger.stage_offsets_ms(outages[0])
 
     # ------------------------------------------------------------------
     # Workflow
     # ------------------------------------------------------------------
+    def bring_up(self, timeout: float = 3600.0) -> bool:
+        """Everything between a built lab and one ready to fail: sessions
+        up, full tables loaded and downloaded, monitoring attached.
+        Returns whether the testbed converged within ``timeout``."""
+        self.start()
+        self.load_feeds()
+        converged = self.wait_converged(timeout=timeout)
+        self.setup_monitoring()
+        return converged
+
     def start(self) -> None:
         """Bring the control plane up (BGP + BFD sessions)."""
         for edge in self.edge_routers:
@@ -1016,18 +1021,11 @@ class ScenarioLab:
         against.  With telemetry on this also mints the episode's causal
         root: a deterministic ``outage-<n>`` context that the trace bus
         stamps into every subsequent event until the next injection."""
-        if self.telemetry is not None and self.last_failure_time is not None:
-            # Close the running episode: archive its stage offsets before
-            # the timeline resets for the new one.
-            self.stage_episodes.append(
-                self.stage_timeline.offsets_ms(self.last_failure_time)
-            )
         self.last_failure_time = self.sim.now if when is None else when
         if provider_index is not None:
             self.last_failed_provider = provider_index
         # A fresh detection episode: every mechanism may claim this failure.
         self.detection.new_episode()
-        self.stage_timeline.reset()
         if self.telemetry is not None:
             outage_id = self.telemetry.causal.open_outage(
                 self.last_failure_time,

@@ -54,8 +54,6 @@ from repro.telemetry.timeline import (
     STAGE_INSTALL,
     STAGE_PUSH,
     STAGES,
-    StageTimeline,
-    timeline_recorder,
 )
 from repro.telemetry.trace import Span, TraceBus, TraceEvent
 
@@ -69,7 +67,6 @@ __all__ = [
     "OutageContext",
     "SimProfiler",
     "Span",
-    "StageTimeline",
     "STAGES",
     "STAGE_DETECT",
     "STAGE_DECIDE",
@@ -82,7 +79,6 @@ __all__ = [
     "render_openmetrics",
     "sample_scale_gauges",
     "sample_shard_gauges",
-    "timeline_recorder",
 ]
 
 

@@ -1,9 +1,9 @@
 """Causal convergence provenance: outage contexts and per-prefix chains.
 
 The paper's headline number is measured *per prefix* (Figure 5 is a CDF
-of individual prefix restoration times), but the stage timeline of
-:mod:`repro.telemetry.timeline` only records the episode's first
-observation of each stage.  This module adds the missing causal layer:
+of individual prefix restoration times), and its convergence pipeline is
+the four stages named in :mod:`repro.telemetry.timeline`.  This module is
+the one place both are kept, per outage:
 
 * every disruptive failure injection mints an **outage context** — a
   deterministic ``outage-<n>`` root id plus its sim-time open instant —
@@ -171,7 +171,14 @@ class ConvergenceLedger:
     def recorder(
         self, stage_by_event: Mapping[str, str]
     ) -> Callable[[TraceEvent], None]:
-        """A trace-bus ``on_emit`` listener marking per-outage stages."""
+        """A trace-bus ``on_emit`` listener marking per-outage stages.
+
+        ``stage_by_event`` maps trace event names to stage names; events
+        not in the mapping are ignored and the first mark of a stage
+        within an outage wins."""
+        unknown = sorted(set(stage_by_event.values()) - set(STAGES))
+        if unknown:
+            raise ValueError(f"unknown stages {unknown}; expected one of {STAGES}")
 
         def record(event: TraceEvent) -> None:
             current = self._causal.current_id
@@ -221,7 +228,7 @@ class ConvergenceLedger:
             if outage_id is not None and outage.outage_id != outage_id:
                 continue
             restores = self._restores.get(outage.outage_id, {})
-            stage_offsets = self._stage_offsets_ms(outage)
+            stage_offsets = self.stage_offsets_ms(outage)
             for chain_kind, subject in sorted(restores):
                 if kind is not None and chain_kind != kind:
                     continue
@@ -297,7 +304,7 @@ class ConvergenceLedger:
             summary["chains"] = len(restores)
             summary["prefixes_restored"] = prefix_count
             summary["groups_restored"] = group_count
-            stage_offsets = self._stage_offsets_ms(outage)
+            stage_offsets = self.stage_offsets_ms(outage)
             for stage in STAGES:
                 summary[f"{stage}_ms"] = stage_offsets[stage]
             if restores:
@@ -314,7 +321,10 @@ class ConvergenceLedger:
             summaries.append(summary)
         return summaries
 
-    def _stage_offsets_ms(self, outage: OutageContext) -> Dict[str, Optional[float]]:
+    def stage_offsets_ms(self, outage: OutageContext) -> Dict[str, Optional[float]]:
+        """Milliseconds from ``outage``'s open instant to each stage's
+        first observation within it (``None`` for stages never observed),
+        rounded like every other exported sim quantity."""
         marks = self._stages.get(outage.outage_id, {})
         return {
             stage: (

@@ -1,4 +1,4 @@
-"""Per-episode stage timeline: the paper's convergence decomposition.
+"""The paper's convergence decomposition: the four stage names.
 
 The paper decomposes convergence into four stages —
 
@@ -8,18 +8,14 @@ The paper decomposes convergence into four stages —
     push    → the flow-mod / route update reaches the forwarding element
     install → the forwarding element has applied the new state
 
-:class:`StageTimeline` collects the *first* instant each stage was
-observed after an episode origin (the failure time).  The scenario lab
-feeds it from trace-bus events through a mode-specific ``event name →
-stage`` mapping; the campaign record then exports one millisecond offset
-per stage.
+The scenario lab maps trace-bus event names onto these stages (a
+mode-specific ``event name → stage`` mapping) and the causal ledger
+(:class:`repro.telemetry.causal.ConvergenceLedger`) keeps the *first*
+instant each stage was observed per outage; the campaign record exports
+one millisecond offset per stage.
 """
 
 from __future__ import annotations
-
-from typing import Callable, Dict, Mapping, Optional
-
-from repro.telemetry.trace import TraceEvent
 
 #: Canonical stage names, in pipeline order.
 STAGE_DETECT = "detect"
@@ -27,64 +23,3 @@ STAGE_DECIDE = "decide"
 STAGE_PUSH = "push"
 STAGE_INSTALL = "install"
 STAGES = (STAGE_DETECT, STAGE_DECIDE, STAGE_PUSH, STAGE_INSTALL)
-
-
-class StageTimeline:
-    """First-observation instants of each convergence stage.
-
-    ``mark`` keeps the earliest instant per stage; :meth:`reset` opens a
-    new episode (called alongside ``DetectionTracker.new_episode``).  The
-    timeline is purely observational: it never talks back to the
-    simulation.
-    """
-
-    def __init__(self) -> None:
-        self._marks: Dict[str, float] = {}
-
-    def reset(self) -> None:
-        """Open a fresh episode: every stage may be marked again."""
-        self._marks.clear()
-
-    def mark(self, stage: str, at: float) -> None:
-        """Record ``stage`` at sim time ``at`` (first mark wins)."""
-        if stage not in STAGES:
-            raise ValueError(f"unknown stage {stage!r}; expected one of {STAGES}")
-        if stage not in self._marks:
-            self._marks[stage] = at
-
-    def instant(self, stage: str) -> Optional[float]:
-        """The first instant ``stage`` was observed (None if never)."""
-        return self._marks.get(stage)
-
-    def offsets_ms(self, origin: float) -> Dict[str, Optional[float]]:
-        """Milliseconds from ``origin`` to each stage's first observation.
-
-        Stages never observed map to ``None``.  Offsets are rounded like
-        every other exported sim quantity so JSON output stays stable.
-        """
-        return {
-            stage: (
-                round((self._marks[stage] - origin) * 1e3, 6)
-                if stage in self._marks
-                else None
-            )
-            for stage in STAGES
-        }
-
-
-def timeline_recorder(
-    timeline: StageTimeline, stage_by_event: Mapping[str, str]
-) -> Callable[[TraceEvent], None]:
-    """A trace-bus ``on_emit`` listener marking ``timeline`` stages.
-
-    ``stage_by_event`` maps trace event names to stage names; events not
-    in the mapping are ignored.  Wire it with
-    ``bus.on_emit(timeline_recorder(timeline, mapping))``.
-    """
-
-    def record(event: TraceEvent) -> None:
-        stage = stage_by_event.get(event.name)
-        if stage is not None:
-            timeline.mark(stage, event.at)
-
-    return record

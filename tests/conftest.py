@@ -20,18 +20,13 @@ def small_lab_pair():
     Building labs is comparatively expensive, so integration tests that only
     need a converged lab share this module-scoped pair.
     """
-    from repro.topology.lab import ConvergenceLab, LabConfig
+    from repro.scenarios.presets import figure4
+    from repro.scenarios.testbed import build_scenario
 
     labs = {}
     for supercharged in (False, True):
-        simulator = Simulator(seed=7)
-        lab = ConvergenceLab(
-            simulator,
-            LabConfig(num_prefixes=60, supercharged=supercharged, monitored_flows=10),
-        ).build()
-        lab.start()
-        lab.load_feeds()
-        assert lab.wait_converged(timeout=600)
-        lab.setup_monitoring()
+        spec = figure4(num_prefixes=60, supercharged=supercharged, monitored_flows=10)
+        lab = build_scenario(Simulator(seed=7), spec)
+        assert lab.bring_up(timeout=600)
         labs[supercharged] = lab
     return labs

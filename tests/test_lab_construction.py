@@ -2,43 +2,34 @@
 
 import pytest
 
-from repro.net.addresses import IPv4Address
+from repro.net.addresses import IPv4Address, MacAddress
 from repro.openflow.flow_table import FlowMatch
+from repro.router.fib_updater import FibUpdaterConfig
+from repro.scenarios.presets import figure4
+from repro.scenarios.testbed import FailoverResult, build_scenario
 from repro.sim.engine import Simulator
-from repro.topology import lab as lab_module
-from repro.topology.lab import (
-    CONTROLLER_IP,
-    CORE_SUBNET,
-    R1_CORE_IP,
-    R1_CORE_MAC,
-    R2_CORE_IP,
-    R2_CORE_MAC,
-    R3_CORE_IP,
-    R3_CORE_MAC,
-    SWITCH_PORT_R1,
-    SWITCH_PORT_R2,
-    SWITCH_PORT_R3,
-    VNH_POOL,
-    ConvergenceLab,
-    FailoverResult,
-    LabConfig,
-)
 
 
 @pytest.fixture
 def built_lab():
-    sim = Simulator(seed=21)
-    return ConvergenceLab(sim, LabConfig(num_prefixes=10, supercharged=True,
-                                         monitored_flows=3)).build()
+    spec = figure4(num_prefixes=10, monitored_flows=3)
+    return build_scenario(Simulator(seed=21), spec)
 
 
-def test_addressing_plan_is_consistent():
-    for address in (R1_CORE_IP, R2_CORE_IP, R3_CORE_IP, CONTROLLER_IP):
-        assert CORE_SUBNET.contains(address)
-    assert CORE_SUBNET.contains(VNH_POOL)
+def test_addressing_plan_is_consistent(built_lab):
+    plan = built_lab.plan
+    devices = (
+        plan.edge_core_ip(0),
+        plan.provider_core_ip(0),
+        plan.provider_core_ip(1),
+        plan.controller_ip(0),
+    )
+    for address in devices:
+        assert plan.CORE_SUBNET.contains(address)
+    assert plan.CORE_SUBNET.contains(plan.VNH_POOL)
     # The VNH pool must not contain any of the real device addresses.
-    for address in (R1_CORE_IP, R2_CORE_IP, R3_CORE_IP, CONTROLLER_IP):
-        assert not VNH_POOL.contains(address)
+    for address in devices:
+        assert not plan.VNH_POOL.contains(address)
 
 
 def test_build_is_idempotent(built_lab):
@@ -50,9 +41,9 @@ def test_build_is_idempotent(built_lab):
 def test_static_switch_rules_cover_all_devices(built_lab):
     table = built_lab.switch.flow_table
     expectations = {
-        R1_CORE_MAC: SWITCH_PORT_R1,
-        R2_CORE_MAC: SWITCH_PORT_R2,
-        R3_CORE_MAC: SWITCH_PORT_R3,
+        MacAddress("00:00:00:00:00:01"): 1,  # R1
+        MacAddress("00:00:00:00:00:02"): 2,  # R2
+        MacAddress("00:00:00:00:00:03"): 3,  # R3
     }
     for mac, port in expectations.items():
         entry = table.find(FlowMatch(eth_dst=mac), 50)
@@ -61,10 +52,12 @@ def test_static_switch_rules_cover_all_devices(built_lab):
 
 
 def test_routers_have_core_and_edge_interfaces(built_lab):
-    assert set(built_lab.r1.interfaces) == {"core", "to-source"}
-    assert set(built_lab.r2.interfaces) == {"core", "to-sink"}
-    assert set(built_lab.r3.interfaces) == {"core", "to-sink"}
-    assert built_lab.r1.interfaces["core"].ip == R1_CORE_IP
+    r1 = built_lab.edge_routers[0]
+    r2, r3 = built_lab.providers
+    assert set(r1.interfaces) == {"core", "to-source"}
+    assert set(r2.interfaces) == {"core", "to-sink"}
+    assert set(r3.interfaces) == {"core", "to-sink"}
+    assert r1.interfaces["core"].ip == IPv4Address("10.0.0.1")
 
 
 def test_primary_link_is_r2_switch_link(built_lab):
@@ -72,17 +65,17 @@ def test_primary_link_is_r2_switch_link(built_lab):
 
 
 def test_non_supercharged_lab_has_no_controller():
-    sim = Simulator(seed=22)
-    lab = ConvergenceLab(sim, LabConfig(num_prefixes=10, supercharged=False)).build()
-    assert lab.controller is None
+    spec = figure4(num_prefixes=10, supercharged=False)
+    lab = build_scenario(Simulator(seed=22), spec)
+    assert lab.controllers == []
     assert lab.cluster is None
-    assert lab.r1.bfd is not None  # R1 does its own failure detection
+    assert lab.edge_routers[0].bfd is not None  # R1 does its own failure detection
 
 
 def test_supercharged_r1_has_no_bfd(built_lab):
     # In supercharged mode failure detection belongs to the controller.
-    assert built_lab.r1.bfd is None
-    assert built_lab.controller.bfd is not None
+    assert built_lab.edge_routers[0].bfd is None
+    assert built_lab.controllers[0].bfd is not None
 
 
 def test_port_registry_covers_every_traced_device(built_lab):
@@ -102,20 +95,16 @@ def test_measure_requires_monitoring_and_failure(built_lab):
 
 
 def test_select_destinations_caps_at_prefix_count():
-    sim = Simulator(seed=23)
-    lab = ConvergenceLab(sim, LabConfig(num_prefixes=5, supercharged=False,
-                                        monitored_flows=50)).build()
-    lab.start()
-    lab.load_feeds()
-    lab.wait_converged(timeout=300)
-    lab.setup_monitoring()
+    spec = figure4(num_prefixes=5, supercharged=False, monitored_flows=50)
+    lab = build_scenario(Simulator(seed=23), spec)
+    lab.bring_up(timeout=300)
     assert len(lab.monitored_destinations) <= 5
     assert len(set(lab.monitored_destinations)) == len(lab.monitored_destinations)
 
 
 def test_run_until_times_out_on_false_condition():
     sim = Simulator(seed=24)
-    lab = ConvergenceLab(sim, LabConfig(num_prefixes=5)).build()
+    lab = build_scenario(sim, figure4(num_prefixes=5))
     start = sim.now
     assert lab.run_until(lambda: False, timeout=1.0) is False
     assert sim.now == pytest.approx(start + 1.0)
@@ -131,14 +120,18 @@ def test_failover_result_with_no_samples():
 
 
 def test_lab_config_defaults_match_paper_methodology():
-    config = LabConfig()
+    config = figure4()
     assert config.monitored_flows == 100
-    assert config.fib_updater.first_entry_latency == pytest.approx(0.375)
-    assert config.fib_updater.per_entry_latency == pytest.approx(0.000281)
+    # The spec leaves the FIB timing unset: the router model's own
+    # Nexus-7k defaults apply.
+    assert config.fib_first_entry_latency is None
+    assert config.fib_per_entry_latency is None
+    assert FibUpdaterConfig().first_entry_latency == pytest.approx(0.375)
+    assert FibUpdaterConfig().per_entry_latency == pytest.approx(0.000281)
     # Detection + rule installation fits inside the paper's 150 ms envelope.
     budget = (
         config.bfd_interval * config.bfd_multiplier
         + config.rest_latency
-        + config.switch.flow_mod_latency
+        + config.flow_mod_latency
     )
     assert budget < 0.15

@@ -3,42 +3,31 @@
 import pytest
 
 from repro.net.addresses import IPv4Address
-from repro.router.fib_updater import FibUpdaterConfig
+from repro.scenarios.presets import figure4
+from repro.scenarios.testbed import FailoverResult, build_scenario
 from repro.sim.engine import Simulator
-from repro.topology.lab import (
-    R2_CORE_IP,
-    R3_CORE_IP,
-    ConvergenceLab,
-    FailoverResult,
-    LabConfig,
-    build_convergence_lab,
-)
 
 
 def _converged_lab(num_prefixes, supercharged, **overrides):
-    sim = Simulator(seed=13)
-    lab = ConvergenceLab(sim, LabConfig(
-        num_prefixes=num_prefixes, supercharged=supercharged,
-        monitored_flows=overrides.pop("monitored_flows", 10), **overrides)).build()
-    lab.start()
-    lab.load_feeds()
-    assert lab.wait_converged(timeout=3600)
-    lab.setup_monitoring()
+    overrides.setdefault("monitored_flows", 10)
+    spec = figure4(num_prefixes=num_prefixes, supercharged=supercharged, **overrides)
+    lab = build_scenario(Simulator(seed=13), spec)
+    assert lab.bring_up()
     return lab
 
 
-def test_build_convergence_lab_helper():
-    sim = Simulator(seed=1)
-    lab = build_convergence_lab(sim, num_prefixes=20, supercharged=True, monitored_flows=4)
-    assert lab.config.num_prefixes == 20
+def test_build_scenario_helper():
+    spec = figure4(num_prefixes=20, monitored_flows=4)
+    lab = build_scenario(Simulator(seed=1), spec)
+    assert lab.spec.num_prefixes == 20
     assert lab.switch is not None
-    assert lab.controller is not None
+    assert len(lab.controllers) == 1
 
 
 def test_non_supercharged_prefers_primary_before_failure():
     lab = _converged_lab(40, supercharged=False)
-    for entry in lab.r1.fib.entries():
-        assert entry.adjacency.next_hop_ip == R2_CORE_IP
+    for entry in lab.edge_routers[0].fib.entries():
+        assert entry.adjacency.next_hop_ip == lab.plan.provider_core_ip(0)
 
 
 def test_non_supercharged_convergence_grows_with_prefix_count():
@@ -71,8 +60,8 @@ def test_supercharged_beats_non_supercharged_at_same_scale():
 def test_after_failover_traffic_flows_via_backup():
     lab = _converged_lab(50, supercharged=False)
     lab.run_single_failover()
-    for entry in lab.r1.fib.entries():
-        assert entry.adjacency.next_hop_ip == R3_CORE_IP
+    for entry in lab.edge_routers[0].fib.entries():
+        assert entry.adjacency.next_hop_ip == lab.plan.provider_core_ip(1)
 
 
 def test_repeated_failovers_are_consistent():
@@ -80,7 +69,7 @@ def test_repeated_failovers_are_consistent():
     results = []
     for repetition in range(3):
         if repetition:
-            assert lab.restore_primary()
+            assert lab.restore_provider()
         results.append(lab.run_single_failover())
     maxima = [result.max_convergence for result in results]
     assert all(value < 0.2 for value in maxima)
@@ -99,23 +88,29 @@ def test_failover_result_accessors():
 
 def test_monitored_destinations_include_first_and_last_prefix():
     lab = _converged_lab(30, supercharged=False, monitored_flows=5)
-    prefixes = lab.feed_r2.prefixes()
+    prefixes = lab.provider_feeds[0].prefixes()
     first_dest = IPv4Address(prefixes[0].network.value + 1)
     last_dest = IPv4Address(prefixes[-1].network.value + 1)
     assert first_dest in lab.monitored_destinations
     assert last_dest in lab.monitored_destinations
 
 
-def test_run_failover_convenience_wrapper():
-    sim = Simulator(seed=2)
-    lab = build_convergence_lab(sim, num_prefixes=25, supercharged=True, monitored_flows=5)
-    result = lab.run_failover()
+def test_bring_up_then_single_failover():
+    spec = figure4(num_prefixes=25, monitored_flows=5)
+    lab = build_scenario(Simulator(seed=2), spec)
+    assert lab.bring_up()
+    assert len(lab.monitored_destinations) == 5
+    result = lab.run_single_failover()
     assert result.max_convergence < 0.5
 
 
 def test_custom_fib_updater_configuration_slows_standalone_convergence():
-    slow = FibUpdaterConfig(first_entry_latency=0.5, per_entry_latency=0.002)
-    lab = _converged_lab(100, supercharged=False, fib_updater=slow)
+    lab = _converged_lab(
+        100,
+        supercharged=False,
+        fib_first_entry_latency=0.5,
+        fib_per_entry_latency=0.002,
+    )
     result = lab.run_single_failover()
     assert result.max_convergence > 0.5 + 100 * 0.002 * 0.5
 

@@ -8,23 +8,21 @@ makes for the FPGA substitution.
 import pytest
 
 from repro.net.addresses import IPv4Address
+from repro.scenarios.presets import figure4
+from repro.scenarios.testbed import ScenarioLab, build_scenario
 from repro.sim.engine import Simulator
-from repro.topology.lab import ConvergenceLab, LabConfig
 
 
-def _packet_lab(supercharged: bool, rate: float = 500.0) -> ConvergenceLab:
-    sim = Simulator(seed=11)
-    lab = ConvergenceLab(sim, LabConfig(
+def _packet_lab(supercharged: bool, rate: float = 500.0) -> ScenarioLab:
+    spec = figure4(
         num_prefixes=30,
         supercharged=supercharged,
         monitored_flows=5,
         packet_traffic=True,
         packet_rate_pps=rate,
-    )).build()
-    lab.start()
-    lab.load_feeds()
-    assert lab.wait_converged(timeout=600)
-    lab.setup_monitoring()
+    )
+    lab = build_scenario(Simulator(seed=11), spec)
+    assert lab.bring_up(timeout=600)
     lab.source.start()
     lab.sim.run_for(0.2)  # let some packets flow before the failure
     return lab
@@ -38,7 +36,7 @@ class TestReachabilityMonitor:
 
     def test_outage_recorded_after_failure(self, small_lab_pair):
         lab = small_lab_pair[True]
-        lab.fail_primary()
+        lab.fail_provider()
         for destination in lab.monitored_destinations:
             assert lab.monitor.is_reachable(destination) is False
             assert lab.monitor.open_outage_since(destination) == pytest.approx(
@@ -48,14 +46,14 @@ class TestReachabilityMonitor:
         for destination in lab.monitored_destinations:
             assert lab.monitor.is_reachable(destination) is True
             assert len(lab.monitor.outages(destination)) == 1
-        lab.restore_primary()
+        lab.restore_provider()
 
     def test_convergence_times_positive_and_bounded(self, small_lab_pair):
         lab = small_lab_pair[False]
         result = lab.run_single_failover()
         for value in result.samples:
             assert 0.0 < value < 10.0
-        lab.restore_primary()
+        lab.restore_provider()
 
     def test_trace_hops_include_expected_devices(self, small_lab_pair):
         lab = small_lab_pair[True]
@@ -75,11 +73,11 @@ class TestMonitorMatchesPacketMeasurement:
     @pytest.mark.parametrize("supercharged", [False, True])
     def test_outage_agrees_with_max_inter_packet_gap(self, supercharged):
         lab = _packet_lab(supercharged)
-        failure_time = lab.fail_primary()
+        failure_time = lab.fail_provider()
         lab.wait_recovered()
         lab.sim.run_for(0.5)
         monitor_times = lab.monitor.convergence_times(failure_time)
-        interval = 1.0 / lab.config.packet_rate_pps
+        interval = 1.0 / lab.spec.packet_rate_pps
         for destination in lab.monitored_destinations:
             stats = lab.sink.stats(destination)
             packet_outage = stats.max_gap

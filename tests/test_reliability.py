@@ -2,23 +2,16 @@
 
 import pytest
 
+from repro.scenarios.presets import figure4
+from repro.scenarios.testbed import build_scenario
 from repro.sim.engine import Simulator
-from repro.topology.lab import R2_CORE_IP, ConvergenceLab, LabConfig
 
 
 @pytest.fixture(scope="module")
 def redundant_lab():
-    sim = Simulator(seed=5)
-    lab = ConvergenceLab(sim, LabConfig(
-        num_prefixes=40,
-        supercharged=True,
-        redundant_controllers=True,
-        monitored_flows=8,
-    )).build()
-    lab.start()
-    lab.load_feeds()
-    assert lab.wait_converged(timeout=600)
-    lab.setup_monitoring()
+    spec = figure4(num_prefixes=40, redundant_controllers=True, monitored_flows=8)
+    lab = build_scenario(Simulator(seed=5), spec)
+    assert lab.bring_up(timeout=600)
     return lab
 
 
@@ -39,8 +32,8 @@ def test_replicas_compute_identical_assignments_without_synchronisation(redundan
 
 def test_router_receives_two_copies_of_each_route(redundant_lab):
     lab = redundant_lab
-    prefix = lab.feed_r2.routes[0].prefix
-    ranking = lab.r1.bgp.loc_rib.ranking(prefix)
+    prefix = lab.provider_feeds[0].routes[0].prefix
+    ranking = lab.edge_routers[0].bgp.loc_rib.ranking(prefix)
     assert len(ranking) == 2
     peer_ips = {route.source.peer_ip for route in ranking}
     assert peer_ips == {c.config.ip for c in lab.cluster.replicas()}
@@ -57,7 +50,7 @@ def test_failover_still_converges_after_one_replica_crashes(redundant_lab):
     # A real outage (the crash must not have pre-redirected traffic) that the
     # surviving replica repairs within the paper's envelope.
     assert 0.01 < result.max_convergence < 0.5
-    lab.restore_primary()
+    lab.restore_provider()
 
 
 def test_fail_replica_is_idempotent(redundant_lab):
@@ -70,4 +63,4 @@ def test_fail_replica_is_idempotent(redundant_lab):
 
 def test_duplicate_replica_registration_rejected(redundant_lab):
     with pytest.raises(ValueError):
-        redundant_lab.cluster.add_replica(redundant_lab.controller)
+        redundant_lab.cluster.add_replica(redundant_lab.controllers[0])

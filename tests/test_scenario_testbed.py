@@ -2,32 +2,32 @@
 
 import pytest
 
-from repro.net.addresses import IPv4Address
+from repro.net.addresses import IPv4Address, IPv4Prefix, MacAddress
 from repro.scenarios.presets import get_preset, preset_names
 from repro.scenarios.spec import ScenarioSpec
-from repro.scenarios.testbed import AddressPlan, ScenarioLab, build_scenario
+from repro.scenarios.testbed import AddressPlan, build_scenario
 from repro.sim.engine import Simulator
-from repro.topology import lab as legacy
 
 
 class TestAddressPlan:
     def test_matches_legacy_figure4_plan(self):
+        """One edge router + two providers is the paper's Figure-4 plan."""
         plan = AddressPlan(num_providers=2, num_edge_routers=1, num_controllers=2)
-        assert plan.edge_core_ip(0) == legacy.R1_CORE_IP
-        assert plan.edge_core_mac(0) == legacy.R1_CORE_MAC
-        assert plan.provider_core_ip(0) == legacy.R2_CORE_IP
-        assert plan.provider_core_ip(1) == legacy.R3_CORE_IP
-        assert plan.provider_core_mac(1) == legacy.R3_CORE_MAC
-        assert plan.sink_subnet(0) == legacy.SINK_R2_SUBNET
-        assert plan.sink_ip(1) == legacy.SINK_R3_IP
-        assert plan.controller_ip(0) == legacy.CONTROLLER_IP
-        assert plan.controller_ip(1) == legacy.CONTROLLER2_IP
-        assert plan.edge_switch_port(0) == legacy.SWITCH_PORT_R1
-        assert plan.provider_switch_port(0) == legacy.SWITCH_PORT_R2
-        assert plan.provider_switch_port(1) == legacy.SWITCH_PORT_R3
-        assert plan.controller_switch_port(0) == legacy.SWITCH_PORT_CONTROLLER
-        assert plan.controller_switch_port(1) == legacy.SWITCH_PORT_CONTROLLER2
-        assert plan.source_subnet(0) == legacy.SOURCE_SUBNET
+        assert plan.edge_core_ip(0) == IPv4Address("10.0.0.1")
+        assert plan.edge_core_mac(0) == MacAddress("00:00:00:00:00:01")
+        assert plan.provider_core_ip(0) == IPv4Address("10.0.0.2")
+        assert plan.provider_core_ip(1) == IPv4Address("10.0.0.3")
+        assert plan.provider_core_mac(1) == MacAddress("00:00:00:00:00:03")
+        assert plan.sink_subnet(0) == IPv4Prefix("192.168.2.0/30")
+        assert plan.sink_ip(1) == IPv4Address("192.168.3.2")
+        assert plan.controller_ip(0) == IPv4Address("10.0.0.100")
+        assert plan.controller_ip(1) == IPv4Address("10.0.0.101")
+        assert plan.edge_switch_port(0) == 1
+        assert plan.provider_switch_port(0) == 2
+        assert plan.provider_switch_port(1) == 3
+        assert plan.controller_switch_port(0) == 4
+        assert plan.controller_switch_port(1) == 5
+        assert plan.source_subnet(0) == IPv4Prefix("192.168.1.0/24")
 
     def test_wide_fan_addresses_stay_unique(self):
         plan = AddressPlan(num_providers=30, num_edge_routers=8, num_controllers=8)
@@ -143,12 +143,13 @@ class TestPresets:
             assert isinstance(spec, ScenarioSpec)
 
     def test_figure4_preset_matches_lab_config(self):
+        """The preset IS the paper's lab configuration."""
         spec = get_preset("figure4")
-        lab_spec = legacy.LabConfig().to_scenario_spec()
-        assert spec.num_providers == lab_spec.num_providers
-        assert spec.provider_names == lab_spec.provider_names
-        assert spec.provider_local_prefs == lab_spec.provider_local_prefs
-        assert spec.supercharged and lab_spec.supercharged
+        assert spec.num_providers == 2 and spec.num_edge_routers == 1
+        assert spec.provider_names == ["R2", "R3"]
+        assert spec.provider_local_prefs == [200, 100]
+        assert spec.supercharged
+        assert not get_preset("figure4-standalone").supercharged
 
     def test_preset_overrides_forwarded(self):
         spec = get_preset("figure4", num_prefixes=77, seed=42)
@@ -160,14 +161,3 @@ class TestPresets:
 
         with pytest.raises(ScenarioSpecError):
             get_preset("figure6")
-
-
-class TestLegacyLabIsAPreset:
-    def test_convergence_lab_is_a_scenario_lab(self):
-        sim = Simulator(seed=3)
-        lab = legacy.ConvergenceLab(sim, legacy.LabConfig(num_prefixes=10)).build()
-        assert isinstance(lab, ScenarioLab)
-        assert lab.spec.provider_names == ["R2", "R3"]
-        assert lab.r2 is lab.providers[0]
-        assert lab.r3 is lab.providers[1]
-        assert lab.r1 is lab.edge_routers[0]

@@ -30,10 +30,8 @@ from repro.telemetry import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    StageTimeline,
     Telemetry,
     TraceBus,
-    timeline_recorder,
 )
 
 
@@ -198,34 +196,63 @@ class TestTraceBus:
 
 
 class TestStageTimeline:
+    """The per-outage stage timeline, kept by the causal ledger."""
+
+    @staticmethod
+    def _telemetry(stage_by_event, now):
+        telemetry = Telemetry(clock=lambda: now[0])
+        telemetry.trace.on_emit(telemetry.ledger.recorder(stage_by_event))
+        return telemetry
+
     def test_first_mark_wins(self):
-        timeline = StageTimeline()
-        timeline.mark("detect", 1.0)
-        timeline.mark("detect", 2.0)
-        assert timeline.instant("detect") == 1.0
+        now = [0.0]
+        telemetry = self._telemetry({"bfd.down": "detect"}, now)
+        telemetry.causal.open_outage(0.0)
+        for now[0] in (1.0, 2.0):
+            telemetry.emit("bfd.down")
+        offsets = telemetry.ledger.stage_offsets_ms(telemetry.causal.current)
+        assert offsets["detect"] == pytest.approx(1000.0)
 
     def test_unknown_stage_rejected(self):
         with pytest.raises(ValueError):
-            StageTimeline().mark("teleport", 1.0)
+            Telemetry(clock=lambda: 0.0).ledger.recorder({"bfd.down": "teleport"})
 
     def test_offsets_ms_and_reset(self):
-        timeline = StageTimeline()
-        timeline.mark("detect", 1.010)
-        timeline.mark("install", 1.5)
-        offsets = timeline.offsets_ms(1.0)
+        now = [1.0]
+        telemetry = self._telemetry(
+            {"bfd.down": "detect", "fib.apply_first": "install"}, now
+        )
+        telemetry.causal.open_outage(1.0)
+        first = telemetry.causal.current
+        now[0] = 1.010
+        telemetry.emit("bfd.down")
+        now[0] = 1.5
+        telemetry.emit("fib.apply_first")
+        offsets = telemetry.ledger.stage_offsets_ms(first)
         assert offsets["detect"] == pytest.approx(10.0)
         assert offsets["install"] == pytest.approx(500.0)
         assert offsets["decide"] is None and offsets["push"] is None
-        timeline.reset()
-        assert timeline.instant("detect") is None
+        # The next outage opens a fresh episode; the closed one keeps its marks.
+        telemetry.causal.open_outage(2.0)
+        second = telemetry.causal.current
+        assert telemetry.ledger.stage_offsets_ms(second) == dict.fromkeys(STAGES)
+        now[0] = 2.25
+        telemetry.emit("bfd.down")
+        assert telemetry.ledger.stage_offsets_ms(second)["detect"] == pytest.approx(250.0)
+        assert telemetry.ledger.stage_offsets_ms(first) == offsets
 
     def test_timeline_recorder_maps_event_names(self):
-        timeline = StageTimeline()
-        bus = TraceBus(clock=lambda: 3.0)
-        bus.on_emit(timeline_recorder(timeline, {"bfd.down": "detect"}))
-        bus.emit("unrelated")
-        bus.emit("bfd.down")
-        assert timeline.instant("detect") == 3.0
+        now = [3.0]
+        telemetry = self._telemetry({"bfd.down": "detect"}, now)
+        telemetry.emit("bfd.down")  # before any outage: not a convergence stage
+        telemetry.causal.open_outage(3.0)
+        telemetry.emit("unrelated")
+        offsets = telemetry.ledger.stage_offsets_ms(telemetry.causal.current)
+        assert offsets == dict.fromkeys(STAGES)
+        now[0] = 3.5
+        telemetry.emit("bfd.down")
+        offsets = telemetry.ledger.stage_offsets_ms(telemetry.causal.current)
+        assert offsets["detect"] == pytest.approx(500.0)
 
 
 class TestTelemetryFacade:
