@@ -1,15 +1,15 @@
 """Frozen pre-rewrite data-plane implementations (A/B benchmark reference).
 
-These are byte-for-byte behavioral copies of the flow table, event engine
-and LPM trie as they existed *before* the indexed/path-compressed rewrite,
-kept so the dataplane benchmark can measure the old and new code
-adjacently inside the same fresh subprocess (our measurement methodology:
-see docs/performance.md).  Do not "fix" or optimise anything here — the
-whole point is that this module stays slow the way the original was.
+These are byte-for-byte behavioral copies of the event engine and LPM trie
+as they existed *before* the rewrite, kept so the dataplane benchmark can
+measure the old and new code adjacently inside the same fresh subprocess
+(our measurement methodology: see docs/performance.md).  Do not "fix" or
+optimise anything here — the whole point is that this module stays slow
+the way the original was.
 
-The shared value types (FlowEntry, FlowMatch, Actions, IPv4Prefix, …) are
-imported from the live package: the rewrite kept them unchanged, and using
-the same objects keeps the A/B comparison apples-to-apples.
+The shared value types (IPv4Prefix, …) are imported from the live package:
+the rewrite kept them unchanged, and using the same objects keeps the A/B
+comparison apples-to-apples.
 """
 
 from __future__ import annotations
@@ -18,83 +18,11 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Generic, Iterator, List, Optional, Tuple, TypeVar
+from typing import Callable, Generic, Iterator, List, Optional, Tuple, TypeVar
 
 from repro.net.addresses import IPv4Address, IPv4Prefix
-from repro.net.packets import EthernetFrame
-from repro.openflow.flow_table import FlowEntry, FlowMatch, FlowStats, FlowTableError
 
 ValueT = TypeVar("ValueT")
-
-
-# ----------------------------------------------------------------------
-# Legacy flow table: sorted list, linear scans, full re-sort per install
-# ----------------------------------------------------------------------
-class LegacyFlowTable:
-    """The original priority-ordered flow table (sorted-list design)."""
-
-    def __init__(self, capacity: int = 4096) -> None:
-        if capacity <= 0:
-            raise FlowTableError(f"capacity must be positive, got {capacity}")
-        self.capacity = capacity
-        self._entries: List[FlowEntry] = []
-        self._stats: Dict[int, FlowStats] = {}
-
-    def install(self, entry: FlowEntry) -> None:
-        existing = self._find(entry.match, entry.priority)
-        if existing is not None:
-            self._entries.remove(existing)
-            self._stats.pop(id(existing), None)
-        elif len(self._entries) >= self.capacity:
-            raise FlowTableError(
-                f"flow table full ({self.capacity} entries), cannot install {entry}"
-            )
-        self._entries.append(entry)
-        self._entries.sort(key=lambda e: -e.priority)
-        self._stats[id(entry)] = FlowStats()
-
-    def modify(self, match: FlowMatch, priority: int, actions) -> bool:
-        existing = self._find(match, priority)
-        if existing is None:
-            return False
-        updated = existing.with_actions(actions)
-        stats = self._stats.pop(id(existing))
-        index = self._entries.index(existing)
-        self._entries[index] = updated
-        self._stats[id(updated)] = stats
-        return True
-
-    def remove(self, match: FlowMatch, priority: Optional[int] = None) -> int:
-        to_remove = [
-            entry
-            for entry in self._entries
-            if entry.match == match and (priority is None or entry.priority == priority)
-        ]
-        for entry in to_remove:
-            self._entries.remove(entry)
-            self._stats.pop(id(entry), None)
-        return len(to_remove)
-
-    def lookup(self, frame: EthernetFrame, in_port: int) -> Optional[FlowEntry]:
-        for entry in self._entries:
-            if entry.match.matches(frame, in_port):
-                stats = self._stats[id(entry)]
-                stats.packets += 1
-                stats.bytes += frame.size_bytes
-                return entry
-        return None
-
-    def find(self, match: FlowMatch, priority: int) -> Optional[FlowEntry]:
-        return self._find(match, priority)
-
-    def _find(self, match: FlowMatch, priority: int) -> Optional[FlowEntry]:
-        for entry in self._entries:
-            if entry.match == match and entry.priority == priority:
-                return entry
-        return None
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
 
 # ----------------------------------------------------------------------

@@ -1,16 +1,17 @@
 #!/usr/bin/env python3
 """Fresh-subprocess worker for the dataplane benchmark.
 
-Runs every A/B measurement (legacy implementation vs. current fast path)
-adjacently inside this single, freshly started interpreter with gc
-disabled around the timed sections, then prints one JSON document to
-stdout.  See docs/performance.md for why measurements are done this way
-(heap-state sensitivity, GC pauses, adjacency).
+Runs every measurement inside this single, freshly started interpreter
+with gc disabled around the timed sections, then prints one JSON document
+to stdout: the event engine and the LPM table A/B against their frozen
+legacy copies, the flow table in absolute us/op at the rule counts the
+system can reach.  See docs/performance.md for why measurements are done
+this way (heap-state sensitivity, GC pauses, adjacency).
 
 Invoked by benchmarks/test_bench_dataplane.py and
 benchmarks/write_dataplane_baseline.py as::
 
-    python benchmarks/bench_dataplane_worker.py '{"flowmods": 10000, ...}'
+    python benchmarks/bench_dataplane_worker.py '{"events": 200000, ...}'
 """
 
 from __future__ import annotations
@@ -22,35 +23,30 @@ import sys
 import time
 import tracemalloc
 
-from _legacy_dataplane import (
-    LegacyFlowTable,
-    LegacyLpmTable,
-    LegacySimulator,
-)
+from _legacy_dataplane import LegacyLpmTable, LegacySimulator
 from repro.net.addresses import IPv4Address, IPv4Prefix, MacAddress
-from repro.openflow.flow_table import Actions, FlowEntry, FlowMatch, FlowTable
+from repro.net.packets import EtherType, EthernetFrame
+from repro.openflow.flow_table import Actions, FlowMatch, FlowTable
 from repro.openflow.messages import FlowMod, FlowModCommand
 from repro.router.fib import LpmTable
 from repro.sim.engine import Simulator
 
 DEFAULTS = {
-    #: Entries in the bulk flow-mod install/modify measurement (new path).
-    "flowmods": 10000,
-    #: Cap for the *legacy* flow-table side.  The legacy design is
-    #: quadratic, so measuring it at a smaller size gives it a *higher*
-    #: throughput than it would reach at the full size — the reported
-    #: ratio is a conservative lower bound.  Full runs set this equal to
-    #: ``flowmods``.
-    "legacy_flowmod_cap": 3000,
     #: Events in the engine schedule+dispatch measurements.
     "events": 200000,
     #: Prefixes in the LPM table measurements.
     "prefixes": 50000,
-    #: Best-of repeats for linear-cost sections.
+    #: Best-of repeats of every timed section.
     "repeats": 3,
-    #: Best-of repeats for the quadratic legacy flow-table sections.
-    "flowmod_repeats": 2,
+    #: Flow-table operations timed per section (spread over whole-table
+    #: rounds, so every size is timed over about as many operations).
+    "flow_table_ops": 20000,
 }
+
+#: Rule counts the switch can hold: the campaign workloads peak at 7, a
+#: 30-provider ``fan`` at 34, and the address plan tops out at 30 * 29
+#: backup groups + 32 static rules.
+FLOW_TABLE_SIZES = (7, 34, 902)
 
 
 def best_of(repeats, fn):
@@ -73,90 +69,58 @@ def best_of(repeats, fn):
     return best
 
 
-def _flow_entries(count, priority=200):
-    return [
-        FlowEntry(
-            FlowMatch(eth_dst=MacAddress(0x020000000000 + i)),
-            Actions(output_port=1 + (i % 4)),
-            priority=priority,
-        )
-        for i in range(count)
-    ]
+def _vmac(i):
+    return MacAddress(0x020000000000 + i)
 
 
 def _flow_mods(count, command, port):
     return [
-        FlowMod(
-            command,
-            FlowMatch(eth_dst=MacAddress(0x020000000000 + i)),
-            Actions(output_port=port),
-            priority=200,
-        )
+        FlowMod(command, FlowMatch(eth_dst=_vmac(i)), Actions(output_port=port), priority=200)
         for i in range(count)
     ]
 
 
 def bench_flowmods(config):
-    """Bulk install / modify throughput: legacy loop vs. apply_batch."""
-    size = config["flowmods"]
-    legacy_size = min(config["legacy_flowmod_cap"], size)
-    repeats = config["flowmod_repeats"]
-    entries = _flow_entries(size)
-    legacy_entries = entries[:legacy_size]
-    add_mods = _flow_mods(size, FlowModCommand.ADD, port=1)
-    mod_mods = _flow_mods(size, FlowModCommand.MODIFY, port=7)
+    """Flow table install / modify / lookup cost, in us per operation.
 
-    state = {}
+    One exact-``eth_dst`` rule per group at one priority (the controller's
+    rule shape), every rule installed, modified and hit equally often, so
+    a figure is the table-wide average at that occupancy.
+    """
+    repeats = config["repeats"]
+    results = {}
+    for size in FLOW_TABLE_SIZES:
+        rounds = max(1, config["flow_table_ops"] // size)
+        add_mods = _flow_mods(size, FlowModCommand.ADD, port=1)
+        mod_mods = _flow_mods(size, FlowModCommand.MODIFY, port=7)
+        frames = [
+            EthernetFrame(_vmac(size), _vmac(i), EtherType.IPV4, None) for i in range(size)
+        ]
+        table = FlowTable(capacity=size)
 
-    def legacy_install():
-        table = LegacyFlowTable(capacity=size + 1)
-        for entry in legacy_entries:
-            table.install(entry)
-        state["legacy"] = table
+        def install():
+            for _ in range(rounds):
+                table.clear()
+                table.apply_batch(add_mods)
 
-    def legacy_modify():
-        table = state["legacy"]
-        for entry in legacy_entries:
-            table.modify(entry.match, entry.priority, Actions(output_port=7))
+        def modify():
+            for _ in range(rounds):
+                table.apply_batch(mod_mods)
 
-    def new_install_batch():
-        table = FlowTable(capacity=size + 1)
-        table.apply_batch(add_mods)
-        state["new"] = table
+        def lookup():
+            for _ in range(rounds):
+                for frame in frames:
+                    table.lookup(frame, 1)
 
-    def new_install_singles():
-        table = FlowTable(capacity=size + 1)
-        for entry in entries:
-            table.install(entry)
-
-    def new_modify_batch():
-        state["new"].apply_batch(mod_mods)
-
-    legacy_install_s = best_of(repeats, legacy_install)
-    legacy_modify_s = best_of(repeats, legacy_modify)
-    state.pop("legacy")
-    new_install_batch_s = best_of(repeats, new_install_batch)
-    new_install_singles_s = best_of(repeats, new_install_singles)
-    new_modify_batch_s = best_of(repeats, new_modify_batch)
-    state.clear()
-
-    legacy_install_ops = legacy_size / legacy_install_s
-    legacy_modify_ops = legacy_size / legacy_modify_s
-    new_install_ops = size / new_install_batch_s
-    new_modify_ops = size / new_modify_batch_s
-    return {
-        "entries": size,
-        "legacy_entries": legacy_size,
-        "legacy_install_ops_per_s": round(legacy_install_ops),
-        "legacy_modify_ops_per_s": round(legacy_modify_ops),
-        "new_install_batch_ops_per_s": round(new_install_ops),
-        "new_install_singles_ops_per_s": round(size / new_install_singles_s),
-        "new_modify_batch_ops_per_s": round(new_modify_ops),
-        # Lower bounds when legacy_entries < entries (quadratic legacy
-        # measured at a size where it is faster per op).
-        "install_speedup": round(new_install_ops / legacy_install_ops, 2),
-        "modify_speedup": round(new_modify_ops / legacy_modify_ops, 2),
-    }
+        ops = rounds * size
+        results[str(size)] = {
+            "rules": size,
+            "ops": ops,
+            "install_us_per_op": round(best_of(repeats, install) / ops * 1e6, 3),
+            "modify_us_per_op": round(best_of(repeats, modify) / ops * 1e6, 3),
+            "lookup_us_per_op": round(best_of(repeats, lookup) / ops * 1e6, 3),
+        }
+    return results
 
 
 def bench_events(config):
@@ -372,9 +336,9 @@ def main() -> int:
         config.update(json.loads(sys.argv[1]))
     # Section order matters: the engine measurement runs first, on a clean
     # interpreter heap — Python timing numbers sag measurably when a large
-    # workload (the 10k-entry tables, the 100k-prefix tables) has churned
-    # the heap in the same process (see docs/performance.md).  Within each
-    # section the legacy/new sides are still measured adjacently.
+    # workload (the 100k-prefix tables) has churned the heap in the same
+    # process (see docs/performance.md).  Within each A/B section the
+    # legacy/new sides are still measured adjacently.
     report = {
         "config": config,
         "python": sys.version.split()[0],

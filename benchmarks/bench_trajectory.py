@@ -62,13 +62,10 @@ def _git_sha() -> str:
 
 def summarise(report: dict) -> dict:
     """The headline ratios tracked across PRs."""
-    flow = report["flowmods"]
     fifo = report["events"]["fifo"]
     rand = report["events"]["random"]
     lpm = report["lpm"]
     return {
-        "flowmod_install_speedup": flow["install_speedup"],
-        "flowmod_modify_speedup": flow["modify_speedup"],
         "events_fifo_speedup": fifo["singles_speedup"],
         "events_random_speedup": rand["singles_speedup"],
         "lpm_lookup_speedup": lpm["lookup_speedup"],

@@ -47,10 +47,11 @@ class FlowProvisioner:
         #: Group VMAC -> next hop currently programmed for that group.
         self._active_next_hop: Dict[MacAddress, IPv4Address] = {}
         self.rules_pushed = 0
-        #: Batched REST round trips issued (each carries >= 1 flow-mod).
+        #: REST round trips issued (each carries >= 1 flow-mod).
         self.batches_pushed = 0
-        #: Flow-mods that travelled inside those batches (subset of
-        #: ``rules_pushed``; the rest went as single-rule pushes).
+        #: Flow-mods that travelled inside those round trips.  Every push
+        #: is a batch, so this equals ``rules_pushed``; campaign records
+        #: export both.
         self.rules_pushed_batched = 0
         self._telemetry = None
 
@@ -64,28 +65,28 @@ class FlowProvisioner:
     # ------------------------------------------------------------------
     def provision_group(self, group: BackupGroup) -> bool:
         """Install (or refresh) the rule for ``group`` pointing at its primary."""
-        return self._point_group(group, group.primary)
+        return self.redirect_groups([(group, group.primary)])[0]
 
     def redirect_group(self, group: BackupGroup, next_hop: IPv4Address) -> bool:
         """Point ``group`` at an arbitrary next hop (Listing 2 uses the backup)."""
-        return self._point_group(group, next_hop)
+        return self.redirect_groups([(group, next_hop)])[0]
 
     def provision_groups(self, groups: Sequence[BackupGroup]) -> List[bool]:
         """Install the rules of many groups through one batched REST call."""
-        return self.point_groups([(group, group.primary) for group in groups])
+        return self.redirect_groups([(group, group.primary) for group in groups])
 
     def redirect_groups(
         self, redirections: Sequence[Tuple[BackupGroup, IPv4Address]]
     ) -> List[bool]:
-        """Repoint many groups in one call (the batched Listing 2 path).
+        """Point each group at the given next hop: the one provisioning path.
 
-        All rules that actually need rewriting go to the switch as a single
-        flow-mod bundle via :meth:`FloodlightRestApi.push_batch`, so a
-        backup-group failover costs one REST round trip no matter how many
-        groups the failed peer was primary for.  Returns one success flag
-        per ``(group, next_hop)`` pair, with the same per-pair semantics as
-        :meth:`redirect_group` (unknown next hop fails, already-programmed
-        is a no-op success).
+        All rules that actually need rewriting go to the switch in one
+        :meth:`FloodlightRestApi.push_batch` call (a bundle, or a bare
+        flow-mod when there is exactly one), so a backup-group failover
+        costs one REST round trip no matter how many groups the failed
+        peer was primary for.  Returns one success flag per ``(group,
+        next_hop)`` pair: an unknown next hop fails, an already-programmed
+        one is a no-op success.
         """
         results: List[bool] = []
         entries: List[StaticFlowEntry] = []
@@ -106,8 +107,8 @@ class FlowProvisioner:
                     priority=self.priority,
                 )
             )
-            # Record intent immediately (mirrors _point_group) so a later
-            # pair for the same group in this batch dedups correctly.
+            # Record intent immediately so a later pair for the same group
+            # in this batch dedups correctly.
             self._active_next_hop[group.vmac] = next_hop
             results.append(True)
         if entries:
@@ -129,8 +130,8 @@ class FlowProvisioner:
                 )
         return results
 
-    #: Alias emphasising the generic form: point arbitrary (group, next hop)
-    #: pairs in one batch.
+    #: The name the remote-repoint engine calls (benchmarks/e2e hands it a
+    #: stand-in provisioner with only this method; see ROADMAP item 2).
     point_groups = redirect_groups
 
     def retire_group(self, group: BackupGroup) -> bool:
@@ -148,28 +149,6 @@ class FlowProvisioner:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _point_group(self, group: BackupGroup, next_hop: IPv4Address) -> bool:
-        location = self._locate(next_hop)
-        if location is None:
-            return False
-        if self._active_next_hop.get(group.vmac) == next_hop:
-            return True  # already programmed; avoid useless REST calls
-        entry = StaticFlowEntry(
-            name=self._rule_name(group),
-            eth_dst=group.vmac,
-            set_eth_dst=location.mac,
-            output_port=location.switch_port,
-            priority=self.priority,
-        )
-        self._rest.push(entry)
-        self._active_next_hop[group.vmac] = next_hop
-        self.rules_pushed += 1
-        if self._telemetry is not None:
-            self._telemetry.counter("provisioner.rest_calls").inc()
-            self._telemetry.counter("provisioner.rules").inc()
-            self._telemetry.emit("provisioner.push", rules=1, batched=False)
-        return True
-
     @staticmethod
     def _rule_name(group: BackupGroup) -> str:
         return f"backup-group-{group.vmac}"

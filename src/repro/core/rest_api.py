@@ -58,21 +58,16 @@ class FloodlightRestApi:
     # ------------------------------------------------------------------
     def push(self, entry: StaticFlowEntry) -> None:
         """POST a static flow: adds the rule, or modifies it if the name exists."""
-        self.calls += 1
-        command = (
-            FlowModCommand.MODIFY if entry.name in self._entries else FlowModCommand.ADD
-        )
-        self._entries[entry.name] = entry
-        self._dispatch(entry.to_flow_mod(command))
+        self.push_batch([entry])
 
     def push_batch(self, entries: Sequence[StaticFlowEntry]) -> None:
         """POST many static flows in one REST round trip.
 
         Mirrors Floodlight's ``/json/store`` batch endpoint: one HTTP call
         (one ``call_latency``), one flow-mod bundle on the OpenFlow
-        channel, one table transaction on the switch.  A single-entry
-        batch is indistinguishable from :meth:`push` in event structure
-        and timing.
+        channel, one table transaction on the switch.  A lone entry
+        travels as a bare flow-mod (``rest:flow-push``), not as a bundle
+        of one.
         """
         if not entries:
             return

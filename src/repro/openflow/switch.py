@@ -15,22 +15,15 @@ because it is part of the supercharged convergence budget.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.net.links import LinkState, Port
 from repro.net.packets import EthernetFrame
 from repro.openflow.controller_channel import ControllerChannel
-from repro.openflow.flow_table import (
-    CONTROLLER_PORT,
-    FLOOD_PORT,
-    Actions,
-    FlowEntry,
-    FlowTable,
-)
+from repro.openflow.flow_table import FLOOD_PORT, FlowTable
 from repro.openflow.messages import (
     FlowMod,
     FlowModBatch,
-    FlowModCommand,
     PacketIn,
     PacketOut,
     PortStatus,
@@ -164,69 +157,31 @@ class OpenFlowSwitch:
     # ------------------------------------------------------------------
     def _handle_controller_message(self, message: object) -> None:
         if isinstance(message, FlowMod):
-            self._apply_flow_mod(message)
+            self._program((message,), f"{self.name}:flow-mod")
         elif isinstance(message, FlowModBatch):
-            self._apply_flow_mod_batch(message)
+            self._program(message.mods, f"{self.name}:flow-mod-batch")
         elif isinstance(message, PacketOut):
             self._forward(message.frame, message.out_port, in_port=-1)
 
-    def _apply_flow_mod(self, flow_mod: FlowMod) -> None:
-        def program() -> None:
-            self.flow_mods_applied += 1
-            if flow_mod.command is FlowModCommand.ADD:
-                entry = FlowEntry(
-                    match=flow_mod.match,
-                    actions=flow_mod.actions or Actions(),
-                    priority=flow_mod.priority,
-                    cookie=flow_mod.cookie,
-                    installed_at=self._sim.now,
-                )
-                self.flow_table.install(entry)
-            elif flow_mod.command is FlowModCommand.MODIFY:
-                modified = self.flow_table.modify(
-                    flow_mod.match, flow_mod.priority, flow_mod.actions or Actions()
-                )
-                if not modified:
-                    # OpenFlow semantics: MODIFY of a missing entry adds it.
-                    self.flow_table.install(
-                        FlowEntry(
-                            match=flow_mod.match,
-                            actions=flow_mod.actions or Actions(),
-                            priority=flow_mod.priority,
-                            cookie=flow_mod.cookie,
-                            installed_at=self._sim.now,
-                        )
-                    )
-            elif flow_mod.command is FlowModCommand.DELETE:
-                self.flow_table.remove(flow_mod.match, flow_mod.priority)
-            for callback in list(self._flow_mod_listeners):
-                callback(flow_mod)
+    def _program(self, mods: Tuple[FlowMod, ...], name: str) -> None:
+        """Program a lone flow-mod or a whole bundle after one flow-mod latency.
 
-        self._sim.schedule(self.config.flow_mod_latency, program, name=f"{self.name}:flow-mod")
-
-    def _apply_flow_mod_batch(self, batch: FlowModBatch) -> None:
-        """Program a whole bundle after one flow-mod latency.
-
-        Bundle semantics: the mods are applied in order through
-        :meth:`FlowTable.apply_batch` in one table transaction, then the
-        flow-mod listeners fire once per mod (in bundle order), exactly as
-        they would for streamed singles.  As with streamed singles, a
-        TCAM overflow raises mid-bundle: earlier mods stay applied (and,
-        unlike singles, their listener callbacks do not fire).
+        The mods go through :meth:`FlowTable.apply_batch` in order, in one
+        table transaction, then the flow-mod listeners fire once per mod
+        (in bundle order).  ``flow_mods_applied`` counts what the table
+        accepted: a TCAM overflow raises out of the event before the
+        counter moves or a listener hears of the rejected mod (mods of the
+        same bundle applied before it stay applied).
         """
 
         def program() -> None:
-            self.flow_mods_applied += self.flow_table.apply_batch(
-                batch.mods, now=self._sim.now
-            )
+            self.flow_mods_applied += self.flow_table.apply_batch(mods, now=self._sim.now)
             listeners = list(self._flow_mod_listeners)
-            for flow_mod in batch.mods:
+            for flow_mod in mods:
                 for callback in listeners:
                     callback(flow_mod)
 
-        self._sim.schedule(
-            self.config.flow_mod_latency, program, name=f"{self.name}:flow-mod-batch"
-        )
+        self._sim.schedule(self.config.flow_mod_latency, program, name=name)
 
     # ------------------------------------------------------------------
     # Port status

@@ -128,35 +128,21 @@ class FibUpdater:
         """Queue a write (or a delete when ``adjacency`` is ``None``)."""
         self._queue.append(FibWriteRequest(prefix=prefix, adjacency=adjacency))
         if not self._busy:
-            self._busy = True
-            self._pending_event = self._sim.schedule(
-                self.config.first_entry_latency, self._apply_next, name=f"{self.name}:first"
-            )
-            if self._telemetry is not None:
-                self._note_batch_start()
+            self._start_draining()
 
     def enqueue_many(self, requests: List[FibWriteRequest]) -> None:
         """Queue a batch of writes preserving order.
 
-        The batched write path: the whole list lands on the queue in one
-        ``deque.extend`` with a single busy check, instead of re-testing
-        the drain state once per entry.  Timing is identical to enqueueing
-        the requests one at a time (the first entry of an idle-to-busy
-        batch still pays ``first_entry_latency``).
+        The whole list lands on the queue in one ``deque.extend``.  Timing
+        is identical to enqueueing the requests one at a time (the first
+        entry of an idle-to-busy batch still pays ``first_entry_latency``).
         """
-        if not requests:
-            return
-        was_idle = not self._busy
         self._queue.extend(requests)
-        if was_idle:
-            self._busy = True
-            self._pending_event = self._sim.schedule(
-                self.config.first_entry_latency, self._apply_next, name=f"{self.name}:first"
-            )
-            if self._telemetry is not None:
-                self._note_batch_start()
+        if requests and not self._busy:
+            self._start_draining()
 
-    #: Alias matching the flow-table/engine batch naming.
+    #: Second name of :meth:`enqueue_many`, kept because benchmarks/e2e
+    #: pins it as a boundary row (see ROADMAP item 2).
     enqueue_batch = enqueue_many
 
     def flush_immediately(self) -> None:
@@ -180,6 +166,15 @@ class FibUpdater:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _start_draining(self) -> None:
+        """Idle -> busy: the batch's first entry pays ``first_entry_latency``."""
+        self._busy = True
+        self._pending_event = self._sim.schedule(
+            self.config.first_entry_latency, self._apply_next, name=f"{self.name}:first"
+        )
+        if self._telemetry is not None:
+            self._note_batch_start()
+
     def _apply_next(self) -> None:
         if not self._queue:
             self._busy = False

@@ -8,7 +8,7 @@ factors that pattern out, including optional jitter and clean shutdown.
 from __future__ import annotations
 
 import enum
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional
 
 from repro.sim.engine import EventHandle, SimulationError, Simulator
 
@@ -84,35 +84,6 @@ class PeriodicProcess:
         self._state = ProcessState.RUNNING
         delay = self._interval if initial_delay is None else initial_delay
         self._handle = self._sim.schedule(delay, self._tick, name=self._name)
-
-    @staticmethod
-    def start_batch(
-        sim: Simulator,
-        processes: Sequence[Tuple["PeriodicProcess", Optional[float]]],
-    ) -> List[EventHandle]:
-        """Start many processes through one :meth:`Simulator.schedule_batch`.
-
-        ``processes`` is a sequence of ``(process, initial_delay)`` pairs
-        (``None`` delay = one interval, as in :meth:`start`).  First ticks
-        are scheduled in sequence order, so the FIFO tie-breaking is the
-        same as calling :meth:`start` in a loop — just without the
-        per-process scheduling overhead.
-        """
-        # Validate everything before mutating any process, so a bad entry
-        # mid-list cannot strand earlier processes half-started.
-        items = []
-        for process, initial_delay in processes:
-            if process._state is ProcessState.RUNNING:
-                raise SimulationError(f"process {process._name!r} is already running")
-            delay = process._interval if initial_delay is None else initial_delay
-            if not 0.0 <= delay < float("inf"):
-                raise SimulationError(f"invalid initial delay {delay} for {process._name!r}")
-            items.append((delay, process._tick, process._name))
-        handles = sim.schedule_batch(items)
-        for (process, _delay), handle in zip(processes, handles):
-            process._state = ProcessState.RUNNING
-            process._handle = handle
-        return handles
 
     def stop(self) -> None:
         """Stop ticking; the pending tick (if any) is cancelled."""

@@ -77,25 +77,11 @@ class TrafficSource:
     # Control
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Resolve the gateway and start all flows.
-
-        The first ticks of every flow are armed through one
-        :meth:`~repro.sim.engine.Simulator.schedule_batch` call; the random
-        start offsets are drawn in flow order, exactly as the per-flow path
-        does, so seeded runs are unchanged.
-        """
+        """Resolve the gateway and start all flows."""
         if self._gateway_mac is None:
             self._resolve_gateway()
-        pending = []
         for flow in self.config.flows:
-            if flow.destination in self._processes:
-                continue
-            process = self._build_flow_process(flow)
-            offset = self._sim.random.uniform(0.0, flow.interval)
-            self._processes[flow.destination] = process
-            pending.append((process, offset))
-        if pending:
-            PeriodicProcess.start_batch(self._sim, pending)
+            self._start_flow(flow)
 
     def stop(self) -> None:
         """Stop every flow."""
@@ -123,19 +109,16 @@ class TrafficSource:
         )
         self.interface.port.send(frame)
 
-    def _build_flow_process(self, flow: FlowSpec) -> PeriodicProcess:
-        return PeriodicProcess(
-            self._sim,
-            flow.interval,
-            lambda f=flow: self._send_packet(f),
-            jitter=self.config.jitter,
-            name=f"{self.name}:flow:{flow.destination}",
-        )
-
     def _start_flow(self, flow: FlowSpec) -> None:
         if flow.destination in self._processes:
             return
-        process = self._build_flow_process(flow)
+        process = PeriodicProcess(
+            self._sim,
+            flow.interval,
+            lambda: self._send_packet(flow),
+            jitter=self.config.jitter,
+            name=f"{self.name}:flow:{flow.destination}",
+        )
         # Spread flow start times over one interval to avoid bursts.
         offset = self._sim.random.uniform(0.0, flow.interval)
         process.start(initial_delay=offset)

@@ -120,12 +120,8 @@ class PathTracer:
         return None
 
     def _step_switch(self, switch, ingress, dst_mac, destination, hops):
-        frame = _probe_frame(dst_mac, destination)
-        entry = None
-        for candidate in switch.flow_table.entries():
-            if candidate.match.matches(frame, ingress.number):
-                entry = candidate
-                break
+        # ``match``, not ``lookup``: a what-if walk moves no flow counter.
+        entry = switch.flow_table.match(_probe_frame(dst_mac, destination), ingress.number)
         if entry is None:
             hops.append(TraceHop(switch.name, "table miss"))
             return None

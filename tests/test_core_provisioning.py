@@ -15,6 +15,7 @@ from repro.openflow.controller_channel import ControllerChannel
 from repro.openflow.flow_table import FlowMatch
 from repro.openflow.messages import FlowMod, FlowModCommand, PacketIn
 from repro.openflow.switch import OpenFlowSwitch, SwitchConfig
+from repro.sim.engine import Simulator
 
 R2 = IPv4Address("10.0.0.2")
 R3 = IPv4Address("10.0.0.3")
@@ -126,6 +127,45 @@ class TestFlowProvisioner:
         provisioner.provision_group(group)
         provisioner.provision_group(group)
         assert provisioner.rules_pushed == 1
+
+    def test_single_group_calls_equal_a_batch_of_one(self):
+        # provision_group / redirect_group are redirect_groups of one pair:
+        # same flow table, counters, REST calls, event names and instants.
+        def run(provision, redirect):
+            sim = Simulator(seed=3)
+            switch, provisioner = self._provisioner(sim)
+            events = []
+            sim.set_observer(lambda name, when: events.append((name, when)))
+            group = _group()
+            outcomes = [provision(provisioner, group)]
+            sim.run()
+            outcomes.append(redirect(provisioner, group))
+            outcomes.append(redirect(provisioner, group))  # already there: no push
+            sim.run()
+            return (
+                outcomes,
+                switch.flow_table.entries(),
+                switch.flow_mods_applied,
+                provisioner.rules_pushed,
+                provisioner.batches_pushed,
+                provisioner._rest.calls,
+                events,
+            )
+
+        single = run(
+            lambda p, group: p.provision_group(group),
+            lambda p, group: p.redirect_group(group, R3),
+        )
+        batch = run(
+            lambda p, group: p.provision_groups([group])[0],
+            lambda p, group: p.redirect_groups([(group, R3)])[0],
+        )
+        assert single == batch
+        assert single[0] == [True, True, True]
+        assert single[2:6] == (2, 2, 2, 2)
+        assert [name for name, _when in single[6]] == [
+            "rest:flow-push", "of-channel:to-switch", "sw:flow-mod",
+        ] * 2
 
     def test_retire_group_removes_rule(self, sim):
         switch, provisioner = self._provisioner(sim)

@@ -18,7 +18,6 @@ from repro.router.fib import LpmTable
 from repro.router.fib_updater import FibUpdater, FibWriteRequest
 from repro.router.fib import Adjacency, FlatFib
 from repro.sim.engine import SimulationError, Simulator
-from repro.sim.process import PeriodicProcess
 
 MAC_1 = MacAddress("00:00:00:00:00:01")
 MAC_2 = MacAddress("00:00:00:00:00:02")
@@ -254,20 +253,6 @@ class TestScheduleBatch:
             sim.schedule_batch([(-0.1, lambda: None)])
         with pytest.raises(SimulationError):
             sim.schedule_batch([(float("inf"), lambda: None)])
-
-    def test_periodic_process_start_batch(self, sim):
-        ticks = []
-        processes = [
-            PeriodicProcess(sim, 1.0, lambda i=i: ticks.append(i), name=f"p{i}")
-            for i in range(3)
-        ]
-        PeriodicProcess.start_batch(
-            sim, [(processes[0], 0.5), (processes[1], None), (processes[2], 0.5)]
-        )
-        sim.run(until=0.6)
-        assert ticks == [0, 2]
-        with pytest.raises(SimulationError):
-            PeriodicProcess.start_batch(sim, [(processes[0], 0.1)])
 
 
 class TestPendingCounter:

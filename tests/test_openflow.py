@@ -16,6 +16,7 @@ from repro.openflow.flow_table import (
 )
 from repro.openflow.messages import (
     FlowMod,
+    FlowModBatch,
     FlowModCommand,
     PacketIn,
     PacketOut,
@@ -23,6 +24,7 @@ from repro.openflow.messages import (
     PortStatusReason,
 )
 from repro.openflow.switch import OpenFlowSwitch, SwitchConfig
+from repro.sim.engine import Simulator
 
 MAC_1 = MacAddress("00:00:00:00:00:01")
 MAC_2 = MacAddress("00:00:00:00:00:02")
@@ -106,6 +108,20 @@ class TestFlowTable:
         entry = FlowEntry(FlowMatch(eth_dst=MAC_2), Actions(output_port=1))
         with pytest.raises(FlowTableError):
             table.stats(entry)
+
+    def test_match_returns_what_lookup_would_and_never_moves_a_counter(self):
+        table = FlowTable()
+        low = FlowEntry(FlowMatch(eth_dst=MAC_2), Actions(output_port=1), priority=10)
+        high = FlowEntry(FlowMatch(eth_dst=MAC_2), Actions(output_port=2), priority=200)
+        table.install(low)
+        table.install(high)
+        for _ in range(3):
+            assert table.match(_frame(), in_port=1) is high
+        assert table.match(_frame(dst_mac=MAC_1), in_port=1) is None
+        assert (table.stats(high).packets, table.stats(high).bytes) == (0, 0)
+        assert table.stats(low).packets == 0
+        assert table.lookup(_frame(), in_port=1) is high
+        assert table.stats(high).packets == 1
 
     def test_actions_apply_rewrites(self):
         actions = Actions(set_eth_dst=MAC_1, set_eth_src=MAC_2, output_port=1)
@@ -293,6 +309,60 @@ class TestSwitch:
         )
         sim.run()
         assert len(applied) == 1
+
+    def test_rejected_flow_mod_is_not_counted_as_applied(self, sim):
+        # TCAM full: the third ADD raises out of the programming event.  It
+        # is neither counted nor announced to the listeners.
+        switch = OpenFlowSwitch(sim, "sw", SwitchConfig(table_capacity=2))
+        channel = ControllerChannel(sim, latency=0.001)
+        switch.attach_controller(channel)
+        applied = []
+        switch.on_flow_mod_applied(applied.append)
+        mods = [
+            FlowMod(
+                FlowModCommand.ADD,
+                FlowMatch(eth_dst=MacAddress(0x020000000000 + i)),
+                Actions(output_port=2),
+            )
+            for i in range(3)
+        ]
+        for delay, mod in enumerate(mods):
+            sim.schedule(float(delay), lambda mod=mod: channel.send_flow_mod(mod))
+        with pytest.raises(FlowTableError):
+            sim.run()
+        assert switch.flow_mods_applied == 2
+        assert len(switch.flow_table) == 2
+        assert applied == mods[:2]
+
+    def test_lone_flow_mod_equals_bundle_of_one(self, sim):
+        # Same rule, once bare and once as a bundle of one: same table,
+        # counters, listener calls and instants; only the event name says
+        # which message type carried it.
+        mod = FlowMod(
+            FlowModCommand.MODIFY, FlowMatch(eth_dst=VMAC), Actions(output_port=2), priority=7
+        )
+        outcomes = []
+        for send in ("send_flow_mod", "send_flow_mod_batch"):
+            run = Simulator(seed=1)
+            switch = OpenFlowSwitch(run, "sw", SwitchConfig(flow_mod_latency=0.25))
+            channel = ControllerChannel(run, latency=0.001)
+            switch.attach_controller(channel)
+            heard = []
+            switch.on_flow_mod_applied(lambda m, run=run, heard=heard: heard.append((run.now, m)))
+            names = []
+            run.set_observer(lambda name, when, names=names: names.append((name, when)))
+            message = mod if send == "send_flow_mod" else FlowModBatch(mods=(mod,))
+            getattr(channel, send)(message)
+            run.run()
+            outcomes.append(
+                (switch.flow_table.entries(), switch.flow_mods_applied, heard, names)
+            )
+        single, bundle = outcomes
+        assert single[:3] == bundle[:3]
+        assert single[0][0].installed_at == 0.251
+        assert [when for _name, when in single[3]] == [when for _name, when in bundle[3]]
+        assert single[3][-1][0] == "sw:flow-mod"
+        assert bundle[3][-1][0] == "sw:flow-mod-batch"
 
     def test_invalid_table_miss_policy_rejected(self, sim):
         with pytest.raises(ValueError):

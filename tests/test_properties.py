@@ -1,7 +1,8 @@
 """Property-based tests (hypothesis) on the core data structures and
-invariants: addressing, LPM, the decision process, backup groups and the
-FIB updater's timing model."""
+invariants: addressing, LPM, the flow table, the decision process, backup
+groups and the FIB updater's timing model."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +13,15 @@ from repro.core.backup_groups import BackupGroupManager
 from repro.core.vnh_allocator import VnhAllocator
 from repro.experiments.stats import BoxStats, percentile
 from repro.net.addresses import IPv4Address, IPv4Prefix, MacAddress
+from repro.net.packets import EtherType, EthernetFrame, IpProtocol, IPv4Packet, UdpDatagram
+from repro.openflow.flow_table import (
+    Actions,
+    FlowEntry,
+    FlowMatch,
+    FlowTable,
+    FlowTableError,
+)
+from repro.openflow.messages import FlowMod, FlowModCommand
 from repro.router.fib import LpmTable
 from repro.router.fib_updater import FibUpdaterConfig
 
@@ -81,6 +91,168 @@ def test_lpm_returns_longest_matching_prefix(steps, probe):
             else:
                 best = max(matching, key=lambda stored: stored.length)
                 assert result == (best, reference[best])
+
+
+# --- flow table vs. a sorted-list oracle ---------------------------------
+# Four overlapping matches x three priorities in a five-entry TCAM: FIFO
+# ties, replace-moves-to-back, modify-keeps-slot-and-counters and overflow
+# all occur within a few dozen steps.
+_FT_MACS = [MacAddress(0x02_00_00_00_00_0A + i) for i in range(3)]
+_FT_MATCHES = [
+    FlowMatch(eth_dst=_FT_MACS[0]),
+    FlowMatch(in_port=1),
+    FlowMatch(eth_dst=_FT_MACS[0], in_port=1),
+    FlowMatch(),
+]
+_FT_CAPACITY = 5
+_ft_match = st.sampled_from(_FT_MATCHES)
+_ft_priority = st.sampled_from([10, 100, 200])
+_ft_port = st.integers(min_value=1, max_value=9)
+_ft_probe = st.tuples(st.sampled_from(_FT_MACS[:2]), st.sampled_from([1, 2]))
+_ft_mod = st.builds(
+    lambda command, match, priority, port: FlowMod(
+        command, match, Actions(output_port=port), priority=priority
+    ),
+    st.sampled_from(list(FlowModCommand)), _ft_match, _ft_priority, _ft_port,
+)
+_ft_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("install"), _ft_match, _ft_priority, _ft_port),
+        st.tuples(st.just("modify"), _ft_match, _ft_priority, _ft_port),
+        # ... and of the n-th installed entry, so counters that a lookup
+        # moved are carried through a modify often.
+        st.tuples(st.just("modify_nth"), st.integers(0, _FT_CAPACITY - 1), _ft_port),
+        st.tuples(st.just("remove"), _ft_match, st.one_of(st.none(), _ft_priority)),
+        st.tuples(st.just("apply_batch"), st.lists(_ft_mod, max_size=5)),
+        st.tuples(st.just("lookup"), _ft_probe),
+        st.tuples(st.just("match"), _ft_probe),
+    ),
+    max_size=40,
+)
+
+
+class _FlowTableOracle:
+    """Rows ``[priority, seq, match, port, packets]``, re-sorted after every
+    insert by ``(-priority, seq)``; a replace gets a fresh ``seq``."""
+
+    def __init__(self):
+        self.rows = []
+        self.seq = 0
+
+    def row(self, match, priority):
+        return next((r for r in self.rows if (r[2], r[0]) == (match, priority)), None)
+
+    def install(self, match, priority, port):
+        """False (and nothing changes) when the TCAM would overflow."""
+        existing = self.row(match, priority)
+        if existing is None and len(self.rows) >= _FT_CAPACITY:
+            return False
+        self.remove(match, priority)
+        self.seq += 1
+        self.rows.append([priority, self.seq, match, port, 0])
+        self.rows.sort(key=lambda r: (-r[0], r[1]))
+        return True
+
+    def modify(self, match, priority, port):
+        existing = self.row(match, priority)
+        if existing is not None:
+            existing[3] = port
+        return existing is not None
+
+    def remove(self, match, priority):
+        before = len(self.rows)
+        self.rows = [
+            r for r in self.rows if r[2] != match or priority not in (None, r[0])
+        ]
+        return before - len(self.rows)
+
+    def first(self, frame, in_port):
+        return next((r for r in self.rows if r[2].matches(frame, in_port)), None)
+
+
+def _ft_frame(dst_mac):
+    packet = IPv4Packet(
+        src=IPv4Address("10.0.0.1"),
+        dst=IPv4Address("1.0.0.1"),
+        protocol=IpProtocol.UDP,
+        payload=UdpDatagram(src_port=1, dst_port=2),
+    )
+    return EthernetFrame(_FT_MACS[2], dst_mac, EtherType.IPV4, packet)
+
+
+@settings(max_examples=300)
+@given(_ft_steps)
+def test_flow_table_matches_sorted_list_oracle(steps):
+    table = FlowTable(capacity=_FT_CAPACITY)
+    oracle = _FlowTableOracle()
+
+    def install(match, priority, port):
+        entry = FlowEntry(match, Actions(output_port=port), priority=priority)
+        if oracle.install(match, priority, port):
+            table.install(entry)
+        else:
+            with pytest.raises(FlowTableError):
+                table.install(entry)
+
+    for step in steps:
+        kind = step[0]
+        if kind == "modify_nth":
+            if not oracle.rows:
+                continue
+            row = oracle.rows[step[1] % len(oracle.rows)]
+            kind, step = "modify", ("modify", row[2], row[0], step[2])
+        if kind == "install":
+            install(*step[1:])
+        elif kind == "modify":
+            match, priority, port = step[1:]
+            assert table.modify(match, priority, Actions(output_port=port)) is (
+                oracle.modify(match, priority, port)
+            )
+        elif kind == "remove":
+            assert table.remove(step[1], step[2]) == oracle.remove(step[1], step[2])
+        elif kind == "apply_batch":
+            accepted = 0
+            for mod in step[1]:
+                port = mod.actions.output_port
+                if mod.command is FlowModCommand.DELETE:
+                    oracle.remove(mod.match, mod.priority)
+                elif mod.command is FlowModCommand.MODIFY and oracle.modify(
+                    mod.match, mod.priority, port
+                ):
+                    pass
+                elif not oracle.install(mod.match, mod.priority, port):
+                    break  # overflow: the mods before it stay applied
+                accepted += 1
+            if accepted == len(step[1]):
+                assert table.apply_batch(step[1], now=2.5) == accepted
+            else:
+                with pytest.raises(FlowTableError):
+                    table.apply_batch(step[1], now=2.5)
+        else:
+            dst_mac, in_port = step[1]
+            frame = _ft_frame(dst_mac)
+            expected = oracle.first(frame, in_port)
+            found = getattr(table, kind)(frame, in_port)
+            if expected is None:
+                assert found is None
+            else:
+                assert (found.match, found.priority) == (expected[2], expected[0])
+                if kind == "lookup":
+                    expected[4] += 1
+
+        installed = table.entries()
+        assert len(table) == len(installed) == len(oracle.rows)
+        assert [(e.priority, e.match, e.actions.output_port) for e in installed] == [
+            (r[0], r[2], r[3]) for r in oracle.rows
+        ]
+        for entry, row in zip(installed, oracle.rows):
+            assert table.find(entry.match, entry.priority) is entry
+            assert table.stats(entry).packets == row[4]
+            assert table.stats(entry).bytes == row[4] * _ft_frame(_FT_MACS[0]).size_bytes
+        for match in _FT_MATCHES:
+            for priority in (10, 100, 200):
+                if oracle.row(match, priority) is None:
+                    assert table.find(match, priority) is None
 
 
 route_sources = st.builds(

@@ -21,6 +21,7 @@ MYPY_TARGETS = [
     "src/repro/routes/prefixcodec.py",
     "src/repro/bgp/rib.py",
     "src/repro/router/fib.py",
+    "src/repro/openflow/flow_table.py",
     "src/repro/supercharge/sharding.py",
     "src/repro/telemetry",
     "src/repro/analysis",
@@ -66,6 +67,7 @@ def test_pyproject_mypy_allowlist_matches_this_test():
         "repro.routes.prefixcodec",
         "repro.bgp.rib",
         "repro.router.fib",
+        "repro.openflow.flow_table",
         "repro.supercharge.sharding",
         "repro.telemetry.*",
         "repro.analysis.*",
