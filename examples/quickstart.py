@@ -13,8 +13,7 @@ Run with::
 
 from __future__ import annotations
 
-from repro import Simulator, build_scenario, get_preset
-from repro.experiments.stats import BoxStats
+from repro import PRIMARY_LINK_DOWN, BoxStats, Simulator, build_scenario, get_preset, run_failover
 
 
 def run_mode(supercharged: bool, num_prefixes: int = 1_000) -> BoxStats:
@@ -27,13 +26,13 @@ def run_mode(supercharged: bool, num_prefixes: int = 1_000) -> BoxStats:
     )
     lab = build_scenario(Simulator(seed=spec.seed), spec)
     lab.bring_up()
-    result = lab.run_single_failover()
+    result = run_failover(lab, PRIMARY_LINK_DOWN)
     print(
         f"  detection time          : {result.detection_time * 1e3:7.1f} ms"
         if result.detection_time is not None
         else "  detection time          : n/a"
     )
-    return BoxStats.from_samples(result.samples)
+    return result.stats
 
 
 def main() -> None:

@@ -13,7 +13,7 @@ Run with::
 
 from __future__ import annotations
 
-from repro import Simulator, build_scenario, get_preset
+from repro import PRIMARY_LINK_DOWN, Simulator, build_scenario, get_preset, run_failover
 
 
 def main() -> None:
@@ -32,14 +32,14 @@ def main() -> None:
     print(f"  {second.name}: {second.group_count()} groups, "
           f"{len(second.vnh_bindings())} VNH bindings")
 
-    result = lab.run_single_failover()
+    result = run_failover(lab, PRIMARY_LINK_DOWN)
     print(f"\nFailover with both replicas alive : {result.max_convergence_ms:6.1f} ms (worst flow)")
     lab.restore_provider()
 
     print(f"\nCrashing replica {first.name}…")
     lab.cluster.fail_replica(first.name)
     sim.run_for(1.0)
-    result = lab.run_single_failover()
+    result = run_failover(lab, PRIMARY_LINK_DOWN)
     print(f"Failover with one replica crashed : {result.max_convergence_ms:6.1f} ms (worst flow)")
     print("Router still protected:", lab.cluster.surviving_protection())
 

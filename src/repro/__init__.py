@@ -14,12 +14,12 @@ There is one lab: a :class:`ScenarioSpec` (the paper's testbed is the
 Quickstart
 ----------
 
->>> from repro import Simulator, build_scenario, get_preset
+>>> from repro import PRIMARY_LINK_DOWN, Simulator, build_scenario, get_preset, run_failover
 >>> spec = get_preset("figure4", num_prefixes=500, monitored_flows=20)
 >>> lab = build_scenario(Simulator(seed=spec.seed), spec)
 >>> lab.bring_up()
 True
->>> result = lab.run_single_failover()
+>>> result = run_failover(lab, PRIMARY_LINK_DOWN)
 >>> result.max_convergence_ms < 1000
 True
 """
@@ -40,9 +40,9 @@ from repro.experiments import (
     BoxStats,
     ControllerMicrobench,
     Figure5Experiment,
-    run_figure5,
 )
 from repro.scenarios import (
+    PRIMARY_LINK_DOWN,
     CampaignRunner,
     FailoverResult,
     FailureInjector,
@@ -53,6 +53,7 @@ from repro.scenarios import (
     expand_grid,
     get_preset,
     run_campaign,
+    run_failover,
     run_scenario,
 )
 
@@ -80,7 +81,7 @@ __all__ = [
     "BoxStats",
     "ControllerMicrobench",
     "Figure5Experiment",
-    "run_figure5",
+    "PRIMARY_LINK_DOWN",
     "CampaignRunner",
     "FailoverResult",
     "FailureInjector",
@@ -91,6 +92,7 @@ __all__ = [
     "expand_grid",
     "get_preset",
     "run_campaign",
+    "run_failover",
     "run_scenario",
     "__version__",
 ]

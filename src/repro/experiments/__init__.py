@@ -10,17 +10,16 @@
   DESIGN.md (BFD interval, flow-mod latency, FIB organisation).
 * :mod:`repro.experiments.detection` — the BFD-vs-BGP detection-time split
   for local vs remote faults (the §5 remote-failure extension).
-* :mod:`repro.experiments.stats` — box-plot statistics shared by all of the
+* :mod:`repro.stats` — box-plot statistics and tables shared by all of the
   above.
 """
 
-from repro.experiments.stats import BoxStats
+from repro.stats import BoxStats
 from repro.experiments.figure5 import (
     DEFAULT_PREFIX_COUNTS,
     FULL_SCALE_PREFIX_COUNTS,
     Figure5Experiment,
     Figure5Row,
-    run_figure5,
 )
 from repro.experiments.controller_bench import (
     ControllerMicrobench,
@@ -33,22 +32,15 @@ from repro.experiments.ablations import (
     sweep_bfd_interval,
     sweep_flow_mod_latency,
 )
-from repro.experiments.detection import (
-    DetectionExperiment,
-    DetectionRow,
-    run_detection,
-)
+from repro.experiments.detection import DetectionExperiment
 
 __all__ = [
     "DetectionExperiment",
-    "DetectionRow",
-    "run_detection",
     "BoxStats",
     "DEFAULT_PREFIX_COUNTS",
     "FULL_SCALE_PREFIX_COUNTS",
     "Figure5Experiment",
     "Figure5Row",
-    "run_figure5",
     "ControllerMicrobench",
     "MicrobenchResult",
     "backup_group_counts",

@@ -13,8 +13,9 @@ compare:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.scenarios.campaign import PRIMARY_LINK_DOWN, run_failover
 from repro.scenarios.presets import figure4
 from repro.scenarios.testbed import build_scenario
 from repro.sim.engine import Simulator
@@ -31,28 +32,37 @@ class AblationPoint:
     detection_time: Optional[float]
 
 
-def _run_lab(**overrides) -> "AblationSample":
-    """One failover of the Figure-4 lab with ``overrides`` on its spec."""
-    spec = figure4(**overrides)
-    lab = build_scenario(Simulator(seed=spec.seed), spec)
-    lab.bring_up()
-    result = lab.run_single_failover()
-    samples = sorted(result.samples)
-    median = samples[len(samples) // 2] if samples else 0.0
-    return AblationSample(
-        max_convergence=result.max_convergence,
-        median_convergence=median,
-        detection_time=result.detection_time,
-    )
-
-
-@dataclass(frozen=True)
-class AblationSample:
-    """Raw measurements of one lab run."""
-
-    max_convergence: float
-    median_convergence: float
-    detection_time: Optional[float]
+def _sweep(
+    cells: Sequence[Tuple[str, float, Dict[str, Any]]],
+    num_prefixes: int,
+    monitored_flows: int,
+    seed: int,
+) -> List[AblationPoint]:
+    """One failover of the Figure-4 lab per ``(label, parameter, spec
+    overrides)`` cell."""
+    points = []
+    for label, parameter, overrides in cells:
+        spec = figure4(
+            num_prefixes=num_prefixes,
+            monitored_flows=monitored_flows,
+            seed=seed,
+            **overrides,
+        )
+        lab = build_scenario(Simulator(seed=spec.seed), spec)
+        lab.bring_up()
+        result = run_failover(lab, PRIMARY_LINK_DOWN)
+        samples = sorted(result.samples)
+        points.append(
+            AblationPoint(
+                label=label,
+                parameter=parameter,
+                max_convergence=result.max_convergence,
+                # The upper median of the raw samples, not BoxStats' interpolation.
+                median_convergence=samples[len(samples) // 2] if samples else 0.0,
+                detection_time=result.detection_time,
+            )
+        )
+    return points
 
 
 def sweep_bfd_interval(
@@ -62,24 +72,11 @@ def sweep_bfd_interval(
     seed: int = 1,
 ) -> List[AblationPoint]:
     """Supercharged convergence as a function of the BFD transmit interval."""
-    points = []
-    for interval in intervals:
-        sample = _run_lab(
-            num_prefixes=num_prefixes,
-            monitored_flows=monitored_flows,
-            seed=seed,
-            bfd_interval=interval,
-        )
-        points.append(
-            AblationPoint(
-                label=f"bfd={interval * 1e3:.0f}ms",
-                parameter=interval,
-                max_convergence=sample.max_convergence,
-                median_convergence=sample.median_convergence,
-                detection_time=sample.detection_time,
-            )
-        )
-    return points
+    cells = [
+        (f"bfd={interval * 1e3:.0f}ms", interval, dict(bfd_interval=interval))
+        for interval in intervals
+    ]
+    return _sweep(cells, num_prefixes, monitored_flows, seed)
 
 
 def sweep_flow_mod_latency(
@@ -89,24 +86,11 @@ def sweep_flow_mod_latency(
     seed: int = 1,
 ) -> List[AblationPoint]:
     """Supercharged convergence as a function of the switch rule-install latency."""
-    points = []
-    for latency in latencies:
-        sample = _run_lab(
-            num_prefixes=num_prefixes,
-            monitored_flows=monitored_flows,
-            seed=seed,
-            flow_mod_latency=latency,
-        )
-        points.append(
-            AblationPoint(
-                label=f"flowmod={latency * 1e3:.0f}ms",
-                parameter=latency,
-                max_convergence=sample.max_convergence,
-                median_convergence=sample.median_convergence,
-                detection_time=sample.detection_time,
-            )
-        )
-    return points
+    cells = [
+        (f"flowmod={latency * 1e3:.0f}ms", latency, dict(flow_mod_latency=latency))
+        for latency in latencies
+    ]
+    return _sweep(cells, num_prefixes, monitored_flows, seed)
 
 
 def compare_fib_designs(
@@ -115,26 +99,9 @@ def compare_fib_designs(
     seed: int = 1,
 ) -> List[AblationPoint]:
     """Flat FIB vs hierarchical (PIC) FIB vs supercharged router."""
-    configurations = [
-        ("flat-fib (standalone)", dict(supercharged=False)),
-        ("hierarchical-fib (PIC)", dict(supercharged=False, hierarchical_fib=True)),
-        ("supercharged", dict(supercharged=True)),
+    cells = [
+        ("flat-fib (standalone)", 0.0, dict(supercharged=False)),
+        ("hierarchical-fib (PIC)", 1.0, dict(supercharged=False, hierarchical_fib=True)),
+        ("supercharged", 2.0, dict(supercharged=True)),
     ]
-    points = []
-    for index, (label, mode) in enumerate(configurations):
-        sample = _run_lab(
-            num_prefixes=num_prefixes,
-            monitored_flows=monitored_flows,
-            seed=seed,
-            **mode,
-        )
-        points.append(
-            AblationPoint(
-                label=label,
-                parameter=float(index),
-                max_convergence=sample.max_convergence,
-                median_convergence=sample.median_convergence,
-                detection_time=sample.detection_time,
-            )
-        )
-    return points
+    return _sweep(cells, num_prefixes, monitored_flows, seed)

@@ -19,7 +19,7 @@ from repro.bgp.messages import UpdateMessage
 from repro.bgp.rib import LocRib, Route, RouteSource
 from repro.core.backup_groups import ActionKind, BackupGroupManager
 from repro.core.vnh_allocator import VnhAllocator
-from repro.experiments.stats import BoxStats, percentile
+from repro.stats import BoxStats, percentile
 from repro.net.addresses import IPv4Address, IPv4Prefix
 from repro.routes.prefix_gen import PrefixGenerator
 from repro.routes.ris_feed import synthetic_full_table

@@ -18,54 +18,43 @@ data-plane convergence spread.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Any, Dict, List, Sequence
 
-from repro.experiments.stats import format_table
 from repro.scenarios.campaign import run_scenario
 from repro.scenarios.spec import ScenarioSpec, failure_campaign
+from repro.stats import render
 
 #: (label, failure kind) pairs making up the fault-class axis.
 FAULT_CLASSES: Sequence = (("local", "link_down"), ("remote", "remote_withdraw"))
 
+#: Campaign-record keys a row keeps next to its ``fault`` label.
+ROW_KEYS = (
+    "supercharged", "detection_path", "detection_ms", "push_ms",
+    "median_ms", "max_ms", "detection_paths", "recovered",
+)
 
-@dataclass(frozen=True)
-class DetectionRow:
-    """One cell of the detection comparison."""
-
-    fault: str
-    supercharged: bool
-    detection_path: Optional[str]
-    detection_ms: Optional[float]
-    push_ms: Optional[float]
-    median_ms: float
-    max_ms: float
-    detection_paths: Dict[str, int]
-    recovered: bool
-
-    @property
-    def mode(self) -> str:
-        """Human-readable mode label."""
-        return "supercharged" if self.supercharged else "standalone"
+REPORT_COLUMNS = (
+    ("fault", "fault"),
+    ("mode", lambda row: "supercharged" if row["supercharged"] else "standalone"),
+    ("detected via", "detection_path"),
+    ("detect (ms)", "detection_ms"),
+    ("push (ms)", "push_ms"),
+    ("median conv (ms)", "median_ms"),
+    ("max conv (ms)", "max_ms"),
+)
 
 
+@dataclass
 class DetectionExperiment:
     """Runs the 2×2 fault-class × mode grid and tabulates detection paths."""
 
-    def __init__(
-        self,
-        num_prefixes: int = 1000,
-        monitored_flows: int = 20,
-        prefix_fraction: float = 1.0,
-        seed: int = 1,
-        timeout: float = 600.0,
-    ) -> None:
-        self.num_prefixes = num_prefixes
-        self.monitored_flows = monitored_flows
-        self.prefix_fraction = prefix_fraction
-        self.seed = seed
-        self.timeout = timeout
-        self.rows: List[DetectionRow] = []
+    num_prefixes: int = 1000
+    monitored_flows: int = 20
+    prefix_fraction: float = 1.0
+    seed: int = 1
+    timeout: float = 600.0
+    rows: List[Dict[str, Any]] = field(default_factory=list, init=False)
 
     def _spec(self, fault_kind: str, supercharged: bool) -> ScenarioSpec:
         mode = "sc" if supercharged else "standalone"
@@ -76,72 +65,19 @@ class DetectionExperiment:
             num_providers=2,
             monitored_flows=self.monitored_flows,
             seed=self.seed,
-            failures=failure_campaign(
-                fault_kind, prefix_fraction=self.prefix_fraction
-            ),
+            failures=failure_campaign(fault_kind, prefix_fraction=self.prefix_fraction),
         ).validate()
 
-    def run(self) -> List[DetectionRow]:
-        """Run all four cells; the rows are deterministic from the seed."""
+    def run(self) -> List[Dict[str, Any]]:
+        """Run all four cells; each row is the cell's campaign record cut
+        down to :data:`ROW_KEYS`, deterministic from the seed."""
         self.rows = []
         for fault, kind in FAULT_CLASSES:
             for supercharged in (True, False):
-                record: Dict[str, Any] = run_scenario(
-                    self._spec(kind, supercharged), timeout=self.timeout
-                )
-                self.rows.append(
-                    DetectionRow(
-                        fault=fault,
-                        supercharged=supercharged,
-                        detection_path=record["detection_path"],
-                        detection_ms=record["detection_ms"],
-                        push_ms=record["push_ms"],
-                        median_ms=record["median_ms"],
-                        max_ms=record["max_ms"],
-                        detection_paths=record["detection_paths"],
-                        recovered=record["recovered"],
-                    )
-                )
+                record = run_scenario(self._spec(kind, supercharged), timeout=self.timeout)
+                self.rows.append({"fault": fault, **{key: record[key] for key in ROW_KEYS}})
         return self.rows
 
     def report(self) -> str:
         """Text table of the detection-time split."""
-        headers = [
-            "fault",
-            "mode",
-            "detected via",
-            "detect (ms)",
-            "push (ms)",
-            "median conv (ms)",
-            "max conv (ms)",
-        ]
-        rows = []
-        for row in self.rows:
-            rows.append(
-                [
-                    row.fault,
-                    row.mode,
-                    row.detection_path or "-",
-                    f"{row.detection_ms:.1f}" if row.detection_ms is not None else "-",
-                    f"{row.push_ms:.1f}" if row.push_ms is not None else "-",
-                    f"{row.median_ms:.1f}",
-                    f"{row.max_ms:.1f}",
-                ]
-            )
-        return format_table(headers, rows)
-
-
-def run_detection(
-    num_prefixes: int = 1000,
-    monitored_flows: int = 20,
-    prefix_fraction: float = 1.0,
-    seed: int = 1,
-) -> List[DetectionRow]:
-    """One-call version of the experiment (used by the CLI and examples)."""
-    experiment = DetectionExperiment(
-        num_prefixes=num_prefixes,
-        monitored_flows=monitored_flows,
-        prefix_fraction=prefix_fraction,
-        seed=seed,
-    )
-    return experiment.run()
+        return render(self.rows, REPORT_COLUMNS)

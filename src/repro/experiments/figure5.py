@@ -16,14 +16,15 @@ preserves the paper's shape; EXPERIMENTS.md records both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.experiments.stats import BoxStats, format_table
 from repro.runconfig import env_flag
+from repro.scenarios.campaign import PRIMARY_LINK_DOWN, run_failover
 from repro.scenarios.presets import figure4
 from repro.scenarios.testbed import build_scenario
 from repro.sim.engine import Simulator
+from repro.stats import BoxStats, render
 
 #: Paper x-axis (Figure 5).
 FULL_SCALE_PREFIX_COUNTS: Sequence[int] = (
@@ -79,33 +80,25 @@ class Figure5Row:
         return f"{self.num_prefixes} prefixes ({mode})"
 
 
+@dataclass
 class Figure5Experiment:
     """Runs the full convergence sweep."""
 
-    def __init__(
-        self,
-        prefix_counts: Optional[Sequence[int]] = None,
-        repetitions: int = 3,
-        monitored_flows: int = 100,
-        seed: int = 1,
-        modes: Sequence[bool] = (False, True),
-    ) -> None:
-        self.prefix_counts = list(prefix_counts or active_prefix_counts())
-        self.repetitions = repetitions
-        self.monitored_flows = monitored_flows
-        self.seed = seed
-        self.modes = list(modes)
-        self.rows: List[Figure5Row] = []
+    prefix_counts: Optional[Sequence[int]] = None
+    repetitions: int = 3
+    monitored_flows: int = 100
+    seed: int = 1
+    modes: Sequence[bool] = (False, True)
+    rows: List[Figure5Row] = field(default_factory=list, init=False)
 
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
+    def __post_init__(self) -> None:
+        self.prefix_counts = list(self.prefix_counts or active_prefix_counts())
+
     def run(self) -> List[Figure5Row]:
         """Run every (prefix count, mode) cell and return the rows."""
-        self.rows = []
-        for num_prefixes in self.prefix_counts:
-            for supercharged in self.modes:
-                self.rows.append(self.run_cell(num_prefixes, supercharged))
+        self.rows = [
+            self.run_cell(count, mode) for count in self.prefix_counts for mode in self.modes
+        ]
         return self.rows
 
     def run_cell(self, num_prefixes: int, supercharged: bool) -> Figure5Row:
@@ -125,7 +118,7 @@ class Figure5Experiment:
         for repetition in range(self.repetitions):
             if repetition > 0:
                 lab.restore_provider()
-            result = lab.run_single_failover()
+            result = run_failover(lab, PRIMARY_LINK_DOWN)
             samples.extend(result.samples)
             if result.detection_time is not None:
                 detections.append(result.detection_time)
@@ -137,37 +130,9 @@ class Figure5Experiment:
             repetitions=self.repetitions,
         )
 
-    # ------------------------------------------------------------------
-    # Reporting
-    # ------------------------------------------------------------------
     def report(self) -> str:
         """Text table comparable to the paper's Figure 5 annotations."""
-        headers = [
-            "prefixes",
-            "mode",
-            "median (s)",
-            "p95 (s)",
-            "max (s)",
-            "paper max (s)",
-        ]
-        rows = []
-        for row in self.rows:
-            paper = (
-                f"{PAPER_SUPERCHARGED_MAX_S:.3f}"
-                if row.supercharged
-                else _paper_reference(row.num_prefixes)
-            )
-            rows.append(
-                [
-                    str(row.num_prefixes),
-                    "supercharged" if row.supercharged else "standalone",
-                    f"{row.stats.median:.3f}",
-                    f"{row.stats.p95:.3f}",
-                    f"{row.stats.maximum:.3f}",
-                    paper,
-                ]
-            )
-        return format_table(headers, rows)
+        return render(self.rows, REPORT_COLUMNS)
 
 
 def _paper_reference(num_prefixes: int) -> str:
@@ -178,17 +143,21 @@ def _paper_reference(num_prefixes: int) -> str:
     return f"~{slope * num_prefixes + 0.4:.1f}"
 
 
-def run_figure5(
-    prefix_counts: Optional[Sequence[int]] = None,
-    repetitions: int = 3,
-    monitored_flows: int = 100,
-    seed: int = 1,
-) -> List[Figure5Row]:
-    """One-call version of the experiment (used by examples and benches)."""
-    experiment = Figure5Experiment(
-        prefix_counts=prefix_counts,
-        repetitions=repetitions,
-        monitored_flows=monitored_flows,
-        seed=seed,
-    )
-    return experiment.run()
+def _paper_max(row: Figure5Row) -> str:
+    if row.supercharged:
+        return f"{PAPER_SUPERCHARGED_MAX_S:.3f}"
+    return _paper_reference(row.num_prefixes)
+
+
+def _mode(row: Figure5Row) -> str:
+    return "supercharged" if row.supercharged else "standalone"
+
+
+REPORT_COLUMNS = (
+    ("prefixes", "num_prefixes"),
+    ("mode", _mode),
+    ("median (s)", lambda row: row.stats.median, ".3f"),
+    ("p95 (s)", lambda row: row.stats.p95, ".3f"),
+    ("max (s)", lambda row: row.stats.maximum, ".3f"),
+    ("paper max (s)", _paper_max),
+)

@@ -20,14 +20,14 @@ size instead of growing with it.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments.stats import BoxStats, format_table
-from repro.scenarios.failures import FailureInjector
+from repro.scenarios.campaign import run_failover
 from repro.scenarios.spec import FailureSpec, ScenarioSpec
 from repro.scenarios.testbed import build_scenario
 from repro.sim.engine import Simulator
+from repro.stats import render
 
 #: Default prefix-table sizes of the convergence-vs-size curve.
 DEFAULT_PREFIX_COUNTS = (200, 500, 1000)
@@ -39,7 +39,8 @@ MIN_SPEEDUP = 5.0
 
 @dataclass(frozen=True)
 class RemotePoint:
-    """One (table size, mode) cell of the comparison."""
+    """One (table size, mode) cell of the comparison; ``vars(point)`` is
+    its primitive-only JSON form."""
 
     num_prefixes: int
     grouped: bool
@@ -62,40 +63,26 @@ class RemotePoint:
         """Human-readable mode label."""
         return "grouped" if self.grouped else "per-prefix"
 
-    def to_dict(self) -> Dict[str, Any]:
-        """Primitive-only representation (for the bench worker's JSON)."""
-        return asdict(self)
 
-
+@dataclass
 class RemoteSuperchargeExperiment:
     """Runs the grouped-vs-per-prefix curve over a list of table sizes."""
 
-    def __init__(
-        self,
-        prefix_counts: Sequence[int] = DEFAULT_PREFIX_COUNTS,
-        monitored_flows: int = 12,
-        num_providers: int = 2,
-        prefix_fraction: float = 1.0,
-        seed: int = 1,
-        timeout: float = 600.0,
-    ) -> None:
-        self.prefix_counts = list(prefix_counts)
-        self.monitored_flows = monitored_flows
-        self.num_providers = num_providers
-        self.prefix_fraction = prefix_fraction
-        self.seed = seed
-        self.timeout = timeout
-        self.rows: List[RemotePoint] = []
+    prefix_counts: Sequence[int] = DEFAULT_PREFIX_COUNTS
+    monitored_flows: int = 12
+    num_providers: int = 2
+    prefix_fraction: float = 1.0
+    seed: int = 1
+    timeout: float = 600.0
+    rows: List[RemotePoint] = field(default_factory=list, init=False)
 
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
     def run(self) -> List[RemotePoint]:
         """Run every cell; rows are deterministic from the seed."""
-        self.rows = []
-        for count in self.prefix_counts:
-            for grouped in (False, True):
-                self.rows.append(self._run_cell(count, grouped))
+        self.rows = [
+            self._run_cell(count, grouped)
+            for count in self.prefix_counts
+            for grouped in (False, True)
+        ]
         return self.rows
 
     def _spec(self, num_prefixes: int, grouped: bool) -> ScenarioSpec:
@@ -110,27 +97,22 @@ class RemoteSuperchargeExperiment:
             remote_groups=grouped,
             failures=[
                 FailureSpec(
-                    kind="remote_withdraw",
-                    at=1.0,
-                    prefix_fraction=self.prefix_fraction,
+                    kind="remote_withdraw", at=1.0, prefix_fraction=self.prefix_fraction
                 )
             ],
         ).validate()
 
     def _run_cell(self, num_prefixes: int, grouped: bool) -> RemotePoint:
         spec = self._spec(num_prefixes, grouped)
-        sim = Simulator(seed=spec.seed)
-        lab = build_scenario(sim, spec)
+        lab = build_scenario(Simulator(seed=spec.seed), spec)
         lab.bring_up(timeout=self.timeout)
         controller = lab.controllers[0]
         rules_before = controller.provisioner.rules_pushed
         batches_before = controller.provisioner.batches_pushed
         messages_before = controller.updates_relayed + controller.withdraws_relayed
-        injector = FailureInjector(lab)
-        injector.arm()
-        sim.run_for(spec.failure_horizon + 0.05)
-        recovered = lab.wait_recovered(timeout=self.timeout)
-        result = lab.measure()
+        result = run_failover(lab, timeout=self.timeout)
+        stats = result.stats
+        detection = result.detection_time
         return RemotePoint(
             num_prefixes=num_prefixes,
             grouped=grouped,
@@ -138,111 +120,65 @@ class RemoteSuperchargeExperiment:
             flow_mods=controller.provisioner.rules_pushed - rules_before,
             rest_batches=controller.provisioner.batches_pushed - batches_before,
             router_messages=(
-                controller.updates_relayed
-                + controller.withdraws_relayed
-                - messages_before
+                controller.updates_relayed + controller.withdraws_relayed - messages_before
             ),
-            detection_ms=(
-                result.detection_time * 1e3
-                if result.detection_time is not None
-                else None
-            ),
-            median_ms=(
-                BoxStats.from_samples(result.samples).median * 1e3
-                if result.samples
-                else 0.0
-            ),
-            max_ms=result.max_convergence * 1e3,
-            recovered=bool(recovered),
+            # Unrounded, unlike a campaign record's: ``--json`` prints them.
+            detection_ms=None if detection is None else detection * 1e3,
+            median_ms=stats.median * 1e3 if stats else 0.0,
+            max_ms=result.max_convergence_ms,
+            recovered=result.recovered,
         )
 
-    # ------------------------------------------------------------------
-    # Analysis
-    # ------------------------------------------------------------------
     def pairs(self) -> List[Tuple[RemotePoint, RemotePoint]]:
         """(per-prefix, grouped) row pairs in table-size order."""
-        by_size: Dict[int, Dict[bool, RemotePoint]] = {}
-        for row in self.rows:
-            by_size.setdefault(row.num_prefixes, {})[row.grouped] = row
+        cells = {(row.num_prefixes, row.grouped): row for row in self.rows}
         return [
-            (cells[False], cells[True])
-            for _, cells in sorted(by_size.items())
-            if False in cells and True in cells
+            (cells[size, False], cells[size, True])
+            for size in sorted({size for size, _ in cells})
+            if (size, False) in cells and (size, True) in cells
         ]
 
     def speedups(self) -> Dict[int, float]:
         """Max-restoration speedup (per-prefix / grouped) per table size."""
-        result = {}
-        for baseline, grouped in self.pairs():
-            if grouped.max_ms > 0:
-                result[baseline.num_prefixes] = baseline.max_ms / grouped.max_ms
-            else:
-                result[baseline.num_prefixes] = float("inf")
-        return result
+        return {
+            baseline.num_prefixes: (
+                baseline.max_ms / grouped.max_ms if grouped.max_ms > 0 else float("inf")
+            )
+            for baseline, grouped in self.pairs()
+        }
 
     def acceptance_ok(self, min_speedup: float = MIN_SPEEDUP) -> bool:
         """The PR's acceptance criterion: grouped failovers cost O(#groups)
         flow-mods with no per-prefix router messages, every cell recovers,
         and the largest table restores at least ``min_speedup`` x faster."""
         speedups = self.speedups()
-        if not self.rows or not speedups:
+        if not speedups:
             return False
-        for row in self.rows:
-            if not row.recovered:
-                return False
-            if row.grouped and row.flow_mods > row.groups:
-                return False
-            if row.grouped and row.router_messages != 0:
-                return False
-        return speedups[max(speedups)] >= min_speedup
+        cells_ok = all(
+            row.recovered
+            and (not row.grouped or (row.flow_mods <= row.groups and row.router_messages == 0))
+            for row in self.rows
+        )
+        return cells_ok and speedups[max(speedups)] >= min_speedup
 
     def report(self) -> str:
         """Text table of the curve."""
         speedups = self.speedups()
-        headers = [
-            "prefixes",
-            "mode",
-            "groups",
-            "flow mods",
-            "REST batches",
-            "router msgs",
-            "median restore (ms)",
-            "max restore (ms)",
-            "speedup",
-        ]
-        rows = []
-        for row in self.rows:
-            speedup = ""
+
+        def speedup(row: RemotePoint) -> str:
             if row.grouped and row.num_prefixes in speedups:
-                speedup = f"{speedups[row.num_prefixes]:.1f}x"
-            rows.append(
-                [
-                    str(row.num_prefixes),
-                    row.mode,
-                    str(row.groups),
-                    str(row.flow_mods),
-                    str(row.rest_batches),
-                    str(row.router_messages),
-                    f"{row.median_ms:.1f}",
-                    f"{row.max_ms:.1f}",
-                    speedup,
-                ]
-            )
-        return format_table(headers, rows)
+                return f"{speedups[row.num_prefixes]:.1f}x"
+            return ""
 
-
-def run_remote_supercharge(
-    prefix_counts: Sequence[int] = DEFAULT_PREFIX_COUNTS,
-    monitored_flows: int = 12,
-    num_providers: int = 2,
-    seed: int = 1,
-) -> RemoteSuperchargeExperiment:
-    """One-call version (used by the CLI and the bench worker)."""
-    experiment = RemoteSuperchargeExperiment(
-        prefix_counts=prefix_counts,
-        monitored_flows=monitored_flows,
-        num_providers=num_providers,
-        seed=seed,
-    )
-    experiment.run()
-    return experiment
+        columns = (
+            ("prefixes", "num_prefixes"),
+            ("mode", "mode"),
+            ("groups", "groups"),
+            ("flow mods", "flow_mods"),
+            ("REST batches", "rest_batches"),
+            ("router msgs", "router_messages"),
+            ("median restore (ms)", "median_ms"),
+            ("max restore (ms)", "max_ms"),
+            ("speedup", speedup),
+        )
+        return render(self.rows, columns)

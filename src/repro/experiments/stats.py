@@ -1,89 +1,6 @@
-"""Box-plot statistics matching the presentation of Figure 5."""
+"""Box-plot statistics matching the presentation of Figure 5 (the
+implementation lives in the leaf module :mod:`repro.stats`)."""
 
-from __future__ import annotations
+from repro.stats import BoxStats, format_table, percentile, render
 
-from dataclasses import dataclass
-from typing import List, Sequence
-
-
-def percentile(samples: Sequence[float], fraction: float) -> float:
-    """Linear-interpolation percentile (``fraction`` in [0, 1])."""
-    if not samples:
-        raise ValueError("cannot compute a percentile of no samples")
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError(f"fraction must be in [0, 1], got {fraction}")
-    ordered = sorted(samples)
-    if len(ordered) == 1:
-        return ordered[0]
-    position = fraction * (len(ordered) - 1)
-    lower = int(position)
-    upper = min(lower + 1, len(ordered) - 1)
-    weight = position - lower
-    # lower + weight * (upper - lower) never undershoots ordered[lower] under
-    # floating point, keeping percentiles monotone in ``fraction``.
-    return ordered[lower] + weight * (ordered[upper] - ordered[lower])
-
-
-@dataclass(frozen=True)
-class BoxStats:
-    """The statistics Figure 5 shows for each box."""
-
-    count: int
-    minimum: float
-    p5: float
-    q1: float
-    median: float
-    q3: float
-    p95: float
-    maximum: float
-    mean: float
-
-    @classmethod
-    def from_samples(cls, samples: Sequence[float]) -> "BoxStats":
-        """Summarise a list of convergence samples."""
-        if not samples:
-            raise ValueError("cannot summarise an empty sample list")
-        values = list(samples)
-        return cls(
-            count=len(values),
-            minimum=min(values),
-            p5=percentile(values, 0.05),
-            q1=percentile(values, 0.25),
-            median=percentile(values, 0.50),
-            q3=percentile(values, 0.75),
-            p95=percentile(values, 0.95),
-            maximum=max(values),
-            mean=sum(values) / len(values),
-        )
-
-    def scaled(self, factor: float) -> "BoxStats":
-        """Return the same statistics multiplied by ``factor`` (unit changes)."""
-        return BoxStats(
-            count=self.count,
-            minimum=self.minimum * factor,
-            p5=self.p5 * factor,
-            q1=self.q1 * factor,
-            median=self.median * factor,
-            q3=self.q3 * factor,
-            p95=self.p95 * factor,
-            maximum=self.maximum * factor,
-            mean=self.mean * factor,
-        )
-
-    def as_milliseconds(self) -> "BoxStats":
-        """Convert second-based samples to milliseconds."""
-        return self.scaled(1e3)
-
-
-def format_table(headers: List[str], rows: List[List[str]]) -> str:
-    """Render a fixed-width text table (used by the benchmark reports)."""
-    widths = [len(header) for header in headers]
-    for row in rows:
-        for index, cell in enumerate(row):
-            widths[index] = max(widths[index], len(cell))
-    lines = []
-    lines.append("  ".join(header.ljust(widths[i]) for i, header in enumerate(headers)))
-    lines.append("  ".join("-" * width for width in widths))
-    for row in rows:
-        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
-    return "\n".join(lines)
+__all__ = ["BoxStats", "format_table", "percentile", "render"]

@@ -13,16 +13,20 @@ platform:
 * :mod:`repro.scenarios.presets` — named scenarios (the Figure-4 lab is
   the ``figure4`` preset);
 * :mod:`repro.scenarios.generator` — randomized ISP-like scenario batches;
-* :mod:`repro.scenarios.campaign` — parameter-grid expansion and the
-  parallel campaign runner with its aggregated JSON results store.
+* :mod:`repro.scenarios.campaign` — the failover driver
+  (:func:`run_failover`), parameter-grid expansion and the parallel
+  campaign runner with its aggregated JSON results store.
 """
 
 from repro.scenarios.campaign import (
+    PRIMARY_LINK_DOWN,
     CampaignResult,
     CampaignRunner,
+    FailoverResult,
     execute_scenario,
     expand_grid,
     run_campaign,
+    run_failover,
     run_scenario,
 )
 from repro.scenarios.failures import FailureInjector
@@ -39,7 +43,6 @@ from repro.scenarios.spec import (
 from repro.scenarios.testbed import (
     DetectionEvent,
     DetectionTracker,
-    FailoverResult,
     ScenarioLab,
     build_scenario,
 )
@@ -55,6 +58,7 @@ __all__ = [
     "FailureInjector",
     "FailureSpec",
     "PRESETS",
+    "PRIMARY_LINK_DOWN",
     "ScenarioLab",
     "ScenarioSpec",
     "ScenarioSpecError",
@@ -67,5 +71,6 @@ __all__ = [
     "random_fan_spec",
     "random_fan_specs",
     "run_campaign",
+    "run_failover",
     "run_scenario",
 ]

@@ -5,7 +5,7 @@ A *campaign* expands a base :class:`ScenarioSpec` against a parameter grid
 across a ``multiprocessing`` pool, each worker owning its own
 deterministic :class:`~repro.sim.engine.Simulator` — and aggregates the
 per-scenario convergence metrics through
-:mod:`repro.experiments.stats` into a JSON results store.
+:mod:`repro.stats` into a JSON results store.
 
 Determinism contract: a scenario's metrics depend only on its spec (which
 embeds the seed), never on the worker count or scheduling order, so the
@@ -22,10 +22,17 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, IO, List, Mapping, Optional, Sequence, Tuple
 
+from repro.net.addresses import IPv4Address
 from repro.scenarios.failures import FailureInjector
-from repro.scenarios.spec import ScenarioSpec, ScenarioSpecError, failure_campaign
+from repro.scenarios.spec import (
+    FailureSpec,
+    ScenarioSpec,
+    ScenarioSpecError,
+    failure_campaign,
+)
 from repro.scenarios.testbed import ScenarioLab, build_scenario
 from repro.sim.engine import Simulator
+from repro.stats import BoxStats, render
 from repro.telemetry import STAGES, Histogram
 
 #: Grid key that selects a canned failure campaign instead of a spec field.
@@ -39,15 +46,6 @@ STAGE_RECORD_KEYS = tuple(f"stage_{stage}_ms" for stage in STAGES)
 #: docs/observability.md).
 STAGE_MS_EDGES = (1.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0,
                   1_000.0, 5_000.0, 30_000.0, 120_000.0)
-
-
-def _stats_module():
-    # Imported lazily: repro.experiments.figure5 imports the (scenario-based)
-    # lab at package-init time, so a module-level import here would be
-    # circular.  By the time a campaign runs, everything is initialised.
-    from repro.experiments import stats
-
-    return stats
 
 
 # ----------------------------------------------------------------------
@@ -99,6 +97,113 @@ def expand_grid(
 
 
 # ----------------------------------------------------------------------
+# The failover driver
+# ----------------------------------------------------------------------
+#: The paper's failure event: the primary provider loses carrier.
+PRIMARY_LINK_DOWN = FailureSpec(kind="link_down", at=0.0)
+
+
+@dataclass
+class FailoverResult:
+    """The one read-out of a driven failover, in raw simulated seconds."""
+
+    supercharged: bool
+    num_prefixes: int
+    #: Instant of the first disruptive event (None when nothing failed).
+    failure_time: Optional[float]
+    #: Per-destination data-plane outage in seconds.
+    convergence_times: Dict[IPv4Address, float]
+    detection_time: Optional[float] = None
+    #: How the failure was detected ("bfd" or "bgp"), if it was.
+    detection_path: Optional[str] = None
+    #: Seconds until the router first heard from the controller, if it did.
+    push_time: Optional[float] = None
+    #: Samples per detection label of their dominating outage.
+    detection_paths: Dict[str, int] = field(default_factory=dict)
+    recovered: bool = True
+    events_fired: int = 0
+    churn_updates: int = 0
+
+    @property
+    def samples(self) -> List[float]:
+        """All per-destination convergence samples (seconds)."""
+        return list(self.convergence_times.values())
+
+    @property
+    def stats(self) -> Optional[BoxStats]:
+        """Box statistics of the samples (None without monitored flows)."""
+        samples = self.samples
+        return BoxStats.from_samples(samples) if samples else None
+
+    @property
+    def max_convergence(self) -> float:
+        """Worst-case convergence across monitored destinations."""
+        return max(self.convergence_times.values(), default=0.0)
+
+    @property
+    def max_convergence_ms(self) -> float:
+        """Worst-case convergence in milliseconds."""
+        return self.max_convergence * 1e3
+
+
+def run_failover(
+    lab: ScenarioLab, failure: Optional[FailureSpec] = None, timeout: float = 3600.0
+) -> FailoverResult:
+    """The single failover driver: disturb a brought-up ``lab``, wait for
+    the data plane to recover and read the outcome out.
+
+    With ``failure`` the event fires *now* and no simulated time passes
+    before the wait (the paper's procedure; Figure 5 repeats it on one
+    lab).  Without it the spec's campaign and churn replay are armed and
+    run to their horizon first.
+    """
+    if lab.monitor is None:
+        raise RuntimeError("bring_up() (or setup_monitoring()) must run first")
+    injector = FailureInjector(lab)
+    churn_updates = 0
+    if failure is not None:
+        injector.fire(failure)
+    else:
+        injector.arm()
+        churn_updates = lab.start_churn()
+        horizon = max(lab.spec.failure_horizon, lab.churn_horizon)
+        if horizon > 0:
+            lab.sim.run_for(horizon + 0.05)
+    recovered = lab.wait_recovered(timeout=timeout)
+    failure_time = injector.first_failure_time
+    result = FailoverResult(
+        supercharged=lab.spec.supercharged,
+        num_prefixes=lab.spec.num_prefixes,
+        failure_time=failure_time,
+        convergence_times={d: 0.0 for d in lab.monitored_destinations},
+        recovered=bool(recovered),
+        events_fired=len(injector.log),
+        churn_updates=churn_updates,
+    )
+    if failure_time is None:
+        return result
+    details = lab.monitor.convergence_details(failure_time)
+    result.convergence_times = {d: duration for d, (duration, _) in details.items()}
+    for _, label in details.values():
+        key = label if label is not None else "none"
+        result.detection_paths[key] = result.detection_paths.get(key, 0) + 1
+    event = lab.detection.first_detection(
+        failure_time, lab.plan.provider_core_ip(injector.first_failed_provider or 0)
+    )
+    if event is not None:
+        result.detection_time = event.at - failure_time
+        result.detection_path = event.path
+    push = lab.detection.first_push(failure_time)
+    if push is not None:
+        result.push_time = push.at - failure_time
+    return result
+
+
+def _ms(seconds: Optional[float]) -> Optional[float]:
+    return None if seconds is None else round(seconds * 1e3, 6)
+
+
+# ----------------------------------------------------------------------
 # Single-scenario execution (the worker body)
 # ----------------------------------------------------------------------
 def run_scenario(spec: ScenarioSpec, timeout: float = 600.0) -> Dict[str, Any]:
@@ -123,39 +228,8 @@ def execute_scenario(
     sim = Simulator(seed=spec.seed)
     lab = build_scenario(sim, spec, trace_sink=trace_sink)
     converged = lab.bring_up(timeout=timeout)
-    injector = FailureInjector(lab)
-    injector.arm()
-    churn_scheduled = lab.start_churn()
-    horizon = max(spec.failure_horizon, lab.churn_horizon)
-    if horizon > 0:
-        sim.run_for(horizon + 0.05)
-    recovered = lab.wait_recovered(timeout=timeout)
-    failure_time = injector.first_failure_time
-    detection_ms: Optional[float] = None
-    detection_path: Optional[str] = None
-    push_ms: Optional[float] = None
-    detection_counts: Dict[str, int] = {}
-    if failure_time is not None:
-        details = lab.monitor.convergence_details(failure_time)
-        samples = [duration for duration, _ in details.values()]
-        for duration, label in details.values():
-            key = label if label is not None else "none"
-            detection_counts[key] = detection_counts.get(key, 0) + 1
-        failed = (
-            lab.last_failed_provider if lab.last_failed_provider is not None else 0
-        )
-        event = lab.detection.first_detection(
-            failure_time, lab.plan.provider_core_ip(failed)
-        )
-        if event is not None:
-            detection_ms = round((event.at - failure_time) * 1e3, 6)
-            detection_path = event.path
-        push = lab.detection.first_push(failure_time)
-        if push is not None:
-            push_ms = round((push.at - failure_time) * 1e3, 6)
-    else:
-        samples = [0.0 for _ in lab.monitored_destinations]
-    stats = _stats_module().BoxStats.from_samples(samples) if samples else None
+    result = run_failover(lab, timeout=timeout)
+    stats = result.stats
     engines = lab.remote_engines()
     # Final occupancy sample so the metrics registry's gauges reflect the
     # end state (the record itself reads the objects directly).
@@ -170,10 +244,10 @@ def execute_scenario(
     flow_mod_batches = sum(p.batches_pushed for p in provisioners)
     flow_mods_pushed = sum(p.rules_pushed for p in provisioners)
     flow_mods_batched = sum(p.rules_pushed_batched for p in provisioners)
+    telemetry = lab.telemetry
+    outages = telemetry.causal.outages() if telemetry is not None else []
     queue_gauge = (
-        lab.telemetry.metrics.get("channel.flow_mods_in_flight")
-        if lab.telemetry is not None
-        else None
+        telemetry.metrics.get("channel.flow_mods_in_flight") if telemetry is not None else None
     )
     record: Dict[str, Any] = {
         "name": spec.name,
@@ -184,36 +258,31 @@ def execute_scenario(
         "num_prefixes": spec.num_prefixes,
         "failures": [f.kind for f in spec.failures],
         "converged": bool(converged),
-        "recovered": bool(recovered),
-        "detection_ms": detection_ms,
-        "detection_path": detection_path,
-        "detection_paths": {k: detection_counts[k] for k in sorted(detection_counts)},
-        "push_ms": push_ms,
-        "churn_updates_replayed": churn_scheduled,
+        "recovered": result.recovered,
+        "detection_ms": _ms(result.detection_time),
+        "detection_path": result.detection_path,
+        "detection_paths": dict(sorted(result.detection_paths.items())),
+        "push_ms": _ms(result.push_time),
+        "churn_updates_replayed": result.churn_updates,
         "remote_groups": spec.remote_groups,
         "remote_repoints": sum(engine.groups_repointed for engine in engines),
         "remote_flow_mods": sum(engine.flow_mods for engine in engines),
         "remote_fallback_prefixes": sum(
             engine.fallback_prefixes for engine in engines
         ),
-        "samples": len(samples),
-        "median_ms": round(stats.median * 1e3, 6) if stats else 0.0,
-        "p95_ms": round(stats.p95 * 1e3, 6) if stats else 0.0,
-        "max_ms": round(stats.maximum * 1e3, 6) if stats else 0.0,
-        "mean_ms": round(stats.mean * 1e3, 6) if stats else 0.0,
-        "events_fired": len(injector.log),
+        "samples": len(result.samples),
+        "median_ms": _ms(stats.median) if stats else 0.0,
+        "p95_ms": _ms(stats.p95) if stats else 0.0,
+        "max_ms": _ms(stats.maximum) if stats else 0.0,
+        "mean_ms": _ms(stats.mean) if stats else 0.0,
+        "events_fired": result.events_fired,
         "sim_time_s": round(sim.now, 6),
         "sim_events": sim.events_executed,
         # --- telemetry: per-stage convergence timeline -----------------
         "telemetry": spec.telemetry,
-        "stage_detect_ms": stages["detect"],
-        "stage_decide_ms": stages["decide"],
-        "stage_push_ms": stages["push"],
-        "stage_install_ms": stages["install"],
+        **{key: stages[stage] for stage, key in zip(STAGES, STAGE_RECORD_KEYS)},
         # --- telemetry: gauges and flow-mod accounting -----------------
-        "flow_mod_queue_peak": (
-            queue_gauge.high_water if queue_gauge is not None else None
-        ),
+        "flow_mod_queue_peak": queue_gauge.high_water if queue_gauge is not None else None,
         "group_count": sum(c.group_count() for c in lab.controllers),
         "vnh_occupancy": sum(c.allocator.allocated_count for c in lab.controllers),
         "flow_mod_batches": flow_mod_batches,
@@ -221,25 +290,15 @@ def execute_scenario(
         "flow_mods_per_batch": (
             round(flow_mods_batched / flow_mod_batches, 6) if flow_mod_batches else 0.0
         ),
-        "trace_events": (
-            lab.telemetry.trace.emitted if lab.telemetry is not None else None
-        ),
+        "trace_events": telemetry.trace.emitted if telemetry is not None else None,
         # --- telemetry: causal provenance ------------------------------
         # Compact per-outage chain summaries and the restoration-latency
         # deciles (p0..p100) of the first outage's per-prefix chains; the
         # full CDF is available from the lab's ledger (``cli report``).
-        "outage_chains": (
-            lab.telemetry.ledger.outage_summaries()
-            if lab.telemetry is not None
-            else None
-        ),
+        "outage_chains": telemetry.ledger.outage_summaries() if telemetry is not None else None,
         "restoration_cdf_ms": (
-            lab.telemetry.ledger.restoration_deciles_ms(
-                lab.telemetry.causal.outages()[0].outage_id
-                if lab.telemetry.causal.outages()
-                else None
-            )
-            if lab.telemetry is not None
+            telemetry.ledger.restoration_deciles_ms(outages[0].outage_id if outages else None)
+            if telemetry is not None
             else None
         ),
     }
@@ -250,6 +309,35 @@ def _run_scenario_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Pool worker entry point (module-level for picklability)."""
     spec = ScenarioSpec.from_dict(payload["spec"])
     return run_scenario(spec, timeout=payload["timeout"])
+
+
+def _mode(row: Mapping[str, Any]) -> str:
+    return "SC" if row["supercharged"] else "standalone"
+
+
+#: ``CampaignResult.table``: one scenario per row.
+TABLE_COLUMNS = (
+    ("scenario", "name"),
+    ("mode", _mode),
+    ("failures", lambda row: ",".join(row["failures"]) or "-"),
+    ("detect (ms)", "detection_ms"),
+    ("via", "detection_path"),
+    ("median (ms)", "median_ms"),
+    ("max (ms)", "max_ms"),
+    ("ok", lambda row: "yes" if row["converged"] and row["recovered"] else "NO"),
+)
+
+#: ``CampaignResult.stage_table``: the stage offsets plus the gauges.
+STAGE_TABLE_COLUMNS = (
+    ("scenario", "name"),
+    ("mode", _mode),
+    *((f"{stage} (ms)", f"stage_{stage}_ms") for stage in STAGES),
+    ("fm batches", "flow_mod_batches"),
+    ("fm/batch", "flow_mods_per_batch"),
+    ("queue peak", "flow_mod_queue_peak"),
+    ("groups", "group_count"),
+    ("vnh", "vnh_occupancy"),
+)
 
 
 # ----------------------------------------------------------------------
@@ -277,7 +365,7 @@ class CampaignResult:
             return {"scenarios": 0}
         maxima = [row["max_ms"] for row in self.scenarios]
         medians = [row["median_ms"] for row in self.scenarios]
-        summary = _stats_module().BoxStats.from_samples(maxima)
+        summary = BoxStats.from_samples(maxima)
         return {
             "scenarios": len(self.scenarios),
             "all_converged": all(row["converged"] for row in self.scenarios),
@@ -301,15 +389,17 @@ class CampaignResult:
         Aggregates the per-record ``stage_*_ms`` fields (skipping ``None``
         — stages never observed or telemetry-off runs), so campaign sweeps
         land per-stage distributions in the results store."""
-        histograms: Dict[str, Any] = {}
-        for stage, key in zip(STAGES, STAGE_RECORD_KEYS):
-            histogram = Histogram(key, STAGE_MS_EDGES)
-            for row in self.scenarios:
-                value = row.get(key)
-                if value is not None:
-                    histogram.observe(value)
-            histograms[stage] = histogram.to_dict()
-        return histograms
+        return {
+            stage: self._stage_histogram(key).to_dict()
+            for stage, key in zip(STAGES, STAGE_RECORD_KEYS)
+        }
+
+    def _stage_histogram(self, key: str) -> Histogram:
+        histogram = Histogram(key, STAGE_MS_EDGES)
+        for row in self.scenarios:
+            if row.get(key) is not None:
+                histogram.observe(row[key])
+        return histogram
 
     def to_report(self) -> Dict[str, Any]:
         """The full JSON-ready report (header + scenarios + aggregate)."""
@@ -340,61 +430,13 @@ class CampaignResult:
 
     def table(self) -> str:
         """Fixed-width text table of the per-scenario metrics."""
-        headers = [
-            "scenario", "mode", "failures", "detect (ms)", "via",
-            "median (ms)", "max (ms)", "ok",
-        ]
-        rows = []
-        for row in self.scenarios:
-            rows.append(
-                [
-                    row["name"],
-                    "SC" if row["supercharged"] else "standalone",
-                    ",".join(row["failures"]) or "-",
-                    f"{row['detection_ms']:.1f}" if row["detection_ms"] is not None else "-",
-                    row.get("detection_path") or "-",
-                    f"{row['median_ms']:.1f}",
-                    f"{row['max_ms']:.1f}",
-                    "yes" if row["converged"] and row["recovered"] else "NO",
-                ]
-            )
-        return _stats_module().format_table(headers, rows)
+        return render(self.scenarios, TABLE_COLUMNS)
 
     def stage_table(self) -> str:
         """Paper-style per-stage convergence breakdown, one scenario per
         row: milliseconds from the failure to detect → decide → push →
         install, plus the exported gauges."""
-        headers = [
-            "scenario", "mode", "detect (ms)", "decide (ms)", "push (ms)",
-            "install (ms)", "fm batches", "fm/batch", "queue peak",
-            "groups", "vnh",
-        ]
-
-        def fmt(value: Any) -> str:
-            if value is None:
-                return "-"
-            if isinstance(value, float):
-                return f"{value:.1f}"
-            return str(value)
-
-        rows = []
-        for row in self.scenarios:
-            rows.append(
-                [
-                    row["name"],
-                    "SC" if row["supercharged"] else "standalone",
-                    fmt(row.get("stage_detect_ms")),
-                    fmt(row.get("stage_decide_ms")),
-                    fmt(row.get("stage_push_ms")),
-                    fmt(row.get("stage_install_ms")),
-                    fmt(row.get("flow_mod_batches")),
-                    fmt(row.get("flow_mods_per_batch")),
-                    fmt(row.get("flow_mod_queue_peak")),
-                    fmt(row.get("group_count")),
-                    fmt(row.get("vnh_occupancy")),
-                ]
-            )
-        return _stats_module().format_table(headers, rows)
+        return render(self.scenarios, STAGE_TABLE_COLUMNS)
 
     def stage_summary(self) -> str:
         """Campaign-level stage summary (mean/min/max plus the fixed-edge
@@ -402,14 +444,10 @@ class CampaignResult:
         observed each stage)."""
         lines = []
         for stage, key in zip(STAGES, STAGE_RECORD_KEYS):
-            values = [
-                row[key] for row in self.scenarios if row.get(key) is not None
-            ]
+            values = [row[key] for row in self.scenarios if row.get(key) is not None]
             if values:
                 mean = sum(values) / len(values)
-                histogram = Histogram(key, STAGE_MS_EDGES)
-                for value in values:
-                    histogram.observe(value)
+                histogram = self._stage_histogram(key)
                 p50 = histogram.quantile(0.50)
                 p95 = histogram.quantile(0.95)
                 p99 = histogram.quantile(0.99)

@@ -65,8 +65,10 @@ class FailureInjector:
     lab: ScenarioLab
     #: Chronological log of every sub-event actually fired.
     log: List[InjectionRecord] = field(default_factory=list)
-    #: Simulated time of the first disruptive event (measurement anchor).
+    #: Simulated time of the first disruptive event (measurement anchor)
+    #: and the provider it hit (None when not attributable to one).
     first_failure_time: Optional[float] = None
+    first_failed_provider: Optional[int] = None
 
     # ------------------------------------------------------------------
     # Arming
@@ -92,7 +94,7 @@ class FailureInjector:
             items.append(
                 (
                     delay,
-                    lambda f=failure: self._fire(f),
+                    lambda f=failure: self.fire(f),
                     f"failure:{failure.kind}:{failure.target or 'primary'}",
                 )
             )
@@ -103,9 +105,10 @@ class FailureInjector:
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
-    def _fire(self, failure: FailureSpec) -> None:
-        handler = getattr(self, f"_apply_{failure.kind}")
-        handler(failure)
+    def fire(self, failure: FailureSpec) -> None:
+        """Apply ``failure`` at the current instant (its ``at`` is ignored)."""
+        failure.validate()
+        getattr(self, f"_apply_{failure.kind}")(failure)
 
     def _record(
         self,
@@ -123,6 +126,7 @@ class FailureInjector:
         if disruptive:
             if self.first_failure_time is None:
                 self.first_failure_time = now
+                self.first_failed_provider = provider_index
             self.lab.note_failure(
                 now, provider_index=provider_index, kind=failure.kind
             )

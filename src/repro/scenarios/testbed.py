@@ -17,9 +17,11 @@ same wiring:
 Everything that varies between runs is a spec field (table size, BFD,
 REST, switch and FIB-download timing, ...); :class:`AddressPlan` derives
 every address, MAC and switch port from the fan sizes.  The workflow is
-``build_scenario → bring_up → fail_provider → wait_recovered → measure``;
-``bring_up`` is ``start → load_feeds → wait_converged →
-setup_monitoring``, which stay public for callers that time them apart.
+``build_scenario → bring_up``, then
+:func:`repro.scenarios.campaign.run_failover` injects the failure, waits
+for recovery and reads the outcome out; ``bring_up`` is ``start →
+load_feeds → wait_converged → setup_monitoring``, which stay public for
+callers that time them apart.
 """
 
 from __future__ import annotations
@@ -267,40 +269,6 @@ class DetectionTracker:
             if event.path == DETECTION_CONTROLLER_PUSH and event.at >= since - 1e-9:
                 return event
         return None
-
-
-@dataclass
-class FailoverResult:
-    """Outcome of one failover run."""
-
-    supercharged: bool
-    num_prefixes: int
-    failure_time: float
-    #: Per-destination data-plane outage in seconds.
-    convergence_times: Dict[IPv4Address, float]
-    detection_time: Optional[float] = None
-    #: How the failure was detected ("bfd" or "bgp"), if it was.
-    detection_path: Optional[str] = None
-
-    @property
-    def samples(self) -> List[float]:
-        """All per-destination convergence samples (seconds)."""
-        return list(self.convergence_times.values())
-
-    @property
-    def max_convergence(self) -> float:
-        """Worst-case convergence across monitored destinations."""
-        return max(self.samples) if self.samples else 0.0
-
-    @property
-    def min_convergence(self) -> float:
-        """Best-case convergence across monitored destinations."""
-        return min(self.samples) if self.samples else 0.0
-
-    @property
-    def max_convergence_ms(self) -> float:
-        """Worst-case convergence in milliseconds."""
-        return self.max_convergence * 1e3
 
 
 class ScenarioLab:
@@ -1017,10 +985,11 @@ class ScenarioLab:
         kind: Optional[str] = None,
     ) -> float:
         """Record the instant (and, if known, the provider and failure
-        kind) of a failure event — the anchors :meth:`measure` reports
-        against.  With telemetry on this also mints the episode's causal
-        root: a deterministic ``outage-<n>`` context that the trace bus
-        stamps into every subsequent event until the next injection."""
+        kind) of a failure event — the anchors detection labelling and the
+        causal ledger work from.  With telemetry on this also mints the
+        episode's causal root: a deterministic ``outage-<n>`` context that
+        the trace bus stamps into every subsequent event until the next
+        injection."""
         self.last_failure_time = self.sim.now if when is None else when
         if provider_index is not None:
             self.last_failed_provider = provider_index
@@ -1044,15 +1013,6 @@ class ScenarioLab:
         if self.monitor is not None:
             self.monitor.clear_detection()
         return self.last_failure_time
-
-    def fail_provider(self, index: int = 0) -> float:
-        """Disconnect provider ``index`` from the switch (the paper's
-        failure event for ``index=0``)."""
-        failure_time = self.note_failure(provider_index=index, kind="link_down")
-        self.provider_link(index).fail()
-        if self.monitor is not None:
-            self.monitor.notify_forwarding_change()
-        return failure_time
 
     def restart_provider_sessions(self, index: int) -> None:
         """Administratively re-open every BGP session of provider ``index``
@@ -1085,42 +1045,6 @@ class ScenarioLab:
         recovered = self.run_until(self._all_reachable, timeout=timeout)
         self.sim.run_for(settle)
         return recovered
-
-    def measure(self) -> FailoverResult:
-        """Collect per-destination convergence times for the last failure."""
-        if self.monitor is None or self.last_failure_time is None:
-            raise RuntimeError("setup_monitoring() and a failure must run first")
-        times = self.monitor.convergence_times(self.last_failure_time)
-        detection = None
-        detection_path = None
-        failed = self.last_failed_provider if self.last_failed_provider is not None else 0
-        event = self.detection.first_detection(
-            self.last_failure_time, self.plan.provider_core_ip(failed)
-        )
-        if event is not None:
-            detection = event.at - self.last_failure_time
-            detection_path = event.path
-        else:
-            detector = self._failure_detector_session()
-            if detector is not None:
-                detection = detector.last_state_change - self.last_failure_time
-        return FailoverResult(
-            supercharged=self.spec.supercharged,
-            num_prefixes=self.spec.num_prefixes,
-            failure_time=self.last_failure_time,
-            convergence_times=times,
-            detection_time=detection,
-            detection_path=detection_path,
-        )
-
-    def run_single_failover(self, timeout: float = 3600.0) -> FailoverResult:
-        """Fail the primary provider, wait for recovery and measure.
-
-        Assumes the lab is already started, loaded, converged and monitored.
-        """
-        self.fail_provider(0)
-        self.wait_recovered(timeout=timeout)
-        return self.measure()
 
     # ------------------------------------------------------------------
     # Simulation helpers
@@ -1257,22 +1181,6 @@ class ScenarioLab:
         for controller in self.controllers:
             registry[id(controller.port)] = controller  # detlint: disable=DET004
         return registry
-
-    def _failure_detector_session(self):
-        failed = self.last_failed_provider if self.last_failed_provider is not None else 0
-        failed_ip = self.plan.provider_core_ip(failed)
-        if self.spec.supercharged:
-            if self.cluster is None:
-                return None
-            for controller in self.cluster.healthy_replicas():
-                session = controller.bfd.session(failed_ip)
-                if session is not None:
-                    return session
-            return None
-        edge = self.edge_routers[0]
-        if edge.bfd is None:
-            return None
-        return edge.bfd.session(failed_ip)
 
     def __repr__(self) -> str:
         return (

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
+from repro.stats import quantile_from_sorted
 from repro.telemetry.timeline import STAGES
 from repro.telemetry.trace import TraceEvent
 
@@ -122,19 +123,6 @@ class CausalContext:
 
     def __repr__(self) -> str:
         return f"CausalContext({len(self._outages)} outages, current={self.current_id})"
-
-
-def quantile_from_sorted(values: List[float], q: float) -> float:
-    """Linear-interpolated quantile of an already-sorted sample list."""
-    if not values:
-        raise ValueError("quantile of an empty sample list")
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"quantile {q} outside [0, 1]")
-    position = q * (len(values) - 1)
-    lower = int(position)
-    upper = min(lower + 1, len(values) - 1)
-    fraction = position - lower
-    return values[lower] + (values[upper] - values[lower]) * fraction
 
 
 class ConvergenceLedger:

@@ -17,13 +17,13 @@ import pytest
 
 from repro.scenarios import expand_grid, execute_scenario, get_preset
 from repro.scenarios.campaign import CampaignRunner
+from repro.stats import quantile_from_sorted
 from repro.telemetry import Telemetry
 from repro.telemetry.causal import (
     KIND_GROUP,
     KIND_PREFIX,
     CausalContext,
     ConvergenceLedger,
-    quantile_from_sorted,
 )
 from repro.telemetry.export import (
     WALLCLOCK_METRICS,

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.net.addresses import IPv4Address
+from repro.scenarios.campaign import PRIMARY_LINK_DOWN, run_failover
 from repro.scenarios.presets import figure4
 from repro.scenarios.testbed import build_scenario
 from repro.sim.engine import Simulator
@@ -74,7 +75,7 @@ def test_failover_redirects_switch_rule_and_counts_event(supercharged_lab):
     lab = supercharged_lab
     events = []
     lab.controllers[0].on_failure_handled(lambda peer, event: events.append((peer, event)))
-    result = lab.run_single_failover()
+    result = run_failover(lab, PRIMARY_LINK_DOWN)
     assert result.max_convergence < 0.5
     assert events and events[0][0] == R2_CORE_IP
     assert events[0][1].groups_redirected >= 1
@@ -90,7 +91,7 @@ def test_failover_redirects_switch_rule_and_counts_event(supercharged_lab):
 
 def test_restore_points_rule_back_to_primary(supercharged_lab):
     lab = supercharged_lab
-    lab.run_single_failover()
+    run_failover(lab, PRIMARY_LINK_DOWN)
     lab.restore_provider()
     group = [g for g in lab.controllers[0].backup_groups.groups() if g.prefix_count][0]
     from repro.openflow.flow_table import FlowMatch
@@ -102,7 +103,7 @@ def test_restore_points_rule_back_to_primary(supercharged_lab):
 
 def test_detection_time_within_bfd_budget(supercharged_lab):
     lab = supercharged_lab
-    result = lab.run_single_failover()
+    result = run_failover(lab, PRIMARY_LINK_DOWN)
     budget = lab.spec.bfd_interval * lab.spec.bfd_multiplier
     assert result.detection_time is not None
     # Detection cannot be faster than one interval nor slower than the

@@ -163,21 +163,21 @@ class TestDetectionExperiment:
         )
         rows = experiment.run()
         assert len(rows) == 4
-        by_cell = {(row.fault, row.supercharged): row for row in rows}
+        by_cell = {(row["fault"], row["supercharged"]): row for row in rows}
         assert len(by_cell) == 4
         for (fault, _mode), row in by_cell.items():
-            assert row.recovered
+            assert row["recovered"]
             # Local faults ride on BFD; remote faults fall back to BGP.
-            assert row.detection_path == ("bfd" if fault == "local" else "bgp")
+            assert row["detection_path"] == ("bfd" if fault == "local" else "bgp")
         # Only supercharged cells see a controller push.
-        assert by_cell[("local", True)].push_ms is not None
-        assert by_cell[("local", False)].push_ms is None
+        assert by_cell[("local", True)]["push_ms"] is not None
+        assert by_cell[("local", False)]["push_ms"] is None
         report = experiment.report()
         assert "detected via" in report and "remote" in report
 
     def test_rows_are_deterministic(self):
-        from repro.experiments.detection import run_detection
+        from repro.experiments.detection import DetectionExperiment
 
-        first = run_detection(num_prefixes=25, monitored_flows=3, seed=5)
-        second = run_detection(num_prefixes=25, monitored_flows=3, seed=5)
+        first = DetectionExperiment(num_prefixes=25, monitored_flows=3, seed=5).run()
+        second = DetectionExperiment(num_prefixes=25, monitored_flows=3, seed=5).run()
         assert first == second

@@ -6,7 +6,8 @@ from repro.net.addresses import IPv4Address, MacAddress
 from repro.openflow.flow_table import FlowMatch
 from repro.router.fib_updater import FibUpdaterConfig
 from repro.scenarios.presets import figure4
-from repro.scenarios.testbed import FailoverResult, build_scenario
+from repro.scenarios.campaign import PRIMARY_LINK_DOWN, FailoverResult, run_failover
+from repro.scenarios.testbed import build_scenario
 from repro.sim.engine import Simulator
 
 
@@ -91,7 +92,7 @@ def test_setup_monitoring_requires_feeds(built_lab):
 
 def test_measure_requires_monitoring_and_failure(built_lab):
     with pytest.raises(RuntimeError):
-        built_lab.measure()
+        run_failover(built_lab, PRIMARY_LINK_DOWN)
 
 
 def test_select_destinations_caps_at_prefix_count():
@@ -115,7 +116,7 @@ def test_failover_result_with_no_samples():
         supercharged=True, num_prefixes=0, failure_time=0.0, convergence_times={}
     )
     assert result.max_convergence == 0.0
-    assert result.min_convergence == 0.0
+    assert result.stats is None
     assert result.samples == []
 
 

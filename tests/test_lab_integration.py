@@ -4,7 +4,8 @@ import pytest
 
 from repro.net.addresses import IPv4Address
 from repro.scenarios.presets import figure4
-from repro.scenarios.testbed import FailoverResult, build_scenario
+from repro.scenarios.campaign import PRIMARY_LINK_DOWN, FailoverResult, run_failover
+from repro.scenarios.testbed import build_scenario
 from repro.sim.engine import Simulator
 
 
@@ -31,8 +32,8 @@ def test_non_supercharged_prefers_primary_before_failure():
 
 
 def test_non_supercharged_convergence_grows_with_prefix_count():
-    small = _converged_lab(100, supercharged=False).run_single_failover()
-    large = _converged_lab(400, supercharged=False).run_single_failover()
+    small = run_failover(_converged_lab(100, supercharged=False), PRIMARY_LINK_DOWN)
+    large = run_failover(_converged_lab(400, supercharged=False), PRIMARY_LINK_DOWN)
     assert large.max_convergence > small.max_convergence
     # With the default 0.281 ms/entry the difference must be roughly
     # 300 entries worth of FIB writes.
@@ -43,23 +44,23 @@ def test_non_supercharged_convergence_grows_with_prefix_count():
 
 
 def test_supercharged_convergence_is_prefix_independent():
-    small = _converged_lab(100, supercharged=True).run_single_failover()
-    large = _converged_lab(400, supercharged=True).run_single_failover()
+    small = run_failover(_converged_lab(100, supercharged=True), PRIMARY_LINK_DOWN)
+    large = run_failover(_converged_lab(400, supercharged=True), PRIMARY_LINK_DOWN)
     assert small.max_convergence < 0.2
     assert large.max_convergence < 0.2
     assert abs(large.max_convergence - small.max_convergence) < 0.05
 
 
 def test_supercharged_beats_non_supercharged_at_same_scale():
-    standalone = _converged_lab(200, supercharged=False).run_single_failover()
-    supercharged = _converged_lab(200, supercharged=True).run_single_failover()
-    assert supercharged.max_convergence < standalone.min_convergence
+    standalone = run_failover(_converged_lab(200, supercharged=False), PRIMARY_LINK_DOWN)
+    supercharged = run_failover(_converged_lab(200, supercharged=True), PRIMARY_LINK_DOWN)
+    assert supercharged.max_convergence < min(standalone.samples)
     assert standalone.max_convergence / supercharged.max_convergence > 3
 
 
 def test_after_failover_traffic_flows_via_backup():
     lab = _converged_lab(50, supercharged=False)
-    lab.run_single_failover()
+    run_failover(lab, PRIMARY_LINK_DOWN)
     for entry in lab.edge_routers[0].fib.entries():
         assert entry.adjacency.next_hop_ip == lab.plan.provider_core_ip(1)
 
@@ -70,7 +71,7 @@ def test_repeated_failovers_are_consistent():
     for repetition in range(3):
         if repetition:
             assert lab.restore_provider()
-        results.append(lab.run_single_failover())
+        results.append(run_failover(lab, PRIMARY_LINK_DOWN))
     maxima = [result.max_convergence for result in results]
     assert all(value < 0.2 for value in maxima)
     assert max(maxima) - min(maxima) < 0.1
@@ -78,12 +79,12 @@ def test_repeated_failovers_are_consistent():
 
 def test_failover_result_accessors():
     lab = _converged_lab(30, supercharged=True, monitored_flows=6)
-    result = lab.run_single_failover()
+    result = run_failover(lab, PRIMARY_LINK_DOWN)
     assert isinstance(result, FailoverResult)
     assert result.num_prefixes == 30
     assert len(result.samples) == len(lab.monitored_destinations)
     assert result.max_convergence_ms == pytest.approx(result.max_convergence * 1e3)
-    assert result.min_convergence <= result.max_convergence
+    assert min(result.samples) <= result.max_convergence
 
 
 def test_monitored_destinations_include_first_and_last_prefix():
@@ -100,7 +101,7 @@ def test_bring_up_then_single_failover():
     lab = build_scenario(Simulator(seed=2), spec)
     assert lab.bring_up()
     assert len(lab.monitored_destinations) == 5
-    result = lab.run_single_failover()
+    result = run_failover(lab, PRIMARY_LINK_DOWN)
     assert result.max_convergence < 0.5
 
 
@@ -111,13 +112,13 @@ def test_custom_fib_updater_configuration_slows_standalone_convergence():
         fib_first_entry_latency=0.5,
         fib_per_entry_latency=0.002,
     )
-    result = lab.run_single_failover()
+    result = run_failover(lab, PRIMARY_LINK_DOWN)
     assert result.max_convergence > 0.5 + 100 * 0.002 * 0.5
 
 
 def test_hierarchical_fib_converges_fast_without_sdn():
     lab = _converged_lab(150, supercharged=False, hierarchical_fib=True)
-    result = lab.run_single_failover()
+    result = run_failover(lab, PRIMARY_LINK_DOWN)
     # PIC repoints a single shared adjacency: convergence is dominated by
     # BFD detection, far below the flat FIB's serial rewrite.
     assert result.max_convergence < 0.2
@@ -126,6 +127,6 @@ def test_hierarchical_fib_converges_fast_without_sdn():
 def test_detection_time_reported_for_both_modes():
     for supercharged in (False, True):
         lab = _converged_lab(30, supercharged=supercharged, monitored_flows=4)
-        result = lab.run_single_failover()
+        result = run_failover(lab, PRIMARY_LINK_DOWN)
         assert result.detection_time is not None
         assert 0 < result.detection_time < 0.5

@@ -8,6 +8,8 @@ makes for the FPGA substitution.
 import pytest
 
 from repro.net.addresses import IPv4Address
+from repro.scenarios.campaign import PRIMARY_LINK_DOWN, run_failover
+from repro.scenarios.failures import FailureInjector
 from repro.scenarios.presets import figure4
 from repro.scenarios.testbed import ScenarioLab, build_scenario
 from repro.sim.engine import Simulator
@@ -36,11 +38,12 @@ class TestReachabilityMonitor:
 
     def test_outage_recorded_after_failure(self, small_lab_pair):
         lab = small_lab_pair[True]
-        lab.fail_provider()
+        injector = FailureInjector(lab)
+        injector.fire(PRIMARY_LINK_DOWN)
         for destination in lab.monitored_destinations:
             assert lab.monitor.is_reachable(destination) is False
             assert lab.monitor.open_outage_since(destination) == pytest.approx(
-                lab.last_failure_time
+                injector.first_failure_time
             )
         lab.wait_recovered()
         for destination in lab.monitored_destinations:
@@ -50,7 +53,7 @@ class TestReachabilityMonitor:
 
     def test_convergence_times_positive_and_bounded(self, small_lab_pair):
         lab = small_lab_pair[False]
-        result = lab.run_single_failover()
+        result = run_failover(lab, PRIMARY_LINK_DOWN)
         for value in result.samples:
             assert 0.0 < value < 10.0
         lab.restore_provider()
@@ -73,7 +76,9 @@ class TestMonitorMatchesPacketMeasurement:
     @pytest.mark.parametrize("supercharged", [False, True])
     def test_outage_agrees_with_max_inter_packet_gap(self, supercharged):
         lab = _packet_lab(supercharged)
-        failure_time = lab.fail_provider()
+        injector = FailureInjector(lab)
+        injector.fire(PRIMARY_LINK_DOWN)
+        failure_time = injector.first_failure_time
         lab.wait_recovered()
         lab.sim.run_for(0.5)
         monitor_times = lab.monitor.convergence_times(failure_time)

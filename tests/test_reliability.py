@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.scenarios.campaign import PRIMARY_LINK_DOWN, run_failover
 from repro.scenarios.presets import figure4
 from repro.scenarios.testbed import build_scenario
 from repro.sim.engine import Simulator
@@ -46,7 +47,7 @@ def test_failover_still_converges_after_one_replica_crashes(redundant_lab):
     assert lab.cluster.surviving_protection()
     # Let the router notice the dead controller's BGP session disappearing.
     lab.sim.run_for(1.0)
-    result = lab.run_single_failover()
+    result = run_failover(lab, PRIMARY_LINK_DOWN)
     # A real outage (the crash must not have pre-redirected traffic) that the
     # surviving replica repairs within the paper's envelope.
     assert 0.01 < result.max_convergence < 0.5

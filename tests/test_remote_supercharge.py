@@ -9,8 +9,7 @@ alternate peer) and the experiment/CLI harness.
 import pytest
 
 from repro.experiments.remote_supercharge import RemoteSuperchargeExperiment
-from repro.scenarios.campaign import run_scenario
-from repro.scenarios.failures import FailureInjector
+from repro.scenarios.campaign import run_failover, run_scenario
 from repro.scenarios.presets import get_preset
 from repro.scenarios.spec import FailureSpec, ScenarioSpec, ScenarioSpecError
 from repro.scenarios.testbed import build_scenario
@@ -36,17 +35,10 @@ def _spec(failures, providers=2, grouped=True, **overrides):
 
 
 def _run(spec):
-    sim = Simulator(seed=spec.seed)
-    lab = build_scenario(sim, spec)
-    lab.start()
-    lab.load_feeds()
-    assert lab.wait_converged()
-    lab.setup_monitoring()
-    injector = FailureInjector(lab)
-    injector.arm()
-    sim.run_for(spec.failure_horizon + 0.05)
-    recovered = lab.wait_recovered()
-    return lab, recovered, lab.measure()
+    lab = build_scenario(Simulator(seed=spec.seed), spec)
+    assert lab.bring_up()
+    result = run_failover(lab)
+    return lab, result.recovered, result
 
 
 class TestGroupedFullTableWithdraw:

@@ -249,3 +249,30 @@ class TestReviewRegressions:
         )
         record = run_scenario(spec)
         assert record["detection_ms"] is not None
+
+    def test_detection_is_attributed_to_the_first_failed_provider(self):
+        # Two providers fail in turn: the record's detection is the first
+        # failure's, not the second provider's BFD event measured from the
+        # first failure's instant.
+        from repro.scenarios.spec import FailureSpec
+
+        def record(failures):
+            return run_scenario(
+                get_preset(
+                    "fan",
+                    num_providers=3,
+                    provider_names=None,
+                    provider_local_prefs=None,
+                    num_prefixes=200,
+                    failures=failures,
+                )
+            )
+
+        first = FailureSpec(kind="link_down", at=1.0, target="P1")
+        second = FailureSpec(kind="link_down", at=3.0, target="P2")
+        single = record([first])
+        double = record([first, second])
+        assert double["recovered"] and double["events_fired"] == 2
+        assert double["detection_path"] == "bfd"
+        assert double["detection_ms"] == single["detection_ms"]
+        assert double["detection_ms"] < 1000.0

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.scenarios.campaign import PRIMARY_LINK_DOWN, run_failover
 from repro.scenarios.failures import FailureInjector
 from repro.scenarios.presets import get_preset
 from repro.scenarios.spec import FailureSpec, ScenarioSpecError
@@ -100,8 +101,7 @@ def test_controller_crash_fails_replica():
     # A crash alone is not a data-plane failure, so it is not a measurement anchor.
     assert injector.first_failure_time is None
     # The surviving replica still converges the data plane on a real failure.
-    lab.fail_provider(0)
-    assert lab.wait_recovered(timeout=600)
+    assert run_failover(lab, PRIMARY_LINK_DOWN, timeout=600).recovered
 
 
 def test_unknown_target_rejected_at_fire_time():

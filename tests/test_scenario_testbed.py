@@ -3,6 +3,7 @@
 import pytest
 
 from repro.net.addresses import IPv4Address, IPv4Prefix, MacAddress
+from repro.scenarios.campaign import PRIMARY_LINK_DOWN, run_failover
 from repro.scenarios.presets import get_preset, preset_names
 from repro.scenarios.spec import ScenarioSpec
 from repro.scenarios.testbed import AddressPlan, build_scenario
@@ -94,7 +95,7 @@ class TestFanFailover:
         lab.load_feeds()
         assert lab.wait_converged(timeout=600)
         lab.setup_monitoring()
-        result = lab.run_single_failover()
+        result = run_failover(lab, PRIMARY_LINK_DOWN)
         assert result.samples
         assert result.max_convergence < 1.0  # supercharged stays sub-second
         assert result.detection_time is not None
@@ -113,8 +114,7 @@ class TestFanFailover:
         sample = lab.provider_feeds[0].routes[0].prefix
         edge = lab.edge_routers[0]
         assert edge.fib.entry(sample).adjacency.next_hop_ip == lab.plan.provider_core_ip(0)
-        lab.fail_provider(0)
-        assert lab.wait_recovered(timeout=600)
+        assert run_failover(lab, PRIMARY_LINK_DOWN, timeout=600).recovered
         # After the primary died, the highest remaining preference wins.
         assert edge.fib.entry(sample).adjacency.next_hop_ip == lab.plan.provider_core_ip(1)
 
