@@ -73,9 +73,7 @@ def bench_grouped(size: int, backups: int, seed: int) -> dict:
     rib = CompactPeerRib()
     for peer in peers:
         rib.add_peer(peer)
-    planner = RemoteGroupPlanner(
-        VnhAllocator(shard_vnh_pool("10.200.0.0/16", 0, 1)), int_keys=True
-    )
+    planner = RemoteGroupPlanner(VnhAllocator(shard_vnh_pool("10.200.0.0/16", 0, 1)))
 
     gc.disable()
     try:

@@ -1,8 +1,8 @@
 """Determinism linter: AST-based sim-purity analysis.
 
 Everything this reproduction reports rests on one invariant: campaigns
-are byte-identical across serial/pooled/rerun, telemetry on/off,
-``int_coded`` on/off, and sharded merges.  This package enforces the
+are byte-identical across serial/pooled/rerun, telemetry on/off, and
+sharded merges.  This package enforces the
 invariant *statically* — before a campaign runs — with a small rule
 engine over the Python AST:
 

@@ -12,11 +12,11 @@ Three structures mirror a real BGP implementation:
 
 :class:`CompactPeerRib` is the full-DFZ scale companion to
 :class:`LocRib`: a multi-peer RIB that stores one int->bitmask dict entry
-per integer-coded prefix (:mod:`repro.routes.prefixcodec`) — no
-Route/PathAttributes objects, no per-route storage at all — for the
-million-route planner pipeline (streaming MRT ingest, sharded group
-planning, the scale benches) where the simulator's object-based RIBs
-would dominate RSS.
+per prefix, keyed by its plain int code (a prefix is that int, so either
+works as the key) — no Route/PathAttributes objects, no per-route storage
+at all — for the million-route planner pipeline (streaming MRT ingest,
+sharded group planning, the scale benches) where the simulator's
+object-based RIBs would dominate RSS.
 """
 
 from __future__ import annotations
@@ -232,7 +232,7 @@ class LocRib:
 
 
 class CompactPeerRib:
-    """Multi-peer RIB over integer-coded prefixes (the scale path).
+    """Multi-peer RIB keyed by prefix code (the scale path).
 
     Peers are registered once, *best-first*: a prefix's ranking is simply
     the registration-ordered tuple of the peers currently announcing it,

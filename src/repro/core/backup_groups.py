@@ -22,36 +22,21 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.bgp.rib import RibChange
 from repro.net.addresses import IPv4Address, IPv4Prefix, MacAddress
 from repro.core.vnh_allocator import VnhAllocator
-from repro.routes.prefixcodec import decode_prefix
 
 GroupKey = Tuple[IPv4Address, ...]
 
 
 @dataclass
 class BackupGroup:
-    """One (primary, backup, …) group and its virtual identity.
-
-    Membership is held in :attr:`members` as raw keys — either
-    :class:`IPv4Prefix` objects (the base manager) or integer-coded
-    prefixes (the remote planner's full-DFZ mode, see
-    :mod:`repro.routes.prefixcodec`).  :attr:`prefixes` decodes a
-    prefix-object view on demand; hot paths should use ``members`` /
-    :attr:`prefix_count` and never force the decode.
-    """
+    """One (primary, backup, …) group and its virtual identity."""
 
     key: GroupKey
     vnh: IPv4Address
     vmac: MacAddress
-    #: Raw membership keys: IPv4Prefix objects or int codes, never mixed.
-    members: Set = field(default_factory=set)
-
-    @property
-    def prefixes(self) -> Set[IPv4Prefix]:
-        """Member prefixes as objects (decoded view; allocates per call)."""
-        return {
-            decode_prefix(member) if isinstance(member, int) else member
-            for member in self.members
-        }
+    #: Member prefixes.  A prefix is its int code, so the bulk build path
+    #: (``RemoteGroupPlanner.load_code``) stores plain ints here and they
+    #: compare, hash and sort as the prefixes they are.
+    members: Set[IPv4Prefix] = field(default_factory=set)
 
     @property
     def primary(self) -> IPv4Address:

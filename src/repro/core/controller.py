@@ -96,9 +96,6 @@ class ControllerConfig:
     #: before flushing (seconds); must comfortably cover one provider's
     #: withdraw burst propagation, and stay far below FIB-download time.
     remote_holddown: float = 1e-3
-    #: Full-DFZ scale mode: the remote planner keys group membership by
-    #: integer-coded prefixes (byte-identical A/B; see ScenarioSpec).
-    int_coded: bool = False
 
 
 class SuperchargedController:
@@ -123,9 +120,7 @@ class SuperchargedController:
         self.allocator = VnhAllocator(config.vnh_pool, reserved=reserved)
         if config.remote_groups:
             self.backup_groups: BackupGroupManager = RemoteGroupPlanner(
-                self.allocator,
-                group_size=config.backup_group_size,
-                int_keys=config.int_coded,
+                self.allocator, group_size=config.backup_group_size
             )
         else:
             self.backup_groups = BackupGroupManager(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import re
-from typing import Iterator, Tuple, Union
+from typing import Callable, Iterator, Tuple, Union
 
 
 class AddressError(ValueError):
@@ -35,6 +35,8 @@ class MacAddress:
             self._value = value._value
             return
         if isinstance(value, int):
+            if isinstance(value, IPv4Prefix):  # an int, but not a MAC value
+                raise AddressError("cannot build MacAddress from IPv4Prefix")
             if not 0 <= value <= self.MAX:
                 raise AddressError(f"MAC integer out of range: {value}")
             self._value = value
@@ -88,10 +90,6 @@ class MacAddress:
         return self._value < other._value
 
 
-#: The Ethernet broadcast address.
-BROADCAST_MAC = MacAddress(MacAddress.MAX)
-
-
 @functools.total_ordering
 class IPv4Address:
     """32-bit IPv4 address."""
@@ -105,6 +103,8 @@ class IPv4Address:
             self._value = value._value
             return
         if isinstance(value, int):
+            if isinstance(value, IPv4Prefix):  # an int, but not an address
+                raise AddressError("cannot build IPv4Address from IPv4Prefix")
             if not 0 <= value <= self.MAX:
                 raise AddressError(f"IPv4 integer out of range: {value}")
             self._value = value
@@ -121,7 +121,7 @@ class IPv4Address:
             raise AddressError(f"invalid IPv4 address: {text!r}")
         value = 0
         for part in parts:
-            if not part.isdigit():
+            if not (part.isascii() and part.isdigit()):
                 raise AddressError(f"invalid IPv4 address: {text!r}")
             octet = int(part)
             if octet > 255 or (len(part) > 1 and part[0] == "0"):
@@ -154,24 +154,42 @@ class IPv4Address:
         return IPv4Address((self._value + offset) & self.MAX)
 
 
-@functools.total_ordering
-class IPv4Prefix:
-    """IPv4 prefix (network address + mask length) with LPM helpers."""
+#: Netmask per prefix length (index = length): the one table the prefix,
+#: the LPM table and the MRT reader index.
+MASKS: Tuple[int, ...] = tuple(
+    (0xFFFFFFFF << (32 - length)) & 0xFFFFFFFF for length in range(33)
+)
 
-    __slots__ = ("_network", "_length")
 
-    def __init__(
-        self,
+class IPv4Prefix(int):
+    """IPv4 prefix (network address + mask length) with LPM helpers.
+
+    A prefix *is* its integer code ``(network << 6) | length``: equality,
+    hashing and ordering are ``int``'s, a prefix and its raw code are the
+    same dictionary key, and codes sort exactly like ``(network, length)``
+    tuples.  Bulk pipelines (synthetic table streams, MRT ingest, the
+    compact RIB) trade plain ``int`` codes and wrap one with
+    :meth:`from_code` only where a prefix has to be printed.  Because it is
+    an ``int``, ``json.dumps`` writes a leaked prefix as a number instead
+    of raising: exports must pass ``str(prefix)``.
+    """
+
+    __slots__ = ()
+
+    #: Low bits of the code that hold the mask length (0..32 needs six);
+    #: the methods below inline it as ``>> 6`` / ``& 0x3F``.
+    LENGTH_BITS = 6
+
+    def __new__(
+        cls,
         network: Union[str, int, IPv4Address, "IPv4Prefix"],
         length: int = None,
-    ) -> None:
+    ) -> "IPv4Prefix":
         if isinstance(network, IPv4Prefix):
-            self._network = network._network
-            self._length = network._length
-            return
+            return network
         if isinstance(network, str) and "/" in network:
             address_text, _, length_text = network.partition("/")
-            if not length_text.isdigit():
+            if not (length_text.isascii() and length_text.isdigit()):
                 raise AddressError(f"invalid prefix: {network!r}")
             network = address_text
             length = int(length_text)
@@ -179,85 +197,91 @@ class IPv4Prefix:
             raise AddressError("prefix length is required")
         if not 0 <= length <= 32:
             raise AddressError(f"prefix length out of range: {length}")
-        address = IPv4Address(network)
-        mask = self.mask_for(length)
-        self._network = address.value & mask
-        self._length = length
+        masked = IPv4Address(network).value & MASKS[length]
+        return int.__new__(cls, (masked << 6) | length)
+
+    @classmethod
+    def from_code(cls, code: int) -> "IPv4Prefix":
+        """The prefix whose integer code is ``code`` (``int(prefix)``)."""
+        network, length = code >> 6, code & 0x3F
+        if length > 32 or not 0 <= network <= 0xFFFFFFFF or network & ~MASKS[length]:
+            raise AddressError(f"invalid prefix code: {code}")
+        return int.__new__(cls, code)
+
+    def __reduce__(self) -> Tuple[Callable[[int], "IPv4Prefix"], Tuple[int]]:
+        # int.__getnewargs__ would re-enter __new__(cls, code) as "a
+        # network without a length" on unpickle / deepcopy / asdict.
+        return (IPv4Prefix.from_code, (int(self),))
+
+    def __bool__(self) -> bool:
+        return True  # 0.0.0.0/0 has code 0 and is still a prefix
 
     @staticmethod
     def mask_for(length: int) -> int:
         """The 32-bit netmask integer for a given prefix length."""
-        if length == 0:
-            return 0
-        return (0xFFFFFFFF << (32 - length)) & 0xFFFFFFFF
+        return MASKS[length]
 
     @property
     def network(self) -> IPv4Address:
         """The (masked) network address."""
-        return IPv4Address(self._network)
+        return IPv4Address(self >> 6)
 
     @property
     def length(self) -> int:
         """The mask length (0-32)."""
-        return self._length
+        return self & 0x3F
 
     @property
     def netmask(self) -> IPv4Address:
         """The netmask as an address."""
-        return IPv4Address(self.mask_for(self._length))
+        return IPv4Address(MASKS[self & 0x3F])
 
     @property
     def num_addresses(self) -> int:
         """Number of addresses covered by the prefix."""
-        return 1 << (32 - self._length)
+        return 1 << (32 - (self & 0x3F))
 
     @property
     def first_address(self) -> IPv4Address:
         """The lowest address of the prefix (the network address)."""
-        return IPv4Address(self._network)
+        return IPv4Address(self >> 6)
 
     @property
     def last_address(self) -> IPv4Address:
         """The highest address of the prefix (the broadcast address)."""
-        return IPv4Address(self._network | (self.num_addresses - 1))
+        return IPv4Address((self >> 6) | (self.num_addresses - 1))
 
     def contains(self, item: Union[IPv4Address, "IPv4Prefix", str]) -> bool:
         """Whether an address (or a more-specific prefix) falls inside this prefix."""
         if isinstance(item, str):
             item = IPv4Prefix(item) if "/" in item else IPv4Address(item)
+        network, length = self >> 6, self & 0x3F
         if isinstance(item, IPv4Address):
-            return (item.value & self.mask_for(self._length)) == self._network
+            return (item.value & MASKS[length]) == network
         if isinstance(item, IPv4Prefix):
-            if item._length < self._length:
-                return False
-            return (item._network & self.mask_for(self._length)) == self._network
+            return (item & 0x3F) >= length and ((item >> 6) & MASKS[length]) == network
         raise AddressError(f"cannot test containment of {type(item).__name__}")
 
     def hosts(self, limit: int = None) -> Iterator[IPv4Address]:
         """Iterate addresses inside the prefix (optionally capped at ``limit``)."""
         count = self.num_addresses if limit is None else min(limit, self.num_addresses)
         for offset in range(count):
-            yield IPv4Address(self._network + offset)
+            yield IPv4Address((self >> 6) + offset)
 
     def as_tuple(self) -> Tuple[int, int]:
-        """``(network_int, length)`` — handy as a compact dict key."""
-        return (self._network, self._length)
+        """``(network_int, length)`` of the prefix."""
+        return (self >> 6, self & 0x3F)
 
     def __str__(self) -> str:
-        return f"{IPv4Address(self._network)}/{self._length}"
+        return f"{IPv4Address(self >> 6)}/{self & 0x3F}"
 
     def __repr__(self) -> str:
         return f"IPv4Prefix('{self}')"
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, IPv4Prefix)
-            and other._network == self._network
-            and other._length == self._length
-        )
+    def __format__(self, spec: str) -> str:
+        return format(str(self), spec)
 
-    def __hash__(self) -> int:
-        return hash(("pfx", self._network, self._length))
 
-    def __lt__(self, other: "IPv4Prefix") -> bool:
-        return (self._network, self._length) < (other._network, other._length)
+#: The Ethernet broadcast address (down here because building a MAC from
+#: an int consults :class:`IPv4Prefix`).
+BROADCAST_MAC = MacAddress(MacAddress.MAX)

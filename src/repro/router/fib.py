@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Generic, Iterator, List, Optional, Tuple, TypeVar
 
-from repro.net.addresses import IPv4Address, IPv4Prefix, MacAddress
+from repro.net.addresses import MASKS, IPv4Address, IPv4Prefix, MacAddress
 
 ValueT = TypeVar("ValueT")
 
@@ -49,10 +49,6 @@ class FibEntry:
     prefix: IPv4Prefix
     adjacency: Adjacency
     updated_at: float = 0.0
-
-
-#: Netmask per prefix length (index = length).
-_MASKS: Tuple[int, ...] = tuple(IPv4Prefix.mask_for(plen) for plen in range(33))
 
 
 class LpmTable(Generic[ValueT]):
@@ -101,7 +97,7 @@ class LpmTable(Generic[ValueT]):
         """Longest-prefix match for ``address``."""
         value = address.value
         buckets = self._buckets
-        masks = _MASKS
+        masks = MASKS
         for plen in self._lengths:
             item = buckets[plen].get(value & masks[plen])
             if item is not None:

@@ -30,8 +30,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.bgp.attributes import AsPath, Origin, PathAttributes
 from repro.bgp.messages import UpdateMessage
-from repro.net.addresses import IPv4Address, IPv4Prefix
-from repro.routes.prefixcodec import MASKS
+from repro.net.addresses import MASKS, IPv4Address, IPv4Prefix
 from repro.routes.ris_feed import FeedRoute, RouteFeed
 
 # MRT record types (RFC 6396 §4).
@@ -196,64 +195,83 @@ def iter_rib_codes(
     """Stream a TABLE_DUMP_V2 dump as ``(prefix code, peer indices)``.
 
     The full-DFZ ingest path: each ``RIB_IPV4_UNICAST`` record yields its
-    prefix as an integer code (:mod:`repro.routes.prefixcodec`) plus the
-    table positions of the IPv4 peers holding a path — path attributes
-    are *skipped wholesale*, and neither a prefix object, a path list,
-    nor the table itself is ever materialised.  Feed the stream straight
-    into a :class:`~repro.bgp.rib.CompactPeerRib` (``announce``) or a
-    shard planner; memory stays flat in table size.
+    prefix as a plain ``int`` code (equal to, and the same dictionary key
+    as, the :class:`IPv4Prefix`) plus the table positions of the IPv4
+    peers holding a path — path attributes are *skipped wholesale*, and
+    neither a path list nor the table itself is ever materialised.  Feed
+    the stream straight into a :class:`~repro.bgp.rib.CompactPeerRib`
+    (``announce``) or a shard planner; memory stays flat in table size.
     """
-    peers: List[MrtPeer] = []
-    ipv4_peer = []
-    for record in read_records(source):
-        if record.type != TABLE_DUMP_V2:
-            continue
-        if record.subtype == PEER_INDEX_TABLE:
-            peers = _parse_peer_index(record.payload)
-            ipv4_peer = [not peer.is_ipv6 for peer in peers]
-        elif record.subtype == RIB_IPV4_UNICAST:
-            if not peers:
-                raise MrtError("RIB record before PEER_INDEX_TABLE")
-            payload = record.payload
-            offset = 4  # sequence number
-            plen = payload[offset]
-            if plen > 32:
-                raise MrtError(f"IPv4 prefix length {plen} out of range")
-            offset += 1
-            byte_count = (plen + 7) // 8
-            network = int.from_bytes(payload[offset : offset + byte_count], "big")
-            network <<= 8 * (4 - byte_count)
-            # Mask host bits exactly like the IPv4Prefix constructor, so
-            # codes equal encode_prefix() of the object-path prefixes.
-            network &= MASKS[plen]
-            offset += byte_count
-            (entry_count,) = struct.unpack_from(">H", payload, offset)
-            offset += 2
-            indices = []
-            for _ in range(entry_count):
-                peer_idx, _originated, attr_length = struct.unpack_from(
-                    ">HIH", payload, offset
-                )
-                offset += 8 + attr_length  # attributes skipped, not decoded
-                if peer_idx >= len(peers):
-                    raise MrtError(f"peer index {peer_idx} outside the peer table")
-                if ipv4_peer[peer_idx]:
-                    indices.append(peer_idx)
-            yield (network << 6) | plen, tuple(indices)
+    for _peers, _payload, code, entries in _iter_rib_records(source):
+        yield code, tuple([entry[0] for entry in entries])
 
 
 def iter_rib_routes(source: Union[str, bytes]) -> Iterator[List[MrtRibRoute]]:
     """Iterate RIB records as per-prefix path lists (all collector peers)."""
+    for peers, payload, code, entries in _iter_rib_records(source):
+        prefix = IPv4Prefix.from_code(code)
+        yield [
+            MrtRibRoute(
+                prefix=prefix,
+                peer=peers[peer_idx],
+                peer_index=peer_idx,
+                originated=originated,
+                attributes=_decode_attributes(payload[start:end], as_size=4),
+            )
+            for peer_idx, originated, start, end in entries
+        ]
+
+
+_RibEntry = Tuple[int, int, int, int]
+_RIB_ENTRY_HEADER = struct.Struct(">HIH")  # peer index, originated, attr length
+
+
+def _iter_rib_records(
+    source: Union[str, bytes],
+) -> Iterator[Tuple[List[MrtPeer], bytes, int, List[_RibEntry]]]:
+    """The bounds-checked walk of every ``RIB_IPV4_UNICAST`` record.
+
+    Yields the peer table in force, the record payload, its prefix code
+    and ``(peer index, originated, attribute start, attribute end)`` per
+    entry held by an IPv4 peer — attribute bytes are located, never
+    decoded.  An IPv4 route learned over an IPv6 session has no next hop
+    this model can use; the path is skipped, never the file.  A count or
+    length field that points past the payload raises :class:`MrtError`.
+    """
     peers: List[MrtPeer] = []
+    ipv6_peer: List[bool] = []
+    unpack_header = _RIB_ENTRY_HEADER.unpack_from
     for record in read_records(source):
         if record.type != TABLE_DUMP_V2:
             continue
         if record.subtype == PEER_INDEX_TABLE:
             peers = _parse_peer_index(record.payload)
+            ipv6_peer = [peer.is_ipv6 for peer in peers]
         elif record.subtype == RIB_IPV4_UNICAST:
             if not peers:
                 raise MrtError("RIB record before PEER_INDEX_TABLE")
-            yield _parse_rib_record(record.payload, peers)
+            payload = record.payload
+            total = len(payload)
+            code, offset = _decode_nlri(payload, 4)  # after the sequence number
+            if total < offset + 2:
+                raise _truncated(offset, total)
+            (entry_count,) = struct.unpack_from(">H", payload, offset)
+            offset += 2
+            entries = []
+            for _ in range(entry_count):
+                if total < offset + 8:
+                    raise _truncated(offset, total)
+                peer_idx, originated, attr_length = unpack_header(payload, offset)
+                offset += 8
+                end = offset + attr_length
+                if total < end:
+                    raise _truncated(offset, total)
+                if peer_idx >= len(peers):
+                    raise MrtError(f"peer index {peer_idx} outside the peer table")
+                if not ipv6_peer[peer_idx]:
+                    entries.append((peer_idx, originated, offset, end))
+                offset = end
+            yield peers, payload, code, entries
 
 
 def _parse_peer_index(payload: bytes) -> List[MrtPeer]:
@@ -283,38 +301,6 @@ def _parse_peer_index(payload: bytes) -> List[MrtPeer]:
             offset += 2
         peers.append(MrtPeer(IPv4Address(bgp_id), ip, asn))
     return peers
-
-
-def _parse_rib_record(payload: bytes, peers: Sequence[MrtPeer]) -> List[MrtRibRoute]:
-    offset = 4  # sequence number
-    prefix, offset = _decode_nlri(payload, offset)
-    (entry_count,) = struct.unpack_from(">H", payload, offset)
-    offset += 2
-    routes = []
-    for _ in range(entry_count):
-        peer_idx, originated, attr_length = struct.unpack_from(">HIH", payload, offset)
-        offset += 8
-        if peer_idx >= len(peers):
-            raise MrtError(f"peer index {peer_idx} outside the peer table")
-        if peers[peer_idx].is_ipv6:
-            # An IPv4 route learned over an IPv6 session has no next hop
-            # this model can use; skip the path, never the file.
-            offset += attr_length
-            continue
-        attributes = _decode_attributes(
-            payload[offset : offset + attr_length], as_size=4
-        )
-        offset += attr_length
-        routes.append(
-            MrtRibRoute(
-                prefix=prefix,
-                peer=peers[peer_idx],
-                peer_index=peer_idx,
-                originated=originated,
-                attributes=attributes,
-            )
-        )
-    return routes
 
 
 # ----------------------------------------------------------------------
@@ -373,8 +359,8 @@ def _parse_bgp4mp_message(
     withdrawn: List[IPv4Prefix] = []
     withdrawn_end = offset + withdrawn_length
     while offset < withdrawn_end:
-        prefix, offset = _decode_nlri(payload, offset)
-        withdrawn.append(prefix)
+        code, offset = _decode_nlri(payload, offset)
+        withdrawn.append(IPv4Prefix.from_code(code))
     (attr_length,) = struct.unpack_from(">H", payload, offset)
     offset += 2
     attributes: Optional[PathAttributes] = None
@@ -387,8 +373,8 @@ def _parse_bgp4mp_message(
     offset += attr_length
     announced: List[IPv4Prefix] = []
     while offset < end:
-        prefix, offset = _decode_nlri(payload, offset)
-        announced.append(prefix)
+        code, offset = _decode_nlri(payload, offset)
+        announced.append(IPv4Prefix.from_code(code))
     updates: List[UpdateMessage] = []
     if attributes is not None:
         for prefix in announced:
@@ -401,15 +387,26 @@ def _parse_bgp4mp_message(
 # ----------------------------------------------------------------------
 # Shared wire helpers
 # ----------------------------------------------------------------------
-def _decode_nlri(data: bytes, offset: int) -> Tuple[IPv4Prefix, int]:
+def _truncated(offset: int, total: int) -> MrtError:
+    return MrtError(
+        f"field at payload byte {offset} runs past the record's {total} bytes"
+    )
+
+
+def _decode_nlri(data: bytes, offset: int) -> Tuple[int, int]:
+    """The prefix at ``offset`` as its plain code, and the offset past it."""
+    if len(data) <= offset:
+        raise _truncated(offset, len(data))
     length = data[offset]
-    offset += 1
     if length > 32:
         raise MrtError(f"IPv4 prefix length {length} out of range")
     byte_count = (length + 7) // 8
-    raw = data[offset : offset + byte_count] + b"\x00" * (4 - byte_count)
-    (network,) = struct.unpack(">I", raw)
-    return IPv4Prefix(network, length), offset + byte_count
+    end = offset + 1 + byte_count
+    if len(data) < end:
+        raise _truncated(offset, len(data))
+    network = int.from_bytes(data[offset + 1 : end], "big") << 8 * (4 - byte_count)
+    # Host bits are masked exactly as the IPv4Prefix constructor does.
+    return ((network & MASKS[length]) << IPv4Prefix.LENGTH_BITS) | length, end
 
 
 def _decode_attributes(data: bytes, as_size: int) -> PathAttributes:

@@ -56,11 +56,11 @@ class PrefixGenerator:
         """Stream ``count`` prefixes as integer codes (the scale core).
 
         One seed draw per index, so :meth:`generate` — which merely
-        decodes this stream — yields bit-identical prefixes; shard
-        workers regenerate any slice of the table from (seed, index
-        range) without the parent ever materialising prefix objects.
+        wraps this stream — yields the same prefixes; shard workers
+        regenerate any slice of the table from (seed, index range) as
+        plain ints, a third smaller than :class:`IPv4Prefix` instances.
         Generated blocks are /22-aligned and lengths are clamped to
-        >= /22, so ``(block << 6) | length`` needs no host-bit masking.
+        >= /22, so the code needs no host-bit masking.
         """
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
@@ -70,6 +70,7 @@ class PrefixGenerator:
                 f"cannot generate {count} prefixes; only {max_blocks} disjoint blocks available"
             )
         min_length = 32 - _BLOCK_BITS
+        shift = IPv4Prefix.LENGTH_BITS
         for index in range(count):
             block_start = _BASE + (index << _BLOCK_BITS)
             length = self._pick_length()
@@ -77,16 +78,8 @@ class PrefixGenerator:
             # prefixes stay disjoint (the mix still skews towards /24).
             if length < min_length:
                 length = min_length
-            yield (block_start << 6) | length
+            yield (block_start << shift) | length
 
     def generate(self, count: int) -> List[IPv4Prefix]:
         """Generate ``count`` distinct, non-overlapping prefixes."""
-        return [
-            IPv4Prefix(IPv4Address(code >> 6), code & 0x3F)
-            for code in self.stream_codes(count)
-        ]
-
-    def stream(self, count: int) -> Iterator[IPv4Prefix]:
-        """Generator variant of :meth:`generate` (lazy, constant memory)."""
-        for code in self.stream_codes(count):
-            yield IPv4Prefix(IPv4Address(code >> 6), code & 0x3F)
+        return list(map(IPv4Prefix.from_code, self.stream_codes(count)))

@@ -187,13 +187,6 @@ class ScenarioSpec:
     #: Holddown (seconds) the remote repoint engine lets a churn burst
     #: accumulate before flushing.
     remote_holddown: float = 0.001
-    #: Full-DFZ scale mode (requires ``remote_groups``): the planner keys
-    #: group membership and pending buffers by integer-coded prefixes
-    #: (:mod:`repro.routes.prefixcodec`) instead of prefix objects —
-    #: roughly half the route-state memory at 1M routes.  Codes sort
-    #: identically to prefix objects, so campaign results are
-    #: byte-identical across this A/B knob (asserted in tests).
-    int_coded: bool = False
     #: Sim-time observability (see :mod:`repro.telemetry`): per-stage
     #: convergence tracing, counters/gauges, and the campaign record's
     #: ``stage_*_ms`` timeline.  Telemetry is passive (no extra events, no
@@ -304,8 +297,6 @@ class ScenarioSpec:
             )
         if self.remote_groups and not self.supercharged:
             raise ScenarioSpecError("remote_groups requires supercharged mode")
-        if self.int_coded and not self.remote_groups:
-            raise ScenarioSpecError("int_coded requires remote_groups mode")
         if self.remote_holddown <= 0:
             raise ScenarioSpecError(
                 f"remote_holddown must be > 0, got {self.remote_holddown}"

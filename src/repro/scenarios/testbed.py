@@ -592,7 +592,6 @@ class ScenarioLab:
             rest_latency=spec.rest_latency,
             remote_groups=spec.remote_groups,
             remote_holddown=spec.remote_holddown,
-            int_coded=spec.int_coded,
         )
 
     def _attach_controller(self, k: int, edge_index: int) -> SuperchargedController:

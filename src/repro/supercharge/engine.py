@@ -159,7 +159,7 @@ class RemoteRepointEngine:
         if self._stopped:
             return
         repoints: List[Tuple[RemoteGroup, IPv4Address]] = []
-        repoint_keys: List[GroupKey] = []
+        refreshed_keys: List[GroupKey] = []
         actions: List[ProvisioningAction] = []
         covered = 0
         fallback = 0
@@ -175,7 +175,7 @@ class RemoteRepointEngine:
                 target, new_key = decision
                 if target != group.active_next_hop:
                     repoints.append((group, target))
-                    repoint_keys.append(new_key)
+                    refreshed_keys.append(new_key)
                 else:
                     # Rule already points the right way (e.g. a BFD
                     # redirect beat the drain): just refresh the key.
@@ -192,7 +192,7 @@ class RemoteRepointEngine:
             before = self._provisioner.rules_pushed
             outcomes = self._provisioner.point_groups(repoints)
             flow_mods = self._provisioner.rules_pushed - before
-            for (group, target), new_key, ok in zip(repoints, repoint_keys, outcomes):
+            for (group, target), new_key, ok in zip(repoints, refreshed_keys, outcomes):
                 if ok:
                     # Commit only what the switch actually accepted, so the
                     # planner's active-next-hop index never diverges from

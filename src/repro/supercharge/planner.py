@@ -48,7 +48,6 @@ from repro.core.backup_groups import (
 )
 from repro.core.vnh_allocator import VnhAllocator
 from repro.net.addresses import IPv4Address, IPv4Prefix, MacAddress
-from repro.routes.prefixcodec import decode_prefix, encode_prefix
 
 
 @dataclass
@@ -59,11 +58,8 @@ class RemoteGroup(BackupGroup):
     #: diverge from ``primary`` between a failover and the key refresh).
     active: Optional[IPv4Address] = None
     #: Members whose ranking moved away from the group, awaiting the
-    #: engine's flush: member key (prefix object, or int code in the
-    #: planner's int-key mode) -> its new ranked distinct next hops.
-    #: Int codes sort exactly like the prefix objects, so every ordered
-    #: consumer (``min``, ``sorted``) is mode-independent.
-    pending: Dict = field(default_factory=dict)
+    #: engine's flush: prefix -> its new ranked distinct next hops.
+    pending: Dict[IPv4Prefix, GroupKey] = field(default_factory=dict)
     #: How many times the group's rule was repointed by the remote path.
     repoints: int = 0
 
@@ -86,15 +82,12 @@ class RemoteGroupPlanner(BackupGroupManager):
     allocation order, announcements) is identical, so an A/B between the
     two modes differs only while a remote event is being absorbed.
 
-    With ``int_keys=True`` (the full-DFZ scale mode, ScenarioSpec knob
-    ``int_coded``) membership and pending buffers are keyed by
-    integer-coded prefixes (:mod:`repro.routes.prefixcodec`) instead of
-    prefix objects: roughly half the resident memory per route and no
-    object hashing on the churn path.  Codes sort identically to the
-    objects, so every deterministic iteration — and therefore every
-    campaign byte — is unchanged by the knob; prefix objects appear only
-    at the edges (incoming :class:`RibChange`, emitted actions, the
-    per-prefix fallback).
+    Membership and pending buffers are keyed by prefix.  A prefix is its
+    int code, so the bulk entry points (:meth:`load_code`,
+    :meth:`defer_code`) take plain ``int`` codes — a third smaller than
+    :class:`IPv4Prefix` instances, which matters at full-DFZ scale — into
+    the same dictionaries, and only the per-prefix fallback
+    (:meth:`reassign`) wraps one to put it in a router message.
     """
 
     def __init__(
@@ -102,17 +95,15 @@ class RemoteGroupPlanner(BackupGroupManager):
         allocator: VnhAllocator,
         group_size: int = 2,
         *,
-        int_keys: bool = False,
+        int_keys: bool = False,  # unread: benchmarks/e2e still passes it (ROADMAP 1(b))
     ) -> None:
         super().__init__(allocator, group_size=group_size)
-        #: A/B knob: key membership/pending by int-coded prefixes.
-        self.int_keys = int_keys
         # Storage replaces the base manager's key-indexed dicts: groups
-        # live under their stable VMAC, member keys map to group objects,
+        # live under their stable VMAC, prefixes map to group objects,
         # and a separate join index tracks which group accepts new members
         # for a given ranking key.
         self._groups: Dict[MacAddress, RemoteGroup] = {}
-        self._group_of_prefix: Dict = {}  # member key -> RemoteGroup
+        self._group_of_prefix: Dict[IPv4Prefix, RemoteGroup] = {}
         self._join_index: Dict[GroupKey, RemoteGroup] = {}
         #: Groups with a non-empty pending buffer, keyed by VMAC in
         #: first-deferral order (consumed by the engine's flush).
@@ -122,13 +113,9 @@ class RemoteGroupPlanner(BackupGroupManager):
     # ------------------------------------------------------------------
     # Queries (overriding the key-indexed base implementations)
     # ------------------------------------------------------------------
-    def member_key(self, prefix: IPv4Prefix):
-        """The raw membership key for ``prefix`` under the current mode."""
-        return encode_prefix(prefix) if self.int_keys else prefix
-
     def group_for_prefix(self, prefix: IPv4Prefix) -> Optional[RemoteGroup]:
         """The group ``prefix`` is currently mapped to, if any."""
-        return self._group_of_prefix.get(self.member_key(prefix))
+        return self._group_of_prefix.get(prefix)
 
     def group_by_key(self, key: GroupKey) -> Optional[RemoteGroup]:
         """The group currently accepting new prefixes for ``key``."""
@@ -171,37 +158,34 @@ class RemoteGroupPlanner(BackupGroupManager):
         """
         self.updates_processed += 1
         prefix = change.prefix
-        member = encode_prefix(prefix) if self.int_keys else prefix
         hops = tuple(_distinct_next_hops(change))
-        group = self._group_of_prefix.get(member)
+        group = self._group_of_prefix.get(prefix)
         if group is None:
-            return self._assign(
-                prefix, member, hops, had_ranking=bool(change.old_ranking)
-            )
+            return self._assign(prefix, hops, had_ranking=bool(change.old_ranking))
         if hops[: self.group_size] == group.key and group.active_next_hop == group.primary:
             # Ranking churned back to (or never left) the group's steady
             # state: drop any parked deferral for this prefix.
-            if group.pending.pop(member, None) is not None and not group.pending:
+            if group.pending.pop(prefix, None) is not None and not group.pending:
                 self._dirty.pop(group.vmac, None)
             return []
-        group.pending[member] = hops
+        group.pending[prefix] = hops
         self._dirty.setdefault(group.vmac, group)
         self.changes_deferred += 1
         return []
 
     # ------------------------------------------------------------------
-    # Int-coded bulk entry points (the full-DFZ scale pipeline)
+    # Bulk entry points over plain int codes (the full-DFZ scale pipeline)
     # ------------------------------------------------------------------
     def load_code(self, code: int, hops: Tuple[IPv4Address, ...]) -> bool:
-        """Bulk-load one int-coded multi-path prefix into its group.
+        """Bulk-load one multi-path prefix, given as its code, into its group.
 
         The table-build path of the scale pipeline (streaming MRT ingest,
         shard workers): identical group selection and VNH allocation
         order as :meth:`process_change`, but no provisioning actions are
-        materialised and no prefix object ever exists — callers provision
-        switch rules from :meth:`groups` afterwards.  Returns whether the
-        prefix was grouped (``False``: single-path, left ungrouped).
-        Requires ``int_keys`` mode.
+        materialised and no :class:`IPv4Prefix` is allocated — callers
+        provision switch rules from :meth:`groups` afterwards.  Returns
+        whether the prefix was grouped (``False``: single-path, left
+        ungrouped).
         """
         self.updates_processed += 1
         if len(hops) < 2:
@@ -217,7 +201,7 @@ class RemoteGroupPlanner(BackupGroupManager):
         return True
 
     def defer_code(self, code: int, hops: Tuple[IPv4Address, ...]) -> bool:
-        """Park one int-coded ranking change in its group's pending buffer
+        """Park one ranking change, by prefix code, in its group's pending buffer
         (the deferral branch of :meth:`process_change`, fed straight from
         a :class:`~repro.bgp.rib.CompactPeerRib` change stream).  Returns
         whether the prefix was grouped; ungrouped codes are the caller's
@@ -282,27 +266,21 @@ class RemoteGroupPlanner(BackupGroupManager):
         if self._joinable(group) and new_key not in self._join_index:
             self._join_index[new_key] = group
 
-    def reassign(self, member, hops: Tuple[IPv4Address, ...]) -> List[ProvisioningAction]:
-        """Per-prefix fallback: detach the member (a raw membership key,
-        as stored in a ``pending`` buffer) from its group and route it
-        through the normal assignment logic (announce real/virtual or
-        withdraw).  This is the one place the int-key mode materialises a
-        prefix object — the per-prefix path allocates router messages
-        anyway, so the decode is never on the batched fast path."""
-        prefix = decode_prefix(member) if isinstance(member, int) else member
-        self._unassign_member(member)
-        return self._assign(prefix, member, hops, had_ranking=True)
-
-    def unassign(self, prefix: IPv4Prefix) -> None:
-        """Forget the prefix's group membership (keeps empty groups alive,
-        like the base manager, so their VNHs can be reused)."""
-        self._unassign_member(self.member_key(prefix))
-
-    def _unassign_member(self, member) -> None:
-        group = self._group_of_prefix.pop(member, None)
+    def reassign(self, member: int, hops: Tuple[IPv4Address, ...]) -> List[ProvisioningAction]:
+        """Per-prefix fallback: detach the member (as stored in a
+        ``pending`` buffer — a prefix, or its plain code on the bulk
+        path) from its group and route it through the normal assignment
+        logic (announce real/virtual or withdraw).  The emitted actions
+        print the prefix, so this is where a plain code gets wrapped —
+        the per-prefix path allocates router messages anyway."""
+        prefix = IPv4Prefix.from_code(member)
+        # The emptied group stays alive, like the base manager's, so its
+        # VNH can be reused.
+        group = self._group_of_prefix.pop(prefix, None)
         if group is not None:
-            group.members.discard(member)
-            group.pending.pop(member, None)
+            group.members.discard(prefix)
+            group.pending.pop(prefix, None)
+        return self._assign(prefix, hops, had_ranking=True)
 
     def note_group_pointed(self, group: BackupGroup, next_hop: IPv4Address) -> None:
         """Mirror a convergence-procedure redirect into the failover index."""
@@ -343,11 +321,7 @@ class RemoteGroupPlanner(BackupGroupManager):
         )
 
     def _assign(
-        self,
-        prefix: IPv4Prefix,
-        member,
-        hops: Tuple[IPv4Address, ...],
-        had_ranking: bool,
+        self, prefix: IPv4Prefix, hops: Tuple[IPv4Address, ...], had_ranking: bool
     ) -> List[ProvisioningAction]:
         if not hops:
             if had_ranking:
@@ -373,8 +347,8 @@ class RemoteGroupPlanner(BackupGroupManager):
                     )
                 ]
             actions.append(ProvisioningAction(kind=ActionKind.GROUP_CREATED, group=group))
-        group.members.add(member)
-        self._group_of_prefix[member] = group
+        group.members.add(prefix)
+        self._group_of_prefix[prefix] = group
         actions.append(
             ProvisioningAction(
                 kind=ActionKind.ANNOUNCE_VIRTUAL,

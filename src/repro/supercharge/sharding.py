@@ -19,7 +19,7 @@ module builds the table as ``num_shards`` independent planner domains:
   next-hop collisions even though allocators run independently.
 * Workers drive the *real* stack — :class:`CompactPeerRib
   <repro.bgp.rib.CompactPeerRib>`, :class:`RemoteGroupPlanner
-  <repro.supercharge.planner.RemoteGroupPlanner>` in int-key mode, and
+  <repro.supercharge.planner.RemoteGroupPlanner>` fed plain int codes, and
   (when a failover is simulated) the real
   :class:`~repro.supercharge.engine.RemoteRepointEngine` — and return a
   compact summary plus a CRC digest of their group membership.  The
@@ -205,8 +205,8 @@ def _iter_shard_codes(
 def build_shard(spec: ShardWorkSpec) -> ShardBuildResult:
     """Build one shard's planner domain end to end (worker entry point).
 
-    Streams the shard's codes into a :class:`CompactPeerRib` and an
-    int-key :class:`RemoteGroupPlanner`, then (optionally) withdraws the
+    Streams the shard's codes into a :class:`CompactPeerRib` and a
+    :class:`RemoteGroupPlanner`, then (optionally) withdraws the
     primary peer and absorbs the loss through the real
     :class:`RemoteRepointEngine` — so a shard exercises exactly the code
     the single-process controller runs, just on a slice of the table.
@@ -224,9 +224,7 @@ def build_shard(spec: ShardWorkSpec) -> ShardBuildResult:
         shard_vnh_pool(spec.vnh_pool, spec.shard, spec.num_shards),
         vmac_base=DEFAULT_VMAC_BASE + (spec.shard << 24),
     )
-    planner = RemoteGroupPlanner(
-        allocator, group_size=spec.group_size, int_keys=True
-    )
+    planner = RemoteGroupPlanner(allocator, group_size=spec.group_size)
 
     result = ShardBuildResult(shard=spec.shard)
     for code, indices in _iter_shard_codes(spec, peers):

@@ -1,5 +1,10 @@
 """Tests for MAC/IPv4 address and prefix types."""
 
+import copy
+import json
+import multiprocessing
+import pickle
+
 import pytest
 
 from repro.net.addresses import (
@@ -9,6 +14,7 @@ from repro.net.addresses import (
     IPv4Prefix,
     MacAddress,
 )
+from repro.routes.prefix_gen import PrefixGenerator
 
 
 class TestMacAddress:
@@ -55,6 +61,10 @@ class TestMacAddress:
         original = MacAddress(42)
         assert MacAddress(original) == original
 
+    def test_prefix_rejected_although_it_is_an_int(self):
+        with pytest.raises(AddressError):
+            MacAddress(IPv4Prefix("0.0.0.1/32"))
+
 
 class TestIPv4Address:
     def test_parse_and_format(self):
@@ -77,6 +87,15 @@ class TestIPv4Address:
     def test_out_of_range_int_rejected(self):
         with pytest.raises(AddressError):
             IPv4Address(1 << 32)
+
+    def test_non_ascii_digit_rejected(self):
+        # str.isdigit() admits ARABIC-INDIC DIGIT FOUR; int() would read 4.
+        with pytest.raises(AddressError):
+            IPv4Address("1.2.3.\u0664")
+
+    def test_prefix_rejected_although_it_is_an_int(self):
+        with pytest.raises(AddressError):
+            IPv4Address(IPv4Prefix("0.0.0.1/32"))
 
     def test_addition_wraps_within_space(self):
         assert IPv4Address("10.0.0.255") + 1 == IPv4Address("10.0.1.0")
@@ -102,6 +121,13 @@ class TestIPv4Prefix:
     def test_invalid_length_rejected(self):
         with pytest.raises(AddressError):
             IPv4Prefix("10.0.0.0/33")
+
+    @pytest.mark.parametrize("length_text", ["\u00b2", "\u0663"])
+    def test_non_ascii_digit_length_rejected(self, length_text):
+        # SUPERSCRIPT TWO is a str.isdigit() digit int() cannot read;
+        # ARABIC-INDIC DIGIT THREE is one it reads as 3.
+        with pytest.raises(AddressError):
+            IPv4Prefix("10.0.0.0/" + length_text)
 
     def test_contains_address(self):
         prefix = IPv4Prefix("10.0.0.0/8")
@@ -153,3 +179,133 @@ class TestIPv4Prefix:
 
     def test_netmask(self):
         assert IPv4Prefix("10.0.0.0/25").netmask == IPv4Address("255.255.255.128")
+
+    def test_default_route_is_truthy(self):
+        default = IPv4Prefix("0.0.0.0/0")
+        assert default == 0
+        assert bool(default)
+
+    def test_formats_as_text_not_as_a_number(self):
+        prefix = IPv4Prefix("10.1.0.0/16")
+        assert f"{prefix}" == "%s" % prefix == "10.1.0.0/16"
+        assert f"{prefix:>12}" == " 10.1.0.0/16"
+        assert repr(prefix) == "IPv4Prefix('10.1.0.0/16')"
+        assert json.dumps(str(prefix)) == '"10.1.0.0/16"'
+
+    def test_pickle_copy_and_process_round_trips(self):
+        # int.__getnewargs__ would rebuild through __new__(cls, code), which
+        # reads a lone int as a network that lacks its length.
+        prefixes = [IPv4Prefix(t) for t in ("0.0.0.0/0", "10.1.0.0/16", "255.255.255.255/32")]
+        clones = [
+            pickle.loads(pickle.dumps(prefixes)),
+            [copy.copy(prefix) for prefix in prefixes],
+            copy.deepcopy({"key": prefixes})["key"],
+        ]
+        with multiprocessing.get_context("spawn").Pool(1) as pool:
+            # Arguments are pickled to the worker, results back.
+            clones.append(pool.map(IPv4Prefix, prefixes))
+        for cloned in clones:
+            assert [type(clone) for clone in cloned] == [IPv4Prefix] * 3
+            assert cloned == prefixes
+            assert [str(clone) for clone in cloned] == [str(p) for p in prefixes]
+
+
+class TestPrefixIsItsCode:
+    """A prefix is the int ``(network << 6) | length``: one identity for
+    the campaign path (prefixes) and the bulk path (plain codes)."""
+
+    def test_is_an_int_equal_to_its_code(self):
+        prefix = IPv4Prefix("10.0.0.0/8")
+        assert isinstance(prefix, int)
+        assert prefix == (0x0A000000 << 6) | 8
+        assert {prefix: 1}[int(prefix)] == 1
+        assert int(prefix) in {prefix}
+
+    def test_from_code_round_trip(self):
+        prefix = IPv4Prefix("203.0.113.0/24")
+        clone = IPv4Prefix.from_code(int(prefix))
+        assert type(clone) is IPv4Prefix
+        assert clone == prefix and str(clone) == "203.0.113.0/24"
+
+    def test_edge_lengths(self):
+        for text in ("0.0.0.0/0", "255.255.255.255/32", "128.0.0.0/1"):
+            prefix = IPv4Prefix(text)
+            clone = IPv4Prefix.from_code(int(prefix))
+            assert clone == prefix
+            assert clone.as_tuple() == (prefix.network.value, prefix.length)
+            assert str(clone) == text
+
+    def test_host_bits_masked_by_the_constructor(self):
+        raw = IPv4Address("10.1.2.3").value
+        prefix = IPv4Prefix(raw, 16)
+        assert prefix.as_tuple() == (IPv4Address("10.1.0.0").value, 16)
+        assert prefix == IPv4Prefix("10.1.2.3/16")
+        assert prefix == (IPv4Address("10.1.0.0").value << 6) | 16
+
+    def test_generated_table_round_trips(self):
+        generator = PrefixGenerator(3)
+        prefixes = generator.generate(500)
+        codes = list(PrefixGenerator(3).stream_codes(500))
+        assert codes == prefixes
+        assert all(type(code) is int for code in codes)
+        assert [IPv4Prefix.from_code(code) for code in codes] == prefixes
+        assert [IPv4Prefix(str(prefix)) for prefix in prefixes] == prefixes
+
+    def test_bounds(self):
+        assert IPv4Prefix(0, 0) == 0
+        top = IPv4Prefix((1 << 32) - 1, 32)
+        assert top == (0xFFFFFFFF << IPv4Prefix.LENGTH_BITS) | 32
+        with pytest.raises(AddressError):
+            IPv4Prefix(0, 33)
+
+    @pytest.mark.parametrize(
+        "code",
+        [
+            -1,
+            33,  # 0.0.0.0/33
+            (1 << 38) | 32,  # network beyond 32 bits
+            (IPv4Address("10.1.2.3").value << 6) | 16,  # host bits set
+        ],
+    )
+    def test_from_code_rejects_what_is_not_a_code(self, code):
+        with pytest.raises(AddressError):
+            IPv4Prefix.from_code(code)
+
+    def test_codes_sort_exactly_like_network_length_tuples(self):
+        """The determinism keystone: every sorted()/min() over prefixes
+        or raw codes visits them in (network, length) order."""
+        prefixes = [
+            IPv4Prefix("10.0.0.0/8"),
+            IPv4Prefix("10.0.0.0/16"),
+            IPv4Prefix("10.0.0.0/24"),
+            IPv4Prefix("10.0.1.0/24"),
+            IPv4Prefix("9.255.255.0/24"),
+            IPv4Prefix("0.0.0.0/0"),
+            IPv4Prefix("255.255.255.255/32"),
+        ] + PrefixGenerator(11).generate(200)
+        by_tuple = sorted(prefixes, key=lambda prefix: prefix.as_tuple())
+        assert sorted(prefixes) == by_tuple
+        assert sorted(int(prefix) for prefix in prefixes) == by_tuple
+
+    def test_min_agrees_with_tuple_min(self):
+        prefixes = PrefixGenerator(5).generate(50)
+        expected = min(prefixes, key=lambda prefix: prefix.as_tuple())
+        assert min(prefixes) is expected
+        assert min(int(prefix) for prefix in prefixes) == expected
+
+    def test_str_of_a_wrapped_code(self):
+        code = int(IPv4Prefix("198.51.100.0/24"))
+        assert str(IPv4Prefix.from_code(code)) == "198.51.100.0/24"
+        assert str(code) != "198.51.100.0/24"  # a plain code prints as a number
+
+    def test_contains_address_from_a_wrapped_code(self):
+        prefix = IPv4Prefix.from_code(int(IPv4Prefix("192.0.2.0/24")))
+        assert prefix.contains(IPv4Address("192.0.2.17"))
+        assert not prefix.contains(IPv4Address("192.0.3.17"))
+        assert IPv4Prefix.from_code(0).contains(IPv4Address(0xFFFFFFFF))
+
+    def test_length_bits_leave_room_for_any_network(self):
+        assert IPv4Prefix.LENGTH_BITS >= 6  # lengths 0..32 need six bits
+        top = IPv4Prefix("255.255.255.255/32")
+        assert top < 1 << (32 + IPv4Prefix.LENGTH_BITS)
+        assert top >> IPv4Prefix.LENGTH_BITS == 0xFFFFFFFF

@@ -201,10 +201,10 @@ class TestCompactPeerRib:
         assert len(rib) == 0
 
     def test_agrees_with_loc_rib_rankings(self):
-        """Cross-check against the object path on a mixed announce and
-        withdraw script: next-hop rankings must match LocRib's."""
+        """Cross-check against LocRib on a mixed announce and withdraw
+        script, both keyed by the prefix itself: next-hop rankings must
+        match."""
         from repro.bgp.rib import CompactPeerRib
-        from repro.routes.prefixcodec import encode_prefix
 
         peers = [IPv4Address(f"10.0.0.{i}") for i in (1, 2, 3)]
         prefs = {peers[0]: 300, peers[1]: 200, peers[2]: 100}
@@ -220,11 +220,11 @@ class TestCompactPeerRib:
         ]
         for peer, prefix in script:
             loc_rib.update(_route(peer, prefs[peer], prefix=prefix))
-            compact.announce(encode_prefix(prefix), peers.index(peer))
+            compact.announce(prefix, peers.index(peer))
         loc_rib.withdraw(prefixes[5], peers[0])
-        compact.withdraw(encode_prefix(prefixes[5]), 0)
+        compact.withdraw(prefixes[5], 0)
         for prefix in prefixes:
             expected = tuple(
                 route.next_hop for route in loc_rib.ranking(prefix)
             )
-            assert compact.ranking_of(encode_prefix(prefix)) == expected
+            assert compact.ranking_of(prefix) == expected

@@ -13,6 +13,7 @@ from repro.routes.mrt import (
     BGP4MP_MESSAGE_AS4,
     MrtError,
     MrtPeer,
+    iter_rib_codes,
     iter_rib_routes,
     load_rib,
     load_updates,
@@ -243,11 +244,48 @@ class TestWireEdgeCases:
         with pytest.raises(MrtError):
             list(iter_rib_routes(blob))
 
+    @pytest.mark.parametrize("reader", [iter_rib_codes, iter_rib_routes])
+    @pytest.mark.parametrize(
+        "rib_payload",
+        [
+            pytest.param(b"", id="empty-payload"),
+            pytest.param(
+                struct.pack(">I", 0) + bytes([24, 10]), id="prefix-cut-short"
+            ),
+            pytest.param(
+                struct.pack(">I", 0)
+                + bytes([24, 10, 0, 0])
+                + struct.pack(">H", 3)
+                + struct.pack(">HIH", 0, 0, 0),
+                id="three-entries-claimed-one-present",
+            ),
+            pytest.param(
+                struct.pack(">I", 0)
+                + bytes([24, 10, 0, 0])
+                + struct.pack(">H", 1)
+                + struct.pack(">HIH", 0, 0, 500),
+                id="attr-length-past-the-record",
+            ),
+        ],
+    )
+    def test_rib_record_lying_about_its_lengths_raises(self, reader, rib_payload):
+        """Every count and length field of a RIB record is checked against
+        the payload: never struct.error / IndexError, never a fabricated
+        route from attribute bytes that are not there."""
+        from repro.routes import mrt
+
+        blob = mrt._record(
+            0, mrt.TABLE_DUMP_V2, mrt.PEER_INDEX_TABLE, mrt._encode_peer_index([PEER])
+        )
+        blob += mrt._record(0, mrt.TABLE_DUMP_V2, mrt.RIB_IPV4_UNICAST, rib_payload)
+        with pytest.raises(MrtError, match=r"payload byte \d+"):
+            list(reader(blob))
+
 
 class TestStreamingParity:
     """The streaming file path and the in-memory buffer path must agree
-    byte for byte, and the int-code fast path must agree with the
-    materialised object path, on the committed fixtures."""
+    byte for byte, and the attribute-skipping code reader must agree with
+    the attribute-decoding route reader, on the committed fixtures."""
 
     def test_read_records_path_equals_buffer(self):
         for fixture in (RIB_FIXTURE, UPDATES_FIXTURE):
@@ -263,15 +301,14 @@ class TestStreamingParity:
         )
 
     def test_iter_rib_codes_matches_object_path(self):
-        """Streaming int codes == encode_prefix() over iter_rib_routes,
-        with the same IPv4 peer positions per prefix."""
-        from repro.routes.mrt import iter_rib_codes, load_peer_table
-        from repro.routes.prefixcodec import encode_prefix
+        """Streaming codes == the prefixes of iter_rib_routes, with the
+        same IPv4 peer positions per prefix."""
+        from repro.routes.mrt import load_peer_table
 
         peers = load_peer_table(RIB_FIXTURE)
         expected = []
         for rib in iter_rib_routes(RIB_FIXTURE):
-            code = encode_prefix(rib[0].prefix)
+            code = rib[0].prefix
             indices = tuple(
                 entry.peer_index
                 for entry in rib
@@ -281,14 +318,14 @@ class TestStreamingParity:
         streamed = list(iter_rib_codes(RIB_FIXTURE))
         assert streamed == expected
         assert streamed  # the fixture is not empty
+        assert all(type(code) is int for code, _indices in streamed)
         # And the buffer flavour of the streaming path agrees too.
         assert list(iter_rib_codes(open(RIB_FIXTURE, "rb").read())) == expected
 
     def test_iter_rib_codes_masks_host_bits_like_object_path(self):
         """A wire prefix with stray host bits must decode to the same
-        code on both paths (the object path masks in the constructor)."""
+        code from both readers (masked as the IPv4Prefix constructor does)."""
         from repro.routes import mrt
-        from repro.routes.prefixcodec import encode_prefix
 
         table = mrt._encode_peer_index([PEER])
         # /12 on the wire carried in two bytes, with stray bits set below
@@ -302,7 +339,7 @@ class TestStreamingParity:
         blob = mrt._record(0, mrt.TABLE_DUMP_V2, mrt.PEER_INDEX_TABLE, table)
         blob += mrt._record(0, mrt.TABLE_DUMP_V2, mrt.RIB_IPV4_UNICAST, rib)
         ((code, indices),) = list(mrt.iter_rib_codes(blob))
-        assert code == encode_prefix(IPv4Prefix("10.240.0.0/12"))
+        assert code == IPv4Prefix("10.240.0.0/12")
         (rib_entry,) = next(iter(mrt.iter_rib_routes(blob)))
-        assert code == encode_prefix(rib_entry.prefix)
+        assert code == rib_entry.prefix
         assert indices == (0,)

@@ -56,6 +56,17 @@ def test_prefix_containment_matches_mask_arithmetic(prefix, address):
     assert prefix.contains(address) == expected
 
 
+@given(st.lists(prefixes, min_size=1, max_size=30))
+def test_prefix_is_its_code(sample):
+    """One identity: the text round-trips, int order is (network, length)
+    order, and a prefix and its raw code are the same dictionary key."""
+    for prefix in sample:
+        assert IPv4Prefix(str(prefix)) == prefix
+        assert IPv4Prefix.from_code(int(prefix)) == prefix
+        assert {prefix: 1}[int(prefix)] == 1
+    assert sorted(sample) == sorted(sample, key=lambda prefix: prefix.as_tuple())
+
+
 # Two fixed addresses next to the random ones, so removes and replaces
 # hit stored prefixes often, crossed with every mask length 0-32.
 _LPM_HOT = [IPv4Address("10.1.2.3"), IPv4Address("10.1.200.7")]
@@ -315,7 +326,7 @@ def test_backup_group_count_never_exceeds_n_times_n_minus_one(pairs):
     # Every prefix with two distinct next hops maps to a group whose primary
     # is its best path's next hop.
     for group in manager.groups():
-        for prefix in group.prefixes:
+        for prefix in group.members:
             assert loc_rib.best(prefix).next_hop == group.primary
 
 

@@ -71,7 +71,7 @@ class TestGroupedFullTableWithdraw:
         controller = lab.controllers[0]
         primary_ip = lab.plan.provider_core_ip(0)
         for group in controller.backup_groups.groups():
-            if not group.prefixes:
+            if not group.members:
                 continue
             assert group.active_next_hop != primary_ip
             assert group.key[0] == group.active_next_hop
@@ -93,7 +93,7 @@ class TestPartialAndRestore:
         assert engine.fallback_prefixes == 16  # 0.4 * 40
         # The surviving majority kept its rule and membership.
         group = lab.controllers[0].backup_groups.groups()[0]
-        assert len(group.prefixes) == N_PREFIXES - 16
+        assert len(group.members) == N_PREFIXES - 16
         assert group.active_next_hop == lab.plan.provider_core_ip(0)
 
     def test_restore_repoints_the_group_back(self):
@@ -107,7 +107,7 @@ class TestPartialAndRestore:
         assert engine.groups_repointed == 2  # away and back
         group = controller.backup_groups.groups()[0]
         assert group.active_next_hop == lab.plan.provider_core_ip(0)
-        assert len(group.prefixes) == N_PREFIXES
+        assert len(group.members) == N_PREFIXES
 
     def test_nexthop_shift_stays_steady_under_local_pref(self):
         # LOCAL_PREF pins the exit in these testbeds, so a longer upstream
@@ -134,7 +134,7 @@ class TestOverlapWithLinkFailures:
         lab, recovered, _ = _run(_spec(failures, providers=3, grouped=True))
         assert recovered
         third_ip = lab.plan.provider_core_ip(2)
-        groups = [g for g in lab.controllers[0].backup_groups.groups() if g.prefixes]
+        groups = [g for g in lab.controllers[0].backup_groups.groups() if g.members]
         assert groups and all(g.active_next_hop == third_ip for g in groups)
 
     def test_alternate_dies_during_repoint_no_blackholed_vnh(self):
@@ -150,7 +150,7 @@ class TestOverlapWithLinkFailures:
         assert recovered
         controller = lab.controllers[0]
         third_ip = lab.plan.provider_core_ip(2)
-        groups = [g for g in controller.backup_groups.groups() if g.prefixes]
+        groups = [g for g in controller.backup_groups.groups() if g.members]
         assert groups and all(g.active_next_hop == third_ip for g in groups)
         # Every active next hop must be a live peer.
         for group in groups:
@@ -174,7 +174,7 @@ class TestLocalFailureCycle:
             lambda: all(
                 group.active_next_hop == primary
                 for group in lab.controllers[0].backup_groups.groups()
-                if group.prefixes
+                if group.members
             ),
             timeout=60.0,
         )

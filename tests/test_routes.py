@@ -46,7 +46,7 @@ class TestPrefixGenerator:
 
     def test_stream_matches_generate(self):
         generator = PrefixGenerator(seed=9)
-        assert list(PrefixGenerator(seed=9).stream(50)) == generator.generate(50)
+        assert list(PrefixGenerator(seed=9).stream_codes(50)) == generator.generate(50)
 
 
 class TestSyntheticFullTable:

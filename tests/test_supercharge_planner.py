@@ -177,7 +177,7 @@ def test_partial_drain_falls_back_per_prefix():
     assert harness.applied[0].prefix == PREFIX_A
     assert harness.applied[0].next_hop == P2
     assert harness.provisioner.batches == []
-    assert group.prefixes == {PREFIX_B}
+    assert group.members == {PREFIX_B}
     assert group.active_next_hop == P1
     assert harness.engine.fallback_prefixes == 1
 
@@ -207,7 +207,7 @@ def test_entirely_withdrawn_members_are_withdrawn_from_router():
         harness.withdraw(P2, prefix)
     harness.flush()
     assert kinds(harness.applied) == [ActionKind.WITHDRAW, ActionKind.WITHDRAW]
-    assert group.prefixes == set()
+    assert group.members == set()
     assert harness.provisioner.batches == []
 
 
