@@ -3,13 +3,16 @@
 
 Runs every measurement inside this single, freshly started interpreter
 with gc disabled around the timed sections, then prints one JSON document
-to stdout: the event engine and the LPM table A/B against their frozen
-legacy copies, the flow table in absolute us/op at the rule counts the
-system can reach.  See docs/performance.md for why measurements are done
-this way (heap-state sensitivity, GC pauses, adjacency).
+to stdout, all of it in absolute units of the live classes: the event
+engine in events/s, the LPM table in ops/s and traced bytes per prefix,
+the flow table in us/op at the rule counts the system can reach.  See
+docs/performance.md for why measurements are done this way (heap-state
+sensitivity, GC pauses) and for what the numbers are compared against
+(the committed ``BENCH_dataplane.json`` of the parent, never code kept
+slow on purpose).
 
 Invoked by benchmarks/test_bench_dataplane.py and
-benchmarks/write_dataplane_baseline.py as::
+``benchmarks/bench_trajectory.py --write-baseline`` as::
 
     python benchmarks/bench_dataplane_worker.py '{"events": 200000, ...}'
 """
@@ -23,7 +26,6 @@ import sys
 import time
 import tracemalloc
 
-from _legacy_dataplane import LegacyLpmTable, LegacySimulator
 from repro.net.addresses import IPv4Address, IPv4Prefix, MacAddress
 from repro.net.packets import EtherType, EthernetFrame
 from repro.openflow.flow_table import Actions, FlowMatch, FlowTable
@@ -141,68 +143,23 @@ def bench_events(config):
     results = {}
     for label, delays in (("fifo", fifo_delays), ("random", random_delays)):
 
-        def legacy_run():
-            sim = LegacySimulator()
-            for delay in delays:
-                sim.schedule(delay, noop)
-            sim.run()
-
-        def new_singles():
+        def singles():
             sim = Simulator()
             for delay in delays:
                 sim.schedule(delay, noop)
             sim.run()
 
-        def new_batch():
+        def batch():
             sim = Simulator()
             sim.schedule_batch([(delay, noop) for delay in delays])
             sim.run()
 
-        legacy_s = best_of(repeats, legacy_run)
-        singles_s = best_of(repeats, new_singles)
-        batch_s = best_of(repeats, new_batch)
         results[label] = {
             "events": count,
-            "legacy_events_per_s": round(count / legacy_s),
-            "new_singles_events_per_s": round(count / singles_s),
-            "new_batch_events_per_s": round(count / batch_s),
-            "singles_speedup": round(legacy_s / singles_s, 2),
-            "batch_speedup": round(legacy_s / batch_s, 2),
+            "singles_events_per_s": round(count / best_of(repeats, singles)),
+            "batch_events_per_s": round(count / best_of(repeats, batch)),
         }
     return results
-
-
-def bench_pending_counter(config):
-    """The pending_events satellite fix: O(n) scan vs. O(1) counter."""
-    queued = min(config["events"] // 10, 20000)
-    polls = 1000
-
-    def noop():
-        pass
-
-    legacy = LegacySimulator()
-    for i in range(queued):
-        legacy.schedule(i * 1e-6, noop)
-    new = Simulator()
-    new.schedule_batch([(i * 1e-6, noop) for i in range(queued)])
-
-    def poll_legacy():
-        for _ in range(polls):
-            legacy.pending_events
-
-    def poll_new():
-        for _ in range(polls):
-            new.pending_events
-
-    legacy_s = best_of(config["repeats"], poll_legacy)
-    new_s = best_of(config["repeats"], poll_new)
-    return {
-        "queued_events": queued,
-        "polls": polls,
-        "legacy_polls_per_s": round(polls / legacy_s),
-        "new_polls_per_s": round(polls / new_s),
-        "speedup": round(legacy_s / new_s, 1),
-    }
 
 
 def _prefix_set(count):
@@ -220,7 +177,7 @@ def _prefix_set(count):
     return prefixes
 
 
-def _traced_bytes_per_prefix(make_table, prefixes, churn):
+def _traced_bytes_per_prefix(prefixes, churn):
     """Traced heap bytes per stored prefix, freshly built and after churn.
 
     The stored values are the (pre-existing) prefix objects, so only the
@@ -230,7 +187,7 @@ def _traced_bytes_per_prefix(make_table, prefixes, churn):
     gc.collect()
     tracemalloc.start()
     base = tracemalloc.get_traced_memory()[0]
-    table = make_table()
+    table = LpmTable()
     for prefix in prefixes:
         table.insert(prefix, prefix)
     built = tracemalloc.get_traced_memory()[0] - base
@@ -253,37 +210,23 @@ def bench_lpm(config):
     ]
     state = {}
 
-    def legacy_insert():
-        table = LegacyLpmTable()
-        for prefix in prefixes:
-            table.insert(prefix, prefix)
-        state["legacy"] = table
-
-    def legacy_lookup():
-        table = state["legacy"]
-        for address in addresses:
-            table.lookup(address)
-
-    def new_insert():
+    def insert():
         table = LpmTable()
         for prefix in prefixes:
             table.insert(prefix, prefix)
-        state["new"] = table
+        state["table"] = table
 
-    def new_lookup():
-        table = state["new"]
+    def lookup():
+        table = state["table"]
         for address in addresses:
             table.lookup(address)
 
-    legacy_insert_s = best_of(repeats, legacy_insert)
-    legacy_lookup_s = best_of(repeats, legacy_lookup)
-    new_insert_s = best_of(repeats, new_insert)
-    new_lookup_s = best_of(repeats, new_lookup)
+    insert_s = best_of(repeats, insert)
+    lookup_s = best_of(repeats, lookup)
 
     # Rolling churn (RIS-replay shape): every round withdraws one window of
-    # prefixes and announces a fresh, disjoint window.  The legacy trie
-    # leaks the dead branches of every withdrawn window; the per-length
-    # hash stores nothing but live prefixes, so its memory stays bounded.
+    # prefixes and announces a fresh, disjoint window.  The table stores
+    # nothing but live prefixes, so its memory stays bounded.
     rounds = 4
     window = count // 4
     extra = _prefix_set(count + rounds * window)[count:]
@@ -299,34 +242,20 @@ def bench_lpm(config):
                 table.insert(prefix, prefix)
 
     churn_ops = 2 * rounds * window
-    legacy_churn_s = best_of(1, lambda: churn(state["legacy"]))
-    new_churn_s = best_of(1, lambda: churn(state["new"]))
+    churn_s = best_of(1, lambda: churn(state["table"]))
     state.clear()
 
-    legacy_bytes, legacy_bytes_after = _traced_bytes_per_prefix(
-        LegacyLpmTable, prefixes, churn
-    )
-    new_bytes, new_bytes_after = _traced_bytes_per_prefix(LpmTable, prefixes, churn)
+    fresh_bytes, churned_bytes = _traced_bytes_per_prefix(prefixes, churn)
 
     return {
         "prefixes": count,
-        "legacy_insert_ops_per_s": round(count / legacy_insert_s),
-        "new_insert_ops_per_s": round(count / new_insert_s),
-        "insert_speedup": round(legacy_insert_s / new_insert_s, 2),
-        "legacy_lookup_ops_per_s": round(count / legacy_lookup_s),
-        "new_lookup_ops_per_s": round(count / new_lookup_s),
-        "lookup_speedup": round(legacy_lookup_s / new_lookup_s, 2),
+        "insert_ops_per_s": round(count / insert_s),
+        "lookup_ops_per_s": round(count / lookup_s),
         "churn_ops": churn_ops,
-        "legacy_churn_ops_per_s": round(churn_ops / legacy_churn_s),
-        "new_churn_ops_per_s": round(churn_ops / new_churn_s),
-        "churn_speedup": round(legacy_churn_s / new_churn_s, 2),
-        "legacy_bytes_per_prefix": legacy_bytes,
-        "new_bytes_per_prefix": new_bytes,
-        "memory_reduction": round(legacy_bytes / new_bytes, 1),
-        "legacy_bytes_per_prefix_after_churn": legacy_bytes_after,
-        "new_bytes_per_prefix_after_churn": new_bytes_after,
-        "legacy_memory_growth": round(legacy_bytes_after / legacy_bytes, 2),
-        "new_memory_growth": round(new_bytes_after / new_bytes, 2),
+        "churn_ops_per_s": round(churn_ops / churn_s),
+        "bytes_per_prefix": fresh_bytes,
+        "bytes_per_prefix_after_churn": churned_bytes,
+        "memory_growth": round(churned_bytes / fresh_bytes, 2),
     }
 
 
@@ -337,13 +266,11 @@ def main() -> int:
     # Section order matters: the engine measurement runs first, on a clean
     # interpreter heap — Python timing numbers sag measurably when a large
     # workload (the 100k-prefix tables) has churned the heap in the same
-    # process (see docs/performance.md).  Within each A/B section the
-    # legacy/new sides are still measured adjacently.
+    # process (see docs/performance.md).
     report = {
         "config": config,
         "python": sys.version.split()[0],
         "events": bench_events(config),
-        "pending_events": bench_pending_counter(config),
         "flowmods": bench_flowmods(config),
         "lpm": bench_lpm(config),
     }

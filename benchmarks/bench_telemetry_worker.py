@@ -1,27 +1,24 @@
 #!/usr/bin/env python3
-"""Telemetry-overhead A/B worker (fresh-subprocess, JSON-in/JSON-out).
+"""Telemetry-cost worker (fresh-subprocess, JSON-in/JSON-out).
 
 Measures the two instrumented hot paths — the serial FIB updater drain
-loop and the OpenFlow channel delivery path — in three configurations,
-adjacently, inside one interpreter with gc disabled in the timed
-sections:
+loop and the OpenFlow channel delivery path — in three modes, interleaved,
+inside one interpreter with gc disabled in the timed sections:
 
-* ``legacy``   — the frozen pre-telemetry classes
-  (benchmarks/_legacy_telemetry_control.py), i.e. the code before the
-  hooks existed at all;
-* ``disabled`` — the live classes with telemetry detached (the default:
-  every instrument guard is one attribute load + ``is not None``);
-* ``enabled``  — the live classes with a full :class:`Telemetry` context
-  attached (trace ring buffer + metrics registry);
-* ``causal``   — like ``enabled`` but with an outage context open, so the
+* ``detached`` — telemetry never attached (the default: every instrument
+  site is one attribute load + ``is not None``);
+* ``attached`` — a full :class:`Telemetry` context attached (trace ring
+  buffer + metrics registry);
+* ``causal``   — like ``attached`` but with an outage context open, so the
   ambient outage stamping and the per-prefix restoration ledger are both
   on the hot path.
 
-The report carries the min-of-repeats time per configuration plus the
-``disabled``/``legacy`` overhead ratio — the number the zero-cost-when-
-disabled contract bounds (docs/observability.md).  Determinism cross-
-checks (writes applied, messages delivered, final sim time) ride along
-so a timing run doubles as a correctness check.
+The report carries the min-of-repeats cost per mode in absolute units
+(us per FIB entry, us per channel batch) — reported, never asserted; that
+the detached path runs no telemetry code at all is an exact test
+(tests/test_telemetry.py, docs/observability.md).  Determinism
+cross-checks (writes applied, messages delivered, final sim time) ride
+along so a timing run doubles as a correctness check.
 
 Usage: ``bench_telemetry_worker.py '<json config>'`` — see
 benchmarks/test_bench_telemetry.py for the config keys.
@@ -43,8 +40,6 @@ from repro.router.fib_updater import FibUpdater, FibUpdaterConfig, FibWriteReque
 from repro.sim.engine import Simulator
 from repro.telemetry import Telemetry
 
-from _legacy_telemetry_control import LegacyControllerChannel, LegacyFibUpdater
-
 #: Fast hardware so the drain loop, not the latency model, dominates.
 FAST_FIB = dict(first_entry_latency=1e-6, per_entry_latency=1e-7)
 
@@ -59,10 +54,10 @@ def _requests(entries: int):
     ]
 
 
-def _run_fib(updater_cls, entries: int, telemetry=None):
+def _run_fib(entries: int, telemetry=None):
     sim = Simulator(seed=1)
     fib = FlatFib()
-    updater = updater_cls(sim, fib, config=FibUpdaterConfig(**FAST_FIB))
+    updater = FibUpdater(sim, fib, config=FibUpdaterConfig(**FAST_FIB))
     if telemetry is not None:
         updater.attach_telemetry(telemetry)
     requests = _requests(entries)
@@ -75,9 +70,9 @@ def _run_fib(updater_cls, entries: int, telemetry=None):
     return elapsed, {"writes": updater.writes_applied, "sim_now": round(sim.now, 9)}
 
 
-def _run_channel(channel_cls, batches: int, mods_per_batch: int, telemetry=None):
+def _run_channel(batches: int, mods_per_batch: int, telemetry=None):
     sim = Simulator(seed=1)
-    channel = channel_cls(sim, latency=1e-6)
+    channel = ControllerChannel(sim, latency=1e-6)
     if telemetry is not None:
         channel.attach_telemetry(telemetry)
     delivered = [0]
@@ -106,26 +101,31 @@ def _run_channel(channel_cls, batches: int, mods_per_batch: int, telemetry=None)
     return elapsed, {"delivered": delivered[0], "sim_now": round(sim.now, 9)}
 
 
-def _telemetry(causal: bool = False):
+MODES = ("detached", "attached", "causal")
+
+
+def _telemetry(mode: str):
+    if mode == "detached":
+        return None
     # A throwaway clock is fine: the bench never reads recorded values,
     # it only pays their recording cost.
     telemetry = Telemetry(clock=lambda: 0.0, trace_capacity=4096)
-    if causal:
+    if mode == "causal":
         telemetry.causal.open_outage(0.0, kind="bench")
     return telemetry
 
 
-def _ab(run, repeats: int):
-    """Min-of-``repeats`` for the four configurations, interleaved so
-    thermal / scheduler drift hits every side equally."""
-    times = {"legacy": [], "disabled": [], "enabled": [], "causal": []}
+def _measure(run, repeats: int, operations: int):
+    """Min-of-``repeats`` us per operation for the three modes, interleaved
+    so thermal / scheduler drift hits every mode equally."""
+    times = {mode: [] for mode in MODES}
     checks = {}
     for _ in range(repeats):
-        for side in ("legacy", "disabled", "enabled", "causal"):
-            elapsed, check = run(side)
-            times[side].append(elapsed)
-            checks[side] = check
-    return {side: min(values) for side, values in times.items()}, checks
+        for mode in MODES:
+            elapsed, checks[mode] = run(telemetry=_telemetry(mode))
+            times[mode].append(elapsed)
+    best = {mode: round(min(values) / operations * 1e6, 4) for mode, values in times.items()}
+    return best, checks
 
 
 def main() -> None:
@@ -135,30 +135,12 @@ def main() -> None:
     mods_per_batch = int(config.get("mods_per_batch", 8))
     repeats = int(config.get("repeats", 3))
 
-    def run_fib(side: str):
-        if side == "legacy":
-            return _run_fib(LegacyFibUpdater, entries)
-        if side == "disabled":
-            return _run_fib(FibUpdater, entries)
-        return _run_fib(
-            FibUpdater, entries, telemetry=_telemetry(causal=side == "causal")
-        )
-
-    def run_channel(side: str):
-        if side == "legacy":
-            return _run_channel(LegacyControllerChannel, batches, mods_per_batch)
-        if side == "disabled":
-            return _run_channel(ControllerChannel, batches, mods_per_batch)
-        return _run_channel(
-            ControllerChannel,
-            batches,
-            mods_per_batch,
-            telemetry=_telemetry(causal=side == "causal"),
-        )
-
-    fib_times, fib_checks = _ab(run_fib, repeats)
-    channel_times, channel_checks = _ab(run_channel, repeats)
-
+    fib_us, fib_checks = _measure(
+        lambda telemetry: _run_fib(entries, telemetry), repeats, entries
+    )
+    channel_us, channel_checks = _measure(
+        lambda telemetry: _run_channel(batches, mods_per_batch, telemetry), repeats, batches
+    )
     report = {
         "config": {
             "fib_entries": entries,
@@ -166,20 +148,8 @@ def main() -> None:
             "mods_per_batch": mods_per_batch,
             "repeats": repeats,
         },
-        "fib": {
-            "seconds": fib_times,
-            "disabled_over_legacy": fib_times["disabled"] / fib_times["legacy"],
-            "enabled_over_legacy": fib_times["enabled"] / fib_times["legacy"],
-            "causal_over_legacy": fib_times["causal"] / fib_times["legacy"],
-            "checks": fib_checks,
-        },
-        "channel": {
-            "seconds": channel_times,
-            "disabled_over_legacy": channel_times["disabled"] / channel_times["legacy"],
-            "enabled_over_legacy": channel_times["enabled"] / channel_times["legacy"],
-            "causal_over_legacy": channel_times["causal"] / channel_times["legacy"],
-            "checks": channel_checks,
-        },
+        "fib": {"us_per_entry": fib_us, "checks": fib_checks},
+        "channel": {"us_per_batch": channel_us, "checks": channel_checks},
     }
     json.dump(report, sys.stdout)
 

@@ -1,24 +1,24 @@
 #!/usr/bin/env python3
 """Append a dated entry to the data-plane perf trajectory.
 
-The ROADMAP asks for ``BENCH_dataplane.json`` to grow into a *per-PR perf
-trajectory*.  This script is the recording tool: it runs the fresh-
-subprocess A/B measurement (smoke-size by default; honour
-``DATAPLANE_FULL=1`` for baseline-size numbers), reduces the report to the
-headline speedups, and appends one dated JSON line to
-``BENCH_trajectory.jsonl``.  CI runs it on every PR and uploads the line
-plus the full report as a build artifact; comparing artifacts over time
-(or committed lines, when regenerating the baseline) gives the
-trajectory.
+``BENCH_trajectory.jsonl`` is the *per-PR perf trajectory* and this script
+is its recording tool: it runs the fresh-subprocess dataplane measurement
+(smoke sizes; the baseline's sizes under ``REPRO_FULL_SCALE=1``), reduces
+the report to the headline absolute rates, and appends one dated JSON line.
+CI runs it on every PR and uploads the line plus the full report as a
+build artifact; comparing artifacts over time (or committed lines, when
+regenerating the baseline) gives the trajectory.
 
 Usage::
 
     python benchmarks/bench_trajectory.py [--output BENCH_trajectory.jsonl]
-        [--report bench_report.json] [--from-baseline]
+        [--report bench_report.json] [--from-baseline | --write-baseline]
         [--e2e-from-report BENCH_e2e.json]
 
-``--from-baseline`` skips the measurement and derives the entry from the
-committed ``BENCH_dataplane.json`` instead (used to seed the trajectory).
+``--write-baseline`` measures at full size (dataplane and telemetry
+workers), rewrites the committed ``BENCH_dataplane.json`` and derives the
+entry from it; ``--from-baseline`` skips the measurement and derives the
+entry from the committed file.
 """
 
 from __future__ import annotations
@@ -30,17 +30,24 @@ import os
 import subprocess
 import sys
 
-sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [_ROOT, os.path.join(_ROOT, "src")]
 
-from benchmarks.test_bench_dataplane import (  # noqa: E402
+from benchmarks.conftest import (  # noqa: E402
     BASELINE_PATH,
-    CONFIG,
     REPO_ROOT,
-    run_worker,
+    load_baseline,
+    run_bench_worker,
+    write_json,
 )
+from benchmarks.test_bench_dataplane import CONFIG, FULL_CONFIG, run_worker  # noqa: E402
 from benchmarks.test_bench_scale import (  # noqa: E402
     CONFIG as SCALE_CONFIG,
     run_worker as run_scale_worker,
+)
+from benchmarks.test_bench_telemetry import (  # noqa: E402
+    FULL_CONFIG as TELEMETRY_FULL_CONFIG,
+    WORKER as TELEMETRY_WORKER,
 )
 
 TRAJECTORY_PATH = os.path.join(REPO_ROOT, "BENCH_trajectory.jsonl")
@@ -60,28 +67,33 @@ def _git_sha() -> str:
         return "unknown"
 
 
+def measure_baseline() -> dict:
+    """The full-size report the committed ``BENCH_dataplane.json`` holds:
+    the dataplane worker's sections plus the telemetry worker's."""
+    report = run_worker(FULL_CONFIG)
+    report["telemetry"] = run_bench_worker(TELEMETRY_WORKER, TELEMETRY_FULL_CONFIG)
+    return report
+
+
 def summarise(report: dict) -> dict:
-    """The headline ratios tracked across PRs."""
-    fifo = report["events"]["fifo"]
-    rand = report["events"]["random"]
-    lpm = report["lpm"]
+    """The headline absolute rates tracked across PRs."""
     return {
-        "events_fifo_speedup": fifo["singles_speedup"],
-        "events_random_speedup": rand["singles_speedup"],
-        "lpm_lookup_speedup": lpm["lookup_speedup"],
+        "events_fifo_per_s": report["events"]["fifo"]["singles_events_per_s"],
+        "events_random_per_s": report["events"]["random"]["singles_events_per_s"],
+        "lpm_lookup_per_s": report["lpm"]["lookup_ops_per_s"],
     }
 
 
 def summarise_remote(report: dict) -> dict:
     """The remote-repoint headline numbers tracked across PRs.
 
-    Sourced from the int-coded scale bench (10k/100k prefixes, 1M behind
-    ``REMOTE_SCALE_1M=1``): the grouped-vs-per-prefix restoration speedup
-    at the largest benchmarked table, the flow-mod footprint proving the
-    O(#groups) claim, and the peak RSS bound of the int-coded build.
-    Reports from the older object-path worker (``REMOTE_REPORT``) are
-    still accepted via ``--remote-from-report``; they carry no RSS
-    measurement."""
+    Sourced from the int-coded scale bench (10k/100k prefixes, 1M under
+    ``REPRO_FULL_SCALE=1``): the grouped-vs-per-prefix restoration speedup
+    at the largest benchmarked table — a ratio of two *live* paths — the
+    flow-mod footprint proving the O(#groups) claim, and the peak RSS
+    bound of the int-coded build.  Reports from the object-path worker
+    (``REMOTE_REPORT``) are still accepted via ``--remote-from-report``;
+    they carry no RSS measurement."""
     largest = report.get("largest")
     if not largest:
         return {}
@@ -124,6 +136,10 @@ def main() -> int:
     parser.add_argument("--from-baseline", action="store_true",
                         help="derive the entry from the committed"
                              " BENCH_dataplane.json instead of measuring")
+    parser.add_argument("--write-baseline", action="store_true",
+                        help="measure at full size, rewrite the committed"
+                             " BENCH_dataplane.json and derive the entry"
+                             " from it")
     parser.add_argument("--from-report", default=None, metavar="PATH",
                         help="derive the entry from an existing measurement"
                              " report (e.g. one written via DATAPLANE_REPORT)"
@@ -138,7 +154,7 @@ def main() -> int:
     parser.add_argument("--remote-from-report", default=None, metavar="PATH",
                         help="derive the remote-repoint fields from an"
                              " existing worker report (one written via"
-                             " SCALE_REPORT, or a legacy REMOTE_REPORT"
+                             " SCALE_REPORT, or a REMOTE_REPORT"
                              " object-path report) instead of"
                              " re-measuring")
     parser.add_argument("--e2e-from-report", default=None, metavar="PATH",
@@ -147,19 +163,21 @@ def main() -> int:
                              " benchmarks/e2e/run.py --out")
     arguments = parser.parse_args()
 
-    if arguments.from_baseline:
-        with open(BASELINE_PATH, "r", encoding="utf-8") as handle:
-            report = json.load(handle)
-        source = "committed-baseline"
-    elif arguments.from_report:
-        with open(arguments.from_report, "r", encoding="utf-8") as handle:
-            report = json.load(handle)
-        source = "smoke" if os.environ.get("DATAPLANE_SMOKE") == "1" else "report"
+    source = "committed-baseline"
+    if arguments.write_baseline:
+        print("Running the full-size dataplane and telemetry measurements...")
+        report = measure_baseline()
+        write_json(BASELINE_PATH, report)
+        print(f"wrote {BASELINE_PATH}")
+    elif arguments.from_baseline:
+        report = load_baseline()
     else:
-        report = run_worker(CONFIG)
-        source = "smoke" if os.environ.get("DATAPLANE_SMOKE") == "1" else (
-            "full" if os.environ.get("DATAPLANE_FULL") == "1" else "default"
-        )
+        if arguments.from_report:
+            with open(arguments.from_report, "r", encoding="utf-8") as handle:
+                report = json.load(handle)
+        else:
+            report = run_worker(CONFIG)
+        source = "full" if report["config"] == FULL_CONFIG else "smoke"
 
     entry = {
         "date": datetime.date.today().isoformat(),
@@ -174,7 +192,7 @@ def main() -> int:
     elif not arguments.skip_remote:
         # The remote-repoint case is measured fresh even when the rest of
         # the entry comes from a committed report: the int-coded scale
-        # curve (10k/100k, 1M behind REMOTE_SCALE_1M=1) takes only a few
+        # curve (10k/100k, 1M under REPRO_FULL_SCALE=1) takes only a few
         # seconds of CPU and also records the RSS bound.
         entry.update(summarise_remote(run_scale_worker(SCALE_CONFIG)))
     if arguments.e2e_from_report:
@@ -186,9 +204,7 @@ def main() -> int:
         handle.write(json.dumps(entry, sort_keys=True))
         handle.write("\n")
     if arguments.report:
-        with open(arguments.report, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        write_json(arguments.report, report)
     print(f"appended trajectory entry to {arguments.output}: {entry}")
     return 0
 

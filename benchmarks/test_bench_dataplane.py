@@ -1,22 +1,18 @@
 """Benchmark: the data-plane structures, in a fresh subprocess.
 
-The event engine and the LPM table are measured against their frozen
-legacy copies (benchmarks/_legacy_dataplane.py), the legacy/new sides
-**adjacently**; the flow table is measured in absolute us per install /
-modify / lookup at the rule counts the system can reach (7, 34, 902) —
-reported, not gated.  Everything runs in a **fresh subprocess** with **gc
-disabled** inside the timed sections (see docs/performance.md for the
-methodology).  The committed baseline ``BENCH_dataplane.json`` at the repo
-root is the tracked perf-trajectory point; regenerate it with::
+The event engine (events/s), the LPM table (ops/s, traced bytes per
+prefix) and the flow table (us per install / modify / lookup at the rule
+counts the system can reach: 7, 34, 902) are measured on the live classes
+in absolute units, in a **fresh subprocess** with **gc disabled** inside
+the timed sections (see docs/performance.md for the methodology).  Host
+times and rates are printed next to the committed ``BENCH_dataplane.json``
+— the parent's numbers — and never asserted; what is asserted repeats
+exactly: structure, counts and the traced memory of the LPM table.
+Regenerate the committed baseline with::
 
-    python benchmarks/write_dataplane_baseline.py
+    python benchmarks/bench_trajectory.py --write-baseline
 
-Size knobs:
-
-* default — 200k events, 50k prefixes;
-* ``DATAPLANE_FULL=1`` — 100k prefixes (what the committed baseline uses);
-* ``DATAPLANE_SMOKE=1`` — tiny sizes for CI; ratio assertions are skipped
-  (shared-runner timing is too noisy) and only sanity/structure is checked.
+``REPRO_FULL_SCALE=1`` runs the baseline's own sizes (``FULL_CONFIG``).
 """
 
 from __future__ import annotations
@@ -24,31 +20,51 @@ from __future__ import annotations
 import json
 import os
 
-import pytest
+from benchmarks.conftest import (
+    FULL_SCALE,
+    REPO_ROOT,
+    load_baseline,
+    persist_report,
+    record_report,
+    run_bench_worker,
+)
 
-from benchmarks.conftest import REPO_ROOT, record_report, run_bench_worker
 WORKER = os.path.join(REPO_ROOT, "benchmarks", "bench_dataplane_worker.py")
-BASELINE_PATH = os.path.join(REPO_ROOT, "BENCH_dataplane.json")
 
-SMOKE = os.environ.get("DATAPLANE_SMOKE") == "1"
-FULL = os.environ.get("DATAPLANE_FULL") == "1"
-
-#: What ``write_dataplane_baseline.py`` and ``DATAPLANE_FULL=1`` measure.
+#: What the committed baseline and ``REPRO_FULL_SCALE=1`` measure.
 FULL_CONFIG = {"events": 200000, "prefixes": 100000, "repeats": 3, "flow_table_ops": 20000}
+SMOKE_CONFIG = {"events": 20000, "prefixes": 4000, "repeats": 1, "flow_table_ops": 2000}
+CONFIG = FULL_CONFIG if FULL_SCALE else SMOKE_CONFIG
 #: Rule counts of the flow-table section (the worker's FLOW_TABLE_SIZES).
 FLOW_TABLE_SIZES = ("7", "34", "902")
 
-if SMOKE:
-    CONFIG = {"events": 20000, "prefixes": 4000, "repeats": 1, "flow_table_ops": 2000}
-elif FULL:
-    CONFIG = FULL_CONFIG
-else:
-    CONFIG = dict(FULL_CONFIG, prefixes=50000)
+#: Ceiling on the LPM table's traced bytes per stored prefix.  The
+#: per-length hash measures 125 B at 4k prefixes and 129 B at 50k and at
+#: 100k; a node-per-bit trie costs 700-1,100 B.
+MAX_BYTES_PER_PREFIX = 200.0
 
 
 def run_worker(config) -> dict:
     """Run the measurements in a fresh interpreter and parse its JSON."""
     return run_bench_worker(WORKER, config)
+
+
+def check_shape(report) -> None:
+    """The exact half of a dataplane report: sections, sizes, key sets."""
+    flow = report["flowmods"]
+    assert sorted(flow) == sorted(FLOW_TABLE_SIZES)
+    for size in FLOW_TABLE_SIZES:
+        assert flow[size]["rules"] == int(size)
+        assert set(flow[size]) == {
+            "rules", "ops", "install_us_per_op", "modify_us_per_op", "lookup_us_per_op"
+        }
+    for pattern in ("fifo", "random"):
+        assert set(report["events"][pattern]) == {
+            "events", "singles_events_per_s", "batch_events_per_s"
+        }
+        assert report["events"][pattern]["events"] == report["config"]["events"]
+    assert report["lpm"]["prefixes"] == report["config"]["prefixes"]
+    assert report["lpm"]["churn_ops"] == 2 * report["config"]["prefixes"]
 
 
 _RESULT = {}
@@ -58,73 +74,49 @@ def test_dataplane_fastpath(benchmark):
     """Fresh-subprocess measurement of the event engine, LPM and flow table."""
     result = benchmark.pedantic(lambda: run_worker(CONFIG), rounds=1, iterations=1)
     _RESULT["report"] = result
-    # Persist the measured report when asked (CI feeds it to
-    # benchmarks/bench_trajectory.py instead of measuring a second time).
-    report_path = os.environ.get("DATAPLANE_REPORT")
-    if report_path:
-        with open(report_path, "w", encoding="utf-8") as handle:
-            json.dump(result, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    flow = result["flowmods"]
-    events = result["events"]
+    persist_report("DATAPLANE_REPORT", result)
     lpm = result["lpm"]
-    pending = result["pending_events"]
-
     for size in FLOW_TABLE_SIZES:
-        benchmark.extra_info[f"flow_table_{size}_lookup_us"] = flow[size]["lookup_us_per_op"]
-    benchmark.extra_info["event_fifo_speedup"] = max(
-        events["fifo"]["singles_speedup"], events["fifo"]["batch_speedup"]
-    )
-    benchmark.extra_info["lpm_lookup_speedup"] = lpm["lookup_speedup"]
-    benchmark.extra_info["pending_events_speedup"] = pending["speedup"]
-    record_report(
-        "Data-plane structures (fresh subprocess)",
-        json.dumps(result, indent=2, sort_keys=True),
-    )
+        benchmark.extra_info[f"flow_table_{size}_lookup_us"] = result["flowmods"][size][
+            "lookup_us_per_op"
+        ]
+    benchmark.extra_info["events_fifo_per_s"] = result["events"]["fifo"]["singles_events_per_s"]
+    benchmark.extra_info["lpm_lookup_per_s"] = lpm["lookup_ops_per_s"]
+    benchmark.extra_info["lpm_bytes_per_prefix"] = lpm["bytes_per_prefix"]
 
-    # Structure sanity in every mode.  The flow-table figures are
-    # reported, not gated: no workload holds more than a few dozen rules.
-    assert sorted(flow) == sorted(FLOW_TABLE_SIZES)
-    for size in FLOW_TABLE_SIZES:
-        assert flow[size]["rules"] == int(size)
-        for key in ("install_us_per_op", "modify_us_per_op", "lookup_us_per_op"):
-            assert flow[size][key] > 0
-    assert lpm["new_bytes_per_prefix"] < lpm["legacy_bytes_per_prefix"]
+    assert result["config"] == CONFIG
+    check_shape(result)
+    # Traced allocations repeat exactly for a given interpreter build.
+    assert lpm["bytes_per_prefix"] <= MAX_BYTES_PER_PREFIX
     # Only live prefixes are stored, so memory stays bounded through
     # churn; the slack is CPython not shrinking a dict that held more.
-    assert lpm["new_memory_growth"] < 1.6
-    if SMOKE:
-        return
-
-    # The O(1) pending_events counter is orders of magnitude faster.
-    assert pending["speedup"] >= 50.0, pending
+    assert lpm["memory_growth"] < 1.6
 
 
 def test_dataplane_baseline_committed(benchmark):
-    """The tracked perf-trajectory point exists and has the current shape."""
-
-    def load():
-        with open(BASELINE_PATH, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-
-    baseline = benchmark.pedantic(load, rounds=1, iterations=1)
-    flow = baseline["flowmods"]
-    assert sorted(flow) == sorted(FLOW_TABLE_SIZES)
-    assert baseline["lpm"]["prefixes"] >= 100000
+    """The tracked perf-trajectory point exists, has the current shape, and
+    this run's numbers are printed next to it (report only)."""
+    baseline = benchmark.pedantic(load_baseline, rounds=1, iterations=1)
+    assert baseline["config"] == FULL_CONFIG
+    check_shape(baseline)
+    assert baseline["lpm"]["bytes_per_prefix"] <= MAX_BYTES_PER_PREFIX
+    # Absolute units of the live tree only: nothing is a ratio against a
+    # frozen copy any more.
+    text = json.dumps(baseline)
+    assert "legacy" not in text and "speedup" not in text
+    assert set(baseline["telemetry"]) == {"config", "fib", "channel"}
     if _RESULT:
-        current = _RESULT["report"]["flowmods"]
+        current = _RESULT["report"]
+        sections = ("events", "lpm", "flowmods")
         record_report(
-            "Dataplane baseline (BENCH_dataplane.json) vs. this run",
+            "Dataplane: committed BENCH_dataplane.json (parent, full size,"
+            f" python {baseline.get('python')}) vs. this run",
             json.dumps(
                 {
-                    "baseline_lookup_us_per_op": {
-                        size: flow[size]["lookup_us_per_op"] for size in FLOW_TABLE_SIZES
-                    },
-                    "current_lookup_us_per_op": {
-                        size: current[size]["lookup_us_per_op"] for size in FLOW_TABLE_SIZES
-                    },
-                    "baseline_python": baseline.get("python"),
+                    "baseline": {name: baseline[name] for name in sections},
+                    "this_run": {name: current[name] for name in sections},
                 },
                 indent=2,
+                sort_keys=True,
             ),
         )

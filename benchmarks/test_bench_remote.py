@@ -9,10 +9,9 @@ the *simulated* — therefore deterministic — metrics:
 * at the largest table size, grouped data-plane restoration is at least
   5x faster than the per-prefix re-announcement path.
 
-Size knobs: default sizes keep the whole run under ~15 s of simulated
-work; ``REMOTE_FULL=1`` stretches the curve (what the committed trajectory
-entry describes).  Because the asserted quantities are simulated, they are
-also checked in CI (no noisy-runner skip is needed).
+Default sizes keep the whole run under ~15 s of simulated work;
+``REPRO_FULL_SCALE=1`` stretches the curve.  Because the asserted
+quantities are simulated, they are checked at both sizes.
 """
 
 from __future__ import annotations
@@ -20,14 +19,18 @@ from __future__ import annotations
 import json
 import os
 
-from benchmarks.conftest import REPO_ROOT, record_report, run_bench_worker
+from benchmarks.conftest import (
+    FULL_SCALE,
+    REPO_ROOT,
+    persist_report,
+    record_report,
+    run_bench_worker,
+)
 
 WORKER = os.path.join(REPO_ROOT, "benchmarks", "bench_remote_worker.py")
 
-FULL = os.environ.get("REMOTE_FULL") == "1"
-
 CONFIG = {
-    "sizes": [500, 1500, 3000] if FULL else [200, 600],
+    "sizes": [500, 1500, 3000] if FULL_SCALE else [200, 600],
     "flows": 8,
     "providers": 2,
     "seed": 1,
@@ -44,13 +47,7 @@ def run_worker(config) -> dict:
 def test_remote_repoint_bench(benchmark):
     """Fresh-subprocess A/B of the remote failover paths."""
     result = benchmark.pedantic(lambda: run_worker(CONFIG), rounds=1, iterations=1)
-    # Persist the report when asked (CI feeds it to bench_trajectory.py
-    # instead of measuring the same deterministic curve a second time).
-    report_path = os.environ.get("REMOTE_REPORT")
-    if report_path:
-        with open(report_path, "w", encoding="utf-8") as handle:
-            json.dump(result, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+    persist_report("REMOTE_REPORT", result)
     record_report(
         "Remote repoint (grouped vs per-prefix full-table withdraw,"
         " fresh subprocess)",

@@ -2,8 +2,8 @@
 
 The trajectory is append-only machine-read data: CI appends a dated line
 per PR (benchmarks/bench_trajectory.py) and the committed file seeds the
-history.  A malformed line — unparseable JSON, a missing headline ratio,
-a wall-clock value where a speedup belongs — silently breaks every later
+history.  A malformed line — unparseable JSON, a missing headline number,
+a string where a rate belongs — silently breaks every later
 comparison, so this test validates the whole committed file line by line.
 It doubles as a regression gate on the *writer*: it also generates a
 fresh entry (``--from-baseline``, so no measurement runs) into a temp
@@ -31,19 +31,28 @@ REQUIRED_FIELDS = {
     "sha": str,
     "source": str,
     "python": str,
-    "events_fifo_speedup": (int, float),
-    "events_random_speedup": (int, float),
-    "lpm_lookup_speedup": (int, float),
+}
+
+#: The dataplane headline: absolute rates of the live classes.  Required
+#: on every line that does not carry the retired ratios instead.
+DATAPLANE_FIELDS = {
+    "events_fifo_per_s": (int, float),
+    "events_random_per_s": (int, float),
+    "lpm_lookup_per_s": (int, float),
 }
 
 #: On old committed lines only: type-checked where present, never
 #: required, not written any more.  ``trie_nodes`` ended when ``LpmTable``
-#: stopped being a trie (PR 13), the ``flowmod_*_speedup`` ratios when the
-#: frozen legacy flow table they were measured against was deleted (PR 15).
+#: stopped being a trie (PR 13); every ``*_speedup`` here was a ratio
+#: against a frozen copy of old code, and ended with that copy (the flow
+#: table's in PR 15, the event engine's and the LPM trie's in PR 18).
 RETIRED_FIELDS = {
     "trie_nodes": int,
     "flowmod_install_speedup": (int, float),
     "flowmod_modify_speedup": (int, float),
+    "events_fifo_speedup": (int, float),
+    "events_random_speedup": (int, float),
+    "lpm_lookup_speedup": (int, float),
 }
 
 REMOTE_FIELDS = {
@@ -92,17 +101,21 @@ def _check_campaign_block(entry: dict, context: str) -> None:
 
 def _check_entry(entry: dict, context: str) -> None:
     assert isinstance(entry, dict), f"{context}: not a JSON object"
-    for field, kind in {**REQUIRED_FIELDS, **RETIRED_FIELDS}.items():
-        if field in RETIRED_FIELDS and field not in entry:
+    optional = set(RETIRED_FIELDS)
+    if "lpm_lookup_speedup" in entry:
+        # An old line: the retired ratios stand in for the dataplane rates.
+        optional |= set(DATAPLANE_FIELDS)
+    for field, kind in {**REQUIRED_FIELDS, **DATAPLANE_FIELDS, **RETIRED_FIELDS}.items():
+        if field in optional and field not in entry:
             continue
         assert field in entry, f"{context}: missing {field!r}"
         assert isinstance(entry[field], kind) and not isinstance(
             entry[field], bool
         ), f"{context}: {field!r} has type {type(entry[field]).__name__}"
-    # Speedups are ratios: positive, and a date is YYYY-MM-DD.
-    for field in {**REQUIRED_FIELDS, **RETIRED_FIELDS}:
-        if field.endswith("_speedup") and field in entry:
+        # Rates and ratios are positive.
+        if field.endswith(("_speedup", "_per_s")):
             assert entry[field] > 0, f"{context}: {field!r} must be positive"
+    # A date is YYYY-MM-DD.
     year, month, day = entry["date"].split("-")
     assert len(year) == 4 and len(month) == 2 and len(day) == 2, (
         f"{context}: date {entry['date']!r} is not ISO formatted"

@@ -149,10 +149,6 @@ class SuperchargedController:
         self.provisioner: Optional[FlowProvisioner] = None
         self.convergence: Optional[DataPlaneConvergence] = None
         self._failure_listeners: List[Callable[[IPv4Address, ConvergenceEvent], None]] = []
-        #: Wall-clock processing time of each BGP update, for the paper's
-        #: controller micro-benchmark (populated only when enabled).
-        self.update_processing_times: List[float] = []
-        self.measure_processing_time = False
         self.updates_relayed = 0
         self.withdraws_relayed = 0
         self._started = False
@@ -349,14 +345,11 @@ class SuperchargedController:
             # Routes learned from the supercharged router itself are not
             # re-provisioned back to it.
             return
-        started = self._sim_perf_counter() if self.measure_processing_time else None
         if self.remote_engine is not None:
             actions = self.remote_engine.process_change(change)
         else:
             actions = self.backup_groups.process_change(change)
         self._apply_actions(actions)
-        if started is not None:
-            self.update_processing_times.append(self._sim_perf_counter() - started)
 
     def _apply_actions(self, actions: List[ProvisioningAction]) -> None:
         index = 0
@@ -493,15 +486,6 @@ class SuperchargedController:
         if mac is None:
             return None
         return NextHopLocation(mac=mac, switch_port=spec.switch_port)
-
-    @staticmethod
-    def _sim_perf_counter() -> float:
-        # Real CPU time for the §4 controller microbench only: read when
-        # measure_processing_time is opted in, and never written into a
-        # campaign record or byte-stable export.
-        import time
-
-        return time.perf_counter()  # detlint: disable=DET002
 
     def __repr__(self) -> str:
         return f"SuperchargedController({self.name}, groups={self.group_count()})"

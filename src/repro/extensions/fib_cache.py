@@ -77,9 +77,9 @@ class FibCacheSupercharger:
         self.switch_capacity = switch_capacity
         self.covering_length = covering_length
         #: Covering prefix -> default (fallback) next hop.
-        self.router_fib: Dict[IPv4Prefix, IPv4Address] = {}
+        self.router_fib: LpmTable[IPv4Address] = LpmTable()
         #: Specific prefix -> real next hop (the switch cache).
-        self.switch_cache: Dict[IPv4Prefix, IPv4Address] = {}
+        self.switch_cache: LpmTable[IPv4Address] = LpmTable()
         self._truth: LpmTable[IPv4Address] = LpmTable()
         self.stats = FibCacheStats()
 
@@ -98,8 +98,8 @@ class FibCacheSupercharger:
         """
         popularity = popularity or {}
         decisions: List[CacheDecision] = []
-        self.router_fib.clear()
-        self.switch_cache.clear()
+        self.router_fib = LpmTable()
+        self.switch_cache = LpmTable()
         self._truth = LpmTable()
         for prefix, next_hop in routes:
             self._truth.insert(prefix, next_hop)
@@ -110,14 +110,14 @@ class FibCacheSupercharger:
                         "router FIB capacity exceeded even by covering prefixes; "
                         "use a shorter covering_length"
                     )
-                self.router_fib[covering] = next_hop
+                self.router_fib.insert(covering, next_hop)
         ranked = sorted(routes, key=lambda item: -popularity.get(item[0], 0.0))
         for prefix, next_hop in ranked:
             in_switch = False
             if len(self.switch_cache) < self.switch_capacity:
-                fallback = self.router_fib[self._covering_of(prefix)]
+                fallback = self.router_fib.exact(self._covering_of(prefix))
                 if fallback != next_hop:
-                    self.switch_cache[prefix] = next_hop
+                    self.switch_cache.insert(prefix, next_hop)
                     in_switch = True
             decisions.append(
                 CacheDecision(prefix=prefix, in_switch=in_switch, next_hop=next_hop)
@@ -133,21 +133,21 @@ class FibCacheSupercharger:
         Returns the next hop the combined system would use, or ``None``
         when not even a covering prefix matches.
         """
-        cached = self._lookup_cache(destination)
         truth = self._truth.lookup(destination)
         intended = truth[1] if truth is not None else None
+        cached = self.switch_cache.lookup(destination)
         if cached is not None:
             self.stats.switch_hits += 1
-            if intended is not None and cached != intended:
+            if intended is not None and cached[1] != intended:
                 self.stats.misrouted += 1
-            return cached
-        fallback = self._lookup_router(destination)
+            return cached[1]
+        fallback = self.router_fib.lookup(destination)
         if fallback is None:
             return None
         self.stats.router_fallbacks += 1
-        if intended is not None and fallback != intended:
+        if intended is not None and fallback[1] != intended:
             self.stats.misrouted += 1
-        return fallback
+        return fallback[1]
 
     def router_entries(self) -> int:
         """Number of entries consumed in the router FIB."""
@@ -163,19 +163,3 @@ class FibCacheSupercharger:
     def _covering_of(self, prefix: IPv4Prefix) -> IPv4Prefix:
         length = min(self.covering_length, prefix.length)
         return IPv4Prefix(prefix.network, length)
-
-    def _lookup_cache(self, destination: IPv4Address) -> Optional[IPv4Address]:
-        best: Optional[Tuple[int, IPv4Address]] = None
-        for prefix, next_hop in self.switch_cache.items():
-            if prefix.contains(destination):
-                if best is None or prefix.length > best[0]:
-                    best = (prefix.length, next_hop)
-        return best[1] if best is not None else None
-
-    def _lookup_router(self, destination: IPv4Address) -> Optional[IPv4Address]:
-        best: Optional[Tuple[int, IPv4Address]] = None
-        for prefix, next_hop in self.router_fib.items():
-            if prefix.contains(destination):
-                if best is None or prefix.length > best[0]:
-                    best = (prefix.length, next_hop)
-        return best[1] if best is not None else None

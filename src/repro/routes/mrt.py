@@ -216,7 +216,7 @@ def iter_rib_routes(source: Union[str, bytes]) -> Iterator[List[MrtRibRoute]]:
                 peer=peers[peer_idx],
                 peer_index=peer_idx,
                 originated=originated,
-                attributes=_decode_attributes(payload[start:end], as_size=4),
+                attributes=_decode_attributes(payload, start, end, as_size=4),
             )
             for peer_idx, originated, start, end in entries
         ]
@@ -252,7 +252,7 @@ def _iter_rib_records(
                 raise MrtError("RIB record before PEER_INDEX_TABLE")
             payload = record.payload
             total = len(payload)
-            code, offset = _decode_nlri(payload, 4)  # after the sequence number
+            code, offset = _decode_nlri(payload, 4, total)  # after the sequence number
             if total < offset + 2:
                 raise _truncated(offset, total)
             (entry_count,) = struct.unpack_from(">H", payload, offset)
@@ -275,30 +275,24 @@ def _iter_rib_records(
 
 
 def _parse_peer_index(payload: bytes) -> List[MrtPeer]:
-    offset = 4  # collector BGP id
-    (name_length,) = struct.unpack_from(">H", payload, offset)
-    offset += 2 + name_length
-    (count,) = struct.unpack_from(">H", payload, offset)
+    total = len(payload)
+    _name, offset = _block(payload, 4, total)  # view name, after the collector BGP id
+    count = _uint(payload, offset, 2, total)
     offset += 2
     peers = []
     for _ in range(count):
-        peer_type = payload[offset]
-        offset += 1
-        (bgp_id,) = struct.unpack_from(">I", payload, offset)
-        offset += 4
+        peer_type = _uint(payload, offset, 1, total)
+        bgp_id = _uint(payload, offset + 1, 4, total)
+        offset += 5
         ip: Optional[IPv4Address] = None
         if peer_type & 0x01:  # IPv6 peer: keep the index slot, drop the IP
             offset += 16
         else:
-            (raw_ip,) = struct.unpack_from(">I", payload, offset)
-            ip = IPv4Address(raw_ip)
+            ip = IPv4Address(_uint(payload, offset, 4, total))
             offset += 4
-        if peer_type & 0x02:
-            (asn,) = struct.unpack_from(">I", payload, offset)
-            offset += 4
-        else:
-            (asn,) = struct.unpack_from(">H", payload, offset)
-            offset += 2
+        as_size = 4 if peer_type & 0x02 else 2
+        asn = _uint(payload, offset, as_size, total)
+        offset += as_size
         peers.append(MrtPeer(IPv4Address(bgp_id), ip, asn))
     return peers
 
@@ -339,41 +333,37 @@ def mrt_churn_stream(
 def _parse_bgp4mp_message(
     payload: bytes, as_size: int, next_hop: Optional[IPv4Address]
 ) -> List[UpdateMessage]:
+    total = len(payload)
     offset = 2 * as_size  # peer AS + local AS
-    (afi,) = struct.unpack_from(">H", payload, offset + 2)
+    afi = _uint(payload, offset + 2, 2, total)
     offset += 4  # interface index + address family
     if afi != 1:
         return []
     offset += 8  # peer IP + local IP (IPv4)
     if payload[offset : offset + 16] != _BGP_MARKER:
         raise MrtError("BGP message marker missing")
-    offset += 16
-    (length,) = struct.unpack_from(">H", payload, offset)
-    message_type = payload[offset + 2]
-    offset += 3
+    # The BGP length counts from the marker: marker (16) + length (2) + type (1).
+    end = offset + _uint(payload, offset + 16, 2, total)
+    message_type = _uint(payload, offset + 18, 1, total)
+    offset += 19
     if message_type != _BGP_UPDATE:
         return []
-    end = offset + length - 19  # length includes marker (16) + len (2) + type (1)
-    (withdrawn_length,) = struct.unpack_from(">H", payload, offset)
-    offset += 2
+    if total < end:
+        raise _truncated(offset, total)
+    offset, withdrawn_end = _block(payload, offset, end)
     withdrawn: List[IPv4Prefix] = []
-    withdrawn_end = offset + withdrawn_length
     while offset < withdrawn_end:
-        code, offset = _decode_nlri(payload, offset)
+        code, offset = _decode_nlri(payload, offset, withdrawn_end)
         withdrawn.append(IPv4Prefix.from_code(code))
-    (attr_length,) = struct.unpack_from(">H", payload, offset)
-    offset += 2
+    attr_start, offset = _block(payload, withdrawn_end, end)
     attributes: Optional[PathAttributes] = None
-    if attr_length:
-        attributes = _decode_attributes(
-            payload[offset : offset + attr_length], as_size=as_size
-        )
+    if attr_start < offset:
+        attributes = _decode_attributes(payload, attr_start, offset, as_size)
         if next_hop is not None:
             attributes = attributes.with_next_hop(next_hop)
-    offset += attr_length
     announced: List[IPv4Prefix] = []
     while offset < end:
-        code, offset = _decode_nlri(payload, offset)
+        code, offset = _decode_nlri(payload, offset, end)
         announced.append(IPv4Prefix.from_code(code))
     updates: List[UpdateMessage] = []
     if attributes is not None:
@@ -389,79 +379,91 @@ def _parse_bgp4mp_message(
 # ----------------------------------------------------------------------
 def _truncated(offset: int, total: int) -> MrtError:
     return MrtError(
-        f"field at payload byte {offset} runs past the record's {total} bytes"
+        f"field at payload byte {offset} runs past the {total} bytes it may use"
     )
 
 
-def _decode_nlri(data: bytes, offset: int) -> Tuple[int, int]:
-    """The prefix at ``offset`` as its plain code, and the offset past it."""
-    if len(data) <= offset:
-        raise _truncated(offset, len(data))
+def _decode_nlri(data: bytes, offset: int, end: int) -> Tuple[int, int]:
+    """The prefix at ``offset`` (it must end by ``end``) as its plain code,
+    and the offset past it."""
+    if end <= offset:
+        raise _truncated(offset, end)
     length = data[offset]
     if length > 32:
         raise MrtError(f"IPv4 prefix length {length} out of range")
     byte_count = (length + 7) // 8
-    end = offset + 1 + byte_count
-    if len(data) < end:
-        raise _truncated(offset, len(data))
-    network = int.from_bytes(data[offset + 1 : end], "big") << 8 * (4 - byte_count)
+    stop = offset + 1 + byte_count
+    if end < stop:
+        raise _truncated(offset, end)
+    network = int.from_bytes(data[offset + 1 : stop], "big") << 8 * (4 - byte_count)
     # Host bits are masked exactly as the IPv4Prefix constructor does.
-    return ((network & MASKS[length]) << IPv4Prefix.LENGTH_BITS) | length, end
+    return ((network & MASKS[length]) << IPv4Prefix.LENGTH_BITS) | length, stop
 
 
-def _decode_attributes(data: bytes, as_size: int) -> PathAttributes:
+def _uint(data: bytes, offset: int, size: int, end: int) -> int:
+    """The ``size``-byte big-endian integer at ``offset``, which must end by ``end``."""
+    if end < offset + size:
+        raise _truncated(offset, end)
+    return int.from_bytes(data[offset : offset + size], "big")
+
+
+def _block(data: bytes, offset: int, end: int) -> Tuple[int, int]:
+    """Bounds of the block behind the two-byte length field at ``offset``."""
+    start = offset + 2
+    stop = start + _uint(data, offset, 2, end)
+    if end < stop:
+        raise _truncated(start, end)
+    return start, stop
+
+
+def _decode_attributes(data: bytes, offset: int, end: int, as_size: int) -> PathAttributes:
+    """Decode the path attributes in ``data[offset:end]``."""
     origin = Origin.IGP
     as_path = AsPath(())
     next_hop = IPv4Address(0)
     med = 0
-    offset = 0
-    total = len(data)
-    while offset < total:
-        flags = data[offset]
-        type_code = data[offset + 1]
-        offset += 2
-        if flags & 0x10:  # extended length
-            (length,) = struct.unpack_from(">H", data, offset)
-            offset += 2
-        else:
-            length = data[offset]
-            offset += 1
-        value = data[offset : offset + length]
-        offset += length
+    while offset < end:
+        length_size = 2 if data[offset] & 0x10 else 1  # extended-length flag
+        type_code = _uint(data, offset + 1, 1, end)
+        start = offset + 2 + length_size
+        offset = start + _uint(data, offset + 2, length_size, end)
+        if end < offset:
+            raise _truncated(start, end)
         if type_code == _ATTR_ORIGIN:
-            origin = Origin(value[0])
+            code = _uint(data, start, 1, offset)
+            if code > Origin.INCOMPLETE:
+                raise MrtError(f"ORIGIN {code} at payload byte {start} out of range")
+            origin = Origin(code)
         elif type_code == _ATTR_AS_PATH:
-            as_path = _decode_as_path(value, as_size)
+            as_path = _decode_as_path(data, start, offset, as_size)
         elif type_code == _ATTR_NEXT_HOP:
-            (hop,) = struct.unpack(">I", value)
-            next_hop = IPv4Address(hop)
+            next_hop = IPv4Address(_uint(data, start, 4, offset))
         elif type_code == _ATTR_MED:
-            (med,) = struct.unpack(">I", value)
+            med = _uint(data, start, 4, offset)
         # Anything else (communities, aggregator, …) is skipped.
     return PathAttributes(
         next_hop=next_hop, as_path=as_path, origin=origin, med=med
     )
 
 
-def _decode_as_path(data: bytes, as_size: int) -> AsPath:
-    """Decode AS_SEQUENCE segments; other segment kinds (AS_SET on
-    aggregated routes, confederation segments) share the same wire layout
-    and are skipped rather than made fatal — real collector files contain
-    them and the model's :class:`AsPath` is a plain sequence."""
+def _decode_as_path(data: bytes, offset: int, end: int, as_size: int) -> AsPath:
+    """Decode the AS_SEQUENCE segments in ``data[offset:end]``; other
+    segment kinds (AS_SET on aggregated routes, confederation segments)
+    share the same wire layout and are skipped rather than made fatal —
+    real collector files contain them and the model's :class:`AsPath` is
+    a plain sequence."""
     asns: List[int] = []
-    offset = 0
-    pattern = ">I" if as_size == 4 else ">H"
-    while offset < len(data):
+    while offset < end:
         segment_type = data[offset]
-        count = data[offset + 1]
-        offset += 2
-        if segment_type != _AS_SEQUENCE:
-            offset += count * as_size
-            continue
-        for _ in range(count):
-            (asn,) = struct.unpack_from(pattern, data, offset)
-            offset += as_size
-            asns.append(asn)
+        start = offset + 2
+        offset = start + _uint(data, offset + 1, 1, end) * as_size
+        if end < offset:
+            raise _truncated(start, end)
+        if segment_type == _AS_SEQUENCE:
+            asns.extend(
+                int.from_bytes(data[at : at + as_size], "big")
+                for at in range(start, offset, as_size)
+            )
     return AsPath(tuple(asns))
 
 

@@ -3,7 +3,7 @@
 A scenario's behaviour must be a function of its spec and seed alone —
 that is the determinism contract the linter's DET005 rule enforces by
 banning ``os.environ`` reads everywhere else in ``src/repro``.  The few
-legitimate environment knobs (opt-in full-scale sweeps, CI smoke modes)
+legitimate environment knobs (the ``REPRO_FULL_SCALE`` opt-in, report paths)
 are read *here*, at experiment-setup time, and surfaced to callers as
 explicit values; nothing in a running simulation may consult them.
 

@@ -42,7 +42,7 @@ class TestFibCache:
         # The hottest prefix gets a switch rule unless the covering default
         # already routes it correctly (in which case no rule is needed).
         hot = by_prefix[routes[0][0]]
-        fallback = cache.router_fib[IPv4Prefix(routes[0][0].network, 10)]
+        fallback = cache.router_fib.exact(IPv4Prefix(routes[0][0].network, 10))
         assert hot.in_switch or fallback == routes[0][1]
 
     def test_forwarding_correctness_with_unbounded_switch(self):

@@ -8,6 +8,7 @@ import pytest
 from repro.bgp.attributes import AsPath, Origin, PathAttributes
 from repro.bgp.messages import UpdateMessage
 from repro.net.addresses import IPv4Address, IPv4Prefix
+from repro.routes import mrt
 from repro.routes.mrt import (
     BGP4MP,
     BGP4MP_MESSAGE_AS4,
@@ -31,6 +32,26 @@ UPDATES_FIXTURE = os.path.join(DATA_DIR, "updates_sample.mrt")
 PEER = MrtPeer(
     bgp_id=IPv4Address("10.0.0.2"), ip=IPv4Address("10.0.0.2"), asn=65001
 )
+
+
+def _announcement_payload(attrs=None, attr_length=None, bgp_length=None):
+    """A MESSAGE_AS4 payload announcing 10.0.0.0/24; the attribute bytes
+    and the attribute-length and BGP-length fields can be overridden."""
+    if attrs is None:
+        attrs = mrt._encode_attributes(
+            PathAttributes(next_hop=PEER.ip, as_path=AsPath((65001,))), as_size=4
+        )
+    body = struct.pack(">H", 0)  # nothing withdrawn
+    body += struct.pack(">H", len(attrs) if attr_length is None else attr_length)
+    body += attrs + mrt._encode_nlri(IPv4Prefix("10.0.0.0/24"))
+    length = 19 + len(body) if bgp_length is None else bgp_length
+    header = struct.pack(">IIHH", PEER.asn, 65000, 0, 1)
+    header += struct.pack(">II", PEER.ip.value, IPv4Address("10.0.0.1").value)
+    return header + mrt._BGP_MARKER + struct.pack(">HB", length, mrt._BGP_UPDATE) + body
+
+
+def _bgp4mp(payload):
+    return mrt._record(0, BGP4MP, BGP4MP_MESSAGE_AS4, payload)
 
 
 class TestRoundTrip:
@@ -216,7 +237,7 @@ class TestWireEdgeCases:
         # AS_SEQUENCE (65001) followed by an AS_SET {3356, 1299}.
         data = _struct.pack(">BBI", mrt._AS_SEQUENCE, 1, 65001)
         data += _struct.pack(">BBII", 1, 2, 3356, 1299)  # type 1 = AS_SET
-        path = mrt._decode_as_path(data, as_size=4)
+        path = mrt._decode_as_path(data, 0, len(data), as_size=4)
         assert path.asns == (65001,)
 
     def test_unknown_record_types_are_skipped(self):
@@ -280,6 +301,60 @@ class TestWireEdgeCases:
         blob += mrt._record(0, mrt.TABLE_DUMP_V2, mrt.RIB_IPV4_UNICAST, rib_payload)
         with pytest.raises(MrtError, match=r"payload byte \d+"):
             list(reader(blob))
+
+    @pytest.mark.parametrize(
+        "peer_index_payload",
+        [
+            pytest.param(b"", id="empty-payload"),
+            pytest.param(struct.pack(">IH", 0, 500), id="view-name-past-the-record"),
+            pytest.param(
+                struct.pack(">IHH", 0, 0, 3)
+                + struct.pack(">BIII", 0x02, PEER.bgp_id.value, PEER.ip.value, PEER.asn),
+                id="three-peers-claimed-one-present",
+            ),
+        ],
+    )
+    def test_peer_index_lying_about_its_lengths_raises(self, peer_index_payload):
+        from repro.routes import mrt
+
+        blob = mrt._record(0, mrt.TABLE_DUMP_V2, mrt.PEER_INDEX_TABLE, peer_index_payload)
+        with pytest.raises(MrtError, match=r"payload byte \d+"):
+            mrt.load_peer_table(blob)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            pytest.param(bytes(6), id="six-byte-payload"),
+            pytest.param(
+                _announcement_payload(attr_length=500), id="attr-length-past-the-message"
+            ),
+            pytest.param(
+                _announcement_payload(bgp_length=19), id="bare-header-length-on-a-route"
+            ),
+        ],
+    )
+    def test_bgp4mp_message_lying_about_its_lengths_raises(self, payload):
+        assert len(load_updates(_bgp4mp(_announcement_payload()))) == 1
+        with pytest.raises(MrtError, match=r"payload byte \d+"):
+            load_updates(_bgp4mp(payload))
+
+    @pytest.mark.parametrize(
+        "type_code, value",
+        [
+            pytest.param(3, b"\x0a\x00", id="next-hop-cut-short"),
+            pytest.param(1, b"\x07", id="origin-out-of-range"),
+            pytest.param(1, b"", id="origin-empty"),
+            pytest.param(
+                2,
+                struct.pack(">BB", 2, 200) + struct.pack(">III", 1, 2, 3),
+                id="as-path-200-asns-claimed-three-present",
+            ),
+        ],
+    )
+    def test_malformed_attribute_value_raises(self, type_code, value):
+        payload = _announcement_payload(mrt._attribute(type_code, value))
+        with pytest.raises(MrtError, match=r"payload byte \d+"):
+            load_updates(_bgp4mp(payload))
 
 
 class TestStreamingParity:

@@ -10,10 +10,18 @@ the paper's detect → decide → push → install decomposition.
 
 import io
 import json
+import os
+import sys
 
 import pytest
 
-from repro.net.addresses import IPv4Address
+import repro.telemetry
+from repro.net.addresses import IPv4Address, IPv4Prefix, MacAddress
+from repro.openflow.controller_channel import ControllerChannel
+from repro.openflow.flow_table import Actions, FlowMatch
+from repro.openflow.messages import FlowMod, FlowModBatch, FlowModCommand
+from repro.router.fib import Adjacency, FlatFib
+from repro.router.fib_updater import FibUpdater, FibUpdaterConfig, FibWriteRequest
 from repro.scenarios import expand_grid, run_campaign, run_scenario
 from repro.scenarios.presets import get_preset
 from repro.scenarios.spec import FailureSpec, ScenarioSpec
@@ -443,6 +451,75 @@ class TestScenarioTelemetry:
     def test_trace_capacity_is_validated(self):
         with pytest.raises(Exception):
             ScenarioSpec(name="bad", trace_capacity=0).validate()
+
+
+class TestDetachedHotPaths:
+    """Contract rule 1 (docs/observability.md) as an exact count: with
+    telemetry detached, the two instrumented hot paths enter no function
+    of ``repro/telemetry/`` and none of the updater's ``_note_*`` hooks."""
+
+    TELEMETRY_DIR = os.path.dirname(repro.telemetry.__file__) + os.sep
+    FIB_WRITES = 1000
+    CHANNEL_BATCHES = 100
+
+    def _drive(self, telemetry):
+        """Drain the FIB writes and deliver the flow-mod batches under a
+        profile hook; returns the telemetry-side functions entered and
+        the simulated work done."""
+        sim = Simulator(seed=1)
+        fast = FibUpdaterConfig(first_entry_latency=1e-6, per_entry_latency=1e-7)
+        updater = FibUpdater(sim, FlatFib(), config=fast)
+        channel = ControllerChannel(sim, latency=1e-6)
+        if telemetry is not None:
+            updater.attach_telemetry(telemetry)
+            channel.attach_telemetry(telemetry)
+        delivered = []
+        channel.connect_switch(delivered.append)
+        adjacency = Adjacency(mac=MacAddress("00:00:00:00:00:01"), interface="eth0")
+        requests = [
+            FibWriteRequest(prefix=IPv4Prefix(f"10.{i >> 8}.{i & 255}.0/24"), adjacency=adjacency)
+            for i in range(self.FIB_WRITES)
+        ]
+        batch = FlowModBatch(
+            mods=tuple(
+                FlowMod(
+                    command=FlowModCommand.ADD,
+                    match=FlowMatch(eth_dst=MacAddress(i + 1)),
+                    actions=Actions(output_port=1),
+                )
+                for i in range(4)
+            )
+        )
+        entered = []
+
+        def profile(frame, event, _arg):
+            code = frame.f_code
+            if event == "call" and (
+                code.co_filename.startswith(self.TELEMETRY_DIR)
+                or code.co_name in ("_note_batch_start", "_note_batch_drain")
+            ):
+                entered.append(code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            updater.enqueue_many(requests)
+            for _ in range(self.CHANNEL_BATCHES):
+                channel.send_flow_mod_batch(batch)
+            sim.run()
+        finally:
+            sys.setprofile(None)
+        return entered, (updater.writes_applied, len(delivered), sim.now)
+
+    def test_detached_paths_enter_no_telemetry_code(self):
+        entered, work = self._drive(None)
+        assert entered == []
+        assert work[:2] == (self.FIB_WRITES, self.CHANNEL_BATCHES)
+        # The probe is not blind: attached, the same drive does enter
+        # telemetry code, and does the same simulated work.
+        sim_clock = Simulator()
+        attached, attached_work = self._drive(Telemetry(clock=lambda: sim_clock.now))
+        assert {"_note_batch_start", "_note_batch_drain", "emit", "restored"} <= set(attached)
+        assert attached_work == work
 
 
 class TestScaleGauges:
