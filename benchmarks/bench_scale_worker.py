@@ -31,7 +31,6 @@ import sys
 import time
 
 from repro.bgp.attributes import AsPath, PathAttributes
-from repro.bgp.decision import rank_routes
 from repro.bgp.messages import UpdateMessage
 from repro.bgp.rib import CompactPeerRib, LocRib, Route, RouteSource
 from repro.core.backup_groups import BackupGroupManager
@@ -135,7 +134,7 @@ def bench_perprefix(size: int, cap: int, backups: int, seed: int) -> dict:
     ``min(size, cap)`` prefixes and extrapolated linearly."""
     measured = min(size, cap)
     peers = [IPv4Address(ip) for ip in _peer_ips(backups)]
-    loc_rib = LocRib(rank_routes)
+    loc_rib = LocRib()
     manager = BackupGroupManager(VnhAllocator(IPv4Prefix("10.201.0.0/24")))
 
     def _route(prefix, peer, local_pref):

@@ -27,6 +27,7 @@ import argparse
 import datetime
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -65,6 +66,13 @@ def _git_sha() -> str:
         return completed.stdout.strip() or "unknown"
     except OSError:
         return "unknown"
+
+
+def count_src_lines() -> int:
+    """``wc -l`` over ``src/repro/**/*.py``: the size of the system, which
+    every simplicity PR reports next to its timings."""
+    sources = pathlib.Path(REPO_ROOT, "src", "repro").rglob("*.py")
+    return sum(source.read_bytes().count(b"\n") for source in sources)
 
 
 def measure_baseline() -> dict:
@@ -184,6 +192,7 @@ def main() -> int:
         "sha": _git_sha(),
         "source": source,
         "python": ".".join(str(part) for part in sys.version_info[:3]),
+        "src_lines": count_src_lines(),
         **summarise(report),
     }
     if arguments.remote_from_report:

@@ -55,6 +55,12 @@ RETIRED_FIELDS = {
     "lpm_lookup_speedup": (int, float),
 }
 
+#: Written on every line since PR 19, absent on older ones: ``wc -l`` over
+#: ``src/repro/**/*.py``.
+SIZE_FIELDS = {
+    "src_lines": int,
+}
+
 REMOTE_FIELDS = {
     "remote_repoint_speedup": (int, float),
     "remote_repoint_flow_mods": int,
@@ -101,19 +107,21 @@ def _check_campaign_block(entry: dict, context: str) -> None:
 
 def _check_entry(entry: dict, context: str) -> None:
     assert isinstance(entry, dict), f"{context}: not a JSON object"
-    optional = set(RETIRED_FIELDS)
+    optional = set(RETIRED_FIELDS) | set(SIZE_FIELDS)
     if "lpm_lookup_speedup" in entry:
         # An old line: the retired ratios stand in for the dataplane rates.
         optional |= set(DATAPLANE_FIELDS)
-    for field, kind in {**REQUIRED_FIELDS, **DATAPLANE_FIELDS, **RETIRED_FIELDS}.items():
+    for field, kind in {
+        **REQUIRED_FIELDS, **DATAPLANE_FIELDS, **RETIRED_FIELDS, **SIZE_FIELDS
+    }.items():
         if field in optional and field not in entry:
             continue
         assert field in entry, f"{context}: missing {field!r}"
         assert isinstance(entry[field], kind) and not isinstance(
             entry[field], bool
         ), f"{context}: {field!r} has type {type(entry[field]).__name__}"
-        # Rates and ratios are positive.
-        if field.endswith(("_speedup", "_per_s")):
+        # Rates, ratios and sizes are positive.
+        if field.endswith(("_speedup", "_per_s", "_lines")):
             assert entry[field] > 0, f"{context}: {field!r} must be positive"
     # A date is YYYY-MM-DD.
     year, month, day = entry["date"].split("-")
@@ -184,6 +192,7 @@ def test_writer_emits_schema_conforming_entries(tmp_path):
     _check_entry(entry, "fresh entry")
     assert entry["label"] == "schema-check"
     assert not set(RETIRED_FIELDS) & set(entry)
+    assert "src_lines" in entry  # optional on old lines, written on every new one
     # The committed e2e baseline holds all four workloads.
     for workload in E2E_WORKLOADS:
         assert entry[f"campaign_{workload}_converge_s"] > 0

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 from repro.net.addresses import BROADCAST_MAC, IPv4Address, MacAddress
 from repro.net.packets import ArpOp, ArpPacket, EtherType, EthernetFrame
@@ -82,10 +82,6 @@ class ArpHandler:
     def owns(self, ip: IPv4Address) -> bool:
         """Whether the handler answers for ``ip``."""
         return ip in self._owned
-
-    def owned_addresses(self) -> List[IPv4Address]:
-        """The IP addresses currently answered for."""
-        return list(self._owned.keys())
 
     def handle(self, packet: ArpPacket) -> Optional[EthernetFrame]:
         """Process an ARP packet; returns a reply frame when one is due."""

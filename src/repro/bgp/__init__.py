@@ -1,10 +1,11 @@
 """BGP substrate.
 
 A from-scratch implementation of the parts of BGP-4 the supercharged
-controller relies on: message types, path attributes, Adj-RIB-In /
-Loc-RIB / Adj-RIB-Out, the full best-path decision process, a session
-finite-state machine and a speaker that ties everything together with
-import/export policies.  The controller of :mod:`repro.core` embeds a
+controller relies on: message types, path attributes, the Loc-RIB (the
+one store of learned routes) and per-peer Adj-RIB-Out, the full best-path
+decision process, a session finite-state machine and a speaker that ties
+everything together; per-peer policy is two fields of ``PeerConfig``
+(``local_pref``, ``advertise``).  The controller of :mod:`repro.core` embeds a
 speaker exactly like ExaBGP was embedded in the paper's prototype.
 """
 
@@ -17,11 +18,10 @@ from repro.bgp.messages import (
     UpdateMessage,
     UpdateTrain,
 )
-from repro.bgp.rib import AdjRibIn, LocRib, Route, RibChange, RouteSource
-from repro.bgp.decision import DecisionProcess, best_path, rank_routes
+from repro.bgp.rib import LocRib, Route, RibChange, RouteSource
+from repro.bgp.decision import best_path, rank_routes
 from repro.bgp.session import BgpSession, BgpSessionState
 from repro.bgp.speaker import BgpSpeaker, PeerConfig
-from repro.bgp.policy import ExportPolicy, ImportPolicy, RouteMap, RouteMapEntry
 
 __all__ = [
     "AsPath",
@@ -33,20 +33,14 @@ __all__ = [
     "OpenMessage",
     "UpdateMessage",
     "UpdateTrain",
-    "AdjRibIn",
     "LocRib",
     "Route",
     "RibChange",
     "RouteSource",
-    "DecisionProcess",
     "best_path",
     "rank_routes",
     "BgpSession",
     "BgpSessionState",
     "BgpSpeaker",
     "PeerConfig",
-    "ExportPolicy",
-    "ImportPolicy",
-    "RouteMap",
-    "RouteMapEntry",
 ]

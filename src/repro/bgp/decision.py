@@ -16,14 +16,17 @@ with the standard tie-breaking ladder:
 8. Lowest peer address.
 
 Ranking the *entire* list — not just picking a winner — is what lets the
-supercharged controller read off (primary, backup) pairs directly.
+supercharged controller read off (primary, backup) pairs directly.  The
+ladder is spelled once, in :func:`_preference_key`; :func:`rank_routes`
+is what :class:`~repro.bgp.rib.LocRib` ranks with, and it has no knobs.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
 
-from repro.bgp.rib import Route
+if TYPE_CHECKING:  # repro.bgp.rib ranks with this module
+    from repro.bgp.rib import Route
 
 
 def _preference_key(route: Route) -> Tuple:
@@ -60,58 +63,3 @@ def compare(route_a: Route, route_b: Route) -> int:
     if key_a > key_b:
         return 1
     return 0
-
-
-class DecisionProcess:
-    """Configurable decision process.
-
-    The default configuration follows the module-level ladder.  Setting
-    ``compare_med_always=False`` restores the classical "only compare MED
-    between routes from the same neighboring AS" behaviour, and
-    ``ignore_as_path_length=True`` models operators that disable that step.
-    Both knobs exist mainly so ablation experiments can show the backup
-    ranking is robust to decision-process variations.
-    """
-
-    def __init__(
-        self,
-        compare_med_always: bool = True,
-        ignore_as_path_length: bool = False,
-    ) -> None:
-        self.compare_med_always = compare_med_always
-        self.ignore_as_path_length = ignore_as_path_length
-
-    def _key(self, route: Route, med_by_neighbor_rank: int) -> Tuple:
-        return (
-            -route.attributes.local_pref,
-            0 if self.ignore_as_path_length else route.attributes.as_path.length,
-            int(route.attributes.origin),
-            route.attributes.med if self.compare_med_always else med_by_neighbor_rank,
-            0 if route.source.is_ebgp else 1,
-            route.igp_cost,
-            route.source.router_id.value,
-            route.source.peer_ip.value,
-        )
-
-    def rank(self, routes: Sequence[Route]) -> List[Route]:
-        """Order ``routes`` best-first."""
-        if self.compare_med_always:
-            return sorted(routes, key=lambda r: self._key(r, 0))
-        # Per-neighbor MED: rank MED only among routes sharing a neighbor AS.
-        med_rank = {}
-        by_neighbor = {}
-        for route in routes:
-            by_neighbor.setdefault(route.attributes.as_path.neighbor_as, []).append(route)
-        for neighbor_routes in by_neighbor.values():
-            ordered = sorted(neighbor_routes, key=lambda r: r.attributes.med)
-            for rank, route in enumerate(ordered):
-                # In-process memo: lives only for the duration of this call
-                # and keys objects already in hand; nothing derived from the
-                # id() values is returned or exported.
-                med_rank[id(route)] = rank  # detlint: disable=DET004
-        return sorted(routes, key=lambda r: self._key(r, med_rank.get(id(r), 0)))  # detlint: disable=DET004
-
-    def best(self, routes: Sequence[Route]) -> Optional[Route]:
-        """The single best route under this configuration."""
-        ranked = self.rank(routes)
-        return ranked[0] if ranked else None

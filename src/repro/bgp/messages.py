@@ -25,27 +25,18 @@ the number of routes.  What a burst does share is its (session, instant).
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.bgp.attributes import PathAttributes
 from repro.net.addresses import IPv4Address, IPv4Prefix
 from repro.net.packets import BGP_MESSAGE_BYTES
 
-_message_ids = itertools.count(1)
-
 
 @dataclass(frozen=True)
 class BgpMessage:
-    """Base class for all BGP messages."""
-
-    message_id: int = field(default_factory=lambda: next(_message_ids), init=False)
-
-    @property
-    def kind(self) -> str:
-        """Lower-case message kind, e.g. ``"update"``."""
-        return type(self).__name__.replace("Message", "").lower()
+    """Base class for all BGP messages.  A message is its payload: two
+    messages with equal fields are equal."""
 
 
 @dataclass(frozen=True)
@@ -86,11 +77,6 @@ class UpdateMessage(BgpMessage):
         """True when the update withdraws the prefix."""
         return self.attributes is None
 
-    @property
-    def is_announcement(self) -> bool:
-        """True when the update announces a path for the prefix."""
-        return self.attributes is not None
-
     @classmethod
     def announce(cls, prefix: IPv4Prefix, attributes: PathAttributes) -> "UpdateMessage":
         """Build an announcement."""
@@ -127,14 +113,3 @@ class UpdateTrain(BgpMessage):
     def size_bytes(self) -> int:
         """Bytes on the wire: what the members would occupy sent alone."""
         return BGP_MESSAGE_BYTES * len(self.updates)
-
-
-def split_feed(
-    updates: Tuple[UpdateMessage, ...], chunk_size: int
-) -> Tuple[Tuple[UpdateMessage, ...], ...]:
-    """Split a long stream of updates into chunks (batch injection helper)."""
-    if chunk_size <= 0:
-        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-    return tuple(
-        tuple(updates[i : i + chunk_size]) for i in range(0, len(updates), chunk_size)
-    )

@@ -1,12 +1,14 @@
 """Routing Information Bases.
 
-Three structures mirror a real BGP implementation:
+Two structures hold a speaker's route state:
 
-* :class:`AdjRibIn` — routes learned from one peer, keyed by prefix.
 * :class:`LocRib` — for every prefix, *all* known routes ranked by the
   decision process (position 0 is the best path, position 1 the backup).
   Keeping the full ranked list — rather than only the winner — is exactly
-  what the supercharged controller needs to compute backup groups.
+  what the supercharged controller needs to compute backup groups.  It is
+  the only store of learned routes: a route is keyed by (prefix, source
+  peer), so "what did this peer send" is a query over it
+  (:meth:`LocRib.prefixes_from`), not a second per-peer table.
 * :class:`AdjRibOut` — what has been advertised to one peer, so the
   speaker can suppress duplicate announcements and emit withdraws.
 
@@ -22,9 +24,10 @@ object-based RIBs would dominate RSS.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.bgp.attributes import PathAttributes
+from repro.bgp.decision import rank_routes
 from repro.net.addresses import IPv4Address, IPv4Prefix
 
 
@@ -52,16 +55,6 @@ class Route:
     def next_hop(self) -> IPv4Address:
         """Convenience accessor for the NEXT_HOP attribute."""
         return self.attributes.next_hop
-
-    def replace_attributes(self, attributes: PathAttributes) -> "Route":
-        """Copy of the route with different attributes (import policy result)."""
-        return Route(
-            prefix=self.prefix,
-            attributes=attributes,
-            source=self.source,
-            learned_at=self.learned_at,
-            igp_cost=self.igp_cost,
-        )
 
 
 @dataclass(frozen=True)
@@ -94,38 +87,6 @@ class RibChange:
         return tuple(route.next_hop for route in ranking[:2])
 
 
-class AdjRibIn:
-    """Routes learned from a single peer, keyed by prefix."""
-
-    def __init__(self, peer_ip: IPv4Address) -> None:
-        self.peer_ip = peer_ip
-        self._routes: Dict[IPv4Prefix, Route] = {}
-
-    def insert(self, route: Route) -> Optional[Route]:
-        """Store a route, returning the replaced route if any."""
-        previous = self._routes.get(route.prefix)
-        self._routes[route.prefix] = route
-        return previous
-
-    def remove(self, prefix: IPv4Prefix) -> Optional[Route]:
-        """Remove the route for ``prefix``, returning it if present."""
-        return self._routes.pop(prefix, None)
-
-    def get(self, prefix: IPv4Prefix) -> Optional[Route]:
-        """The route for ``prefix`` learned from this peer, if any."""
-        return self._routes.get(prefix)
-
-    def prefixes(self) -> Iterator[IPv4Prefix]:
-        """Iterate all prefixes learned from this peer."""
-        return iter(self._routes.keys())
-
-    def __len__(self) -> int:
-        return len(self._routes)
-
-    def __contains__(self, prefix: IPv4Prefix) -> bool:
-        return prefix in self._routes
-
-
 class AdjRibOut:
     """Routes advertised to a single peer, keyed by prefix."""
 
@@ -148,21 +109,11 @@ class AdjRibOut:
         """Attributes last advertised for ``prefix``, if any."""
         return self._advertised.get(prefix)
 
-    def prefixes(self) -> Iterator[IPv4Prefix]:
-        """Iterate all currently advertised prefixes."""
-        return iter(self._advertised.keys())
-
-    def __len__(self) -> int:
-        return len(self._advertised)
-
 
 class LocRib:
     """All known routes per prefix, kept ranked by the decision process."""
 
-    def __init__(self, ranker: Callable[[Sequence[Route]], List[Route]]) -> None:
-        """``ranker`` is a callable ``(routes) -> ordered list`` — usually
-        :meth:`repro.bgp.decision.DecisionProcess.rank`."""
-        self._ranker = ranker
+    def __init__(self) -> None:
         self._routes: Dict[IPv4Prefix, List[Route]] = {}
 
     # ------------------------------------------------------------------
@@ -176,7 +127,7 @@ class LocRib:
         old_best = current[0] if current else None
         remaining = [r for r in current if r.source.peer_ip != route.source.peer_ip]
         remaining.append(route)
-        ranked = self._ranker(remaining)
+        ranked = rank_routes(remaining)
         self._routes[prefix] = ranked
         new_best = ranked[0] if ranked else None
         return RibChange(prefix, old_best, new_best, old_ranking, tuple(ranked))
@@ -187,7 +138,7 @@ class LocRib:
         old_ranking = tuple(current)
         old_best = current[0] if current else None
         remaining = [r for r in current if r.source.peer_ip != peer_ip]
-        ranked = self._ranker(remaining)
+        ranked = rank_routes(remaining)
         if ranked:
             self._routes[prefix] = ranked
         else:
@@ -197,11 +148,7 @@ class LocRib:
 
     def withdraw_peer(self, peer_ip: IPv4Address) -> List[RibChange]:
         """Remove every route learned from ``peer_ip`` (session loss)."""
-        changes = []
-        for prefix in list(self._routes.keys()):
-            if any(r.source.peer_ip == peer_ip for r in self._routes[prefix]):
-                changes.append(self.withdraw(prefix, peer_ip))
-        return changes
+        return [self.withdraw(prefix, peer_ip) for prefix in self.prefixes_from(peer_ip)]
 
     # ------------------------------------------------------------------
     # Queries
@@ -223,6 +170,15 @@ class LocRib:
     def prefixes(self) -> Iterator[IPv4Prefix]:
         """Iterate all prefixes with at least one path."""
         return iter(self._routes.keys())
+
+    def prefixes_from(self, peer_ip: IPv4Address) -> List[IPv4Prefix]:
+        """The prefixes ``peer_ip`` currently has a route for, in the
+        order they entered the RIB."""
+        return [
+            prefix
+            for prefix, routes in self._routes.items()
+            if any(route.source.peer_ip == peer_ip for route in routes)
+        ]
 
     def __len__(self) -> int:
         return len(self._routes)
@@ -274,11 +230,6 @@ class CompactPeerRib:
         self._peer_index[peer_ip] = index
         self._peer_ips.append(peer_ip)
         return index
-
-    @property
-    def peer_count(self) -> int:
-        """Number of registered peers."""
-        return len(self._peer_ips)
 
     def peer_ip(self, index: int) -> IPv4Address:
         """The address of peer ``index``."""

@@ -224,6 +224,12 @@ class BgpSession:
     def _send_open(self) -> None:
         if self._state is not BgpSessionState.CONNECT:
             return
+        self._transmit_open()
+        self._state = BgpSessionState.OPEN_SENT
+        self._schedule_connect_retry()
+
+    def _transmit_open(self) -> None:
+        """Put our OPEN on the wire (first send, retry or re-send alike)."""
         self._send_control(
             OpenMessage(
                 asn=self.local_asn,
@@ -231,8 +237,6 @@ class BgpSession:
                 hold_time=self.configured_hold_time,
             )
         )
-        self._state = BgpSessionState.OPEN_SENT
-        self._schedule_connect_retry()
 
     def _schedule_connect_retry(self) -> None:
         """Re-send our OPEN if the handshake stalls (e.g. the first OPEN was
@@ -240,13 +244,7 @@ class BgpSession:
 
         def retry() -> None:
             if self._state in (BgpSessionState.CONNECT, BgpSessionState.OPEN_SENT):
-                self._send_control(
-                    OpenMessage(
-                        asn=self.local_asn,
-                        router_id=self.local_router_id,
-                        hold_time=self.configured_hold_time,
-                    )
-                )
+                self._transmit_open()
                 self._state = BgpSessionState.OPEN_SENT
                 self._schedule_connect_retry()
 
@@ -264,13 +262,7 @@ class BgpSession:
         # Re-send our OPEN unconditionally: if ours was lost (e.g. dropped
         # while the peer's L2 address was unresolved) the peer is still
         # waiting for it, and a duplicate OPEN is ignored otherwise.
-        self._send_control(
-            OpenMessage(
-                asn=self.local_asn,
-                router_id=self.local_router_id,
-                hold_time=self.configured_hold_time,
-            )
-        )
+        self._transmit_open()
         self._send_control(KeepaliveMessage())
         self._state = BgpSessionState.OPEN_CONFIRM
         self._restart_hold_timer()

@@ -1,9 +1,10 @@
 """A complete BGP speaker.
 
-:class:`BgpSpeaker` glues sessions, RIBs, the decision process and the
-import/export policies together.  Routers, peers and the supercharged
-controller all embed a speaker; the only difference between them is the
-set of hooks they register:
+:class:`BgpSpeaker` glues sessions, the Loc-RIB (the one store of learned
+routes, ranked by the one decision ladder), the Adj-RIB-Outs and the
+per-peer policy — a LOCAL_PREF to set, an export switch — together.
+Routers, peers and the supercharged controller all embed a speaker; the
+only difference between them is the set of hooks they register:
 
 * a router registers a Loc-RIB listener that drives its FIB updater;
 * the supercharged controller registers a listener that feeds the
@@ -13,14 +14,12 @@ set of hooks they register:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.bgp.attributes import PathAttributes
-from repro.bgp.decision import DecisionProcess
 from repro.bgp.messages import BgpMessage, UpdateMessage
-from repro.bgp.policy import ExportPolicy, ImportPolicy
-from repro.bgp.rib import AdjRibIn, AdjRibOut, LocRib, RibChange, Route, RouteSource
+from repro.bgp.rib import AdjRibOut, LocRib, RibChange, Route, RouteSource
 from repro.bgp.session import BgpSession, BgpSessionState
 from repro.net.addresses import IPv4Address, IPv4Prefix
 from repro.sim.engine import Simulator
@@ -32,8 +31,9 @@ class PeerConfig:
 
     peer_ip: IPv4Address
     peer_asn: int
-    import_policy: ImportPolicy = field(default_factory=ImportPolicy)
-    export_policy: ExportPolicy = field(default_factory=ExportPolicy)
+    #: LOCAL_PREF set on every route learned from this peer (``None``
+    #: keeps the announced value): how R1 is "configured to prefer R2".
+    local_pref: Optional[int] = None
     hold_time: float = 90.0
     #: When False the speaker never re-advertises routes to this peer
     #: (e.g. the monitoring sink sessions in the evaluation lab).
@@ -41,7 +41,7 @@ class PeerConfig:
 
 
 class BgpSpeaker:
-    """BGP speaker with per-peer sessions, RIBs and policies.
+    """BGP speaker with per-peer sessions, one Loc-RIB and per-peer policy.
 
     Parameters
     ----------
@@ -53,8 +53,6 @@ class BgpSpeaker:
         Callable ``(peer_ip, message) -> None`` that delivers a BGP message
         to the named peer.  Owners wire this to their data plane (router,
         controller) or to a direct in-process shortcut in unit tests.
-    decision_process:
-        Optional custom decision process (defaults to the standard ladder).
     """
 
     def __init__(
@@ -63,17 +61,18 @@ class BgpSpeaker:
         asn: int,
         router_id: IPv4Address,
         transport: Callable[[IPv4Address, BgpMessage], None],
-        decision_process: Optional[DecisionProcess] = None,
     ) -> None:
         self._sim = sim
         self.asn = asn
         self.router_id = router_id
         self._transport = transport
-        self.decision_process = decision_process or DecisionProcess()
-        self.loc_rib = LocRib(self.decision_process.rank)
+        self.loc_rib = LocRib()
         self._peers: Dict[IPv4Address, PeerConfig] = {}
         self._sessions: Dict[IPv4Address, BgpSession] = {}
-        self._adj_rib_in: Dict[IPv4Address, AdjRibIn] = {}
+        #: One :class:`RouteSource` per peer session, shared by every route
+        #: learned over it; built on the first announcement, dropped with
+        #: the session.
+        self._sources: Dict[IPv4Address, RouteSource] = {}
         self._adj_rib_out: Dict[IPv4Address, AdjRibOut] = {}
         self._rib_listeners: List[Callable[[RibChange, IPv4Address], None]] = []
         self._peer_down_listeners: List[Callable[[IPv4Address, str], None]] = []
@@ -103,7 +102,6 @@ class BgpSpeaker:
         if config.peer_ip in self._peers:
             raise ValueError(f"peer {config.peer_ip} is already configured")
         self._peers[config.peer_ip] = config
-        self._adj_rib_in[config.peer_ip] = AdjRibIn(config.peer_ip)
         self._adj_rib_out[config.peer_ip] = AdjRibOut(config.peer_ip)
         session = BgpSession(
             self._sim,
@@ -140,20 +138,6 @@ class BgpSpeaker:
     def established_peers(self) -> List[IPv4Address]:
         """Peers whose session is currently established."""
         return [ip for ip, session in self._sessions.items() if session.is_established]
-
-    def peer_config(self, peer_ip: IPv4Address) -> PeerConfig:
-        """Configuration of ``peer_ip`` (raises if unknown)."""
-        if peer_ip not in self._peers:
-            raise KeyError(f"unknown peer {peer_ip}")
-        return self._peers[peer_ip]
-
-    def adj_rib_in(self, peer_ip: IPv4Address) -> AdjRibIn:
-        """Adj-RIB-In of ``peer_ip``."""
-        return self._adj_rib_in[peer_ip]
-
-    def adj_rib_out(self, peer_ip: IPv4Address) -> AdjRibOut:
-        """Adj-RIB-Out of ``peer_ip``."""
-        return self._adj_rib_out[peer_ip]
 
     # ------------------------------------------------------------------
     # Listeners
@@ -249,7 +233,7 @@ class BgpSpeaker:
         # Flush every route learned from the dead peer and propagate the
         # consequences (new best paths or withdraws) to the other peers.
         changes = self.loc_rib.withdraw_peer(peer_ip)
-        self._adj_rib_in[peer_ip] = AdjRibIn(peer_ip)
+        self._sources.pop(peer_ip, None)
         # Forget what was advertised so a re-established session gets a
         # fresh initial table transfer.
         self._adj_rib_out[peer_ip] = AdjRibOut(peer_ip)
@@ -265,48 +249,42 @@ class BgpSpeaker:
     # Update processing
     # ------------------------------------------------------------------
     def process_update(self, peer_ip: IPv4Address, update: UpdateMessage) -> Optional[RibChange]:
-        """Run a received UPDATE through policy, RIBs and propagation.
+        """Run a received UPDATE through policy, the Loc-RIB and propagation.
 
         Exposed publicly so that controller benchmarks can measure the
         processing cost without a full session handshake.
         """
         config = self._peers[peer_ip]
-        session = self._sessions[peer_ip]
-        adj_in = self._adj_rib_in[peer_ip]
+        attributes = update.attributes
         if self._telemetry is not None:
             self._telemetry.counter(
-                "bgp.withdraws_received" if update.is_withdraw else "bgp.updates_received"
+                "bgp.withdraws_received" if attributes is None else "bgp.updates_received"
             ).inc()
-        if update.is_withdraw:
-            removed = adj_in.remove(update.prefix)
-            if removed is None:
-                return None
+        if attributes is None or attributes.as_path.contains(self.asn):
+            # A withdraw — or an announcement whose path loops through us:
+            # it replaces whatever the peer sent before (RFC 4271 §9) and
+            # is itself unusable, so it withdraws too (RFC 7606).
             change = self.loc_rib.withdraw(update.prefix, peer_ip)
+            if len(change.new_ranking) == len(change.old_ranking):
+                return None  # the peer held no route for the prefix
         else:
-            attributes = config.import_policy.apply(update.prefix, update.attributes)
-            if attributes is None:
-                # Rejected by policy: treat as an implicit withdraw if a
-                # previous route from this peer was accepted.
-                if adj_in.remove(update.prefix) is None:
-                    return None
-                change = self.loc_rib.withdraw(update.prefix, peer_ip)
-            else:
-                if attributes.as_path.contains(self.asn):
-                    return None  # loop prevention
-                source = RouteSource(
+            if config.local_pref is not None:
+                attributes = attributes.with_local_pref(config.local_pref)
+            source = self._sources.get(peer_ip)
+            if source is None:
+                source = self._sources[peer_ip] = RouteSource(
                     peer_ip=peer_ip,
                     peer_asn=config.peer_asn,
-                    router_id=session.peer_router_id or peer_ip,
+                    router_id=self._sessions[peer_ip].peer_router_id or peer_ip,
                     is_ebgp=config.peer_asn != self.asn,
                 )
-                route = Route(
-                    prefix=update.prefix,
-                    attributes=attributes,
-                    source=source,
-                    learned_at=self._sim.now,
-                )
-                adj_in.insert(route)
-                change = self.loc_rib.update(route)
+            route = Route(
+                prefix=update.prefix,
+                attributes=attributes,
+                source=source,
+                learned_at=self._sim.now,
+            )
+            change = self.loc_rib.update(route)
         self._notify_rib_change(change, peer_ip)
         if self.auto_advertise:
             self._propagate(change, from_peer=peer_ip)
@@ -338,14 +316,11 @@ class BgpSpeaker:
         session = self._sessions[peer_ip]
         if not session.is_established or not config.advertise:
             return False
-        exported = config.export_policy.apply(prefix, attributes)
-        if exported is None:
-            return False
         if config.peer_asn != self.asn:
-            exported = exported.prepended(self.asn)
-        if not self._adj_rib_out[peer_ip].record_announce(prefix, exported):
+            attributes = attributes.prepended(self.asn)
+        if not self._adj_rib_out[peer_ip].record_announce(prefix, attributes):
             return False
-        session.send_update(UpdateMessage.announce(prefix, exported))
+        session.send_update(UpdateMessage.announce(prefix, attributes))
         return True
 
     def _withdraw(self, peer_ip: IPv4Address, prefix: IPv4Prefix) -> bool:

@@ -25,7 +25,6 @@ from repro.arp.protocol import ArpHandler
 from repro.router.arp_client import ArpClient
 from repro.bfd.manager import BfdManager
 from repro.bgp.messages import BgpMessage, UpdateMessage
-from repro.bgp.policy import ImportPolicy
 from repro.bgp.rib import RibChange
 from repro.bgp.speaker import BgpSpeaker, PeerConfig
 from repro.core.arp_responder import VirtualArpResponder
@@ -246,7 +245,7 @@ class SuperchargedController:
                 PeerConfig(
                     peer_ip=peer.ip,
                     peer_asn=peer.asn,
-                    import_policy=ImportPolicy.prefer(peer.local_pref),
+                    local_pref=peer.local_pref,
                     hold_time=self.config.bgp_hold_time,
                 )
             )
@@ -277,11 +276,6 @@ class SuperchargedController:
             self.bgp.peer_session(peer_ip).stop("controller crashed")
         for peer_ip in list(self.bfd.peers()):
             self.bfd.remove_peer(peer_ip)
-
-    @property
-    def is_crashed(self) -> bool:
-        """Whether :meth:`shutdown` has been called."""
-        return self._crashed
 
     # ------------------------------------------------------------------
     # Queries

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
-from repro.bgp.decision import DecisionProcess
 from repro.bgp.rib import LocRib, Route, RouteSource
 from repro.core.backup_groups import BackupGroupManager
 from repro.core.vnh_allocator import VnhAllocator
@@ -63,8 +62,7 @@ def _count_for(
     random = SeededRandom(seed + num_peers)
     peers = [IPv4Address(f"10.0.0.{10 + index}") for index in range(num_peers)]
     prefixes = PrefixGenerator(seed=seed).generate(num_prefixes)
-    decision = DecisionProcess()
-    loc_rib = LocRib(decision.rank)
+    loc_rib = LocRib()
     manager = BackupGroupManager(VnhAllocator(IPv4Prefix("10.9.0.0/16")))
     per_peer_feeds = {
         peer: synthetic_full_table(

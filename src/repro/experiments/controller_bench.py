@@ -14,7 +14,6 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.bgp.decision import DecisionProcess
 from repro.bgp.messages import UpdateMessage
 from repro.bgp.rib import LocRib, Route, RouteSource
 from repro.core.backup_groups import ActionKind, BackupGroupManager
@@ -87,8 +86,7 @@ class ControllerMicrobench:
 
     def run(self) -> MicrobenchResult:
         """Process every update and record its wall-clock processing time."""
-        decision = DecisionProcess()
-        loc_rib = LocRib(decision.rank)
+        loc_rib = LocRib()
         allocator = VnhAllocator(self.vnh_pool)
         groups = BackupGroupManager(allocator)
         samples: List[float] = []

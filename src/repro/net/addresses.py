@@ -48,11 +48,6 @@ class MacAddress:
             return
         raise AddressError(f"cannot build MacAddress from {type(value).__name__}")
 
-    @classmethod
-    def from_int(cls, value: int) -> "MacAddress":
-        """Build a MAC from its 48-bit integer value."""
-        return cls(value)
-
     @property
     def value(self) -> int:
         """The 48-bit integer value."""

@@ -487,12 +487,7 @@ def write_rib(
         _record(timestamp, TABLE_DUMP_V2, PEER_INDEX_TABLE, _encode_peer_index([peer]))
     ]
     for sequence, route in enumerate(feed.routes):
-        attrs = _encode_attributes(
-            PathAttributes(
-                next_hop=hop, as_path=route.as_path, origin=route.origin, med=route.med
-            ),
-            as_size=4,
-        )
+        attrs = _encode_attributes(route.attributes(hop), as_size=4)
         body = struct.pack(">I", sequence)
         body += _encode_nlri(route.prefix)
         body += struct.pack(">H", 1)  # entry count

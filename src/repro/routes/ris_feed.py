@@ -27,15 +27,18 @@ class FeedRoute:
     origin: Origin
     med: int
 
-    def to_update(self, next_hop: IPv4Address) -> UpdateMessage:
-        """Convert to an UPDATE announced with the given next hop."""
-        attributes = PathAttributes(
+    def attributes(self, next_hop: IPv4Address) -> PathAttributes:
+        """The route's path attributes as announced with ``next_hop``."""
+        return PathAttributes(
             next_hop=next_hop,
             as_path=self.as_path,
             origin=self.origin,
             med=self.med,
         )
-        return UpdateMessage.announce(self.prefix, attributes)
+
+    def to_update(self, next_hop: IPv4Address) -> UpdateMessage:
+        """Convert to an UPDATE announced with the given next hop."""
+        return UpdateMessage.announce(self.prefix, self.attributes(next_hop))
 
 
 @dataclass

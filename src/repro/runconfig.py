@@ -14,10 +14,11 @@ stray ``os.environ.get`` somewhere in a sim path.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 from typing import Optional
 
-__all__ = ["env_flag", "env_text"]
+__all__ = ["env_flag", "env_text", "pool_start_method"]
 
 #: Spellings accepted as "on" (case-insensitive).
 _TRUTHY = frozenset({"1", "true", "yes", "on"})
@@ -35,3 +36,10 @@ def env_text(name: str, default: Optional[str] = None) -> Optional[str]:
     """Free-text knob (e.g. a report output path)."""
     raw = os.environ.get(name)
     return default if raw is None else raw
+
+
+def pool_start_method() -> str:
+    """Worker-pool start method for this host: prefer fork (inherits
+    sys.path; cheap), fall back to spawn."""
+    methods = multiprocessing.get_all_start_methods()
+    return "fork" if "fork" in methods else "spawn"

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, IO, List, Mapping, Optional, Sequence, Tuple
 
 from repro.net.addresses import IPv4Address
+from repro.runconfig import pool_start_method
 from repro.scenarios.failures import FailureInjector
 from repro.scenarios.spec import (
     FailureSpec,
@@ -489,7 +490,7 @@ class CampaignRunner:
         ]
         started = time.perf_counter()
         if self.workers > 1:
-            context = multiprocessing.get_context(_pool_start_method())
+            context = multiprocessing.get_context(pool_start_method())
             processes = min(self.workers, len(payloads))
             with context.Pool(processes=processes) as pool:
                 rows = pool.map(_run_scenario_payload, payloads)
@@ -503,12 +504,6 @@ class CampaignRunner:
             base_seed=self.specs[0].seed,
         )
         return self.result
-
-
-def _pool_start_method() -> str:
-    """Prefer fork (inherits sys.path; cheap); fall back to spawn."""
-    methods = multiprocessing.get_all_start_methods()
-    return "fork" if "fork" in methods else "spawn"
 
 
 def run_campaign(

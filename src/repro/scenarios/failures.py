@@ -22,10 +22,10 @@ whole campaign is declared up front and replayed deterministically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence
 
-from repro.bgp.attributes import AsPath, PathAttributes
+from repro.bgp.attributes import AsPath
 from repro.net.links import Link, LinkState
 from repro.net.packets import EtherType, EthernetFrame, IpProtocol
 from repro.routes.ris_feed import FeedRoute
@@ -359,12 +359,7 @@ class FailureInjector:
             shifted = AsPath(asns[:1] + (SHIFT_DETOUR_ASN, SHIFT_DETOUR_ASN) + asns[1:])
             provider.bgp.originate(
                 route.prefix,
-                PathAttributes(
-                    next_hop=next_hop,
-                    as_path=shifted,
-                    origin=route.origin,
-                    med=route.med + 50,
-                ),
+                replace(route.attributes(next_hop), as_path=shifted, med=route.med + 50),
             )
         if failure.duration > 0:
             lab.sim.schedule(
@@ -383,15 +378,7 @@ class FailureInjector:
         next_hop = lab.plan.provider_core_ip(index)
         for route in routes:
             provider.clear_blackhole(route.prefix)
-            provider.bgp.originate(
-                route.prefix,
-                PathAttributes(
-                    next_hop=next_hop,
-                    as_path=route.as_path,
-                    origin=route.origin,
-                    med=route.med,
-                ),
-            )
+            provider.bgp.originate(route.prefix, route.attributes(next_hop))
         self.log.append(
             InjectionRecord(
                 kind=failure.kind,

@@ -29,9 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, IO, List, Optional
 
-from repro.bgp.attributes import PathAttributes
 from repro.bgp.messages import UpdateMessage
-from repro.bgp.policy import ImportPolicy
 from repro.bgp.rib import RibChange
 from repro.bgp.speaker import BgpSpeaker, PeerConfig
 from repro.core.controller import ControllerConfig, PeerSpec, SuperchargedController
@@ -551,11 +549,10 @@ class ScenarioLab:
             (plan.provider_core_mac(i), plan.provider_switch_port(i))
             for i in range(self.spec.num_providers)
         )
-        if self.spec.supercharged:
-            rules.extend(
-                (plan.controller_mac(k), plan.controller_switch_port(k))
-                for k in range(plan.num_controllers)
-            )
+        rules.extend(  # no controllers in the plan when standalone
+            (plan.controller_mac(k), plan.controller_switch_port(k))
+            for k in range(plan.num_controllers)
+        )
         for mac, port in rules:
             self.switch.flow_table.install(
                 FlowEntry(
@@ -665,7 +662,7 @@ class ScenarioLab:
                     PeerConfig(
                         peer_ip=plan.provider_core_ip(i),
                         peer_asn=plan.provider_asn(i),
-                        import_policy=ImportPolicy.prefer(spec.provider_local_pref(i)),
+                        local_pref=spec.provider_local_pref(i),
                         advertise=False,
                     )
                 )
@@ -866,13 +863,7 @@ class ScenarioLab:
             self.provider_feeds.append(feed)
             next_hop = self.plan.provider_core_ip(i)
             for route in feed.routes:
-                attributes = PathAttributes(
-                    next_hop=next_hop,
-                    as_path=route.as_path,
-                    origin=route.origin,
-                    med=route.med,
-                )
-                provider.bgp.originate(route.prefix, attributes)
+                provider.bgp.originate(route.prefix, route.attributes(next_hop))
 
     def wait_converged(self, timeout: float = 3600.0) -> bool:
         """Run until every edge router's control plane and FIB are loaded."""

@@ -68,11 +68,6 @@ class RemoteGroup(BackupGroup):
         """Where the group's rule points right now."""
         return self.active if self.active is not None else self.primary
 
-    @property
-    def is_draining(self) -> bool:
-        """Whether members are parked in the pending buffer."""
-        return bool(self.pending)
-
 
 class RemoteGroupPlanner(BackupGroupManager):
     """Backup-group manager with shared-fate remote-failover planning.

@@ -45,6 +45,7 @@ from repro.core.backup_groups import GroupKey, ProvisioningAction
 from repro.core.vnh_allocator import DEFAULT_VMAC_BASE, VnhAllocator
 from repro.net.addresses import IPv4Address, IPv4Prefix
 from repro.routes.prefix_gen import PrefixGenerator
+from repro.runconfig import pool_start_method
 from repro.sim.engine import Simulator
 from repro.supercharge.engine import RemoteRepointEngine
 from repro.supercharge.planner import RemoteGroup, RemoteGroupPlanner
@@ -277,12 +278,6 @@ def build_shard(spec: ShardWorkSpec) -> ShardBuildResult:
     return result
 
 
-def _pool_start_method() -> str:
-    """Prefer fork (inherits sys.path; cheap); fall back to spawn."""
-    methods = multiprocessing.get_all_start_methods()
-    return "fork" if "fork" in methods else "spawn"
-
-
 def run_sharded_build(
     *,
     peers: Tuple[str, ...],
@@ -321,7 +316,7 @@ def run_sharded_build(
         for shard in range(num_shards)
     ]
     if workers > 1 and num_shards > 1:
-        ctx = multiprocessing.get_context(_pool_start_method())
+        ctx = multiprocessing.get_context(pool_start_method())
         with ctx.Pool(processes=min(workers, num_shards)) as pool:
             results = pool.map(build_shard, specs)
     else:

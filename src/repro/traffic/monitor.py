@@ -69,14 +69,6 @@ class TrafficSink:
         """Statistics of one monitored destination."""
         return self._flows.get(destination)
 
-    def all_stats(self) -> Dict[IPv4Address, FlowStats]:
-        """Statistics of every monitored destination."""
-        return dict(self._flows)
-
-    def max_gaps(self) -> Dict[IPv4Address, float]:
-        """Per-destination maximum inter-packet delay (the paper's metric)."""
-        return {dst: stats.max_gap for dst, stats in self._flows.items()}
-
     def reset(self) -> None:
         """Clear per-flow statistics while keeping the monitored set."""
         for destination in list(self._flows.keys()):

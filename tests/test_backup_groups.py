@@ -1,7 +1,6 @@
 """Tests for the backup-group manager (the paper's Listing 1)."""
 
 from repro.bgp.attributes import AsPath, PathAttributes
-from repro.bgp.decision import rank_routes
 from repro.bgp.rib import LocRib, Route, RouteSource
 from repro.core.backup_groups import ActionKind, BackupGroupManager
 from repro.core.vnh_allocator import VnhAllocator
@@ -32,7 +31,7 @@ class Scenario:
     """A Loc-RIB plus manager, tracking emitted actions."""
 
     def __init__(self):
-        self.loc_rib = LocRib(rank_routes)
+        self.loc_rib = LocRib()
         self.manager = _manager()
 
     def announce(self, peer, local_pref, prefix=PREFIX):
@@ -200,7 +199,7 @@ def test_identical_next_hops_do_not_form_group():
 
 def test_group_size_larger_than_two():
     manager = BackupGroupManager(VnhAllocator(IPv4Prefix("10.0.0.128/25")), group_size=3)
-    loc_rib = LocRib(rank_routes)
+    loc_rib = LocRib()
     manager.process_change(loc_rib.update(_route(R2, 300)))
     manager.process_change(loc_rib.update(_route(R3, 200)))
     actions = manager.process_change(loc_rib.update(_route(R4, 100)))

@@ -151,9 +151,9 @@ def test_burst_crosses_the_link_as_one_bare_update_and_one_train(sim):
     # The train weighs what its members would have weighed alone.
     assert frames[1].payload.size_bytes == (burst - 1) * BGP_MESSAGE_BYTES
     # Every route arrived when a frame of its own would have arrived.
-    learned = r1.bgp.adj_rib_in(B_IP)
-    assert len(learned) == burst
-    assert {learned.get(_prefix(i)).learned_at for i in range(burst)} == {
+    rib = r1.bgp.loc_rib
+    assert len(rib.prefixes_from(B_IP)) == burst
+    assert {rib.best(_prefix(i)).learned_at for i in range(burst)} == {
         sent_at + LINK_LATENCY
     }
     sender = r2.bgp.peer_session(A_IP)
@@ -329,7 +329,7 @@ def test_re_established_session_gets_a_clean_initial_transfer(sim):
     r1.peer_connection_lost(B_IP)
     sim.run_for(0.5)
     assert [u.prefix for u in _flatten(wire)] == [_prefix(0)]
-    assert len(r1.adj_rib_in(B_IP)) == 0
+    assert len(r1.loc_rib.prefixes_from(B_IP)) == 0
 
     del wire[:]
     r1.start_peer(B_IP)
@@ -339,7 +339,7 @@ def test_re_established_session_gets_a_clean_initial_transfer(sim):
     transfer = _flatten(wire)
     # Exactly one table's worth: nothing stale from before the reset.
     assert sorted(u.prefix for u in transfer) == [_prefix(i) for i in range(burst)]
-    assert len(r1.adj_rib_in(B_IP)) == burst
+    assert len(r1.loc_rib.prefixes_from(B_IP)) == burst
     assert r2.peer_session(A_IP).trains_sent == 1
 
 
@@ -420,7 +420,7 @@ def test_withdraw_and_announce_of_one_prefix_in_a_train_apply_in_send_order(sim)
     ]
     assert r1.loc_rib.best(kept).attributes.as_path.asns == (65001, 65001, 200)
     assert r1.loc_rib.best(dropped) is None
-    assert dropped not in r1.adj_rib_in(B_IP)
+    assert dropped not in r1.loc_rib.prefixes_from(B_IP)
 
 
 # ----------------------------------------------------------------------
@@ -440,7 +440,7 @@ def test_trains_are_counted_in_passive_telemetry(sim):
     assert telemetry.metrics.get("bgp.trains_sent").value == 1
     histogram = telemetry.metrics.get("bgp.updates_per_train")
     assert (histogram.count, histogram.total) == (1, 8.0)
-    assert len(r1.adj_rib_in(B_IP)) == 10
+    assert len(r1.loc_rib.prefixes_from(B_IP)) == 10
 
 
 # ----------------------------------------------------------------------

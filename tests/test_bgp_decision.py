@@ -1,7 +1,7 @@
 """Tests for the BGP decision process."""
 
 from repro.bgp.attributes import AsPath, Origin, PathAttributes
-from repro.bgp.decision import DecisionProcess, best_path, compare, rank_routes
+from repro.bgp.decision import best_path, compare, rank_routes
 from repro.bgp.rib import Route, RouteSource
 from repro.net.addresses import IPv4Address, IPv4Prefix
 
@@ -117,33 +117,8 @@ def test_local_pref_dominates_as_path():
     assert best_path([preferred, shorter]) == preferred
 
 
-class TestDecisionProcessConfig:
-    def test_ignore_as_path_length(self):
-        process = DecisionProcess(ignore_as_path_length=True)
-        long_low_med = _route(peer="10.0.0.2", as_len=5, med=0)
-        short_high_med = _route(peer="10.0.0.3", as_len=1, med=5)
-        assert process.best([short_high_med, long_low_med]) == long_low_med
-
-    def test_per_neighbor_med_comparison(self):
-        process = DecisionProcess(compare_med_always=False)
-        # Different neighbor ASes: MED must not decide; falls through to the
-        # final peer-address tiebreak.
-        a = _route(peer="10.0.0.2", med=100, neighbor_as=65001)
-        b = _route(peer="10.0.0.3", med=1, neighbor_as=65002)
-        assert process.best([b, a]) == a
-
-    def test_per_neighbor_med_still_applies_within_neighbor(self):
-        process = DecisionProcess(compare_med_always=False)
-        a = _route(peer="10.0.0.2", med=100, neighbor_as=65001)
-        b = _route(peer="10.0.0.3", med=1, neighbor_as=65001)
-        assert process.best([a, b]) == b
-
-    def test_rank_returns_new_list(self):
-        process = DecisionProcess()
-        routes = [_route(peer="10.0.0.3"), _route(peer="10.0.0.2")]
-        ranked = process.rank(routes)
-        assert ranked is not routes
-        assert len(ranked) == 2
-
-    def test_best_of_empty_is_none(self):
-        assert DecisionProcess().best([]) is None
+def test_rank_returns_new_list():
+    routes = [_route(peer="10.0.0.3"), _route(peer="10.0.0.2")]
+    ranked = rank_routes(routes)
+    assert ranked is not routes
+    assert len(ranked) == 2

@@ -8,7 +8,6 @@ from repro.bgp.messages import (
     NotificationMessage,
     OpenMessage,
     UpdateMessage,
-    split_feed,
 )
 from repro.net.addresses import IPv4Address, IPv4Prefix
 
@@ -21,8 +20,8 @@ def test_announce_and_withdraw_flags():
     prefix = IPv4Prefix("1.0.0.0/24")
     announce = UpdateMessage.announce(prefix, _attrs())
     withdraw = UpdateMessage.withdraw(prefix)
-    assert announce.is_announcement and not announce.is_withdraw
-    assert withdraw.is_withdraw and not withdraw.is_announcement
+    assert not announce.is_withdraw
+    assert withdraw.is_withdraw
 
 
 def test_rewritten_next_hop_preserves_other_attributes():
@@ -39,17 +38,12 @@ def test_rewriting_a_withdraw_is_an_error():
         withdraw.rewritten_next_hop(IPv4Address("10.0.0.200"))
 
 
-def test_message_ids_are_unique_and_increasing():
-    first = KeepaliveMessage()
-    second = KeepaliveMessage()
-    assert second.message_id > first.message_id
-
-
-def test_kind_labels():
-    assert OpenMessage(asn=1, router_id=IPv4Address("1.1.1.1")).kind == "open"
-    assert KeepaliveMessage().kind == "keepalive"
-    assert NotificationMessage(reason="bye").kind == "notification"
-    assert UpdateMessage.withdraw(IPv4Prefix("1.0.0.0/24")).kind == "update"
+def test_a_message_is_its_payload():
+    prefix = IPv4Prefix("1.0.0.0/24")
+    assert KeepaliveMessage() == KeepaliveMessage()
+    assert UpdateMessage.announce(prefix, _attrs()) == UpdateMessage.announce(prefix, _attrs())
+    assert UpdateMessage.announce(prefix, _attrs()) != UpdateMessage.withdraw(prefix)
+    assert NotificationMessage(reason="bye") != NotificationMessage(reason="hold")
 
 
 def test_open_message_carries_identity():
@@ -57,19 +51,3 @@ def test_open_message_carries_identity():
     assert message.asn == 65000
     assert message.router_id == IPv4Address("10.0.0.1")
     assert message.hold_time == 30.0
-
-
-def test_split_feed_chunks_preserve_order():
-    updates = tuple(
-        UpdateMessage.announce(IPv4Prefix(f"10.{index}.0.0/24"), _attrs())
-        for index in range(10)
-    )
-    chunks = split_feed(updates, 3)
-    assert [len(chunk) for chunk in chunks] == [3, 3, 3, 1]
-    flattened = [update for chunk in chunks for update in chunk]
-    assert [u.prefix for u in flattened] == [u.prefix for u in updates]
-
-
-def test_split_feed_rejects_bad_chunk_size():
-    with pytest.raises(ValueError):
-        split_feed((), 0)

@@ -1,8 +1,7 @@
 """Tests for the RIB structures."""
 
 from repro.bgp.attributes import AsPath, PathAttributes
-from repro.bgp.decision import rank_routes
-from repro.bgp.rib import AdjRibIn, AdjRibOut, LocRib, Route, RouteSource
+from repro.bgp.rib import AdjRibOut, LocRib, Route, RouteSource
 from repro.net.addresses import IPv4Address, IPv4Prefix
 
 
@@ -20,31 +19,6 @@ def _route(peer="10.0.0.2", local_pref=100, as_len=1, prefix=PREFIX):
         ),
         source=RouteSource(peer_ip=peer_ip, peer_asn=65001, router_id=peer_ip),
     )
-
-
-class TestAdjRibIn:
-    def test_insert_and_replace(self):
-        rib = AdjRibIn(IPv4Address("10.0.0.2"))
-        first = _route()
-        assert rib.insert(first) is None
-        second = _route(local_pref=200)
-        assert rib.insert(second) == first
-        assert rib.get(PREFIX) == second
-        assert len(rib) == 1
-
-    def test_remove(self):
-        rib = AdjRibIn(IPv4Address("10.0.0.2"))
-        rib.insert(_route())
-        assert rib.remove(PREFIX) is not None
-        assert rib.remove(PREFIX) is None
-        assert PREFIX not in rib
-
-    def test_prefix_iteration(self):
-        rib = AdjRibIn(IPv4Address("10.0.0.2"))
-        other = IPv4Prefix("2.0.0.0/24")
-        rib.insert(_route())
-        rib.insert(_route(prefix=other))
-        assert set(rib.prefixes()) == {PREFIX, other}
 
 
 class TestAdjRibOut:
@@ -65,7 +39,7 @@ class TestAdjRibOut:
 
 class TestLocRib:
     def test_best_and_backup_ordering(self):
-        rib = LocRib(rank_routes)
+        rib = LocRib()
         rib.update(_route(peer="10.0.0.2", local_pref=200))
         rib.update(_route(peer="10.0.0.3", local_pref=100))
         assert rib.best(PREFIX).source.peer_ip == IPv4Address("10.0.0.2")
@@ -73,14 +47,14 @@ class TestLocRib:
         assert len(rib.ranking(PREFIX)) == 2
 
     def test_update_replaces_same_peer_route(self):
-        rib = LocRib(rank_routes)
+        rib = LocRib()
         rib.update(_route(local_pref=100))
         rib.update(_route(local_pref=300))
         assert len(rib.ranking(PREFIX)) == 1
         assert rib.best(PREFIX).attributes.local_pref == 300
 
     def test_change_reports_old_and_new_best(self):
-        rib = LocRib(rank_routes)
+        rib = LocRib()
         first = rib.update(_route(peer="10.0.0.2", local_pref=100))
         assert first.old_best is None and first.new_best is not None
         second = rib.update(_route(peer="10.0.0.3", local_pref=200))
@@ -89,7 +63,7 @@ class TestLocRib:
         assert second.new_best.source.peer_ip == IPv4Address("10.0.0.3")
 
     def test_backup_group_changed_flag(self):
-        rib = LocRib(rank_routes)
+        rib = LocRib()
         rib.update(_route(peer="10.0.0.2", local_pref=200))
         change = rib.update(_route(peer="10.0.0.3", local_pref=100))
         assert change.backup_group_changed
@@ -100,7 +74,7 @@ class TestLocRib:
         assert not change2.backup_group_changed
 
     def test_withdraw_peer_removes_all_routes(self):
-        rib = LocRib(rank_routes)
+        rib = LocRib()
         other = IPv4Prefix("2.0.0.0/24")
         rib.update(_route(peer="10.0.0.2"))
         rib.update(_route(peer="10.0.0.2", prefix=other))
@@ -111,14 +85,14 @@ class TestLocRib:
         assert rib.best(other).source.peer_ip == IPv4Address("10.0.0.3")
 
     def test_withdraw_last_route_empties_prefix(self):
-        rib = LocRib(rank_routes)
+        rib = LocRib()
         rib.update(_route(peer="10.0.0.2"))
         change = rib.withdraw(PREFIX, IPv4Address("10.0.0.2"))
         assert change.new_best is None
         assert len(rib) == 0
 
     def test_withdraw_unknown_peer_is_noop_change(self):
-        rib = LocRib(rank_routes)
+        rib = LocRib()
         rib.update(_route(peer="10.0.0.2"))
         change = rib.withdraw(PREFIX, IPv4Address("10.0.0.99"))
         assert not change.best_changed
@@ -208,7 +182,7 @@ class TestCompactPeerRib:
 
         peers = [IPv4Address(f"10.0.0.{i}") for i in (1, 2, 3)]
         prefs = {peers[0]: 300, peers[1]: 200, peers[2]: 100}
-        loc_rib = LocRib(rank_routes)
+        loc_rib = LocRib()
         compact = CompactPeerRib()
         for peer in peers:
             compact.add_peer(peer)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bgp.messages import NotificationMessage, UpdateMessage
+from repro.bgp.messages import NotificationMessage, OpenMessage, UpdateMessage
 from repro.bgp.session import BgpSession, BgpSessionState
 from repro.bgp.attributes import AsPath, PathAttributes
 from repro.net.addresses import IPv4Address, IPv4Prefix
@@ -154,7 +154,7 @@ def test_open_retry_recovers_from_lost_open(sim):
     dropped = {"count": 0}
 
     def loss(message):
-        if message.kind == "open" and dropped["count"] == 0:
+        if isinstance(message, OpenMessage) and dropped["count"] == 0:
             dropped["count"] += 1
             return True
         return False

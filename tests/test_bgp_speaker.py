@@ -4,7 +4,6 @@ import pytest
 
 from repro.bgp.attributes import AsPath, PathAttributes
 from repro.bgp.messages import UpdateMessage
-from repro.bgp.policy import ExportPolicy, ImportPolicy
 from repro.bgp.speaker import BgpSpeaker, PeerConfig
 from repro.net.addresses import IPv4Address, IPv4Prefix
 
@@ -53,10 +52,10 @@ def triangle(sim):
     r3 = _speaker(sim, fabric, "10.0.0.3", 65002)
     r1.add_peer(PeerConfig(
         peer_ip=IPv4Address("10.0.0.2"), peer_asn=65001,
-        import_policy=ImportPolicy.prefer(200), advertise=False))
+        local_pref=200, advertise=False))
     r1.add_peer(PeerConfig(
         peer_ip=IPv4Address("10.0.0.3"), peer_asn=65002,
-        import_policy=ImportPolicy.prefer(100), advertise=False))
+        local_pref=100, advertise=False))
     r2.add_peer(PeerConfig(peer_ip=IPv4Address("10.0.0.1"), peer_asn=65000))
     r3.add_peer(PeerConfig(peer_ip=IPv4Address("10.0.0.1"), peer_asn=65000))
     for speaker in (r1, r2, r3):
@@ -88,6 +87,7 @@ def test_import_policy_prefers_primary(triangle, sim):
     assert len(ranking) == 2
     assert ranking[0].source.peer_ip == IPv4Address("10.0.0.2")
     assert ranking[1].source.peer_ip == IPv4Address("10.0.0.3")
+    assert [route.attributes.local_pref for route in ranking] == [200, 100]
 
 
 def test_as_path_prepended_on_ebgp_export(triangle, sim):
@@ -137,6 +137,30 @@ def test_loop_prevention_drops_own_asn(triangle, sim):
     assert r1.loc_rib.best(PREFIX) is None
 
 
+def test_looped_announcement_withdraws_the_route_it_replaces(triangle, sim):
+    """An UPDATE replaces the peer's earlier route (RFC 4271 §9); when the
+    replacement loops through us it is unusable, so the earlier route goes
+    with it (RFC 7606 treat-as-withdraw)."""
+    r1, r2, r3 = triangle
+    r2.originate(PREFIX, _attrs("10.0.0.2"))
+    r3.originate(PREFIX, _attrs("10.0.0.3"))
+    sim.run(until=2.0)
+    heard = []
+    r1.on_rib_change(lambda change, peer: heard.append(peer))
+    r2.originate(PREFIX, _attrs("10.0.0.2", as_path=(65000, 3356)))
+    sim.run(until=3.0)
+    assert [route.source.peer_ip for route in r1.loc_rib.ranking(PREFIX)] == [
+        IPv4Address("10.0.0.3")
+    ]
+    assert heard == [IPv4Address("10.0.0.2")]
+    # A second looped path from the same peer has nothing left to replace.
+    r2.originate(PREFIX, _attrs("10.0.0.2", as_path=(65000, 174)))
+    r3.originate(PREFIX, _attrs("10.0.0.3", as_path=(65000,)))
+    sim.run(until=4.0)
+    assert PREFIX not in r1.loc_rib
+    assert heard == [IPv4Address("10.0.0.2"), IPv4Address("10.0.0.3")]
+
+
 def test_direct_advertise_and_withdraw_route(triangle, sim):
     r1, r2, r3 = triangle
     sent = r2.advertise_route(IPv4Address("10.0.0.1"), PREFIX, _attrs("10.0.0.2"))
@@ -174,8 +198,7 @@ def test_export_policy_deny_all_blocks_advertisement(sim):
     a = _speaker(sim, fabric, "10.0.0.2", 65001)
     b = _speaker(sim, fabric, "10.0.0.1", 65000)
     a.add_peer(PeerConfig(
-        peer_ip=IPv4Address("10.0.0.1"), peer_asn=65000,
-        export_policy=ExportPolicy.deny_all()))
+        peer_ip=IPv4Address("10.0.0.1"), peer_asn=65000, advertise=False))
     b.add_peer(PeerConfig(peer_ip=IPv4Address("10.0.0.2"), peer_asn=65001))
     a.start()
     b.start()
@@ -211,4 +234,27 @@ def test_initial_table_transfer_on_late_session(sim):
     provider.start()
     customer.start()
     sim.run(until=2.0)
-    assert customer.loc_rib.best(PREFIX) is not None
+    # No local_pref configured for the peer: the attributes arrive as sent.
+    assert customer.loc_rib.best(PREFIX).attributes == _attrs("10.0.0.2").prepended(65001)
+
+
+def test_routes_of_one_session_share_one_route_source():
+    """Provenance is per session, not per UPDATE: every route a speaker
+    holds from one peer points at the same :class:`RouteSource` object."""
+    from repro.scenarios.presets import figure4
+    from repro.scenarios.testbed import build_scenario
+    from repro.sim.engine import Simulator
+
+    lab = build_scenario(Simulator(seed=7), figure4(num_prefixes=300))
+    assert lab.bring_up(timeout=600)
+    speakers = [router.bgp for router in lab.edge_routers + lab.providers]
+    speakers += [controller.bgp for controller in lab.controllers]
+    sources, sessions = set(), set()
+    for index, speaker in enumerate(speakers):
+        for prefix in speaker.loc_rib.prefixes():
+            for route in speaker.loc_rib.ranking(prefix):
+                sources.add(id(route.source))
+                sessions.add((index, route.source.peer_ip))
+    # The controller hears R2 and R3, R1 hears the controller.
+    assert len(sessions) == 3
+    assert len(sources) == len(sessions)

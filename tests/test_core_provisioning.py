@@ -190,10 +190,9 @@ class TestDataPlaneConvergence:
     def _populate(self, manager, provisioner):
         """Create two groups: one protected by R3, one primary'd on R3."""
         from repro.bgp.attributes import AsPath, PathAttributes
-        from repro.bgp.decision import rank_routes
         from repro.bgp.rib import LocRib, Route, RouteSource
 
-        loc_rib = LocRib(rank_routes)
+        loc_rib = LocRib()
 
         def route(prefix, peer, pref):
             return Route(

@@ -131,7 +131,7 @@ class TestChurnStreamCompatibility:
         count = 0
         for update in stream:
             assert isinstance(update, UpdateMessage)
-            if update.is_announcement:
+            if not update.is_withdraw:
                 assert update.attributes.next_hop == replacement
             count += 1
         assert count == 12

@@ -1,6 +1,6 @@
 """Property-based tests (hypothesis) on the core data structures and
-invariants: addressing, LPM, the flow table, the decision process, backup
-groups and the FIB updater's timing model."""
+invariants: addressing, LPM, the flow table, the decision process, the BGP
+speaker's Loc-RIB, backup groups and the FIB updater's timing model."""
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from repro.bgp.attributes import AsPath, Origin, PathAttributes
 from repro.bgp.decision import rank_routes
+from repro.bgp.messages import KeepaliveMessage, OpenMessage, UpdateMessage
 from repro.bgp.rib import LocRib, Route, RouteSource
+from repro.bgp.speaker import BgpSpeaker, PeerConfig
 from repro.core.backup_groups import BackupGroupManager
 from repro.core.vnh_allocator import VnhAllocator
 from repro.experiments.stats import BoxStats, percentile
@@ -24,6 +26,7 @@ from repro.openflow.flow_table import (
 from repro.openflow.messages import FlowMod, FlowModCommand
 from repro.router.fib import LpmTable
 from repro.router.fib_updater import FibUpdaterConfig
+from repro.sim.engine import Simulator
 
 ips = st.integers(min_value=0, max_value=(1 << 32) - 1).map(IPv4Address)
 macs = st.integers(min_value=0, max_value=(1 << 48) - 1).map(MacAddress)
@@ -302,12 +305,110 @@ def test_decision_process_ranking_is_stable_and_total(candidates):
     assert [r.attributes for r in again] == [r.attributes for r in ranked]
 
 
+# ----------------------------------------------------------------------
+# One speaker, three peers, against a {(peer, prefix): attributes} model
+# ----------------------------------------------------------------------
+_SPEAKER_ASN = 65000
+#: (address, ASN, LOCAL_PREF the speaker sets on import).
+_SPEAKER_PEERS = (
+    (IPv4Address("10.0.0.2"), 65001, 200),
+    (IPv4Address("10.0.0.3"), 65002, None),
+    (IPv4Address("10.0.0.4"), 65003, 100),
+)
+_SPEAKER_PREFIXES = tuple(IPv4Prefix(f"10.{index}.0.0/16") for index in range(4))
+_speaker_steps = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("announce"),
+            st.integers(0, 2),
+            st.integers(0, 3),
+            st.integers(1, 4),  # AS-path length
+            st.integers(0, 3),  # MED
+            st.booleans(),  # the path loops through the speaker's own AS
+        ),
+        st.tuples(st.just("withdraw"), st.integers(0, 2), st.integers(0, 3)),
+        st.tuples(st.just("down"), st.integers(0, 2)),
+    ),
+    max_size=40,
+)
+
+
+def _establish(sim, speaker, peer_ip, asn):
+    speaker.start_peer(peer_ip)
+    sim.run_for(0.02)  # the connect delay: our OPEN is out
+    speaker.deliver(peer_ip, OpenMessage(asn=asn, router_id=peer_ip))
+    speaker.deliver(peer_ip, KeepaliveMessage())
+    assert peer_ip in speaker.established_peers()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_speaker_steps)
+def test_speaker_loc_rib_matches_dict_model(steps):
+    sim = Simulator(seed=1)
+    speaker = BgpSpeaker(
+        sim,
+        asn=_SPEAKER_ASN,
+        router_id=IPv4Address("10.0.0.1"),
+        transport=lambda peer_ip, message: None,
+    )
+    for peer_ip, asn, local_pref in _SPEAKER_PEERS:
+        speaker.add_peer(PeerConfig(peer_ip=peer_ip, peer_asn=asn, local_pref=local_pref))
+        _establish(sim, speaker, peer_ip, asn)
+    heard = []
+    speaker.on_rib_change(lambda change, peer_ip: heard.append((peer_ip, change.prefix)))
+    model = {}
+    for step in steps:
+        peer_ip, asn, local_pref = _SPEAKER_PEERS[step[1]]
+        if step[0] == "down":
+            expected = [key for key in model if key[0] == peer_ip]
+            for key in expected:
+                del model[key]
+            speaker.peer_connection_lost(peer_ip)
+            _establish(sim, speaker, peer_ip, asn)
+        else:
+            key = (peer_ip, _SPEAKER_PREFIXES[step[2]])
+            sent = None  # a withdraw
+            if step[0] == "announce":
+                as_len, med, looped = step[3:]
+                path = (asn,) * as_len + ((_SPEAKER_ASN,) if looped else ())
+                sent = PathAttributes(next_hop=peer_ip, as_path=AsPath(path), med=med)
+            speaker.deliver(peer_ip, UpdateMessage(prefix=key[1], attributes=sent))
+            if sent is None or looped:
+                # A withdraw, or a looped path (treated as one).
+                expected = [key] if model.pop(key, None) is not None else []
+            else:
+                expected = [key]
+                model[key] = sent if local_pref is None else sent.with_local_pref(local_pref)
+        # One listener call per accepted announcement and per route actually
+        # removed; none for a withdraw of a route the peer does not hold.
+        assert sorted(heard) == sorted(expected)
+        del heard[:]
+        for prefix in _SPEAKER_PREFIXES:
+            candidates = [
+                Route(
+                    prefix=prefix,
+                    attributes=attributes,
+                    source=RouteSource(peer_ip=peer, peer_asn=0, router_id=peer),
+                )
+                for (peer, held), attributes in model.items()
+                if held == prefix
+            ]
+            assert [
+                (route.source.peer_ip, route.attributes)
+                for route in speaker.loc_rib.ranking(prefix)
+            ] == [(route.source.peer_ip, route.attributes) for route in rank_routes(candidates)]
+        for peer_ip, _, _ in _SPEAKER_PEERS:
+            assert sorted(speaker.loc_rib.prefixes_from(peer_ip)) == sorted(
+                prefix for (peer, prefix) in model if peer == peer_ip
+            )
+
+
 @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=60))
 def test_backup_group_count_never_exceeds_n_times_n_minus_one(pairs):
     peers = [IPv4Address(f"10.0.0.{10 + index}") for index in range(4)]
     allocator = VnhAllocator(IPv4Prefix("10.9.0.0/16"))
     manager = BackupGroupManager(allocator)
-    loc_rib = LocRib(rank_routes)
+    loc_rib = LocRib()
     for index, (primary_index, backup_index) in enumerate(pairs):
         if primary_index == backup_index:
             continue

@@ -7,7 +7,6 @@ full evaluation lab): host — R1 — R2 — host, joined by point-to-point link
 import pytest
 
 from repro.bgp.attributes import AsPath, PathAttributes
-from repro.bgp.policy import ImportPolicy
 from repro.bgp.speaker import PeerConfig
 from repro.net.addresses import IPv4Address, IPv4Prefix, MacAddress
 from repro.net.links import Link, Port
@@ -86,7 +85,7 @@ def duo(sim):
     }
     r1.add_bgp_peer(PeerConfig(
         peer_ip=R2_CORE_IP, peer_asn=65001,
-        import_policy=ImportPolicy.prefer(200), advertise=False))
+        local_pref=200, advertise=False))
     r2.add_bgp_peer(PeerConfig(peer_ip=R1_CORE_IP, peer_asn=65000))
     r1.add_bfd_peer(R2_CORE_IP)
     r2.add_bfd_peer(R1_CORE_IP)
@@ -265,9 +264,9 @@ class TestHierarchicalRouter:
         r3.interfaces["core"].subnet = IPv4Prefix("10.0.1.0/24")
         Link(sim, r1.interfaces["core2"].port, r3.interfaces["core"].port, latency=1e-5)
         r1.add_bgp_peer(PeerConfig(peer_ip=R2_CORE_IP, peer_asn=65001,
-                                   import_policy=ImportPolicy.prefer(200), advertise=False))
+                                   local_pref=200, advertise=False))
         r1.add_bgp_peer(PeerConfig(peer_ip=IPv4Address("10.0.1.3"), peer_asn=65002,
-                                   import_policy=ImportPolicy.prefer(100), advertise=False))
+                                   local_pref=100, advertise=False))
         r2.add_bgp_peer(PeerConfig(peer_ip=R1_CORE_IP, peer_asn=65000))
         r3.add_bgp_peer(PeerConfig(peer_ip=IPv4Address("10.0.1.1"), peer_asn=65000))
         r1.add_bfd_peer(R2_CORE_IP)

@@ -86,7 +86,7 @@ class TestChurnStream:
         feed = synthetic_full_table(20, seed=1)
         updates = list(churn_stream(feed, IPv4Address("10.0.0.2")))
         assert len(updates) == 20
-        assert all(update.is_announcement for update in updates)
+        assert not any(update.is_withdraw for update in updates)
 
     def test_withdraw_fraction_mixes_in_withdraws(self):
         feed = synthetic_full_table(200, seed=1)
@@ -101,11 +101,11 @@ class TestChurnStream:
         withdraw_count = sum(1 for update in updates if update.is_withdraw)
         # Churn, not a batch: withdraws appear before the final announcement…
         first_withdraw = next(i for i, u in enumerate(updates) if u.is_withdraw)
-        last_announce = max(i for i, u in enumerate(updates) if u.is_announcement)
+        last_announce = max(i for i, u in enumerate(updates) if not u.is_withdraw)
         assert first_withdraw < last_announce
         # …and the tail of the stream is not one solid withdraw block.
         tail = updates[-withdraw_count:]
-        assert any(update.is_announcement for update in tail)
+        assert not all(update.is_withdraw for update in tail)
 
     def test_every_withdraw_follows_its_announcement(self):
         feed = synthetic_full_table(150, seed=2)

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.bgp.attributes import AsPath, PathAttributes
-from repro.bgp.decision import rank_routes
 from repro.bgp.rib import LocRib, Route, RouteSource
 from repro.core.backup_groups import ActionKind, BackupGroupManager
 from repro.core.vnh_allocator import VnhAllocator
@@ -60,7 +59,7 @@ class Harness:
 
     def __init__(self, dead=(), holddown=HOLDDOWN):
         self.sim = Simulator(seed=1)
-        self.loc_rib = LocRib(rank_routes)
+        self.loc_rib = LocRib()
         self.planner = RemoteGroupPlanner(VnhAllocator(IPv4Prefix("10.0.0.128/25")))
         self.provisioner = FakeProvisioner()
         self.applied = []
@@ -98,7 +97,7 @@ def kinds(actions):
 def test_steady_state_matches_base_manager():
     base = BackupGroupManager(VnhAllocator(IPv4Prefix("10.0.0.128/25")))
     harness = Harness()
-    base_rib = LocRib(rank_routes)
+    base_rib = LocRib()
     for peer, prefix in [(P1, PREFIX_A), (P2, PREFIX_A), (P1, PREFIX_B), (P2, PREFIX_B)]:
         base_actions = base.process_change(base_rib.update(_route(peer, prefix)))
         remote_actions = harness.announce(peer, prefix)
