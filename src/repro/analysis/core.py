@@ -7,9 +7,10 @@ AST and yield :class:`Finding` records; the runner then drops findings
 that are suppressed inline or matched by the committed baseline
 (:mod:`repro.analysis.baseline`).
 
-Suppression grammar (same-line, ``noqa``-style)::
+Suppression grammar (same-line, ``noqa``-style; the first example is
+the per-flush memo in ``supercharge/engine.py``)::
 
-    registry[id(port)] = router  # detlint: disable=DET004 -- in-process only
+    hop_target = live_cache.get(id(hops), missing)  # detlint: disable=DET004
 
     # detlint: disable-file=DET002 -- whole-file exemption (first 10 lines)
 

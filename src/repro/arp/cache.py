@@ -40,7 +40,16 @@ class ArpCache:
     def learn(
         self, ip: IPv4Address, mac: MacAddress, now: float, static: bool = False
     ) -> None:
-        """Insert or refresh a binding."""
+        """Insert or refresh a binding.
+
+        A dynamic learn never demotes a static entry: a configured
+        neighbour keeps its MAC and stays exempt from ageing however many
+        ARP packets it sends (every one of them is learned from).
+        """
+        if not static:
+            existing = self._entries.get(ip)
+            if existing is not None and existing.static:
+                return
         self._entries[ip] = ArpCacheEntry(ip=ip, mac=mac, learned_at=now, static=static)
 
     def lookup(self, ip: IPv4Address, now: float) -> Optional[MacAddress]:

@@ -1,8 +1,9 @@
-"""ARP client: resolve next-hop IPs to MACs, queueing work until resolved.
+"""ARP client: resolve neighbour IPs to MACs, queueing work until resolved.
 
-The supercharged router resolves the controller's virtual next hops with
-exactly this machinery — from the router's point of view a VNH is just
-another neighbor on the connected subnet.
+Every :class:`~repro.net.host.Host` owns one.  The supercharged router
+resolves the controller's virtual next hops with exactly this machinery —
+from the router's point of view a VNH is just another neighbor on the
+connected subnet.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from repro.sim.engine import Simulator
 
 
 class ArpClient:
-    """Per-router ARP resolution with pending-callback queues and retries."""
+    """Per-host ARP resolution with pending-callback queues and retries."""
 
     def __init__(
         self,

@@ -54,9 +54,9 @@ class ArpHandler:
     bindings from every ARP packet seen.
 
     ``owned`` maps each IP address the handler answers for to the MAC it
-    should advertise — for a router interface this is the interface MAC,
-    for the supercharged controller's ARP responder it is the *virtual*
-    MAC of the backup group the virtual IP belongs to.
+    should advertise — for a host's interface this is the interface MAC,
+    for a virtual next hop the supercharged controller registers it is
+    the *virtual* MAC of the backup group the virtual IP belongs to.
     """
 
     def __init__(
@@ -82,6 +82,10 @@ class ArpHandler:
     def owns(self, ip: IPv4Address) -> bool:
         """Whether the handler answers for ``ip``."""
         return ip in self._owned
+
+    def bindings(self) -> Dict[IPv4Address, MacAddress]:
+        """Every IP answered for, with the MAC it is answered with."""
+        return dict(self._owned)
 
     def handle(self, packet: ArpPacket) -> Optional[EthernetFrame]:
         """Process an ARP packet; returns a reply frame when one is due."""

@@ -10,8 +10,10 @@ switch:
 2. :mod:`repro.core.vnh_allocator` assigns each backup group a virtual
    next hop (VNH) and virtual MAC (VMAC); announcements relayed to the
    router carry the VNH as their BGP next hop.
-3. :mod:`repro.core.arp_responder` answers the router's ARP queries for
-   VNHs with the group's VMAC, completing the router-side provisioning.
+3. the controller registers each VNH → VMAC binding in its host ARP
+   responder (:class:`repro.arp.protocol.ArpHandler`), so the router's
+   ARP queries for VNHs are answered with the group's VMAC, completing
+   the router-side provisioning.
 4. :mod:`repro.core.flow_provisioner` installs the switch rules that
    rewrite each VMAC to the primary next hop's real MAC and port.
 5. :mod:`repro.core.convergence` implements Listing 2: upon a peer
@@ -24,7 +26,6 @@ switch:
 
 from repro.core.backup_groups import BackupGroup, BackupGroupManager, ProvisioningAction
 from repro.core.vnh_allocator import VnhAllocator, VnhAllocationError
-from repro.core.arp_responder import VirtualArpResponder
 from repro.core.convergence import DataPlaneConvergence
 from repro.core.flow_provisioner import FlowProvisioner
 from repro.core.rest_api import FloodlightRestApi, StaticFlowEntry
@@ -41,7 +42,6 @@ __all__ = [
     "ProvisioningAction",
     "VnhAllocator",
     "VnhAllocationError",
-    "VirtualArpResponder",
     "DataPlaneConvergence",
     "FlowProvisioner",
     "FloodlightRestApi",

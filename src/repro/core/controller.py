@@ -1,7 +1,7 @@
 """The supercharged controller node.
 
-A :class:`SuperchargedController` is a host attached to the SDN switch
-that plays three roles simultaneously:
+A :class:`SuperchargedController` is a :class:`~repro.net.host.Host`
+attached to the SDN switch that plays three roles simultaneously:
 
 * **BGP controller** (ExaBGP in the paper): it terminates the BGP sessions
   of the supercharged router's peers, runs the full decision process,
@@ -9,7 +9,8 @@ that plays three roles simultaneously:
   next hop rewritten to the group's virtual next hop.
 * **SDN controller** (Floodlight): it provisions the switch rule of every
   backup group through a REST-style static flow pusher, answers the
-  router's ARP queries for virtual next hops, and rewrites the rules on
+  router's ARP queries for virtual next hops (each VNH → VMAC binding is
+  one more address its ARP responder owns), and rewrites the rules on
   failure (Listing 2).
 * **Failure detector** (FreeBFD): it runs BFD towards every peer and
   triggers data-plane convergence the instant a peer is declared down.
@@ -20,33 +21,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from repro.arp.cache import ArpCache
-from repro.arp.protocol import ArpHandler
-from repro.router.arp_client import ArpClient
 from repro.bfd.manager import BfdManager
-from repro.bgp.messages import BgpMessage, UpdateMessage
 from repro.bgp.rib import RibChange
 from repro.bgp.speaker import BgpSpeaker, PeerConfig
-from repro.core.arp_responder import VirtualArpResponder
 from repro.core.backup_groups import ActionKind, BackupGroupManager, ProvisioningAction
 from repro.core.convergence import ConvergenceEvent, DataPlaneConvergence
 from repro.core.flow_provisioner import FlowProvisioner, NextHopLocation
 from repro.core.rest_api import FloodlightRestApi
 from repro.core.vnh_allocator import VnhAllocator
 from repro.net.addresses import IPv4Address, IPv4Prefix, MacAddress
-from repro.net.interfaces import Interface
+from repro.net.host import Host
 from repro.net.links import Port
-from repro.net.packets import (
-    BfdControl,
-    BgpTransport,
-    EtherType,
-    EthernetFrame,
-    IpProtocol,
-    IPv4Packet,
-)
+from repro.net.packets import ArpPacket, EthernetFrame
 from repro.openflow.controller_channel import ControllerChannel
 from repro.telemetry.process import sample_scale_gauges
-from repro.openflow.messages import PacketIn
+from repro.openflow.messages import PacketIn, PacketOut
 from repro.sim.engine import Simulator
 from repro.supercharge.engine import RemoteRepointEngine
 from repro.supercharge.planner import RemoteGroupPlanner
@@ -59,6 +48,7 @@ class PeerSpec:
     ip: IPv4Address
     asn: int
     switch_port: int
+    #: Configured MAC (a static neighbour); ``None`` leaves it to ARP.
     mac: Optional[MacAddress] = None
     #: Import preference (higher wins); the paper prefers the cheap provider.
     local_pref: int = 100
@@ -97,24 +87,16 @@ class ControllerConfig:
     remote_holddown: float = 1e-3
 
 
-class SuperchargedController:
+class SuperchargedController(Host):
     """The complete supercharged controller (ExaBGP + Floodlight + BFD roles)."""
 
     def __init__(self, sim: Simulator, name: str, config: ControllerConfig) -> None:
-        self._sim = sim
-        self.name = name
+        super().__init__(sim, name)
         self.config = config
-        port = Port(name, 0)
-        port.set_frame_handler(self._handle_frame)
-        self.interface = Interface(
-            name="eth0", port=port, mac=config.mac, ip=config.ip, subnet=config.subnet
-        )
-        self.arp_cache = ArpCache()
-        self._arp_handler = ArpHandler(
-            self.arp_cache, now=lambda: sim.now, owned={config.ip: config.mac}
-        )
-        self.arp_client = ArpClient(sim, self.arp_cache)
-        self.arp_responder = VirtualArpResponder()
+        self.interface = self.add_interface("eth0", config.mac, config.ip, config.subnet)
+        for peer in config.peers:
+            if peer.mac is not None:
+                self.add_static_neighbor(peer.ip, peer.mac)
         reserved = {config.ip, config.router_ip} | {peer.ip for peer in config.peers}
         self.allocator = VnhAllocator(config.vnh_pool, reserved=reserved)
         if config.remote_groups:
@@ -259,10 +241,6 @@ class SuperchargedController:
         )
         self.bgp.start()
 
-    def restart_peer(self, peer_ip: IPv4Address) -> None:
-        """Re-open the BGP session towards a peer (after it was restored)."""
-        self.bgp.start_peer(peer_ip)
-
     def shutdown(self) -> None:
         """Crash the controller: it stops reacting to any input and its BGP
         and BFD sessions go silent (peers will notice via their own timers).
@@ -286,48 +264,9 @@ class SuperchargedController:
 
     def vnh_bindings(self) -> Dict[IPv4Address, MacAddress]:
         """All VNH → VMAC bindings currently answered for."""
-        return self.arp_responder.bindings()
-
-    # ------------------------------------------------------------------
-    # BGP plumbing
-    # ------------------------------------------------------------------
-    def _send_bgp(self, peer_ip: IPv4Address, message: BgpMessage) -> None:
-        transport = BgpTransport(src_ip=self.config.ip, dst_ip=peer_ip, message=message)
-        self._send_unicast(peer_ip, EtherType.BGP_TRANSPORT, transport)
-
-    def _send_bfd(self, peer_ip: IPv4Address, packet: BfdControl) -> None:
-        ip_packet = IPv4Packet(
-            src=self.config.ip, dst=peer_ip, protocol=IpProtocol.BFD, payload=packet
-        )
-        self._send_unicast(peer_ip, EtherType.IPV4, ip_packet)
-
-    def _send_unicast(self, peer_ip: IPv4Address, ethertype: EtherType, payload) -> None:
-        mac = self.arp_cache.lookup(peer_ip, self._sim.now)
-        if mac is None:
-            spec = self._peer_specs.get(peer_ip)
-            mac = spec.mac if spec is not None else None
-        if mac is not None:
-            self._transmit(mac, ethertype, payload)
-            return
-        # Queue the message behind an ARP resolution (like a real host's
-        # neighbour queue); unresolvable destinations drop it.
-        self.arp_client.resolve(
-            peer_ip,
-            self.interface,
-            lambda resolved: self._transmit(resolved, ethertype, payload)
-            if resolved is not None
-            else None,
-        )
-
-    def _transmit(self, mac: MacAddress, ethertype: EtherType, payload) -> None:
-        frame = EthernetFrame(
-            src_mac=self.config.mac,
-            dst_mac=mac,
-            ethertype=ethertype,
-            payload=payload,
-        )
-        if self.interface.is_up:
-            self.interface.port.send(frame)
+        bindings = self._arp_handler.bindings()
+        del bindings[self.config.ip]
+        return bindings
 
     # ------------------------------------------------------------------
     # RIB change -> provisioning (Listing 1 driver)
@@ -359,7 +298,7 @@ class SuperchargedController:
                     and actions[index].kind is ActionKind.GROUP_CREATED
                 ):
                     group = actions[index].group
-                    self.arp_responder.register(group.vnh, group.vmac)
+                    self._arp_handler.register(group.vnh, group.vmac)
                     run.append(group)
                     index += 1
                 if self.provisioner is not None:
@@ -375,7 +314,7 @@ class SuperchargedController:
             self.bgp.withdraw_route(self.config.router_ip, action.prefix)
             self.withdraws_relayed += 1
         elif action.kind is ActionKind.GROUP_RETIRED:
-            self.arp_responder.unregister(action.group.vnh)
+            self._arp_handler.unregister(action.group.vnh)
             if self.provisioner is not None:
                 self.provisioner.retire_group(action.group)
 
@@ -398,8 +337,7 @@ class SuperchargedController:
         event = None
         if self.convergence is not None:
             event = self.convergence.peer_down(peer_ip, now=self._sim.now)
-        if peer_ip in self.bgp.peers():
-            self.bgp.peer_connection_lost(peer_ip, f"BFD: {reason}")
+        super()._handle_bfd_peer_down(peer_ip, reason)
         if event is not None:
             if self._telemetry is not None:
                 self._telemetry.counter("controller.failovers").inc()
@@ -432,34 +370,19 @@ class SuperchargedController:
     # Switch / data-plane frame handling
     # ------------------------------------------------------------------
     def _handle_switch_message(self, message: object) -> None:
-        if self._crashed:
+        if self._crashed or not isinstance(message, PacketIn):
             return
-        if isinstance(message, PacketIn) and self._channel is not None:
-            self.arp_responder.handle_packet_in(message, self._channel)
+        # Packet-in mode: an ARP request punted by the switch is answered
+        # with a packet-out on the port it came in on.
+        payload = message.frame.payload
+        if isinstance(payload, ArpPacket) and self._channel is not None:
+            reply = self._arp_handler.handle(payload)
+            if reply is not None:
+                self._channel.send_packet_out(PacketOut(frame=reply, out_port=message.in_port))
 
     def _handle_frame(self, frame: EthernetFrame, port: Port) -> None:
-        if self._crashed:
-            return
-        if frame.ethertype is EtherType.ARP:
-            packet = frame.payload
-            self.arp_client.handle_reply(packet)
-            reply = self._arp_handler.handle(packet)
-            if reply is None:
-                reply = self.arp_responder.reply_for(packet)
-            if reply is not None and self.interface.is_up:
-                port.send(reply)
-            return
-        if frame.dst_mac != self.config.mac and not frame.dst_mac.is_broadcast:
-            return
-        if frame.ethertype is EtherType.BGP_TRANSPORT:
-            transport: BgpTransport = frame.payload
-            if transport.dst_ip == self.config.ip:
-                self.bgp.deliver(transport.src_ip, transport.message)
-            return
-        if frame.ethertype is EtherType.IPV4:
-            packet: IPv4Packet = frame.payload
-            if packet.dst == self.config.ip and packet.protocol is IpProtocol.BFD:
-                self.bfd.receive(packet.src, packet.payload)
+        if not self._crashed:
+            super()._handle_frame(frame, port)
 
     # ------------------------------------------------------------------
     # Helpers
@@ -476,7 +399,7 @@ class SuperchargedController:
         spec = self._peer_specs.get(next_hop)
         if spec is None:
             return None
-        mac = self.arp_cache.lookup(next_hop, self._sim.now) or spec.mac
+        mac = self.arp_cache.lookup(next_hop, self._sim.now)
         if mac is None:
             return None
         return NextHopLocation(mac=mac, switch_port=spec.switch_port)

@@ -3,7 +3,9 @@
 This package models just enough of Ethernet/IPv4 to reproduce the paper's
 data plane: Ethernet frames carrying ARP, IPv4/UDP test traffic, BFD
 control packets and (abstracted) BGP transport messages, plus point-to-point
-links with configurable propagation latency.
+links with configurable propagation latency.  The endpoint built from
+them, :class:`repro.net.host.Host`, is imported from its module (it needs
+:mod:`repro.arp`, which imports this package's addresses).
 """
 
 from repro.net.addresses import (

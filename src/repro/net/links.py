@@ -34,11 +34,15 @@ class Port:
     optional link-state handler (``on_link_state(state, port)``) so it can
     react to loss of carrier — which is how BFD-less devices notice a
     failure, and how the switch generates port-status notifications.
+    ``owner`` is the device itself (``None`` on a bare port): a
+    forwarding-state walk crosses a link and asks the ingress port whose
+    it is.
     """
 
-    def __init__(self, owner_name: str, number: int) -> None:
+    def __init__(self, owner_name: str, number: int, owner: Optional[object] = None) -> None:
         self.owner_name = owner_name
         self.number = number
+        self.owner = owner
         self._link: Optional["Link"] = None
         self._frame_handler: Optional[Callable[[EthernetFrame, "Port"], None]] = None
         self._state_handler: Optional[Callable[[LinkState, "Port"], None]] = None

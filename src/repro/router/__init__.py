@@ -9,10 +9,10 @@ that matters for convergence behaviour:
 * a serial FIB update engine with a configurable first-entry latency and
   per-entry latency, reproducing the linear-in-prefixes convergence of the
   paper's Figure 5;
-* an ARP client used to resolve next hops (including the controller's
-  virtual next hops) to MAC addresses;
-* a router node tying interfaces, a BGP speaker, optional BFD, the FIB and
-  the data plane together.
+* a router node — a :class:`~repro.net.host.Host`, whose ARP client
+  resolves next hops (including the controller's virtual next hops) to
+  MAC addresses — tying a BGP speaker, optional BFD, the FIB and the data
+  plane together.
 """
 
 from repro.router.fib import (
@@ -23,7 +23,6 @@ from repro.router.fib import (
     LpmTable,
 )
 from repro.router.fib_updater import FibUpdater, FibUpdaterConfig, FibWriteRequest
-from repro.router.arp_client import ArpClient
 from repro.router.router import Router, RouterConfig, StaticRoute
 
 __all__ = [
@@ -35,7 +34,6 @@ __all__ = [
     "FibUpdater",
     "FibUpdaterConfig",
     "FibWriteRequest",
-    "ArpClient",
     "Router",
     "RouterConfig",
     "StaticRoute",

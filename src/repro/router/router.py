@@ -2,11 +2,11 @@
 
 :class:`Router` glues together the pieces a hardware router contains:
 
-* numbered interfaces (ports with MAC + IP configuration);
+* the :class:`~repro.net.host.Host` every box on the wire is (numbered
+  interfaces, ARP client/server, BGP/BFD transport and frame demux);
 * a BGP speaker (control plane) whose best-path changes drive…
 * …the serial :class:`~repro.router.fib_updater.FibUpdater` feeding a flat
   (or, optionally, hierarchical) FIB;
-* an ARP client/server for next-hop resolution;
 * an optional BFD manager for fast failure detection;
 * an IPv4 data plane doing longest-prefix-match forwarding.
 
@@ -19,27 +19,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.arp.cache import ArpCache
-from repro.arp.protocol import ArpHandler
 from repro.bfd.manager import BfdManager
-from repro.bgp.messages import BgpMessage
 from repro.bgp.rib import RibChange
 from repro.bgp.speaker import BgpSpeaker, PeerConfig
 from repro.net.addresses import IPv4Address, IPv4Prefix, MacAddress
+from repro.net.host import Host
 from repro.net.interfaces import Interface
 from repro.net.links import LinkState, Port
-from repro.net.packets import (
-    BfdControl,
-    BgpTransport,
-    EtherType,
-    EthernetFrame,
-    IpProtocol,
-    IPv4Packet,
-    UdpDatagram,
-)
-from repro.router.fib import Adjacency, FibEntry, FlatFib, HierarchicalFib
+from repro.net.packets import EtherType, EthernetFrame, IPv4Packet
+from repro.router.fib import Adjacency, FlatFib, HierarchicalFib
 from repro.router.fib_updater import FibUpdater, FibUpdaterConfig
-from repro.router.arp_client import ArpClient
 from repro.sim.engine import Simulator
 
 
@@ -70,19 +59,12 @@ class StaticRoute:
     next_hop: IPv4Address
 
 
-class Router:
+class Router(Host):
     """A simulated IP router / BGP speaker."""
 
     def __init__(self, sim: Simulator, name: str, config: RouterConfig) -> None:
-        self._sim = sim
-        self.name = name
+        super().__init__(sim, name, arp_lifetime=config.arp_lifetime)
         self.config = config
-        self.interfaces: Dict[str, Interface] = {}
-        self._ports: Dict[int, Port] = {}
-        self._next_port_number = 0
-        self.arp_cache = ArpCache(lifetime=config.arp_lifetime)
-        self.arp_client = ArpClient(sim, self.arp_cache)
-        self._arp_handler = ArpHandler(self.arp_cache, now=lambda: sim.now)
         self.fib = HierarchicalFib() if config.hierarchical_fib else FlatFib()
         # The serial updater only drives flat FIBs; hierarchical routers
         # converge by repointing adjacencies (see _peer_unreachable).
@@ -97,8 +79,6 @@ class Router:
             transport=self._send_bgp,
         )
         self.bgp.on_rib_change(self._handle_rib_change)
-        self.bgp.on_peer_down(self._handle_bgp_peer_down)
-        self.bfd: Optional[BfdManager] = None
         if config.bfd_interval is not None:
             self.bfd = BfdManager(
                 sim,
@@ -120,7 +100,6 @@ class Router:
         # upstream path died while the local links stayed up (remote-failure
         # scenarios).
         self._blackholes: set = set()
-        self._udp_handlers: List[Callable[[IPv4Packet, UdpDatagram], None]] = []
         # Listeners notified when forwarding state changes outside the serial
         # FIB updater (hierarchical-FIB writes and repoints); the argument is
         # the affected prefix, or None for a change affecting many prefixes.
@@ -129,7 +108,6 @@ class Router:
         self.packets_forwarded = 0
         self.packets_dropped_no_route = 0
         self.packets_dropped_no_adjacency = 0
-        self.packets_delivered_locally = 0
 
     # ------------------------------------------------------------------
     # Interfaces
@@ -141,33 +119,10 @@ class Router:
         ip: Optional[IPv4Address] = None,
         subnet: Optional[IPv4Prefix] = None,
     ) -> Interface:
-        """Create an interface (and its port) ready to be wired to a link."""
-        if name in self.interfaces:
-            raise ValueError(f"interface {name} already exists on {self.name}")
-        port = Port(self.name, self._next_port_number)
-        self._next_port_number += 1
-        port.set_frame_handler(self._handle_frame)
-        port.set_state_handler(self._handle_link_state)
-        self._ports[port.number] = port
-        interface = Interface(name=name, port=port, mac=mac, ip=ip, subnet=subnet)
-        self.interfaces[name] = interface
-        if ip is not None:
-            self._arp_handler.register(ip, mac)
+        """Create an interface whose loss of carrier the router reacts to."""
+        interface = super().add_interface(name, mac, ip, subnet)
+        interface.port.set_state_handler(self._handle_link_state)
         return interface
-
-    def interface_for(self, address: IPv4Address) -> Optional[Interface]:
-        """The interface whose connected subnet covers ``address``."""
-        for interface in self.interfaces.values():
-            if interface.covers(address):
-                return interface
-        return None
-
-    def interface_by_port(self, port: Port) -> Optional[Interface]:
-        """The interface owning ``port``."""
-        for interface in self.interfaces.values():
-            if interface.port is port:
-                return interface
-        return None
 
     # ------------------------------------------------------------------
     # Configuration
@@ -186,10 +141,6 @@ class Router:
         """Install a static route immediately (boot-time configuration)."""
         self._static_routes.append(route)
         self._install_route(route.prefix, route.next_hop, immediate=True)
-
-    def on_udp(self, handler: Callable[[IPv4Packet, UdpDatagram], None]) -> None:
-        """Register a handler for UDP datagrams addressed to this router."""
-        self._udp_handlers.append(handler)
 
     def add_blackhole(self, prefix: IPv4Prefix) -> None:
         """Start dropping traffic towards ``prefix`` (upstream path lost)."""
@@ -235,10 +186,6 @@ class Router:
     # ------------------------------------------------------------------
     # Forwarding-state queries (no side effects; used by the path tracer)
     # ------------------------------------------------------------------
-    def lookup_fib(self, destination: IPv4Address) -> Optional[FibEntry]:
-        """Current FIB forwarding decision for ``destination``."""
-        return self.fib.lookup(destination)
-
     def forwarding_decision(
         self, destination: IPv4Address
     ) -> Optional[Tuple[Interface, MacAddress]]:
@@ -264,110 +211,16 @@ class Router:
         return interface, entry.adjacency.mac
 
     # ------------------------------------------------------------------
-    # Packet transmission helpers
-    # ------------------------------------------------------------------
-    def send_ip_packet(self, packet: IPv4Packet) -> None:
-        """Send a locally originated IPv4 packet."""
-        self._forward(packet, immediate=True)
-
-    def _send_bgp(self, peer_ip: IPv4Address, message: BgpMessage) -> None:
-        interface = self.interface_for(peer_ip)
-        if interface is None or interface.ip is None:
-            return
-        transport = BgpTransport(src_ip=interface.ip, dst_ip=peer_ip, message=message)
-
-        def transmit(mac: Optional[MacAddress]) -> None:
-            if mac is None or not interface.is_up:
-                return
-            frame = EthernetFrame(
-                src_mac=interface.mac,
-                dst_mac=mac,
-                ethertype=EtherType.BGP_TRANSPORT,
-                payload=transport,
-            )
-            interface.port.send(frame)
-
-        self.arp_client.resolve(peer_ip, interface, transmit)
-
-    def _send_bfd(self, peer_ip: IPv4Address, packet: BfdControl) -> None:
-        interface = self.interface_for(peer_ip)
-        if interface is None or interface.ip is None:
-            return
-        ip_packet = IPv4Packet(
-            src=interface.ip, dst=peer_ip, protocol=IpProtocol.BFD, payload=packet
-        )
-
-        def transmit(mac: Optional[MacAddress]) -> None:
-            if mac is None or not interface.is_up:
-                return
-            frame = EthernetFrame(
-                src_mac=interface.mac,
-                dst_mac=mac,
-                ethertype=EtherType.IPV4,
-                payload=ip_packet,
-            )
-            interface.port.send(frame)
-
-        self.arp_client.resolve(peer_ip, interface, transmit)
-
-    # ------------------------------------------------------------------
-    # Frame reception
-    # ------------------------------------------------------------------
-    def _handle_frame(self, frame: EthernetFrame, port: Port) -> None:
-        interface = self.interface_by_port(port)
-        if interface is None:
-            return
-        # Accept frames for our MAC, broadcast, or any locally administered
-        # (virtual) destination is *not* ours — routers only accept their own.
-        if frame.dst_mac not in (interface.mac,) and not frame.dst_mac.is_broadcast:
-            return
-        if frame.ethertype is EtherType.ARP:
-            self._handle_arp(frame, interface)
-        elif frame.ethertype is EtherType.BGP_TRANSPORT:
-            self._handle_bgp_transport(frame, interface)
-        elif frame.ethertype is EtherType.IPV4:
-            self._handle_ipv4(frame.payload, interface)
-
-    def _handle_arp(self, frame: EthernetFrame, interface: Interface) -> None:
-        packet = frame.payload
-        self.arp_client.handle_reply(packet)
-        reply = self._arp_handler.handle(packet)
-        if reply is not None and interface.is_up:
-            interface.port.send(reply)
-        # A next hop we were waiting for may have just resolved.
-        self._drain_pending_adjacencies(packet.sender_ip, packet.sender_mac, interface)
-
-    def _handle_bgp_transport(self, frame: EthernetFrame, interface: Interface) -> None:
-        transport: BgpTransport = frame.payload
-        if interface.ip is None or transport.dst_ip != interface.ip:
-            return
-        self.bgp.deliver(transport.src_ip, transport.message)
-
-    def _handle_ipv4(self, packet: IPv4Packet, interface: Interface) -> None:
-        if self._is_local_address(packet.dst):
-            self._deliver_locally(packet)
-            return
-        self._forward(packet)
-
-    def _is_local_address(self, address: IPv4Address) -> bool:
-        return any(
-            iface.ip is not None and iface.ip == address
-            for iface in self.interfaces.values()
-        )
-
-    def _deliver_locally(self, packet: IPv4Packet) -> None:
-        self.packets_delivered_locally += 1
-        if packet.protocol is IpProtocol.BFD and self.bfd is not None:
-            self.bfd.receive(packet.src, packet.payload)
-        elif packet.protocol is IpProtocol.UDP:
-            for handler in list(self._udp_handlers):
-                handler(packet, packet.payload)
-
-    # ------------------------------------------------------------------
     # Data plane
     # ------------------------------------------------------------------
-    def _forward(self, packet: IPv4Packet, immediate: bool = False) -> None:
-        if packet.ttl <= 1 and not immediate:
+    def _handle_ipv4(self, packet: IPv4Packet) -> None:
+        if self.has_address(packet.dst):
+            super()._handle_ipv4(packet)
+        else:
+            self._forward(packet)
+
+    def _forward(self, packet: IPv4Packet) -> None:
+        if packet.ttl <= 1:
             self.packets_dropped_no_route += 1
             return
         decision = self.forwarding_decision(packet.dst)
@@ -379,9 +232,7 @@ class Router:
                 self.arp_client.resolve(
                     packet.dst,
                     connected,
-                    lambda mac, p=packet, i=immediate: (
-                        self._forward(p, immediate=i) if mac is not None else None
-                    ),
+                    lambda mac, p=packet: self._forward(p) if mac is not None else None,
                 )
                 return
             entry = self.fib.lookup(packet.dst)
@@ -391,12 +242,11 @@ class Router:
                 self.packets_dropped_no_adjacency += 1
             return
         interface, dst_mac = decision
-        outgoing = packet if immediate else packet.decremented()
         frame = EthernetFrame(
             src_mac=interface.mac,
             dst_mac=dst_mac,
             ethertype=EtherType.IPV4,
-            payload=outgoing,
+            payload=packet.decremented(),
         )
 
         def transmit() -> None:
@@ -404,12 +254,9 @@ class Router:
                 interface.port.send(frame)
                 self.packets_forwarded += 1
 
-        if immediate:
-            transmit()
-        else:
-            self._sim.schedule(
-                self.config.forwarding_latency, transmit, name=f"{self.name}:fwd"
-            )
+        self._sim.schedule(
+            self.config.forwarding_latency, transmit, name=f"{self.name}:fwd"
+        )
 
     # ------------------------------------------------------------------
     # RIB -> FIB plumbing
@@ -464,17 +311,6 @@ class Router:
         self._adjacency_cache[next_hop] = adjacency
         for prefix in waiting:
             self._enqueue_write(prefix, adjacency, immediate)
-
-    def _drain_pending_adjacencies(
-        self, ip: IPv4Address, mac: MacAddress, interface: Interface
-    ) -> None:
-        if ip not in self._pending_adjacency:
-            return
-        waiting = self._pending_adjacency.pop(ip)
-        adjacency = Adjacency(mac=mac, interface=interface.name, next_hop_ip=ip)
-        self._adjacency_cache[ip] = adjacency
-        for prefix in waiting:
-            self._enqueue_write(prefix, adjacency, immediate=False)
 
     def _enqueue_write(
         self, prefix: IPv4Prefix, adjacency: Adjacency, immediate: bool
@@ -542,9 +378,7 @@ class Router:
     def _handle_link_state(self, state: LinkState, port: Port) -> None:
         if state is not LinkState.DOWN:
             return
-        interface = self.interface_by_port(port)
-        if interface is None or interface.subnet is None:
-            return
+        interface = self._by_port[port.number]
         # Tear down BGP sessions to peers reached through the failed interface.
         for peer_ip in list(self.bgp.peers()):
             if interface.covers(peer_ip):
@@ -557,9 +391,7 @@ class Router:
             backup = self._precomputed_backup_for(peer_ip)
             if backup is not None:
                 self.repoint_next_hop(peer_ip, backup)
-        # BFD is registered with BGP as the fast failure detector.
-        if peer_ip in self.bgp.peers():
-            self.bgp.peer_connection_lost(peer_ip, f"BFD: {reason}")
+        super()._handle_bfd_peer_down(peer_ip, reason)
 
     def _precomputed_backup_for(self, failed_next_hop: IPv4Address) -> Optional[IPv4Address]:
         """Best alternative next hop for prefixes currently routed via the
@@ -569,11 +401,6 @@ class Router:
             if ranking and ranking[0].next_hop == failed_next_hop and len(ranking) > 1:
                 return ranking[1].next_hop
         return None
-
-    def _handle_bgp_peer_down(self, peer_ip: IPv4Address, reason: str) -> None:
-        # Nothing extra: the speaker already flushed the routes, and the
-        # resulting RIB changes drive the FIB updater.
-        return
 
     def __repr__(self) -> str:
         return f"Router({self.name}, asn={self.config.asn}, fib={len(self.fib)})"

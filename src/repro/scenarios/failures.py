@@ -41,6 +41,12 @@ from repro.sim.random import SeededRandom
 SHIFT_DETOUR_ASN = 64999
 
 
+#: Failure kinds whose target is a link (or the provider it leads to) /
+#: a provider; ``controller_crash`` targets a controller replica.
+_LINK_KINDS = ("link_down", "link_up", "link_flap", "bfd_loss")
+_PROVIDER_KINDS = ("session_reset", "remote_withdraw", "remote_nexthop_shift")
+
+
 def _is_bfd_frame(frame: EthernetFrame) -> bool:
     return (
         frame.ethertype is EtherType.IPV4
@@ -85,7 +91,7 @@ class FailureInjector:
         t0 = self.lab.sim.now if start is None else start
         items = []
         for failure in events:
-            failure.validate()
+            self._resolve_target(failure)
             delay = t0 + failure.at - self.lab.sim.now
             if delay < 0:
                 raise ScenarioSpecError(
@@ -99,7 +105,8 @@ class FailureInjector:
                 )
             )
         # One schedule_batch call arms the whole campaign (and nothing is
-        # armed at all if any spec in the list is invalid).
+        # armed at all if any spec in the list is invalid or names a target
+        # the lab does not have).
         return self.lab.sim.schedule_batch(items)
 
     # ------------------------------------------------------------------
@@ -107,8 +114,8 @@ class FailureInjector:
     # ------------------------------------------------------------------
     def fire(self, failure: FailureSpec) -> None:
         """Apply ``failure`` at the current instant (its ``at`` is ignored)."""
-        failure.validate()
-        getattr(self, f"_apply_{failure.kind}")(failure)
+        target = self._resolve_target(failure)
+        getattr(self, f"_apply_{failure.kind}")(failure, target)
 
     def _record(
         self,
@@ -134,6 +141,19 @@ class FailureInjector:
     # ------------------------------------------------------------------
     # Target resolution
     # ------------------------------------------------------------------
+    def _resolve_target(self, failure: FailureSpec):
+        """What ``failure.target`` names in this lab — a :class:`Link`, a
+        provider index or a replica name, by kind.  The one check behind
+        :meth:`fire` and :meth:`arm`: an invalid spec or an unknown target
+        raises :class:`ScenarioSpecError` before anything is logged, failed
+        or scheduled."""
+        failure.validate()
+        if failure.kind in _LINK_KINDS:
+            return self._resolve_link(failure.target)
+        if failure.kind in _PROVIDER_KINDS:
+            return self._resolve_provider(failure.target)
+        return self._resolve_replica(failure.target)
+
     def _resolve_link(self, target: str) -> Link:
         """A link name, a provider name, or "" (the primary provider)."""
         lab = self.lab
@@ -164,6 +184,19 @@ class FailureInjector:
                 f"failure target {target!r} matches no provider"
             ) from None
 
+    def _resolve_replica(self, target: str) -> Optional[str]:
+        """A controller replica name, or "" (the first healthy replica;
+        ``None`` when none is left)."""
+        cluster = self.lab.cluster
+        if cluster is None:
+            raise ScenarioSpecError("controller_crash requires a supercharged scenario")
+        if not target:
+            healthy = cluster.healthy_replicas()
+            return healthy[0].name if healthy else None
+        if all(replica.name != target for replica in cluster.replicas()):
+            raise ScenarioSpecError(f"failure target {target!r} matches no controller")
+        return target
+
     def _select_remote_routes(
         self, index: int, failure: FailureSpec
     ) -> List[FeedRoute]:
@@ -192,8 +225,7 @@ class FailureInjector:
     # ------------------------------------------------------------------
     # Event implementations
     # ------------------------------------------------------------------
-    def _apply_link_down(self, failure: FailureSpec) -> None:
-        link = self._resolve_link(failure.target)
+    def _apply_link_down(self, failure: FailureSpec, link: Link) -> None:
         self._record(
             failure,
             f"link {link.name} down",
@@ -217,8 +249,7 @@ class FailureInjector:
             return
         self._restore_link(failure, link, restart_sessions=True)
 
-    def _apply_link_up(self, failure: FailureSpec) -> None:
-        link = self._resolve_link(failure.target)
+    def _apply_link_up(self, failure: FailureSpec, link: Link) -> None:
         self._restore_link(failure, link, restart_sessions=True)
 
     def _restore_link(
@@ -239,8 +270,7 @@ class FailureInjector:
             if index is not None:
                 self.lab.restart_provider_sessions(index)
 
-    def _apply_link_flap(self, failure: FailureSpec) -> None:
-        link = self._resolve_link(failure.target)
+    def _apply_link_flap(self, failure: FailureSpec, link: Link) -> None:
         self._record(
             failure,
             f"flap storm on {link.name} ({failure.count}x{failure.period:.3f}s)",
@@ -264,8 +294,7 @@ class FailureInjector:
                 name="failure:link_flap:up",
             )
 
-    def _apply_bfd_loss(self, failure: FailureSpec) -> None:
-        link = self._resolve_link(failure.target)
+    def _apply_bfd_loss(self, failure: FailureSpec, link: Link) -> None:
         self._record(
             failure,
             f"dropping BFD on {link.name} for {failure.duration:.3f}s",
@@ -283,10 +312,9 @@ class FailureInjector:
             name="failure:bfd_loss:clear",
         )
 
-    def _apply_session_reset(self, failure: FailureSpec) -> None:
+    def _apply_session_reset(self, failure: FailureSpec, index: int) -> None:
         lab = self.lab
-        target = failure.target or lab.spec.provider_name(0)
-        index = lab.provider_index(target)
+        target = failure.target or lab.spec.provider_name(index)
         provider = lab.providers[index]
         provider_ip = lab.plan.provider_core_ip(index)
         peers = list(provider.bgp.established_peers())
@@ -312,12 +340,11 @@ class FailureInjector:
 
         lab.sim.schedule(restart_after, restart, name="failure:session_reset:restart")
 
-    def _apply_remote_withdraw(self, failure: FailureSpec) -> None:
+    def _apply_remote_withdraw(self, failure: FailureSpec, index: int) -> None:
         """An upstream link died beyond the provider: it withdraws the
         affected slice of its table and blackholes matching traffic, while
         its local link (and BFD) stay up."""
         lab = self.lab
-        index = self._resolve_provider(failure.target)
         provider = lab.providers[index]
         routes = self._select_remote_routes(index, failure)
         self._record(
@@ -338,12 +365,11 @@ class FailureInjector:
                 name="failure:remote_withdraw:restore",
             )
 
-    def _apply_remote_nexthop_shift(self, failure: FailureSpec) -> None:
+    def _apply_remote_nexthop_shift(self, failure: FailureSpec, index: int) -> None:
         """The provider's upstream next hop moved: it re-announces the
         affected slice with a longer AS path and worse MED.  Traffic keeps
         flowing — only the control plane sees the event."""
         lab = self.lab
-        index = self._resolve_provider(failure.target)
         provider = lab.providers[index]
         routes = self._select_remote_routes(index, failure)
         next_hop = lab.plan.provider_core_ip(index)
@@ -392,17 +418,10 @@ class FailureInjector:
         )
         self._notify_monitor()
 
-    def _apply_controller_crash(self, failure: FailureSpec) -> None:
-        cluster = self.lab.cluster
-        if cluster is None:
-            raise ScenarioSpecError("controller_crash requires a supercharged scenario")
-        name = failure.target
-        if not name:
-            healthy = cluster.healthy_replicas()
-            if not healthy:
-                return
-            name = healthy[0].name
+    def _apply_controller_crash(self, failure: FailureSpec, name: Optional[str]) -> None:
+        if name is None:
+            return
         # Crashing a replica does not disturb the data plane by itself, so it
         # is not a measurement anchor.
         self._record(failure, f"controller {name} crashed", disruptive=False)
-        cluster.fail_replica(name)
+        self.lab.cluster.fail_replica(name)

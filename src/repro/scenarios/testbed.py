@@ -35,7 +35,8 @@ from repro.bgp.speaker import BgpSpeaker, PeerConfig
 from repro.core.controller import ControllerConfig, PeerSpec, SuperchargedController
 from repro.core.reliability import ControllerCluster
 from repro.net.addresses import IPv4Address, IPv4Prefix, MacAddress
-from repro.net.links import Link
+from repro.net.host import Host
+from repro.net.links import Link, Port
 from repro.openflow.controller_channel import ControllerChannel
 from repro.openflow.flow_table import Actions, FlowEntry, FlowMatch
 from repro.openflow.messages import FlowMod, FlowModCommand
@@ -295,8 +296,6 @@ class ScenarioLab:
         self.providers: List[Router] = []
         self.controllers: List[SuperchargedController] = []
         self.cluster: Optional[ControllerCluster] = None
-        #: Edge index served by each controller (parallel to ``controllers``).
-        self._controller_edge: List[int] = []
         self.sources: List[TrafficSource] = []
         self.sink: Optional[TrafficSink] = None
         self.monitor: Optional[ReachabilityMonitor] = None
@@ -334,19 +333,12 @@ class ScenarioLab:
     def _edge_fib_updater(self) -> FibUpdaterConfig:
         """The routers-under-test FIB download timing: the spec's, with
         the Nexus-7k defaults for whatever it leaves unset."""
-        spec = self.spec
-        defaults = FibUpdaterConfig()
+        overrides = {
+            "first_entry_latency": self.spec.fib_first_entry_latency,
+            "per_entry_latency": self.spec.fib_per_entry_latency,
+        }
         return FibUpdaterConfig(
-            first_entry_latency=(
-                spec.fib_first_entry_latency
-                if spec.fib_first_entry_latency is not None
-                else defaults.first_entry_latency
-            ),
-            per_entry_latency=(
-                spec.fib_per_entry_latency
-                if spec.fib_per_entry_latency is not None
-                else defaults.per_entry_latency
-            ),
+            **{name: value for name, value in overrides.items() if value is not None}
         )
 
     # ------------------------------------------------------------------
@@ -380,16 +372,23 @@ class ScenarioLab:
 
     def speaker_by_ip(self, ip: IPv4Address) -> Optional[BgpSpeaker]:
         """The BGP speaker configured with ``ip``, wherever it lives."""
-        for j, edge in enumerate(self.edge_routers):
-            if self.plan.edge_core_ip(j) == ip:
-                return edge.bgp
-        for i, provider in enumerate(self.providers):
-            if self.plan.provider_core_ip(i) == ip:
-                return provider.bgp
-        for controller in self.controllers:
-            if controller.config.ip == ip:
-                return controller.bgp
+        for host in (*self.edge_routers, *self.providers, *self.controllers):
+            if host.has_address(ip):
+                return host.bgp
         return None
+
+    def provider_facing(self) -> List[Host]:
+        """The hosts holding the BGP and BFD sessions towards the
+        providers — the one place that knows who talks to them: the healthy
+        controller replicas when there is a cluster, the edge routers
+        themselves otherwise."""
+        if self.cluster is not None:
+            return self.cluster.healthy_replicas()
+        return list(self.edge_routers)
+
+    def _core_ip(self, host: Host) -> IPv4Address:
+        """The address ``host`` has on the switch's subnet."""
+        return host.interface_for(self.plan.CORE_SUBNET.network).ip
 
     # ------------------------------------------------------------------
     # Construction
@@ -495,45 +494,40 @@ class ScenarioLab:
                     gateway_ip=plan.edge_source_ip(j),
                 ),
             )
-            source.set_gateway_mac(plan.edge_source_mac(j))
+            source.add_static_neighbor(plan.edge_source_ip(j), plan.edge_source_mac(j))
             self.sources.append(source)
 
+    def _link(self, name: str, port_a: Port, port_b: Port) -> None:
+        self.links[name] = Link(
+            self.sim, port_a, port_b, latency=self.spec.link_latency, name=name
+        )
+
+    def _link_to_switch(self, name: str, port: Port, number: int) -> None:
+        """Wire ``port`` to a new switch port, which learns its owner the
+        way a host's own ports do (the path tracer asks for it)."""
+        switch_port = self.switch.add_port(number)
+        switch_port.owner = self.switch
+        self._link(name, port, switch_port)
+
     def _wire_links(self) -> None:
-        spec = self.spec
         plan = self.plan
-        latency = spec.link_latency
-        switch = self.switch
         for j, edge in enumerate(self.edge_routers):
             stem = plan.edge_name(j).lower()
-            self.links[f"{stem}-sw"] = Link(
-                self.sim,
-                edge.interfaces["core"].port,
-                switch.add_port(plan.edge_switch_port(j)),
-                latency=latency,
-                name=f"{stem}-sw",
+            self._link_to_switch(
+                f"{stem}-sw", edge.interfaces["core"].port, plan.edge_switch_port(j)
             )
-            self.links[f"src-{stem}"] = Link(
-                self.sim,
-                self.sources[j].port,
-                edge.interfaces["to-source"].port,
-                latency=latency,
-                name=f"src-{stem}",
+            self._link(
+                f"src-{stem}", self.sources[j].port, edge.interfaces["to-source"].port
             )
         for i, provider in enumerate(self.providers):
-            stem = spec.provider_name(i).lower()
-            self.links[f"{stem}-sw"] = Link(
-                self.sim,
-                provider.interfaces["core"].port,
-                switch.add_port(plan.provider_switch_port(i)),
-                latency=latency,
-                name=f"{stem}-sw",
+            stem = self.spec.provider_name(i).lower()
+            self._link_to_switch(
+                f"{stem}-sw", provider.interfaces["core"].port, plan.provider_switch_port(i)
             )
-            self.links[f"{stem}-sink"] = Link(
-                self.sim,
+            self._link(
+                f"{stem}-sink",
                 provider.interfaces["to-sink"].port,
                 self.sink.interfaces[f"from-{stem}"].port,
-                latency=latency,
-                name=f"{stem}-sink",
             )
         self.primary_link = self.provider_link(0)
 
@@ -596,13 +590,8 @@ class ScenarioLab:
         controller = SuperchargedController(
             self.sim, plan.controller_name(k), self._controller_config(k, edge_index)
         )
-        name = f"{plan.controller_name(k)}-sw"
-        self.links[name] = Link(
-            self.sim,
-            controller.port,
-            self.switch.add_port(plan.controller_switch_port(k)),
-            latency=self.spec.link_latency,
-            name=name,
+        self._link_to_switch(
+            f"{plan.controller_name(k)}-sw", controller.port, plan.controller_switch_port(k)
         )
         channel = ControllerChannel(
             self.sim,
@@ -612,7 +601,12 @@ class ScenarioLab:
         self.switch.attach_controller(channel)
         controller.attach_switch(channel)
         self.controllers.append(controller)
-        self._controller_edge.append(edge_index)
+        # Edge routers are stub edges: they never re-export provider routes
+        # (the standard customer export policy), so their sessions are
+        # receive-only.
+        self.edge_routers[edge_index].add_bgp_peer(
+            PeerConfig(peer_ip=controller.config.ip, peer_asn=CONTROLLER_ASN, advertise=False)
+        )
         return controller
 
     def _build_controllers(self) -> None:
@@ -624,53 +618,30 @@ class ScenarioLab:
                 self.cluster.add_replica(self._attach_controller(k, edge_index))
                 k += 1
 
-    def _controllers_for_edge(self, edge_index: int) -> List[SuperchargedController]:
-        return [
-            controller
-            for controller, owner in zip(self.controllers, self._controller_edge)
-            if owner == edge_index
-        ]
-
     def _configure_control_plane(self) -> None:
+        """Open the sessions between the providers and whoever faces them
+        (an edge router's own are receive-only, like its controller one)."""
         spec = self.spec
         plan = self.plan
-        # Edge routers are stub edges: they never re-export provider routes
-        # (the standard customer export policy), so their sessions are
-        # receive-only.
-        if spec.supercharged:
-            for edge_index, edge in enumerate(self.edge_routers):
-                for controller in self._controllers_for_edge(edge_index):
-                    edge.add_bgp_peer(
+        facing = self.provider_facing()
+        for i, provider in enumerate(self.providers):
+            provider_ip = plan.provider_core_ip(i)
+            for host in facing:
+                if not spec.supercharged:
+                    # A controller opens these itself, from its
+                    # ``ControllerConfig.peers``, when it starts.
+                    host.add_bgp_peer(
                         PeerConfig(
-                            peer_ip=controller.config.ip,
-                            peer_asn=CONTROLLER_ASN,
+                            peer_ip=provider_ip,
+                            peer_asn=plan.provider_asn(i),
+                            local_pref=spec.provider_local_pref(i),
                             advertise=False,
                         )
                     )
-            for provider in self.providers:
-                for controller in self.controllers:
-                    provider.add_bgp_peer(
-                        PeerConfig(
-                            peer_ip=controller.config.ip, peer_asn=CONTROLLER_ASN
-                        )
-                    )
-                    provider.add_bfd_peer(controller.config.ip)
-            return
-        for j, edge in enumerate(self.edge_routers):
-            for i, provider in enumerate(self.providers):
-                edge.add_bgp_peer(
-                    PeerConfig(
-                        peer_ip=plan.provider_core_ip(i),
-                        peer_asn=plan.provider_asn(i),
-                        local_pref=spec.provider_local_pref(i),
-                        advertise=False,
-                    )
-                )
-                edge.add_bfd_peer(plan.provider_core_ip(i))
-                provider.add_bgp_peer(
-                    PeerConfig(peer_ip=plan.edge_core_ip(j), peer_asn=plan.edge_asn(j))
-                )
-                provider.add_bfd_peer(plan.edge_core_ip(j))
+                    host.add_bfd_peer(provider_ip)
+                host_ip = self._core_ip(host)
+                provider.add_bgp_peer(PeerConfig(peer_ip=host_ip, peer_asn=host.bgp.asn))
+                provider.add_bfd_peer(host_ip)
 
     # ------------------------------------------------------------------
     # Detection-path attribution
@@ -699,22 +670,21 @@ class ScenarioLab:
             if peer_ip in provider_ips:
                 tracker.record(DETECTION_BFD, peer_ip)
 
-        if self.spec.supercharged:
+        # Every replica of a controller plane programs the one shared
+        # switch, so each one's view counts; routers are on their own.
+        facing = self.provider_facing()
+        for host in facing if self.cluster is not None else facing[:1]:
+            if host.bfd is not None:
+                host.bfd.on_peer_down(bfd_hook)
+            host.bgp.on_rib_change(bgp_hook)
+        if self.controllers:
             controller_ips = {c.config.ip for c in self.controllers}
 
             def push_hook(change: RibChange, from_peer: IPv4Address) -> None:
                 if from_peer in controller_ips:
                     tracker.record(DETECTION_CONTROLLER_PUSH, None)
 
-            for controller in self.controllers:
-                controller.bfd.on_peer_down(bfd_hook)
-                controller.bgp.on_rib_change(bgp_hook)
             self.edge_routers[0].bgp.on_rib_change(push_hook)
-            return
-        edge = self.edge_routers[0]
-        if edge.bfd is not None:
-            edge.bfd.on_peer_down(bfd_hook)
-        edge.bgp.on_rib_change(bgp_hook)
 
     def _detection_recorded(self, event: DetectionEvent) -> None:
         # Label the monitor's current reconvergence episode with the episode's
@@ -784,7 +754,7 @@ class ScenarioLab:
         measured = self.edge_routers[0]
         measured.fib_updater.attach_telemetry(telemetry)
         measured.bgp.attach_telemetry(telemetry)
-        if not self.spec.supercharged and measured.bfd is not None:
+        if measured.bfd is not None:
             measured.bfd.attach_telemetry(telemetry)
         for controller in self.controllers:
             controller.attach_telemetry(telemetry)
@@ -938,10 +908,8 @@ class ScenarioLab:
         (the measured path starts at the first edge router's source)."""
         count = num_flows if num_flows is not None else self.spec.monitored_flows
         self._select_destinations(count)
-        registry = self._port_registry()
         gateway_mac = self.plan.edge_source_mac(0)
         self.tracer = PathTracer(
-            node_by_port=registry,
             start_port=self.source.port,
             first_hop_mac=lambda: gateway_mac,
         )
@@ -1009,14 +977,9 @@ class ScenarioLab:
         (both ends of each torn session must be restarted)."""
         provider = self.providers[index]
         provider_ip = self.plan.provider_core_ip(index)
-        if self.spec.supercharged:
-            for controller in self.cluster.healthy_replicas():
-                controller.restart_peer(provider_ip)
-                provider.bgp.start_peer(controller.config.ip)
-            return
-        for j, edge in enumerate(self.edge_routers):
-            edge.bgp.start_peer(provider_ip)
-            provider.bgp.start_peer(self.plan.edge_core_ip(j))
+        for host in self.provider_facing():
+            host.bgp.start_peer(provider_ip)
+            provider.bgp.start_peer(self._core_ip(host))
 
     def restore_provider(self, index: int = 0, timeout: float = 3600.0) -> bool:
         """Reconnect provider ``index``, restart its BGP sessions and wait
@@ -1057,39 +1020,22 @@ class ScenarioLab:
         return [self.plan.provider_core_ip(i) for i in range(self.spec.num_providers)]
 
     def _sessions_established(self) -> bool:
-        if self.spec.supercharged:
-            for controller, edge_index in zip(self.controllers, self._controller_edge):
-                if self.cluster is not None and self.cluster.is_failed(controller.name):
-                    continue
-                expected = set(self._provider_ips())
-                expected.add(self.plan.edge_core_ip(edge_index))
-                if set(controller.bgp.established_peers()) != expected:
-                    return False
-            return all(
-                len(edge.bgp.established_peers()) >= 1 for edge in self.edge_routers
-            )
-        provider_ips = set(self._provider_ips())
-        for j, edge in enumerate(self.edge_routers):
-            if set(edge.bgp.established_peers()) != provider_ips:
+        """Whether every session of every provider-facing host is up at
+        both ends, and every edge router hears from someone."""
+        for host in self.provider_facing():
+            if set(host.bgp.established_peers()) != set(host.bgp.peers()):
                 return False
-            edge_ip = self.plan.edge_core_ip(j)
+            host_ip = self._core_ip(host)
             for provider in self.providers:
-                if edge_ip not in provider.bgp.established_peers():
+                if host_ip not in provider.bgp.established_peers():
                     return False
-        return True
+        return all(edge.bgp.established_peers() for edge in self.edge_routers)
 
     def _bfd_ready(self) -> bool:
         """Whether the failure detectors protecting the experiment are Up."""
-        if self.spec.supercharged:
-            for controller in self.cluster.healthy_replicas():
-                for peer_ip in self._provider_ips():
-                    session = controller.bfd.session(peer_ip)
-                    if session is None or not session.is_up:
-                        return False
-            return True
-        for edge in self.edge_routers:
+        for host in self.provider_facing():
             for peer_ip in self._provider_ips():
-                session = edge.bfd.session(peer_ip) if edge.bfd else None
+                session = host.bfd.session(peer_ip) if host.bfd else None
                 if session is None or not session.is_up:
                     return False
         return True
@@ -1155,22 +1101,6 @@ class ScenarioLab:
             destination = IPv4Address(prefix.network.value + 1)
             self.monitored_destinations.append(destination)
             self._destination_prefix[destination] = prefix
-
-    def _port_registry(self) -> Dict[int, object]:
-        # id()-keyed on purpose: the registry maps live Port objects to
-        # their owning device for the in-process path tracer and is
-        # rebuilt per trace; nothing derived from the ids is recorded.
-        registry: Dict[int, object] = {}
-        for router in [*self.edge_routers, *self.providers]:
-            for interface in router.interfaces.values():
-                registry[id(interface.port)] = router  # detlint: disable=DET004
-        for port in self.switch.ports().values():
-            registry[id(port)] = self.switch  # detlint: disable=DET004
-        for interface in self.sink.interfaces.values():
-            registry[id(interface.port)] = self.sink  # detlint: disable=DET004
-        for controller in self.controllers:
-            registry[id(controller.port)] = controller  # detlint: disable=DET004
-        return registry
 
     def __repr__(self) -> str:
         return (

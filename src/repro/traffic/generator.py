@@ -1,28 +1,20 @@
 """Packet-level traffic source (the FPGA "source" board).
 
-A :class:`TrafficSource` is a simple host with one port: it resolves its
-gateway once via ARP (or uses a statically configured gateway MAC) and
-then streams periodic UDP packets towards each configured flow's
-destination.
+A :class:`TrafficSource` is a :class:`~repro.net.host.Host` with one
+interface: it streams periodic UDP packets towards each configured flow's
+destination through its gateway, which it resolves via ARP unless the
+gateway was configured as a static neighbour.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.arp.cache import ArpCache
-from repro.arp.protocol import ArpHandler, build_arp_request
 from repro.net.addresses import IPv4Address, IPv4Prefix, MacAddress
-from repro.net.interfaces import Interface
+from repro.net.host import Host
 from repro.net.links import Port
-from repro.net.packets import (
-    EtherType,
-    EthernetFrame,
-    IpProtocol,
-    IPv4Packet,
-    UdpDatagram,
-)
+from repro.net.packets import EtherType, IpProtocol, IPv4Packet, UdpDatagram
 from repro.sim.engine import Simulator
 from repro.sim.process import PeriodicProcess
 from repro.traffic.flows import FlowSpec
@@ -42,23 +34,13 @@ class TrafficSourceConfig:
     jitter: float = 0.05
 
 
-class TrafficSource:
+class TrafficSource(Host):
     """Streams UDP packets towards each flow's destination via the gateway."""
 
     def __init__(self, sim: Simulator, name: str, config: TrafficSourceConfig) -> None:
-        self._sim = sim
-        self.name = name
+        super().__init__(sim, name)
         self.config = config
-        port = Port(name, 0)
-        port.set_frame_handler(self._handle_frame)
-        self.interface = Interface(
-            name="eth0", port=port, mac=config.mac, ip=config.ip, subnet=config.subnet
-        )
-        self._arp_cache = ArpCache()
-        self._arp_handler = ArpHandler(
-            self._arp_cache, now=lambda: sim.now, owned={config.ip: config.mac}
-        )
-        self._gateway_mac: Optional[MacAddress] = None
+        self.interface = self.add_interface("eth0", config.mac, config.ip, config.subnet)
         self._processes: Dict[IPv4Address, PeriodicProcess] = {}
         self.packets_sent = 0
         self.packets_sent_per_flow: Dict[IPv4Address, int] = {}
@@ -68,18 +50,11 @@ class TrafficSource:
         """The source's single port (for wiring into the lab)."""
         return self.interface.port
 
-    @property
-    def gateway_resolved(self) -> bool:
-        """Whether the gateway MAC is known."""
-        return self._gateway_mac is not None
-
     # ------------------------------------------------------------------
     # Control
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Resolve the gateway and start all flows."""
-        if self._gateway_mac is None:
-            self._resolve_gateway()
+        """Start all flows."""
         for flow in self.config.flows:
             self._start_flow(flow)
 
@@ -94,21 +69,9 @@ class TrafficSource:
         self.config.flows.append(flow)
         self._start_flow(flow)
 
-    def set_gateway_mac(self, mac: MacAddress) -> None:
-        """Statically configure the gateway MAC, skipping ARP."""
-        self._gateway_mac = mac
-
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _resolve_gateway(self) -> None:
-        frame = build_arp_request(
-            sender_mac=self.config.mac,
-            sender_ip=self.config.ip,
-            target_ip=self.config.gateway_ip,
-        )
-        self.interface.port.send(frame)
-
     def _start_flow(self, flow: FlowSpec) -> None:
         if flow.destination in self._processes:
             return
@@ -125,10 +88,6 @@ class TrafficSource:
         self._processes[flow.destination] = process
 
     def _send_packet(self, flow: FlowSpec) -> None:
-        if self._gateway_mac is None:
-            # Gateway not resolved yet: retry the ARP and skip this tick.
-            self._resolve_gateway()
-            return
         datagram = UdpDatagram(
             src_port=flow.src_port,
             dst_port=flow.dst_port,
@@ -140,24 +99,9 @@ class TrafficSource:
             protocol=IpProtocol.UDP,
             payload=datagram,
         )
-        frame = EthernetFrame(
-            src_mac=self.config.mac,
-            dst_mac=self._gateway_mac,
-            ethertype=EtherType.IPV4,
-            payload=packet,
-        )
-        if self.interface.port.send(frame):
+        # A packet queued behind the gateway's ARP exchange is not counted.
+        if self.send_to_neighbor(self.config.gateway_ip, EtherType.IPV4, packet):
             self.packets_sent += 1
             self.packets_sent_per_flow[flow.destination] = (
                 self.packets_sent_per_flow.get(flow.destination, 0) + 1
             )
-
-    def _handle_frame(self, frame: EthernetFrame, port: Port) -> None:
-        if frame.ethertype is not EtherType.ARP:
-            return
-        packet = frame.payload
-        reply = self._arp_handler.handle(packet)
-        if packet.sender_ip == self.config.gateway_ip:
-            self._gateway_mac = packet.sender_mac
-        if reply is not None:
-            port.send(reply)

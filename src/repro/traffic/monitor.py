@@ -1,25 +1,23 @@
 """Packet-level traffic sink (the FPGA "sink" board).
 
-The sink accepts every IPv4 frame addressed to one of its MACs, matches the
-destination IP against the set of monitored flows (the FPGA used a CAM for
-this) and updates the per-flow maximum inter-packet delay.
+The sink is a :class:`~repro.net.host.Host` that takes every UDP packet
+addressed to one of its MACs, matches the destination IP against the set
+of monitored flows (the FPGA used a CAM for this) and updates the
+per-flow maximum inter-packet delay.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.arp.cache import ArpCache
-from repro.arp.protocol import ArpHandler
-from repro.net.addresses import IPv4Address, IPv4Prefix, MacAddress
-from repro.net.interfaces import Interface
-from repro.net.links import Port
-from repro.net.packets import EtherType, EthernetFrame, IpProtocol
+from repro.net.addresses import IPv4Address
+from repro.net.host import Host
+from repro.net.packets import IpProtocol, IPv4Packet
 from repro.sim.engine import Simulator
 from repro.traffic.flows import FlowStats
 
 
-class TrafficSink:
+class TrafficSink(Host):
     """Terminates monitored flows and records arrival statistics.
 
     The sink can have several interfaces (the paper wires it to both R2 and
@@ -27,11 +25,7 @@ class TrafficSink:
     """
 
     def __init__(self, sim: Simulator, name: str) -> None:
-        self._sim = sim
-        self.name = name
-        self.interfaces: Dict[str, Interface] = {}
-        self._arp_cache = ArpCache()
-        self._arp_handler = ArpHandler(self._arp_cache, now=lambda: sim.now)
+        super().__init__(sim, name)
         self._flows: Dict[IPv4Address, FlowStats] = {}
         self.packets_received = 0
         self.packets_ignored = 0
@@ -39,19 +33,6 @@ class TrafficSink:
     # ------------------------------------------------------------------
     # Configuration
     # ------------------------------------------------------------------
-    def add_interface(
-        self, name: str, mac: MacAddress, ip: IPv4Address, subnet: IPv4Prefix
-    ) -> Interface:
-        """Add an interface; returns it so the lab can wire its port."""
-        if name in self.interfaces:
-            raise ValueError(f"interface {name} already exists on {self.name}")
-        port = Port(self.name, len(self.interfaces))
-        port.set_frame_handler(self._handle_frame)
-        interface = Interface(name=name, port=port, mac=mac, ip=ip, subnet=subnet)
-        self.interfaces[name] = interface
-        self._arp_handler.register(ip, mac)
-        return interface
-
     def monitor(self, destination: IPv4Address) -> FlowStats:
         """Start monitoring a destination IP (a CAM entry on the FPGA)."""
         if destination not in self._flows:
@@ -79,20 +60,7 @@ class TrafficSink:
     # ------------------------------------------------------------------
     # Frame handling
     # ------------------------------------------------------------------
-    def _handle_frame(self, frame: EthernetFrame, port: Port) -> None:
-        interface = self._interface_by_port(port)
-        if interface is None:
-            return
-        if frame.ethertype is EtherType.ARP:
-            reply = self._arp_handler.handle(frame.payload)
-            if reply is not None:
-                port.send(reply)
-            return
-        if frame.ethertype is not EtherType.IPV4:
-            return
-        if frame.dst_mac != interface.mac and not frame.dst_mac.is_broadcast:
-            return
-        packet = frame.payload
+    def _handle_ipv4(self, packet: IPv4Packet) -> None:
         if packet.protocol is not IpProtocol.UDP:
             return
         stats = self._flows.get(packet.dst)
@@ -101,9 +69,3 @@ class TrafficSink:
             return
         self.packets_received += 1
         stats.record(self._sim.now)
-
-    def _interface_by_port(self, port: Port) -> Optional[Interface]:
-        for interface in self.interfaces.values():
-            if interface.port is port:
-                return interface
-        return None

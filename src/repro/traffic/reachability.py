@@ -17,7 +17,10 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.net.addresses import IPv4Address, IPv4Prefix, MacAddress
 from repro.net.links import Port
 from repro.net.packets import EtherType, EthernetFrame, IpProtocol, IPv4Packet, UdpDatagram
+from repro.openflow.switch import OpenFlowSwitch
+from repro.router.router import Router
 from repro.sim.engine import Simulator
+from repro.traffic.monitor import TrafficSink
 
 
 @dataclass(frozen=True)
@@ -50,13 +53,11 @@ class PathTracer:
 
     def __init__(
         self,
-        node_by_port: Dict[int, object],
         start_port: Port,
         first_hop_mac: Callable[[], Optional[MacAddress]],
     ) -> None:
-        """``node_by_port`` maps ``id(port)`` to the owning device;
-        ``first_hop_mac`` returns the gateway MAC the source would use."""
-        self._node_by_port = node_by_port
+        """``first_hop_mac`` returns the gateway MAC the source would use;
+        every later device is the owner of the port a link leads to."""
         self._start_port = start_port
         self._first_hop_mac = first_hop_mac
 
@@ -74,10 +75,7 @@ class PathTracer:
                 hops.append(TraceHop(current_port.owner_name, "link down"))
                 return False, hops
             ingress = link.peer_of(current_port)
-            # In-process lookup against the lab's id()-keyed port registry
-            # (see ScenarioTestbed._port_registry); trace output records
-            # owner names, never the ids.
-            node = self._node_by_port.get(id(ingress))  # detlint: disable=DET004
+            node = ingress.owner
             if node is None:
                 hops.append(TraceHop(ingress.owner_name, "unknown device"))
                 return False, hops
@@ -101,19 +99,14 @@ class PathTracer:
         destination: IPv4Address,
         hops: List[TraceHop],
     ):
-        from repro.openflow.switch import OpenFlowSwitch
-        from repro.router.router import Router
-        from repro.traffic.monitor import TrafficSink
-
         if isinstance(node, OpenFlowSwitch):
             return self._step_switch(node, ingress, dst_mac, destination, hops)
         if isinstance(node, Router):
             return self._step_router(node, ingress, dst_mac, destination, hops)
         if isinstance(node, TrafficSink):
-            for interface in node.interfaces.values():
-                if interface.port is ingress and interface.mac == dst_mac:
-                    hops.append(TraceHop(node.name, "delivered"))
-                    return "delivered"
+            if node.accepts(ingress, dst_mac):
+                hops.append(TraceHop(node.name, "delivered"))
+                return "delivered"
             hops.append(TraceHop(node.name, "wrong MAC at sink"))
             return None
         hops.append(TraceHop(getattr(node, "name", "?"), "not a forwarding device"))
@@ -138,8 +131,7 @@ class PathTracer:
         return out_port, next_mac
 
     def _step_router(self, router, ingress, dst_mac, destination, hops):
-        interface = router.interface_by_port(ingress)
-        if interface is None or interface.mac != dst_mac:
+        if not router.accepts(ingress, dst_mac):
             hops.append(TraceHop(router.name, "frame not addressed to router"))
             return None
         decision = router.forwarding_decision(destination)

@@ -30,3 +30,30 @@ def small_lab_pair():
         assert lab.bring_up(timeout=600)
         labs[supercharged] = lab
     return labs
+
+
+@pytest.fixture
+def check_port_owners():
+    """``check(lab, names)``: every wired port of ``lab`` knows its owner —
+    the device whose name it carries — the owners are exactly ``names``,
+    and the path tracer can step each of them (none is an unknown device).
+    """
+    from repro.net.addresses import BROADCAST_MAC, IPv4Address
+    from repro.net.host import Host
+    from repro.openflow.switch import OpenFlowSwitch
+    from repro.traffic.reachability import PathTracer
+
+    def check(lab, names):
+        tracer = PathTracer(start_port=lab.source.port, first_hop_mac=lambda: None)
+        owners = set()
+        for link in lab.links.values():
+            for port in link.ports:
+                assert isinstance(port.owner, (Host, OpenFlowSwitch)), port
+                assert port.owner.name == port.owner_name
+                owners.add(port.owner_name)
+                hops = []
+                tracer._step(port.owner, port, BROADCAST_MAC, IPv4Address("8.8.8.8"), hops)
+                assert hops[-1].node == port.owner_name, hops
+        assert owners == set(names)
+
+    return check

@@ -1,12 +1,12 @@
 """Tests for the ARP cache, protocol handler and client."""
 
 from repro.arp.cache import ArpCache
+from repro.arp.client import ArpClient
 from repro.arp.protocol import ArpHandler, build_arp_reply, build_arp_request
 from repro.net.addresses import BROADCAST_MAC, IPv4Address, IPv4Prefix, MacAddress
 from repro.net.interfaces import Interface
 from repro.net.links import Link, Port
 from repro.net.packets import ArpOp
-from repro.router.arp_client import ArpClient
 
 IP_A = IPv4Address("10.0.0.1")
 IP_B = IPv4Address("10.0.0.2")
@@ -30,6 +30,21 @@ class TestArpCache:
         cache = ArpCache(lifetime=10.0)
         cache.learn(IP_B, MAC_B, now=0.0, static=True)
         assert cache.lookup(IP_B, now=1e6) == MAC_B
+
+    def test_dynamic_learn_never_demotes_a_static_entry(self):
+        """Regression: every received ARP packet is learned from, so the
+        first one a configured neighbour sent used to turn "never expires"
+        into "expires after ``lifetime``" (and could replace its MAC)."""
+        cache = ArpCache(lifetime=10.0)
+        cache.learn(IP_B, MAC_B, now=0.0, static=True)
+        cache.learn(IP_B, MAC_A, now=1.0)
+        assert cache.lookup(IP_B, now=1e6) == MAC_B
+        handler = ArpHandler(cache, now=lambda: 2.0)
+        handler.handle(build_arp_request(MAC_B, IP_B, IP_A).payload)
+        assert cache.lookup(IP_B, now=1e6) == MAC_B
+        # Re-configuring the neighbour is not a dynamic learn.
+        cache.learn(IP_B, MAC_A, now=3.0, static=True)
+        assert cache.lookup(IP_B, now=1e6) == MAC_A
 
     def test_refresh_resets_age(self):
         cache = ArpCache(lifetime=10.0)

@@ -1,15 +1,22 @@
 """Tests for the switch-side provisioning pieces: REST facade, flow
-provisioner, ARP responder and the Listing 2 convergence procedure."""
+provisioner, the controller answering ARP for its virtual next hops and
+the Listing 2 convergence procedure."""
 
 import pytest
 
-from repro.core.arp_responder import VirtualArpResponder
-from repro.core.backup_groups import BackupGroup, BackupGroupManager
+from repro.core.backup_groups import (
+    ActionKind,
+    BackupGroup,
+    BackupGroupManager,
+    ProvisioningAction,
+)
+from repro.core.controller import ControllerConfig, SuperchargedController
 from repro.core.convergence import DataPlaneConvergence
 from repro.core.flow_provisioner import FlowProvisioner, NextHopLocation
 from repro.core.rest_api import FloodlightRestApi, StaticFlowEntry
 from repro.core.vnh_allocator import VnhAllocator
-from repro.net.addresses import IPv4Address, IPv4Prefix, MacAddress
+from repro.net.addresses import BROADCAST_MAC, IPv4Address, IPv4Prefix, MacAddress
+from repro.net.links import Link, Port
 from repro.net.packets import ArpOp, ArpPacket, EthernetFrame, EtherType
 from repro.openflow.controller_channel import ControllerChannel
 from repro.openflow.flow_table import FlowMatch
@@ -268,59 +275,81 @@ class TestDataPlaneConvergence:
 
 
 class TestVirtualArpResponder:
-    def _request(self, target_ip):
-        return ArpPacket(
-            op=ArpOp.REQUEST,
+    """The controller is the ARP responder of its virtual next hops: each
+    VNH → VMAC binding is one more address its host ARP handler owns."""
+
+    CTRL_IP, CTRL_MAC = IPv4Address("10.0.0.100"), MacAddress("00:00:00:00:00:64")
+    ROUTER_IP = IPv4Address("10.0.0.1")
+
+    def _controller(self, sim):
+        """A controller wired to a bare port (direct mode) and to an
+        OpenFlow channel (packet-in mode) with one provisioned group."""
+        controller = SuperchargedController(sim, "ctrl", ControllerConfig(
+            ip=self.CTRL_IP, mac=self.CTRL_MAC, subnet=IPv4Prefix("10.0.0.0/24"),
+            asn=64512, router_id=self.CTRL_IP))
+        wire, packet_outs = Port("wire", 0), []
+        heard = []
+        wire.set_frame_handler(lambda frame, port: heard.append(frame))
+        Link(sim, wire, controller.port, latency=1e-5)
+        channel = ControllerChannel(sim, latency=0.001)
+        channel.connect_switch(packet_outs.append)
+        controller.attach_switch(channel)
+        group = _group()
+        controller._apply_actions([ProvisioningAction(ActionKind.GROUP_CREATED, group=group)])
+        sim.run()
+        del packet_outs[:]  # the group's flow-mod batch
+        return controller, group, wire, heard, channel, packet_outs
+
+    def _request(self, target_ip, op=ArpOp.REQUEST):
+        packet = ArpPacket(
+            op=op,
             sender_mac=ROUTER_MAC,
-            sender_ip=IPv4Address("10.0.0.1"),
+            sender_ip=self.ROUTER_IP,
             target_mac=MacAddress(0),
             target_ip=target_ip,
         )
+        return EthernetFrame(ROUTER_MAC, BROADCAST_MAC, EtherType.ARP, packet)
 
-    def test_answers_registered_vnh(self):
-        responder = VirtualArpResponder()
-        vnh, vmac = IPv4Address("10.0.0.200"), MacAddress(0x02_00_5E_00_00_01)
-        responder.register(vnh, vmac)
-        reply = responder.reply_for(self._request(vnh))
-        assert reply is not None
-        assert reply.payload.sender_mac == vmac
+    def test_answers_registered_vnh(self, sim):
+        controller, group, wire, heard, _channel, _outs = self._controller(sim)
+        assert controller.vnh_bindings() == {group.vnh: group.vmac}
+        wire.send(self._request(group.vnh))
+        sim.run()
+        (reply,) = heard
+        assert reply.payload.op is ArpOp.REPLY
+        assert reply.payload.sender_ip == group.vnh
+        assert reply.payload.sender_mac == group.vmac
         assert reply.dst_mac == ROUTER_MAC
-        assert responder.requests_answered == 1
 
-    def test_ignores_unregistered_and_replies(self):
-        responder = VirtualArpResponder()
-        assert responder.reply_for(self._request(IPv4Address("10.0.0.201"))) is None
-        responder.register(IPv4Address("10.0.0.200"), MacAddress(1))
-        reply_packet = ArpPacket(
-            op=ArpOp.REPLY, sender_mac=ROUTER_MAC, sender_ip=IPv4Address("10.0.0.1"),
-            target_mac=MacAddress(1), target_ip=IPv4Address("10.0.0.200"))
-        assert responder.reply_for(reply_packet) is None
+    def test_ignores_unregistered_and_replies(self, sim):
+        _controller, group, wire, heard, _channel, _outs = self._controller(sim)
+        wire.send(self._request(IPv4Address("10.0.0.201")))
+        wire.send(self._request(group.vnh, op=ArpOp.REPLY))
+        sim.run()
+        assert heard == []
 
-    def test_unregister(self):
-        responder = VirtualArpResponder()
-        vnh = IPv4Address("10.0.0.200")
-        responder.register(vnh, MacAddress(1))
-        assert responder.unregister(vnh) is True
-        assert responder.unregister(vnh) is False
-        assert not responder.resolves(vnh)
+    def test_unregister(self, sim):
+        controller, group, wire, heard, _channel, _outs = self._controller(sim)
+        controller._apply_actions([ProvisioningAction(ActionKind.GROUP_RETIRED, group=group)])
+        assert controller.vnh_bindings() == {}
+        wire.send(self._request(group.vnh))
+        wire.send(self._request(self.CTRL_IP))
+        sim.run()
+        # The group's VNH is no longer answered for; the host's own address is.
+        assert [reply.payload.sender_ip for reply in heard] == [self.CTRL_IP]
 
     def test_packet_in_mode_emits_packet_out(self, sim):
-        responder = VirtualArpResponder()
-        vnh, vmac = IPv4Address("10.0.0.200"), MacAddress(0x02_00_5E_00_00_01)
-        responder.register(vnh, vmac)
-        channel = ControllerChannel(sim, latency=0.001)
-        sent = []
-        channel.connect_switch(sent.append)
-        frame = EthernetFrame(ROUTER_MAC, MacAddress(MacAddress.MAX), EtherType.ARP,
-                              self._request(vnh))
-        handled = responder.handle_packet_in(PacketIn(frame=frame, in_port=1), channel)
+        _controller, group, _wire, _heard, channel, packet_outs = self._controller(sim)
+        channel.send_packet_in(PacketIn(frame=self._request(group.vnh), in_port=1))
         sim.run()
-        assert handled is True
-        assert len(sent) == 1
-        assert sent[0].out_port == 1
+        (packet_out,) = packet_outs
+        assert packet_out.out_port == 1
+        assert packet_out.frame.payload.sender_mac == group.vmac
 
     def test_packet_in_with_non_arp_payload_ignored(self, sim):
-        responder = VirtualArpResponder()
-        channel = ControllerChannel(sim, latency=0.001)
+        _controller, _group, _wire, _heard, channel, packet_outs = self._controller(sim)
         frame = EthernetFrame(ROUTER_MAC, MacAddress(1), EtherType.IPV4, object())
-        assert responder.handle_packet_in(PacketIn(frame=frame, in_port=1), channel) is False
+        channel.send_packet_in(PacketIn(frame=frame, in_port=1))
+        channel.send_packet_in(PacketIn(frame=self._request(IPv4Address("10.0.0.201")), in_port=1))
+        sim.run()
+        assert packet_outs == []

@@ -6,7 +6,9 @@ and a self-lint test certifies the repository against its own contract.
 """
 
 import json
+import re
 import textwrap
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -560,3 +562,25 @@ def test_repository_passes_its_own_linter(monkeypatch):
     report = lint_paths(["src/repro"], baseline=baseline)
     assert report.files_checked > 50
     assert report.clean, "\n" + report.render_text()
+
+
+def test_det004_suppression_inventory_matches_the_docs():
+    """The files ``docs/static_analysis.md`` names in its DET004 section
+    are exactly the files under ``src/`` that carry an inline DET004
+    suppression (in a real comment; the linter's own docstring examples
+    do not count)."""
+    package = REPO_ROOT / "src" / "repro"
+    suppressing = set()
+    for path in sorted(package.rglob("*.py")):
+        with tokenize.open(path) as handle:
+            comments = [
+                token.string
+                for token in tokenize.generate_tokens(handle.readline)
+                if token.type == tokenize.COMMENT
+            ]
+        by_line = scan_suppressions("\n".join(comments)).by_line
+        if any("DET004" in rules for rules in by_line.values()):
+            suppressing.add(path.relative_to(package).as_posix())
+    docs = (REPO_ROOT / "docs" / "static_analysis.md").read_text(encoding="utf-8")
+    section = docs.split("### DET004", 1)[1].split("\n### ", 1)[0]
+    assert set(re.findall(r"`([\w/]+\.py)`", section)) == suppressing

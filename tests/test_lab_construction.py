@@ -79,10 +79,8 @@ def test_supercharged_r1_has_no_bfd(built_lab):
     assert built_lab.controllers[0].bfd is not None
 
 
-def test_port_registry_covers_every_traced_device(built_lab):
-    registry = built_lab._port_registry()
-    owners = {getattr(node, "name", "?") for node in registry.values()}
-    assert {"R1", "R2", "R3", "sw1", "sink", "ctrl1"} <= owners
+def test_every_wired_port_has_an_owner_the_tracer_can_step(built_lab, check_port_owners):
+    check_port_owners(built_lab, {"R1", "R2", "R3", "sw1", "sink", "source", "ctrl1"})
 
 
 def test_setup_monitoring_requires_feeds(built_lab):

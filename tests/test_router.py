@@ -9,7 +9,8 @@ import pytest
 from repro.bgp.attributes import AsPath, PathAttributes
 from repro.bgp.speaker import PeerConfig
 from repro.net.addresses import IPv4Address, IPv4Prefix, MacAddress
-from repro.net.links import Link, Port
+from repro.net.host import Host
+from repro.net.links import Link
 from repro.net.packets import EtherType, EthernetFrame, IpProtocol, IPv4Packet, UdpDatagram
 from repro.router.fib_updater import FibUpdaterConfig
 from repro.router.router import Router, RouterConfig, StaticRoute
@@ -35,26 +36,20 @@ HOST_RIGHT_MAC = MacAddress("00:00:00:00:02:02")
 REMOTE_PREFIX = IPv4Prefix("8.8.8.0/24")
 
 
-class Host:
-    """A minimal host capturing everything it receives."""
+class CapturingHost(Host):
+    """A real host that keeps every non-ARP frame it is sent."""
 
-    def __init__(self, name, mac, ip):
-        self.name = name
+    def __init__(self, sim, name, mac, ip, subnet):
+        super().__init__(sim, name)
         self.mac = mac
         self.ip = ip
-        self.port = Port(name, 0)
-        self.port.set_frame_handler(self._handle)
+        self.port = self.add_interface("eth0", mac, ip, subnet).port
         self.received = []
 
-    def _handle(self, frame, port):
-        if frame.ethertype is EtherType.ARP:
-            packet = frame.payload
-            if packet.target_ip == self.ip and packet.op.name == "REQUEST":
-                from repro.arp.protocol import build_arp_reply
-
-                port.send(build_arp_reply(self.mac, self.ip, packet.sender_mac, packet.sender_ip))
-            return
-        self.received.append(frame)
+    def _handle_frame(self, frame, port):
+        super()._handle_frame(frame, port)
+        if frame.ethertype is not EtherType.ARP:
+            self.received.append(frame)
 
     def send_udp(self, gateway_mac, dst_ip):
         packet = IPv4Packet(
@@ -76,8 +71,8 @@ def duo(sim):
     r1.add_interface("core", R1_CORE_MAC, R1_CORE_IP, CORE_SUBNET)
     r2.add_interface("core", R2_CORE_MAC, R2_CORE_IP, CORE_SUBNET)
     r2.add_interface("right", R2_RIGHT_MAC, R2_RIGHT_IP, RIGHT_SUBNET)
-    host_left = Host("hl", HOST_LEFT_MAC, HOST_LEFT_IP)
-    host_right = Host("hr", HOST_RIGHT_MAC, HOST_RIGHT_IP)
+    host_left = CapturingHost(sim, "hl", HOST_LEFT_MAC, HOST_LEFT_IP, LEFT_SUBNET)
+    host_right = CapturingHost(sim, "hr", HOST_RIGHT_MAC, HOST_RIGHT_IP, RIGHT_SUBNET)
     links = {
         "left": Link(sim, host_left.port, r1.interfaces["left"].port, latency=1e-5),
         "core": Link(sim, r1.interfaces["core"].port, r2.interfaces["core"].port, latency=1e-5),
@@ -154,7 +149,7 @@ def test_forwarding_decision_reports_none_without_route(duo):
 def test_forwarding_decision_for_connected_destination(duo, sim):
     r1, _r2, host_left, *_ = duo
     # Force resolution by sending traffic towards the host once.
-    r1.send_ip_packet(IPv4Packet(
+    r1.send_to_neighbor(HOST_LEFT_IP, EtherType.IPV4, IPv4Packet(
         src=R1_LEFT_IP, dst=HOST_LEFT_IP, protocol=IpProtocol.UDP,
         payload=UdpDatagram(src_port=1, dst_port=2)))
     sim.run_for(1.0)
@@ -194,7 +189,6 @@ def test_router_answers_arp_for_its_interfaces(duo, sim):
 
     host_left.port.send(build_arp_request(HOST_LEFT_MAC, HOST_LEFT_IP, R1_LEFT_IP))
     sim.run_for(0.1)
-    # The host's handler records only non-ARP frames, so check R1's counters.
     assert r1.arp_cache.lookup(HOST_LEFT_IP, sim.now) == HOST_LEFT_MAC
 
 
@@ -226,16 +220,6 @@ def test_bfd_disabled_router_rejects_bfd_peer(sim):
     router = Router(sim, "X", RouterConfig(asn=1, router_id=IPv4Address("1.1.1.1")))
     with pytest.raises(RuntimeError):
         router.add_bfd_peer(R2_CORE_IP)
-
-
-def test_udp_handler_receives_local_traffic(duo, sim):
-    r1, _r2, host_left, *_ = duo
-    received = []
-    r1.on_udp(lambda packet, datagram: received.append(packet))
-    host_left.send_udp(R1_LEFT_MAC, R1_LEFT_IP)
-    sim.run_for(0.5)
-    assert len(received) == 1
-    assert r1.packets_delivered_locally >= 1
 
 
 class TestHierarchicalRouter:

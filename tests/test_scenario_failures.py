@@ -111,6 +111,44 @@ def test_unknown_target_rejected_at_fire_time():
         injector._resolve_link("R99")
 
 
+@pytest.fixture(scope="module")
+def built_lab():
+    """Unknown targets are refused before anything runs: built is enough."""
+    return build_scenario(Simulator(seed=13), get_preset("figure4", num_prefixes=10, failures=[]))
+
+
+#: Every target-taking kind with a target the Figure-4 lab does not have.
+UNKNOWN_TARGETS = [
+    ("link_down", "R99"),
+    ("link_up", "R99"),
+    ("link_flap", "R99"),
+    ("bfd_loss", "R99"),
+    ("session_reset", "R99"),
+    ("remote_withdraw", "R99"),
+    ("remote_nexthop_shift", "R99"),
+    ("controller_crash", "ctrl9"),
+]
+
+
+@pytest.mark.parametrize("kind,target", UNKNOWN_TARGETS)
+def test_unknown_target_is_a_spec_error_and_nothing_happens(built_lab, kind, target):
+    """Regression: ``session_reset`` and ``controller_crash`` raised a bare
+    ``KeyError`` (the crash after logging it), and ``arm`` scheduled all of
+    them to blow up mid-run from inside an event."""
+    lab = built_lab
+    bad = FailureSpec(kind=kind, at=0.2, target=target, duration=0.5)
+    injector = FailureInjector(lab)
+    with pytest.raises(ScenarioSpecError, match=target):
+        injector.fire(bad)
+    pending = lab.sim.pending_events
+    with pytest.raises(ScenarioSpecError, match=target):
+        injector.arm([FailureSpec(kind="link_down", at=0.1), bad])
+    # Nothing is armed at all, logged, or noted as a failure.
+    assert lab.sim.pending_events == pending
+    assert injector.log == [] and injector.first_failure_time is None
+    assert lab.last_failure_time is None
+
+
 def test_arm_runs_spec_campaign_by_default():
     lab = _converged_lab(seed=14)
     lab.spec.failures.append(FailureSpec(kind="link_down", at=0.3))
@@ -145,7 +183,7 @@ class TestRemoteFailures:
         # BGP propagation reconverges everything onto the backup provider.
         assert lab.wait_recovered(timeout=600)
         for destination in lab.monitored_destinations:
-            assert lab.edge_routers[0].lookup_fib(destination) is not None
+            assert lab.edge_routers[0].fib.lookup(destination) is not None
 
     def test_remote_withdraw_never_trips_bfd(self):
         lab = _converged_lab(seed=17)
@@ -217,9 +255,7 @@ class TestRemoteFailures:
         lab = build(sim, get_preset("figure4", seed=21, num_prefixes=10, failures=[]))
         injector = FailureInjector(lab)
         with pytest.raises(ScenarioSpecError):
-            injector._apply_remote_withdraw(
-                FailureSpec(kind="remote_withdraw", at=0.0)
-            )
+            injector.fire(FailureSpec(kind="remote_withdraw", at=0.0))
 
 
 class TestOverlappingFailures:

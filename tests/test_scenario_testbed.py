@@ -80,9 +80,10 @@ class TestFanTopology:
         peer_ips = {spec.ip for spec in controller.config.peers}
         assert peer_ips == {fan_lab.plan.provider_core_ip(i) for i in range(4)}
 
-    def test_port_registry_covers_fan(self, fan_lab):
-        owners = {getattr(node, "name", "?") for node in fan_lab._port_registry().values()}
-        assert {"R1", "P1", "P2", "P3", "P4", "sw1", "sink", "ctrl1"} <= owners
+    def test_every_wired_port_has_an_owner_the_tracer_can_step(self, fan_lab, check_port_owners):
+        check_port_owners(
+            fan_lab, {"R1", "P1", "P2", "P3", "P4", "sw1", "sink", "source", "ctrl1"}
+        )
 
 
 class TestFanFailover:

@@ -58,7 +58,7 @@ class TestTrafficSourceAndSink:
         Link(sim, source.port, sink.interfaces["eth0"].port, latency=1e-5)
         # The sink plays the gateway role: packets sent to the gateway MAC
         # are the sink interface's MAC in this reduced setup.
-        source.set_gateway_mac(SINK_MAC)
+        source.add_static_neighbor(GW_IP, SINK_MAC)
         return source, sink
 
     def test_packets_flow_at_configured_rate(self, sim):
@@ -137,7 +137,7 @@ class TestTrafficSourceAndSink:
         Link(sim, source.port, gateway_port, latency=1e-5)
         source.start()
         sim.run(until=0.5)
-        assert source.gateway_resolved
+        assert source.arp_cache.lookup(GW_IP, sim.now) == GW_MAC
         assert received and received[0].dst_mac == GW_MAC
 
     def test_sink_reset_clears_statistics(self, sim):
