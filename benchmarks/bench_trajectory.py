@@ -189,7 +189,9 @@ def main() -> int:
 
     entry = {
         "date": datetime.date.today().isoformat(),
-        "sha": _git_sha(),
+        # HEAD while the line is written: the PR's parent, because the line
+        # is committed *with* the change it measures.
+        "parent_sha": _git_sha(),
         "source": source,
         "python": ".".join(str(part) for part in sys.version_info[:3]),
         "src_lines": count_src_lines(),

@@ -15,7 +15,7 @@ from repro.experiments.ablations import (
     sweep_bfd_interval,
     sweep_flow_mod_latency,
 )
-from repro.experiments.stats import format_table
+from repro.stats import format_table
 
 
 def _points_table(points, parameter_header):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from benchmarks.conftest import record_report
 from repro.experiments.backup_group_analysis import backup_group_counts
-from repro.experiments.stats import format_table
+from repro.stats import format_table
 
 PEER_COUNTS = (2, 3, 5, 10)
 

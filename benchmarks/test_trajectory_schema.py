@@ -28,10 +28,15 @@ TRAJECTORY_PATH = os.path.join(REPO_ROOT, "BENCH_trajectory.jsonl")
 #: remote_repoint_* block is optional as a unit (--skip-remote).
 REQUIRED_FIELDS = {
     "date": str,
-    "sha": str,
     "source": str,
     "python": str,
 }
+
+#: Exactly one of these names the commit.  Lines are written before the
+#: commit that carries them, so the value has been the PR's *parent* since
+#: PR 12; the writer says so (``parent_sha``) since PR 21 and the older
+#: lines keep the ``sha`` they were committed with.
+COMMIT_FIELDS = ("sha", "parent_sha")
 
 #: The dataplane headline: absolute rates of the live classes.  Required
 #: on every line that does not carry the retired ratios instead.
@@ -123,6 +128,9 @@ def _check_entry(entry: dict, context: str) -> None:
         # Rates, ratios and sizes are positive.
         if field.endswith(("_speedup", "_per_s", "_lines")):
             assert entry[field] > 0, f"{context}: {field!r} must be positive"
+    commit = [field for field in COMMIT_FIELDS if field in entry]
+    assert len(commit) == 1, f"{context}: want one of {COMMIT_FIELDS}, got {commit}"
+    assert isinstance(entry[commit[0]], str), f"{context}: {commit[0]!r} is not a string"
     # A date is YYYY-MM-DD.
     year, month, day = entry["date"].split("-")
     assert len(year) == 4 and len(month) == 2 and len(day) == 2, (
@@ -193,6 +201,7 @@ def test_writer_emits_schema_conforming_entries(tmp_path):
     assert entry["label"] == "schema-check"
     assert not set(RETIRED_FIELDS) & set(entry)
     assert "src_lines" in entry  # optional on old lines, written on every new one
+    assert "parent_sha" in entry  # ``sha`` on old lines only
     # The committed e2e baseline holds all four workloads.
     for workload in E2E_WORKLOADS:
         assert entry[f"campaign_{workload}_converge_s"] > 0

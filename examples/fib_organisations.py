@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 
 from repro.experiments.ablations import compare_fib_designs
-from repro.experiments.stats import format_table
+from repro.stats import format_table
 
 
 def main() -> None:

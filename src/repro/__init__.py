@@ -24,23 +24,22 @@ True
 True
 """
 
-from repro.sim import Simulator
-from repro.net import IPv4Address, IPv4Prefix, MacAddress
-from repro.bgp import BgpSpeaker, PathAttributes, UpdateMessage
-from repro.router import Router, RouterConfig, FibUpdaterConfig
-from repro.openflow import OpenFlowSwitch, SwitchConfig
-from repro.core import (
-    BackupGroupManager,
-    ControllerCluster,
-    SuperchargedController,
-    VnhAllocator,
-)
-from repro.routes import synthetic_full_table
-from repro.experiments import (
-    BoxStats,
-    ControllerMicrobench,
-    Figure5Experiment,
-)
+from repro.sim.engine import Simulator
+from repro.net.addresses import IPv4Address, IPv4Prefix, MacAddress
+from repro.bgp.attributes import PathAttributes
+from repro.bgp.messages import UpdateMessage
+from repro.bgp.speaker import BgpSpeaker
+from repro.router.fib_updater import FibUpdaterConfig
+from repro.router.router import Router, RouterConfig
+from repro.openflow.switch import OpenFlowSwitch, SwitchConfig
+from repro.core.backup_groups import BackupGroupManager
+from repro.core.controller import SuperchargedController
+from repro.core.reliability import ControllerCluster
+from repro.core.vnh_allocator import VnhAllocator
+from repro.routes.ris_feed import synthetic_full_table
+from repro.stats import BoxStats
+from repro.experiments.controller_bench import ControllerMicrobench
+from repro.experiments.figure5 import Figure5Experiment
 from repro.scenarios import (
     PRIMARY_LINK_DOWN,
     CampaignRunner,

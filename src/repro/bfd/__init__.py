@@ -5,8 +5,3 @@ The paper uses FreeBFD to detect peer failure quickly; detection latency
 supercharged router's ~150 ms convergence budget, so the session state
 machine and its timing are reproduced faithfully.
 """
-
-from repro.bfd.session import BfdSession, BfdSessionState
-from repro.bfd.manager import BfdManager
-
-__all__ = ["BfdSession", "BfdSessionState", "BfdManager"]

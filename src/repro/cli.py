@@ -339,7 +339,7 @@ def _cmd_report(arguments: argparse.Namespace) -> int:
         record, lab = execute_scenario(spec, timeout=arguments.timeout)
         code = code or _healthy(record)
         ledger = lab.telemetry.ledger
-        outages = lab.telemetry.causal.outages()
+        outages = lab.detection.outages()
         entries.append(
             {
                 "record": record,

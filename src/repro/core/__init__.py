@@ -23,31 +23,3 @@ switch:
    node, and :mod:`repro.core.reliability` runs redundant controller
    replicas without state synchronisation.
 """
-
-from repro.core.backup_groups import BackupGroup, BackupGroupManager, ProvisioningAction
-from repro.core.vnh_allocator import VnhAllocator, VnhAllocationError
-from repro.core.convergence import DataPlaneConvergence
-from repro.core.flow_provisioner import FlowProvisioner
-from repro.core.rest_api import FloodlightRestApi, StaticFlowEntry
-from repro.core.controller import (
-    ControllerConfig,
-    PeerSpec,
-    SuperchargedController,
-)
-from repro.core.reliability import ControllerCluster
-
-__all__ = [
-    "BackupGroup",
-    "BackupGroupManager",
-    "ProvisioningAction",
-    "VnhAllocator",
-    "VnhAllocationError",
-    "DataPlaneConvergence",
-    "FlowProvisioner",
-    "FloodlightRestApi",
-    "StaticFlowEntry",
-    "ControllerConfig",
-    "PeerSpec",
-    "SuperchargedController",
-    "ControllerCluster",
-]

@@ -74,9 +74,6 @@ class ControllerConfig:
     bfd_multiplier: int = 3
     #: Latency of one REST call to the SDN controller platform.
     rest_latency: float = 2e-3
-    #: Size of the backup groups (2 protects against any single failure).
-    backup_group_size: int = 2
-    bgp_hold_time: float = 90.0
     #: Remote supercharge: plan shared-fate remote groups and absorb
     #: remote withdraws / next-hop shifts with O(#groups) flow-mods
     #: instead of per-prefix re-announcements.
@@ -100,13 +97,9 @@ class SuperchargedController(Host):
         reserved = {config.ip, config.router_ip} | {peer.ip for peer in config.peers}
         self.allocator = VnhAllocator(config.vnh_pool, reserved=reserved)
         if config.remote_groups:
-            self.backup_groups: BackupGroupManager = RemoteGroupPlanner(
-                self.allocator, group_size=config.backup_group_size
-            )
+            self.backup_groups: BackupGroupManager = RemoteGroupPlanner(self.allocator)
         else:
-            self.backup_groups = BackupGroupManager(
-                self.allocator, group_size=config.backup_group_size
-            )
+            self.backup_groups = BackupGroupManager(self.allocator)
         self.remote_engine: Optional[RemoteRepointEngine] = None
         self.bgp = BgpSpeaker(
             sim,
@@ -224,20 +217,11 @@ class SuperchargedController(Host):
         self._started = True
         for peer in self.config.peers:
             self.bgp.add_peer(
-                PeerConfig(
-                    peer_ip=peer.ip,
-                    peer_asn=peer.asn,
-                    local_pref=peer.local_pref,
-                    hold_time=self.config.bgp_hold_time,
-                )
+                PeerConfig(peer_ip=peer.ip, peer_asn=peer.asn, local_pref=peer.local_pref)
             )
             self.bfd.add_peer(peer.ip)
         self.bgp.add_peer(
-            PeerConfig(
-                peer_ip=self.config.router_ip,
-                peer_asn=self.config.router_asn,
-                hold_time=self.config.bgp_hold_time,
-            )
+            PeerConfig(peer_ip=self.config.router_ip, peer_asn=self.config.router_asn)
         )
         self.bgp.start()
 

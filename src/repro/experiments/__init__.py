@@ -13,39 +13,3 @@
 * :mod:`repro.stats` — box-plot statistics and tables shared by all of the
   above.
 """
-
-from repro.stats import BoxStats
-from repro.experiments.figure5 import (
-    DEFAULT_PREFIX_COUNTS,
-    FULL_SCALE_PREFIX_COUNTS,
-    Figure5Experiment,
-    Figure5Row,
-)
-from repro.experiments.controller_bench import (
-    ControllerMicrobench,
-    MicrobenchResult,
-)
-from repro.experiments.backup_group_analysis import backup_group_counts
-from repro.experiments.ablations import (
-    AblationPoint,
-    compare_fib_designs,
-    sweep_bfd_interval,
-    sweep_flow_mod_latency,
-)
-from repro.experiments.detection import DetectionExperiment
-
-__all__ = [
-    "DetectionExperiment",
-    "BoxStats",
-    "DEFAULT_PREFIX_COUNTS",
-    "FULL_SCALE_PREFIX_COUNTS",
-    "Figure5Experiment",
-    "Figure5Row",
-    "ControllerMicrobench",
-    "MicrobenchResult",
-    "backup_group_counts",
-    "AblationPoint",
-    "compare_fib_designs",
-    "sweep_bfd_interval",
-    "sweep_flow_mod_latency",
-]

@@ -51,13 +51,13 @@ class Host:
     then reach it through the demux.
     """
 
-    def __init__(self, sim: Simulator, name: str, arp_lifetime: float = 1200.0) -> None:
+    def __init__(self, sim: Simulator, name: str) -> None:
         self._sim = sim
         self.name = name
         self.interfaces: Dict[str, Interface] = {}
         #: Interfaces by port number (ports are numbered in creation order).
         self._by_port: List[Interface] = []
-        self.arp_cache = ArpCache(lifetime=arp_lifetime)
+        self.arp_cache = ArpCache()
         self.arp_client = ArpClient(sim, self.arp_cache)
         self._arp_handler = ArpHandler(self.arp_cache, now=lambda: sim.now)
         self.bgp: Optional["BgpSpeaker"] = None

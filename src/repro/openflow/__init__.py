@@ -7,38 +7,3 @@ packet-outs and port-status notifications.  Rule installation has a
 configurable latency — the switch-side component of the supercharged
 convergence time.
 """
-
-from repro.openflow.flow_table import (
-    Actions,
-    FlowEntry,
-    FlowMatch,
-    FlowTable,
-    FlowTableError,
-)
-from repro.openflow.messages import (
-    FlowMod,
-    FlowModCommand,
-    PacketIn,
-    PacketOut,
-    PortStatus,
-    PortStatusReason,
-)
-from repro.openflow.switch import OpenFlowSwitch, SwitchConfig
-from repro.openflow.controller_channel import ControllerChannel
-
-__all__ = [
-    "Actions",
-    "FlowEntry",
-    "FlowMatch",
-    "FlowTable",
-    "FlowTableError",
-    "FlowMod",
-    "FlowModCommand",
-    "PacketIn",
-    "PacketOut",
-    "PortStatus",
-    "PortStatusReason",
-    "OpenFlowSwitch",
-    "SwitchConfig",
-    "ControllerChannel",
-]

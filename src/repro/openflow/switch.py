@@ -32,12 +32,14 @@ from repro.openflow.messages import (
 from repro.sim.engine import Simulator
 
 
+#: Per-frame forwarding pipeline latency in seconds.
+FORWARDING_LATENCY = 5e-6
+
+
 @dataclass
 class SwitchConfig:
     """Hardware characteristics of the switch."""
 
-    #: Per-frame forwarding pipeline latency in seconds.
-    forwarding_latency: float = 5e-6
     #: Time to program one flow entry into the hardware table.
     flow_mod_latency: float = 2e-3
     #: Flow table capacity (TCAM entries).
@@ -144,7 +146,7 @@ class OpenFlowSwitch:
             port.send(frame)
             self.frames_forwarded += 1
 
-        self._sim.schedule(self.config.forwarding_latency, transmit, name=f"{self.name}:fwd")
+        self._sim.schedule(FORWARDING_LATENCY, transmit, name=f"{self.name}:fwd")
 
     def _punt(self, frame: EthernetFrame, in_port: int, reason: str) -> None:
         self.packet_ins += 1

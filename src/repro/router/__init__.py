@@ -14,27 +14,3 @@ that matters for convergence behaviour:
   MAC addresses — tying a BGP speaker, optional BFD, the FIB and the data
   plane together.
 """
-
-from repro.router.fib import (
-    Adjacency,
-    FibEntry,
-    FlatFib,
-    HierarchicalFib,
-    LpmTable,
-)
-from repro.router.fib_updater import FibUpdater, FibUpdaterConfig, FibWriteRequest
-from repro.router.router import Router, RouterConfig, StaticRoute
-
-__all__ = [
-    "Adjacency",
-    "FibEntry",
-    "FlatFib",
-    "HierarchicalFib",
-    "LpmTable",
-    "FibUpdater",
-    "FibUpdaterConfig",
-    "FibWriteRequest",
-    "Router",
-    "RouterConfig",
-    "StaticRoute",
-]

@@ -32,6 +32,10 @@ from repro.router.fib_updater import FibUpdater, FibUpdaterConfig
 from repro.sim.engine import Simulator
 
 
+#: Per-packet forwarding latency of the data plane.
+FORWARDING_LATENCY = 10e-6
+
+
 @dataclass
 class RouterConfig:
     """Per-router knobs."""
@@ -39,16 +43,11 @@ class RouterConfig:
     asn: int
     router_id: IPv4Address
     fib_updater: FibUpdaterConfig = field(default_factory=FibUpdaterConfig)
-    #: Per-packet forwarding latency of the data plane.
-    forwarding_latency: float = 10e-6
     #: Use a PIC-style hierarchical FIB instead of a flat one (ablation).
     hierarchical_fib: bool = False
-    #: ARP cache lifetime in seconds.
-    arp_lifetime: float = 1200.0
     #: BFD transmit interval; ``None`` disables BFD on this router.
     bfd_interval: Optional[float] = None
     bfd_multiplier: int = 3
-    bgp_hold_time: float = 90.0
 
 
 @dataclass(frozen=True)
@@ -63,7 +62,7 @@ class Router(Host):
     """A simulated IP router / BGP speaker."""
 
     def __init__(self, sim: Simulator, name: str, config: RouterConfig) -> None:
-        super().__init__(sim, name, arp_lifetime=config.arp_lifetime)
+        super().__init__(sim, name)
         self.config = config
         self.fib = HierarchicalFib() if config.hierarchical_fib else FlatFib()
         # The serial updater only drives flat FIBs; hierarchical routers
@@ -254,9 +253,7 @@ class Router(Host):
                 interface.port.send(frame)
                 self.packets_forwarded += 1
 
-        self._sim.schedule(
-            self.config.forwarding_latency, transmit, name=f"{self.name}:fwd"
-        )
+        self._sim.schedule(FORWARDING_LATENCY, transmit, name=f"{self.name}:fwd")
 
     # ------------------------------------------------------------------
     # RIB -> FIB plumbing

@@ -9,42 +9,8 @@ and the fact that both providers advertise the *same* prefixes — and both
 are preserved.
 
 When a real collector file *is* available, :mod:`repro.routes.mrt` parses
-RFC 6396 TABLE_DUMP_V2 RIB snapshots into the same :class:`RouteFeed`
+RFC 6396 TABLE_DUMP_V2 RIB snapshots into the same
+:class:`~repro.routes.ris_feed.RouteFeed`
 shape and BGP4MP update traces into ``churn_stream``-compatible
 :class:`~repro.bgp.messages.UpdateMessage` streams.
 """
-
-from repro.routes.prefix_gen import PrefixGenerator, PREFIX_LENGTH_MIX
-from repro.routes.mrt import (
-    MrtError,
-    MrtPeer,
-    load_rib,
-    load_updates,
-    mrt_churn_stream,
-    read_records,
-    write_rib,
-    write_updates,
-)
-from repro.routes.ris_feed import (
-    FeedRoute,
-    RouteFeed,
-    churn_stream,
-    synthetic_full_table,
-)
-
-__all__ = [
-    "PrefixGenerator",
-    "PREFIX_LENGTH_MIX",
-    "FeedRoute",
-    "RouteFeed",
-    "churn_stream",
-    "synthetic_full_table",
-    "MrtError",
-    "MrtPeer",
-    "load_rib",
-    "load_updates",
-    "mrt_churn_stream",
-    "read_records",
-    "write_rib",
-    "write_updates",
-]

@@ -40,18 +40,11 @@ from repro.scenarios.spec import (
     ScenarioSpecError,
     failure_campaign,
 )
-from repro.scenarios.testbed import (
-    DetectionEvent,
-    DetectionTracker,
-    ScenarioLab,
-    build_scenario,
-)
+from repro.scenarios.testbed import ScenarioLab, build_scenario
 
 __all__ = [
     "CampaignResult",
     "CampaignRunner",
-    "DetectionEvent",
-    "DetectionTracker",
     "FAILURE_KINDS",
     "REMOTE_FAILURE_KINDS",
     "FailoverResult",

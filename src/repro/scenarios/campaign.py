@@ -246,7 +246,7 @@ def execute_scenario(
     flow_mods_pushed = sum(p.rules_pushed for p in provisioners)
     flow_mods_batched = sum(p.rules_pushed_batched for p in provisioners)
     telemetry = lab.telemetry
-    outages = telemetry.causal.outages() if telemetry is not None else []
+    outages = lab.detection.outages()
     queue_gauge = (
         telemetry.metrics.get("channel.flow_mods_in_flight") if telemetry is not None else None
     )

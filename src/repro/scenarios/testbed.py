@@ -26,7 +26,6 @@ callers that time them apart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, IO, List, Optional
 
 from repro.bgp.messages import UpdateMessage
@@ -53,8 +52,14 @@ from repro.telemetry import (
     STAGE_INSTALL,
     STAGE_PUSH,
     STAGES,
+    CausalContext,
     SimProfiler,
     Telemetry,
+)
+from repro.telemetry.causal import (
+    DETECTION_BFD,
+    DETECTION_BGP,
+    DETECTION_CONTROLLER_PUSH,
 )
 from repro.traffic.flows import FlowSpec
 from repro.traffic.generator import TrafficSource, TrafficSourceConfig
@@ -168,108 +173,6 @@ class AddressPlan:
         return 2 + self.num_providers + k
 
 
-#: Detection-path labels recorded by :class:`DetectionTracker`.
-DETECTION_BFD = "bfd"
-DETECTION_BGP = "bgp"
-DETECTION_CONTROLLER_PUSH = "controller_push"
-
-
-@dataclass(frozen=True)
-class DetectionEvent:
-    """One failure-detection observation at the measuring vantage point."""
-
-    at: float
-    #: ``"bfd"`` (the failure detector fired), ``"bgp"`` (a withdraw /
-    #: re-announcement removed the peer's best path) or
-    #: ``"controller_push"`` (the router heard about it from the
-    #: supercharged controller).
-    path: str
-    #: Provider the event points at (None when not attributable, e.g. a
-    #: controller push).
-    peer_ip: Optional[IPv4Address]
-
-
-class DetectionTracker:
-    """Records *how* failures become visible: BFD, BGP or controller push.
-
-    Hooks registered by :class:`ScenarioLab` call :meth:`record`; each
-    ``(path, peer)`` pair is recorded at most once per *episode* (episodes
-    are opened by :meth:`ScenarioLab.note_failure`), so the log stays tiny
-    while still capturing the first post-failure observation of every
-    mechanism."""
-
-    def __init__(self, sim: Simulator) -> None:
-        self._sim = sim
-        self.events: List[DetectionEvent] = []
-        self._seen: set = set()
-        self._listeners: List[Callable[[DetectionEvent], None]] = []
-        self._telemetry = None
-
-    def on_record(self, callback: Callable[[DetectionEvent], None]) -> None:
-        """Register a listener fired for every newly recorded event."""
-        self._listeners.append(callback)
-
-    def attach_telemetry(self, telemetry) -> None:
-        """Mirror every recorded observation onto the trace bus as
-        ``detection.<path>`` (e.g. ``detection.bfd``) — the *detect* stage
-        of the convergence timeline."""
-        self._telemetry = telemetry
-
-    def new_episode(self) -> None:
-        """Open a fresh episode (each mechanism may record once again)."""
-        self._seen.clear()
-
-    def record(self, path: str, peer_ip: Optional[IPv4Address] = None) -> None:
-        """Record a detection observation (deduplicated per episode)."""
-        key = (path, peer_ip)
-        if key in self._seen:
-            return
-        self._seen.add(key)
-        event = DetectionEvent(self._sim.now, path, peer_ip)
-        self.events.append(event)
-        if self._telemetry is not None:
-            self._telemetry.counter(f"detection.{path}").inc()
-            self._telemetry.emit(
-                f"detection.{path}",
-                peer=str(peer_ip) if peer_ip is not None else None,
-            )
-        for callback in list(self._listeners):
-            callback(event)
-
-    def first_detection(
-        self, since: float, peer_ip: Optional[IPv4Address] = None
-    ) -> Optional[DetectionEvent]:
-        """Earliest genuine detection (BFD or BGP) at/after ``since``,
-        optionally restricted to ``peer_ip``.  BFD wins exact-time ties:
-        a BFD trigger tears the BGP session down in the same instant, and
-        the detector is what caused it."""
-        best: Optional[DetectionEvent] = None
-        best_key = None
-        for event in self.events:
-            if event.path == DETECTION_CONTROLLER_PUSH:
-                continue
-            if event.at < since - 1e-9:
-                continue
-            if (
-                peer_ip is not None
-                and event.peer_ip is not None
-                and event.peer_ip != peer_ip
-            ):
-                continue
-            key = (event.at, 0 if event.path == DETECTION_BFD else 1)
-            if best_key is None or key < best_key:
-                best, best_key = event, key
-        return best
-
-    def first_push(self, since: float) -> Optional[DetectionEvent]:
-        """Earliest controller push at/after ``since`` (None when the
-        scenario has no controller, or nothing was pushed)."""
-        for event in self.events:
-            if event.path == DETECTION_CONTROLLER_PUSH and event.at >= since - 1e-9:
-                return event
-        return None
-
-
 class ScenarioLab:
     """A scenario spec compiled into a complete evaluation environment."""
 
@@ -305,12 +208,11 @@ class ScenarioLab:
         self.links: Dict[str, Link] = {}
         self.monitored_destinations: List[IPv4Address] = []
         self._destination_prefix: Dict[IPv4Address, IPv4Prefix] = {}
-        self.last_failure_time: Optional[float] = None
-        #: Provider whose failure is being measured (0 when nothing failed yet).
-        self.last_failed_provider: Optional[int] = None
-        #: Detection-path attribution (BFD vs BGP vs controller push).
-        self.detection = DetectionTracker(sim)
-        self.detection.on_record(self._detection_recorded)
+        #: The one book of failure episodes: :meth:`note_failure` opens an
+        #: outage in it, the detection hooks record into it (BFD vs BGP vs
+        #: controller push), the monitor labels closing outages from it and
+        #: telemetry, when on, observes it.
+        self.detection = CausalContext()
         #: Updates scheduled by :meth:`start_churn` (0 = churn disabled).
         self.churn_updates_scheduled = 0
         #: Sim-time observability context (None when the spec disables it).
@@ -322,6 +224,7 @@ class ScenarioLab:
                 clock=lambda: sim.now,
                 trace_capacity=spec.trace_capacity,
                 sink=trace_sink,
+                causal=self.detection,
             )
             if spec.telemetry
             else None
@@ -656,7 +559,7 @@ class ScenarioLab:
         provider's own best path (withdraws, session flushes, or worse
         re-announcements), ``"controller_push"`` from routes the router
         receives from a controller."""
-        tracker = self.detection
+        book = self.detection
         provider_ips = set(self._provider_ips())
 
         def bgp_hook(change: RibChange, from_peer: IPv4Address) -> None:
@@ -664,11 +567,11 @@ class ScenarioLab:
                 return
             old = change.old_best
             if old is not None and old.source.peer_ip == from_peer:
-                tracker.record(DETECTION_BGP, from_peer)
+                book.record_detection(self.sim.now, DETECTION_BGP, from_peer)
 
         def bfd_hook(peer_ip: IPv4Address, reason: str) -> None:
             if peer_ip in provider_ips:
-                tracker.record(DETECTION_BFD, peer_ip)
+                book.record_detection(self.sim.now, DETECTION_BFD, peer_ip)
 
         # Every replica of a controller plane programs the one shared
         # switch, so each one's view counts; routers are on their own.
@@ -682,20 +585,9 @@ class ScenarioLab:
 
             def push_hook(change: RibChange, from_peer: IPv4Address) -> None:
                 if from_peer in controller_ips:
-                    tracker.record(DETECTION_CONTROLLER_PUSH, None)
+                    book.record_detection(self.sim.now, DETECTION_CONTROLLER_PUSH)
 
             self.edge_routers[0].bgp.on_rib_change(push_hook)
-
-    def _detection_recorded(self, event: DetectionEvent) -> None:
-        # Label the monitor's current reconvergence episode with the episode's
-        # *winning* detection (BFD beats a same-instant BGP session flush), so
-        # closing outages carry their detection path.
-        if self.monitor is None or event.path == DETECTION_CONTROLLER_PUSH:
-            return
-        since = self.last_failure_time if self.last_failure_time is not None else 0.0
-        winner = self.detection.first_detection(since)
-        if winner is not None:
-            self.monitor.note_detection(winner.path)
 
     # ------------------------------------------------------------------
     # Telemetry wiring
@@ -750,7 +642,6 @@ class ScenarioLab:
         telemetry = self.telemetry
         if telemetry is None:
             return
-        self.detection.attach_telemetry(telemetry)
         measured = self.edge_routers[0]
         measured.fib_updater.attach_telemetry(telemetry)
         measured.bgp.attach_telemetry(telemetry)
@@ -786,7 +677,7 @@ class ScenarioLab:
         telemetry is off or nothing failed).  Later episodes (flap cycles,
         repeated injections) are the ledger's further outages
         (``telemetry.ledger.outage_summaries()``)."""
-        outages = self.telemetry.causal.outages() if self.telemetry is not None else []
+        outages = self.detection.outages() if self.telemetry is not None else []
         if not outages:
             return {stage: None for stage in STAGES}
         return self.telemetry.ledger.stage_offsets_ms(outages[0])
@@ -914,6 +805,9 @@ class ScenarioLab:
             first_hop_mac=lambda: gateway_mac,
         )
         self.monitor = ReachabilityMonitor(self.sim, self.tracer)
+        # Closing outages carry the open episode's winning detection (BFD
+        # beats a same-instant BGP session flush), read when they close.
+        self.monitor.detection_label = self.detection.episode_detection_path
         for destination in self.monitored_destinations:
             self.monitor.watch(destination, self._destination_prefix[destination])
         measured = self.edge_routers[0]
@@ -942,35 +836,22 @@ class ScenarioLab:
         provider_index: Optional[int] = None,
         kind: Optional[str] = None,
     ) -> float:
-        """Record the instant (and, if known, the provider and failure
-        kind) of a failure event — the anchors detection labelling and the
-        causal ledger work from.  With telemetry on this also mints the
-        episode's causal root: a deterministic ``outage-<n>`` context that
-        the trace bus stamps into every subsequent event until the next
-        injection."""
-        self.last_failure_time = self.sim.now if when is None else when
-        if provider_index is not None:
-            self.last_failed_provider = provider_index
-        # A fresh detection episode: every mechanism may claim this failure.
-        self.detection.new_episode()
+        """Open a failure episode at ``when`` (now by default): one
+        ``outage-<n>`` root in :attr:`detection` carrying the provider and
+        failure kind exactly as given — the anchor detection labelling and
+        the causal ledger work from, stamped by the trace bus into every
+        event until the next injection."""
+        at = self.sim.now if when is None else when
+        outage_id = self.detection.open_outage(at, kind=kind, provider=provider_index)
         if self.telemetry is not None:
-            outage_id = self.telemetry.causal.open_outage(
-                self.last_failure_time,
-                kind=kind,
-                provider=self.last_failed_provider,
-            )
             self.telemetry.counter("lab.episodes").inc()
             self.telemetry.emit(
                 "lab.episode",
                 outage=outage_id,
                 kind=kind,
-                provider=self.last_failed_provider
-                if self.last_failed_provider is not None
-                else -1,
+                provider=provider_index if provider_index is not None else -1,
             )
-        if self.monitor is not None:
-            self.monitor.clear_detection()
-        return self.last_failure_time
+        return at
 
     def restart_provider_sessions(self, index: int) -> None:
         """Administratively re-open every BGP session of provider ``index``

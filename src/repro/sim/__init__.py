@@ -4,20 +4,6 @@ The engine is deliberately small: a priority queue of timestamped events,
 a simulated clock, cancellable timers and a couple of convenience helpers
 (periodic processes, deterministic randomness).  All other packages —
 routers, switches, BGP sessions, BFD, traffic generators — are written
-against :class:`Simulator` so that an entire "hardware lab" can be run in
+against :class:`~repro.sim.engine.Simulator` so that an entire "hardware lab" can be run in
 a single Python process with microsecond-exact timestamps.
 """
-
-from repro.sim.engine import Event, EventHandle, Simulator, SimulationError
-from repro.sim.process import PeriodicProcess, ProcessState
-from repro.sim.random import SeededRandom
-
-__all__ = [
-    "Event",
-    "EventHandle",
-    "Simulator",
-    "SimulationError",
-    "PeriodicProcess",
-    "ProcessState",
-    "SeededRandom",
-]

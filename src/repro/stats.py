@@ -2,7 +2,7 @@
 
 A leaf module (it imports nothing from :mod:`repro`), so the telemetry
 ledger, the campaign runner and the experiments can all import it at
-module level.  :mod:`repro.experiments.stats` re-exports it.
+module level.
 """
 
 from __future__ import annotations

@@ -16,13 +16,3 @@ table while its access link stays up:
   batched flow-mod instead of re-announcing every member prefix to the
   router.
 """
-
-from repro.supercharge.engine import RemoteRepointEngine, RemoteRepointEvent
-from repro.supercharge.planner import RemoteGroup, RemoteGroupPlanner
-
-__all__ = [
-    "RemoteGroup",
-    "RemoteGroupPlanner",
-    "RemoteRepointEngine",
-    "RemoteRepointEvent",
-]

@@ -42,6 +42,7 @@ from typing import Any, Callable, IO, Optional, Sequence
 from repro.telemetry.causal import (
     CausalContext,
     ConvergenceLedger,
+    DetectionEvent,
     OutageContext,
 )
 from repro.telemetry.export import render_openmetrics
@@ -61,6 +62,7 @@ __all__ = [
     "CausalContext",
     "ConvergenceLedger",
     "Counter",
+    "DetectionEvent",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
@@ -90,13 +92,18 @@ class Telemetry:
         clock: Callable[[], float],
         trace_capacity: int = 4096,
         sink: Optional[IO[str]] = None,
+        causal: Optional[CausalContext] = None,
     ) -> None:
         self.trace = TraceBus(clock, capacity=trace_capacity, sink=sink)
         self.metrics = MetricsRegistry()
-        # Causal provenance: the outage-root context and the per-prefix
-        # restoration ledger.  The trace bus stamps the ambient outage id
-        # into every event emitted while an outage is open.
-        self.causal = CausalContext()
+        # Causal provenance: the episode book is its owner's (the lab hands
+        # its own in; a bare context gets a fresh one) and telemetry only
+        # observes it — the trace bus stamps the ambient outage id into
+        # every event emitted while an outage is open, detections are
+        # mirrored as ``detection.*`` events, and the ledger folds the
+        # per-prefix restorations per outage.
+        self.causal = causal if causal is not None else CausalContext()
+        self.causal.attach_telemetry(self)
         self.ledger = ConvergenceLedger(self.causal)
         self.trace.bind_causal(self.causal)
 

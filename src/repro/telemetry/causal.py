@@ -7,7 +7,11 @@ the one place both are kept, per outage:
 
 * every disruptive failure injection mints an **outage context** — a
   deterministic ``outage-<n>`` root id plus its sim-time open instant —
-  through :meth:`CausalContext.open_outage`;
+  through :meth:`CausalContext.open_outage`, the one call that opens a
+  failure episode;
+* the same book keeps *how* each failure became visible (BFD, BGP or a
+  controller push), once per mechanism and peer per episode, and answers
+  :meth:`CausalContext.first_detection` / :meth:`~CausalContext.first_push`;
 * while an outage is open, the trace bus stamps the ambient id into
   every emitted event (``outage`` field), so detection, engine flush,
   flow-mod push and FIB install records all chain back to the same root;
@@ -29,15 +33,53 @@ stay byte-identical.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple,
+)
 
 from repro.stats import quantile_from_sorted
 from repro.telemetry.timeline import STAGES
 from repro.telemetry.trace import TraceEvent
 
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.telemetry import Telemetry
+
 #: Chain subject kinds.
 KIND_PREFIX = "prefix"
 KIND_GROUP = "group"
+
+#: Detection-path labels of :meth:`CausalContext.record_detection`.
+DETECTION_BFD = "bfd"
+DETECTION_BGP = "bgp"
+DETECTION_CONTROLLER_PUSH = "controller_push"
+
+
+@dataclass(frozen=True)
+class DetectionEvent:
+    """One failure-detection observation at the measuring vantage point."""
+
+    at: float
+    #: ``"bfd"`` (the failure detector fired), ``"bgp"`` (a withdraw /
+    #: re-announcement removed the peer's best path) or
+    #: ``"controller_push"`` (the router heard about it from the
+    #: supercharged controller).
+    path: str
+    #: Provider the event points at (None when not attributable, e.g. a
+    #: controller push).
+    peer_ip: Optional[Any]
+
+
+def _earliest_genuine(events: Iterable[DetectionEvent]) -> Optional[DetectionEvent]:
+    """The winning detection among ``events``: the earliest BFD or BGP one,
+    BFD before a same-instant BGP event (a BFD trigger tears the BGP
+    session down in the same instant, and the detector is what caused it).
+    A controller push is how the router *hears*, not a detection."""
+    return min(
+        (event for event in events if event.path != DETECTION_CONTROLLER_PUSH),
+        key=lambda event: (event.at, event.path != DETECTION_BFD),
+        default=None,
+    )
 
 
 class OutageContext:
@@ -71,17 +113,38 @@ class OutageContext:
 
 
 class CausalContext:
-    """Deterministic outage-id minting and ambient-context lookup.
+    """The one book of failure episodes: outage roots plus detections.
 
-    The scenario lab opens one context per disruptive injection (from
-    ``ScenarioLab.note_failure``); instrumented components and the trace
-    bus only ever *read* :attr:`current_id`.  Ids are ``outage-1``,
-    ``outage-2``, … in injection order, so reruns mint identical ids.
+    The scenario lab owns one (``lab.detection``) whether or not telemetry
+    is on, and opens an episode with a single :meth:`open_outage` call per
+    disruptive injection (from ``ScenarioLab.note_failure``); instrumented
+    components and the trace bus only ever *read* :attr:`current_id`.  Ids
+    are ``outage-1``, ``outage-2``, … in injection order, so reruns mint
+    identical ids.
+
+    Detections are recorded at most once per ``(path, peer)`` *per
+    episode*, so the log stays tiny while still capturing the first
+    post-failure observation of every mechanism.  Detections recorded
+    before the first injection (churn replay displacing a provider's own
+    best path) belong to no outage but are kept, and mirrored onto the
+    trace bus, like any other.
     """
 
     def __init__(self) -> None:
         self._outages: List[OutageContext] = []
         self._current: Optional[OutageContext] = None
+        #: Every recorded detection, in recording order.
+        self.detections: List[DetectionEvent] = []
+        # (path, peer) -> this episode's record of it (the dedup set).
+        self._episode: Dict[Tuple[str, Any], DetectionEvent] = {}
+        self._telemetry: Optional["Telemetry"] = None
+
+    def attach_telemetry(self, telemetry: "Telemetry") -> None:
+        """Mirror every recorded detection onto the trace bus as
+        ``detection.<path>`` (e.g. ``detection.bfd``) — the *detect* stage
+        of the convergence timeline.  :class:`~repro.telemetry.Telemetry`
+        attaches itself to the book it is handed."""
+        self._telemetry = telemetry
 
     def open_outage(
         self,
@@ -89,14 +152,65 @@ class CausalContext:
         kind: Optional[str] = None,
         provider: Optional[int] = None,
     ) -> str:
-        """Mint a new root context at sim time ``at`` and make it current."""
+        """Open a failure episode at sim time ``at``: mint its root
+        context, make it current, and let every detection mechanism record
+        once again."""
         outage = OutageContext(
             f"outage-{len(self._outages) + 1}", at, kind=kind, provider=provider
         )
         self._outages.append(outage)
         self._current = outage
+        self._episode = {}
         return outage.outage_id
 
+    # ------------------------------------------------------------------
+    # Detections
+    # ------------------------------------------------------------------
+    def record_detection(self, at: float, path: str, peer_ip: Any = None) -> None:
+        """Record a detection observation (deduplicated per episode)."""
+        key = (path, peer_ip)
+        if key in self._episode:
+            return
+        event = self._episode[key] = DetectionEvent(at, path, peer_ip)
+        self.detections.append(event)
+        if self._telemetry is not None:
+            self._telemetry.counter(f"detection.{path}").inc()
+            self._telemetry.emit(
+                f"detection.{path}",
+                peer=str(peer_ip) if peer_ip is not None else None,
+            )
+
+    def first_detection(
+        self, since: float, peer_ip: Any = None
+    ) -> Optional[DetectionEvent]:
+        """Earliest genuine detection (BFD or BGP) at/after ``since``,
+        optionally restricted to ``peer_ip``; BFD wins exact-time ties and
+        a controller push never answers."""
+        return _earliest_genuine(
+            event
+            for event in self.detections
+            if event.at >= since - 1e-9
+            and (peer_ip is None or event.peer_ip is None or event.peer_ip == peer_ip)
+        )
+
+    def first_push(self, since: float) -> Optional[DetectionEvent]:
+        """Earliest controller push at/after ``since`` (None when the
+        scenario has no controller, or nothing was pushed)."""
+        for event in self.detections:
+            if event.path == DETECTION_CONTROLLER_PUSH and event.at >= since - 1e-9:
+                return event
+        return None
+
+    def episode_detection_path(self) -> Optional[str]:
+        """How the open episode's failure was detected: the path of its
+        winning genuine detection so far (None until one is recorded).
+        Outages the reachability monitor closes carry this label."""
+        winner = _earliest_genuine(self._episode.values())
+        return winner.path if winner is not None else None
+
+    # ------------------------------------------------------------------
+    # Outage contexts
+    # ------------------------------------------------------------------
     @property
     def current(self) -> Optional[OutageContext]:
         """The open outage context (None before the first injection)."""

@@ -6,10 +6,12 @@ router under test, and a *sink* recording the maximum inter-packet delay
 seen by each flow (precision ~70 µs).  This package provides two
 equivalent instruments:
 
-* :class:`TrafficSource` / :class:`TrafficSink` — an actual packet-level
+* :class:`~repro.traffic.generator.TrafficSource` /
+  :class:`~repro.traffic.monitor.TrafficSink` — an actual packet-level
   reproduction of the FPGA methodology, usable at small scale and in the
   examples/tests;
-* :class:`ReachabilityMonitor` + :class:`PathTracer` — an event-driven
+* :class:`~repro.traffic.reachability.ReachabilityMonitor` +
+  :class:`~repro.traffic.reachability.PathTracer` — an event-driven
   instrument that computes the exact outage interval of every monitored
   destination by re-evaluating the forwarding path whenever a relevant
   piece of forwarding state changes.  In simulation this is *more* precise
@@ -20,19 +22,3 @@ Both instruments report the same metric — per-destination data-plane
 outage after a failure — and the test suite checks they agree on small
 scenarios.
 """
-
-from repro.traffic.flows import FlowSpec, FlowStats
-from repro.traffic.generator import TrafficSource, TrafficSourceConfig
-from repro.traffic.monitor import TrafficSink
-from repro.traffic.reachability import PathTracer, ReachabilityMonitor, TraceHop
-
-__all__ = [
-    "FlowSpec",
-    "FlowStats",
-    "TrafficSource",
-    "TrafficSourceConfig",
-    "TrafficSink",
-    "PathTracer",
-    "ReachabilityMonitor",
-    "TraceHop",
-]

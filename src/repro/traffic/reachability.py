@@ -173,9 +173,10 @@ class ReachabilityMonitor:
         #: length changes; ``watch`` drops the whole index.
         self._covered: Dict[int, Dict[int, List[_DestinationState]]] = {}
         self.evaluations = 0
-        #: Detection label of the current reconvergence episode; outages
-        #: closing while it is set are attributed to it.
-        self._active_detection: Optional[str] = None
+        #: Asked, when an outage closes, for the detection label it carries.
+        #: Whoever owns the episode semantics (the lab's episode book) is
+        #: plugged in here; the monitor keeps no episode state of its own.
+        self.detection_label: Callable[[], Optional[str]] = lambda: None
 
     # ------------------------------------------------------------------
     # Configuration
@@ -213,20 +214,6 @@ class ReachabilityMonitor:
                 buckets.setdefault(state.destination.value & mask, []).append(state)
         for state in buckets.get(network, ()):
             self._evaluate(state)
-
-    def note_detection(self, label: str) -> None:
-        """Set the detection label outages closing from here on carry.
-
-        The caller (the lab) owns the episode semantics — it re-resolves
-        the winning mechanism on every detection event, so callbacks firing
-        in the same instant cannot mis-attribute (a BFD trigger tears BGP
-        sessions down in the same event, and the flush is observed first).
-        """
-        self._active_detection = label
-
-    def clear_detection(self) -> None:
-        """Start a fresh detection episode (called at each failure anchor)."""
-        self._active_detection = None
 
     # ------------------------------------------------------------------
     # Results
@@ -287,7 +274,6 @@ class ReachabilityMonitor:
 
     def reset(self) -> None:
         """Forget recorded outages, keeping the monitored set and state."""
-        self._active_detection = None
         for state in self._destinations.values():
             state.outages.clear()
             state.detections.clear()
@@ -307,7 +293,7 @@ class ReachabilityMonitor:
             return
         if reachable and state.reachable is False:
             state.outages.append((state.down_since if state.down_since is not None else now, now))
-            state.detections.append(self._active_detection)
+            state.detections.append(self.detection_label())
             state.down_since = None
         elif not reachable and state.reachable is True:
             state.down_since = now

@@ -12,7 +12,7 @@ from repro.experiments.figure5 import (
     Figure5Experiment,
     active_prefix_counts,
 )
-from repro.experiments.stats import BoxStats, format_table, percentile
+from repro.stats import BoxStats, format_table, percentile
 
 
 class TestStats:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from repro import cli
 from repro.experiments import ablations, figure5
-from repro.experiments.stats import BoxStats
+from repro.stats import BoxStats
 from repro.scenarios.campaign import CampaignRunner
 from repro.scenarios.presets import PRESETS, get_preset
 from repro.telemetry import STAGES

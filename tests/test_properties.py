@@ -13,7 +13,7 @@ from repro.bgp.rib import LocRib, Route, RouteSource
 from repro.bgp.speaker import BgpSpeaker, PeerConfig
 from repro.core.backup_groups import BackupGroupManager
 from repro.core.vnh_allocator import VnhAllocator
-from repro.experiments.stats import BoxStats, percentile
+from repro.stats import BoxStats, percentile
 from repro.net.addresses import IPv4Address, IPv4Prefix, MacAddress
 from repro.net.packets import EtherType, EthernetFrame, IpProtocol, IPv4Packet, UdpDatagram
 from repro.openflow.flow_table import (

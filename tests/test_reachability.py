@@ -116,7 +116,7 @@ class TestDetectionLabels:
         sim.run_for(1.0)
         reachable["value"] = False
         monitor.notify_forwarding_change()
-        monitor.note_detection("bgp")
+        monitor.detection_label = lambda: "bgp"
         sim.run_for(0.5)
         reachable["value"] = True
         monitor.notify_forwarding_change()
@@ -129,8 +129,11 @@ class TestDetectionLabels:
         destination = IPv4Address("9.9.9.9")
         monitor.watch(destination)
         monitor.evaluate_all()
-        monitor.note_detection("bfd")
-        monitor.clear_detection()
+        # The label is asked for when an outage closes, so whatever the
+        # source said during an earlier episode is never remembered.
+        episode = {"label": "bfd"}
+        monitor.detection_label = lambda: episode["label"]
+        episode["label"] = None
         sim.run_for(1.0)
         reachable["value"] = False
         monitor.notify_forwarding_change()
@@ -149,7 +152,7 @@ class TestDetectionLabels:
         sim.run_for(1.0)
         reachable["value"] = False
         monitor.notify_forwarding_change()
-        monitor.note_detection("bfd")
+        monitor.detection_label = lambda: "bfd"
         sim.run_for(0.3)
         duration, label = monitor.convergence_details(1.0)[destination]
         assert duration == pytest.approx(0.3)
@@ -162,7 +165,7 @@ class TestDetectionLabels:
         monitor.evaluate_all()
         reachable["value"] = False
         monitor.notify_forwarding_change()
-        monitor.note_detection("bfd")
+        monitor.detection_label = lambda: "bfd"
         reachable["value"] = True
         monitor.notify_forwarding_change()
         monitor.reset()

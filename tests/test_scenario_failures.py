@@ -30,9 +30,29 @@ def test_link_down_fires_at_scheduled_time():
     assert injector.first_failure_time is None
     lab.sim.run_for(2.0)
     assert injector.first_failure_time == pytest.approx(t0 + 1.5)
-    assert lab.last_failure_time == pytest.approx(t0 + 1.5)
+    assert lab.detection.current.opened_at == pytest.approx(t0 + 1.5)
     assert not lab.provider_link(0).ports[0].is_up
     assert lab.wait_recovered(timeout=600)
+
+
+def test_outage_carries_the_provider_it_was_given_not_the_previous_one():
+    """Regression: ``note_failure(provider_index=None)`` kept the previous
+    episode's provider, so a non-provider link failing after R3 was
+    exported as ``outage-2 ... "provider": 1`` — in ``outage_chains`` and in
+    the ``lab.episode`` trace event."""
+    lab = _converged_lab(num_prefixes=50)
+    injector = FailureInjector(lab)
+    injector.fire(FailureSpec(kind="link_down", at=0.0, target="R3"))
+    lab.sim.run_for(1.0)
+    injector.fire(FailureSpec(kind="link_down", at=0.0, target="src-r1"))
+    lab.sim.run_for(1.0)
+    first, second = lab.telemetry.ledger.outage_summaries()
+    assert (first["outage"], first["kind"], first["provider"]) == ("outage-1", "link_down", 1)
+    assert (second["outage"], second["kind"], second["provider"]) == ("outage-2", "link_down", None)
+    episodes = lab.telemetry.trace.events(name="lab.episode")
+    assert [event.fields["provider"] for event in episodes] == [1, -1]
+    # The injector's own anchor is still the first failure.
+    assert injector.first_failed_provider == 1
 
 
 def test_link_down_with_duration_auto_restores():
@@ -146,7 +166,7 @@ def test_unknown_target_is_a_spec_error_and_nothing_happens(built_lab, kind, tar
     # Nothing is armed at all, logged, or noted as a failure.
     assert lab.sim.pending_events == pending
     assert injector.log == [] and injector.first_failure_time is None
-    assert lab.last_failure_time is None
+    assert lab.detection.current is None
 
 
 def test_arm_runs_spec_campaign_by_default():

@@ -120,6 +120,36 @@ class TestFanFailover:
         assert edge.fib.entry(sample).adjacency.next_hop_ip == lab.plan.provider_core_ip(1)
 
 
+class TestEpisodeBook:
+    """The lab always owns one book of failure episodes; telemetry, when
+    the spec turns it on, observes that same book."""
+
+    @pytest.mark.parametrize("telemetry", [True, False])
+    def test_one_note_failure_opens_one_outage_in_the_labs_book(self, telemetry):
+        spec = get_preset(
+            "figure4", num_prefixes=40, monitored_flows=4, seed=5, telemetry=telemetry
+        )
+        lab = build_scenario(Simulator(seed=spec.seed), spec)
+        assert lab.bring_up()
+        if telemetry:
+            assert lab.telemetry.causal is lab.detection
+        else:
+            assert lab.telemetry is None
+        assert lab.detection.outages() == []
+        result = run_failover(lab, PRIMARY_LINK_DOWN)
+        (outage,) = lab.detection.outages()
+        assert (outage.opened_at, outage.kind, outage.provider) == (
+            result.failure_time, "link_down", 0,
+        )
+        # Read out of the same book, telemetry or not.
+        assert result.detection_path == "bfd"
+        assert lab.detection.episode_detection_path() == "bfd"
+        assert set(result.detection_paths) == {"bfd"}
+        assert lab.stage_offsets()["detect"] == (
+            pytest.approx(result.detection_time * 1e3) if telemetry else None
+        )
+
+
 class TestMultiEdge:
     def test_shared_controller_plane_converges(self):
         sim = Simulator(seed=9)

@@ -25,21 +25,21 @@ from repro.router.fib_updater import FibUpdater, FibUpdaterConfig, FibWriteReque
 from repro.scenarios import expand_grid, run_campaign, run_scenario
 from repro.scenarios.presets import get_preset
 from repro.scenarios.spec import FailureSpec, ScenarioSpec
-from repro.scenarios.testbed import (
-    DETECTION_BFD,
-    DETECTION_BGP,
-    DETECTION_CONTROLLER_PUSH,
-    DetectionTracker,
-)
 from repro.sim.engine import Simulator
 from repro.telemetry import (
     STAGES,
+    CausalContext,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
     Telemetry,
     TraceBus,
+)
+from repro.telemetry.causal import (
+    DETECTION_BFD,
+    DETECTION_BGP,
+    DETECTION_CONTROLLER_PUSH,
 )
 
 
@@ -277,50 +277,50 @@ class TestTelemetryFacade:
 
 
 # ----------------------------------------------------------------------
-# DetectionTracker edge cases
+# Detections in the episode book (``CausalContext``, ``lab.detection``).
+# The class keeps the name its test ids have had since the log was a
+# separate ``DetectionTracker``.
 # ----------------------------------------------------------------------
 class TestDetectionTrackerEdgeCases:
-    def _tracker(self):
-        return DetectionTracker(Simulator(seed=1))
-
     def test_same_instant_bfd_vs_bgp_tie_goes_to_bfd(self):
         # A BFD trigger tears the BGP session down in the same sim instant;
         # the detector caused it, so attribution must say BFD even when the
         # BGP observation happened to be recorded first.
-        tracker = self._tracker()
+        book = CausalContext()
         peer = IPv4Address("10.0.0.2")
-        tracker.record(DETECTION_BGP, peer)
-        tracker.record(DETECTION_BFD, peer)
-        winner = tracker.first_detection(0.0)
+        book.record_detection(0.0, DETECTION_BGP, peer)
+        book.record_detection(0.0, DETECTION_BFD, peer)
+        winner = book.first_detection(0.0)
         assert winner is not None and winner.path == DETECTION_BFD
+        assert book.episode_detection_path() == DETECTION_BFD
 
     def test_overlapping_outages_keep_per_peer_attribution(self):
         # Two providers fail inside the same episode: each peer keeps its
         # own first detection, and the episode winner is the earliest.
-        sim = Simulator(seed=1)
-        tracker = DetectionTracker(sim)
+        book = CausalContext()
         p2, p3 = IPv4Address("10.0.0.2"), IPv4Address("10.0.0.3")
-        sim.schedule(0.1, lambda: tracker.record(DETECTION_BFD, p2), "bfd-p2")
-        sim.schedule(0.3, lambda: tracker.record(DETECTION_BGP, p3), "bgp-p3")
-        sim.run()
-        assert tracker.first_detection(0.0, peer_ip=p2).path == DETECTION_BFD
-        assert tracker.first_detection(0.0, peer_ip=p3).path == DETECTION_BGP
-        assert tracker.first_detection(0.0).at == pytest.approx(0.1)
+        book.record_detection(0.1, DETECTION_BFD, p2)
+        book.record_detection(0.3, DETECTION_BGP, p3)
+        assert book.first_detection(0.0, peer_ip=p2).path == DETECTION_BFD
+        assert book.first_detection(0.0, peer_ip=p3).path == DETECTION_BGP
+        assert book.first_detection(0.0).at == pytest.approx(0.1)
         # The per-episode dedup keeps one event per (path, peer) pair.
-        tracker.record(DETECTION_BFD, p2)
-        assert len(tracker.events) == 2
+        book.record_detection(0.4, DETECTION_BFD, p2)
+        assert len(book.detections) == 2
 
     def test_controller_push_never_wins_detection(self):
-        tracker = self._tracker()
-        tracker.record(DETECTION_CONTROLLER_PUSH, None)
-        assert tracker.first_detection(0.0) is None
-        assert tracker.first_push(0.0) is not None
-        tracker.record(DETECTION_BGP, IPv4Address("10.0.0.2"))
-        assert tracker.first_detection(0.0).path == DETECTION_BGP
+        book = CausalContext()
+        book.record_detection(0.0, DETECTION_CONTROLLER_PUSH)
+        assert book.first_detection(0.0) is None
+        assert book.episode_detection_path() is None
+        assert book.first_push(0.0) is not None
+        assert book.first_push(0.5) is None
+        book.record_detection(0.0, DETECTION_BGP, IPv4Address("10.0.0.2"))
+        assert book.first_detection(0.0).path == DETECTION_BGP
 
     def test_redundant_controller_replicas_dedup_to_one_observation(self):
         # With redundant controllers both replicas watch the same BFD
-        # sessions; the tracker's per-episode dedup must collapse the
+        # sessions; the book's per-episode dedup must collapse the
         # replicas' concurrent observations into one attributed event.
         spec = get_preset(
             "figure4", num_prefixes=40, monitored_flows=5, seed=7
@@ -330,24 +330,49 @@ class TestDetectionTrackerEdgeCases:
         assert record["recovered"]
 
     def test_new_episode_reopens_dedup(self):
-        tracker = self._tracker()
+        book = CausalContext()
         peer = IPv4Address("10.0.0.2")
-        tracker.record(DETECTION_BFD, peer)
-        tracker.record(DETECTION_BFD, peer)
-        assert len(tracker.events) == 1
-        tracker.new_episode()
-        tracker.record(DETECTION_BFD, peer)
-        assert len(tracker.events) == 2
+        book.record_detection(0.1, DETECTION_BFD, peer)
+        book.record_detection(0.2, DETECTION_BFD, peer)
+        assert len(book.detections) == 1
+        book.open_outage(1.0)
+        # The new episode has no winner until a mechanism records again.
+        assert book.episode_detection_path() is None
+        book.record_detection(1.1, DETECTION_BFD, peer)
+        assert len(book.detections) == 2
+        assert book.episode_detection_path() == DETECTION_BFD
 
     def test_telemetry_mirrors_detection_records(self):
-        tracker = self._tracker()
         telemetry = Telemetry(clock=lambda: 0.0)
-        tracker.attach_telemetry(telemetry)
-        tracker.record(DETECTION_BFD, IPv4Address("10.0.0.2"))
+        telemetry.causal.record_detection(0.0, DETECTION_BFD, IPv4Address("10.0.0.2"))
         assert telemetry.metrics.counter("detection.bfd").value == 1
         assert telemetry.trace.events(name="detection.bfd")[0].fields == {
             "peer": "10.0.0.2"
         }
+
+    def test_detection_before_any_failure_is_kept_but_never_answers_for_one(self):
+        # "Episode 0": churn replay displacing a provider's own best path
+        # is a detection with no outage to belong to.  It is kept, mirrored
+        # once (every record's ``trace_events`` counts it), labels outages
+        # closing before any failure, and is invisible from a failure on.
+        telemetry = Telemetry(clock=lambda: 0.5)
+        book = telemetry.causal
+        peer = IPv4Address("10.0.0.2")
+        book.record_detection(0.5, DETECTION_BGP, peer)
+        book.record_detection(0.7, DETECTION_BGP, peer)
+        assert [event.at for event in book.detections] == [0.5]
+        assert telemetry.metrics.counter("detection.bgp").value == 1
+        (mirrored,) = telemetry.trace.events(name="detection.bgp")
+        assert mirrored.fields == {"peer": "10.0.0.2"}  # no ``outage`` stamp
+        assert book.current_id is None
+        assert book.episode_detection_path() == DETECTION_BGP
+        failure_time = 2.0
+        book.open_outage(failure_time, kind="link_down", provider=0)
+        assert book.detections[0].at == 0.5
+        assert book.first_detection(failure_time) is None
+        assert book.first_detection(failure_time, peer_ip=peer) is None
+        assert book.episode_detection_path() is None
+        assert telemetry.trace.emitted == 1
 
 
 # ----------------------------------------------------------------------
