@@ -127,8 +127,8 @@ def bench_grouped(size: int, backups: int, seed: int) -> dict:
 def bench_perprefix(size: int, cap: int, backups: int, seed: int) -> dict:
     """The object path a plain controller runs for the same failover:
     per-prefix ``LocRib.withdraw`` + ``process_change``, then the
-    controller's ``_announce_to_router`` consumption of each action
-    (Loc-RIB best lookup, NEXT_HOP rewrite, one ``UpdateMessage`` per
+    controller's ``_provision`` consumption of each action
+    (best path of the change, NEXT_HOP rewrite, one ``UpdateMessage`` per
     prefix towards the router) — per-prefix router messages being
     precisely the cost the paper's grouped failover avoids.  Measured on
     ``min(size, cap)`` prefixes and extrapolated linearly."""
@@ -163,9 +163,9 @@ def bench_perprefix(size: int, cap: int, backups: int, seed: int) -> dict:
                 actions += 1
                 if action.next_hop is None:
                     continue
-                # Controller._apply_single_action -> _announce_to_router:
-                # the per-prefix path ends in one UPDATE per prefix.
-                best = loc_rib.best(action.prefix)
+                # SuperchargedController._provision: the per-prefix path
+                # ends in one UPDATE per prefix.
+                best = change.new_best
                 if best is None:
                     continue
                 attributes = best.attributes.with_next_hop(action.next_hop)

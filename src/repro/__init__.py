@@ -24,74 +24,57 @@ True
 True
 """
 
-from repro.sim.engine import Simulator
-from repro.net.addresses import IPv4Address, IPv4Prefix, MacAddress
-from repro.bgp.attributes import PathAttributes
-from repro.bgp.messages import UpdateMessage
-from repro.bgp.speaker import BgpSpeaker
-from repro.router.fib_updater import FibUpdaterConfig
-from repro.router.router import Router, RouterConfig
-from repro.openflow.switch import OpenFlowSwitch, SwitchConfig
-from repro.core.backup_groups import BackupGroupManager
-from repro.core.controller import SuperchargedController
-from repro.core.reliability import ControllerCluster
-from repro.core.vnh_allocator import VnhAllocator
-from repro.routes.ris_feed import synthetic_full_table
-from repro.stats import BoxStats
-from repro.experiments.controller_bench import ControllerMicrobench
-from repro.experiments.figure5 import Figure5Experiment
-from repro.scenarios import (
-    PRIMARY_LINK_DOWN,
-    CampaignRunner,
-    FailoverResult,
-    FailureInjector,
-    FailureSpec,
-    ScenarioLab,
-    ScenarioSpec,
-    build_scenario,
-    expand_grid,
-    get_preset,
-    run_campaign,
-    run_failover,
-    run_scenario,
-)
+import importlib
+from typing import Any
 
 #: Keep in sync with ``version`` in pyproject.toml.
 __version__ = "1.1.0"
 
-__all__ = [
-    "Simulator",
-    "IPv4Address",
-    "IPv4Prefix",
-    "MacAddress",
-    "BgpSpeaker",
-    "PathAttributes",
-    "UpdateMessage",
-    "Router",
-    "RouterConfig",
-    "FibUpdaterConfig",
-    "OpenFlowSwitch",
-    "SwitchConfig",
-    "BackupGroupManager",
-    "ControllerCluster",
-    "SuperchargedController",
-    "VnhAllocator",
-    "synthetic_full_table",
-    "BoxStats",
-    "ControllerMicrobench",
-    "Figure5Experiment",
-    "PRIMARY_LINK_DOWN",
-    "CampaignRunner",
-    "FailoverResult",
-    "FailureInjector",
-    "FailureSpec",
-    "ScenarioLab",
-    "ScenarioSpec",
-    "build_scenario",
-    "expand_grid",
-    "get_preset",
-    "run_campaign",
-    "run_failover",
-    "run_scenario",
-    "__version__",
-]
+#: Public name -> the module that defines it.  Resolved on first access
+#: (PEP 562), so ``import repro`` — which every ``import repro.x.y`` runs
+#: first — loads none of them: a caller pays for what it uses.
+_EXPORTS = {
+    "Simulator": "repro.sim.engine",
+    "IPv4Address": "repro.net.addresses",
+    "IPv4Prefix": "repro.net.addresses",
+    "MacAddress": "repro.net.addresses",
+    "BgpSpeaker": "repro.bgp.speaker",
+    "PathAttributes": "repro.bgp.attributes",
+    "UpdateMessage": "repro.bgp.messages",
+    "Router": "repro.router.router",
+    "RouterConfig": "repro.router.router",
+    "FibUpdaterConfig": "repro.router.fib_updater",
+    "OpenFlowSwitch": "repro.openflow.switch",
+    "SwitchConfig": "repro.openflow.switch",
+    "BackupGroupManager": "repro.core.backup_groups",
+    "ControllerCluster": "repro.core.reliability",
+    "SuperchargedController": "repro.core.controller",
+    "VnhAllocator": "repro.core.vnh_allocator",
+    "synthetic_full_table": "repro.routes.ris_feed",
+    "BoxStats": "repro.stats",
+    "ControllerMicrobench": "repro.experiments.controller_bench",
+    "Figure5Experiment": "repro.experiments.figure5",
+    "PRIMARY_LINK_DOWN": "repro.scenarios",
+    "CampaignRunner": "repro.scenarios",
+    "FailoverResult": "repro.scenarios",
+    "FailureInjector": "repro.scenarios",
+    "FailureSpec": "repro.scenarios",
+    "ScenarioLab": "repro.scenarios",
+    "ScenarioSpec": "repro.scenarios",
+    "build_scenario": "repro.scenarios",
+    "expand_grid": "repro.scenarios",
+    "get_preset": "repro.scenarios",
+    "run_campaign": "repro.scenarios",
+    "run_failover": "repro.scenarios",
+    "run_scenario": "repro.scenarios",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(module), name)
+    return value

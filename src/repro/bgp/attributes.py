@@ -4,16 +4,16 @@ Only the attributes that influence the decision process (and therefore the
 backup-group computation) are modelled: ORIGIN, AS_PATH, NEXT_HOP,
 MULTI_EXIT_DISC, LOCAL_PREF and COMMUNITIES.  Attributes are immutable;
 "modification" helpers return new instances so routes can be shared safely
-between RIBs.  The helpers run once or twice per relayed UPDATE, so they
-construct the copy directly instead of going through
-``dataclasses.replace`` (field introspection on every call).
+between RIBs.  The helpers run once or twice per relayed UPDATE, so
+:class:`PathAttributes` is a ``NamedTuple`` (built at C speed, still
+read-only) and they construct the copy positionally instead of going
+through ``_replace``.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import FrozenSet, Optional, Tuple
+from typing import FrozenSet, NamedTuple, Optional, Tuple
 
 from repro.net.addresses import IPv4Address
 
@@ -24,6 +24,13 @@ class Origin(enum.IntEnum):
     IGP = 0
     EGP = 1
     INCOMPLETE = 2
+
+
+def _valid_asn(asn: int) -> int:
+    asn = int(asn)
+    if not 0 < asn < 2 ** 32:
+        raise ValueError(f"invalid AS number: {asn}")
+    return asn
 
 
 class AsPath:
@@ -37,10 +44,7 @@ class AsPath:
     __slots__ = ("_asns",)
 
     def __init__(self, asns: Tuple[int, ...] = ()) -> None:
-        self._asns = tuple(int(asn) for asn in asns)
-        for asn in self._asns:
-            if not 0 < asn < 2 ** 32:
-                raise ValueError(f"invalid AS number: {asn}")
+        self._asns = tuple(map(_valid_asn, asns))
 
     @classmethod
     def from_string(cls, text: str) -> "AsPath":
@@ -78,7 +82,10 @@ class AsPath:
         """Return a new path with ``asn`` prepended ``count`` times."""
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
-        return AsPath((asn,) * count + self._asns)
+        # The rest of the path was validated when it was built.
+        path = AsPath.__new__(AsPath)
+        path._asns = (_valid_asn(asn),) * count + self._asns
+        return path
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, AsPath) and other._asns == self._asns
@@ -96,12 +103,11 @@ class AsPath:
         return f"AsPath('{self}')"
 
 
-@dataclass(frozen=True)
-class PathAttributes:
+class PathAttributes(NamedTuple):
     """The attribute set attached to a BGP route announcement."""
 
     next_hop: IPv4Address
-    as_path: AsPath = field(default_factory=AsPath)
+    as_path: AsPath = AsPath()
     origin: Origin = Origin.IGP
     local_pref: int = 100
     med: int = 0

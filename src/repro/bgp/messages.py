@@ -12,9 +12,13 @@ UPDATEs written to one socket leaves as a few TCP segments, not one
 packet per message; :class:`UpdateTrain` models that: the UPDATEs a
 :class:`~repro.bgp.session.BgpSession` queues in one simulated instant
 (after the first, which leaves at once) travel as one transport segment
-and are unpacked, in order, by the receiving session.  A train is
-coalescing, not a message kind: every member is still a single-NLRI
-:class:`UpdateMessage`, processed exactly as if it had arrived alone.
+and are applied, in order, by the receiver.  A train is coalescing, not
+a message kind: every member is still a single-NLRI
+:class:`UpdateMessage` and means exactly what it would mean alone — but
+the receiver works on the train: the session hands its members on a
+sub-train at a time, the speaker makes one Loc-RIB pass over them and
+tells each listener once, with the list of changes (a lone UPDATE is a
+train of one).
 
 Why not RFC 4271 NLRI packing (many prefixes per UPDATE sharing one
 attribute set)?  Because the traffic has nothing to pack:

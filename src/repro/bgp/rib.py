@@ -24,7 +24,7 @@ object-based RIBs would dominate RSS.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.bgp.attributes import PathAttributes
 from repro.bgp.decision import rank_routes
@@ -41,9 +41,9 @@ class RouteSource:
     is_ebgp: bool = True
 
 
-@dataclass(frozen=True)
-class Route:
-    """One path towards one prefix, as stored in the RIBs."""
+class Route(NamedTuple):
+    """One path towards one prefix, as stored in the RIBs (a read-only
+    ``NamedTuple``, like :class:`RibChange`: one is built per UPDATE)."""
 
     prefix: IPv4Prefix
     attributes: PathAttributes
@@ -57,8 +57,7 @@ class Route:
         return self.attributes.next_hop
 
 
-@dataclass(frozen=True)
-class RibChange:
+class RibChange(NamedTuple):
     """Outcome of inserting/removing a route in the Loc-RIB for one prefix.
 
     ``old_best``/``new_best`` capture the winner before and after, while
@@ -114,7 +113,9 @@ class LocRib:
     """All known routes per prefix, kept ranked by the decision process."""
 
     def __init__(self) -> None:
-        self._routes: Dict[IPv4Prefix, List[Route]] = {}
+        #: prefix -> its routes, best first; the stored tuple *is* the
+        #: ranking a :class:`RibChange` carries, so a change copies nothing.
+        self._routes: Dict[IPv4Prefix, Tuple[Route, ...]] = {}
 
     # ------------------------------------------------------------------
     # Mutation
@@ -122,29 +123,29 @@ class LocRib:
     def update(self, route: Route) -> RibChange:
         """Insert (or replace, keyed by source peer) a route and re-rank."""
         prefix = route.prefix
-        current = self._routes.get(prefix, [])
-        old_ranking = tuple(current)
-        old_best = current[0] if current else None
-        remaining = [r for r in current if r.source.peer_ip != route.source.peer_ip]
-        remaining.append(route)
-        ranked = rank_routes(remaining)
+        old = self._routes.get(prefix, ())
+        peer_ip = route.source.peer_ip
+        others = [r for r in old if r.source.peer_ip != peer_ip]
+        if others:
+            others.append(route)
+            ranked = tuple(rank_routes(others))
+        else:
+            ranked = (route,)  # a first or only route needs no sort
         self._routes[prefix] = ranked
-        new_best = ranked[0] if ranked else None
-        return RibChange(prefix, old_best, new_best, old_ranking, tuple(ranked))
+        return RibChange(prefix, old[0] if old else None, ranked[0], old, ranked)
 
     def withdraw(self, prefix: IPv4Prefix, peer_ip: IPv4Address) -> RibChange:
-        """Remove the route learned from ``peer_ip`` for ``prefix`` and re-rank."""
-        current = self._routes.get(prefix, [])
-        old_ranking = tuple(current)
-        old_best = current[0] if current else None
-        remaining = [r for r in current if r.source.peer_ip != peer_ip]
-        ranked = rank_routes(remaining)
+        """Remove the route learned from ``peer_ip`` for ``prefix``; the
+        others keep their order (removing cannot reorder the rest)."""
+        old = self._routes.get(prefix, ())
+        ranked = tuple(r for r in old if r.source.peer_ip != peer_ip)
         if ranked:
             self._routes[prefix] = ranked
         else:
             self._routes.pop(prefix, None)
-        new_best = ranked[0] if ranked else None
-        return RibChange(prefix, old_best, new_best, old_ranking, tuple(ranked))
+        return RibChange(
+            prefix, old[0] if old else None, ranked[0] if ranked else None, old, ranked
+        )
 
     def withdraw_peer(self, peer_ip: IPv4Address) -> List[RibChange]:
         """Remove every route learned from ``peer_ip`` (session loss)."""
@@ -160,11 +161,11 @@ class LocRib:
 
     def ranking(self, prefix: IPv4Prefix) -> Tuple[Route, ...]:
         """All known paths for ``prefix`` in preference order."""
-        return tuple(self._routes.get(prefix, ()))
+        return self._routes.get(prefix, ())
 
     def backup(self, prefix: IPv4Prefix) -> Optional[Route]:
         """The second-best path (the backup), if any."""
-        routes = self._routes.get(prefix, [])
+        routes = self._routes.get(prefix, ())
         return routes[1] if len(routes) > 1 else None
 
     def prefixes(self) -> Iterator[IPv4Prefix]:

@@ -10,19 +10,28 @@ only difference between them is the set of hooks they register:
 * the supercharged controller registers a listener that feeds the
   backup-group algorithm and *replaces* normal re-advertisement with
   next-hop-rewritten announcements towards the supercharged router.
+
+The unit of work is the UPDATE train (a lone UPDATE is a train of one):
+one Loc-RIB pass over a sub-train's members, one call per listener with
+the resulting :class:`RibChange` list, one batched advertisement per peer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.bgp.attributes import PathAttributes
 from repro.bgp.messages import BgpMessage, UpdateMessage
 from repro.bgp.rib import AdjRibOut, LocRib, RibChange, Route, RouteSource
-from repro.bgp.session import BgpSession, BgpSessionState
+from repro.bgp.session import SUB_TRAIN, BgpSession
 from repro.net.addresses import IPv4Address, IPv4Prefix
 from repro.sim.engine import Simulator
+
+#: What is advertised for a prefix: its attributes, or ``None`` to withdraw it.
+Advertisement = Tuple[IPv4Prefix, Optional[PathAttributes]]
+#: A Loc-RIB listener: ``(changes, from_peer)``, changes in arrival order.
+RibListener = Callable[[List[RibChange], IPv4Address], None]
 
 
 @dataclass
@@ -74,7 +83,7 @@ class BgpSpeaker:
         #: the session.
         self._sources: Dict[IPv4Address, RouteSource] = {}
         self._adj_rib_out: Dict[IPv4Address, AdjRibOut] = {}
-        self._rib_listeners: List[Callable[[RibChange, IPv4Address], None]] = []
+        self._rib_listeners: List[RibListener] = []
         self._peer_down_listeners: List[Callable[[IPv4Address, str], None]] = []
         self._peer_up_listeners: List[Callable[[IPv4Address], None]] = []
         #: Locally originated routes (prefix -> attributes), re-announced to peers.
@@ -114,7 +123,7 @@ class BgpSpeaker:
         session.attach_telemetry(self._telemetry)
         session.on_established(self._session_established)
         session.on_down(self._session_down)
-        session.on_update(self._session_update)
+        session.on_update(self._session_updates)
         self._sessions[config.peer_ip] = session
         return session
 
@@ -142,8 +151,10 @@ class BgpSpeaker:
     # ------------------------------------------------------------------
     # Listeners
     # ------------------------------------------------------------------
-    def on_rib_change(self, callback: Callable[[RibChange, IPv4Address], None]) -> None:
-        """Register a Loc-RIB change listener ``(change, from_peer)``."""
+    def on_rib_change(self, callback: RibListener) -> None:
+        """Register a Loc-RIB change listener ``(changes, from_peer)``: it
+        is called once per processed sub-train (or session loss slice)
+        with the non-empty list of changes it caused, in order."""
         self._rib_listeners.append(callback)
 
     def on_peer_down(self, callback: Callable[[IPv4Address, str], None]) -> None:
@@ -159,32 +170,64 @@ class BgpSpeaker:
     # ------------------------------------------------------------------
     def originate(self, prefix: IPv4Prefix, attributes: PathAttributes) -> None:
         """Originate a route locally and advertise it to all peers."""
-        self._local_routes[prefix] = attributes
+        self.originate_many(((prefix, attributes),))
+
+    def originate_many(self, routes: Sequence[Tuple[IPv4Prefix, PathAttributes]]) -> None:
+        """Originate ``(prefix, attributes)`` routes, in order, as one
+        advertisement batch per peer (a whole feed in one call)."""
+        self._local_routes.update(routes)
         for peer_ip in self._peers:
-            self._advertise(peer_ip, prefix, attributes)
+            self.advertise_routes(peer_ip, routes)
 
     def withdraw_origin(self, prefix: IPv4Prefix) -> None:
         """Withdraw a locally originated route from all peers."""
-        if prefix not in self._local_routes:
+        if self._local_routes.pop(prefix, None) is None:
             return
-        del self._local_routes[prefix]
         for peer_ip in self._peers:
-            self._withdraw(peer_ip, prefix)
+            self.advertise_routes(peer_ip, ((prefix, None),))
 
     # ------------------------------------------------------------------
     # Direct advertisement (used by the supercharged controller)
     # ------------------------------------------------------------------
+    def advertise_routes(
+        self, peer_ip: IPv4Address, routes: Iterable[Advertisement]
+    ) -> Tuple[int, int]:
+        """Announce (attributes) or withdraw (``None``) each prefix to one
+        peer, in order — the one path to a peer's Adj-RIB-Out and socket.
+        Duplicate announcements and withdraws of what was never advertised
+        are suppressed; the rest leaves as one batch.  Returns how many
+        ``(announcements, withdraws)`` were sent."""
+        config = self._peers[peer_ip]
+        session = self._sessions[peer_ip]
+        if not session.is_established or not config.advertise:
+            return 0, 0
+        prepend = config.peer_asn != self.asn
+        advertised = self._adj_rib_out[peer_ip]
+        updates: List[UpdateMessage] = []
+        withdraws = 0
+        for prefix, attributes in routes:
+            if attributes is None:
+                if advertised.record_withdraw(prefix):
+                    updates.append(UpdateMessage(prefix, None))
+                    withdraws += 1
+                continue
+            if prepend:
+                attributes = attributes.prepended(self.asn)
+            if advertised.record_announce(prefix, attributes):
+                updates.append(UpdateMessage(prefix, attributes))
+        session.send_updates(updates)
+        return len(updates) - withdraws, withdraws
+
     def advertise_route(
         self, peer_ip: IPv4Address, prefix: IPv4Prefix, attributes: PathAttributes
     ) -> bool:
         """Announce a specific route to a specific peer, bypassing the
-        automatic best-path propagation.  Duplicate announcements are
-        suppressed via the Adj-RIB-Out; returns whether a message was sent."""
-        return self._advertise(peer_ip, prefix, attributes)
+        automatic best-path propagation; returns whether a message was sent."""
+        return self.advertise_routes(peer_ip, ((prefix, attributes),))[0] == 1
 
     def withdraw_route(self, peer_ip: IPv4Address, prefix: IPv4Prefix) -> bool:
         """Withdraw a prefix from a specific peer (if it was advertised)."""
-        return self._withdraw(peer_ip, prefix)
+        return self.advertise_routes(peer_ip, ((prefix, None),))[1] == 1
 
     # ------------------------------------------------------------------
     # Transport entry point
@@ -213,13 +256,15 @@ class BgpSpeaker:
         if not config.advertise:
             return
         # Initial table transfer: locally originated routes plus current best paths.
-        for prefix, attributes in self._local_routes.items():
-            self._advertise(peer_ip, prefix, attributes)
+        table: List[Advertisement] = list(self._local_routes.items())
         if self.auto_advertise:
-            for prefix in list(self.loc_rib.prefixes()):
-                best = self.loc_rib.best(prefix)
-                if best is not None and best.source.peer_ip != peer_ip:
-                    self._advertise(peer_ip, prefix, best.attributes)
+            best = self.loc_rib.best
+            table.extend(
+                (prefix, best(prefix).attributes)
+                for prefix in self.loc_rib.prefixes()
+                if best(prefix).source.peer_ip != peer_ip
+            )
+        self.advertise_routes(peer_ip, table)
 
     def _session_down(self, session: BgpSession, reason: str) -> None:
         peer_ip = session.peer_ip
@@ -237,108 +282,99 @@ class BgpSpeaker:
         # Forget what was advertised so a re-established session gets a
         # fresh initial table transfer.
         self._adj_rib_out[peer_ip] = AdjRibOut(peer_ip)
-        for change in changes:
-            self._notify_rib_change(change, peer_ip)
-            if self.auto_advertise:
-                self._propagate(change, from_peer=peer_ip)
+        for start in range(0, len(changes), SUB_TRAIN):
+            self._deliver_changes(changes[start:start + SUB_TRAIN], peer_ip)
 
-    def _session_update(self, session: BgpSession, update: UpdateMessage) -> None:
-        self.process_update(session.peer_ip, update)
+    def _session_updates(self, session: BgpSession, updates: Sequence[UpdateMessage]) -> None:
+        self._process_updates(session.peer_ip, updates)
 
     # ------------------------------------------------------------------
     # Update processing
     # ------------------------------------------------------------------
     def process_update(self, peer_ip: IPv4Address, update: UpdateMessage) -> Optional[RibChange]:
-        """Run a received UPDATE through policy, the Loc-RIB and propagation.
+        """Run one received UPDATE — a train of one — through policy, the
+        Loc-RIB and propagation; returns its change (``None`` for a
+        withdraw of nothing).
 
         Exposed publicly so that controller benchmarks can measure the
         processing cost without a full session handshake.
         """
+        changes = self._process_updates(peer_ip, (update,))
+        return changes[0] if changes else None
+
+    def _process_updates(
+        self, peer_ip: IPv4Address, updates: Sequence[UpdateMessage]
+    ) -> List[RibChange]:
+        """One pass over a sub-train's members, then one listener call
+        and one propagation for the changes they caused."""
         config = self._peers[peer_ip]
-        attributes = update.attributes
+        local_pref = config.local_pref
+        asn = self.asn
+        loc_rib = self.loc_rib
+        source = self._sources.get(peer_ip)
+        now = self._sim.now
+        changes: List[RibChange] = []
+        withdraws = 0
+        for update in updates:
+            attributes = update.attributes
+            if attributes is None:
+                withdraws += 1
+            if attributes is None or attributes.as_path.contains(asn):
+                # A withdraw — or an announcement whose path loops through us:
+                # it replaces whatever the peer sent before (RFC 4271 §9) and
+                # is itself unusable, so it withdraws too (RFC 7606).
+                change = loc_rib.withdraw(update.prefix, peer_ip)
+                if len(change.new_ranking) == len(change.old_ranking):
+                    continue  # the peer held no route for the prefix
+            else:
+                if local_pref is not None:
+                    attributes = attributes.with_local_pref(local_pref)
+                if source is None:
+                    source = self._sources[peer_ip] = RouteSource(
+                        peer_ip=peer_ip,
+                        peer_asn=config.peer_asn,
+                        router_id=self._sessions[peer_ip].peer_router_id or peer_ip,
+                        is_ebgp=config.peer_asn != asn,
+                    )
+                change = loc_rib.update(Route(update.prefix, attributes, source, now))
+            changes.append(change)
         if self._telemetry is not None:
-            self._telemetry.counter(
-                "bgp.withdraws_received" if attributes is None else "bgp.updates_received"
-            ).inc()
-        if attributes is None or attributes.as_path.contains(self.asn):
-            # A withdraw — or an announcement whose path loops through us:
-            # it replaces whatever the peer sent before (RFC 4271 §9) and
-            # is itself unusable, so it withdraws too (RFC 7606).
-            change = self.loc_rib.withdraw(update.prefix, peer_ip)
-            if len(change.new_ranking) == len(change.old_ranking):
-                return None  # the peer held no route for the prefix
-        else:
-            if config.local_pref is not None:
-                attributes = attributes.with_local_pref(config.local_pref)
-            source = self._sources.get(peer_ip)
-            if source is None:
-                source = self._sources[peer_ip] = RouteSource(
-                    peer_ip=peer_ip,
-                    peer_asn=config.peer_asn,
-                    router_id=self._sessions[peer_ip].peer_router_id or peer_ip,
-                    is_ebgp=config.peer_asn != self.asn,
-                )
-            route = Route(
-                prefix=update.prefix,
-                attributes=attributes,
-                source=source,
-                learned_at=self._sim.now,
-            )
-            change = self.loc_rib.update(route)
-        self._notify_rib_change(change, peer_ip)
+            if withdraws:
+                self._telemetry.counter("bgp.withdraws_received").inc(withdraws)
+            if len(updates) > withdraws:
+                self._telemetry.counter("bgp.updates_received").inc(len(updates) - withdraws)
+        if changes:
+            self._deliver_changes(changes, peer_ip)
+        return changes
+
+    def _deliver_changes(self, changes: List[RibChange], from_peer: IPv4Address) -> None:
+        for callback in list(self._rib_listeners):
+            callback(changes, from_peer)
         if self.auto_advertise:
-            self._propagate(change, from_peer=peer_ip)
-        return change
+            self._propagate(changes)
 
     # ------------------------------------------------------------------
     # Propagation
     # ------------------------------------------------------------------
-    def _propagate(self, change: RibChange, from_peer: IPv4Address) -> None:
-        if not change.best_changed:
+    def _propagate(self, changes: List[RibChange]) -> None:
+        moved = [(c.prefix, c.new_best) for c in changes if c.best_changed]
+        if not moved:
             return
-        for peer_ip, config in self._peers.items():
-            if not config.advertise:
-                continue
-            if peer_ip == from_peer:
-                continue
-            if change.new_best is None:
-                self._withdraw(peer_ip, change.prefix)
-            elif change.new_best.source.peer_ip == peer_ip:
-                # Never re-announce to the peer we learned the best path from.
-                self._withdraw(peer_ip, change.prefix)
-            else:
-                self._advertise(peer_ip, change.prefix, change.new_best.attributes)
-
-    def _advertise(
-        self, peer_ip: IPv4Address, prefix: IPv4Prefix, attributes: PathAttributes
-    ) -> bool:
-        config = self._peers[peer_ip]
-        session = self._sessions[peer_ip]
-        if not session.is_established or not config.advertise:
-            return False
-        if config.peer_asn != self.asn:
-            attributes = attributes.prepended(self.asn)
-        if not self._adj_rib_out[peer_ip].record_announce(prefix, attributes):
-            return False
-        session.send_update(UpdateMessage.announce(prefix, attributes))
-        return True
-
-    def _withdraw(self, peer_ip: IPv4Address, prefix: IPv4Prefix) -> bool:
-        session = self._sessions[peer_ip]
-        if not session.is_established:
-            return False
-        if not self._adj_rib_out[peer_ip].record_withdraw(prefix):
-            return False
-        session.send_update(UpdateMessage.withdraw(prefix))
-        return True
+        for peer_ip in self._peers:
+            # The peer the new best path was learned from hears a withdraw
+            # (of whatever it was told before), never its own route back.
+            self.advertise_routes(
+                peer_ip,
+                (
+                    (prefix, None if best is None or best.source.peer_ip == peer_ip
+                     else best.attributes)
+                    for prefix, best in moved
+                ),
+            )
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _notify_rib_change(self, change: RibChange, peer_ip: IPv4Address) -> None:
-        for callback in list(self._rib_listeners):
-            callback(change, peer_ip)
-
     def _session_for(self, peer_ip: IPv4Address) -> BgpSession:
         if peer_ip not in self._sessions:
             raise KeyError(f"unknown peer {peer_ip}")

@@ -19,11 +19,11 @@ attached to the SDN switch that plays three roles simultaneously:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.bfd.manager import BfdManager
-from repro.bgp.rib import RibChange
-from repro.bgp.speaker import BgpSpeaker, PeerConfig
+from repro.bgp.rib import RibChange, Route
+from repro.bgp.speaker import Advertisement, BgpSpeaker, PeerConfig
 from repro.core.backup_groups import ActionKind, BackupGroupManager, ProvisioningAction
 from repro.core.convergence import ConvergenceEvent, DataPlaneConvergence
 from repro.core.flow_provisioner import FlowProvisioner, NextHopLocation
@@ -108,7 +108,7 @@ class SuperchargedController(Host):
             transport=self._send_bgp,
         )
         self.bgp.auto_advertise = False
-        self.bgp.on_rib_change(self._handle_rib_change)
+        self.bgp.on_rib_change(self._handle_rib_changes)
         self.bfd = BfdManager(
             sim,
             send=self._send_bfd,
@@ -255,60 +255,70 @@ class SuperchargedController(Host):
     # ------------------------------------------------------------------
     # RIB change -> provisioning (Listing 1 driver)
     # ------------------------------------------------------------------
-    def _handle_rib_change(self, change: RibChange, from_peer: IPv4Address) -> None:
+    def _handle_rib_changes(self, changes: List[RibChange], from_peer: IPv4Address) -> None:
         if self._crashed:
             return
         if from_peer == self.config.router_ip:
             # Routes learned from the supercharged router itself are not
             # re-provisioned back to it.
             return
-        if self.remote_engine is not None:
-            actions = self.remote_engine.process_change(change)
-        else:
-            actions = self.backup_groups.process_change(change)
-        self._apply_actions(actions)
+        planner = self.remote_engine if self.remote_engine is not None else self.backup_groups
+        process = planner.process_change
+        # A relayed route is the best path *of the change that asked for
+        # it*: the Loc-RIB has already applied the whole train, and a
+        # later member may have replaced or withdrawn the prefix again.
+        self._provision(
+            [(action, change.new_best) for change in changes for action in process(change)]
+        )
 
     def _apply_actions(self, actions: List[ProvisioningAction]) -> None:
+        """Actions no change asked for (the engine's flush fallbacks):
+        they relay whatever is best now, when the holddown ends."""
+        best = self.bgp.loc_rib.best
+        self._provision([(action, best(action.prefix)) for action in actions])
+
+    def _provision(self, actions: List[Tuple[ProvisioningAction, Optional[Route]]]) -> None:
+        """Apply ``(action, best path to relay)`` pairs in order.  Announce
+        and withdraw actions gather into one batched advertisement to the
+        router, sent before any group action so that every event is
+        scheduled in the order one-by-one application would schedule it."""
+        relay: List[Advertisement] = []
         index = 0
         count = len(actions)
         while index < count:
-            action = actions[index]
-            if action.kind is ActionKind.GROUP_CREATED:
+            action, best = actions[index]
+            kind = action.kind
+            if kind is ActionKind.GROUP_CREATED:
                 # Batch a run of consecutive group creations into one REST
                 # call (one flow-mod bundle on the switch).
+                self._relay(relay)
                 run: List = []
-                while (
-                    index < count
-                    and actions[index].kind is ActionKind.GROUP_CREATED
-                ):
-                    group = actions[index].group
+                while index < count and actions[index][0].kind is ActionKind.GROUP_CREATED:
+                    group = actions[index][0].group
                     self._arp_handler.register(group.vnh, group.vmac)
                     run.append(group)
                     index += 1
                 if self.provisioner is not None:
                     self.provisioner.provision_groups(run)
                 continue
-            self._apply_single_action(action)
             index += 1
+            if kind is ActionKind.WITHDRAW:
+                relay.append((action.prefix, None))
+                self.withdraws_relayed += 1
+            elif kind is ActionKind.GROUP_RETIRED:
+                self._relay(relay)
+                self._arp_handler.unregister(action.group.vnh)
+                if self.provisioner is not None:
+                    self.provisioner.retire_group(action.group)
+            elif best is not None:  # ANNOUNCE_VIRTUAL / ANNOUNCE_REAL
+                relay.append((action.prefix, best.attributes.with_next_hop(action.next_hop)))
+        self._relay(relay)
 
-    def _apply_single_action(self, action: ProvisioningAction) -> None:
-        if action.kind in (ActionKind.ANNOUNCE_VIRTUAL, ActionKind.ANNOUNCE_REAL):
-            self._announce_to_router(action.prefix, action.next_hop)
-        elif action.kind is ActionKind.WITHDRAW:
-            self.bgp.withdraw_route(self.config.router_ip, action.prefix)
-            self.withdraws_relayed += 1
-        elif action.kind is ActionKind.GROUP_RETIRED:
-            self._arp_handler.unregister(action.group.vnh)
-            if self.provisioner is not None:
-                self.provisioner.retire_group(action.group)
-
-    def _announce_to_router(self, prefix: IPv4Prefix, next_hop: IPv4Address) -> None:
-        best = self.bgp.loc_rib.best(prefix)
-        if best is None:
-            return
-        attributes = best.attributes.with_next_hop(next_hop)
-        if self.bgp.advertise_route(self.config.router_ip, prefix, attributes):
-            self.updates_relayed += 1
+    def _relay(self, routes: List[Advertisement]) -> None:
+        """Advertise (and forget) what has gathered for the router."""
+        if routes:
+            self.updates_relayed += self.bgp.advertise_routes(self.config.router_ip, routes)[0]
+            routes.clear()
 
     # ------------------------------------------------------------------
     # Failure handling

@@ -3,29 +3,39 @@
 The paper feeds its Python BGP controller 2 × 500 k updates from two
 different peers and reports the per-update processing time (worst case
 0.8 s, 99th percentile 125 ms on their hardware).  This harness measures
-the same quantity on our implementation: for every incoming update it
-times the full processing pipeline — decision-process re-ranking, Listing 1
-backup-group computation and next-hop rewriting — in wall-clock time.
+the same quantity on our implementation, on the live path: every UPDATE is
+handed — as a train of one, so a sample is one UPDATE like the paper's — to
+the :meth:`~repro.bgp.speaker.BgpSpeaker.process_update` of a real
+:class:`~repro.core.controller.SuperchargedController`, whose own Loc-RIB
+listener runs Listing 1 and relays the rewritten route to the router.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Sequence
 
-from repro.bgp.messages import UpdateMessage
-from repro.bgp.rib import LocRib, Route, RouteSource
-from repro.core.backup_groups import ActionKind, BackupGroupManager
-from repro.core.vnh_allocator import VnhAllocator
-from repro.stats import BoxStats, percentile
-from repro.net.addresses import IPv4Address, IPv4Prefix
+from repro.bgp.messages import KeepaliveMessage, OpenMessage, UpdateMessage
+from repro.core.controller import ControllerConfig, PeerSpec, SuperchargedController
+from repro.net.addresses import IPv4Address, IPv4Prefix, MacAddress
+from repro.net.links import Link, Port
+from repro.openflow.controller_channel import ControllerChannel
 from repro.routes.prefix_gen import PrefixGenerator
 from repro.routes.ris_feed import synthetic_full_table
+from repro.sim.engine import Simulator
+from repro.stats import BoxStats, percentile
 
 #: Paper-reported processing-time figures (seconds) for comparison.
 PAPER_P99_S = 0.125
 PAPER_WORST_S = 0.8
+
+_CONTROLLER_IP = IPv4Address("10.0.0.100")
+_ROUTER_IP = IPv4Address("10.0.0.1")
+_ROUTER_ASN = 65000
+#: Latency of the stub link the relayed routes leave on; the clock
+#: advances two of them per sample, so every UPDATE leaves on its own.
+_WIRE_LATENCY = 1e-6
 
 
 @dataclass
@@ -84,52 +94,50 @@ class ControllerMicrobench:
             streams.append(feed.updates(peer_ip))
         return streams
 
+    def build_controller(self, sim: Simulator) -> SuperchargedController:
+        """A started controller with every session established: the peers
+        (the first preferred) and the router it relays to, behind a stub
+        link that swallows what it sends."""
+        peers = [
+            PeerSpec(ip=ip, asn=65001 + index, switch_port=2 + index,
+                     mac=MacAddress(2 + index), local_pref=200 if index == 0 else 100)
+            for index, ip in enumerate(self.peer_ips)
+        ]
+        controller = SuperchargedController(sim, "microbench", ControllerConfig(
+            ip=_CONTROLLER_IP, mac=MacAddress(0x64), subnet=IPv4Prefix("10.0.0.0/24"),
+            asn=64512, router_id=_CONTROLLER_IP, router_ip=_ROUTER_IP,
+            router_asn=_ROUTER_ASN, vnh_pool=self.vnh_pool, peers=peers,
+        ))
+        controller.add_static_neighbor(_ROUTER_IP, MacAddress(1))
+        Link(sim, Port("stub", 0), controller.port, latency=_WIRE_LATENCY)
+        controller.attach_switch(ControllerChannel(sim))
+        controller.start()
+        sim.run_for(0.02)  # the connect delay: the controller's OPENs are out
+        for ip, asn in [(peer.ip, peer.asn) for peer in peers] + [(_ROUTER_IP, _ROUTER_ASN)]:
+            controller.bgp.deliver(ip, OpenMessage(asn=asn, router_id=ip))
+            controller.bgp.deliver(ip, KeepaliveMessage())
+        return controller
+
     def run(self) -> MicrobenchResult:
         """Process every update and record its wall-clock processing time."""
-        loc_rib = LocRib()
-        allocator = VnhAllocator(self.vnh_pool)
-        groups = BackupGroupManager(allocator)
+        sim = Simulator(seed=self.seed)
+        controller = self.build_controller(sim)
+        process_update = controller.bgp.process_update
         samples: List[float] = []
-        announcements = 0
-        groups_created = 0
-        streams = self.build_workload()
-        sources = {
-            peer_ip: RouteSource(
-                peer_ip=peer_ip, peer_asn=65001 + index, router_id=peer_ip
-            )
-            for index, peer_ip in enumerate(self.peer_ips)
-        }
-        local_prefs = {
-            peer_ip: 200 if index == 0 else 100
-            for index, peer_ip in enumerate(self.peer_ips)
-        }
-        for peer_ip, stream in zip(self.peer_ips, streams):
-            source = sources[peer_ip]
+        for peer_ip, stream in zip(self.peer_ips, self.build_workload()):
             for update in stream:
                 # This experiment *is* a wall-clock microbench (paper §4:
                 # per-update controller processing time); its output is a
                 # printed report, never a byte-stable campaign export.
                 started = time.perf_counter()  # detlint: disable=DET002
-                attributes = update.attributes.with_local_pref(local_prefs[peer_ip])
-                route = Route(prefix=update.prefix, attributes=attributes, source=source)
-                change = loc_rib.update(route)
-                actions = groups.process_change(change)
-                for action in actions:
-                    if action.kind is ActionKind.GROUP_CREATED:
-                        groups_created += 1
-                    elif action.kind in (
-                        ActionKind.ANNOUNCE_VIRTUAL,
-                        ActionKind.ANNOUNCE_REAL,
-                    ):
-                        # The rewrite the controller would relay to the router.
-                        update.rewritten_next_hop(action.next_hop)
-                        announcements += 1
+                process_update(peer_ip, update)
                 samples.append(time.perf_counter() - started)  # detlint: disable=DET002
+                sim.run_for(2 * _WIRE_LATENCY)
         result = MicrobenchResult(
             updates_processed=len(samples),
             stats=BoxStats.from_samples(samples),
-            announcements_to_router=announcements,
-            groups_created=groups_created,
+            announcements_to_router=controller.updates_relayed,
+            groups_created=controller.group_count(),
         )
         result._samples = samples
         return result

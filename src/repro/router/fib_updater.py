@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, List, Optional
+from typing import Callable, Deque, List, NamedTuple, Optional, Sequence
 
 from repro.net.addresses import IPv4Prefix
 from repro.router.fib import Adjacency, FlatFib
@@ -50,8 +50,7 @@ class FibUpdaterConfig:
         return self.first_entry_latency + (entries - 1) * self.per_entry_latency
 
 
-@dataclass(frozen=True)
-class FibWriteRequest:
+class FibWriteRequest(NamedTuple):
     """One queued FIB operation (``adjacency is None`` means delete)."""
 
     prefix: IPv4Prefix
@@ -126,20 +125,22 @@ class FibUpdater:
     # ------------------------------------------------------------------
     def enqueue(self, prefix: IPv4Prefix, adjacency: Optional[Adjacency]) -> None:
         """Queue a write (or a delete when ``adjacency`` is ``None``)."""
-        self._queue.append(FibWriteRequest(prefix=prefix, adjacency=adjacency))
-        if not self._busy:
-            self._start_draining()
+        self.enqueue_many((FibWriteRequest(prefix, adjacency),))
 
-    def enqueue_many(self, requests: List[FibWriteRequest]) -> None:
-        """Queue a batch of writes preserving order.
+    def enqueue_many(self, requests: Sequence[FibWriteRequest]) -> None:
+        """Queue a batch of writes preserving order — the one way onto
+        the queue (a lone write is a batch of one).
 
-        The whole list lands on the queue in one ``deque.extend``.  Timing
-        is identical to enqueueing the requests one at a time (the first
-        entry of an idle-to-busy batch still pays ``first_entry_latency``).
+        Timing and trace are identical to enqueueing the requests one at a
+        time: an idle updater goes busy on the first of them (its
+        ``fib.batch_start`` reports a queue of one, and that entry still
+        pays ``first_entry_latency``), the rest land in one ``deque.extend``.
         """
-        self._queue.extend(requests)
         if requests and not self._busy:
+            self._queue.append(requests[0])
             self._start_draining()
+            requests = requests[1:]
+        self._queue.extend(requests)
 
     #: Second name of :meth:`enqueue_many`, kept because benchmarks/e2e
     #: pins it as a boundary row (see ROADMAP item 2).

@@ -28,7 +28,7 @@ from repro.net.interfaces import Interface
 from repro.net.links import LinkState, Port
 from repro.net.packets import EtherType, EthernetFrame, IPv4Packet
 from repro.router.fib import Adjacency, FlatFib, HierarchicalFib
-from repro.router.fib_updater import FibUpdater, FibUpdaterConfig
+from repro.router.fib_updater import FibUpdater, FibUpdaterConfig, FibWriteRequest
 from repro.sim.engine import Simulator
 
 
@@ -77,7 +77,7 @@ class Router(Host):
             router_id=config.router_id,
             transport=self._send_bgp,
         )
-        self.bgp.on_rib_change(self._handle_rib_change)
+        self.bgp.on_rib_change(self._handle_rib_changes)
         if config.bfd_interval is not None:
             self.bfd = BfdManager(
                 sim,
@@ -258,13 +258,27 @@ class Router(Host):
     # ------------------------------------------------------------------
     # RIB -> FIB plumbing
     # ------------------------------------------------------------------
-    def _handle_rib_change(self, change: RibChange, from_peer: IPv4Address) -> None:
-        if not change.best_changed:
-            return
-        if change.new_best is None:
-            self._enqueue_delete(change.prefix)
-            return
-        self._install_route(change.prefix, change.new_best.next_hop, immediate=False)
+    def _handle_rib_changes(self, changes: List[RibChange], from_peer: IPv4Address) -> None:
+        flat = not isinstance(self.fib, HierarchicalFib)
+        adjacencies = self._adjacency_cache
+        requests: List[FibWriteRequest] = []
+        for change in changes:
+            if not change.best_changed:
+                continue
+            best = change.new_best
+            adjacency = None if best is None else adjacencies.get(best.attributes.next_hop)
+            if flat and (best is None or adjacency is not None):
+                requests.append(FibWriteRequest(change.prefix, adjacency))
+                continue
+            # Off the common path (unresolved next hop, PIC FIB): what has
+            # gathered goes first, so the FIB queue keeps arrival order.
+            self.fib_updater.enqueue_many(requests)
+            requests = []
+            if best is None:
+                self._enqueue_delete(change.prefix)
+            else:
+                self._install_route(change.prefix, best.next_hop, immediate=False)
+        self.fib_updater.enqueue_many(requests)
 
     def _install_route(
         self, prefix: IPv4Prefix, next_hop: IPv4Address, immediate: bool

@@ -22,7 +22,7 @@ whole campaign is declared up front and replayed deterministically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from repro.bgp.attributes import AsPath
@@ -385,7 +385,7 @@ class FailureInjector:
             shifted = AsPath(asns[:1] + (SHIFT_DETOUR_ASN, SHIFT_DETOUR_ASN) + asns[1:])
             provider.bgp.originate(
                 route.prefix,
-                replace(route.attributes(next_hop), as_path=shifted, med=route.med + 50),
+                route.attributes(next_hop)._replace(as_path=shifted, med=route.med + 50),
             )
         if failure.duration > 0:
             lab.sim.schedule(

@@ -562,12 +562,15 @@ class ScenarioLab:
         book = self.detection
         provider_ips = set(self._provider_ips())
 
-        def bgp_hook(change: RibChange, from_peer: IPv4Address) -> None:
-            if from_peer not in provider_ips or not change.best_changed:
+        def bgp_hook(changes: List[RibChange], from_peer: IPv4Address) -> None:
+            if from_peer not in provider_ips:
                 return
-            old = change.old_best
-            if old is not None and old.source.peer_ip == from_peer:
-                book.record_detection(self.sim.now, DETECTION_BGP, from_peer)
+            for change in changes:
+                old = change.old_best
+                if old is not None and old.source.peer_ip == from_peer and change.best_changed:
+                    # Once per episode: the rest of the list cannot add to it.
+                    book.record_detection(self.sim.now, DETECTION_BGP, from_peer)
+                    return
 
         def bfd_hook(peer_ip: IPv4Address, reason: str) -> None:
             if peer_ip in provider_ips:
@@ -583,7 +586,7 @@ class ScenarioLab:
         if self.controllers:
             controller_ips = {c.config.ip for c in self.controllers}
 
-            def push_hook(change: RibChange, from_peer: IPv4Address) -> None:
+            def push_hook(changes: List[RibChange], from_peer: IPv4Address) -> None:
                 if from_peer in controller_ips:
                     book.record_detection(self.sim.now, DETECTION_CONTROLLER_PUSH)
 
@@ -723,8 +726,9 @@ class ScenarioLab:
             )
             self.provider_feeds.append(feed)
             next_hop = self.plan.provider_core_ip(i)
-            for route in feed.routes:
-                provider.bgp.originate(route.prefix, route.attributes(next_hop))
+            provider.bgp.originate_many(
+                [(route.prefix, route.attributes(next_hop)) for route in feed.routes]
+            )
 
     def wait_converged(self, timeout: float = 3600.0) -> bool:
         """Run until every edge router's control plane and FIB are loaded."""

@@ -3,7 +3,8 @@
 The first UPDATE of a simulated instant leaves at once; later UPDATEs of
 that instant leave together as one :class:`UpdateTrain`.  Order on the
 wire is TCP order, a reset loses what was still corked, and the receiver
-sees the very same per-UPDATE callbacks it would have seen without trains.
+hands its callbacks the members in send order, a sub-train (at most
+``SUB_TRAIN`` members, a lone UPDATE as a tuple of one) at a time.
 """
 
 import json
@@ -18,7 +19,7 @@ from repro.bgp.messages import (
     UpdateMessage,
     UpdateTrain,
 )
-from repro.bgp.session import BgpSession
+from repro.bgp.session import SUB_TRAIN, BgpSession
 from repro.bgp.speaker import BgpSpeaker, PeerConfig
 from repro.net.addresses import IPv4Address, IPv4Prefix, MacAddress
 from repro.net.links import Link
@@ -54,6 +55,11 @@ def _flatten(messages):
         elif isinstance(message, UpdateMessage):
             updates.append(message)
     return updates
+
+
+def _log_prefixes(session, log):
+    """Record the prefix of every UPDATE ``session`` delivers, in order."""
+    session.on_update(lambda _session, updates: log.extend(u.prefix for u in updates))
 
 
 def _pair(sim, hold_time=90.0, loss=None):
@@ -207,7 +213,7 @@ def _burst(session, start, count=3):
 def test_events_of_one_instant_share_a_train(sim):
     a, b, wire = _pair(sim)
     received = []
-    b.on_update(lambda session, update: received.append(update.prefix))
+    _log_prefixes(b, received)
     # Both events were queued before the flush the first one schedules,
     # so the flush finds the UPDATEs of both.
     sim.schedule(0.1, lambda: _burst(a, 0))
@@ -222,7 +228,7 @@ def test_events_of_one_instant_share_a_train(sim):
 def test_updates_queued_after_the_flush_of_their_instant_form_the_next_train(sim):
     a, b, wire = _pair(sim)
     received = []
-    b.on_update(lambda session, update: received.append(update.prefix))
+    _log_prefixes(b, received)
 
     def first():
         _burst(a, 0)
@@ -242,7 +248,7 @@ def test_updates_queued_after_the_flush_of_their_instant_form_the_next_train(sim
 def test_keepalive_sent_mid_burst_arrives_after_the_corked_updates(sim):
     a, b, wire = _pair(sim, hold_time=3.0)
     log = []
-    b.on_update(lambda session, update: log.append(update.prefix))
+    _log_prefixes(b, log)
     fired = []
 
     def burst_just_before_the_keepalive(name, when):
@@ -266,7 +272,7 @@ def test_keepalive_sent_mid_burst_arrives_after_the_corked_updates(sim):
 def test_stop_notification_follows_the_corked_updates(sim):
     a, b, wire = _pair(sim)
     log = []
-    b.on_update(lambda session, update: log.append(update.prefix))
+    _log_prefixes(b, log)
     for index in range(4):
         a.send_update(_announce(index))
     a.stop("maintenance")
@@ -283,7 +289,7 @@ def test_stop_notification_follows_the_corked_updates(sim):
 def test_connection_lost_mid_burst_delivers_none_of_the_corked_updates(sim):
     a, b, wire = _pair(sim)
     log = []
-    b.on_update(lambda session, update: log.append(update.prefix))
+    _log_prefixes(b, log)
     for index in range(4):
         a.send_update(_announce(index))
     a.connection_lost("link down")
@@ -358,14 +364,29 @@ def test_receiver_restarts_hold_timer_once_per_train_and_counts_every_update(sim
 
     sim.schedule = counting_schedule
     seen = []
-    b.on_update(lambda session, update: seen.append(update.prefix))
-    b.receive(UpdateTrain(updates=tuple(_announce(i) for i in range(10))))
+    b.on_update(lambda session, updates: seen.append(updates))
+    train = tuple(_announce(i) for i in range(10))
+    b.receive(UpdateTrain(updates=train))
     assert len(hold_restarts) == 1
     assert b.updates_received == 10 and b.trains_received == 1
-    assert seen == [_prefix(i) for i in range(10)]
+    assert seen == [train]  # one callback for the whole (sub-)train
     b.receive(_announce(10))
     assert len(hold_restarts) == 2
     assert b.updates_received == 11 and b.trains_received == 1
+    assert seen[1:] == [(_announce(10),)]  # a lone UPDATE is a train of one
+
+
+def test_a_long_train_is_delivered_in_sub_trains_and_counts_every_member(sim):
+    a, b, _wire = _pair(sim)
+    sizes = []
+    b.on_update(lambda session, updates: sizes.append(len(updates)))
+    count = 2 * SUB_TRAIN + 7
+    for index in range(count + 1):  # the first leaves bare
+        a.send_update(_announce(index))
+    sim.run(until=1.5)
+    assert sizes == [1, SUB_TRAIN, SUB_TRAIN, 7]
+    assert (a.updates_sent, a.trains_sent) == (count + 1, 1)
+    assert (b.updates_received, b.trains_received) == (count + 1, 1)
 
 
 def test_train_is_ignored_unless_established(sim):
@@ -373,33 +394,36 @@ def test_train_is_ignored_unless_established(sim):
         sim, local_asn=65000, local_router_id=A_IP, peer_ip=B_IP, send=lambda message: None
     )
     seen = []
-    session.on_update(lambda s, update: seen.append(update))
+    session.on_update(lambda s, updates: seen.append(updates))
     session.receive(UpdateTrain(updates=(_announce(0), _announce(1))))
     assert not seen
     assert session.updates_received == 0 and session.trains_received == 0
 
 
 def test_a_reset_from_inside_a_callback_loses_the_rest_of_the_train(sim):
+    """...at sub-train granularity: the sub-train being delivered when the
+    callback resets is the last one counted and seen."""
     _a, b, _wire = _pair(sim)
     seen = []
 
-    def reset_on_second(session, update):
-        seen.append(update.prefix)
-        if len(seen) == 2:
+    def reset_in_second_sub_train(session, updates):
+        seen.extend(update.prefix for update in updates)
+        if len(seen) > SUB_TRAIN:
             session.connection_lost("max-prefix")
 
-    b.on_update(reset_on_second)
-    b.receive(UpdateTrain(updates=tuple(_announce(i) for i in range(5))))
-    assert seen == [_prefix(0), _prefix(1)]
-    assert b.updates_received == 2
+    b.on_update(reset_in_second_sub_train)
+    b.receive(UpdateTrain(updates=tuple(_announce(i) for i in range(3 * SUB_TRAIN))))
+    assert seen == [_prefix(i) for i in range(2 * SUB_TRAIN)]
+    assert b.updates_received == 2 * SUB_TRAIN
 
 
 def test_withdraw_and_announce_of_one_prefix_in_a_train_apply_in_send_order(sim):
     r1, r2, wire = _speaker_pair(sim)
     changes = []
     r1.on_rib_change(
-        lambda change, peer: changes.append(
+        lambda batch, peer: changes.extend(
             (change.prefix, change.new_best.attributes.as_path.asns if change.new_best else None)
+            for change in batch
         )
     )
     kept, dropped = _prefix(1), _prefix(2)

@@ -122,11 +122,15 @@ def test_peer_session_loss_flushes_routes(triangle, sim):
 
 def test_rib_listener_sees_changes(triangle, sim):
     r1, r2, r3 = triangle
-    changes = []
-    r1.on_rib_change(lambda change, peer: changes.append((change.prefix, peer)))
+    calls = []
+    r1.on_rib_change(lambda changes, peer: calls.append((changes, peer)))
     r2.originate(PREFIX, _attrs("10.0.0.2"))
     sim.run(until=2.0)
-    assert (PREFIX, IPv4Address("10.0.0.2")) in changes
+    # One call with the list of changes the (one-member) train caused.
+    ((changes, peer),) = calls
+    assert peer == IPv4Address("10.0.0.2")
+    assert [(change.prefix, change.old_best) for change in changes] == [(PREFIX, None)]
+    assert changes[0].new_best is r1.loc_rib.best(PREFIX)
 
 
 def test_loop_prevention_drops_own_asn(triangle, sim):
@@ -159,6 +163,64 @@ def test_looped_announcement_withdraws_the_route_it_replaces(triangle, sim):
     sim.run(until=4.0)
     assert PREFIX not in r1.loc_rib
     assert heard == [IPv4Address("10.0.0.2"), IPv4Address("10.0.0.3")]
+
+
+@pytest.fixture
+def full_triangle(sim):
+    """The triangle with every session exporting: R1 prefers R2 over R3 and
+    re-advertises its best path to both.  R2 and R3 only originate (a
+    speaker's Adj-RIB-Out does not tell an originated prefix from a
+    learned one, so re-advertising what R1 tells them would clobber it)."""
+    fabric = Fabric(sim)
+    speakers = {
+        ip: _speaker(sim, fabric, ip, asn)
+        for ip, asn in (("10.0.0.1", 65000), ("10.0.0.2", 65001), ("10.0.0.3", 65002))
+    }
+    r1, r2, r3 = speakers.values()
+    r1.add_peer(PeerConfig(peer_ip=IPv4Address("10.0.0.2"), peer_asn=65001, local_pref=200))
+    r1.add_peer(PeerConfig(peer_ip=IPv4Address("10.0.0.3"), peer_asn=65002, local_pref=100))
+    r2.add_peer(PeerConfig(peer_ip=IPv4Address("10.0.0.1"), peer_asn=65000))
+    r3.add_peer(PeerConfig(peer_ip=IPv4Address("10.0.0.1"), peer_asn=65000))
+    r2.auto_advertise = r3.auto_advertise = False
+    for speaker in (r1, r2, r3):
+        speaker.start()
+    sim.run(until=1.0)
+    return r1, r2, r3
+
+
+def test_best_moving_off_the_withdrawing_peer_is_announced_to_that_peer(full_triangle, sim):
+    """R2's withdraw moves R1's best to R3's route: R2 is no longer where
+    the best path was learned, so R2 must hear it (the skipped peer is the
+    one the *new best* came from, not the one whose UPDATE triggered)."""
+    r1, r2, r3 = full_triangle
+    r2.originate(PREFIX, _attrs("10.0.0.2", as_path=(174,)))
+    r3.originate(PREFIX, _attrs("10.0.0.3", as_path=(3356,)))
+    sim.run(until=2.0)
+    assert r1.loc_rib.best(PREFIX).source.peer_ip == IPv4Address("10.0.0.2")
+    assert r2.loc_rib.best(PREFIX) is None  # never told its own route back
+    r2.withdraw_origin(PREFIX)
+    sim.run(until=3.0)
+    assert r1.loc_rib.best(PREFIX).source.peer_ip == IPv4Address("10.0.0.3")
+    via_r1 = r2.loc_rib.best(PREFIX)
+    assert via_r1 is not None and via_r1.source.peer_ip == IPv4Address("10.0.0.1")
+    assert via_r1.attributes.as_path.asns == (65000, 65002, 3356)
+    # ...and R3, now the source of the best path, had R2's route withdrawn.
+    assert r3.loc_rib.best(PREFIX) is None
+
+
+def test_best_moving_onto_the_announcing_peer_withdraws_what_it_was_told(full_triangle, sim):
+    """The other order: R1 had advertised R3's route to R2; R2's better
+    announcement makes R2 the source of the best path, so the stale route
+    via R1 is withdrawn from it."""
+    r1, r2, r3 = full_triangle
+    r3.originate(PREFIX, _attrs("10.0.0.3", as_path=(3356,)))
+    sim.run(until=2.0)
+    assert r2.loc_rib.best(PREFIX).source.peer_ip == IPv4Address("10.0.0.1")
+    r2.originate(PREFIX, _attrs("10.0.0.2", as_path=(174,)))
+    sim.run(until=3.0)
+    assert r1.loc_rib.best(PREFIX).source.peer_ip == IPv4Address("10.0.0.2")
+    assert r2.loc_rib.best(PREFIX) is None
+    assert r3.loc_rib.best(PREFIX).attributes.as_path.asns == (65000, 65001, 174)
 
 
 def test_direct_advertise_and_withdraw_route(triangle, sim):

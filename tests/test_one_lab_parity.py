@@ -7,10 +7,16 @@ stage table.  The calls below use only entry points that exist on both
 sides of that port, so the fixture is regenerated with::
 
     PYTHONPATH=src python tests/test_one_lab_parity.py tests/data/one_lab_parity.json
+
+``campaign_sha256_at_1000`` was added at the parent of the train-level
+UPDATE processing change (3bdb22e): the 200-prefix tables fit in one
+sub-train, so every preset is also pinned at 1,000 prefixes (at least
+three sub-trains per table) — as digests, not as a second set of records.
 """
 
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import sys
@@ -34,6 +40,16 @@ def _campaign_records():
     # exact bytes the campaign exported.
     assert json.dumps(records, sort_keys=True) == result.scenarios_json()
     return records
+
+
+def _campaign_digests(num_prefixes):
+    """sha256 of each preset's exported record (``trace_events`` and
+    ``outage_chains`` included), by preset name."""
+    digests = {}
+    for name in PRESETS:
+        result = CampaignRunner([get_preset(name, num_prefixes=num_prefixes)], workers=1).run()
+        digests[name] = hashlib.sha256(result.scenarios_json().encode("utf-8")).hexdigest()
+    return digests
 
 
 def _figure5_rows():
@@ -84,6 +100,7 @@ def _cli_failover_stdout():
 def capture():
     return {
         "campaign_records": _campaign_records(),
+        "campaign_sha256_at_1000": _campaign_digests(1_000),
         "figure5_rows": _figure5_rows(),
         "ablation_points": _ablation_points(),
         "cli_failover_stdout": _cli_failover_stdout(),

@@ -2,20 +2,28 @@
 invariants: addressing, LPM, the flow table, the decision process, the BGP
 speaker's Loc-RIB, backup groups and the FIB updater's timing model."""
 
+import random
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bgp.attributes import AsPath, Origin, PathAttributes
 from repro.bgp.decision import rank_routes
-from repro.bgp.messages import KeepaliveMessage, OpenMessage, UpdateMessage
-from repro.bgp.rib import LocRib, Route, RouteSource
+from repro.bgp import session as bgp_session
+from repro.bgp.messages import KeepaliveMessage, OpenMessage, UpdateMessage, UpdateTrain
+from repro.bgp.rib import LocRib, RibChange, Route, RouteSource
+from repro.bgp.session import SUB_TRAIN
 from repro.bgp.speaker import BgpSpeaker, PeerConfig
 from repro.core.backup_groups import BackupGroupManager
+from repro.core.controller import ControllerConfig, PeerSpec, SuperchargedController
 from repro.core.vnh_allocator import VnhAllocator
 from repro.stats import BoxStats, percentile
 from repro.net.addresses import IPv4Address, IPv4Prefix, MacAddress
+from repro.net.links import Link, Port
 from repro.net.packets import EtherType, EthernetFrame, IpProtocol, IPv4Packet, UdpDatagram
+from repro.openflow.controller_channel import ControllerChannel
 from repro.openflow.flow_table import (
     Actions,
     FlowEntry,
@@ -25,7 +33,8 @@ from repro.openflow.flow_table import (
 )
 from repro.openflow.messages import FlowMod, FlowModCommand
 from repro.router.fib import LpmTable
-from repro.router.fib_updater import FibUpdaterConfig
+from repro.router.fib_updater import FibUpdaterConfig, FibWriteRequest
+from repro.router.router import Router, RouterConfig
 from repro.sim.engine import Simulator
 
 ips = st.integers(min_value=0, max_value=(1 << 32) - 1).map(IPv4Address)
@@ -355,7 +364,9 @@ def test_speaker_loc_rib_matches_dict_model(steps):
         speaker.add_peer(PeerConfig(peer_ip=peer_ip, peer_asn=asn, local_pref=local_pref))
         _establish(sim, speaker, peer_ip, asn)
     heard = []
-    speaker.on_rib_change(lambda change, peer_ip: heard.append((peer_ip, change.prefix)))
+    speaker.on_rib_change(
+        lambda changes, peer_ip: heard.extend((peer_ip, change.prefix) for change in changes)
+    )
     model = {}
     for step in steps:
         peer_ip, asn, local_pref = _SPEAKER_PEERS[step[1]]
@@ -379,7 +390,7 @@ def test_speaker_loc_rib_matches_dict_model(steps):
             else:
                 expected = [key]
                 model[key] = sent if local_pref is None else sent.with_local_pref(local_pref)
-        # One listener call per accepted announcement and per route actually
+        # One change per accepted announcement and per route actually
         # removed; none for a withdraw of a route the peer does not hold.
         assert sorted(heard) == sorted(expected)
         del heard[:]
@@ -401,6 +412,229 @@ def test_speaker_loc_rib_matches_dict_model(steps):
             assert sorted(speaker.loc_rib.prefixes_from(peer_ip)) == sorted(
                 prefix for (peer, prefix) in model if peer == peer_ip
             )
+
+
+# ----------------------------------------------------------------------
+# A train is processed as a train — and means what its members mean
+# ----------------------------------------------------------------------
+_TRAIN_CTRL = IPv4Address("10.0.0.100")
+_TRAIN_ROUTER = IPv4Address("10.0.0.1")
+_TRAIN_SUBNET = IPv4Prefix("10.0.0.0/24")
+_TRAIN_ASNS = (64512, 65000)  # controller, router: a looped path holds both
+#: (address, ASN, LOCAL_PREF on import) of the two feeding peers.
+_TRAIN_PEERS = ((IPv4Address("10.0.0.2"), 65001, 200), (IPv4Address("10.0.0.3"), 65002, 100))
+#: Own address / no ARP answer (resolves late, to a delete) / off-subnet.
+_TRAIN_ODD_NEXT_HOPS = (None, IPv4Address("10.0.0.9"), IPv4Address("172.16.0.1"))
+_TRAIN_PREFIXES = tuple(IPv4Prefix(f"20.{index}.0.0/16") for index in range(5))
+_train_updates = st.one_of(
+    st.tuples(
+        st.just("announce"),
+        st.integers(0, 4),  # prefix: five of them, so trains repeat prefixes
+        st.integers(1, 3),  # AS-path length
+        st.integers(0, 2),  # MED
+        st.sampled_from((0, 0, 0, 1, 2)),  # next hop: mostly the peer itself
+    ),
+    st.tuples(st.just("looped"), st.integers(0, 4)),
+    st.tuples(st.just("withdraw"), st.integers(0, 4)),
+    st.tuples(st.just("duplicate")),
+)
+#: Consecutive UPDATEs of one session: ``(peer index, updates)``.
+_train_segments = st.lists(
+    st.tuples(st.integers(0, 1), st.lists(_train_updates, min_size=1, max_size=14)),
+    min_size=1,
+    max_size=6,
+)
+
+
+def _train_messages(segments):
+    """``[(peer_ip, [UpdateMessage, ...]), ...]`` for drawn segments."""
+    result = []
+    for peer_index, steps in segments:
+        peer_ip, asn, _ = _TRAIN_PEERS[peer_index]
+        updates = []
+        for step in steps:
+            if step[0] == "duplicate":
+                if updates:
+                    updates.append(updates[-1])
+                continue
+            prefix = _TRAIN_PREFIXES[step[1]]
+            if step[0] == "withdraw":
+                updates.append(UpdateMessage.withdraw(prefix))
+                continue
+            if step[0] == "looped":
+                path, med, next_hop = (asn,) + _TRAIN_ASNS, 0, peer_ip
+            else:
+                path, med = (asn,) * step[2], step[3]
+                next_hop = _TRAIN_ODD_NEXT_HOPS[step[4]] or peer_ip
+            updates.append(
+                UpdateMessage.announce(
+                    prefix, PathAttributes(next_hop=next_hop, as_path=AsPath(path), med=med)
+                )
+            )
+        if updates:
+            result.append((peer_ip, updates))
+    return result
+
+
+def _as_wire(updates):
+    return updates[0] if len(updates) == 1 else UpdateTrain(updates=tuple(updates))
+
+
+def _deliveries(messages, mode, rng):
+    """The wire messages of one delivery mode, in order."""
+    for peer_ip, updates in messages:
+        if mode == "one by one":
+            cuts = range(1, len(updates))
+        elif mode == "one train":
+            cuts = ()
+        else:
+            cuts = sorted(rng.sample(range(1, len(updates)), rng.randint(0, len(updates) - 1)))
+        start = 0
+        for cut in list(cuts) + [len(updates)]:
+            yield peer_ip, _as_wire(updates[start:cut])
+            start = cut
+
+
+def _flatten_updates(messages):
+    flat = []
+    for message in messages:
+        flat.extend(message.updates if isinstance(message, UpdateTrain) else [message])
+    return flat
+
+
+def _train_outcome(deliveries):
+    """Everything downstream of the speakers after ``deliveries`` reached a
+    real controller (relaying to its router) and a real standalone router
+    (filling its FIB queue), all in one simulated instant."""
+    sim = Simulator(seed=1)
+    wire = Port("wire", 0)
+    relayed = []
+
+    def capture(frame, _port):
+        payload = frame.payload
+        if frame.ethertype is EtherType.BGP_TRANSPORT and payload.dst_ip == _TRAIN_ROUTER:
+            if isinstance(payload.message, (UpdateMessage, UpdateTrain)):
+                relayed.append(payload.message)
+
+    wire.set_frame_handler(capture)
+    controller = SuperchargedController(sim, "ctrl", ControllerConfig(
+        ip=_TRAIN_CTRL, mac=MacAddress(0x64), subnet=_TRAIN_SUBNET, asn=_TRAIN_ASNS[0],
+        router_id=_TRAIN_CTRL, router_ip=_TRAIN_ROUTER, router_asn=_TRAIN_ASNS[1],
+        peers=[
+            PeerSpec(ip=ip, asn=asn, switch_port=2 + index, mac=MacAddress(2 + index),
+                     local_pref=local_pref)
+            for index, (ip, asn, local_pref) in enumerate(_TRAIN_PEERS)
+        ],
+    ))
+    controller.add_static_neighbor(_TRAIN_ROUTER, MacAddress(1))
+    Link(sim, wire, controller.port, latency=1e-5)
+    channel = ControllerChannel(sim, latency=0.001)
+    flow_mods = []
+    channel.connect_switch(flow_mods.append)
+    controller.attach_switch(channel)
+    controller.start()
+
+    router = Router(sim, "r1", RouterConfig(asn=_TRAIN_ASNS[1], router_id=_TRAIN_ROUTER,
+                                            bfd_interval=None))
+    router.add_interface("core", MacAddress(1), _TRAIN_ROUTER, _TRAIN_SUBNET)
+    Link(sim, Port("nowhere", 0), router.interfaces["core"].port, latency=1e-5)
+    for index, (ip, asn, local_pref) in enumerate(_TRAIN_PEERS):
+        router.add_static_neighbor(ip, MacAddress(2 + index))
+        router.add_bgp_peer(
+            PeerConfig(peer_ip=ip, peer_asn=asn, local_pref=local_pref, advertise=False)
+        )
+    for speaker in (controller.bgp, router.bgp):
+        for ip, asn, _ in _TRAIN_PEERS:
+            _establish(sim, speaker, ip, asn)
+    _establish(sim, controller.bgp, _TRAIN_ROUTER, _TRAIN_ASNS[1])
+
+    heard = {"controller": [], "router": []}
+    controller.bgp.on_rib_change(lambda changes, peer: heard["controller"].extend(changes))
+    router.bgp.on_rib_change(lambda changes, peer: heard["router"].extend(changes))
+    applied = []
+    router.fib_updater.on_entry_applied(lambda *entry: applied.append(entry))
+    for peer_ip, message in deliveries:
+        controller.bgp.deliver(peer_ip, message)
+        router.bgp.deliver(peer_ip, message)
+    queued = router.fib_updater.queue_depth
+    sim.run_for(10.0)  # corks, REST calls, unanswered ARP and the FIB queue drain
+    assert len(applied) >= queued and not router.fib_updater.is_busy
+    return {
+        "loc_ribs": [
+            {prefix: speaker.loc_rib.ranking(prefix) for prefix in _TRAIN_PREFIXES}
+            for speaker in (controller.bgp, router.bgp)
+        ],
+        "changes": heard,
+        "relayed": _flatten_updates(relayed),
+        "relay_counters": (controller.updates_relayed, controller.withdraws_relayed),
+        "groups": sorted(group.key for group in controller.backup_groups.groups()),
+        "flow_mods": flow_mods,
+        "fib_queue_depth": queued,
+        "fib_applied": applied,
+        "members_counted": [
+            speaker.peer_session(ip).updates_received
+            for speaker in (controller.bgp, router.bgp)
+            for ip, _, _ in _TRAIN_PEERS
+        ],
+    }
+
+
+def _assert_delivery_modes_agree(messages, partition_seed):
+    rng = random.Random(partition_seed)
+    reference = _train_outcome(_deliveries(messages, "one by one", rng))
+    for mode in ("one train", "random partition"):
+        outcome = _train_outcome(_deliveries(messages, mode, rng))
+        for key, expected in reference.items():
+            assert outcome[key] == expected, (mode, key)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_train_segments, st.integers(0, 2 ** 16))
+def test_a_train_means_what_its_members_mean(segments, partition_seed):
+    """One by one, as one train per segment, or under a random partition
+    into trains: same Loc-RIBs, same ordered changes at a listener, same
+    ordered UPDATEs out of the controller, same FIB queue.  The sub-train
+    bound is shrunk to 3 so that drawn trains cross it several times."""
+    with mock.patch.object(bgp_session, "SUB_TRAIN", 3):
+        _assert_delivery_modes_agree(_train_messages(segments), partition_seed)
+
+
+def test_a_train_means_what_its_members_mean_at_the_real_sub_train_bound():
+    rng = random.Random(22)
+    steps = [
+        rng.choice([
+            ("announce", rng.randrange(5), rng.randint(1, 3), rng.randrange(3),
+             rng.choice((0, 0, 0, 1, 2))),
+            ("withdraw", rng.randrange(5)),
+            ("looped", rng.randrange(5)),
+            ("duplicate",),
+        ])
+        for _ in range(2 * SUB_TRAIN + SUB_TRAIN // 2)
+    ]
+    cut = SUB_TRAIN + 5
+    _assert_delivery_modes_agree(_train_messages([(0, steps[:cut]), (1, steps[cut:])]), 7)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        PathAttributes(next_hop=_TRAIN_ROUTER),
+        Route(
+            prefix=_TRAIN_PREFIXES[0],
+            attributes=PathAttributes(next_hop=_TRAIN_ROUTER),
+            source=RouteSource(peer_ip=_TRAIN_ROUTER, peer_asn=1, router_id=_TRAIN_ROUTER),
+        ),
+        RibChange(_TRAIN_PREFIXES[0], None, None, (), ()),
+        FibWriteRequest(_TRAIN_PREFIXES[0], None),
+    ],
+    ids=lambda value: type(value).__name__,
+)
+def test_per_member_value_objects_stay_immutable(value):
+    for field in value._fields:
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+    with pytest.raises(AttributeError):
+        value.extra = 1
 
 
 @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=60))
