@@ -14,7 +14,6 @@ stray ``os.environ.get`` somewhere in a sim path.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from typing import Optional
 
@@ -41,5 +40,9 @@ def env_text(name: str, default: Optional[str] = None) -> Optional[str]:
 def pool_start_method() -> str:
     """Worker-pool start method for this host: prefer fork (inherits
     sys.path; cheap), fall back to spawn."""
+    # Imported here: only a pooled run needs it, and every rep of every
+    # campaign imports this module.
+    import multiprocessing
+
     methods = multiprocessing.get_all_start_methods()
     return "fork" if "fork" in methods else "spawn"

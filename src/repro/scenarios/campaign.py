@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import multiprocessing
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, IO, List, Mapping, Optional, Sequence, Tuple
@@ -490,6 +489,8 @@ class CampaignRunner:
         ]
         started = time.perf_counter()
         if self.workers > 1:
+            import multiprocessing  # the serial path never pays for it
+
             context = multiprocessing.get_context(pool_start_method())
             processes = min(self.workers, len(payloads))
             with context.Pool(processes=processes) as pool:

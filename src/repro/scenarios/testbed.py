@@ -45,7 +45,7 @@ from repro.router.router import Router, RouterConfig, StaticRoute
 from repro.routes.prefix_gen import PrefixGenerator
 from repro.routes.ris_feed import RouteFeed, churn_stream, synthetic_full_table
 from repro.scenarios.spec import ScenarioSpec
-from repro.sim.engine import Simulator
+from repro.sim.engine import Simulator, collector_paused
 from repro.telemetry import (
     STAGE_DECIDE,
     STAGE_DETECT,
@@ -709,6 +709,7 @@ class ScenarioLab:
         # Let the sessions establish before feeding routes.
         self.run_until(self._sessions_established, timeout=30.0)
 
+    @collector_paused()
     def load_feeds(self) -> None:
         """Generate the synthetic full tables and originate them at every
         provider (provider ``i`` uses seed ``spec.seed + i`` over the same
@@ -752,33 +753,34 @@ class ScenarioLab:
             return 0
         if not self.provider_feeds:
             raise RuntimeError("load_feeds() must run before start_churn()")
-        base_feed = self.provider_feeds[0]
-        drifted = synthetic_full_table(
-            len(base_feed),
-            seed=spec.seed + 7919,
-            provider_asn=self.plan.provider_asn(0),
-            prefixes=base_feed.prefixes(),
-        )
-        updates = list(
-            churn_stream(
-                drifted,
-                self.plan.provider_core_ip(0),
-                withdraw_fraction=spec.churn_withdraw_fraction,
-                seed=spec.seed + 104729,
+        with collector_paused():
+            base_feed = self.provider_feeds[0]
+            drifted = synthetic_full_table(
+                len(base_feed),
+                seed=spec.seed + 7919,
+                provider_asn=self.plan.provider_asn(0),
+                prefixes=base_feed.prefixes(),
             )
-        )
-        if spec.churn_updates > 0:
-            updates = updates[: spec.churn_updates]
-        interval = 1.0 / spec.churn_rate_ups
-        provider = self.providers[0]
-        self.sim.schedule_batch(
-            (
-                (index + 1) * interval,
-                lambda u=update: self._replay_churn_update(provider, u),
-                "churn:replay",
+            updates = list(
+                churn_stream(
+                    drifted,
+                    self.plan.provider_core_ip(0),
+                    withdraw_fraction=spec.churn_withdraw_fraction,
+                    seed=spec.seed + 104729,
+                )
             )
-            for index, update in enumerate(updates)
-        )
+            if spec.churn_updates > 0:
+                updates = updates[: spec.churn_updates]
+            interval = 1.0 / spec.churn_rate_ups
+            provider = self.providers[0]
+            self.sim.schedule_batch(
+                (
+                    (index + 1) * interval,
+                    lambda u=update: self._replay_churn_update(provider, u),
+                    "churn:replay",
+                )
+                for index, update in enumerate(updates)
+            )
         self.churn_updates_scheduled = len(updates)
         return len(updates)
 

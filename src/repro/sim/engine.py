@@ -23,9 +23,11 @@ flows).
 
 from __future__ import annotations
 
+import gc
 import math
+from contextlib import contextmanager
 from heapq import heappop, heappush
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 _isfinite = math.isfinite
 _INF = float("inf")
@@ -36,6 +38,29 @@ _Entry = Tuple[float, int, Callable[[], None], "Event"]
 
 class SimulationError(RuntimeError):
     """Raised for invalid scheduling requests or a corrupted event queue."""
+
+
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Run a table build with the cyclic collector off.
+
+    Route objects are acyclic and freed by reference count: a collection
+    during a bulk phase re-walks every long-lived route and frees nothing
+    (tests/test_collector.py pins that; docs/performance.md "The
+    collector").  On the way out, if the collector was on when the build
+    started, one ``gc.collect(1)`` sweeps what the build allocated and
+    parks the survivors in the oldest generation — so their first sweep is
+    not billed to the next phase — and the collector is switched back on.
+    A caller that had it off keeps it off, and is not swept.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.collect(1)
+            gc.enable()
 
 
 class Event:
@@ -277,12 +302,21 @@ class Simulator:
         """Run events until the queue drains, ``until`` is reached, or ``max_events``.
 
         Returns the simulation time when the run stopped.  When ``until`` is
-        given, the clock is advanced to exactly ``until`` even if the last
-        event fired earlier, mirroring how a wall clock would behave.
+        given and the run stopped on it or on an empty queue, the clock is
+        advanced to exactly ``until`` even if the last event fired earlier,
+        mirroring how a wall clock would behave; a run that stopped on
+        ``max_events`` stays at its last event, so the events it left
+        behind are still in the future.
+
+        The cyclic collector is off while the loop runs (events allocate
+        nothing it could free, see :func:`collector_paused`) and is put
+        back as it was found.
         """
         if self._running:
             raise SimulationError("simulator is already running (reentrant run())")
         self._running = True
+        collector_was_enabled = gc.isenabled()
+        gc.disable()
         executed = 0
         heap = self._heap
         pop = heappop
@@ -310,12 +344,14 @@ class Simulator:
                 if observer is not None:
                     observer(event.name, when)
                 callback()
-            if until is not None and until > self._now:
+            if until is not None and until > self._now and (executed < budget or not heap):
                 self._now = until
             return self._now
         finally:
             self._executed += executed
             self._running = False
+            if collector_was_enabled:
+                gc.enable()
 
     def run_for(self, duration: float, max_events: Optional[int] = None) -> float:
         """Run for ``duration`` seconds of simulated time from now."""

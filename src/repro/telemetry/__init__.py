@@ -138,8 +138,9 @@ class Telemetry:
 
         No-op outside an outage, so the initial table load stays free of
         chains and the per-entry hot path pays one ``is None`` test.
-        ``subject`` is stringified lazily (only when a chain is minted).
+        ``subject`` (a prefix, a VMAC: anything hashable) is kept as it
+        is; the ledger formats it when chains are folded.
         """
         if self.causal.current_id is None:
             return
-        self.ledger.note_restored(str(subject), self.trace.now(), kind=kind)
+        self.ledger.note_restored(subject, self.trace.now(), kind=kind)

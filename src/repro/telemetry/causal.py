@@ -26,16 +26,16 @@ Determinism contract (DET006 applies to this file): everything here is
 restorations never schedule simulator work, never draw randomness and
 never touch component state, so the simulation trajectory is identical
 with the causal layer on or off.  Ids are minted from a plain counter
-(never ``id()`` or wall clock), subjects are stringified by the caller,
-and every export sorts its keys — serial, pooled and rerun campaigns
-stay byte-identical.
+(never ``id()`` or wall clock), subjects are stringified where chains
+are folded and every export sorts its keys — serial, pooled and rerun
+campaigns stay byte-identical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (
-    TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple,
+    TYPE_CHECKING, Any, Callable, Dict, Hashable, Iterable, List, Mapping, Optional, Tuple,
 )
 
 from repro.stats import quantile_from_sorted
@@ -264,8 +264,9 @@ class ConvergenceLedger:
         self._causal = causal
         # outage_id -> stage -> first sim instant
         self._stages: Dict[str, Dict[str, float]] = {}
-        # outage_id -> (kind, subject) -> first restore instant
-        self._restores: Dict[str, Dict[Tuple[str, str], float]] = {}
+        # outage_id -> (kind, subject) -> first restore instant; the
+        # subject is the prefix / VMAC itself, formatted only by chains()
+        self._restores: Dict[str, Dict[Tuple[str, Hashable], float]] = {}
 
     # ------------------------------------------------------------------
     # Recording
@@ -295,7 +296,7 @@ class ConvergenceLedger:
 
         return record
 
-    def note_restored(self, subject: str, at: float, kind: str = KIND_PREFIX) -> None:
+    def note_restored(self, subject: Hashable, at: float, kind: str = KIND_PREFIX) -> None:
         """Record that ``subject`` had its new state applied at ``at``.
 
         Ignored when no outage is open (initial load, steady state);
@@ -331,10 +332,13 @@ class ConvergenceLedger:
                 continue
             restores = self._restores.get(outage.outage_id, {})
             stage_offsets = self.stage_offsets_ms(outage)
-            for chain_kind, subject in sorted(restores):
+            by_string = sorted(
+                (chain_kind, str(subject), restored_at)
+                for (chain_kind, subject), restored_at in restores.items()
+            )
+            for chain_kind, subject, restored_at in by_string:
                 if kind is not None and chain_kind != kind:
                     continue
-                restored_at = restores[(chain_kind, subject)]
                 chain: Dict[str, Any] = {
                     "outage": outage.outage_id,
                     "kind": chain_kind,
@@ -357,7 +361,7 @@ class ConvergenceLedger:
             if outage_id is not None and outage.outage_id != outage_id:
                 continue
             restores = self._restores.get(outage.outage_id, {})
-            for (chain_kind, _subject), restored_at in sorted(restores.items()):
+            for (chain_kind, _subject), restored_at in restores.items():
                 if chain_kind != kind:
                     continue
                 latencies.append(

@@ -222,6 +222,29 @@ class TestConvergenceLedger:
         assert summary["groups_restored"] == 1
         assert summary["first_restore_ms"] == pytest.approx(10.0)
 
+    def test_restored_formats_nothing_until_chains_are_folded(self):
+        from repro.net.addresses import IPv4Prefix
+
+        formatted = []
+
+        class CountingPrefix(IPv4Prefix):
+            def __str__(self):
+                formatted.append(int(self))
+                return super().__str__()
+
+        telemetry = Telemetry(FakeClock())
+        telemetry.causal.open_outage(0.0)
+        # Written out of string order: 10.0.10.0/24 sorts before 10.0.9.0/24.
+        for text in ("10.0.9.0/24", "10.0.10.0/24", "10.0.9.0/24"):
+            telemetry.restored(CountingPrefix(text))
+        [summary] = telemetry.ledger.outage_summaries()
+        assert summary["prefixes_restored"] == 2
+        assert len(telemetry.ledger.restoration_latencies_ms()) == 2
+        assert formatted == []
+        subjects = [chain["subject"] for chain in telemetry.ledger.chains()]
+        assert subjects == ["10.0.10.0/24", "10.0.9.0/24"]
+        assert len(formatted) == 2
+
     def test_ambient_stamping_only_while_outage_open(self):
         causal = CausalContext()
         bus = TraceBus(FakeClock())

@@ -50,3 +50,28 @@ def test_import_repro_loads_no_subpackage():
         check=True,
     )
     assert result.stdout.split("\n")[:2] == ["[]", "False False"]
+
+
+def test_a_serial_rep_never_imports_multiprocessing_and_a_pooled_campaign_still_does():
+    """What every rep imports leaves ``multiprocessing`` (and the
+    ``pickle`` / ``socket`` / ``selectors`` it drags in) unloaded; the
+    pooled branch imports it on demand and runs."""
+    probe = (
+        "import sys;"
+        "import repro.scenarios.presets, repro.scenarios.testbed, repro.scenarios.campaign;"
+        "print('multiprocessing' in sys.modules);"
+        "from repro.scenarios.campaign import run_campaign;"
+        "from repro.scenarios.presets import get_preset;"
+        "base = get_preset('figure4', num_prefixes=20, monitored_flows=2);"
+        "result = run_campaign(base, {'seed': [1, 2]}, workers=2);"
+        "print('multiprocessing' in sys.modules, result.workers,"
+        " [row['recovered'] for row in result.scenarios])"
+    )
+    result = subprocess.run(
+        [sys.executable, "-B", "-c", probe],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        stdout=subprocess.PIPE,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.split("\n")[:2] == ["False", "True 2 [True, True]"]

@@ -161,6 +161,29 @@ def test_max_events_limits_execution(sim):
     assert fired == [0, 1, 2]
 
 
+def test_exhausted_event_budget_does_not_jump_the_clock_past_pending_events(sim):
+    sim.schedule(1.0, lambda: None)
+    sim.schedule(2.0, lambda: None)
+    assert sim.run(until=10.0, max_events=1) == 1.0
+    assert sim.pending_events == 1
+
+
+def test_event_budget_then_resume_executes_every_event_in_order(sim):
+    fired = []
+    sim.schedule(1.0, lambda: fired.append(1.0))
+    sim.schedule(2.0, lambda: fired.append(2.0))
+    sim.run_for(10.0, max_events=1)
+    assert sim.run(until=10.0) == 10.0
+    assert fired == [1.0, 2.0]
+
+
+def test_horizon_or_empty_queue_still_advances_to_until_under_a_budget(sim):
+    sim.schedule(1.0, lambda: None)
+    sim.schedule(20.0, lambda: None)
+    assert sim.run(until=10.0, max_events=5) == 10.0  # stopped on the horizon
+    assert sim.run(until=30.0, max_events=5) == 30.0  # stopped on an empty queue
+
+
 def test_events_scheduled_during_execution_run(sim):
     order = []
 

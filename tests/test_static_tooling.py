@@ -125,3 +125,23 @@ def test_facade_packages_are_docstring_only():
         tree = ast.parse((REPO_ROOT / "src" / "repro" / package / "__init__.py").read_text())
         assert ast.get_docstring(tree), package
         assert len(tree.body) == 1, f"repro.{package} re-exports again"
+
+
+def test_one_module_owns_the_collector():
+    """The collector policy (``Simulator.run`` pauses it, the table builds
+    go through ``collector_paused``) is spelled once: no other module
+    under ``src/repro`` imports ``gc``, so it cannot be re-decided per
+    call site."""
+    package_root = REPO_ROOT / "src" / "repro"
+    importers = set()
+    for path in package_root.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                imported = [node.module]
+            else:
+                continue
+            if "gc" in imported:
+                importers.add(path.relative_to(package_root).as_posix())
+    assert importers == {"sim/engine.py"}
