@@ -10,8 +10,8 @@ inside one interpreter with gc disabled in the timed sections:
 * ``attached`` — a full :class:`Telemetry` context attached (trace ring
   buffer + metrics registry);
 * ``causal``   — like ``attached`` but with an outage context open, so the
-  ambient outage stamping and the per-prefix restoration ledger are both
-  on the hot path.
+  ambient outage stamping and the episode book's per-prefix restorations
+  are both on the hot path.
 
 The report carries the min-of-repeats cost per mode in absolute units
 (us per FIB entry, us per channel batch) — reported, never asserted; that

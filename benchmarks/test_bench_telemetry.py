@@ -47,7 +47,7 @@ def test_telemetry_disabled_is_free(benchmark):
 
     # Passivity: every mode performed the same simulated work — including
     # "causal", where an open outage context keeps the ambient stamping
-    # and the restoration ledger on the hot path.
+    # and the episode book's restorations on the hot path.
     for section in (fib, channel):
         checks = section["checks"]
         assert checks["detached"] == checks["attached"] == checks["causal"]

@@ -75,10 +75,6 @@ class ArpHandler:
         """Start answering requests for ``ip`` with ``mac``."""
         self._owned[ip] = mac
 
-    def unregister(self, ip: IPv4Address) -> bool:
-        """Stop answering for ``ip``; returns whether it was registered."""
-        return self._owned.pop(ip, None) is not None
-
     def owns(self, ip: IPv4Address) -> bool:
         """Whether the handler answers for ``ip``."""
         return ip in self._owned

@@ -84,9 +84,8 @@ def _healthy(record: Dict[str, Any], prefix: str = "") -> int:
     return 0 if record[f"{prefix}converged"] and record[f"{prefix}recovered"] else 1
 
 
-def _preset_spec(arguments: argparse.Namespace, telemetry: bool = False) -> ScenarioSpec:
-    """The ``--preset`` with the sizing options applied (and, for the
-    commands that read the telemetry context, telemetry forced on)."""
+def _preset_spec(arguments: argparse.Namespace) -> ScenarioSpec:
+    """The ``--preset`` with the sizing options applied."""
     sizing = {
         "num_prefixes": arguments.prefixes,
         "monitored_flows": arguments.flows,
@@ -95,8 +94,6 @@ def _preset_spec(arguments: argparse.Namespace, telemetry: bool = False) -> Scen
     overrides = {key: value for key, value in sizing.items() if value is not None}
     if arguments.providers is not None:
         overrides.update(provider_names=None, provider_local_prefs=None)
-    if telemetry:
-        overrides["telemetry"] = True
     return get_preset(arguments.preset, seed=arguments.seed, **overrides)
 
 
@@ -301,7 +298,7 @@ def _cmd_metrics(arguments: argparse.Namespace) -> int:
     if arguments.openmetrics:
         # Single-scenario OpenMetrics exposition: run the preset once and
         # render the registry in the Prometheus text format.
-        spec = _preset_spec(arguments, telemetry=True)
+        spec = _preset_spec(arguments)
         if arguments.failures:
             spec = expand_grid(spec, {"failure": [arguments.failures[0]]})[0]
         record, lab = execute_scenario(spec, timeout=arguments.timeout)
@@ -331,24 +328,24 @@ def _cmd_metrics(arguments: argparse.Namespace) -> int:
 def _cmd_report(arguments: argparse.Namespace) -> int:
     """Causal convergence provenance report: per-prefix restoration chains,
     stage waterfall and restoration CDF, written as JSON + HTML artifacts."""
-    specs = [_preset_spec(arguments, telemetry=True)]
+    specs = [_preset_spec(arguments)]
     if arguments.failures:
         specs = expand_grid(specs[0], {"failure": arguments.failures})
     entries, summaries, code = [], [], 0
     for spec in specs:
         record, lab = execute_scenario(spec, timeout=arguments.timeout)
         code = code or _healthy(record)
-        ledger = lab.telemetry.ledger
-        outages = lab.detection.outages()
+        book = lab.detection
+        outages = book.outages()
         entries.append(
             {
                 "record": record,
-                "outages": ledger.outage_summaries(),
-                "chains": ledger.chains(),
-                "restoration_cdf": ledger.restoration_cdf(
+                "outages": book.outage_summaries(),
+                "chains": book.chains(),
+                "restoration_cdf": book.restoration_cdf(
                     outages[0].outage_id if outages else None
                 ),
-                "profile": lab.profiler.to_dict() if lab.profiler is not None else None,
+                "profile": lab.profiler.to_dict(),
             }
         )
         deciles = record["restoration_cdf_ms"]
@@ -381,7 +378,7 @@ def _cmd_report(arguments: argparse.Namespace) -> int:
 
 def _cmd_trace(arguments: argparse.Namespace) -> int:
     """Dump the structured sim-time trace of one scenario run."""
-    spec = _preset_spec(arguments, telemetry=True)
+    spec = _preset_spec(arguments)
     sink = open(arguments.out, "w", encoding="utf-8") if arguments.out else nullcontext()
     with sink as trace_sink:
         record, lab = execute_scenario(spec, timeout=arguments.timeout, trace_sink=trace_sink)

@@ -66,7 +66,6 @@ class ActionKind(enum.Enum):
     ANNOUNCE_REAL = "announce_real"  # announce prefix with the real next hop
     WITHDRAW = "withdraw"  # withdraw prefix from the router
     GROUP_CREATED = "group_created"  # new group: provision switch rule + ARP
-    GROUP_RETIRED = "group_retired"  # group has no more prefixes
 
 
 @dataclass(frozen=True)
@@ -202,8 +201,7 @@ class BackupGroupManager:
         """Drop ``prefix`` from its group, which stays alive even when that
         empties it: its switch rule and VNH remain valid and are reused if
         the same (primary, backup) pair reappears, which avoids churn
-        during large reconvergence events (:meth:`collect_empty_groups`
-        garbage-collects explicitly)."""
+        during large reconvergence events."""
         key = self._group_of_prefix.pop(prefix, None)
         if key in self._groups:
             self._groups[key].members.discard(prefix)
@@ -214,17 +212,6 @@ class BackupGroupManager:
         hop state (the provisioner owns the programmed rule), so this is a
         no-op; the remote-group planner overrides it to keep its failover
         index aligned with the data plane."""
-
-    def collect_empty_groups(self) -> List[BackupGroup]:
-        """Remove (and return) groups with no member prefixes, releasing
-        their VNHs.  Emitted as GROUP_RETIRED actions by the controller."""
-        retired = []
-        for key, group in list(self._groups.items()):
-            if not group.members:
-                del self._groups[key]
-                self._allocator.release(group.vnh)
-                retired.append(group)
-        return retired
 
 
 def _distinct_next_hops(change: RibChange) -> List[IPv4Address]:

@@ -305,11 +305,6 @@ class SuperchargedController(Host):
             if kind is ActionKind.WITHDRAW:
                 relay.append((action.prefix, None))
                 self.withdraws_relayed += 1
-            elif kind is ActionKind.GROUP_RETIRED:
-                self._relay(relay)
-                self._arp_handler.unregister(action.group.vnh)
-                if self.provisioner is not None:
-                    self.provisioner.retire_group(action.group)
             elif best is not None:  # ANNOUNCE_VIRTUAL / ANNOUNCE_REAL
                 relay.append((action.prefix, best.attributes.with_next_hop(action.next_hop)))
         self._relay(relay)

@@ -134,11 +134,6 @@ class FlowProvisioner:
     #: stand-in provisioner with only this method; see ROADMAP item 2).
     point_groups = redirect_groups
 
-    def retire_group(self, group: BackupGroup) -> bool:
-        """Remove the rule of a retired group."""
-        self._active_next_hop.pop(group.vmac, None)
-        return self._rest.delete(self._rule_name(group))
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------

@@ -40,7 +40,7 @@ class StaticFlowEntry:
 
 
 class FloodlightRestApi:
-    """Static flow pusher: named entries pushed/updated/deleted over REST."""
+    """Static flow pusher: named entries pushed/updated over REST."""
 
     def __init__(
         self, sim: Simulator, channel: ControllerChannel, call_latency: float = 2e-3
@@ -88,15 +88,6 @@ class FloodlightRestApi:
             lambda: self._channel.send_flow_mod_batch(batch),
             name="rest:flow-push-batch",
         )
-
-    def delete(self, name: str) -> bool:
-        """DELETE a static flow by name."""
-        entry = self._entries.pop(name, None)
-        if entry is None:
-            return False
-        self.calls += 1
-        self._dispatch(entry.to_flow_mod(FlowModCommand.DELETE))
-        return True
 
     def list(self) -> List[StaticFlowEntry]:
         """GET all static flows known to the pusher."""

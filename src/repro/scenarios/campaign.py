@@ -244,11 +244,9 @@ def execute_scenario(
     flow_mod_batches = sum(p.batches_pushed for p in provisioners)
     flow_mods_pushed = sum(p.rules_pushed for p in provisioners)
     flow_mods_batched = sum(p.rules_pushed_batched for p in provisioners)
-    telemetry = lab.telemetry
-    outages = lab.detection.outages()
-    queue_gauge = (
-        telemetry.metrics.get("channel.flow_mods_in_flight") if telemetry is not None else None
-    )
+    book = lab.detection
+    outages = book.outages()
+    queue_gauge = lab.telemetry.metrics.get("channel.flow_mods_in_flight")
     record: Dict[str, Any] = {
         "name": spec.name,
         "seed": spec.seed,
@@ -279,7 +277,7 @@ def execute_scenario(
         "sim_time_s": round(sim.now, 6),
         "sim_events": sim.events_executed,
         # --- telemetry: per-stage convergence timeline -----------------
-        "telemetry": spec.telemetry,
+        "telemetry": True,  # every lab has one; the key is part of the record schema
         **{key: stages[stage] for stage, key in zip(STAGES, STAGE_RECORD_KEYS)},
         # --- telemetry: gauges and flow-mod accounting -----------------
         "flow_mod_queue_peak": queue_gauge.high_water if queue_gauge is not None else None,
@@ -290,16 +288,14 @@ def execute_scenario(
         "flow_mods_per_batch": (
             round(flow_mods_batched / flow_mod_batches, 6) if flow_mod_batches else 0.0
         ),
-        "trace_events": telemetry.trace.emitted if telemetry is not None else None,
+        "trace_events": lab.telemetry.trace.emitted,
         # --- telemetry: causal provenance ------------------------------
         # Compact per-outage chain summaries and the restoration-latency
         # deciles (p0..p100) of the first outage's per-prefix chains; the
-        # full CDF is available from the lab's ledger (``cli report``).
-        "outage_chains": telemetry.ledger.outage_summaries() if telemetry is not None else None,
-        "restoration_cdf_ms": (
-            telemetry.ledger.restoration_deciles_ms(outages[0].outage_id if outages else None)
-            if telemetry is not None
-            else None
+        # full CDF is available from the lab's book (``cli report``).
+        "outage_chains": book.outage_summaries(),
+        "restoration_cdf_ms": book.restoration_deciles_ms(
+            outages[0].outage_id if outages else None
         ),
     }
     return record, lab
@@ -387,8 +383,8 @@ class CampaignResult:
         """Fixed-edge histograms of each stage's offsets across scenarios.
 
         Aggregates the per-record ``stage_*_ms`` fields (skipping ``None``
-        — stages never observed or telemetry-off runs), so campaign sweeps
-        land per-stage distributions in the results store."""
+        — stages never observed), so campaign sweeps land per-stage
+        distributions in the results store."""
         return {
             stage: self._stage_histogram(key).to_dict()
             for stage, key in zip(STAGES, STAGE_RECORD_KEYS)

@@ -421,7 +421,9 @@ class FailureInjector:
     def _apply_controller_crash(self, failure: FailureSpec, name: Optional[str]) -> None:
         if name is None:
             return
-        # Crashing a replica does not disturb the data plane by itself, so it
-        # is not a measurement anchor.
+        # Crashing a replica does not disturb the data plane while another
+        # one survives, so it is not a measurement anchor.  The last one's
+        # crash does — its Cease takes the router's routes with it — and
+        # ``wait_recovered`` then reports the lab as not recovered.
         self._record(failure, f"controller {name} crashed", disruptive=False)
         self.lab.cluster.fail_replica(name)

@@ -187,16 +187,6 @@ class ScenarioSpec:
     #: Holddown (seconds) the remote repoint engine lets a churn burst
     #: accumulate before flushing.
     remote_holddown: float = 0.001
-    #: Sim-time observability (see :mod:`repro.telemetry`): per-stage
-    #: convergence tracing, counters/gauges, and the campaign record's
-    #: ``stage_*_ms`` timeline.  Telemetry is passive (no extra events, no
-    #: randomness, no wall clock), so the simulation trajectory and every
-    #: convergence metric are bit-identical with it on or off; disabling
-    #: it only blanks the observability fields.  Sweepable for A/B
-    #: overhead checks.
-    telemetry: bool = True
-    #: Ring-buffer capacity of the scenario's trace bus.
-    trace_capacity: int = 4096
     #: The failure campaign, armed once the testbed has converged.
     failures: List[FailureSpec] = field(default_factory=list)
 
@@ -300,10 +290,6 @@ class ScenarioSpec:
         if self.remote_holddown <= 0:
             raise ScenarioSpecError(
                 f"remote_holddown must be > 0, got {self.remote_holddown}"
-            )
-        if self.trace_capacity < 1:
-            raise ScenarioSpecError(
-                f"trace_capacity must be >= 1, got {self.trace_capacity}"
             )
         prefs = [self.provider_local_pref(i) for i in range(self.num_providers)]
         if len(set(prefs)) != len(prefs):

@@ -46,16 +46,7 @@ from repro.routes.prefix_gen import PrefixGenerator
 from repro.routes.ris_feed import RouteFeed, churn_stream, synthetic_full_table
 from repro.scenarios.spec import ScenarioSpec
 from repro.sim.engine import Simulator, collector_paused
-from repro.telemetry import (
-    STAGE_DECIDE,
-    STAGE_DETECT,
-    STAGE_INSTALL,
-    STAGE_PUSH,
-    STAGES,
-    CausalContext,
-    SimProfiler,
-    Telemetry,
-)
+from repro.telemetry import CausalContext, SimProfiler, Telemetry
 from repro.telemetry.causal import (
     DETECTION_BFD,
     DETECTION_BGP,
@@ -210,27 +201,19 @@ class ScenarioLab:
         self._destination_prefix: Dict[IPv4Address, IPv4Prefix] = {}
         #: The one book of failure episodes: :meth:`note_failure` opens an
         #: outage in it, the detection hooks record into it (BFD vs BGP vs
-        #: controller push), the monitor labels closing outages from it and
-        #: telemetry, when on, observes it.
+        #: controller push), telemetry marks the convergence stages and the
+        #: per-prefix restorations in it, and the monitor's labels and every
+        #: failure read-out come out of it.
         self.detection = CausalContext()
         #: Updates scheduled by :meth:`start_churn` (0 = churn disabled).
         self.churn_updates_scheduled = 0
-        #: Sim-time observability context (None when the spec disables it).
-        #: ``trace_sink`` (``cli trace --out``) streams every emitted event
-        #: to a JSONL file, so big campaigns stop losing early events to
-        #: ring eviction.
-        self.telemetry: Optional[Telemetry] = (
-            Telemetry(
-                clock=lambda: sim.now,
-                trace_capacity=spec.trace_capacity,
-                sink=trace_sink,
-                causal=self.detection,
-            )
-            if spec.telemetry
-            else None
+        #: Sim-time observability context.  ``trace_sink`` (``cli trace
+        #: --out``) streams every emitted event to a JSONL file, so big
+        #: campaigns stop losing early events to ring eviction.
+        self.telemetry = Telemetry(
+            clock=lambda: sim.now, sink=trace_sink, causal=self.detection
         )
-        #: Deterministic event-loop profiler (installed by telemetry wiring).
-        self.profiler: Optional[SimProfiler] = None
+        self.profiler = SimProfiler()
         self._built = False
 
     def _edge_fib_updater(self) -> FibUpdaterConfig:
@@ -558,9 +541,21 @@ class ScenarioLab:
         manager, ``"bgp"`` events from Loc-RIB changes that displace a
         provider's own best path (withdraws, session flushes, or worse
         re-announcements), ``"controller_push"`` from routes the router
-        receives from a controller."""
-        book = self.detection
+        receives from a controller.  Each new record is mirrored onto the
+        trace bus as ``detection.<path>`` (e.g. ``detection.bfd``) — the
+        *detect* stage of the convergence timeline."""
         provider_ips = set(self._provider_ips())
+        # With a controller plane, that is what decides: the measured
+        # router's session flush is then a consequence, not the decision.
+        self.detection.router_decides = not self.controllers
+
+        def detected(path: str, peer_ip: Optional[IPv4Address] = None) -> None:
+            if self.detection.record_detection(self.sim.now, path, peer_ip):
+                self.telemetry.counter(f"detection.{path}").inc()
+                self.telemetry.emit(
+                    f"detection.{path}",
+                    peer=str(peer_ip) if peer_ip is not None else None,
+                )
 
         def bgp_hook(changes: List[RibChange], from_peer: IPv4Address) -> None:
             if from_peer not in provider_ips:
@@ -569,12 +564,12 @@ class ScenarioLab:
                 old = change.old_best
                 if old is not None and old.source.peer_ip == from_peer and change.best_changed:
                     # Once per episode: the rest of the list cannot add to it.
-                    book.record_detection(self.sim.now, DETECTION_BGP, from_peer)
+                    detected(DETECTION_BGP, from_peer)
                     return
 
         def bfd_hook(peer_ip: IPv4Address, reason: str) -> None:
             if peer_ip in provider_ips:
-                book.record_detection(self.sim.now, DETECTION_BFD, peer_ip)
+                detected(DETECTION_BFD, peer_ip)
 
         # Every replica of a controller plane programs the one shared
         # switch, so each one's view counts; routers are on their own.
@@ -588,63 +583,20 @@ class ScenarioLab:
 
             def push_hook(changes: List[RibChange], from_peer: IPv4Address) -> None:
                 if from_peer in controller_ips:
-                    book.record_detection(self.sim.now, DETECTION_CONTROLLER_PUSH)
+                    detected(DETECTION_CONTROLLER_PUSH)
 
             self.edge_routers[0].bgp.on_rib_change(push_hook)
 
     # ------------------------------------------------------------------
     # Telemetry wiring
     # ------------------------------------------------------------------
-    def _stage_mapping(self) -> Dict[str, str]:
-        """Trace event name → convergence stage, per mode.
-
-        Supercharged mode follows the paper's data-plane pipeline: the
-        controller's BFD detects, Listing 2 (or a remote flush) decides,
-        the flow-mod crossing the OpenFlow channel is the push, and the
-        switch applying it is the install.  Standalone mode follows the
-        router's own pipeline: BFD/BGP detects, the session flush (which
-        triggers the Loc-RIB recomputation) decides, the RIB→FIB download
-        starting is the push, and the first hardware entry landing is the
-        install."""
-        if self.spec.supercharged:
-            return {
-                f"detection.{DETECTION_BFD}": STAGE_DETECT,
-                f"detection.{DETECTION_BGP}": STAGE_DETECT,
-                "ctrl.failover": STAGE_DECIDE,
-                "remote.flush": STAGE_DECIDE,
-                # Remote withdrawals with no group churn decide through the
-                # controller relaying rewritten routes to the router (first
-                # mark wins, so local failovers keep ctrl.failover/remote.flush).
-                f"detection.{DETECTION_CONTROLLER_PUSH}": STAGE_DECIDE,
-                "channel.delivered": STAGE_PUSH,
-                "switch.flow_mod_applied": STAGE_INSTALL,
-                # Router-side fallback legs for the same reason: a remote
-                # withdrawal that needs no group churn converges through
-                # the measured router's RIB→FIB download, not the switch.
-                # Local failovers finish on the switch milliseconds before
-                # the router moves, so first-mark-wins keeps their
-                # channel/switch attribution intact.
-                "fib.batch_start": STAGE_PUSH,
-                "fib.apply_first": STAGE_INSTALL,
-            }
-        return {
-            f"detection.{DETECTION_BFD}": STAGE_DETECT,
-            f"detection.{DETECTION_BGP}": STAGE_DETECT,
-            "bgp.session_down": STAGE_DECIDE,
-            "fib.batch_start": STAGE_PUSH,
-            "fib.apply_first": STAGE_INSTALL,
-        }
-
     def _wire_telemetry(self) -> None:
         """Attach the scenario's telemetry context to every instrumented
         component at the measured vantage (the first edge router and the
-        controller plane), and subscribe the causal ledger's stage marks
-        to the trace bus.  Purely observational: no events, randomness or
+        controller plane).  Purely observational: no events, randomness or
         state changes enter the simulation, so the trajectory is identical
-        with telemetry on or off."""
+        with this wiring or without it."""
         telemetry = self.telemetry
-        if telemetry is None:
-            return
         measured = self.edge_routers[0]
         measured.fib_updater.attach_telemetry(telemetry)
         measured.bgp.attach_telemetry(telemetry)
@@ -652,38 +604,28 @@ class ScenarioLab:
             measured.bfd.attach_telemetry(telemetry)
         for controller in self.controllers:
             controller.attach_telemetry(telemetry)
-        if self.switch is not None and self.spec.supercharged:
 
-            def flow_mod_applied(flow_mod: FlowMod) -> None:
-                telemetry.emit("switch.flow_mod_applied")
-                # A non-delete mod re-pointing a backup-group VMAC is that
-                # group's restoration instant (ledger ignores it outside
-                # an outage, so provisioning writes mint no chains).
-                if (
-                    flow_mod.command is not FlowModCommand.DELETE
-                    and flow_mod.match.eth_dst is not None
-                ):
-                    telemetry.restored(flow_mod.match.eth_dst, kind="group")
+        def flow_mod_applied(flow_mod: FlowMod) -> None:
+            telemetry.emit("switch.flow_mod_applied")
+            # A non-delete mod re-pointing a backup-group VMAC is that
+            # group's restoration instant (the book ignores it outside an
+            # outage, so provisioning writes mint no chains).
+            if (
+                flow_mod.command is not FlowModCommand.DELETE
+                and flow_mod.match.eth_dst is not None
+            ):
+                telemetry.restored(flow_mod.match.eth_dst, kind="group")
 
-            self.switch.on_flow_mod_applied(flow_mod_applied)
-        # Causal ledger: per-outage stage marks folded with the per-prefix
-        # restoration instants reported by the measured FIB updater.
-        telemetry.trace.on_emit(telemetry.ledger.recorder(self._stage_mapping()))
+        self.switch.on_flow_mod_applied(flow_mod_applied)
         # Deterministic event-loop profiler: passive per-handler counts and
         # sim-time attribution (the observer never schedules or mutates).
-        self.profiler = SimProfiler()
         self.sim.set_observer(self.profiler.observe)
 
     def stage_offsets(self) -> Dict[str, Optional[float]]:
         """Milliseconds from the *first* noted failure to each convergence
-        stage's first observation during that episode (all ``None`` when
-        telemetry is off or nothing failed).  Later episodes (flap cycles,
-        repeated injections) are the ledger's further outages
-        (``telemetry.ledger.outage_summaries()``)."""
-        outages = self.detection.outages() if self.telemetry is not None else []
-        if not outages:
-            return {stage: None for stage in STAGES}
-        return self.telemetry.ledger.stage_offsets_ms(outages[0])
+        stage's first observation during that episode; later episodes (flap
+        cycles, repeated injections) are ``detection.outage_summaries()``."""
+        return self.detection.stage_offsets_ms()
 
     # ------------------------------------------------------------------
     # Workflow
@@ -845,18 +787,16 @@ class ScenarioLab:
         """Open a failure episode at ``when`` (now by default): one
         ``outage-<n>`` root in :attr:`detection` carrying the provider and
         failure kind exactly as given — the anchor detection labelling and
-        the causal ledger work from, stamped by the trace bus into every
-        event until the next injection."""
+        the restoration chains work from, stamped into every trace event
+        until the next injection."""
         at = self.sim.now if when is None else when
-        outage_id = self.detection.open_outage(at, kind=kind, provider=provider_index)
-        if self.telemetry is not None:
-            self.telemetry.counter("lab.episodes").inc()
-            self.telemetry.emit(
-                "lab.episode",
-                outage=outage_id,
-                kind=kind,
-                provider=provider_index if provider_index is not None else -1,
-            )
+        self.detection.open_outage(at, kind=kind, provider=provider_index)
+        self.telemetry.counter("lab.episodes").inc()
+        self.telemetry.emit(
+            "lab.episode",
+            kind=kind,
+            provider=provider_index if provider_index is not None else -1,
+        )
         return at
 
     def restart_provider_sessions(self, index: int) -> None:
@@ -881,10 +821,13 @@ class ScenarioLab:
         return recovered
 
     def wait_recovered(self, timeout: float = 3600.0, settle: float = 0.5) -> bool:
-        """Run until every monitored destination is reachable again."""
+        """Run until every monitored destination is reachable again, and
+        still is once things have settled: a failure that has not reached
+        the data plane yet (a lone controller's crash empties the router's
+        FIB one download later) reads as reachable on the first sample."""
         recovered = self.run_until(self._all_reachable, timeout=timeout)
         self.sim.run_for(settle)
-        return recovered
+        return recovered and self._all_reachable()
 
     # ------------------------------------------------------------------
     # Simulation helpers

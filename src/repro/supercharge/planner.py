@@ -287,22 +287,6 @@ class RemoteGroupPlanner(BackupGroupManager):
         elif self._join_index.get(group.key) is group:
             del self._join_index[group.key]
 
-    def collect_empty_groups(self) -> List[RemoteGroup]:
-        """Remove (and return) groups with no members and nothing pending,
-        releasing their VNHs."""
-        retired = []
-        for vmac in sorted(self._groups):
-            group = self._groups[vmac]
-            if group.members or group.pending:
-                continue
-            del self._groups[vmac]
-            if self._join_index.get(group.key) is group:
-                del self._join_index[group.key]
-            self._dirty.pop(vmac, None)
-            self._allocator.release(group.vnh)
-            retired.append(group)
-        return retired
-
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------

@@ -1,14 +1,15 @@
-"""Sim-time observability: trace bus + metrics registry + stage timeline.
+"""Sim-time observability: trace bus + metrics registry + the episode book.
 
 :class:`Telemetry` bundles the two halves every instrumented component
 needs — a :class:`~repro.telemetry.trace.TraceBus` for structured events
 and a :class:`~repro.telemetry.metrics.MetricsRegistry` for counters,
-gauges and fixed-edge histograms — behind one handle that is attached
-*optionally*:
+gauges and fixed-edge histograms — with a reference to its owner's
+episode book (:class:`~repro.telemetry.causal.CausalContext`), behind
+one handle that is attached *optionally*:
 
     class Component:
         def __init__(self):
-            self._telemetry = None          # disabled: zero overhead
+            self._telemetry = None          # detached: zero overhead
 
         def attach_telemetry(self, telemetry):
             self._telemetry = telemetry
@@ -20,12 +21,14 @@ gauges and fixed-edge histograms — behind one handle that is attached
 
 The contract (see ``docs/observability.md``):
 
-* **zero-cost when disabled** — call sites guard on ``is not None``; no
-  telemetry object is ever constructed unless a scenario asks for one;
-* **deterministic when enabled** — only sim-time quantities are
+* **zero-cost when detached** — call sites guard on ``is not None``; a
+  component nobody attached a context to (every provider router, every
+  non-measured edge) never enters this package;
+* **deterministic when attached** — only sim-time quantities are
   recorded, emission is passive (no scheduling, no randomness), so the
-  simulation trajectory is bit-identical with telemetry on or off and
-  the recorded output is byte-identical across serial/pooled/rerun;
+  simulation trajectory is bit-identical with components attached or
+  not and the recorded output is byte-identical across
+  serial/pooled/rerun;
 * **byte-stable serialisation** — sorted keys, fixed histogram edges,
   rounded floats.
 
@@ -39,28 +42,15 @@ from __future__ import annotations
 
 from typing import Any, Callable, IO, Optional, Sequence
 
-from repro.telemetry.causal import (
-    CausalContext,
-    ConvergenceLedger,
-    DetectionEvent,
-    OutageContext,
-)
+from repro.telemetry.causal import STAGES, CausalContext, DetectionEvent, OutageContext
 from repro.telemetry.export import render_openmetrics
 from repro.telemetry.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.telemetry.process import peak_rss_mb, sample_scale_gauges
 from repro.telemetry.profile import SimProfiler, sample_shard_gauges
-from repro.telemetry.timeline import (
-    STAGE_DECIDE,
-    STAGE_DETECT,
-    STAGE_INSTALL,
-    STAGE_PUSH,
-    STAGES,
-)
 from repro.telemetry.trace import Span, TraceBus, TraceEvent
 
 __all__ = [
     "CausalContext",
-    "ConvergenceLedger",
     "Counter",
     "DetectionEvent",
     "Gauge",
@@ -70,10 +60,6 @@ __all__ = [
     "SimProfiler",
     "Span",
     "STAGES",
-    "STAGE_DETECT",
-    "STAGE_DECIDE",
-    "STAGE_PUSH",
-    "STAGE_INSTALL",
     "Telemetry",
     "TraceBus",
     "TraceEvent",
@@ -96,25 +82,34 @@ class Telemetry:
     ) -> None:
         self.trace = TraceBus(clock, capacity=trace_capacity, sink=sink)
         self.metrics = MetricsRegistry()
-        # Causal provenance: the episode book is its owner's (the lab hands
-        # its own in; a bare context gets a fresh one) and telemetry only
-        # observes it — the trace bus stamps the ambient outage id into
-        # every event emitted while an outage is open, detections are
-        # mirrored as ``detection.*`` events, and the ledger folds the
-        # per-prefix restorations per outage.
+        # The episode book is its owner's (the lab hands its own in; a
+        # bare context gets a fresh one) and never learns who writes to
+        # it: :meth:`emit` stamps the open outage's id into every event
+        # and shows the book each event's name, :meth:`restored` notes the
+        # per-prefix restorations.
         self.causal = causal if causal is not None else CausalContext()
-        self.causal.attach_telemetry(self)
-        self.ledger = ConvergenceLedger(self.causal)
-        self.trace.bind_causal(self.causal)
 
-    # Convenience pass-throughs so instrumented code reads naturally.
     def emit(self, name: str, **fields: Any) -> TraceEvent:
-        """Emit a trace event (see :meth:`TraceBus.emit`)."""
-        return self.trace.emit(name, **fields)
+        """Emit a trace event (see :meth:`TraceBus.emit`).
+
+        While an outage is open the event is stamped with its root id as
+        an ``outage`` field — the passive thread that chains detection,
+        engine flush, flow-mod push and FIB install records back to one
+        failure injection; purely additive (pre-failure events are
+        unchanged, an explicit ``outage`` field wins) — and may be the
+        episode's first mark of a convergence stage."""
+        outage_id = self.causal.current_id
+        if outage_id is not None:
+            fields.setdefault("outage", outage_id)
+        event = self.trace.emit(name, **fields)
+        self.causal.mark_stage(name, event.at)  # a no-op outside an outage
+        return event
 
     def span(self, name: str, **fields: Any) -> Span:
-        """Open a sim-time span (see :meth:`TraceBus.span`)."""
-        return self.trace.span(name, **fields)
+        """Open a sim-time :class:`Span` at the current clock reading; its
+        closing event goes through :meth:`emit`, so it is stamped with the
+        outage open when it *ends*."""
+        return Span(self, name, self.trace.now(), fields)
 
     def counter(self, name: str) -> Counter:
         """Get or create a counter."""
@@ -128,19 +123,14 @@ class Telemetry:
         """Get or create a fixed-edge histogram."""
         return self.metrics.histogram(name, edges)
 
-    @property
-    def outage_id(self) -> Optional[str]:
-        """The ambient outage root id (None outside an outage)."""
-        return self.causal.current_id
-
     def restored(self, subject: Any, kind: str = "prefix") -> None:
-        """Record a restored subject into the convergence ledger.
+        """Record a restored subject into the episode book.
 
         No-op outside an outage, so the initial table load stays free of
         chains and the per-entry hot path pays one ``is None`` test.
         ``subject`` (a prefix, a VMAC: anything hashable) is kept as it
-        is; the ledger formats it when chains are folded.
+        is; the book formats it when chains are folded.
         """
-        if self.causal.current_id is None:
+        if self.causal.current is None:
             return
-        self.ledger.note_restored(subject, self.trace.now(), kind=kind)
+        self.causal.note_restored(subject, self.trace.now(), kind=kind)

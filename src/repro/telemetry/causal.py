@@ -1,49 +1,61 @@
-"""Causal convergence provenance: outage contexts and per-prefix chains.
+"""The episode book: outage roots, detections, stage marks, restorations.
 
-The paper's headline number is measured *per prefix* (Figure 5 is a CDF
-of individual prefix restoration times), and its convergence pipeline is
-the four stages named in :mod:`repro.telemetry.timeline`.  This module is
-the one place both are kept, per outage:
+The paper times one failure with one clock and decomposes it into four
+stages —
+
+    detect  → the failure detector (BFD) or BGP propagation notices
+    decide  → the controller (or the router's own decision process)
+              selects the new forwarding state
+    push    → the flow-mod / route update reaches the forwarding element
+    install → the forwarding element has applied the new state
+
+— and its headline number is measured *per prefix* (Figure 5 is a CDF of
+individual prefix restoration times).  :class:`CausalContext` is the one
+place all of it is kept, per outage:
 
 * every disruptive failure injection mints an **outage context** — a
   deterministic ``outage-<n>`` root id plus its sim-time open instant —
   through :meth:`CausalContext.open_outage`, the one call that opens a
   failure episode;
-* the same book keeps *how* each failure became visible (BFD, BGP or a
-  controller push), once per mechanism and peer per episode, and answers
-  :meth:`CausalContext.first_detection` / :meth:`~CausalContext.first_push`;
-* while an outage is open, the trace bus stamps the ambient id into
-  every emitted event (``outage`` field), so detection, engine flush,
-  flow-mod push and FIB install records all chain back to the same root;
-* the :class:`ConvergenceLedger` folds those chained observations into
-  per-prefix (and per-group) restoration latencies: each restored
-  subject gets a reconstructible detect → decide → push → install chain
-  relative to its outage's open instant, and the set of latencies is the
-  paper's restoration CDF.
+* *how* each failure became visible (BFD, BGP or a controller push) is
+  recorded once per mechanism and peer per episode, and answered by
+  :meth:`~CausalContext.first_detection` / :meth:`~CausalContext.first_push`;
+* the first instant each stage was observed during an episode is marked
+  from the trace events of :data:`STAGE_OF_EVENT`
+  (:meth:`~CausalContext.mark_stage`), and the first instant each
+  subject (a FIB prefix, a backup-group VMAC) had its new forwarding
+  state applied is noted (:meth:`~CausalContext.note_restored`);
+* folded together, each restored subject gets a reconstructible detect →
+  decide → push → install chain relative to its outage's open instant,
+  and the set of latencies is the paper's restoration CDF.
+
+References run one way: the lab owns the book, :class:`~repro.telemetry.
+Telemetry` is handed it (stamping the open outage's id into every event
+it emits and passing each event's name to :meth:`mark_stage`), and the
+book knows neither.
 
 Determinism contract (DET006 applies to this file): everything here is
-*passive bookkeeping*.  Opening an outage, stamping events and recording
+*passive bookkeeping*.  Opening an outage, marking stages and recording
 restorations never schedule simulator work, never draw randomness and
-never touch component state, so the simulation trajectory is identical
-with the causal layer on or off.  Ids are minted from a plain counter
-(never ``id()`` or wall clock), subjects are stringified where chains
-are folded and every export sorts its keys — serial, pooled and rerun
+never touch component state.  Ids are minted from a plain counter (never
+``id()`` or wall clock), subjects are stringified where chains are
+folded and every export sorts its keys — serial, pooled and rerun
 campaigns stay byte-identical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING, Any, Callable, Dict, Hashable, Iterable, List, Mapping, Optional, Tuple,
-)
+from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple
 
 from repro.stats import quantile_from_sorted
-from repro.telemetry.timeline import STAGES
-from repro.telemetry.trace import TraceEvent
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.telemetry import Telemetry
+#: Canonical stage names, in pipeline order.
+STAGE_DETECT = "detect"
+STAGE_DECIDE = "decide"
+STAGE_PUSH = "push"
+STAGE_INSTALL = "install"
+STAGES = (STAGE_DETECT, STAGE_DECIDE, STAGE_PUSH, STAGE_INSTALL)
 
 #: Chain subject kinds.
 KIND_PREFIX = "prefix"
@@ -53,6 +65,36 @@ KIND_GROUP = "group"
 DETECTION_BFD = "bfd"
 DETECTION_BGP = "bgp"
 DETECTION_CONTROLLER_PUSH = "controller_push"
+
+#: The one mode-dependent entry of :data:`STAGE_OF_EVENT`
+#: (see :attr:`CausalContext.router_decides`).
+SESSION_DOWN_EVENT = "bgp.session_down"
+
+#: Trace event name → the stage its first occurrence in an episode marks.
+#: With a controller plane the paper's data-plane pipeline applies: its
+#: BFD detects, Listing 2 (or a remote flush) decides, the flow-mod
+#: crossing the OpenFlow channel is the push and the switch applying it
+#: the install.  Without one the router's own pipeline does: the session
+#: flush (which triggers the Loc-RIB recomputation) decides, the RIB→FIB
+#: download starting is the push and the first hardware entry landing the
+#: install.  First mark wins, which is what lets both sets share a table:
+#: a remote withdrawal that needs no group churn is *decided* by the
+#: controller relaying rewritten routes and converges through the
+#: measured router's FIB download, while a local failover finishes on the
+#: switch milliseconds before the router moves and keeps its
+#: channel/switch attribution.
+STAGE_OF_EVENT = {
+    f"detection.{DETECTION_BFD}": STAGE_DETECT,
+    f"detection.{DETECTION_BGP}": STAGE_DETECT,
+    "ctrl.failover": STAGE_DECIDE,
+    "remote.flush": STAGE_DECIDE,
+    f"detection.{DETECTION_CONTROLLER_PUSH}": STAGE_DECIDE,
+    SESSION_DOWN_EVENT: STAGE_DECIDE,
+    "channel.delivered": STAGE_PUSH,
+    "fib.batch_start": STAGE_PUSH,
+    "switch.flow_mod_applied": STAGE_INSTALL,
+    "fib.apply_first": STAGE_INSTALL,
+}
 
 
 @dataclass(frozen=True)
@@ -83,9 +125,10 @@ def _earliest_genuine(events: Iterable[DetectionEvent]) -> Optional[DetectionEve
 
 
 class OutageContext:
-    """One minted outage: the root of a convergence provenance chain."""
+    """One minted outage: the root of a convergence provenance chain,
+    with the stage marks and restorations observed while it was open."""
 
-    __slots__ = ("outage_id", "opened_at", "kind", "provider")
+    __slots__ = ("outage_id", "opened_at", "kind", "provider", "stages", "restores")
 
     def __init__(
         self,
@@ -98,6 +141,16 @@ class OutageContext:
         self.opened_at = opened_at
         self.kind = kind
         self.provider = provider
+        #: stage -> first sim instant it was observed.
+        self.stages: Dict[str, float] = {}
+        #: (kind, subject) -> first restore instant; the subject is the
+        #: prefix / VMAC itself, formatted only by ``chains()``.
+        self.restores: Dict[Tuple[str, Hashable], float] = {}
+
+    def offset_ms(self, at: float) -> float:
+        """Milliseconds from the open instant to ``at``, rounded like
+        every other exported sim quantity."""
+        return round((at - self.opened_at) * 1e3, 6)
 
     def to_dict(self) -> Dict[str, Any]:
         """Primitive representation (rounded like every sim export)."""
@@ -113,21 +166,24 @@ class OutageContext:
 
 
 class CausalContext:
-    """The one book of failure episodes: outage roots plus detections.
+    """The one book of failure episodes.
 
-    The scenario lab owns one (``lab.detection``) whether or not telemetry
-    is on, and opens an episode with a single :meth:`open_outage` call per
-    disruptive injection (from ``ScenarioLab.note_failure``); instrumented
-    components and the trace bus only ever *read* :attr:`current_id`.  Ids
-    are ``outage-1``, ``outage-2``, … in injection order, so reruns mint
+    The scenario lab owns one (``lab.detection``) and opens an episode
+    with a single :meth:`open_outage` call per disruptive injection (from
+    ``ScenarioLab.note_failure``); the lab's detection hooks, the
+    telemetry facade and the measured FIB updater write into the open
+    episode, and every read-out of a failure — campaign record, ``cli
+    report``, the monitor's labels — comes out of it.  Ids are
+    ``outage-1``, ``outage-2``, … in injection order, so reruns mint
     identical ids.
 
     Detections are recorded at most once per ``(path, peer)`` *per
     episode*, so the log stays tiny while still capturing the first
     post-failure observation of every mechanism.  Detections recorded
     before the first injection (churn replay displacing a provider's own
-    best path) belong to no outage but are kept, and mirrored onto the
-    trace bus, like any other.
+    best path) belong to no outage but are kept like any other; stage
+    marks and restorations before it are ignored — the initial table load
+    is not a restoration.
     """
 
     def __init__(self) -> None:
@@ -137,14 +193,10 @@ class CausalContext:
         self.detections: List[DetectionEvent] = []
         # (path, peer) -> this episode's record of it (the dedup set).
         self._episode: Dict[Tuple[str, Any], DetectionEvent] = {}
-        self._telemetry: Optional["Telemetry"] = None
-
-    def attach_telemetry(self, telemetry: "Telemetry") -> None:
-        """Mirror every recorded detection onto the trace bus as
-        ``detection.<path>`` (e.g. ``detection.bfd``) — the *detect* stage
-        of the convergence timeline.  :class:`~repro.telemetry.Telemetry`
-        attaches itself to the book it is handed."""
-        self._telemetry = telemetry
+        #: Whether :data:`SESSION_DOWN_EVENT` marks *decide*: only where
+        #: no controller plane decides before the router's own session
+        #: flush does (the lab clears it when it has controllers).
+        self.router_decides = True
 
     def open_outage(
         self,
@@ -164,22 +216,42 @@ class CausalContext:
         return outage.outage_id
 
     # ------------------------------------------------------------------
-    # Detections
+    # Recording
     # ------------------------------------------------------------------
-    def record_detection(self, at: float, path: str, peer_ip: Any = None) -> None:
-        """Record a detection observation (deduplicated per episode)."""
+    def record_detection(self, at: float, path: str, peer_ip: Any = None) -> bool:
+        """Record a detection observation; false when this episode already
+        holds one for ``(path, peer_ip)`` and nothing was added."""
         key = (path, peer_ip)
         if key in self._episode:
-            return
+            return False
         event = self._episode[key] = DetectionEvent(at, path, peer_ip)
         self.detections.append(event)
-        if self._telemetry is not None:
-            self._telemetry.counter(f"detection.{path}").inc()
-            self._telemetry.emit(
-                f"detection.{path}",
-                peer=str(peer_ip) if peer_ip is not None else None,
-            )
+        return True
 
+    def mark_stage(self, event_name: str, at: float) -> None:
+        """Note that trace event ``event_name`` was emitted at ``at``: the
+        first event of a stage (:data:`STAGE_OF_EVENT`) within the open
+        episode is that stage's mark."""
+        stage = STAGE_OF_EVENT.get(event_name)
+        if stage is None or self._current is None:
+            return
+        if event_name == SESSION_DOWN_EVENT and not self.router_decides:
+            return
+        self._current.stages.setdefault(stage, at)
+
+    def note_restored(self, subject: Hashable, at: float, kind: str = KIND_PREFIX) -> None:
+        """Record that ``subject`` had its new state applied at ``at``.
+
+        Ignored when no outage is open (initial load, steady state);
+        first observation per (outage, kind, subject) wins, so repoint +
+        regroup double-writes still count one chain.
+        """
+        if self._current is not None:
+            self._current.restores.setdefault((kind, subject), at)
+
+    # ------------------------------------------------------------------
+    # Detections
+    # ------------------------------------------------------------------
     def first_detection(
         self, since: float, peer_ip: Any = None
     ) -> Optional[DetectionEvent]:
@@ -221,99 +293,35 @@ class CausalContext:
         """The open outage id (None before the first injection)."""
         return self._current.outage_id if self._current is not None else None
 
-    def outages(self) -> List[OutageContext]:
-        """Every minted context, in injection order."""
-        return list(self._outages)
-
-    def get(self, outage_id: str) -> Optional[OutageContext]:
-        """The context minted as ``outage_id``, if any."""
-        for outage in self._outages:
-            if outage.outage_id == outage_id:
-                return outage
-        return None
-
-    def __len__(self) -> int:
-        return len(self._outages)
+    def outages(self, outage_id: Optional[str] = None) -> List[OutageContext]:
+        """Every minted context in injection order, or just ``outage_id``'s."""
+        return [
+            outage
+            for outage in self._outages
+            if outage_id is None or outage.outage_id == outage_id
+        ]
 
     def __repr__(self) -> str:
         return f"CausalContext({len(self._outages)} outages, current={self.current_id})"
 
-
-class ConvergenceLedger:
-    """Folds chained trace observations into per-subject restoration chains.
-
-    Two inputs feed the ledger while an outage is open:
-
-    * :meth:`recorder` returns a trace-bus listener that records the
-      first instant each convergence stage (detect/decide/push/install)
-      was observed *per outage*, using the lab's mode-specific event →
-      stage mapping;
-    * :meth:`note_restored` records the first instant a subject (a FIB
-      prefix or a backup-group VMAC) had its new forwarding state
-      applied.
-
-    Outputs are per-subject chains (:meth:`chains`), sorted restoration
-    latencies (:meth:`restoration_latencies_ms` — the Figure 5 CDF
-    sample vector) and compact per-outage summaries
-    (:meth:`outage_summaries` — the campaign record's ``outage_chains``
-    field).  Everything before the first injection is ignored: the
-    initial table load is not a restoration.
-    """
-
-    def __init__(self, causal: CausalContext) -> None:
-        self._causal = causal
-        # outage_id -> stage -> first sim instant
-        self._stages: Dict[str, Dict[str, float]] = {}
-        # outage_id -> (kind, subject) -> first restore instant; the
-        # subject is the prefix / VMAC itself, formatted only by chains()
-        self._restores: Dict[str, Dict[Tuple[str, Hashable], float]] = {}
-
-    # ------------------------------------------------------------------
-    # Recording
-    # ------------------------------------------------------------------
-    def recorder(
-        self, stage_by_event: Mapping[str, str]
-    ) -> Callable[[TraceEvent], None]:
-        """A trace-bus ``on_emit`` listener marking per-outage stages.
-
-        ``stage_by_event`` maps trace event names to stage names; events
-        not in the mapping are ignored and the first mark of a stage
-        within an outage wins."""
-        unknown = sorted(set(stage_by_event.values()) - set(STAGES))
-        if unknown:
-            raise ValueError(f"unknown stages {unknown}; expected one of {STAGES}")
-
-        def record(event: TraceEvent) -> None:
-            current = self._causal.current_id
-            if current is None:
-                return
-            stage = stage_by_event.get(event.name)
-            if stage is None:
-                return
-            marks = self._stages.setdefault(current, {})
-            if stage not in marks:
-                marks[stage] = event.at
-
-        return record
-
-    def note_restored(self, subject: Hashable, at: float, kind: str = KIND_PREFIX) -> None:
-        """Record that ``subject`` had its new state applied at ``at``.
-
-        Ignored when no outage is open (initial load, steady state);
-        first observation per (outage, kind, subject) wins, so repoint +
-        regroup double-writes still count one chain.
-        """
-        current = self._causal.current_id
-        if current is None:
-            return
-        restores = self._restores.setdefault(current, {})
-        key = (kind, subject)
-        if key not in restores:
-            restores[key] = at
-
     # ------------------------------------------------------------------
     # Folding
     # ------------------------------------------------------------------
+    def stage_offsets_ms(
+        self, outage: Optional[OutageContext] = None
+    ) -> Dict[str, Optional[float]]:
+        """Milliseconds from ``outage``'s open instant — by default the
+        first outage's, the episode a campaign record reports — to each
+        stage's first observation within it (``None`` for stages never
+        observed, all of them when nothing failed)."""
+        if outage is None and self._outages:
+            outage = self._outages[0]
+        marks = outage.stages if outage is not None else {}
+        return {
+            stage: outage.offset_ms(marks[stage]) if stage in marks else None
+            for stage in STAGES
+        }
+
     def chains(
         self,
         outage_id: Optional[str] = None,
@@ -327,23 +335,19 @@ class ConvergenceLedger:
         from the failure instant.
         """
         result: List[Dict[str, Any]] = []
-        for outage in self._causal.outages():
-            if outage_id is not None and outage.outage_id != outage_id:
-                continue
-            restores = self._restores.get(outage.outage_id, {})
+        for outage in self.outages(outage_id):
             stage_offsets = self.stage_offsets_ms(outage)
             by_string = sorted(
                 (chain_kind, str(subject), restored_at)
-                for (chain_kind, subject), restored_at in restores.items()
+                for (chain_kind, subject), restored_at in outage.restores.items()
+                if kind is None or chain_kind == kind
             )
             for chain_kind, subject, restored_at in by_string:
-                if kind is not None and chain_kind != kind:
-                    continue
                 chain: Dict[str, Any] = {
                     "outage": outage.outage_id,
                     "kind": chain_kind,
                     "subject": subject,
-                    "restore_ms": round((restored_at - outage.opened_at) * 1e3, 6),
+                    "restore_ms": outage.offset_ms(restored_at),
                 }
                 for stage in STAGES:
                     chain[f"{stage}_ms"] = stage_offsets[stage]
@@ -356,19 +360,12 @@ class ConvergenceLedger:
         kind: str = KIND_PREFIX,
     ) -> List[float]:
         """Sorted restoration latencies (ms) — the CDF sample vector."""
-        latencies: List[float] = []
-        for outage in self._causal.outages():
-            if outage_id is not None and outage.outage_id != outage_id:
-                continue
-            restores = self._restores.get(outage.outage_id, {})
-            for (chain_kind, _subject), restored_at in restores.items():
-                if chain_kind != kind:
-                    continue
-                latencies.append(
-                    round((restored_at - outage.opened_at) * 1e3, 6)
-                )
-        latencies.sort()
-        return latencies
+        return sorted(
+            outage.offset_ms(restored_at)
+            for outage in self.outages(outage_id)
+            for (chain_kind, _subject), restored_at in outage.restores.items()
+            if chain_kind == kind
+        )
 
     def restoration_cdf(
         self,
@@ -400,47 +397,28 @@ class ConvergenceLedger:
         ]
 
     def outage_summaries(self) -> List[Dict[str, Any]]:
-        """One compact provenance summary per outage, in injection order."""
+        """One compact provenance summary per outage, in injection order
+        (the campaign record's ``outage_chains`` field)."""
         summaries: List[Dict[str, Any]] = []
-        for outage in self._causal.outages():
-            restores = self._restores.get(outage.outage_id, {})
-            prefix_count = sum(1 for chain_kind, _ in restores if chain_kind == KIND_PREFIX)
-            group_count = sum(1 for chain_kind, _ in restores if chain_kind == KIND_GROUP)
+        for outage in self._outages:
+            restores = outage.restores
             summary = outage.to_dict()
             summary["chains"] = len(restores)
-            summary["prefixes_restored"] = prefix_count
-            summary["groups_restored"] = group_count
+            summary["prefixes_restored"] = sum(
+                1 for chain_kind, _ in restores if chain_kind == KIND_PREFIX
+            )
+            summary["groups_restored"] = sum(
+                1 for chain_kind, _ in restores if chain_kind == KIND_GROUP
+            )
             stage_offsets = self.stage_offsets_ms(outage)
             for stage in STAGES:
                 summary[f"{stage}_ms"] = stage_offsets[stage]
-            if restores:
-                instants = sorted(restores.values())
-                summary["first_restore_ms"] = round(
-                    (instants[0] - outage.opened_at) * 1e3, 6
-                )
-                summary["last_restore_ms"] = round(
-                    (instants[-1] - outage.opened_at) * 1e3, 6
-                )
-            else:
-                summary["first_restore_ms"] = None
-                summary["last_restore_ms"] = None
+            instants = restores.values()
+            summary["first_restore_ms"] = (
+                outage.offset_ms(min(instants)) if restores else None
+            )
+            summary["last_restore_ms"] = (
+                outage.offset_ms(max(instants)) if restores else None
+            )
             summaries.append(summary)
         return summaries
-
-    def stage_offsets_ms(self, outage: OutageContext) -> Dict[str, Optional[float]]:
-        """Milliseconds from ``outage``'s open instant to each stage's
-        first observation within it (``None`` for stages never observed),
-        rounded like every other exported sim quantity."""
-        marks = self._stages.get(outage.outage_id, {})
-        return {
-            stage: (
-                round((marks[stage] - outage.opened_at) * 1e3, 6)
-                if stage in marks
-                else None
-            )
-            for stage in STAGES
-        }
-
-    def __repr__(self) -> str:
-        total = sum(len(restores) for restores in self._restores.values())
-        return f"ConvergenceLedger({len(self._causal)} outages, {total} chains)"

@@ -29,7 +29,7 @@ import json
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.timeline import STAGES
+from repro.telemetry.causal import STAGES
 
 #: Metrics excluded from byte-stable renderings (wall-clock quantities).
 WALLCLOCK_METRICS: Tuple[str, ...] = ("process.peak_rss_mb",)

@@ -18,18 +18,15 @@ Determinism rules (the same contract as the metrics registry):
 * field values must be primitives (str/int/float/bool/None); the emitter
   stringifies addresses and names before calling :meth:`TraceBus.emit`.
 
-:class:`Span` measures an interval in sim time: ``bus.span("x")`` opens
-it, ``span.end()`` emits one ``TraceEvent`` whose ``duration`` field is
-the elapsed simulated seconds.  Spans are also context managers: ``with
-bus.span("x"):`` ends the span on exit and records an escaping
-exception's type as an ``error`` field.
+:class:`Span` measures an interval in sim time: ``telemetry.span("x")``
+opens it, ``span.end()`` emits one ``TraceEvent`` whose ``duration`` field
+is the elapsed simulated seconds.  Spans are also context managers:
+``with telemetry.span("x"):`` ends the span on exit and records an
+escaping exception's type as an ``error`` field.
 
-Causal stamping: when a :class:`~repro.telemetry.causal.CausalContext`
-is bound (:meth:`TraceBus.bind_causal`) and an outage is open, every
-emitted event is stamped with the ambient ``outage`` root id — the
-passive thread that chains detection, engine flush, flow-mod push and
-FIB install records back to one failure injection.  An explicit
-``outage`` field from the emitter always wins over the ambient one.
+The bus knows nothing of failure episodes: stamping events with the open
+outage's id is :meth:`repro.telemetry.Telemetry.emit`'s job, one layer up,
+which is why spans are opened there and close through it.
 """
 
 from __future__ import annotations
@@ -38,10 +35,10 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 from types import TracebackType
-from typing import Any, Callable, Deque, Dict, IO, List, Optional, Type, TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, IO, List, Optional, Type
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (causal imports us)
-    from repro.telemetry.causal import CausalContext
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (the facade imports us)
+    from repro.telemetry import Telemetry
 
 
 @dataclass(frozen=True)
@@ -64,10 +61,12 @@ class TraceEvent:
 class Span:
     """An open sim-time interval; :meth:`end` emits its closing event."""
 
-    __slots__ = ("_bus", "name", "started_at", "_fields", "_closed")
+    __slots__ = ("_telemetry", "name", "started_at", "_fields", "_closed")
 
-    def __init__(self, bus: "TraceBus", name: str, started_at: float, fields: Dict[str, Any]) -> None:
-        self._bus = bus
+    def __init__(
+        self, telemetry: "Telemetry", name: str, started_at: float, fields: Dict[str, Any]
+    ) -> None:
+        self._telemetry = telemetry
         self.name = name
         self.started_at = started_at
         self._fields = fields
@@ -81,8 +80,8 @@ class Span:
         self._closed = True
         merged = dict(self._fields)
         merged.update(fields)
-        merged["duration"] = round(self._bus.now() - self.started_at, 9)
-        return self._bus.emit(self.name, **merged)
+        merged["duration"] = round(self._telemetry.trace.now() - self.started_at, 9)
+        return self._telemetry.emit(self.name, **merged)
 
     @property
     def closed(self) -> bool:
@@ -125,43 +124,21 @@ class TraceBus:
         self.capacity = capacity
         self._events: Deque[TraceEvent] = deque(maxlen=capacity)
         self._sink = sink
-        self._listeners: List[Callable[[TraceEvent], None]] = []
-        self._causal: Optional["CausalContext"] = None
         self.emitted = 0
 
     def now(self) -> float:
         """The bus clock (sim time in every production wiring)."""
         return self._clock()
 
-    def on_emit(self, callback: Callable[[TraceEvent], None]) -> None:
-        """Register a listener fired synchronously for every event."""
-        self._listeners.append(callback)
-
-    def bind_causal(self, causal: "CausalContext") -> None:
-        """Stamp the ambient outage id into every event emitted while an
-        outage is open (purely additive: pre-failure events are
-        unchanged, explicit ``outage`` fields win)."""
-        self._causal = causal
-
     def emit(self, name: str, **fields: Any) -> TraceEvent:
         """Record one event at the current clock reading."""
-        if self._causal is not None and "outage" not in fields:
-            outage_id = self._causal.current_id
-            if outage_id is not None:
-                fields["outage"] = outage_id
         event = TraceEvent(at=self._clock(), name=name, fields=fields)
         self._events.append(event)
         self.emitted += 1
         if self._sink is not None:
             self._sink.write(json.dumps(event.to_dict(), sort_keys=True))
             self._sink.write("\n")
-        for callback in list(self._listeners):
-            callback(event)
         return event
-
-    def span(self, name: str, **fields: Any) -> Span:
-        """Open a :class:`Span` at the current clock reading."""
-        return Span(self, name, self._clock(), fields)
 
     def events(self, name: Optional[str] = None) -> List[TraceEvent]:
         """Buffered events (oldest evicted first), optionally filtered."""

@@ -101,12 +101,11 @@ class TestArpProtocol:
         handler.handle(build_arp_request(MAC_A, IP_A, IP_B).payload)
         assert cache.lookup(IP_A, now=0.0) == MAC_A
 
-    def test_register_unregister(self):
+    def test_register(self):
         handler = ArpHandler(ArpCache(), now=lambda: 0.0)
+        assert not handler.owns(IP_B)
         handler.register(IP_B, MAC_B)
         assert handler.owns(IP_B)
-        assert handler.unregister(IP_B) is True
-        assert handler.unregister(IP_B) is False
 
 
 class TestArpClient:

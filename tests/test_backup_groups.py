@@ -169,17 +169,6 @@ def test_vnh_bindings_cover_all_groups():
         assert bindings[group.vnh] == group.vmac
 
 
-def test_collect_empty_groups_releases_vnh():
-    scenario = Scenario()
-    scenario.announce(R2, 200)
-    scenario.announce(R3, 100)
-    group = scenario.manager.group_for_prefix(PREFIX)
-    scenario.withdraw_peer(R3)  # back to single path; group now empty
-    retired = scenario.manager.collect_empty_groups()
-    assert retired == [group]
-    assert scenario.manager.group_by_key((R2, R3)) is None
-
-
 def test_identical_next_hops_do_not_form_group():
     # Two paths via the same next hop cannot protect each other.
     scenario = Scenario()

@@ -1,7 +1,8 @@
 """Tests for the causal provenance layer, exporters and sim profiler.
 
-Unit coverage for :mod:`repro.telemetry.causal` (outage contexts, the
-convergence ledger), the :class:`Span` context-manager protocol, the
+Unit coverage for :mod:`repro.telemetry.causal` (the episode book: outage
+contexts, stage marks, restoration chains), the :class:`Span`
+context-manager protocol, the
 bucket-interpolated histogram quantiles, the OpenMetrics / report
 exporters and :class:`SimProfiler` — plus scenario-level integration:
 the remote-withdraw chain count matches the withdrawn-prefix count, the
@@ -12,19 +13,15 @@ the ring capacity.
 
 import io
 import json
+import os
 
 import pytest
 
 from repro.scenarios import expand_grid, execute_scenario, get_preset
 from repro.scenarios.campaign import CampaignRunner
 from repro.stats import quantile_from_sorted
-from repro.telemetry import Telemetry
-from repro.telemetry.causal import (
-    KIND_GROUP,
-    KIND_PREFIX,
-    CausalContext,
-    ConvergenceLedger,
-)
+from repro.telemetry import STAGES, Telemetry
+from repro.telemetry.causal import KIND_GROUP, KIND_PREFIX, CausalContext
 from repro.telemetry.export import (
     WALLCLOCK_METRICS,
     build_campaign_report,
@@ -34,7 +31,6 @@ from repro.telemetry.export import (
 )
 from repro.telemetry.metrics import Histogram, MetricsRegistry
 from repro.telemetry.profile import SimProfiler, sample_shard_gauges
-from repro.telemetry.trace import TraceBus
 
 
 class FakeClock:
@@ -52,32 +48,32 @@ class FakeClock:
 class TestSpanContextManager:
     def test_with_block_ends_the_span(self):
         clock = FakeClock()
-        bus = TraceBus(clock)
-        with bus.span("work", stage="push") as span:
+        telemetry = Telemetry(clock)
+        with telemetry.span("work", stage="push") as span:
             clock.now = 0.25
         assert span.closed
-        [event] = bus.events("work")
+        [event] = telemetry.trace.events("work")
         assert event.fields["duration"] == 0.25
         assert event.fields["stage"] == "push"
         assert "error" not in event.fields
 
     def test_escaping_exception_is_recorded_and_reraised(self):
         clock = FakeClock()
-        bus = TraceBus(clock)
+        telemetry = Telemetry(clock)
         with pytest.raises(RuntimeError):
-            with bus.span("work"):
+            with telemetry.span("work"):
                 clock.now = 0.5
                 raise RuntimeError("boom")
-        [event] = bus.events("work")
+        [event] = telemetry.trace.events("work")
         assert event.fields["error"] == "RuntimeError"
         assert event.fields["duration"] == 0.5
 
     def test_body_ended_span_does_not_emit_twice(self):
-        bus = TraceBus(FakeClock())
-        with bus.span("work") as span:
+        telemetry = Telemetry(FakeClock())
+        with telemetry.span("work") as span:
             span.end(explicit=True)
-        assert bus.emitted == 1
-        [event] = bus.events("work")
+        assert telemetry.trace.emitted == 1
+        [event] = telemetry.trace.events("work")
         assert event.fields["explicit"] is True
 
 
@@ -142,7 +138,7 @@ class TestHistogramQuantiles:
 
 
 # ----------------------------------------------------------------------
-# Causal context and ledger
+# The episode book
 # ----------------------------------------------------------------------
 
 class TestCausalContext:
@@ -152,9 +148,10 @@ class TestCausalContext:
         assert causal.open_outage(1.0, kind="link_down", provider=0) == "outage-1"
         assert causal.open_outage(2.0) == "outage-2"
         assert causal.current_id == "outage-2"
-        assert len(causal) == 2
-        assert causal.get("outage-1").kind == "link_down"
-        assert causal.get("outage-9") is None
+        [first] = causal.outages("outage-1")
+        assert first.kind == "link_down"
+        assert len(causal.outages()) == 2
+        assert causal.outages("outage-9") == []
 
     def test_context_export_shape(self):
         causal = CausalContext()
@@ -169,54 +166,49 @@ class TestCausalContext:
 
 
 class TestConvergenceLedger:
+    """Restoration chains, folded by the book per outage."""
+
     def test_restores_before_any_outage_are_ignored(self):
-        causal = CausalContext()
-        ledger = ConvergenceLedger(causal)
-        ledger.note_restored("10.0.0.0/24", 0.5)
-        assert ledger.chains() == []
-        causal.open_outage(1.0)
-        ledger.note_restored("10.0.0.0/24", 1.25)
-        assert len(ledger.chains()) == 1
+        book = CausalContext()
+        book.note_restored("10.0.0.0/24", 0.5)
+        assert book.chains() == []
+        book.open_outage(1.0)
+        book.note_restored("10.0.0.0/24", 1.25)
+        assert len(book.chains()) == 1
 
     def test_first_restore_wins(self):
-        causal = CausalContext()
-        ledger = ConvergenceLedger(causal)
-        causal.open_outage(1.0)
-        ledger.note_restored("10.0.0.0/24", 1.1)
-        ledger.note_restored("10.0.0.0/24", 1.9)
-        [chain] = ledger.chains()
+        book = CausalContext()
+        book.open_outage(1.0)
+        book.note_restored("10.0.0.0/24", 1.1)
+        book.note_restored("10.0.0.0/24", 1.9)
+        [chain] = book.chains()
         assert chain["restore_ms"] == pytest.approx(100.0)
 
     def test_chains_carry_stage_offsets(self):
-        causal = CausalContext()
-        ledger = ConvergenceLedger(causal)
-        bus = TraceBus(FakeClock())
-        bus.on_emit(ledger.recorder({"bfd.down": "detect"}))
-        causal.open_outage(0.0)
-        bus._clock = lambda: 0.01  # detect observed 10ms in
-        bus.emit("bfd.down")
-        ledger.note_restored("10.0.0.0/24", 0.05)
-        [chain] = ledger.chains()
+        book = CausalContext()
+        book.open_outage(0.0)
+        book.mark_stage("detection.bfd", 0.01)  # detect observed 10ms in
+        book.note_restored("10.0.0.0/24", 0.05)
+        [chain] = book.chains()
         assert chain["detect_ms"] == pytest.approx(10.0)
         assert chain["restore_ms"] == pytest.approx(50.0)
         assert chain["decide_ms"] is None
 
     def test_kind_separation_and_cdf(self):
-        causal = CausalContext()
-        ledger = ConvergenceLedger(causal)
-        causal.open_outage(0.0)
-        ledger.note_restored("aa:bb", 0.01, kind=KIND_GROUP)
+        book = CausalContext()
+        book.open_outage(0.0)
+        book.note_restored("aa:bb", 0.01, kind=KIND_GROUP)
         for index in range(4):
-            ledger.note_restored(f"10.0.{index}.0/24", 0.1 + index * 0.1)
-        assert len(ledger.chains(kind=KIND_PREFIX)) == 4
-        assert len(ledger.chains(kind=KIND_GROUP)) == 1
-        cdf = ledger.restoration_cdf()
+            book.note_restored(f"10.0.{index}.0/24", 0.1 + index * 0.1)
+        assert len(book.chains(kind=KIND_PREFIX)) == 4
+        assert len(book.chains(kind=KIND_GROUP)) == 1
+        cdf = book.restoration_cdf()
         assert [fraction for _, fraction in cdf] == [0.25, 0.5, 0.75, 1.0]
-        deciles = ledger.restoration_deciles_ms()
+        deciles = book.restoration_deciles_ms()
         assert len(deciles) == 11
         assert deciles[0] == pytest.approx(100.0)
         assert deciles[10] == pytest.approx(400.0)
-        [summary] = ledger.outage_summaries()
+        [summary] = book.outage_summaries()
         assert summary["chains"] == 5
         assert summary["prefixes_restored"] == 4
         assert summary["groups_restored"] == 1
@@ -237,25 +229,28 @@ class TestConvergenceLedger:
         # Written out of string order: 10.0.10.0/24 sorts before 10.0.9.0/24.
         for text in ("10.0.9.0/24", "10.0.10.0/24", "10.0.9.0/24"):
             telemetry.restored(CountingPrefix(text))
-        [summary] = telemetry.ledger.outage_summaries()
+        [summary] = telemetry.causal.outage_summaries()
         assert summary["prefixes_restored"] == 2
-        assert len(telemetry.ledger.restoration_latencies_ms()) == 2
+        assert len(telemetry.causal.restoration_latencies_ms()) == 2
         assert formatted == []
-        subjects = [chain["subject"] for chain in telemetry.ledger.chains()]
+        subjects = [chain["subject"] for chain in telemetry.causal.chains()]
         assert subjects == ["10.0.10.0/24", "10.0.9.0/24"]
         assert len(formatted) == 2
 
     def test_ambient_stamping_only_while_outage_open(self):
-        causal = CausalContext()
-        bus = TraceBus(FakeClock())
-        bus.bind_causal(causal)
-        before = bus.emit("steady.state")
+        clock = FakeClock()
+        telemetry = Telemetry(clock)
+        span = telemetry.span("remote.holddown")
+        before = telemetry.emit("steady.state")
         assert "outage" not in before.fields
-        causal.open_outage(0.0)
-        stamped = bus.emit("fib.apply_first")
+        telemetry.causal.open_outage(0.0)
+        stamped = telemetry.emit("fib.apply_first")
         assert stamped.fields["outage"] == "outage-1"
-        explicit = bus.emit("lab.episode", outage="outage-override")
+        explicit = telemetry.emit("lab.episode", outage="outage-override")
         assert explicit.fields["outage"] == "outage-override"
+        # A span carries the outage open when it *ends*.
+        clock.now = 0.002
+        assert span.end().fields == {"duration": 0.002, "outage": "outage-1"}
 
 
 # ----------------------------------------------------------------------
@@ -430,15 +425,32 @@ class TestScenarioIntegration:
         record, lab = execute_scenario(spec)
         fraction = spec.failures[0].prefix_fraction
         withdrawn = max(1, int(round(fraction * spec.num_prefixes)))
-        [summary] = lab.telemetry.ledger.outage_summaries()
+        [summary] = lab.detection.outage_summaries()
         assert summary["kind"] == "remote_withdraw"
         assert summary["prefixes_restored"] == withdrawn
         assert record["outage_chains"] == [summary]
-        cdf = lab.telemetry.ledger.restoration_cdf("outage-1")
+        cdf = lab.detection.restoration_cdf("outage-1")
         assert len(cdf) == withdrawn
         assert cdf[-1][1] == 1.0
         assert record["restoration_cdf_ms"][0] == cdf[0][0]
         assert record["restoration_cdf_ms"][10] == cdf[-1][0]
+
+    @pytest.mark.parametrize("preset", ["figure4", "figure4-standalone", "ris-churn"])
+    def test_book_answers_what_the_parity_pin_recorded(self, preset):
+        # Read straight out of ``lab.detection``, against records captured
+        # when a ledger, a recorder closure and a per-mode stage table
+        # produced them (tests/test_one_lab_parity.py pins the export).
+        fixture = os.path.join(os.path.dirname(__file__), "data", "one_lab_parity.json")
+        with open(fixture, encoding="utf-8") as handle:
+            pinned = {row["name"]: row for row in json.load(handle)["campaign_records"]}[preset]
+        _record, lab = execute_scenario(get_preset(preset, num_prefixes=200))
+        book = lab.detection
+        first = book.outages()[0]
+        assert book.stage_offsets_ms(first) == {
+            stage: pinned[f"stage_{stage}_ms"] for stage in STAGES
+        }
+        assert book.outage_summaries() == pinned["outage_chains"]
+        assert book.restoration_deciles_ms(first.outage_id) == pinned["restoration_cdf_ms"]
 
     def test_profiler_observes_every_sim_event(self):
         record, lab = execute_scenario(_withdraw_spec())
@@ -468,25 +480,28 @@ class TestScenarioIntegration:
 
     def test_trace_sink_outlives_the_ring_buffer(self):
         sink = io.StringIO()
-        spec = _withdraw_spec(trace_capacity=4)
-        record, lab = execute_scenario(spec, trace_sink=sink)
+        record, lab = execute_scenario(_withdraw_spec(), trace_sink=sink)
         lines = [line for line in sink.getvalue().splitlines() if line]
-        assert len(lines) == lab.telemetry.trace.emitted
-        assert lab.telemetry.trace.emitted > 4
-        assert len(lab.telemetry.trace.events()) == 4
+        assert len(lines) == lab.telemetry.trace.emitted > 4
         events = [json.loads(line) for line in lines]
         assert any(
             event["fields"].get("outage") == "outage-1" for event in events
         )
+        # Replayed through a four-slot ring: it evicts, the sink does not.
+        replay = io.StringIO()
+        small = Telemetry(FakeClock(), trace_capacity=4, sink=replay)
+        for event in events:
+            small.emit(event["name"], **event["fields"])
+        assert len(small.trace.events()) == 4
+        assert len(replay.getvalue().splitlines()) == len(lines)
 
     def test_report_entry_pipeline_from_live_scenario(self):
         record, lab = execute_scenario(_withdraw_spec())
-        telemetry = lab.telemetry
         entry = {
             "record": record,
-            "outages": telemetry.ledger.outage_summaries(),
-            "chains": telemetry.ledger.chains(),
-            "restoration_cdf": telemetry.ledger.restoration_cdf("outage-1"),
+            "outages": lab.detection.outage_summaries(),
+            "chains": lab.detection.chains(),
+            "restoration_cdf": lab.detection.restoration_cdf("outage-1"),
             "profile": lab.profiler.to_dict(),
         }
         report = build_campaign_report([entry])

@@ -72,16 +72,6 @@ class TestFloodlightRestApi:
         assert entry.actions.set_eth_dst == R3_MAC
         assert entry.actions.output_port == 3
 
-    def test_delete_removes_rule(self, sim):
-        switch, channel = _switch_with_channel(sim)
-        api = FloodlightRestApi(sim, channel)
-        api.push(StaticFlowEntry("g1", eth_dst=MacAddress(0xFF), set_eth_dst=R2_MAC, output_port=2))
-        sim.run()
-        assert api.delete("g1") is True
-        assert api.delete("g1") is False
-        sim.run()
-        assert len(switch.flow_table) == 0
-
     def test_list_reflects_current_entries(self, sim):
         _switch, channel = _switch_with_channel(sim)
         api = FloodlightRestApi(sim, channel)
@@ -173,15 +163,6 @@ class TestFlowProvisioner:
         assert [name for name, _when in single[6]] == [
             "rest:flow-push", "of-channel:to-switch", "sw:flow-mod",
         ] * 2
-
-    def test_retire_group_removes_rule(self, sim):
-        switch, provisioner = self._provisioner(sim)
-        group = _group()
-        provisioner.provision_group(group)
-        sim.run()
-        assert provisioner.retire_group(group) is True
-        sim.run()
-        assert len(switch.flow_table) == 0
 
 
 class TestDataPlaneConvergence:
@@ -327,16 +308,6 @@ class TestVirtualArpResponder:
         wire.send(self._request(group.vnh, op=ArpOp.REPLY))
         sim.run()
         assert heard == []
-
-    def test_unregister(self, sim):
-        controller, group, wire, heard, _channel, _outs = self._controller(sim)
-        controller._apply_actions([ProvisioningAction(ActionKind.GROUP_RETIRED, group=group)])
-        assert controller.vnh_bindings() == {}
-        wire.send(self._request(group.vnh))
-        wire.send(self._request(self.CTRL_IP))
-        sim.run()
-        # The group's VNH is no longer answered for; the host's own address is.
-        assert [reply.payload.sender_ip for reply in heard] == [self.CTRL_IP]
 
     def test_packet_in_mode_emits_packet_out(self, sim):
         _controller, group, _wire, _heard, channel, packet_outs = self._controller(sim)

@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.scenarios.campaign import PRIMARY_LINK_DOWN, run_failover
+from repro.cli import main
+from repro.scenarios.campaign import PRIMARY_LINK_DOWN, execute_scenario, run_failover
 from repro.scenarios.failures import FailureInjector
 from repro.scenarios.presets import get_preset
-from repro.scenarios.spec import FailureSpec, ScenarioSpecError
+from repro.scenarios.spec import FailureSpec, ScenarioSpecError, failure_campaign
 from repro.scenarios.testbed import build_scenario
 from repro.sim.engine import Simulator
 
@@ -46,7 +47,7 @@ def test_outage_carries_the_provider_it_was_given_not_the_previous_one():
     lab.sim.run_for(1.0)
     injector.fire(FailureSpec(kind="link_down", at=0.0, target="src-r1"))
     lab.sim.run_for(1.0)
-    first, second = lab.telemetry.ledger.outage_summaries()
+    first, second = lab.detection.outage_summaries()
     assert (first["outage"], first["kind"], first["provider"]) == ("outage-1", "link_down", 1)
     assert (second["outage"], second["kind"], second["provider"]) == ("outage-2", "link_down", None)
     episodes = lab.telemetry.trace.events(name="lab.episode")
@@ -122,6 +123,26 @@ def test_controller_crash_fails_replica():
     assert injector.first_failure_time is None
     # The surviving replica still converges the data plane on a real failure.
     assert run_failover(lab, PRIMARY_LINK_DOWN, timeout=600).recovered
+
+
+def test_last_controller_crash_is_not_reported_as_recovered():
+    """Regression: ``wait_recovered`` sampled reachability once, before the
+    crash had reached the data plane, settled and returned the stale answer
+    — ``recovered: true, max_ms: 0.0`` over an empty FIB."""
+    spec = get_preset(
+        "figure4", num_prefixes=200, monitored_flows=10,
+        failures=failure_campaign("controller_crash"),
+    )
+    record, lab = execute_scenario(spec)
+    assert len(lab.edge_routers[0].fib) == 0
+    assert not any(lab.monitor.is_reachable(d) for d in lab.monitored_destinations)
+    assert record["recovered"] is False
+    sweep = ["scenarios", "sweep", "--preset", "figure4", "--prefixes-grid", "200",
+             "--flows", "10", "--failures", "controller_crash", "--workers", "1"]
+    assert main(sweep) == 1
+    # With a surviving replica the same crash disturbs nothing.
+    redundant = sweep[:3] + ["redundant-controllers"] + sweep[4:]
+    assert main(redundant) == 0
 
 
 def test_unknown_target_rejected_at_fire_time():

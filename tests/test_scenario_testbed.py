@@ -121,33 +121,26 @@ class TestFanFailover:
 
 
 class TestEpisodeBook:
-    """The lab always owns one book of failure episodes; telemetry, when
-    the spec turns it on, observes that same book."""
+    """The lab owns one book of failure episodes; its telemetry context
+    writes into that same book."""
 
-    @pytest.mark.parametrize("telemetry", [True, False])
-    def test_one_note_failure_opens_one_outage_in_the_labs_book(self, telemetry):
-        spec = get_preset(
-            "figure4", num_prefixes=40, monitored_flows=4, seed=5, telemetry=telemetry
-        )
+    def test_one_note_failure_opens_one_outage_in_the_labs_book(self):
+        spec = get_preset("figure4", num_prefixes=40, monitored_flows=4, seed=5)
         lab = build_scenario(Simulator(seed=spec.seed), spec)
         assert lab.bring_up()
-        if telemetry:
-            assert lab.telemetry.causal is lab.detection
-        else:
-            assert lab.telemetry is None
+        assert lab.telemetry.causal is lab.detection
         assert lab.detection.outages() == []
         result = run_failover(lab, PRIMARY_LINK_DOWN)
         (outage,) = lab.detection.outages()
         assert (outage.opened_at, outage.kind, outage.provider) == (
             result.failure_time, "link_down", 0,
         )
-        # Read out of the same book, telemetry or not.
+        # Every read-out comes from that book.
         assert result.detection_path == "bfd"
         assert lab.detection.episode_detection_path() == "bfd"
         assert set(result.detection_paths) == {"bfd"}
-        assert lab.stage_offsets()["detect"] == (
-            pytest.approx(result.detection_time * 1e3) if telemetry else None
-        )
+        assert lab.stage_offsets()["detect"] == pytest.approx(result.detection_time * 1e3)
+        assert lab.stage_offsets() == lab.detection.stage_offsets_ms(outage)
 
 
 class TestMultiEdge:

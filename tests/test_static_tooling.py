@@ -9,11 +9,13 @@ package, but only allowlisted modules can report), and ruff's critical
 rules.
 
 The audit guards need no tool: every module under ``src/repro`` is on the
-path of a CLI command (or is allow-listed with its reason), and the twelve
-substrate packages re-export nothing.
+path of a CLI command (or is allow-listed with its reason), the twelve
+substrate packages re-export nothing, and every ``ScenarioSpec`` field is
+turned by something other than a test (or is allow-listed with its reason).
 """
 
 import ast
+import dataclasses
 import os
 import shutil
 import subprocess
@@ -145,3 +147,73 @@ def test_one_module_owns_the_collector():
             if "gc" in imported:
                 importers.add(path.relative_to(package_root).as_posix())
     assert importers == {"sim/engine.py"}
+
+
+#: ``ScenarioSpec`` fields nothing outside ``tests/`` gives a non-default
+#: value, each with why it is a field all the same.  Anything else that no
+#: preset, CLI option, experiment or benchmark turns is a switch with one
+#: position and should become a constant (ROADMAP item 8).
+KNOBS_NOTHING_TURNS = {
+    # Terms of the closed-form model (ROADMAP item 3).
+    "bfd_multiplier": "detection = bfd_interval x bfd_multiplier",
+    "rest_latency": "the push stage's REST term",
+    "link_latency": "every hop's propagation term",
+    "fib_first_entry_latency": "standalone restoration: the intercept",
+    "fib_per_entry_latency": "standalone restoration: the slope",
+    "remote_holddown": "the remote decide stage's holddown term",
+    # The packet-level reference tests/test_reachability.py checks the
+    # analytic monitor against.
+    "packet_traffic": "packet-level reference data plane",
+    "packet_rate_pps": "its probe rate",
+    # Found by this guard; deleting it changes the spec schema (ROADMAP 8(g)).
+    "churn_updates": "set by tests only: the next knob to leave",
+}
+
+#: Calls whose keyword arguments end up in a spec.
+SPEC_SINKS = {"ScenarioSpec", "get_preset", "with_overrides", "dict"}
+
+
+def test_every_scenario_knob_is_turned_by_something():
+    """Each ``ScenarioSpec`` field gets a non-default value from a preset,
+    a CLI grid axis, or a spec-building call / override dict in
+    ``repro.cli``, ``src/repro/experiments`` or ``benchmarks/`` — a value
+    the scan can read as the literal default does not count."""
+    from repro.cli import GRID_AXES
+    from repro.scenarios.presets import PRESETS, get_preset
+    from repro.scenarios.spec import ScenarioSpec
+
+    default_spec = ScenarioSpec()
+    defaults = {f.name: getattr(default_spec, f.name) for f in dataclasses.fields(ScenarioSpec)}
+    turned = {"failures" if axis == "failure" else axis for axis in GRID_AXES.values()}
+    for name in PRESETS:
+        spec = get_preset(name)
+        turned.update(f for f, default in defaults.items() if getattr(spec, f) != default)
+
+    def differs(field, node):
+        try:
+            return ast.literal_eval(node) != defaults[field]
+        except ValueError:  # not a literal: computed, so it varies
+            return True
+
+    grid_keys = set(defaults) | {"failure"}
+    sources = [
+        REPO_ROOT / "src" / "repro" / "cli.py",
+        *(REPO_ROOT / "src" / "repro" / "experiments").glob("*.py"),
+        *(REPO_ROOT / "benchmarks").rglob("*.py"),
+    ]
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            pairs = []
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if callee in SPEC_SINKS:
+                    pairs = [(kw.arg, kw.value) for kw in node.keywords if kw.arg]
+            elif isinstance(node, ast.Dict) and all(
+                # An override or grid dict names spec fields only; a
+                # result record that happens to share a key does not.
+                isinstance(key, ast.Constant) and key.value in grid_keys
+                for key in node.keys
+            ):
+                pairs = [(key.value, value) for key, value in zip(node.keys, node.values)]
+            turned.update(f for f, value in pairs if f in defaults and differs(f, value))
+    assert set(defaults) - turned == set(KNOBS_NOTHING_TURNS)

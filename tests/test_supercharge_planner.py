@@ -408,20 +408,6 @@ def test_groups_with_primary_follows_active_next_hop():
     assert harness.planner.group_by_key(group.key) is group
 
 
-def test_collect_empty_groups_releases_vnh():
-    harness = Harness()
-    group = _two_prefix_group(harness)
-    for prefix in (PREFIX_A, PREFIX_B):
-        harness.withdraw(P1, prefix)
-        harness.withdraw(P2, prefix)
-    harness.flush()
-    allocated = harness.planner._allocator.allocated_count
-    retired = harness.planner.collect_empty_groups()
-    assert retired == [group]
-    assert harness.planner.groups() == []
-    assert harness.planner._allocator.allocated_count == allocated - 1
-
-
 def test_vnh_pool_exhaustion_degrades_to_real_next_hop():
     # A /29 pool minus network/broadcast leaves 6 usable VNHs.
     planner = RemoteGroupPlanner(VnhAllocator(IPv4Prefix("10.0.0.128/29")))

@@ -1,9 +1,9 @@
 """Tests for the sim-time telemetry subsystem.
 
 Covers the instrument primitives (counters, gauges, fixed-edge
-histograms), the trace bus (ring buffer, JSONL sink, spans, listeners),
-the stage timeline, and the scenario-level contract: telemetry is
-passive (the simulation trajectory is identical with it on or off),
+histograms), the trace bus (ring buffer, JSONL sink, spans), the stage
+timeline, and the scenario-level contract: telemetry is passive (the
+simulation trajectory is identical with components attached or not),
 deterministic across serial/pooled execution, and campaign records carry
 the paper's detect → decide → push → install decomposition.
 """
@@ -22,9 +22,15 @@ from repro.openflow.flow_table import Actions, FlowMatch
 from repro.openflow.messages import FlowMod, FlowModBatch, FlowModCommand
 from repro.router.fib import Adjacency, FlatFib
 from repro.router.fib_updater import FibUpdater, FibUpdaterConfig, FibWriteRequest
-from repro.scenarios import expand_grid, run_campaign, run_scenario
+from repro.scenarios import (
+    execute_scenario,
+    expand_grid,
+    run_campaign,
+    run_scenario,
+)
 from repro.scenarios.presets import get_preset
-from repro.scenarios.spec import FailureSpec, ScenarioSpec
+from repro.scenarios.spec import FailureSpec
+from repro.scenarios.testbed import ScenarioLab
 from repro.sim.engine import Simulator
 from repro.telemetry import (
     STAGES,
@@ -40,6 +46,8 @@ from repro.telemetry.causal import (
     DETECTION_BFD,
     DETECTION_BGP,
     DETECTION_CONTROLLER_PUSH,
+    SESSION_DOWN_EVENT,
+    STAGE_OF_EVENT,
 )
 
 
@@ -184,18 +192,9 @@ class TestTraceBus:
         assert json.loads(line) == {"at": 1.5, "name": "x", "fields": {"a": 1, "b": 2}}
         assert line == json.dumps(json.loads(line), sort_keys=True)
 
-    def test_listeners_fire_per_event(self):
-        bus = TraceBus(clock=lambda: 0.0)
-        seen = []
-        bus.on_emit(lambda event: seen.append(event.name))
-        bus.emit("a")
-        bus.emit("b")
-        assert seen == ["a", "b"]
-
     def test_span_measures_sim_time(self):
         now = [1.0]
-        bus = TraceBus(clock=lambda: now[0])
-        span = bus.span("work", phase="flush")
+        span = Telemetry(clock=lambda: now[0]).span("work", phase="flush")
         now[0] = 1.25
         event = span.end(entries=3)
         assert span.closed
@@ -204,62 +203,62 @@ class TestTraceBus:
 
 
 class TestStageTimeline:
-    """The per-outage stage timeline, kept by the causal ledger."""
-
-    @staticmethod
-    def _telemetry(stage_by_event, now):
-        telemetry = Telemetry(clock=lambda: now[0])
-        telemetry.trace.on_emit(telemetry.ledger.recorder(stage_by_event))
-        return telemetry
+    """The per-outage stage timeline, kept by the episode book."""
 
     def test_first_mark_wins(self):
         now = [0.0]
-        telemetry = self._telemetry({"bfd.down": "detect"}, now)
+        telemetry = Telemetry(clock=lambda: now[0])
         telemetry.causal.open_outage(0.0)
         for now[0] in (1.0, 2.0):
-            telemetry.emit("bfd.down")
-        offsets = telemetry.ledger.stage_offsets_ms(telemetry.causal.current)
+            telemetry.emit("detection.bfd")
+        offsets = telemetry.causal.stage_offsets_ms(telemetry.causal.current)
         assert offsets["detect"] == pytest.approx(1000.0)
 
-    def test_unknown_stage_rejected(self):
-        with pytest.raises(ValueError):
-            Telemetry(clock=lambda: 0.0).ledger.recorder({"bfd.down": "teleport"})
+    def test_stage_table_names_only_known_stages(self):
+        assert set(STAGE_OF_EVENT.values()) == set(STAGES)
+
+    def test_session_flush_decides_only_without_a_controller_plane(self):
+        assert STAGE_OF_EVENT[SESSION_DOWN_EVENT] == "decide"
+        for router_decides, expected in ((True, 0.0), (False, None)):
+            book = CausalContext()
+            book.router_decides = router_decides
+            book.open_outage(1.0)
+            book.mark_stage(SESSION_DOWN_EVENT, 1.0)
+            assert book.stage_offsets_ms(book.current)["decide"] == expected
 
     def test_offsets_ms_and_reset(self):
         now = [1.0]
-        telemetry = self._telemetry(
-            {"bfd.down": "detect", "fib.apply_first": "install"}, now
-        )
+        telemetry = Telemetry(clock=lambda: now[0])
         telemetry.causal.open_outage(1.0)
         first = telemetry.causal.current
         now[0] = 1.010
-        telemetry.emit("bfd.down")
+        telemetry.emit("detection.bfd")
         now[0] = 1.5
         telemetry.emit("fib.apply_first")
-        offsets = telemetry.ledger.stage_offsets_ms(first)
+        offsets = telemetry.causal.stage_offsets_ms(first)
         assert offsets["detect"] == pytest.approx(10.0)
         assert offsets["install"] == pytest.approx(500.0)
         assert offsets["decide"] is None and offsets["push"] is None
         # The next outage opens a fresh episode; the closed one keeps its marks.
         telemetry.causal.open_outage(2.0)
         second = telemetry.causal.current
-        assert telemetry.ledger.stage_offsets_ms(second) == dict.fromkeys(STAGES)
+        assert telemetry.causal.stage_offsets_ms(second) == dict.fromkeys(STAGES)
         now[0] = 2.25
-        telemetry.emit("bfd.down")
-        assert telemetry.ledger.stage_offsets_ms(second)["detect"] == pytest.approx(250.0)
-        assert telemetry.ledger.stage_offsets_ms(first) == offsets
+        telemetry.emit("detection.bfd")
+        assert telemetry.causal.stage_offsets_ms(second)["detect"] == pytest.approx(250.0)
+        assert telemetry.causal.stage_offsets_ms(first) == offsets
 
     def test_timeline_recorder_maps_event_names(self):
         now = [3.0]
-        telemetry = self._telemetry({"bfd.down": "detect"}, now)
-        telemetry.emit("bfd.down")  # before any outage: not a convergence stage
+        telemetry = Telemetry(clock=lambda: now[0])
+        telemetry.emit("detection.bfd")  # before any outage: not a convergence stage
         telemetry.causal.open_outage(3.0)
         telemetry.emit("unrelated")
-        offsets = telemetry.ledger.stage_offsets_ms(telemetry.causal.current)
+        offsets = telemetry.causal.stage_offsets_ms(telemetry.causal.current)
         assert offsets == dict.fromkeys(STAGES)
         now[0] = 3.5
-        telemetry.emit("bfd.down")
-        offsets = telemetry.ledger.stage_offsets_ms(telemetry.causal.current)
+        telemetry.emit("detection.bfd")
+        offsets = telemetry.causal.stage_offsets_ms(telemetry.causal.current)
         assert offsets["detect"] == pytest.approx(500.0)
 
 
@@ -343,27 +342,33 @@ class TestDetectionTrackerEdgeCases:
         assert book.episode_detection_path() == DETECTION_BFD
 
     def test_telemetry_mirrors_detection_records(self):
-        telemetry = Telemetry(clock=lambda: 0.0)
-        telemetry.causal.record_detection(0.0, DETECTION_BFD, IPv4Address("10.0.0.2"))
-        assert telemetry.metrics.counter("detection.bfd").value == 1
-        assert telemetry.trace.events(name="detection.bfd")[0].fields == {
-            "peer": "10.0.0.2"
-        }
+        # The book knows no telemetry: the lab's hooks mirror each *new*
+        # record as one counter tick and one ``detection.<path>`` event.
+        _record, lab = execute_scenario(_small_spec())
+        recorded = lab.detection.detections
+        paths = {event.path for event in recorded}
+        assert paths == {DETECTION_BFD, DETECTION_BGP, DETECTION_CONTROLLER_PUSH}
+        for path in sorted(paths):
+            mirrored = lab.telemetry.trace.events(name=f"detection.{path}")
+            expected = [event for event in recorded if event.path == path]
+            assert lab.telemetry.metrics.counter(f"detection.{path}").value == len(expected)
+            assert [event.at for event in mirrored] == [event.at for event in expected]
+            assert [event.fields["peer"] for event in mirrored] == [
+                str(event.peer_ip) if event.peer_ip is not None else None
+                for event in expected
+            ]
 
     def test_detection_before_any_failure_is_kept_but_never_answers_for_one(self):
         # "Episode 0": churn replay displacing a provider's own best path
-        # is a detection with no outage to belong to.  It is kept, mirrored
-        # once (every record's ``trace_events`` counts it), labels outages
-        # closing before any failure, and is invisible from a failure on.
-        telemetry = Telemetry(clock=lambda: 0.5)
-        book = telemetry.causal
+        # is a detection with no outage to belong to.  It is kept, reported
+        # new once (so mirrored once: every record's ``trace_events`` counts
+        # it), labels outages closing before any failure, and is invisible
+        # from a failure on.
+        book = CausalContext()
         peer = IPv4Address("10.0.0.2")
-        book.record_detection(0.5, DETECTION_BGP, peer)
-        book.record_detection(0.7, DETECTION_BGP, peer)
+        assert book.record_detection(0.5, DETECTION_BGP, peer) is True
+        assert book.record_detection(0.7, DETECTION_BGP, peer) is False
         assert [event.at for event in book.detections] == [0.5]
-        assert telemetry.metrics.counter("detection.bgp").value == 1
-        (mirrored,) = telemetry.trace.events(name="detection.bgp")
-        assert mirrored.fields == {"peer": "10.0.0.2"}  # no ``outage`` stamp
         assert book.current_id is None
         assert book.episode_detection_path() == DETECTION_BGP
         failure_time = 2.0
@@ -372,7 +377,6 @@ class TestDetectionTrackerEdgeCases:
         assert book.first_detection(failure_time) is None
         assert book.first_detection(failure_time, peer_ip=peer) is None
         assert book.episode_detection_path() is None
-        assert telemetry.trace.emitted == 1
 
 
 # ----------------------------------------------------------------------
@@ -386,24 +390,27 @@ def _small_spec(**overrides):
 
 
 class TestScenarioTelemetry:
-    def test_disabling_telemetry_does_not_change_the_simulation(self):
-        on = run_scenario(_small_spec(telemetry=True))
-        off = run_scenario(_small_spec(telemetry=False))
-        assert on["sim_events"] == off["sim_events"]
+    def test_unwired_telemetry_does_not_change_the_simulation(self, monkeypatch):
+        # Passivity, checked dynamically beside DET006: a lab whose
+        # components never had the telemetry context attached runs the
+        # same simulation and reads out the same failure.
+        wired = run_scenario(_small_spec())
+        monkeypatch.setattr(ScenarioLab, "_wire_telemetry", lambda self: None)
+        unwired = run_scenario(_small_spec())
+        assert wired["sim_events"] == unwired["sim_events"]
         telemetry_keys = {
-            "telemetry",
             "trace_events",
             "flow_mod_queue_peak",
             "outage_chains",
             "restoration_cdf_ms",
         } | {f"stage_{stage}_ms" for stage in STAGES}
-        for key in set(on) - telemetry_keys:
-            assert on[key] == off[key], key
-        assert off["trace_events"] is None
-        assert off["stage_detect_ms"] is None
-        assert off["flow_mod_queue_peak"] is None
-        assert off["outage_chains"] is None
-        assert off["restoration_cdf_ms"] is None
+        for key in set(wired) - telemetry_keys:
+            assert wired[key] == unwired[key], key
+        # Only the lab's own events are left: the episode and its detections.
+        assert 0 < unwired["trace_events"] < wired["trace_events"]
+        assert unwired["flow_mod_queue_peak"] is None
+        assert unwired["restoration_cdf_ms"] == []
+        assert unwired["stage_push_ms"] is None and unwired["stage_install_ms"] is None
 
     def test_supercharged_stage_pipeline_is_ordered(self):
         record = run_scenario(_small_spec())
@@ -472,10 +479,6 @@ class TestScenarioTelemetry:
         assert record["stage_detect_ms"] == pytest.approx(
             record["detection_ms"], abs=1e-3
         )
-
-    def test_trace_capacity_is_validated(self):
-        with pytest.raises(Exception):
-            ScenarioSpec(name="bad", trace_capacity=0).validate()
 
 
 class TestDetachedHotPaths:
