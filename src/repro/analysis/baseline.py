@@ -97,6 +97,3 @@ class Baseline:
             else:
                 new.append(finding)
         return new, matched
-
-    def __len__(self) -> int:
-        return sum(self.counts.values())

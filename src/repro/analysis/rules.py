@@ -467,10 +467,10 @@ class IdKeyedMappingRule(Rule):
 
     Keying a mapping by ``id(obj)`` is legal only for *in-process*
     memoisation whose keys never reach a serialized or exported
-    structure (the flow-table's per-entry stats, the engine's interned
-    ranking memo).  Those sites carry inline suppressions with a
-    rationale; anything new that fires this rule must either key by a
-    stable identity or justify a suppression in review.
+    structure (the engine's interned ranking memo).  Those sites carry
+    inline suppressions with a rationale; anything new that fires this
+    rule must either key by a stable identity or justify a suppression
+    in review.
     """
 
     CODE = "DET004"

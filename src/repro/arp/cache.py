@@ -62,18 +62,5 @@ class ArpCache:
             return None
         return entry.mac
 
-    def invalidate(self, ip: IPv4Address) -> bool:
-        """Drop the binding for ``ip``; returns whether one existed."""
-        return self._entries.pop(ip, None) is not None
-
-    def flush(self) -> None:
-        """Drop every non-static binding."""
-        self._entries = {
-            ip: entry for ip, entry in self._entries.items() if entry.static
-        }
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def __contains__(self, ip: IPv4Address) -> bool:
         return ip in self._entries

@@ -54,10 +54,6 @@ class ArpClient:
             self._attempts[ip] = 0
             self._send_request(ip, interface)
 
-    def cached(self, ip: IPv4Address) -> Optional[MacAddress]:
-        """Non-blocking cache lookup."""
-        return self._cache.lookup(ip, self._sim.now)
-
     def handle_reply(self, packet: ArpPacket) -> None:
         """Feed a received ARP packet (reply *or* request) into the client;
         any pending resolutions for the sender IP complete."""

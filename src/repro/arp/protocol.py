@@ -75,10 +75,6 @@ class ArpHandler:
         """Start answering requests for ``ip`` with ``mac``."""
         self._owned[ip] = mac
 
-    def owns(self, ip: IPv4Address) -> bool:
-        """Whether the handler answers for ``ip``."""
-        return ip in self._owned
-
     def bindings(self) -> Dict[IPv4Address, MacAddress]:
         """Every IP answered for, with the MAC it is answered with."""
         return dict(self._owned)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
-from repro.bfd.session import BfdSession, BfdSessionState
+from repro.bfd.session import BfdSession
 from repro.net.addresses import IPv4Address
 from repro.net.packets import BfdControl
 from repro.sim.engine import Simulator
@@ -75,14 +75,6 @@ class BfdManager:
     def peers(self) -> List[IPv4Address]:
         """All monitored peers."""
         return list(self._sessions.keys())
-
-    def up_peers(self) -> List[IPv4Address]:
-        """Peers whose session is currently Up."""
-        return [
-            peer
-            for peer, session in self._sessions.items()
-            if session.state is BfdSessionState.UP
-        ]
 
     def receive(self, peer_ip: IPv4Address, packet: BfdControl) -> None:
         """Deliver a control packet received from ``peer_ip``."""

@@ -13,7 +13,7 @@ import itertools
 from typing import Callable, List, Optional
 
 from repro.net.packets import BfdControl
-from repro.sim.engine import EventHandle, Simulator
+from repro.sim.engine import Event, Simulator
 from repro.sim.process import PeriodicProcess
 
 _discriminators = itertools.count(1)
@@ -70,7 +70,7 @@ class BfdSession:
         self._remote_detect_multiplier = detect_multiplier
         self._state = BfdSessionState.DOWN
         self._tx_process: Optional[PeriodicProcess] = None
-        self._detect_timer: Optional[EventHandle] = None
+        self._detect_timer: Optional[Event] = None
         self._up_callbacks: List[Callable[["BfdSession"], None]] = []
         self._down_callbacks: List[Callable[["BfdSession", str], None]] = []
         self.packets_sent = 0

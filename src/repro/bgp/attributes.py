@@ -13,7 +13,7 @@ through ``_replace``.
 from __future__ import annotations
 
 import enum
-from typing import FrozenSet, NamedTuple, Optional, Tuple
+from typing import FrozenSet, NamedTuple, Tuple
 
 from repro.net.addresses import IPv4Address
 
@@ -46,14 +46,6 @@ class AsPath:
     def __init__(self, asns: Tuple[int, ...] = ()) -> None:
         self._asns = tuple(map(_valid_asn, asns))
 
-    @classmethod
-    def from_string(cls, text: str) -> "AsPath":
-        """Parse a space-separated AS path, e.g. ``"6939 3356 15169"``."""
-        text = text.strip()
-        if not text:
-            return cls(())
-        return cls(tuple(int(token) for token in text.split()))
-
     @property
     def asns(self) -> Tuple[int, ...]:
         """The AS numbers, left-most (most recent) first."""
@@ -63,16 +55,6 @@ class AsPath:
     def length(self) -> int:
         """AS path length used by the decision process."""
         return len(self._asns)
-
-    @property
-    def origin_as(self) -> Optional[int]:
-        """The AS that originated the route (right-most), if any."""
-        return self._asns[-1] if self._asns else None
-
-    @property
-    def neighbor_as(self) -> Optional[int]:
-        """The AS the route was most recently learned from (left-most)."""
-        return self._asns[0] if self._asns else None
 
     def contains(self, asn: int) -> bool:
         """Loop detection: whether ``asn`` already appears in the path."""
@@ -92,9 +74,6 @@ class AsPath:
 
     def __hash__(self) -> int:
         return hash(("aspath", self._asns))
-
-    def __len__(self) -> int:
-        return len(self._asns)
 
     def __str__(self) -> str:
         return " ".join(str(asn) for asn in self._asns)
@@ -127,14 +106,6 @@ class PathAttributes(NamedTuple):
             self.next_hop, self.as_path, self.origin, local_pref, self.med, self.communities
         )
 
-    def with_med(self, med: int) -> "PathAttributes":
-        """Copy with a different MULTI_EXIT_DISC."""
-        if med < 0:
-            raise ValueError(f"med must be non-negative, got {med}")
-        return PathAttributes(
-            self.next_hop, self.as_path, self.origin, self.local_pref, med, self.communities
-        )
-
     def prepended(self, asn: int, count: int = 1) -> "PathAttributes":
         """Copy with ``asn`` prepended to the AS path (done when exporting eBGP)."""
         return PathAttributes(
@@ -144,15 +115,4 @@ class PathAttributes(NamedTuple):
             self.local_pref,
             self.med,
             self.communities,
-        )
-
-    def with_community(self, community: Tuple[int, int]) -> "PathAttributes":
-        """Copy with an extra community value attached."""
-        return PathAttributes(
-            self.next_hop,
-            self.as_path,
-            self.origin,
-            self.local_pref,
-            self.med,
-            self.communities | {community},
         )

@@ -23,7 +23,7 @@ is what :class:`~repro.bgp.rib.LocRib` ranks with, and it has no knobs.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Tuple
 
 if TYPE_CHECKING:  # repro.bgp.rib ranks with this module
     from repro.bgp.rib import Route
@@ -47,19 +47,3 @@ def rank_routes(routes: Iterable[Route]) -> List[Route]:
     """Return the routes ordered best-first according to the decision process."""
     return sorted(routes, key=_preference_key)
 
-
-def best_path(routes: Iterable[Route]) -> Optional[Route]:
-    """Return the single best route, or ``None`` for an empty iterable."""
-    ranked = rank_routes(routes)
-    return ranked[0] if ranked else None
-
-
-def compare(route_a: Route, route_b: Route) -> int:
-    """Three-way comparison: negative if ``route_a`` is preferred, positive if
-    ``route_b`` is preferred, zero only for identical keys."""
-    key_a, key_b = _preference_key(route_a), _preference_key(route_b)
-    if key_a < key_b:
-        return -1
-    if key_a > key_b:
-        return 1
-    return 0

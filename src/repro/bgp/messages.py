@@ -91,20 +91,6 @@ class UpdateMessage(BgpMessage):
         """Build a withdraw."""
         return cls(prefix=prefix, attributes=None)
 
-    def rewritten_next_hop(self, next_hop: IPv4Address) -> "UpdateMessage":
-        """Copy of the announcement with the NEXT_HOP rewritten.
-
-        This is the provisioning primitive of the supercharged controller:
-        the only thing it changes in the routes it relays to the router is
-        the next hop (pointing at a virtual next hop).
-        """
-        if self.attributes is None:
-            raise ValueError("cannot rewrite the next hop of a withdraw")
-        return UpdateMessage(
-            prefix=self.prefix,
-            attributes=self.attributes.with_next_hop(next_hop),
-        )
-
 
 @dataclass(frozen=True)
 class UpdateTrain(BgpMessage):

@@ -76,15 +76,6 @@ class RibChange(NamedTuple):
         """Whether the best path changed (including appearing/disappearing)."""
         return self.old_best != self.new_best
 
-    @property
-    def backup_group_changed(self) -> bool:
-        """Whether the (primary, backup) next-hop pair changed."""
-        return self._group(self.old_ranking) != self._group(self.new_ranking)
-
-    @staticmethod
-    def _group(ranking: Tuple[Route, ...]) -> Tuple[Optional[IPv4Address], ...]:
-        return tuple(route.next_hop for route in ranking[:2])
-
 
 class AdjRibOut:
     """Routes advertised to a single peer, keyed by prefix."""
@@ -163,11 +154,6 @@ class LocRib:
         """All known paths for ``prefix`` in preference order."""
         return self._routes.get(prefix, ())
 
-    def backup(self, prefix: IPv4Prefix) -> Optional[Route]:
-        """The second-best path (the backup), if any."""
-        routes = self._routes.get(prefix, ())
-        return routes[1] if len(routes) > 1 else None
-
     def prefixes(self) -> Iterator[IPv4Prefix]:
         """Iterate all prefixes with at least one path."""
         return iter(self._routes.keys())
@@ -183,9 +169,6 @@ class LocRib:
 
     def __len__(self) -> int:
         return len(self._routes)
-
-    def __contains__(self, prefix: IPv4Prefix) -> bool:
-        return prefix in self._routes
 
 
 class CompactPeerRib:
@@ -205,11 +188,11 @@ class CompactPeerRib:
     engine's liveness decision) can cache by tuple identity and never
     allocate per prefix.
 
-    The change-shaped outputs (``announce``/``withdraw``/
-    ``iter_withdraw_peer``) return ranked next-hop tuples of the shared
-    peer :class:`IPv4Address` objects, exactly what
-    :class:`~repro.supercharge.planner.RemoteGroupPlanner` keys groups
-    by; codes iterate sorted, so downstream consumers stay deterministic.
+    The change-shaped output (``iter_withdraw_peer``) yields ranked
+    next-hop tuples of the shared peer :class:`IPv4Address` objects,
+    exactly what :class:`~repro.supercharge.planner.RemoteGroupPlanner`
+    keys groups by; codes iterate sorted, so downstream consumers stay
+    deterministic.
     """
 
     def __init__(self) -> None:
@@ -232,10 +215,6 @@ class CompactPeerRib:
         self._peer_ips.append(peer_ip)
         return index
 
-    def peer_ip(self, index: int) -> IPv4Address:
-        """The address of peer ``index``."""
-        return self._peer_ips[index]
-
     def _ranking(self, mask: int) -> Tuple[IPv4Address, ...]:
         ranking = self._ranking_cache.get(mask)
         if ranking is None:
@@ -248,36 +227,12 @@ class CompactPeerRib:
         return ranking
 
     # ------------------------------------------------------------------
-    # Mutation (change-shaped: returns old/new ranked next hops)
+    # Mutation
     # ------------------------------------------------------------------
-    def announce(
-        self, code: int, peer: int
-    ) -> Tuple[Tuple[IPv4Address, ...], Tuple[IPv4Address, ...]]:
-        """Peer ``peer`` announces ``code``; returns (old, new) rankings."""
-        old_mask = self._masks.get(code, 0)
-        new_mask = old_mask | (1 << peer)
-        if new_mask != old_mask:
-            self._masks[code] = new_mask
-        return self._ranking(old_mask), self._ranking(new_mask)
-
     def load(self, code: int, peer: int) -> None:
-        """Bulk-load ``code`` from peer ``peer`` without computing change
-        output (the table-build path: nothing consumes old/new rankings
-        there, and skipping them trims build CPU)."""
+        """Peer ``peer`` announces ``code`` (the table-build path: no
+        change output, nothing there consumes old/new rankings)."""
         self._masks[code] = self._masks.get(code, 0) | (1 << peer)
-
-    def withdraw(
-        self, code: int, peer: int
-    ) -> Tuple[Tuple[IPv4Address, ...], Tuple[IPv4Address, ...]]:
-        """Peer ``peer`` withdraws ``code``; returns (old, new) rankings."""
-        old_mask = self._masks.get(code, 0)
-        new_mask = old_mask & ~(1 << peer)
-        if new_mask != old_mask:
-            if new_mask:
-                self._masks[code] = new_mask
-            else:
-                del self._masks[code]
-        return self._ranking(old_mask), self._ranking(new_mask)
 
     def iter_withdraw_peer(
         self, peer: int
@@ -305,28 +260,12 @@ class CompactPeerRib:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def ranking_of(self, code: int) -> Tuple[IPv4Address, ...]:
-        """Ranked distinct next hops currently announcing ``code``.
-
-        Returns an interned tuple (same peer pattern -> same object)."""
-        return self._ranking(self._masks.get(code, 0))
-
-    def codes_of_peer(self, peer: int) -> Iterator[int]:
-        """Iterate peer ``peer``\'s announced codes in sorted order."""
-        bit = 1 << peer
-        return iter(sorted(code for code, mask in self._masks.items() if mask & bit))
-
     @property
     def route_count(self) -> int:
         """Total (prefix, peer) entries."""
         # bin().count over int.bit_count(): the latter is Python 3.10+
         # and this repo supports 3.9.
         return sum(bin(mask).count("1") for mask in self._masks.values())
-
-    @property
-    def prefix_count(self) -> int:
-        """Distinct prefixes announced by at least one peer (O(1))."""
-        return len(self._masks)
 
     def __len__(self) -> int:
         return len(self._masks)

@@ -32,7 +32,7 @@ from repro.bgp.messages import (
     UpdateTrain,
 )
 from repro.net.addresses import IPv4Address
-from repro.sim.engine import EventHandle, Simulator
+from repro.sim.engine import Event, Simulator
 from repro.sim.process import PeriodicProcess
 
 
@@ -97,7 +97,7 @@ class BgpSession:
         self._connect_delay = connect_delay
         self._connect_retry = connect_retry
         self._state = BgpSessionState.IDLE
-        self._hold_timer: Optional[EventHandle] = None
+        self._hold_timer: Optional[Event] = None
         self._keepalive_process: Optional[PeriodicProcess] = None
         self._established_callbacks: List[Callable[["BgpSession"], None]] = []
         self._down_callbacks: List[Callable[["BgpSession", str], None]] = []

@@ -180,11 +180,13 @@ class BgpSpeaker:
             self.advertise_routes(peer_ip, routes)
 
     def withdraw_origin(self, prefix: IPv4Prefix) -> None:
-        """Withdraw a locally originated route from all peers."""
+        """Withdraw a locally originated route from all peers; with
+        ``auto_advertise`` on, a learned best path for the prefix is
+        advertised in its place."""
         if self._local_routes.pop(prefix, None) is None:
             return
-        for peer_ip in self._peers:
-            self.advertise_routes(peer_ip, ((prefix, None),))
+        best = self.loc_rib.best(prefix) if self.auto_advertise else None
+        self._propagate_to_peers([(prefix, best)])
 
     # ------------------------------------------------------------------
     # Direct advertisement (used by the supercharged controller)
@@ -255,14 +257,16 @@ class BgpSpeaker:
             callback(peer_ip)
         if not config.advertise:
             return
-        # Initial table transfer: locally originated routes plus current best paths.
-        table: List[Advertisement] = list(self._local_routes.items())
+        # Initial table transfer: locally originated routes plus the best
+        # paths of every other prefix.
+        local = self._local_routes
+        table: List[Advertisement] = list(local.items())
         if self.auto_advertise:
             best = self.loc_rib.best
             table.extend(
                 (prefix, best(prefix).attributes)
                 for prefix in self.loc_rib.prefixes()
-                if best(prefix).source.peer_ip != peer_ip
+                if prefix not in local and best(prefix).source.peer_ip != peer_ip
             )
         self.advertise_routes(peer_ip, table)
 
@@ -358,11 +362,18 @@ class BgpSpeaker:
     # ------------------------------------------------------------------
     def _propagate(self, changes: List[RibChange]) -> None:
         moved = [(c.prefix, c.new_best) for c in changes if c.best_changed]
-        if not moved:
-            return
+        local = self._local_routes
+        if local:
+            # What a speaker exports for a prefix it originates is the
+            # origination, whatever it learns for it.
+            moved = [(prefix, best) for prefix, best in moved if prefix not in local]
+        if moved:
+            self._propagate_to_peers(moved)
+
+    def _propagate_to_peers(self, moved: List[Tuple[IPv4Prefix, Optional[Route]]]) -> None:
         for peer_ip in self._peers:
-            # The peer the new best path was learned from hears a withdraw
-            # (of whatever it was told before), never its own route back.
+            # The peer a best path was learned from hears a withdraw (of
+            # whatever it was told before), never its own route back.
             self.advertise_routes(
                 peer_ip,
                 (

@@ -44,16 +44,6 @@ class BackupGroup:
         return self.key[0]
 
     @property
-    def backup(self) -> Optional[IPv4Address]:
-        """The first backup next hop (``None`` for degenerate single-NH groups)."""
-        return self.key[1] if len(self.key) > 1 else None
-
-    @property
-    def size(self) -> int:
-        """Number of next hops in the group."""
-        return len(self.key)
-
-    @property
     def prefix_count(self) -> int:
         """Number of prefixes currently mapped to the group."""
         return len(self.members)
@@ -120,15 +110,6 @@ class BackupGroupManager:
         key's primary) — a recovered backup peer must never drag a group
         back to a still-dead primary."""
         return self.groups_with_primary(peer)
-
-    def vnh_bindings(self) -> Dict[IPv4Address, MacAddress]:
-        """All VNH → VMAC bindings (what the ARP responder must answer)."""
-        return {group.vnh: group.vmac for group in self._groups.values()}
-
-    @property
-    def prefix_count(self) -> int:
-        """Number of prefixes currently assigned to a group."""
-        return len(self._group_of_prefix)
 
     # ------------------------------------------------------------------
     # The online algorithm (Listing 1)

@@ -19,13 +19,13 @@ attached to the SDN switch that plays three roles simultaneously:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.bfd.manager import BfdManager
 from repro.bgp.rib import RibChange, Route
 from repro.bgp.speaker import Advertisement, BgpSpeaker, PeerConfig
 from repro.core.backup_groups import ActionKind, BackupGroupManager, ProvisioningAction
-from repro.core.convergence import ConvergenceEvent, DataPlaneConvergence
+from repro.core.convergence import DataPlaneConvergence
 from repro.core.flow_provisioner import FlowProvisioner, NextHopLocation
 from repro.core.rest_api import FloodlightRestApi
 from repro.core.vnh_allocator import VnhAllocator
@@ -122,7 +122,6 @@ class SuperchargedController(Host):
         self.rest_api: Optional[FloodlightRestApi] = None
         self.provisioner: Optional[FlowProvisioner] = None
         self.convergence: Optional[DataPlaneConvergence] = None
-        self._failure_listeners: List[Callable[[IPv4Address, ConvergenceEvent], None]] = []
         self.updates_relayed = 0
         self.withdraws_relayed = 0
         self._started = False
@@ -161,12 +160,6 @@ class SuperchargedController(Host):
                 holddown=self.config.remote_holddown,
                 rng=self._sim.random.fork(f"remote:{self.name}"),
             )
-
-    def on_failure_handled(
-        self, callback: Callable[[IPv4Address, ConvergenceEvent], None]
-    ) -> None:
-        """Register a callback fired after Listing 2 ran for a failed peer."""
-        self._failure_listeners.append(callback)
 
     def attach_telemetry(self, telemetry) -> None:
         """Enable observability for this controller and every subcomponent
@@ -226,9 +219,11 @@ class SuperchargedController(Host):
         self.bgp.start()
 
     def shutdown(self) -> None:
-        """Crash the controller: it stops reacting to any input and its BGP
-        and BFD sessions go silent (peers will notice via their own timers).
-        Used by the reliability experiments."""
+        """Crash the controller: it stops reacting to any input, each
+        established BGP session sends a Cease NOTIFICATION as it closes (so
+        its peers drop the controller's routes at once), and its BFD
+        sessions stop transmitting (peers notice via their detection
+        timers).  Used by the reliability experiments."""
         if self._crashed:
             return
         self._crashed = True
@@ -327,19 +322,16 @@ class SuperchargedController(Host):
         if self.convergence is not None:
             event = self.convergence.peer_down(peer_ip, now=self._sim.now)
         super()._handle_bfd_peer_down(peer_ip, reason)
-        if event is not None:
-            if self._telemetry is not None:
-                self._telemetry.counter("controller.failovers").inc()
-                self._telemetry.emit(
-                    "ctrl.failover",
-                    controller=self.name,
-                    peer=str(peer_ip),
-                    groups_redirected=event.groups_redirected,
-                    groups_unprotected=event.groups_unprotected,
-                )
-                self.sample_occupancy()
-            for callback in list(self._failure_listeners):
-                callback(peer_ip, event)
+        if event is not None and self._telemetry is not None:
+            self._telemetry.counter("controller.failovers").inc()
+            self._telemetry.emit(
+                "ctrl.failover",
+                controller=self.name,
+                peer=str(peer_ip),
+                groups_redirected=event.groups_redirected,
+                groups_unprotected=event.groups_unprotected,
+            )
+            self.sample_occupancy()
 
     def _handle_bfd_peer_up(self, peer_ip: IPv4Address) -> None:
         if self._crashed:

@@ -14,10 +14,9 @@ router.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List
 
-from repro.core.controller import ControllerConfig, SuperchargedController
-from repro.net.addresses import IPv4Address
+from repro.core.controller import SuperchargedController
 from repro.sim.engine import Simulator
 
 
@@ -47,10 +46,6 @@ class ControllerCluster:
         """Replicas that have not been failed."""
         return [c for name, c in self._replicas.items() if not self._failed[name]]
 
-    def replica(self, name: str) -> SuperchargedController:
-        """Look up a replica by name."""
-        return self._replicas[name]
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
@@ -68,10 +63,6 @@ class ControllerCluster:
         self._failed[name] = True
         controller.shutdown()
         return controller
-
-    def is_failed(self, name: str) -> bool:
-        """Whether the named replica has been crashed."""
-        return self._failed.get(name, False)
 
     # ------------------------------------------------------------------
     # Invariants

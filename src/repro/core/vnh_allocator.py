@@ -57,7 +57,6 @@ class VnhAllocator:
         self._pool_last = pool.last_address.value
         self._pool_size = pool.num_addresses
         self._allocated: Dict[int, int] = {}  # vnh value -> vmac value
-        self._vmac_values: Set[int] = set()  # live vmacs (O(1) is_virtual_mac)
         self._released: List[Tuple[int, int]] = []
         self._cursor = 0
 
@@ -113,7 +112,6 @@ class VnhAllocator:
             # ``len + 1`` never collides with a live allocation.
             vmac = self._vmac_base + len(self._allocated) + 1
         self._allocated[vnh] = vmac
-        self._vmac_values.add(vmac)
         return IPv4Address(vnh), MacAddress(vmac)
 
     def release(self, vnh: IPv4Address) -> bool:
@@ -121,23 +119,5 @@ class VnhAllocator:
         vmac = self._allocated.pop(vnh.value, None)
         if vmac is None:
             return False
-        self._vmac_values.discard(vmac)
         self._released.append((vnh.value, vmac))
         return True
-
-    def vmac_of(self, vnh: IPv4Address) -> Optional[MacAddress]:
-        """The VMAC currently bound to ``vnh``, if allocated."""
-        vmac = self._allocated.get(vnh.value)
-        return MacAddress(vmac) if vmac is not None else None
-
-    def allocations(self) -> Dict[IPv4Address, MacAddress]:
-        """All current allocations."""
-        return {
-            IPv4Address(vnh): MacAddress(vmac)
-            for vnh, vmac in self._allocated.items()
-        }
-
-    def is_virtual_mac(self, mac: MacAddress) -> bool:
-        """Whether ``mac`` belongs to the virtual MAC range of this allocator
-        (O(1): a live-vmac set replaces the original linear scan)."""
-        return mac.value in self._vmac_values

@@ -11,7 +11,7 @@ bound and the typical much-smaller count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 from repro.bgp.rib import LocRib, Route, RouteSource
 from repro.core.backup_groups import BackupGroupManager

@@ -73,12 +73,6 @@ class Figure5Row:
     detection_times: List[float]
     repetitions: int
 
-    @property
-    def label(self) -> str:
-        """Human-readable row label."""
-        mode = "supercharged" if self.supercharged else "non-supercharged"
-        return f"{self.num_prefixes} prefixes ({mode})"
-
 
 @dataclass
 class Figure5Experiment:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import re
-from typing import Callable, Iterator, Tuple, Union
+from typing import Callable, Tuple, Union
 
 
 class AddressError(ValueError):
@@ -57,16 +57,6 @@ class MacAddress:
     def is_broadcast(self) -> bool:
         """True for ff:ff:ff:ff:ff:ff."""
         return self._value == self.MAX
-
-    @property
-    def is_multicast(self) -> bool:
-        """True if the group bit (least-significant bit of first octet) is set."""
-        return bool((self._value >> 40) & 0x01)
-
-    @property
-    def is_locally_administered(self) -> bool:
-        """True if the locally-administered bit is set (used for virtual MACs)."""
-        return bool((self._value >> 40) & 0x02)
 
     def __str__(self) -> str:
         raw = f"{self._value:012x}"
@@ -144,9 +134,6 @@ class IPv4Address:
 
     def __lt__(self, other: "IPv4Address") -> bool:
         return self._value < other._value
-
-    def __add__(self, offset: int) -> "IPv4Address":
-        return IPv4Address((self._value + offset) & self.MAX)
 
 
 #: Netmask per prefix length (index = length): the one table the prefix,
@@ -227,19 +214,9 @@ class IPv4Prefix(int):
         return self & 0x3F
 
     @property
-    def netmask(self) -> IPv4Address:
-        """The netmask as an address."""
-        return IPv4Address(MASKS[self & 0x3F])
-
-    @property
     def num_addresses(self) -> int:
         """Number of addresses covered by the prefix."""
         return 1 << (32 - (self & 0x3F))
-
-    @property
-    def first_address(self) -> IPv4Address:
-        """The lowest address of the prefix (the network address)."""
-        return IPv4Address(self >> 6)
 
     @property
     def last_address(self) -> IPv4Address:
@@ -256,12 +233,6 @@ class IPv4Prefix(int):
         if isinstance(item, IPv4Prefix):
             return (item & 0x3F) >= length and ((item >> 6) & MASKS[length]) == network
         raise AddressError(f"cannot test containment of {type(item).__name__}")
-
-    def hosts(self, limit: int = None) -> Iterator[IPv4Address]:
-        """Iterate addresses inside the prefix (optionally capped at ``limit``)."""
-        count = self.num_addresses if limit is None else min(limit, self.num_addresses)
-        for offset in range(count):
-            yield IPv4Address((self >> 6) + offset)
 
     def as_tuple(self) -> Tuple[int, int]:
         """``(network_int, length)`` of the prefix."""

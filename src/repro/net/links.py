@@ -10,7 +10,7 @@ evaluation (R2 being disconnected from the switch).
 from __future__ import annotations
 
 import enum
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from repro.net.packets import EthernetFrame
 from repro.sim.engine import Simulator
@@ -238,13 +238,3 @@ class Link:
     def __repr__(self) -> str:
         return f"Link({self.name}, {self._state.value})"
 
-
-def connect(
-    sim: Simulator,
-    port_a: Port,
-    port_b: Port,
-    latency: float = 10e-6,
-    name: str = "",
-) -> Link:
-    """Convenience wrapper: wire two ports together and return the link."""
-    return Link(sim, port_a, port_b, latency=latency, name=name)

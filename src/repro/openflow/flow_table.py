@@ -11,8 +11,8 @@ design needs: the switch holds one rule per backup group plus a few static
 ones (5 / 3 / 7 rules on the campaign workloads, 34 with 30 providers; the
 address plan tops out at 30*29 + 32 = 902), see docs/performance.md for
 the measured price of a scan at each of those sizes.  Replacing an entry
-moves it to the back of its priority class, ``modify`` keeps its slot and
-its counters (locked by tests/test_dataplane_semantics.py).
+moves it to the back of its priority class, ``modify`` keeps its slot
+(locked by tests/test_dataplane_semantics.py).
 """
 
 from __future__ import annotations
@@ -57,15 +57,6 @@ class FlowMatch:
         if self.eth_src is not None and self.eth_src != frame.src_mac:
             return False
         return True
-
-    @property
-    def specificity(self) -> int:
-        """Number of non-wildcarded fields (diagnostics only)."""
-        return sum(
-            1
-            for value in (self.in_port, self.eth_type, self.eth_dst, self.eth_src)
-            if value is not None
-        )
 
 
 @dataclass(frozen=True)
@@ -112,52 +103,43 @@ class FlowEntry:
         return replace(self, actions=actions)
 
 
-@dataclass
-class FlowStats:
-    """Per-entry counters."""
-
-    packets: int = 0
-    bytes: int = 0
-
-
 class FlowTable:
-    """Priority-ordered flow table with per-entry counters.
+    """Priority-ordered flow table.
 
     ``capacity`` models the limited TCAM of a hardware switch; exceeding it
     raises :class:`FlowTableError` out of the install (and so out of the
     switch's programming event: a rejected flow-mod is never counted as
     applied).
 
-    The whole state is ``_rows``: ``(entry, counters)`` pairs, highest
-    priority first, install order within a priority.  A fresh or replaced
-    entry goes to the back of its priority class; ``modify`` swaps the
-    entry in its slot and keeps the counters.  Entries are unique per
-    ``(match, priority)``.
+    The whole state is ``_entries``, highest priority first, install
+    order within a priority.  A fresh or replaced entry goes to the back
+    of its priority class; ``modify`` swaps the entry in its slot.
+    Entries are unique per ``(match, priority)``.
     """
 
     def __init__(self, capacity: int = 4096) -> None:
         if capacity <= 0:
             raise FlowTableError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
-        self._rows: List[Tuple[FlowEntry, FlowStats]] = []
+        self._entries: List[FlowEntry] = []
 
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
     def install(self, entry: FlowEntry) -> None:
         """Add an entry; an entry with an identical match+priority is replaced."""
-        rows = self._rows
+        entries = self._entries
         slot = self._slot(entry.match, entry.priority)
         if slot is not None:
-            del rows[slot]
-        elif len(rows) >= self.capacity:
+            del entries[slot]
+        elif len(entries) >= self.capacity:
             raise FlowTableError(
                 f"flow table full ({self.capacity} entries), cannot install {entry}"
             )
         # Back of its priority class: right before the first lower priority.
         priority = entry.priority
-        back = sum(1 for other, _stats in rows if other.priority >= priority)
-        rows.insert(back, (entry, FlowStats()))
+        back = sum(1 for other in entries if other.priority >= priority)
+        entries.insert(back, entry)
 
     def modify(self, match: FlowMatch, priority: int, actions: Actions) -> bool:
         """Replace the actions of the entry with the given match+priority.
@@ -168,8 +150,7 @@ class FlowTable:
         slot = self._slot(match, priority)
         if slot is None:
             return False
-        entry, stats = self._rows[slot]
-        self._rows[slot] = (entry.with_actions(actions), stats)
+        self._entries[slot] = self._entries[slot].with_actions(actions)
         return True
 
     def apply_batch(self, flow_mods: Iterable["FlowMod"], now: float = 0.0) -> int:
@@ -214,68 +195,45 @@ class FlowTable:
         Returns the number of removed entries.
         """
         kept = [
-            row
-            for row in self._rows
-            if not (row[0].match == match and priority in (None, row[0].priority))
+            entry
+            for entry in self._entries
+            if not (entry.match == match and priority in (None, entry.priority))
         ]
-        removed = len(self._rows) - len(kept)
-        self._rows = kept
+        removed = len(self._entries) - len(kept)
+        self._entries = kept
         return removed
 
     def clear(self) -> None:
         """Remove every entry."""
-        self._rows = []
+        self._entries = []
 
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
-    def match(self, frame: EthernetFrame, in_port: int) -> Optional[FlowEntry]:
-        """Highest-priority matching entry; no counter moves (what-if walks)."""
-        row = self._first_match(frame, in_port)
-        return row[0] if row is not None else None
-
     def lookup(self, frame: EthernetFrame, in_port: int) -> Optional[FlowEntry]:
-        """Highest-priority matching entry, updating its counters."""
-        row = self._first_match(frame, in_port)
-        if row is None:
-            return None
-        entry, stats = row
-        stats.packets += 1
-        stats.bytes += frame.size_bytes
-        return entry
-
-    def stats(self, entry: FlowEntry) -> FlowStats:
-        """Counters of an installed entry (the very object, not an equal one)."""
-        for installed, stats in self._rows:
-            if installed is entry:
-                return stats
-        raise FlowTableError("entry is not installed in this table")
-
-    def entries(self) -> Tuple[FlowEntry, ...]:
-        """All entries in priority order."""
-        return tuple(entry for entry, _stats in self._rows)
+        """Highest-priority matching entry."""
+        for entry in self._entries:
+            if entry.match.matches(frame, in_port):
+                return entry
+        return None
 
     def find(self, match: FlowMatch, priority: int) -> Optional[FlowEntry]:
         """The installed entry with exactly this match and priority, if any."""
         slot = self._slot(match, priority)
-        return self._rows[slot][0] if slot is not None else None
+        return self._entries[slot] if slot is not None else None
+
+    def entries(self) -> Tuple[FlowEntry, ...]:
+        """All entries in priority order."""
+        return tuple(self._entries)
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._entries)
 
     # ------------------------------------------------------------------
     # Scans
     # ------------------------------------------------------------------
     def _slot(self, match: FlowMatch, priority: int) -> Optional[int]:
-        for slot, (entry, _stats) in enumerate(self._rows):
+        for slot, entry in enumerate(self._entries):
             if entry.priority == priority and entry.match == match:
                 return slot
-        return None
-
-    def _first_match(
-        self, frame: EthernetFrame, in_port: int
-    ) -> Optional[Tuple[FlowEntry, FlowStats]]:
-        for row in self._rows:
-            if row[0].match.matches(frame, in_port):
-                return row
         return None

@@ -87,10 +87,6 @@ class OpenFlowSwitch:
         self._ports[number] = port
         return port
 
-    def port(self, number: int) -> Port:
-        """The port object with the given number."""
-        return self._ports[number]
-
     def ports(self) -> Dict[int, Port]:
         """All ports by number."""
         return dict(self._ports)

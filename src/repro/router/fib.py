@@ -154,15 +154,8 @@ class FlatFib:
         """Iterate all installed entries."""
         return self._table.values()
 
-    def prefixes_using(self, mac: MacAddress) -> List[IPv4Prefix]:
-        """All prefixes whose adjacency points at ``mac`` (diagnostics)."""
-        return [e.prefix for e in self._table.values() if e.adjacency.mac == mac]
-
     def __len__(self) -> int:
         return len(self._table)
-
-    def __contains__(self, prefix: IPv4Prefix) -> bool:
-        return prefix in self._table
 
 
 class HierarchicalFib:
@@ -197,14 +190,6 @@ class HierarchicalFib:
             raise KeyError(f"unknown adjacency pointer {pointer}")
         self._adjacencies[pointer] = adjacency
 
-    def adjacency(self, pointer: int) -> Adjacency:
-        """The adjacency currently behind ``pointer``."""
-        return self._adjacencies[pointer]
-
-    def pointers(self) -> Dict[int, Adjacency]:
-        """All pointers and their adjacencies."""
-        return dict(self._adjacencies)
-
     # ------------------------------------------------------------------
     # Prefix entries
     # ------------------------------------------------------------------
@@ -238,13 +223,5 @@ class HierarchicalFib:
             prefix=prefix, adjacency=self._adjacencies[pointer], updated_at=updated_at
         )
 
-    def pointer_of(self, prefix: IPv4Prefix) -> Optional[int]:
-        """Pointer id used by ``prefix``, if installed."""
-        stored = self._table.exact(prefix)
-        return stored[0] if stored is not None else None
-
     def __len__(self) -> int:
         return len(self._table)
-
-    def __contains__(self, prefix: IPv4Prefix) -> bool:
-        return prefix in self._table

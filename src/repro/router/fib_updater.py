@@ -24,7 +24,7 @@ from typing import Callable, Deque, List, NamedTuple, Optional, Sequence
 
 from repro.net.addresses import IPv4Prefix
 from repro.router.fib import Adjacency, FlatFib
-from repro.sim.engine import EventHandle, Simulator
+from repro.sim.engine import Event, Simulator
 
 #: Fixed bucket edges (ms) of the per-batch install-latency histogram:
 #: spans one first-entry latency (~375 ms) up to a full-table download.
@@ -78,7 +78,7 @@ class FibUpdater:
         self.name = name
         self._queue: Deque[FibWriteRequest] = deque()
         self._busy = False
-        self._pending_event: Optional[EventHandle] = None
+        self._pending_event: Optional[Event] = None
         self._listeners: List[Callable[[IPv4Prefix, Optional[Adjacency], float], None]] = []
         self._idle_listeners: List[Callable[[], None]] = []
         self.writes_applied = 0

@@ -149,15 +149,6 @@ class Router(Host):
         """Stop blackholing ``prefix`` (upstream path restored)."""
         self._blackholes.discard(prefix)
 
-    def blackholed_prefixes(self) -> List[IPv4Prefix]:
-        """All currently blackholed prefixes, in prefix order.
-
-        Sorted because ``self._blackholes`` is a set: callers compare
-        this list across runs (tests, potential exports), so its order
-        must not depend on hash seeds or insertion history.
-        """
-        return sorted(self._blackholes)
-
     def blackholes_prefix(self, prefix: IPv4Prefix) -> bool:
         """Whether exactly ``prefix`` is currently blackholed."""
         return prefix in self._blackholes

@@ -2,9 +2,9 @@
 
 A scenario's behaviour must be a function of its spec and seed alone —
 that is the determinism contract the linter's DET005 rule enforces by
-banning ``os.environ`` reads everywhere else in ``src/repro``.  The few
-legitimate environment knobs (the ``REPRO_FULL_SCALE`` opt-in, report paths)
-are read *here*, at experiment-setup time, and surfaced to callers as
+banning ``os.environ`` reads everywhere else in ``src/repro``.  The
+legitimate environment knobs (the ``REPRO_FULL_SCALE`` opt-in) are read
+*here*, at experiment-setup time, and surfaced to callers as
 explicit values; nothing in a running simulation may consult them.
 
 Keeping every read in one module makes the environment surface
@@ -15,9 +15,8 @@ stray ``os.environ.get`` somewhere in a sim path.
 from __future__ import annotations
 
 import os
-from typing import Optional
 
-__all__ = ["env_flag", "env_text", "pool_start_method"]
+__all__ = ["env_flag", "pool_start_method"]
 
 #: Spellings accepted as "on" (case-insensitive).
 _TRUTHY = frozenset({"1", "true", "yes", "on"})
@@ -29,12 +28,6 @@ def env_flag(name: str, default: bool = False) -> bool:
     if raw is None:
         return default
     return raw.strip().lower() in _TRUTHY
-
-
-def env_text(name: str, default: Optional[str] = None) -> Optional[str]:
-    """Free-text knob (e.g. a report output path)."""
-    raw = os.environ.get(name)
-    return default if raw is None else raw
 
 
 def pool_start_method() -> str:

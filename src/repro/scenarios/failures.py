@@ -31,7 +31,7 @@ from repro.net.packets import EtherType, EthernetFrame, IpProtocol
 from repro.routes.ris_feed import FeedRoute
 from repro.scenarios.spec import FailureSpec, ScenarioSpecError
 from repro.scenarios.testbed import ScenarioLab
-from repro.sim.engine import EventHandle
+from repro.sim.engine import Event
 from repro.sim.random import SeededRandom
 
 #: Detour ASN spliced into shifted AS paths (below every device ASN the
@@ -81,7 +81,7 @@ class FailureInjector:
     # ------------------------------------------------------------------
     def arm(
         self, failures: Optional[Sequence[FailureSpec]] = None, start: Optional[float] = None
-    ) -> List[EventHandle]:
+    ) -> List[Event]:
         """Schedule every event ``start + failure.at`` seconds into the sim.
 
         ``failures`` defaults to the lab spec's campaign; ``start`` defaults

@@ -175,8 +175,6 @@ class ScenarioSpec:
     #: recorded-feed update stream (see ``routes/ris_feed.churn_stream``)
     #: at this many updates per simulated second, alongside the campaign.
     churn_rate_ups: float = 0.0
-    #: How many stream updates to replay (0 = the whole stream once).
-    churn_updates: int = 0
     #: Share of replayed prefixes that are withdrawn mid-stream.
     churn_withdraw_fraction: float = 0.0
     #: Remote supercharge (supercharged mode only): controllers plan
@@ -275,10 +273,6 @@ class ScenarioSpec:
         if self.churn_rate_ups < 0:
             raise ScenarioSpecError(
                 f"churn_rate_ups must be >= 0, got {self.churn_rate_ups}"
-            )
-        if self.churn_updates < 0:
-            raise ScenarioSpecError(
-                f"churn_updates must be >= 0, got {self.churn_updates}"
             )
         if not 0.0 <= self.churn_withdraw_fraction <= 1.0:
             raise ScenarioSpecError(

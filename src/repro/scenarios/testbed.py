@@ -711,8 +711,6 @@ class ScenarioLab:
                     seed=spec.seed + 104729,
                 )
             )
-            if spec.churn_updates > 0:
-                updates = updates[: spec.churn_updates]
             interval = 1.0 / spec.churn_rate_ups
             provider = self.providers[0]
             self.sim.schedule_batch(

@@ -15,10 +15,10 @@ events on the ``fig4-*`` benchmark workloads, 88% on ``churn-failover``);
 an append-only in-order lane would serve the remainder only
 (docs/performance.md).
 
-``pending_events`` is O(1) (heap length minus a live cancelled count),
-and :meth:`Simulator.schedule_batch` amortises the per-call overhead for
-components that arm many events at once (failure campaigns, traffic
-flows).
+A cancelled event stays in the heap until it reaches the head, where
+the run loop discards it.  :meth:`Simulator.schedule_batch` amortises
+the per-call overhead for components that arm many events at once
+(failure campaigns, traffic flows).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import gc
 import math
 from contextlib import contextmanager
 from heapq import heappop, heappush
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 _isfinite = math.isfinite
 _INF = float("inf")
@@ -71,30 +71,16 @@ class Event:
     the order they were scheduled (deterministic FIFO tie-breaking, which
     matters for reproducibility).
 
-    The schedule/step hot path allocates exactly one object per event:
-    the record :meth:`Simulator.schedule` returns *is* the handle
-    (``EventHandle`` is an alias), exposing ``time``/``name``/
-    ``cancelled``/``executed`` and :meth:`cancel`.
+    The schedule/run hot path allocates exactly one object per event:
+    the record :meth:`Simulator.schedule` returns *is* the handle,
+    exposing ``time``/``name``/``cancelled``/``executed`` and
+    :meth:`cancel`.
     """
 
-    __slots__ = (
-        "time",
-        "sequence",
-        "callback",
-        "name",
-        "cancelled",
-        "executed",
-        "_sim",
-        "_epoch",
-    )
+    __slots__ = ("time", "sequence", "callback", "name", "cancelled", "executed")
 
     def __init__(
-        self,
-        time: float,
-        sequence: int,
-        callback: Callable[[], None],
-        name: str = "",
-        sim: Optional["Simulator"] = None,
+        self, time: float, sequence: int, callback: Callable[[], None], name: str = ""
     ) -> None:
         self.time = time
         self.sequence = sequence
@@ -102,8 +88,6 @@ class Event:
         self.name = name
         self.cancelled = False
         self.executed = False
-        self._sim = sim
-        self._epoch = sim._epoch if sim is not None else 0
 
     def cancel(self) -> bool:
         """Cancel the event.
@@ -115,17 +99,7 @@ class Event:
         if self.cancelled or self.executed:
             return False
         self.cancelled = True
-        # Track cancelled-but-still-queued events so pending_events stays
-        # O(1); a reset() in between (epoch bump) means the event left the
-        # queue and must not be counted.
-        sim = self._sim
-        if sim is not None and self._epoch == sim._epoch:
-            sim._cancelled += 1
         return True
-
-
-#: Backwards-compatible name: the event record is its own handle.
-EventHandle = Event
 
 
 class Simulator:
@@ -148,16 +122,11 @@ class Simulator:
         self._heap: List[_Entry] = []
         self._sequence = 0
         self._executed = 0
-        #: Cancelled events still sitting in the heap (lazily discarded).
-        self._cancelled = 0
-        self._epoch = 0
         self._running = False
         #: Optional passive observer called as ``observer(name, when)``
         #: after each executed event (see :meth:`set_observer`).
         self._observer: Optional[Callable[[str, float], None]] = None
         self.random = SeededRandom(seed)
-        #: Free-form registry components may use to find each other by name.
-        self.registry: Dict[str, Any] = {}
 
     # ------------------------------------------------------------------
     # Clock
@@ -184,15 +153,6 @@ class Simulator:
         """
         self._observer = observer
 
-    @property
-    def pending_events(self) -> int:
-        """Number of not-yet-cancelled events still in the queue.
-
-        O(1): the heap length minus a live count of cancelled-but-queued
-        events (maintained on cancel and lazy discard), not a scan.
-        """
-        return len(self._heap) - self._cancelled
-
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
@@ -201,7 +161,7 @@ class Simulator:
         delay: float,
         callback: Callable[[], None],
         name: str = "",
-    ) -> EventHandle:
+    ) -> Event:
         """Schedule ``callback`` to run ``delay`` seconds from now.
 
         ``delay`` must be non-negative and finite.
@@ -219,7 +179,7 @@ class Simulator:
         when: float,
         callback: Callable[[], None],
         name: str = "",
-    ) -> EventHandle:
+    ) -> Event:
         """Schedule ``callback`` at absolute simulation time ``when``."""
         if when < self._now:
             raise SimulationError(
@@ -232,7 +192,7 @@ class Simulator:
     def schedule_batch(
         self,
         items: Iterable[Sequence],
-    ) -> List[EventHandle]:
+    ) -> List[Event]:
         """Schedule many callbacks in one call.
 
         ``items`` is an iterable of ``(delay, callback)`` or ``(delay,
@@ -247,7 +207,7 @@ class Simulator:
         now = self._now
         heap = self._heap
         sequence = self._sequence
-        handles: List[EventHandle] = []
+        handles: List[Event] = []
         append = handles.append
         for item in items:
             delay = item[0]
@@ -258,46 +218,27 @@ class Simulator:
                 raise SimulationError(f"delay must be finite, got {delay}")
             callback = item[1]
             when = now + delay
-            event = Event(when, sequence, callback, item[2] if len(item) > 2 else "", self)
+            event = Event(when, sequence, callback, item[2] if len(item) > 2 else "")
             heappush(heap, (when, sequence, callback, event))
             sequence += 1
             append(event)
         self._sequence = sequence
         return handles
 
-    def call_soon(self, callback: Callable[[], None], name: str = "") -> EventHandle:
+    def call_soon(self, callback: Callable[[], None], name: str = "") -> Event:
         """Schedule ``callback`` at the current instant (after pending same-time events)."""
         return self._push(self._now, callback, name)
 
-    def _push(self, when: float, callback: Callable[[], None], name: str) -> EventHandle:
+    def _push(self, when: float, callback: Callable[[], None], name: str) -> Event:
         sequence = self._sequence
         self._sequence = sequence + 1
-        event = Event(when, sequence, callback, name, self)
+        event = Event(when, sequence, callback, name)
         heappush(self._heap, (when, sequence, callback, event))
         return event
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Execute the next pending event.
-
-        Returns ``True`` if an event was executed, ``False`` if the queue
-        was empty (cancelled events are skipped silently).
-        """
-        if self.next_event_time() is None:
-            return False
-        when, _sequence, callback, event = heappop(self._heap)
-        if when < self._now:
-            raise SimulationError("event queue corrupted: time went backwards")
-        self._now = when
-        self._executed += 1
-        event.executed = True
-        if self._observer is not None:
-            self._observer(event.name, when)
-        callback()
-        return True
-
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
         """Run events until the queue drains, ``until`` is reached, or ``max_events``.
 
@@ -323,14 +264,12 @@ class Simulator:
         horizon = _INF if until is None else until
         budget = _INF if max_events is None else max_events
         try:
-            # The executed counter is accumulated locally and flushed as a
-            # delta in the finally block (a callback that drives the clock
-            # itself via step() stays correctly counted).
+            # The executed counter is accumulated locally and flushed in the
+            # finally block, so an exception from a callback keeps it exact.
             while heap and executed < budget:
                 when, _sequence, callback, event = heap[0]
                 if event.cancelled:
                     pop(heap)
-                    self._cancelled -= 1
                     continue
                 if when > horizon:
                     break
@@ -358,26 +297,3 @@ class Simulator:
         if duration < 0:
             raise SimulationError(f"duration must be non-negative, got {duration}")
         return self.run(until=self._now + duration, max_events=max_events)
-
-    # ------------------------------------------------------------------
-    # Introspection helpers
-    # ------------------------------------------------------------------
-    def next_event_time(self) -> Optional[float]:
-        """Timestamp of the next pending event, or ``None`` if idle."""
-        heap = self._heap
-        while heap:
-            when, _sequence, _callback, event = heap[0]
-            if not event.cancelled:
-                return when
-            heappop(heap)
-            self._cancelled -= 1
-        return None
-
-    def reset(self) -> None:
-        """Drop all pending events and rewind the clock to zero."""
-        self._heap.clear()
-        self._now = 0.0
-        self._executed = 0
-        self._cancelled = 0
-        # Invalidate outstanding handles' claim on the cancelled counter.
-        self._epoch += 1

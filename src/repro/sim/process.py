@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 from typing import Callable, Optional
 
-from repro.sim.engine import EventHandle, SimulationError, Simulator
+from repro.sim.engine import Event, SimulationError, Simulator
 
 
 class ProcessState(enum.Enum):
@@ -58,23 +58,12 @@ class PeriodicProcess:
         self._jitter = jitter
         self._name = name
         self._state = ProcessState.CREATED
-        self._handle: Optional[EventHandle] = None
-        self._ticks = 0
+        self._handle: Optional[Event] = None
 
     @property
     def state(self) -> ProcessState:
         """Current lifecycle state."""
         return self._state
-
-    @property
-    def interval(self) -> float:
-        """Base period in seconds."""
-        return self._interval
-
-    @property
-    def ticks(self) -> int:
-        """Number of times the callback has run."""
-        return self._ticks
 
     def start(self, initial_delay: Optional[float] = None) -> None:
         """Start ticking.  The first tick fires after ``initial_delay``
@@ -92,16 +81,9 @@ class PeriodicProcess:
             self._handle = None
         self._state = ProcessState.STOPPED
 
-    def set_interval(self, interval: float) -> None:
-        """Change the period; takes effect from the next reschedule."""
-        if interval <= 0:
-            raise SimulationError(f"interval must be positive, got {interval}")
-        self._interval = interval
-
     def _tick(self) -> None:
         if self._state is not ProcessState.RUNNING:
             return
-        self._ticks += 1
         self._callback()
         if self._state is not ProcessState.RUNNING:
             # The callback may have stopped the process.

@@ -21,11 +21,6 @@ class SeededRandom:
         self._seed = seed
         self._rng = random.Random(seed)
 
-    @property
-    def seed(self) -> int:
-        """The seed this source was created with."""
-        return self._seed
-
     def fork(self, label: str) -> "SeededRandom":
         """Derive an independent, reproducible child source.
 
@@ -46,21 +41,9 @@ class SeededRandom:
         """Uniform integer in ``[low, high]`` inclusive."""
         return self._rng.randint(low, high)
 
-    def expovariate(self, rate: float) -> float:
-        """Exponentially distributed value with the given rate."""
-        return self._rng.expovariate(rate)
-
-    def choice(self, items: Sequence[T]) -> T:
-        """Pick one element uniformly at random."""
-        return self._rng.choice(items)
-
     def sample(self, items: Sequence[T], count: int) -> List[T]:
         """Pick ``count`` distinct elements uniformly at random."""
         return self._rng.sample(items, count)
-
-    def shuffle(self, items: List[T]) -> None:
-        """Shuffle ``items`` in place."""
-        self._rng.shuffle(items)
 
     def random(self) -> float:
         """Uniform float in ``[0, 1)``."""

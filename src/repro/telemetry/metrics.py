@@ -128,11 +128,6 @@ class Histogram:
         if self.max is None or value > self.max:
             self.max = value
 
-    @property
-    def mean(self) -> float:
-        """Arithmetic mean of the samples (0.0 when empty)."""
-        return self.total / self.count if self.count else 0.0
-
     def quantile(self, q: float) -> Optional[float]:
         """Bucket-interpolated quantile estimate (None when empty).
 
@@ -217,10 +212,6 @@ class MetricsRegistry:
         """The instrument called ``name``, if registered."""
         return self._instruments.get(name)
 
-    def names(self) -> List[str]:
-        """All registered instrument names, sorted."""
-        return sorted(self._instruments)
-
     def to_dict(self) -> Dict[str, Any]:
         """Primitive snapshot of every instrument, keyed by sorted name."""
         return {
@@ -244,9 +235,6 @@ class MetricsRegistry:
                 f" not a {kind.__name__}"
             )
         return instrument
-
-    def __len__(self) -> int:
-        return len(self._instruments)
 
     def __repr__(self) -> str:
         return f"MetricsRegistry({len(self._instruments)} instruments)"

@@ -56,10 +56,6 @@ class SimProfiler:
         if advanced > 0.0:
             self._sim_time[key] = self._sim_time.get(key, 0.0) + advanced
 
-    def handlers(self) -> List[str]:
-        """Observed handler keys, sorted."""
-        return sorted(self._counts)
-
     def to_dict(self) -> Dict[str, Any]:
         """Byte-stable snapshot: per-handler counts, attributed sim time
         and its share of the total observed sim time."""
@@ -77,33 +73,6 @@ class SimProfiler:
             "sim_time_total_s": round(total_time, 9),
             "handlers": handlers,
         }
-
-    def table(self) -> str:
-        """Fixed-width text rendering, busiest handler first."""
-        snapshot = self.to_dict()
-        handlers: Dict[str, Dict[str, Any]] = snapshot["handlers"]
-        lines = [f"{'handler':<40} {'count':>10} {'sim_time_s':>14} {'share':>8}"]
-        ordered = sorted(
-            handlers.items(),
-            key=lambda item: (-item[1]["count"], item[0]),
-        )
-        for key, stats in ordered:
-            lines.append(
-                f"{key:<40} {stats['count']:>10} {stats['sim_time_s']:>14.9f}"
-                f" {stats['share']:>8.4f}"
-            )
-        lines.append(
-            f"{'total':<40} {snapshot['events_observed']:>10}"
-            f" {snapshot['sim_time_total_s']:>14.9f} {1.0 if handlers else 0.0:>8.4f}"
-        )
-        return "\n".join(lines)
-
-    def reset(self) -> None:
-        """Forget everything (a fresh profile window)."""
-        self._counts.clear()
-        self._sim_time.clear()
-        self._last_now = None
-        self.events_observed = 0
 
     def __repr__(self) -> str:
         return f"SimProfiler({len(self._counts)} handlers, {self.events_observed} events)"

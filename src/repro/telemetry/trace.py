@@ -20,9 +20,7 @@ Determinism rules (the same contract as the metrics registry):
 
 :class:`Span` measures an interval in sim time: ``telemetry.span("x")``
 opens it, ``span.end()`` emits one ``TraceEvent`` whose ``duration`` field
-is the elapsed simulated seconds.  Spans are also context managers:
-``with telemetry.span("x"):`` ends the span on exit and records an
-escaping exception's type as an ``error`` field.
+is the elapsed simulated seconds.
 
 The bus knows nothing of failure episodes: stamping events with the open
 outage's id is :meth:`repro.telemetry.Telemetry.emit`'s job, one layer up,
@@ -34,8 +32,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field
-from types import TracebackType
-from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, IO, List, Optional, Type
+from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, IO, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (the facade imports us)
     from repro.telemetry import Telemetry
@@ -61,7 +58,7 @@ class TraceEvent:
 class Span:
     """An open sim-time interval; :meth:`end` emits its closing event."""
 
-    __slots__ = ("_telemetry", "name", "started_at", "_fields", "_closed")
+    __slots__ = ("_telemetry", "name", "started_at", "_fields")
 
     def __init__(
         self, telemetry: "Telemetry", name: str, started_at: float, fields: Dict[str, Any]
@@ -70,43 +67,16 @@ class Span:
         self.name = name
         self.started_at = started_at
         self._fields = fields
-        self._closed = False
 
     def end(self, **fields: Any) -> TraceEvent:
         """Close the span: emits ``name`` with a ``duration`` field (sim
         seconds since the span opened) plus the open- and close-time
         fields.  Idempotence is the caller's job — closing twice emits
         twice."""
-        self._closed = True
         merged = dict(self._fields)
         merged.update(fields)
         merged["duration"] = round(self._telemetry.trace.now() - self.started_at, 9)
         return self._telemetry.emit(self.name, **merged)
-
-    @property
-    def closed(self) -> bool:
-        """Whether :meth:`end` has run."""
-        return self._closed
-
-    def __enter__(self) -> "Span":
-        return self
-
-    def __exit__(
-        self,
-        exc_type: Optional[Type[BaseException]],
-        exc: Optional[BaseException],
-        tb: Optional[TracebackType],
-    ) -> None:
-        # Auto-close on scope exit; a span the body already ended stays
-        # ended (no duplicate event).  Escaping exceptions are recorded
-        # by type name and then re-raised (we never suppress).
-        if self._closed:
-            return None
-        if exc_type is not None:
-            self.end(error=exc_type.__name__)
-        else:
-            self.end()
-        return None
 
 
 class TraceBus:
@@ -145,13 +115,6 @@ class TraceBus:
         if name is None:
             return list(self._events)
         return [event for event in self._events if event.name == name]
-
-    def clear(self) -> None:
-        """Drop the buffered events (the sink and counters are untouched)."""
-        self._events.clear()
-
-    def __len__(self) -> int:
-        return len(self._events)
 
     def __repr__(self) -> str:
         return f"TraceBus({len(self._events)}/{self.capacity} buffered, {self.emitted} emitted)"

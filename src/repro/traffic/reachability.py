@@ -113,8 +113,7 @@ class PathTracer:
         return None
 
     def _step_switch(self, switch, ingress, dst_mac, destination, hops):
-        # ``match``, not ``lookup``: a what-if walk moves no flow counter.
-        entry = switch.flow_table.match(_probe_frame(dst_mac, destination), ingress.number)
+        entry = switch.flow_table.lookup(_probe_frame(dst_mac, destination), ingress.number)
         if entry is None:
             hops.append(TraceHop(switch.name, "table miss"))
             return None
@@ -187,10 +186,6 @@ class ReachabilityMonitor:
             self._destinations[destination] = _DestinationState(destination, prefix)
             self._covered.clear()
 
-    def monitored(self) -> List[IPv4Address]:
-        """All monitored destinations."""
-        return list(self._destinations.keys())
-
     # ------------------------------------------------------------------
     # Event notifications
     # ------------------------------------------------------------------
@@ -223,37 +218,13 @@ class ReachabilityMonitor:
         state = self._destinations.get(destination)
         return state.reachable if state is not None else None
 
-    def outages(self, destination: IPv4Address) -> List[Tuple[float, float]]:
-        """Closed outage intervals ``(down_at, up_at)`` for ``destination``."""
-        state = self._destinations.get(destination)
-        return list(state.outages) if state is not None else []
-
-    def open_outage_since(self, destination: IPv4Address) -> Optional[float]:
-        """Start of the ongoing outage, if the destination is currently down."""
-        state = self._destinations.get(destination)
-        if state is None or state.reachable is not False:
-            return None
-        return state.down_since
-
-    def convergence_times(self, failure_time: float) -> Dict[IPv4Address, float]:
-        """Per-destination outage duration for the failure at ``failure_time``.
-
-        Destinations that never went down after ``failure_time`` report 0;
-        destinations still down report the time elapsed so far.
-        """
-        return {
-            destination: duration
-            for destination, (duration, _label) in self.convergence_details(
-                failure_time
-            ).items()
-        }
-
     def convergence_details(
         self, failure_time: float
     ) -> Dict[IPv4Address, Tuple[float, Optional[str]]]:
-        """Like :meth:`convergence_times`, but each sample also carries the
-        detection label of its dominating outage (None when the destination
-        never went down, or no detection event was reported)."""
+        """Per monitored destination: the longest outage that began at or
+        after ``failure_time`` (a still-open one counts up to now, 0.0 when
+        the destination never went down), with the detection label of that
+        outage (None when none was reported, or the outage is still open)."""
         results: Dict[IPv4Address, Tuple[float, Optional[str]]] = {}
         for destination, state in self._destinations.items():
             duration = 0.0

@@ -52,15 +52,6 @@ class TestArpCache:
         cache.learn(IP_B, MAC_B, now=9.0)
         assert cache.lookup(IP_B, now=15.0) == MAC_B
 
-    def test_invalidate_and_flush(self):
-        cache = ArpCache()
-        cache.learn(IP_A, MAC_A, now=0.0, static=True)
-        cache.learn(IP_B, MAC_B, now=0.0)
-        assert cache.invalidate(IP_B) is True
-        assert cache.invalidate(IP_B) is False
-        cache.flush()
-        assert cache.lookup(IP_A, now=0.0) == MAC_A
-
     def test_invalid_lifetime_rejected(self):
         import pytest
 
@@ -103,9 +94,9 @@ class TestArpProtocol:
 
     def test_register(self):
         handler = ArpHandler(ArpCache(), now=lambda: 0.0)
-        assert not handler.owns(IP_B)
+        assert IP_B not in handler.bindings()
         handler.register(IP_B, MAC_B)
-        assert handler.owns(IP_B)
+        assert handler.bindings()[IP_B] == MAC_B
 
 
 class TestArpClient:

@@ -157,18 +157,6 @@ def test_group_count_bounded_by_n_times_n_minus_one():
     assert len(scenario.manager.groups()) <= 4 * 3
 
 
-def test_vnh_bindings_cover_all_groups():
-    scenario = Scenario()
-    scenario.announce(R2, 200, PREFIX)
-    scenario.announce(R3, 100, PREFIX)
-    scenario.announce(R3, 200, OTHER)
-    scenario.announce(R2, 100, OTHER)
-    bindings = scenario.manager.vnh_bindings()
-    assert len(bindings) == 2
-    for group in scenario.manager.groups():
-        assert bindings[group.vnh] == group.vmac
-
-
 def test_identical_next_hops_do_not_form_group():
     # Two paths via the same next hop cannot protect each other.
     scenario = Scenario()
@@ -194,7 +182,6 @@ def test_group_size_larger_than_two():
     actions = manager.process_change(loc_rib.update(_route(R4, 100)))
     group = manager.group_for_prefix(PREFIX)
     assert group.key == (R2, R3, R4)
-    assert group.size == 3
 
 
 def test_invalid_group_size_rejected():

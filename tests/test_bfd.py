@@ -156,8 +156,9 @@ class TestBfdManager:
     def test_sessions_come_up(self, sim):
         managers, peers, _loss = self._managers(sim)
         sim.run(until=2.0)
-        assert managers["a"].up_peers() == [peers["b"]]
-        assert managers["b"].up_peers() == [peers["a"]]
+        for local, remote in (("a", "b"), ("b", "a")):
+            assert managers[local].peers() == [peers[remote]]
+            assert managers[local].session(peers[remote]).is_up
 
     def test_down_callback_identifies_peer(self, sim):
         managers, peers, loss = self._managers(sim)

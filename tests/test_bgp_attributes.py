@@ -7,22 +7,17 @@ from repro.net.addresses import IPv4Address
 
 
 class TestAsPath:
-    def test_from_string_and_back(self):
-        path = AsPath.from_string("6939 3356 15169")
-        assert path.asns == (6939, 3356, 15169)
-        assert str(path) == "6939 3356 15169"
-
     def test_empty_path(self):
-        path = AsPath.from_string("")
+        path = AsPath()
         assert path.length == 0
-        assert path.origin_as is None
-        assert path.neighbor_as is None
+        assert path.asns == ()
+        assert str(path) == ""
 
     def test_length_and_endpoints(self):
         path = AsPath((65001, 200, 300))
         assert path.length == 3
-        assert path.neighbor_as == 65001
-        assert path.origin_as == 300
+        assert str(path) == "65001 200 300"
+        assert (path.asns[0], path.asns[-1]) == (65001, 300)
 
     def test_prepend_creates_new_path(self):
         path = AsPath((100,))
@@ -76,22 +71,10 @@ class TestPathAttributes:
         with pytest.raises(ValueError):
             self._attrs().with_local_pref(-1)
 
-    def test_with_med(self):
-        assert self._attrs().with_med(42).med == 42
-
-    def test_with_med_rejects_negative(self):
-        with pytest.raises(ValueError):
-            self._attrs().with_med(-5)
-
     def test_prepended(self):
         attrs = self._attrs().prepended(65000)
         assert attrs.as_path.asns[0] == 65000
         assert attrs.as_path.length == 3
-
-    def test_with_community(self):
-        attrs = self._attrs().with_community((65000, 1))
-        assert (65000, 1) in attrs.communities
-        assert self._attrs().communities == frozenset()
 
     def test_every_copy_helper_keeps_the_other_five_fields(self):
         base = PathAttributes(
@@ -106,9 +89,7 @@ class TestPathAttributes:
         copies = {
             "next_hop": base.with_next_hop(IPv4Address("10.0.0.9")),
             "local_pref": base.with_local_pref(300),
-            "med": base.with_med(42),
             "as_path": base.prepended(65000, 2),
-            "communities": base.with_community((65000, 1)),
         }
         for changed, copy in copies.items():
             assert type(copy) is PathAttributes
@@ -116,7 +97,6 @@ class TestPathAttributes:
                 same = getattr(copy, name) == getattr(base, name)
                 assert same is (name != changed), (changed, name)
         assert copies["as_path"].as_path.asns == (65000, 65000, 65001, 100)
-        assert copies["communities"].communities == {(65001, 7), (65000, 1)}
 
     def test_origin_ordering(self):
         assert Origin.IGP < Origin.EGP < Origin.INCOMPLETE

@@ -1,7 +1,7 @@
 """Tests for the BGP decision process."""
 
 from repro.bgp.attributes import AsPath, Origin, PathAttributes
-from repro.bgp.decision import best_path, compare, rank_routes
+from repro.bgp.decision import rank_routes
 from repro.bgp.rib import Route, RouteSource
 from repro.net.addresses import IPv4Address, IPv4Prefix
 
@@ -42,49 +42,49 @@ def _route(
 def test_highest_local_pref_wins():
     low = _route(peer="10.0.0.2", local_pref=100)
     high = _route(peer="10.0.0.3", local_pref=200)
-    assert best_path([low, high]) == high
+    assert rank_routes([low, high])[0] == high
 
 
 def test_shorter_as_path_wins_when_local_pref_ties():
     short = _route(peer="10.0.0.2", as_len=1)
     long = _route(peer="10.0.0.3", as_len=4)
-    assert best_path([long, short]) == short
+    assert rank_routes([long, short])[0] == short
 
 
 def test_lower_origin_wins():
     igp = _route(peer="10.0.0.2", origin=Origin.IGP)
     incomplete = _route(peer="10.0.0.3", origin=Origin.INCOMPLETE)
-    assert best_path([incomplete, igp]) == igp
+    assert rank_routes([incomplete, igp])[0] == igp
 
 
 def test_lower_med_wins():
     cheap = _route(peer="10.0.0.2", med=1)
     expensive = _route(peer="10.0.0.3", med=9)
-    assert best_path([expensive, cheap]) == cheap
+    assert rank_routes([expensive, cheap])[0] == cheap
 
 
 def test_ebgp_preferred_over_ibgp():
     external = _route(peer="10.0.0.2", is_ebgp=True)
     internal = _route(peer="10.0.0.3", is_ebgp=False)
-    assert best_path([internal, external]) == external
+    assert rank_routes([internal, external])[0] == external
 
 
 def test_lower_igp_cost_wins():
     near = _route(peer="10.0.0.2", igp_cost=5)
     far = _route(peer="10.0.0.3", igp_cost=50)
-    assert best_path([far, near]) == near
+    assert rank_routes([far, near])[0] == near
 
 
 def test_lower_router_id_breaks_ties():
     a = _route(peer="10.0.0.2", router_id="1.1.1.1")
     b = _route(peer="10.0.0.3", router_id="2.2.2.2")
-    assert best_path([b, a]) == a
+    assert rank_routes([b, a])[0] == a
 
 
 def test_lower_peer_address_is_final_tiebreak():
     a = _route(peer="10.0.0.2", router_id="9.9.9.9")
     b = _route(peer="10.0.0.3", router_id="9.9.9.9")
-    assert best_path([b, a]) == a
+    assert rank_routes([b, a])[0] == a
 
 
 def test_rank_orders_full_ladder():
@@ -99,22 +99,10 @@ def test_rank_orders_full_ladder():
     ]
 
 
-def test_best_path_of_empty_is_none():
-    assert best_path([]) is None
-
-
-def test_compare_is_antisymmetric():
-    a = _route(peer="10.0.0.2", local_pref=200)
-    b = _route(peer="10.0.0.3", local_pref=100)
-    assert compare(a, b) < 0
-    assert compare(b, a) > 0
-    assert compare(a, a) == 0
-
-
 def test_local_pref_dominates_as_path():
     preferred = _route(peer="10.0.0.2", local_pref=200, as_len=5)
     shorter = _route(peer="10.0.0.3", local_pref=100, as_len=1)
-    assert best_path([preferred, shorter]) == preferred
+    assert rank_routes([preferred, shorter])[0] == preferred
 
 
 def test_rank_returns_new_list():

@@ -1,7 +1,5 @@
 """Tests for BGP message types."""
 
-import pytest
-
 from repro.bgp.attributes import AsPath, PathAttributes
 from repro.bgp.messages import (
     KeepaliveMessage,
@@ -22,20 +20,6 @@ def test_announce_and_withdraw_flags():
     withdraw = UpdateMessage.withdraw(prefix)
     assert not announce.is_withdraw
     assert withdraw.is_withdraw
-
-
-def test_rewritten_next_hop_preserves_other_attributes():
-    update = UpdateMessage.announce(IPv4Prefix("1.0.0.0/24"), _attrs())
-    rewritten = update.rewritten_next_hop(IPv4Address("10.0.0.200"))
-    assert rewritten.attributes.next_hop == IPv4Address("10.0.0.200")
-    assert rewritten.attributes.as_path == update.attributes.as_path
-    assert rewritten.prefix == update.prefix
-
-
-def test_rewriting_a_withdraw_is_an_error():
-    withdraw = UpdateMessage.withdraw(IPv4Prefix("1.0.0.0/24"))
-    with pytest.raises(ValueError):
-        withdraw.rewritten_next_hop(IPv4Address("10.0.0.200"))
 
 
 def test_a_message_is_its_payload():

@@ -27,7 +27,7 @@ class TestAdjRibOut:
         attrs = _route().attributes
         assert rib.record_announce(PREFIX, attrs) is True
         assert rib.record_announce(PREFIX, attrs) is False
-        assert rib.record_announce(PREFIX, attrs.with_med(9)) is True
+        assert rib.record_announce(PREFIX, attrs._replace(med=9)) is True
 
     def test_withdraw_only_when_advertised(self):
         rib = AdjRibOut(IPv4Address("10.0.0.2"))
@@ -43,7 +43,7 @@ class TestLocRib:
         rib.update(_route(peer="10.0.0.2", local_pref=200))
         rib.update(_route(peer="10.0.0.3", local_pref=100))
         assert rib.best(PREFIX).source.peer_ip == IPv4Address("10.0.0.2")
-        assert rib.backup(PREFIX).source.peer_ip == IPv4Address("10.0.0.3")
+        assert rib.ranking(PREFIX)[1].source.peer_ip == IPv4Address("10.0.0.3")
         assert len(rib.ranking(PREFIX)) == 2
 
     def test_update_replaces_same_peer_route(self):
@@ -62,17 +62,6 @@ class TestLocRib:
         assert second.old_best.source.peer_ip == IPv4Address("10.0.0.2")
         assert second.new_best.source.peer_ip == IPv4Address("10.0.0.3")
 
-    def test_backup_group_changed_flag(self):
-        rib = LocRib()
-        rib.update(_route(peer="10.0.0.2", local_pref=200))
-        change = rib.update(_route(peer="10.0.0.3", local_pref=100))
-        assert change.backup_group_changed
-        # Refreshing the backup route with a different MED does not change
-        # the (primary, backup) pair.
-        refreshed = _route(peer="10.0.0.3", local_pref=100)
-        change2 = rib.update(refreshed)
-        assert not change2.backup_group_changed
-
     def test_withdraw_peer_removes_all_routes(self):
         rib = LocRib()
         other = IPv4Prefix("2.0.0.0/24")
@@ -81,7 +70,7 @@ class TestLocRib:
         rib.update(_route(peer="10.0.0.3", prefix=other))
         changes = rib.withdraw_peer(IPv4Address("10.0.0.2"))
         assert len(changes) == 2
-        assert PREFIX not in rib
+        assert rib.best(PREFIX) is None
         assert rib.best(other).source.peer_ip == IPv4Address("10.0.0.3")
 
     def test_withdraw_last_route_empties_prefix(self):
@@ -115,45 +104,26 @@ class TestCompactPeerRib:
 
     def test_registration_order_is_preference_order(self):
         rib = self._rib()
-        rib.announce(7, 2)
-        rib.announce(7, 0)
+        for peer in (2, 0, 1):
+            rib.load(7, peer)
         # Ranking follows registration (best-first), not announce order.
-        assert rib.ranking_of(7) == (self.p1, self.p3)
-
-    def test_announce_and_withdraw_are_change_shaped(self):
-        rib = self._rib()
-        assert rib.announce(7, 0) == ((), (self.p1,))
-        assert rib.announce(7, 1) == ((self.p1,), (self.p1, self.p2))
-        assert rib.withdraw(7, 0) == ((self.p1, self.p2), (self.p2,))
-        assert rib.withdraw(7, 1) == ((self.p2,), ())
-        assert rib.prefix_count == 0
+        assert list(rib.iter_withdraw_peer(1)) == [(7, (self.p1, self.p3))]
 
     def test_duplicate_announce_and_unknown_withdraw_are_noops(self):
         rib = self._rib()
-        rib.announce(7, 0)
-        assert rib.announce(7, 0) == ((self.p1,), (self.p1,))
-        assert rib.withdraw(9, 1) == ((), ())
+        rib.load(7, 0)
+        rib.load(7, 0)
+        assert rib.route_count == 1
+        assert list(rib.iter_withdraw_peer(1)) == []
         assert rib.route_count == 1
 
     def test_rankings_are_interned(self):
         rib = self._rib()
-        rib.announce(7, 0)
-        rib.announce(9, 0)
-        assert rib.ranking_of(7) is rib.ranking_of(9)
-
-    def test_load_matches_announce(self):
-        rib = self._rib()
-        other = self._rib()
-        for code in (3, 5, 9):
-            rib.announce(code, 0)
-            rib.announce(code, 2)
-            other.load(code, 0)
-            other.load(code, 2)
-        assert [rib.ranking_of(c) for c in (3, 5, 9)] == [
-            other.ranking_of(c) for c in (3, 5, 9)
-        ]
-        assert rib.route_count == other.route_count == 6
-        assert rib.prefix_count == other.prefix_count == 3
+        for code in (7, 9):
+            rib.load(code, 0)
+            rib.load(code, 1)
+        (_, first), (_, second) = rib.iter_withdraw_peer(1)
+        assert first == (self.p1,) and first is second
 
     def test_iter_withdraw_peer_drains_in_sorted_order(self):
         rib = self._rib()
@@ -163,10 +133,10 @@ class TestCompactPeerRib:
         rib.load(11, 1)  # not announced by peer 0: must survive
         drained = list(rib.iter_withdraw_peer(0))
         assert drained == [(3, (self.p2,)), (5, (self.p2,)), (9, (self.p2,))]
-        assert rib.prefix_count == 4  # 3,5,9 via p2 plus 11
+        assert len(rib) == 4  # 3,5,9 via p2 plus 11
         assert rib.route_count == 4
-        assert list(rib.codes_of_peer(0)) == []
-        assert list(rib.codes_of_peer(1)) == [3, 5, 9, 11]
+        assert list(rib.iter_withdraw_peer(0)) == []
+        assert list(rib.iter_withdraw_peer(1)) == [(3, ()), (5, ()), (9, ()), (11, ())]
 
     def test_withdraw_last_peer_empties_prefix(self):
         rib = self._rib()
@@ -194,11 +164,12 @@ class TestCompactPeerRib:
         ]
         for peer, prefix in script:
             loc_rib.update(_route(peer, prefs[peer], prefix=prefix))
-            compact.announce(prefix, peers.index(peer))
-        loc_rib.withdraw(prefixes[5], peers[0])
-        compact.withdraw(prefixes[5], 0)
+            compact.load(prefix, peers.index(peer))
+        loc_rib.withdraw_peer(peers[0])
+        drained = dict(compact.iter_withdraw_peer(0))
+        assert sorted(drained) == prefixes
         for prefix in prefixes:
             expected = tuple(
                 route.next_hop for route in loc_rib.ranking(prefix)
             )
-            assert compact.ranking_of(prefix) == expected
+            assert drained[prefix] == expected

@@ -161,17 +161,19 @@ def test_looped_announcement_withdraws_the_route_it_replaces(triangle, sim):
     r2.originate(PREFIX, _attrs("10.0.0.2", as_path=(65000, 174)))
     r3.originate(PREFIX, _attrs("10.0.0.3", as_path=(65000,)))
     sim.run(until=4.0)
-    assert PREFIX not in r1.loc_rib
+    assert r1.loc_rib.best(PREFIX) is None
     assert heard == [IPv4Address("10.0.0.2"), IPv4Address("10.0.0.3")]
 
 
 @pytest.fixture
-def full_triangle(sim):
+def fabric(sim):
+    return Fabric(sim)
+
+
+@pytest.fixture
+def full_triangle(sim, fabric):
     """The triangle with every session exporting: R1 prefers R2 over R3 and
-    re-advertises its best path to both.  R2 and R3 only originate (a
-    speaker's Adj-RIB-Out does not tell an originated prefix from a
-    learned one, so re-advertising what R1 tells them would clobber it)."""
-    fabric = Fabric(sim)
+    re-advertises its best path to both; R2 and R3 re-advertise too."""
     speakers = {
         ip: _speaker(sim, fabric, ip, asn)
         for ip, asn in (("10.0.0.1", 65000), ("10.0.0.2", 65001), ("10.0.0.3", 65002))
@@ -181,7 +183,6 @@ def full_triangle(sim):
     r1.add_peer(PeerConfig(peer_ip=IPv4Address("10.0.0.3"), peer_asn=65002, local_pref=100))
     r2.add_peer(PeerConfig(peer_ip=IPv4Address("10.0.0.1"), peer_asn=65000))
     r3.add_peer(PeerConfig(peer_ip=IPv4Address("10.0.0.1"), peer_asn=65000))
-    r2.auto_advertise = r3.auto_advertise = False
     for speaker in (r1, r2, r3):
         speaker.start()
     sim.run(until=1.0)
@@ -221,6 +222,62 @@ def test_best_moving_onto_the_announcing_peer_withdraws_what_it_was_told(full_tr
     assert r1.loc_rib.best(PREFIX).source.peer_ip == IPv4Address("10.0.0.2")
     assert r2.loc_rib.best(PREFIX) is None
     assert r3.loc_rib.best(PREFIX).attributes.as_path.asns == (65000, 65001, 174)
+
+
+def _ranked_sources(speaker):
+    return [route.source.peer_ip for route in speaker.loc_rib.ranking(PREFIX)]
+
+
+def test_learning_a_prefix_it_originates_does_not_withdraw_the_origination(full_triangle, sim):
+    """R2 originates a prefix it has already learned via R1.  R1's best
+    moves onto R2, so R1 withdraws R3's route from R2: R2's learned copy is
+    gone, but what R2 exports for the prefix is its origination, which
+    must stay announced."""
+    r1, r2, r3 = full_triangle
+    r3.originate(PREFIX, _attrs("10.0.0.3", as_path=(3356,)))
+    sim.run(until=2.0)
+    r2.originate(PREFIX, _attrs("10.0.0.2", as_path=(174,)))
+    sim.run(until=30.0)
+    assert _ranked_sources(r1) == [IPv4Address("10.0.0.2"), IPv4Address("10.0.0.3")]
+    assert r1.loc_rib.best(PREFIX).attributes.as_path.asns == (65001, 174)
+
+
+@pytest.fixture
+def late_peer(fabric, sim):
+    """R2 (AS 65001) learns the prefix from R4 (AS 65004) and originates it
+    too; R5 (AS 65005) peers with R2 only and comes up after both."""
+    r2, r4, r5 = (
+        _speaker(sim, fabric, ip, asn)
+        for ip, asn in (("10.0.0.2", 65001), ("10.0.0.4", 65004), ("10.0.0.5", 65005))
+    )
+    r2.add_peer(PeerConfig(peer_ip=IPv4Address("10.0.0.4"), peer_asn=65004))
+    r2.add_peer(PeerConfig(peer_ip=IPv4Address("10.0.0.5"), peer_asn=65005))
+    r4.add_peer(PeerConfig(peer_ip=IPv4Address("10.0.0.2"), peer_asn=65001))
+    r5.add_peer(PeerConfig(peer_ip=IPv4Address("10.0.0.2"), peer_asn=65001))
+    r2.start_peer(IPv4Address("10.0.0.4"))
+    r4.start()
+    sim.run(until=1.0)
+    r4.originate(PREFIX, _attrs("10.0.0.4", as_path=(3356,)))
+    sim.run(until=2.0)
+    r2.originate(PREFIX, _attrs("10.0.0.2", as_path=(174,)))
+    sim.run(until=3.0)
+    r2.start_peer(IPv4Address("10.0.0.5"))
+    r5.start()
+    sim.run(until=4.0)
+    assert _ranked_sources(r2) == [IPv4Address("10.0.0.4")]
+    return r2, r5
+
+
+def test_initial_table_transfer_announces_the_origination_not_the_learned_copy(late_peer):
+    _r2, r5 = late_peer
+    assert r5.loc_rib.best(PREFIX).attributes.as_path.asns == (65001, 174)
+
+
+def test_withdrawing_an_origination_falls_back_to_the_learned_best(late_peer, sim):
+    r2, r5 = late_peer
+    r2.withdraw_origin(PREFIX)
+    sim.run(until=5.0)
+    assert r5.loc_rib.best(PREFIX).attributes.as_path.asns == (65001, 65004, 3356)
 
 
 def test_direct_advertise_and_withdraw_route(triangle, sim):

@@ -42,42 +42,6 @@ class FakeClock:
 
 
 # ----------------------------------------------------------------------
-# Span context manager
-# ----------------------------------------------------------------------
-
-class TestSpanContextManager:
-    def test_with_block_ends_the_span(self):
-        clock = FakeClock()
-        telemetry = Telemetry(clock)
-        with telemetry.span("work", stage="push") as span:
-            clock.now = 0.25
-        assert span.closed
-        [event] = telemetry.trace.events("work")
-        assert event.fields["duration"] == 0.25
-        assert event.fields["stage"] == "push"
-        assert "error" not in event.fields
-
-    def test_escaping_exception_is_recorded_and_reraised(self):
-        clock = FakeClock()
-        telemetry = Telemetry(clock)
-        with pytest.raises(RuntimeError):
-            with telemetry.span("work"):
-                clock.now = 0.5
-                raise RuntimeError("boom")
-        [event] = telemetry.trace.events("work")
-        assert event.fields["error"] == "RuntimeError"
-        assert event.fields["duration"] == 0.5
-
-    def test_body_ended_span_does_not_emit_twice(self):
-        telemetry = Telemetry(FakeClock())
-        with telemetry.span("work") as span:
-            span.end(explicit=True)
-        assert telemetry.trace.emitted == 1
-        [event] = telemetry.trace.events("work")
-        assert event.fields["explicit"] is True
-
-
-# ----------------------------------------------------------------------
 # Histogram quantiles
 # ----------------------------------------------------------------------
 
@@ -380,23 +344,7 @@ class TestSimProfiler:
     def test_unnamed_events_are_bucketed(self):
         profiler = SimProfiler()
         profiler.observe("", 1.0)
-        assert profiler.handlers() == ["(unnamed)"]
-
-    def test_reset(self):
-        profiler = SimProfiler()
-        profiler.observe("a", 1.0)
-        profiler.reset()
-        assert profiler.events_observed == 0
-        assert profiler.to_dict()["handlers"] == {}
-
-    def test_table_lists_busiest_first(self):
-        profiler = SimProfiler()
-        profiler.observe("rare", 1.0)
-        profiler.observe("busy", 2.0)
-        profiler.observe("busy", 3.0)
-        lines = profiler.table().splitlines()
-        assert lines[1].startswith("busy")
-        assert lines[-1].startswith("total")
+        assert list(profiler.to_dict()["handlers"]) == ["(unnamed)"]
 
     def test_shard_gauges(self):
         metrics = MetricsRegistry()

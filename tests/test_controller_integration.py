@@ -32,8 +32,7 @@ def test_single_backup_group_for_two_providers(supercharged_lab):
     non_empty = [group for group in groups if group.prefix_count > 0]
     assert len(non_empty) == 1
     group = non_empty[0]
-    assert group.primary == R2_CORE_IP
-    assert group.backup == R3_CORE_IP
+    assert group.key == (R2_CORE_IP, R3_CORE_IP)
     assert group.prefix_count == supercharged_lab.spec.num_prefixes
 
 
@@ -73,12 +72,13 @@ def test_arp_responder_owns_group_vnh(supercharged_lab):
 
 def test_failover_redirects_switch_rule_and_counts_event(supercharged_lab):
     lab = supercharged_lab
-    events = []
-    lab.controllers[0].on_failure_handled(lambda peer, event: events.append((peer, event)))
+    convergence = lab.controllers[0].convergence
+    seen = len(convergence.events)
     result = run_failover(lab, PRIMARY_LINK_DOWN)
     assert result.max_convergence < 0.5
-    assert events and events[0][0] == R2_CORE_IP
-    assert events[0][1].groups_redirected >= 1
+    events = convergence.events[seen:]
+    assert events and events[0].failed_peer == R2_CORE_IP
+    assert events[0].groups_redirected >= 1
     group = [g for g in lab.controllers[0].backup_groups.groups() if g.vmac][0]
     from repro.openflow.flow_table import FlowMatch
 

@@ -158,7 +158,7 @@ class TestRestPushBatch:
         api = FloodlightRestApi(sim, channel)
         api.push_batch([])
         assert api.calls == 0
-        assert sim.pending_events == 0
+        assert sim.run() == 0.0 and sim.events_executed == 0
 
 
 class TestProvisionerBatch:
@@ -255,36 +255,34 @@ class TestScheduleBatch:
             sim.schedule_batch([(float("inf"), lambda: None)])
 
 
-class TestPendingCounter:
-    def test_counter_tracks_schedule_cancel_pop(self, sim):
-        handles = [sim.schedule(float(i + 1), lambda: None) for i in range(5)]
-        assert sim.pending_events == 5
-        handles[2].cancel()
-        assert sim.pending_events == 4
-        handles[2].cancel()  # double-cancel must not double-decrement
-        assert sim.pending_events == 4
-        sim.run(until=2.5)
-        assert sim.pending_events == 2
-        sim.run()
-        assert sim.pending_events == 0
+class TestCancelledEvents:
+    """A cancelled event never runs and is not counted in ``events_executed``."""
 
-    def test_counter_includes_batch_and_survives_reset(self, sim):
-        handles = sim.schedule_batch([(1.0, lambda: None), (2.0, lambda: None)])
-        assert sim.pending_events == 2
-        sim.reset()
-        assert sim.pending_events == 0
-        # A stale pre-reset handle must not corrupt the counter.
+    def test_cancelled_events_never_run(self, sim):
+        fired = []
+        handles = [sim.schedule(float(i + 1), lambda i=i: fired.append(i)) for i in range(5)]
+        assert handles[2].cancel() is True
+        assert handles[2].cancel() is False  # a second cancel is a no-op
+        sim.run(until=2.5)
+        assert fired == [0, 1] and sim.events_executed == 2
+        sim.run()
+        assert fired == [0, 1, 3, 4] and sim.events_executed == 4
+
+    def test_cancelled_batch_events_never_run(self, sim):
+        fired = []
+        handles = sim.schedule_batch(
+            [(1.0, lambda: fired.append(1)), (2.0, lambda: fired.append(2))]
+        )
         assert handles[0].cancel() is True
-        assert sim.pending_events == 0
-        sim.schedule(1.0, lambda: None)
-        assert sim.pending_events == 1
+        sim.run()
+        assert fired == [2] and sim.events_executed == 1
 
     def test_cancel_from_inside_callback(self, sim):
-        later = sim.schedule(2.0, lambda: None)
+        fired = []
+        later = sim.schedule(2.0, lambda: fired.append("later"))
         sim.schedule(1.0, lambda: later.cancel())
-        assert sim.pending_events == 2
         sim.run()
-        assert sim.pending_events == 0
+        assert fired == [] and later.cancelled
         assert sim.events_executed == 1
 
 
@@ -372,4 +370,4 @@ class TestFibUpdaterBatch:
         updater = FibUpdater(sim, FlatFib())
         updater.enqueue_batch([])
         assert not updater.is_busy
-        assert sim.pending_events == 0
+        assert sim.run() == 0.0 and sim.events_executed == 0

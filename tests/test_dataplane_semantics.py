@@ -128,26 +128,12 @@ class TestFlowTableCapacity:
         assert table.modify(FlowMatch(eth_dst=MAC_3), 100, Actions(output_port=2)) is False
         assert len(table) == 1
 
-    def test_stats_survive_modify_but_not_reinstall(self):
+    def test_clear_empties_table(self):
         table = FlowTable()
-        match = FlowMatch(eth_dst=MAC_2)
-        table.install(FlowEntry(match, Actions(output_port=1), priority=100))
-        table.lookup(_frame(), in_port=1)
-        table.modify(match, 100, Actions(output_port=2))
-        modified = table.find(match, 100)
-        assert table.stats(modified).packets == 1
-        table.install(FlowEntry(match, Actions(output_port=3), priority=100))
-        reinstalled = table.find(match, 100)
-        assert table.stats(reinstalled).packets == 0
-
-    def test_clear_empties_table_and_stats(self):
-        table = FlowTable()
-        entry = FlowEntry(FlowMatch(eth_dst=MAC_2), Actions(output_port=1))
-        table.install(entry)
+        table.install(FlowEntry(FlowMatch(eth_dst=MAC_2), Actions(output_port=1)))
         table.clear()
         assert len(table) == 0
-        with pytest.raises(FlowTableError):
-            table.stats(entry)
+        assert table.lookup(_frame(), in_port=1) is None
 
 
 class TestLpmTableEdgeCases:

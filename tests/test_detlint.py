@@ -422,7 +422,7 @@ def test_baseline_round_trip(tmp_path):
     baseline.save(path)
     loaded = Baseline.load(path)
     assert loaded.counts == baseline.counts
-    assert len(loaded) == 2
+    assert sum(loaded.counts.values()) == 2
 
 
 def test_baseline_survives_line_number_drift(tmp_path):
@@ -441,7 +441,7 @@ def test_baseline_count_limits_absorption():
 
 def test_baseline_missing_file_is_empty(tmp_path):
     baseline = Baseline.load(tmp_path / "absent.json")
-    assert len(baseline) == 0
+    assert baseline.counts == {}
 
 
 def test_baseline_rejects_unknown_version(tmp_path):

@@ -93,12 +93,6 @@ class TestFigure5:
         report = experiment.report()
         assert "supercharged" in report and "standalone" in report
 
-    def test_row_label(self):
-        experiment = Figure5Experiment(prefix_counts=[50], repetitions=1, monitored_flows=3)
-        row = experiment.run_cell(50, supercharged=False)
-        assert "50" in row.label and "non-supercharged" in row.label
-
-
 class TestControllerMicrobench:
     def test_processes_two_feeds_and_reports_distribution(self):
         bench = ControllerMicrobench(updates_per_peer=500, seed=2)

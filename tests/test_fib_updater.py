@@ -65,7 +65,7 @@ def test_writes_and_deletes_applied_to_fib(sim):
     updater.enqueue(prefix, ADJ)
     updater.enqueue(prefix, None)
     sim.run()
-    assert prefix not in fib
+    assert fib.entry(prefix) is None
     assert updater.writes_applied == 1
     assert updater.deletes_applied == 1
 

@@ -93,36 +93,6 @@ class TestFlowTable:
         with pytest.raises(FlowTableError):
             table.install(FlowEntry(FlowMatch(eth_dst=VMAC), Actions(output_port=1)))
 
-    def test_stats_counters(self):
-        table = FlowTable()
-        entry = FlowEntry(FlowMatch(eth_dst=MAC_2), Actions(output_port=1))
-        table.install(entry)
-        table.lookup(_frame(), in_port=1)
-        table.lookup(_frame(), in_port=1)
-        stats = table.stats(entry)
-        assert stats.packets == 2
-        assert stats.bytes == 2 * _frame().size_bytes
-
-    def test_stats_of_unknown_entry_rejected(self):
-        table = FlowTable()
-        entry = FlowEntry(FlowMatch(eth_dst=MAC_2), Actions(output_port=1))
-        with pytest.raises(FlowTableError):
-            table.stats(entry)
-
-    def test_match_returns_what_lookup_would_and_never_moves_a_counter(self):
-        table = FlowTable()
-        low = FlowEntry(FlowMatch(eth_dst=MAC_2), Actions(output_port=1), priority=10)
-        high = FlowEntry(FlowMatch(eth_dst=MAC_2), Actions(output_port=2), priority=200)
-        table.install(low)
-        table.install(high)
-        for _ in range(3):
-            assert table.match(_frame(), in_port=1) is high
-        assert table.match(_frame(dst_mac=MAC_1), in_port=1) is None
-        assert (table.stats(high).packets, table.stats(high).bytes) == (0, 0)
-        assert table.stats(low).packets == 0
-        assert table.lookup(_frame(), in_port=1) is high
-        assert table.stats(high).packets == 1
-
     def test_actions_apply_rewrites(self):
         actions = Actions(set_eth_dst=MAC_1, set_eth_src=MAC_2, output_port=1)
         rewritten = actions.apply(_frame())
@@ -133,9 +103,6 @@ class TestFlowTable:
         assert Actions().is_drop
         assert Actions(output_port=CONTROLLER_PORT).to_controller
 
-    def test_specificity(self):
-        assert FlowMatch().specificity == 0
-        assert FlowMatch(eth_dst=MAC_1, in_port=2).specificity == 2
 
 
 class TestControllerChannel:

@@ -40,15 +40,18 @@ class TestReachabilityMonitor:
         lab = small_lab_pair[True]
         injector = FailureInjector(lab)
         injector.fire(PRIMARY_LINK_DOWN)
+        failed_at = injector.first_failure_time
+        lab.sim.run_for(0.001)
         for destination in lab.monitored_destinations:
             assert lab.monitor.is_reachable(destination) is False
-            assert lab.monitor.open_outage_since(destination) == pytest.approx(
-                injector.first_failure_time
+            # An open outage counts from the instant it began.
+            assert lab.monitor.convergence_details(failed_at)[destination] == (
+                pytest.approx(lab.sim.now - failed_at), None
             )
         lab.wait_recovered()
-        for destination in lab.monitored_destinations:
+        for destination, (duration, _label) in lab.monitor.convergence_details(failed_at).items():
             assert lab.monitor.is_reachable(destination) is True
-            assert len(lab.monitor.outages(destination)) == 1
+            assert 0.0 < duration < lab.sim.now - failed_at
         lab.restore_provider()
 
     def test_convergence_times_positive_and_bounded(self, small_lab_pair):
@@ -81,12 +84,12 @@ class TestMonitorMatchesPacketMeasurement:
         failure_time = injector.first_failure_time
         lab.wait_recovered()
         lab.sim.run_for(0.5)
-        monitor_times = lab.monitor.convergence_times(failure_time)
+        monitor_times = lab.monitor.convergence_details(failure_time)
         interval = 1.0 / lab.spec.packet_rate_pps
         for destination in lab.monitored_destinations:
             stats = lab.sink.stats(destination)
             packet_outage = stats.max_gap
-            event_outage = monitor_times[destination]
+            event_outage, _label = monitor_times[destination]
             # The packet-level measurement can exceed the true outage by at
             # most one inter-packet interval (plus scheduling jitter).
             assert packet_outage >= event_outage - 1e-6
@@ -168,10 +171,9 @@ class TestDetectionLabels:
         monitor.detection_label = lambda: "bfd"
         reachable["value"] = True
         monitor.notify_forwarding_change()
+        assert monitor.convergence_details(0.0)[destination][1] == "bfd"
         monitor.reset()
-        assert monitor.outages(destination) == []
-        _, label = monitor.convergence_details(0.0)[destination]
-        assert label is None
+        assert monitor.convergence_details(0.0)[destination] == (0.0, None)
 
 
 class TestPrefixChangeIndex:

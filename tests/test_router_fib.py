@@ -96,14 +96,6 @@ class TestFlatFib:
         assert fib.delete(prefix) is False
         assert fib.lookup(IPv4Address("1.0.0.1")) is None
 
-    def test_prefixes_using_mac(self):
-        fib = FlatFib()
-        fib.write(IPv4Prefix("1.0.0.0/24"), ADJ_R2)
-        fib.write(IPv4Prefix("2.0.0.0/24"), ADJ_R2)
-        fib.write(IPv4Prefix("3.0.0.0/24"), ADJ_R3)
-        assert len(fib.prefixes_using(MAC_R2)) == 2
-        assert len(fib.prefixes_using(MAC_R3)) == 1
-
     def test_each_entry_is_independent(self):
         # The defining property of a flat FIB: changing one entry does not
         # affect others even if they share the same next hop.
@@ -141,7 +133,8 @@ class TestHierarchicalFib:
         entry = fib.entry(prefix)
         assert entry.adjacency == ADJ_R2
         assert entry.updated_at == 4.0
-        assert fib.pointer_of(prefix) == pointer
+        fib.repoint(pointer, ADJ_R3)
+        assert fib.entry(prefix).adjacency == ADJ_R3
 
     def test_delete(self):
         fib = HierarchicalFib()
@@ -150,10 +143,5 @@ class TestHierarchicalFib:
         fib.write(prefix, pointer)
         assert fib.delete(prefix) is True
         assert fib.delete(prefix) is False
-        assert prefix not in fib
+        assert fib.entry(prefix) is None
 
-    def test_pointers_listing(self):
-        fib = HierarchicalFib()
-        first = fib.add_adjacency(ADJ_R2)
-        second = fib.add_adjacency(ADJ_R3)
-        assert fib.pointers() == {first: ADJ_R2, second: ADJ_R3}

@@ -66,7 +66,7 @@ class TestSyntheticFullTable:
 
     def test_as_paths_start_with_provider(self):
         feed = synthetic_full_table(50, seed=1, provider_asn=65009)
-        assert all(route.as_path.neighbor_as == 65009 for route in feed.routes)
+        assert all(route.as_path.asns[0] == 65009 for route in feed.routes)
 
     def test_updates_carry_next_hop(self):
         feed = synthetic_full_table(10, seed=1)

@@ -82,13 +82,13 @@ def test_link_flap_storm_recovers():
 def test_bfd_loss_triggers_false_positive_without_outage():
     lab = _converged_lab(seed=10)
     controller = lab.controllers[0]
-    observed = []
-    controller.on_failure_handled(lambda peer, event: observed.append(peer))
+    seen = len(controller.convergence.events)
     injector = FailureInjector(lab)
     injector.arm([FailureSpec(kind="bfd_loss", at=0.2, duration=0.5)])
     lab.sim.run_for(3.0)
     # The controller declared the primary dead although the link never went down.
-    assert observed and observed[0] == lab.plan.provider_core_ip(0)
+    events = controller.convergence.events[seen:]
+    assert events and events[0].failed_peer == lab.plan.provider_core_ip(0)
     assert lab.provider_link(0).ports[0].is_up
     # Once the loss clears, BFD re-establishes.
     session = controller.bfd.session(lab.plan.provider_core_ip(0))
@@ -116,8 +116,7 @@ def test_controller_crash_fails_replica():
     injector = FailureInjector(lab)
     injector.arm([FailureSpec(kind="controller_crash", at=0.2)])
     lab.sim.run_for(0.5)
-    assert lab.cluster.is_failed("ctrl1")
-    assert len(lab.cluster.healthy_replicas()) == 1
+    assert [c.name for c in lab.cluster.healthy_replicas()] == ["ctrl2"]
     assert lab.cluster.surviving_protection()
     # A crash alone is not a data-plane failure, so it is not a measurement anchor.
     assert injector.first_failure_time is None
@@ -181,11 +180,10 @@ def test_unknown_target_is_a_spec_error_and_nothing_happens(built_lab, kind, tar
     injector = FailureInjector(lab)
     with pytest.raises(ScenarioSpecError, match=target):
         injector.fire(bad)
-    pending = lab.sim.pending_events
     with pytest.raises(ScenarioSpecError, match=target):
         injector.arm([FailureSpec(kind="link_down", at=0.1), bad])
     # Nothing is armed at all, logged, or noted as a failure.
-    assert lab.sim.pending_events == pending
+    lab.sim.run_for(1.0)
     assert injector.log == [] and injector.first_failure_time is None
     assert lab.detection.current is None
 
@@ -210,6 +208,11 @@ def test_drop_filter_counts_dropped_frames():
     link.clear_drop_filter()
 
 
+def _blackholed(provider, lab):
+    """How many of the primary provider's prefixes ``provider`` blackholes."""
+    return sum(provider.blackholes_prefix(p) for p in lab.provider_feeds[0].prefixes())
+
+
 class TestRemoteFailures:
     def test_remote_withdraw_blackholes_and_reroutes(self):
         lab = _converged_lab(seed=16)
@@ -218,7 +221,7 @@ class TestRemoteFailures:
         injector.arm([FailureSpec(kind="remote_withdraw", at=0.5)])
         lab.sim.run_for(0.6)
         # The provider blackholes the withdrawn slice; its link stays up.
-        assert len(provider.blackholed_prefixes()) == len(lab.provider_feeds[0])
+        assert _blackholed(provider, lab) == len(lab.provider_feeds[0])
         assert lab.provider_link(0).ports[0].is_up
         assert injector.first_failure_time is not None
         # BGP propagation reconverges everything onto the backup provider.
@@ -249,10 +252,10 @@ class TestRemoteFailures:
                          prefix_fraction=0.4)]
         )
         lab.sim.run_for(0.5)
-        affected = len(provider.blackholed_prefixes())
+        affected = _blackholed(provider, lab)
         assert 0 < affected < len(lab.provider_feeds[0])
         lab.sim.run_for(1.0)
-        assert provider.blackholed_prefixes() == []
+        assert _blackholed(provider, lab) == 0
         # Re-announced: the lab reconverges onto the primary provider.
         assert lab.run_until(lab._initially_converged, timeout=600)
 
@@ -280,8 +283,7 @@ class TestRemoteFailures:
         lab.sim.run_for(2.0)
         # Every destination stayed reachable the whole time.
         assert all(
-            lab.monitor.outages(destination) == []
-            for destination in lab.monitored_destinations
+            duration == 0.0 for duration, _label in lab.monitor.convergence_details(0.0).values()
         )
         # …but the shift was still detected via BGP.
         event = lab.detection.first_detection(
@@ -368,7 +370,7 @@ class TestOverlappingFailures:
         lab.sim.run_for(1.0)
         # The withdraw hit a torn session: no UPDATE could be sent, but the
         # blackhole still applies.
-        assert len(provider.blackholed_prefixes()) > 0
+        assert _blackholed(provider, lab) > 0
         # After the session restarts, the withdrawn slice is simply absent
         # from the fresh table transfer and the lab fully reconverges.
         lab.sim.run_for(5.0)

@@ -65,13 +65,9 @@ class TestScenarioSpec:
         ScenarioSpec().validate()
 
     def test_churn_fields_validate(self):
-        ScenarioSpec(
-            churn_rate_ups=500.0, churn_updates=100, churn_withdraw_fraction=0.3
-        ).validate()
+        ScenarioSpec(churn_rate_ups=500.0, churn_withdraw_fraction=0.3).validate()
         with pytest.raises(ScenarioSpecError):
             ScenarioSpec(churn_rate_ups=-1.0).validate()
-        with pytest.raises(ScenarioSpecError):
-            ScenarioSpec(churn_updates=-5).validate()
         with pytest.raises(ScenarioSpecError):
             ScenarioSpec(churn_withdraw_fraction=1.2).validate()
 

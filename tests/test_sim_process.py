@@ -12,7 +12,6 @@ def test_periodic_ticks_at_interval(sim):
     process.start()
     sim.run(until=5.5)
     assert ticks == [1.0, 2.0, 3.0, 4.0, 5.0]
-    assert process.ticks == 5
 
 
 def test_initial_delay_overrides_first_tick(sim):
@@ -35,10 +34,16 @@ def test_stop_prevents_further_ticks(sim):
 
 
 def test_callback_can_stop_its_own_process(sim):
-    process = PeriodicProcess(sim, 1.0, lambda: process.stop())
+    ticks = []
+
+    def tick():
+        ticks.append(sim.now)
+        process.stop()
+
+    process = PeriodicProcess(sim, 1.0, tick)
     process.start()
     sim.run(until=10.0)
-    assert process.ticks == 1
+    assert ticks == [1.0]
 
 
 def test_double_start_rejected(sim):
@@ -56,24 +61,6 @@ def test_invalid_interval_rejected(sim):
 def test_invalid_jitter_rejected(sim):
     with pytest.raises(SimulationError):
         PeriodicProcess(sim, 1.0, lambda: None, jitter=1.5)
-
-
-def test_set_interval_takes_effect_after_pending_tick(sim):
-    ticks = []
-    process = PeriodicProcess(sim, 1.0, lambda: ticks.append(sim.now))
-    process.start()
-    sim.run(until=1.5)
-    process.set_interval(2.0)
-    # The tick already scheduled (at t=2.0) still fires; the new period
-    # applies from that point on.
-    sim.run(until=6.0)
-    assert ticks == [1.0, 2.0, 4.0, 6.0]
-
-
-def test_set_interval_validates(sim):
-    process = PeriodicProcess(sim, 1.0, lambda: None)
-    with pytest.raises(SimulationError):
-        process.set_interval(-1.0)
 
 
 def test_jitter_keeps_ticks_near_interval(sim):

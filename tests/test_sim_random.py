@@ -44,27 +44,9 @@ def test_randint_within_bounds():
     assert set(values) <= set(range(1, 7))
 
 
-def test_choice_and_sample():
+def test_sample_draws_distinct_items():
     random = SeededRandom(4)
     items = list(range(20))
-    assert random.choice(items) in items
     sample = random.sample(items, 5)
     assert len(sample) == 5
     assert len(set(sample)) == 5
-
-
-def test_shuffle_preserves_elements():
-    random = SeededRandom(4)
-    items = list(range(10))
-    shuffled = list(items)
-    random.shuffle(shuffled)
-    assert sorted(shuffled) == items
-
-
-def test_expovariate_positive():
-    random = SeededRandom(4)
-    assert all(random.expovariate(10.0) > 0 for _ in range(50))
-
-
-def test_seed_property():
-    assert SeededRandom(17).seed == 17

@@ -10,8 +10,9 @@ rules.
 
 The audit guards need no tool: every module under ``src/repro`` is on the
 path of a CLI command (or is allow-listed with its reason), the twelve
-substrate packages re-export nothing, and every ``ScenarioSpec`` field is
-turned by something other than a test (or is allow-listed with its reason).
+substrate packages re-export nothing, no module keeps a top-level import
+it never uses, and every ``ScenarioSpec`` field is turned by something
+other than a test (or is allow-listed with its reason).
 """
 
 import ast
@@ -149,6 +150,45 @@ def test_one_module_owns_the_collector():
     assert importers == {"sim/engine.py"}
 
 
+def _names_used(tree):
+    """Every identifier a module reads, including the ones inside string
+    annotations (``Optional["Simulator"]``) and ``__all__`` entries."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                expression = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            used.update(n.id for n in ast.walk(expression) if isinstance(n, ast.Name))
+    return used
+
+
+def test_no_module_has_an_unused_top_level_import():
+    """CI's ruff selects no F401 (and is CI-only, see the module
+    docstring); a deletion is exactly what leaves an import behind."""
+    package_root = REPO_ROOT / "src" / "repro"
+    unused = []
+    for path in sorted(package_root.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = _names_used(tree)
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound = [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unused.extend(
+                f"{path.relative_to(package_root).as_posix()}:{node.lineno} {name}"
+                for name in bound
+                if name not in used
+            )
+    assert unused == []
+
+
 #: ``ScenarioSpec`` fields nothing outside ``tests/`` gives a non-default
 #: value, each with why it is a field all the same.  Anything else that no
 #: preset, CLI option, experiment or benchmark turns is a switch with one
@@ -165,8 +205,6 @@ KNOBS_NOTHING_TURNS = {
     # analytic monitor against.
     "packet_traffic": "packet-level reference data plane",
     "packet_rate_pps": "its probe rate",
-    # Found by this guard; deleting it changes the spec schema (ROADMAP 8(g)).
-    "churn_updates": "set by tests only: the next knob to leave",
 }
 
 #: Calls whose keyword arguments end up in a spec.
