@@ -131,7 +131,7 @@ class FlowProvisioner:
         return results
 
     #: The name the remote-repoint engine calls (benchmarks/e2e hands it a
-    #: stand-in provisioner with only this method; see ROADMAP item 2).
+    #: stand-in provisioner with only this method; see ROADMAP 1(b)).
     point_groups = redirect_groups
 
     # ------------------------------------------------------------------

@@ -143,7 +143,7 @@ class FibUpdater:
         self._queue.extend(requests)
 
     #: Second name of :meth:`enqueue_many`, kept because benchmarks/e2e
-    #: pins it as a boundary row (see ROADMAP item 2).
+    #: pins it as a boundary row (see ROADMAP 1(b)).
     enqueue_batch = enqueue_many
 
     def flush_immediately(self) -> None:

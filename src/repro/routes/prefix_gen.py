@@ -8,6 +8,8 @@ the public IPv4 table (dominated by /24s).
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from itertools import accumulate
 from typing import Iterator, List, Sequence, Tuple
 
 from repro.net.addresses import AddressError, IPv4Address, IPv4Prefix
@@ -34,23 +36,22 @@ class PrefixGenerator:
     def __init__(self, seed: int = 0, length_mix: Sequence[Tuple[int, float]] = PREFIX_LENGTH_MIX) -> None:
         if not length_mix:
             raise ValueError("length_mix must not be empty")
+        if any(weight < 0 for _, weight in length_mix):
+            raise ValueError("length_mix weights must be non-negative")
         total = sum(weight for _, weight in length_mix)
         if total <= 0:
             raise ValueError("length_mix weights must sum to a positive value")
         self._random = SeededRandom(seed)
-        self._lengths = [length for length, _ in length_mix]
-        self._cumulative: List[float] = []
-        running = 0.0
-        for _, weight in length_mix:
-            running += weight / total
-            self._cumulative.append(running)
-
-    def _pick_length(self) -> int:
-        roll = self._random.random()
-        for length, threshold in zip(self._lengths, self._cumulative):
-            if roll <= threshold:
-                return length
-        return self._lengths[-1]
+        # A length is the first whose cumulative share reaches the roll.
+        # Non-negative weights make the thresholds non-decreasing, so that
+        # first index is ``bisect_left``'s; a roll above the last threshold
+        # (float rounding) takes the last length, appended once more.
+        self._cumulative = list(accumulate(weight / total for _, weight in length_mix))
+        # Lengths shorter than /22 would escape the block; clamp them so
+        # prefixes stay disjoint (the mix still skews towards /24).
+        min_length = 32 - _BLOCK_BITS
+        self._lengths = [max(length, min_length) for length, _ in length_mix]
+        self._lengths.append(self._lengths[-1])
 
     def stream_codes(self, count: int) -> Iterator[int]:
         """Stream ``count`` prefixes as integer codes (the scale core).
@@ -69,16 +70,13 @@ class PrefixGenerator:
             raise AddressError(
                 f"cannot generate {count} prefixes; only {max_blocks} disjoint blocks available"
             )
-        min_length = 32 - _BLOCK_BITS
+        roll = self._random.random
+        cumulative, lengths = self._cumulative, self._lengths
         shift = IPv4Prefix.LENGTH_BITS
-        for index in range(count):
-            block_start = _BASE + (index << _BLOCK_BITS)
-            length = self._pick_length()
-            # Lengths shorter than /22 would escape the block; clamp them so
-            # prefixes stay disjoint (the mix still skews towards /24).
-            if length < min_length:
-                length = min_length
-            yield (block_start << shift) | length
+        first = _BASE << shift
+        step = 1 << (_BLOCK_BITS + shift)
+        for block_code in range(first, first + count * step, step):
+            yield block_code | lengths[bisect_left(cumulative, roll())]
 
     def generate(self, count: int) -> List[IPv4Prefix]:
         """Generate ``count`` distinct, non-overlapping prefixes."""

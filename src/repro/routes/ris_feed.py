@@ -9,7 +9,8 @@ peers" workload used by the controller micro-benchmark.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence
+from itertools import islice, repeat
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence
 
 from repro.bgp.attributes import AsPath, Origin, PathAttributes
 from repro.bgp.messages import UpdateMessage
@@ -18,8 +19,7 @@ from repro.routes.prefix_gen import PrefixGenerator
 from repro.sim.random import SeededRandom
 
 
-@dataclass(frozen=True)
-class FeedRoute:
+class FeedRoute(NamedTuple):
     """One route of a synthetic feed (MRT-record-like view)."""
 
     prefix: IPv4Prefix
@@ -60,21 +60,6 @@ class RouteFeed:
         return [route.prefix for route in self.routes]
 
 
-def _random_as_path(random: SeededRandom, first_hop_asn: int) -> AsPath:
-    """A plausible AS path starting at the provider's ASN.
-
-    Random hops stay strictly below every ASN the testbeds reserve for
-    their own devices (64512 controller, 65000+ routers): a synthetic path
-    that contained a device ASN would be silently dropped by that device's
-    BGP loop prevention and the scenario could never fully converge.
-    """
-    length = random.randint(1, 5)
-    asns = [first_hop_asn]
-    for _ in range(length):
-        asns.append(random.randint(1000, 64000))
-    return AsPath(tuple(asns))
-
-
 def synthetic_full_table(
     count: int,
     seed: int = 0,
@@ -92,16 +77,25 @@ def synthetic_full_table(
         prefixes = PrefixGenerator(seed=seed).generate(count)
     elif len(prefixes) < count:
         raise ValueError(f"need at least {count} prefixes, got {len(prefixes)}")
-    routes = []
-    for index in range(count):
-        routes.append(
-            FeedRoute(
-                prefix=prefixes[index],
-                as_path=_random_as_path(random, provider_asn),
-                origin=Origin.IGP if random.random() < 0.9 else Origin.INCOMPLETE,
-                med=random.randint(0, 10),
-            )
+    roll = random.random
+    path_lengths = random.randints(repeat((1, 5))).__next__
+    # Random hops stay strictly below every ASN the testbeds reserve for
+    # their own devices (64512 controller, 65000+ routers): a synthetic
+    # path that contained a device ASN would be silently dropped by that
+    # device's BGP loop prevention and the scenario could never converge.
+    hops = random.randints(repeat((1000, 64000)))
+    meds = random.randints(repeat((0, 10))).__next__
+    # Arguments evaluate left to right: path length, hops, origin, MED —
+    # one route's draws in the order the pinned table digests fix.
+    routes = [
+        FeedRoute(
+            prefix,
+            AsPath((provider_asn, *islice(hops, path_lengths()))),
+            Origin.IGP if roll() < 0.9 else Origin.INCOMPLETE,
+            meds(),
         )
+        for prefix in islice(prefixes, count)
+    ]
     return RouteFeed(routes=routes, seed=seed)
 
 
@@ -134,8 +128,8 @@ def churn_stream(
     # (1-based); a withdraw's slot is drawn uniformly from the rest of the
     # stream, so the mix spreads over the whole replay.
     slots: Dict[int, List[IPv4Prefix]] = {}
-    for prefix, index in zip(selected, positions):
-        slot = random.randint(index + 1, total)
+    drawn = random.randints((index + 1, total) for index in positions)
+    for prefix, slot in zip(selected, drawn):
         slots.setdefault(slot, []).append(prefix)
     for index, route in enumerate(feed.routes):
         yield route.to_update(next_hop)

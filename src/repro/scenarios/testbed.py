@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, IO, List, Optional
 
+from repro.bgp.attributes import PathAttributes
 from repro.bgp.messages import UpdateMessage
 from repro.bgp.rib import RibChange
 from repro.bgp.speaker import BgpSpeaker, PeerConfig
@@ -670,7 +671,10 @@ class ScenarioLab:
             self.provider_feeds.append(feed)
             next_hop = self.plan.provider_core_ip(i)
             provider.bgp.originate_many(
-                [(route.prefix, route.attributes(next_hop)) for route in feed.routes]
+                [
+                    (prefix, PathAttributes(next_hop, as_path, origin, med=med))
+                    for prefix, as_path, origin, med in feed.routes
+                ]
             )
 
     def wait_converged(self, timeout: float = 3600.0) -> bool:

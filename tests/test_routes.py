@@ -1,10 +1,109 @@
 """Tests for the synthetic prefix generator and route feeds."""
 
+import hashlib
+import random
+from itertools import repeat
+
 import pytest
 
 from repro.net.addresses import IPv4Address
 from repro.routes.prefix_gen import PrefixGenerator
 from repro.routes.ris_feed import churn_stream, synthetic_full_table
+from repro.sim.random import SeededRandom
+
+
+def _digest(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def _feed_lines(feed):
+    return [f"{r.prefix} {r.as_path} {int(r.origin)} {r.med}" for r in feed.routes]
+
+
+def _update_lines(updates):
+    lines = []
+    for update in updates:
+        attrs = update.attributes
+        if attrs is None:
+            lines.append(f"W {update.prefix}")
+        else:
+            lines.append(
+                f"A {update.prefix} {attrs.next_hop} {attrs.as_path}"
+                f" {int(attrs.origin)} {attrs.med}"
+            )
+    return lines
+
+
+# sha256 of the generators' output: every scenario's table is these
+# draws, so one extra, missing or reordered draw must change a digest.
+GENERATE_DIGESTS = {
+    (0, 100): "fdd00e0a80fd38ad844e5f36a50070acb9ed981137756d47a8d259b146df98ae",
+    (0, 3000): "f0d622eb60657b04565bd274a344c7a46df5be61ddc4369869251c4a9e6207e4",
+    (1, 100): "d81f1fb529d48a60ed882bf3eeb2a324066d16ffb36d725e4d7146e912fc22f1",
+    (1, 3000): "155c2b6d8d73486571da56e52545cd9c80b67070f60119023f07eafaa1ac5bb2",
+    (7, 100): "a1db9deb9f660d87fefd76983399dbf45eecc1d05c007fede3f1945a95d48ca4",
+    (7, 3000): "c7328b3ea29129ac2434114e0ec0e834d14e350177a5075552bc9bde92489f4f",
+}
+TABLE_DIGESTS = {
+    (1, 100): "9c0f03a5c635e21d2528fee3a60b4db75fff9b3aae01e25d081440495098be82",
+    (7, 2000): "b27008fe25a210b577ab778fc5b8266d3037c81a0cd7c89834fbc6f392f72145",
+}
+SHARED_TABLE_DIGESTS = {
+    (3, 65001): "21d2a6199b385bb6a2202c5b09c8a82b6d7d4f1418979b50f438b7d33448eff3",
+    (4, 65002): "363e24c05042ae3cf9e540ef4e10798a613a615261db9ce82652c5cf893927d0",
+}
+CHURN_DIGESTS = {
+    (1, 100, 5): "cf21baa2958760526de8922ec5afa65384a87874da6b8111d6839afc13a15e21",
+    (7, 2000, 11): "7484fd7bb09dc43da67257f515ad9e99a70b06d7e8afe0c4d80c88b7f5046509",
+}
+
+
+class TestPinnedDraws:
+    @pytest.mark.parametrize("seed,count", sorted(GENERATE_DIGESTS))
+    def test_generate(self, seed, count):
+        prefixes = PrefixGenerator(seed).generate(count)
+        assert _digest(map(str, prefixes)) == GENERATE_DIGESTS[seed, count]
+
+    @pytest.mark.parametrize("seed,count", sorted(TABLE_DIGESTS))
+    def test_synthetic_full_table(self, seed, count):
+        feed = synthetic_full_table(count, seed=seed)
+        assert _digest(_feed_lines(feed)) == TABLE_DIGESTS[seed, count]
+
+    @pytest.mark.parametrize("seed,asn", sorted(SHARED_TABLE_DIGESTS))
+    def test_synthetic_full_table_over_shared_prefixes(self, seed, asn):
+        prefixes = PrefixGenerator(seed=3).generate(1000)
+        feed = synthetic_full_table(1000, seed=seed, provider_asn=asn, prefixes=prefixes)
+        assert _digest(_feed_lines(feed)) == SHARED_TABLE_DIGESTS[seed, asn]
+
+    @pytest.mark.parametrize("feed_seed,count,seed", sorted(CHURN_DIGESTS))
+    def test_churn_stream(self, feed_seed, count, seed):
+        feed = synthetic_full_table(count, seed=feed_seed)
+        updates = churn_stream(feed, IPv4Address("10.0.0.2"), withdraw_fraction=0.3, seed=seed)
+        assert _digest(_update_lines(updates)) == CHURN_DIGESTS[feed_seed, count, seed]
+
+    @pytest.mark.parametrize("low,high", [(1, 5), (1000, 64000), (0, 10), (7, 7)])
+    def test_randints_are_randint(self, low, high):
+        for seed in (0, 1, 7):
+            drawn = list(SeededRandom(seed).randints(repeat((low, high), 500)))
+            stdlib = random.Random(seed)
+            assert drawn == [stdlib.randint(low, high) for _ in range(500)]
+
+    def test_randints_over_churn_ranges_are_randint(self):
+        # churn_stream draws a withdraw's slot from (index + 1, total).
+        total = 300
+        bounds = [(index + 1, total) for index in range(total)]
+        for seed in (0, 1, 7):
+            stdlib = random.Random(seed)
+            expected = [stdlib.randint(low, high) for low, high in bounds]
+            assert list(SeededRandom(seed).randints(bounds)) == expected
+
+    def test_randints_rejects_an_empty_range(self):
+        with pytest.raises(ValueError):
+            next(SeededRandom(1).randints([(5, 4)]))
+
+    def test_invalid_provider_asn_rejected(self):
+        with pytest.raises(ValueError):
+            synthetic_full_table(10, seed=1, provider_asn=0)
 
 
 class TestPrefixGenerator:
@@ -43,6 +142,15 @@ class TestPrefixGenerator:
     def test_empty_mix_rejected(self):
         with pytest.raises(ValueError):
             PrefixGenerator(length_mix=())
+
+    def test_negative_weight_rejected(self):
+        # The total is positive, but /23 could never be drawn.
+        with pytest.raises(ValueError):
+            PrefixGenerator(length_mix=((24, 1.0), (23, -0.5), (22, 0.5)))
+
+    def test_zero_weight_length_is_never_drawn(self):
+        prefixes = PrefixGenerator(seed=1, length_mix=((24, 1.0), (23, 0.0), (22, 1.0))).generate(500)
+        assert {prefix.length for prefix in prefixes} == {22, 24}
 
     def test_stream_matches_generate(self):
         generator = PrefixGenerator(seed=9)
