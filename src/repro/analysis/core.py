@@ -8,9 +8,9 @@ that are suppressed inline or matched by the committed baseline
 (:mod:`repro.analysis.baseline`).
 
 Suppression grammar (same-line, ``noqa``-style; the first example is
-the per-flush memo in ``supercharge/engine.py``)::
+the wall-clock microbench in ``experiments/controller_bench.py``)::
 
-    hop_target = live_cache.get(id(hops), missing)  # detlint: disable=DET004
+    started = time.perf_counter()  # detlint: disable=DET002
 
     # detlint: disable-file=DET002 -- whole-file exemption (first 10 lines)
 

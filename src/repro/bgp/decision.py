@@ -38,8 +38,8 @@ def _preference_key(route: Route) -> Tuple:
         route.attributes.med,
         0 if route.source.is_ebgp else 1,
         route.igp_cost,
-        route.source.router_id.value,
-        route.source.peer_ip.value,
+        route.source.router_id,
+        route.source.peer_ip,
     )
 
 

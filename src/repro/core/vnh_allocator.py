@@ -48,13 +48,13 @@ class VnhAllocator:
     ) -> None:
         self.pool = pool
         self._vmac_base = vmac_base
-        # All internal state is plain ints (address/MAC values): at DFZ
-        # scale the allocator sits on the group-churn path, and int sets
-        # avoid both object hashing and per-candidate object allocation in
-        # the pool scan.  Objects are materialised only at the API edge.
-        self._reserved: Set[int] = {address.value for address in (reserved or set())}
-        self._pool_net = pool.network.value
-        self._pool_last = pool.last_address.value
+        # All internal state is ints (an address is its value): at DFZ
+        # scale the allocator sits on the group-churn path, and the pool
+        # scan allocates no object per candidate.  Addresses and MACs are
+        # materialised only at the API edge.
+        self._reserved: Set[int] = set(reserved or ())
+        self._pool_net = pool.network
+        self._pool_last = pool.last_address
         self._pool_size = pool.num_addresses
         self._allocated: Dict[int, int] = {}  # vnh value -> vmac value
         self._released: List[Tuple[int, int]] = []
@@ -116,8 +116,8 @@ class VnhAllocator:
 
     def release(self, vnh: IPv4Address) -> bool:
         """Return a pair to the allocator; returns whether it was allocated."""
-        vmac = self._allocated.pop(vnh.value, None)
+        vmac = self._allocated.pop(vnh, None)
         if vmac is None:
             return False
-        self._released.append((vnh.value, vmac))
+        self._released.append((vnh, vmac))
         return True

@@ -6,11 +6,22 @@ comparisons, iteration over host addresses, virtual-MAC allocation).
 They are deliberately independent of :mod:`ipaddress` so the library has
 no behavioural surprises around exotic notations and stays fast on the
 hot paths (hundreds of thousands of FIB entries).
+
+All three are ``int`` subclasses with no per-instance storage: an
+address is its 32-bit value, a MAC its 48-bit value, a prefix its code.
+Equality, hashing and ordering are ``int``'s (in C, and not salted by
+``PYTHONHASHSEED``), and every value stays truthy.  Two consequences:
+
+* a MAC, an address and a prefix code of equal integer value are equal
+  and collide as dictionary keys, so a mapping must never mix the kinds
+  (none in the library does: ARP binds addresses to MACs, flow matches
+  name their fields, and the switch's port map holds port numbers);
+* ``json.dumps`` writes a leaked address, MAC or prefix as a number
+  instead of raising, so exports must pass ``str(value)``.
 """
 
 from __future__ import annotations
 
-import functools
 import re
 from typing import Callable, Tuple, Union
 
@@ -22,81 +33,87 @@ class AddressError(ValueError):
 _MAC_RE = re.compile(r"^([0-9a-fA-F]{2}[:\-]){5}[0-9a-fA-F]{2}$")
 
 
-@functools.total_ordering
-class MacAddress:
-    """48-bit Ethernet MAC address."""
+class _IntValue(int):
+    """An ``int`` that is a value of its own kind: always truthy, and
+    formatted as its text (``f"{value:>18}"``), never as a number."""
 
-    __slots__ = ("_value",)
+    __slots__ = ()
+
+    def __bool__(self) -> bool:
+        return True  # 0.0.0.0, 00:00:00:00:00:00 and 0.0.0.0/0 are values
+
+    def __format__(self, spec: str) -> str:
+        return format(str(self), spec)
+
+
+class MacAddress(_IntValue):
+    """48-bit Ethernet MAC address.
+
+    A MAC *is* its 48-bit integer: equality, hashing and ordering are
+    ``int``'s.  ``MacAddress(0)`` stays truthy, and the constructor
+    refuses the other address types although they are ints too.
+    """
+
+    __slots__ = ()
 
     MAX = (1 << 48) - 1
 
-    def __init__(self, value: Union[int, str, "MacAddress"]) -> None:
+    def __new__(cls, value: Union[int, str, "MacAddress"]) -> "MacAddress":
         if isinstance(value, MacAddress):
-            self._value = value._value
-            return
+            return value
         if isinstance(value, int):
-            if isinstance(value, IPv4Prefix):  # an int, but not a MAC value
-                raise AddressError("cannot build MacAddress from IPv4Prefix")
-            if not 0 <= value <= self.MAX:
+            if isinstance(value, (IPv4Address, IPv4Prefix)):  # ints, not MACs
+                raise AddressError(f"cannot build MacAddress from {type(value).__name__}")
+            if not 0 <= value <= cls.MAX:
                 raise AddressError(f"MAC integer out of range: {value}")
-            self._value = value
-            return
+            return int.__new__(cls, value)
         if isinstance(value, str):
             if not _MAC_RE.match(value):
                 raise AddressError(f"invalid MAC address: {value!r}")
-            self._value = int(value.replace("-", ":").replace(":", ""), 16)
-            return
+            return int.__new__(cls, int(value.replace("-", ":").replace(":", ""), 16))
         raise AddressError(f"cannot build MacAddress from {type(value).__name__}")
 
     @property
     def value(self) -> int:
-        """The 48-bit integer value."""
-        return self._value
+        """The 48-bit integer value, as a plain ``int``."""
+        return int(self)
 
     @property
     def is_broadcast(self) -> bool:
         """True for ff:ff:ff:ff:ff:ff."""
-        return self._value == self.MAX
+        return self == self.MAX
 
     def __str__(self) -> str:
-        raw = f"{self._value:012x}"
+        raw = "%012x" % self
         return ":".join(raw[i : i + 2] for i in range(0, 12, 2))
 
     def __repr__(self) -> str:
         return f"MacAddress('{self}')"
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, MacAddress) and other._value == self._value
 
-    def __hash__(self) -> int:
-        return hash(("mac", self._value))
+class IPv4Address(_IntValue):
+    """32-bit IPv4 address.
 
-    def __lt__(self, other: "MacAddress") -> bool:
-        return self._value < other._value
+    An address *is* its 32-bit integer, like :class:`IPv4Prefix` is its
+    code: ``0.0.0.0`` stays truthy, and the constructor refuses a MAC or
+    a prefix although they are ints too.
+    """
 
-
-@functools.total_ordering
-class IPv4Address:
-    """32-bit IPv4 address."""
-
-    __slots__ = ("_value",)
+    __slots__ = ()
 
     MAX = (1 << 32) - 1
 
-    def __init__(self, value: Union[int, str, "IPv4Address"]) -> None:
+    def __new__(cls, value: Union[int, str, "IPv4Address"]) -> "IPv4Address":
         if isinstance(value, IPv4Address):
-            self._value = value._value
-            return
+            return value
         if isinstance(value, int):
-            if isinstance(value, IPv4Prefix):  # an int, but not an address
-                raise AddressError("cannot build IPv4Address from IPv4Prefix")
-            if not 0 <= value <= self.MAX:
+            if isinstance(value, (MacAddress, IPv4Prefix)):  # ints, not addresses
+                raise AddressError(f"cannot build IPv4Address from {type(value).__name__}")
+            if not 0 <= value <= cls.MAX:
                 raise AddressError(f"IPv4 integer out of range: {value}")
-            self._value = value
-            return
+            return int.__new__(cls, value)
         if isinstance(value, str):
-            self._value = self._parse(value)
-            return
+            return int.__new__(cls, cls._parse(value))
         raise AddressError(f"cannot build IPv4Address from {type(value).__name__}")
 
     @staticmethod
@@ -116,24 +133,14 @@ class IPv4Address:
 
     @property
     def value(self) -> int:
-        """The 32-bit integer value."""
-        return self._value
+        """The 32-bit integer value, as a plain ``int``."""
+        return int(self)
 
     def __str__(self) -> str:
-        v = self._value
-        return f"{(v >> 24) & 0xFF}.{(v >> 16) & 0xFF}.{(v >> 8) & 0xFF}.{v & 0xFF}"
+        return f"{(self >> 24) & 0xFF}.{(self >> 16) & 0xFF}.{(self >> 8) & 0xFF}.{self & 0xFF}"
 
     def __repr__(self) -> str:
         return f"IPv4Address('{self}')"
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, IPv4Address) and other._value == self._value
-
-    def __hash__(self) -> int:
-        return hash(("ipv4", self._value))
-
-    def __lt__(self, other: "IPv4Address") -> bool:
-        return self._value < other._value
 
 
 #: Netmask per prefix length (index = length): the one table the prefix,
@@ -143,7 +150,7 @@ MASKS: Tuple[int, ...] = tuple(
 )
 
 
-class IPv4Prefix(int):
+class IPv4Prefix(_IntValue):
     """IPv4 prefix (network address + mask length) with LPM helpers.
 
     A prefix *is* its integer code ``(network << 6) | length``: equality,
@@ -179,7 +186,7 @@ class IPv4Prefix(int):
             raise AddressError("prefix length is required")
         if not 0 <= length <= 32:
             raise AddressError(f"prefix length out of range: {length}")
-        masked = IPv4Address(network).value & MASKS[length]
+        masked = IPv4Address(network) & MASKS[length]
         return int.__new__(cls, (masked << 6) | length)
 
     @classmethod
@@ -194,9 +201,6 @@ class IPv4Prefix(int):
         # int.__getnewargs__ would re-enter __new__(cls, code) as "a
         # network without a length" on unpickle / deepcopy / asdict.
         return (IPv4Prefix.from_code, (int(self),))
-
-    def __bool__(self) -> bool:
-        return True  # 0.0.0.0/0 has code 0 and is still a prefix
 
     @staticmethod
     def mask_for(length: int) -> int:
@@ -229,7 +233,7 @@ class IPv4Prefix(int):
             item = IPv4Prefix(item) if "/" in item else IPv4Address(item)
         network, length = self >> 6, self & 0x3F
         if isinstance(item, IPv4Address):
-            return (item.value & MASKS[length]) == network
+            return (item & MASKS[length]) == network
         if isinstance(item, IPv4Prefix):
             return (item & 0x3F) >= length and ((item >> 6) & MASKS[length]) == network
         raise AddressError(f"cannot test containment of {type(item).__name__}")
@@ -243,9 +247,6 @@ class IPv4Prefix(int):
 
     def __repr__(self) -> str:
         return f"IPv4Prefix('{self}')"
-
-    def __format__(self, spec: str) -> str:
-        return format(str(self), spec)
 
 
 #: The Ethernet broadcast address (down here because building a MAC from

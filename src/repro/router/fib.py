@@ -95,11 +95,10 @@ class LpmTable(Generic[ValueT]):
 
     def lookup(self, address: IPv4Address) -> Optional[Tuple[IPv4Prefix, ValueT]]:
         """Longest-prefix match for ``address``."""
-        value = address.value
         buckets = self._buckets
         masks = MASKS
         for plen in self._lengths:
-            item = buckets[plen].get(value & masks[plen])
+            item = buckets[plen].get(address & masks[plen])
             if item is not None:
                 return item
         return None

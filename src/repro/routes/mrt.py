@@ -524,7 +524,7 @@ def write_updates(
         message = _BGP_MARKER + struct.pack(">HB", 19 + len(body), _BGP_UPDATE) + body
         header = struct.pack(
             ">IIHH", peer.asn, local_asn, 0, 1
-        ) + struct.pack(">II", peer.ip.value, local_ip.value)
+        ) + struct.pack(">II", peer.ip, local_ip)
         chunks.append(_record(timestamp, BGP4MP, BGP4MP_MESSAGE_AS4, header + message))
     with open(path, "wb") as handle:
         handle.write(b"".join(chunks))
@@ -541,13 +541,13 @@ def _encode_peer_index(peers: Sequence[MrtPeer]) -> bytes:
     body += struct.pack(">H", len(peers))
     for peer in peers:
         body += struct.pack(">B", 0x02)  # IPv4 peer, 4-byte AS
-        body += struct.pack(">III", peer.bgp_id.value, peer.ip.value, peer.asn)
+        body += struct.pack(">III", peer.bgp_id, peer.ip, peer.asn)
     return body
 
 
 def _encode_nlri(prefix: IPv4Prefix) -> bytes:
     byte_count = (prefix.length + 7) // 8
-    raw = struct.pack(">I", prefix.network.value)[:byte_count]
+    raw = struct.pack(">I", prefix.network)[:byte_count]
     return struct.pack(">B", prefix.length) + raw
 
 
@@ -560,7 +560,7 @@ def _encode_attributes(attributes: PathAttributes, as_size: int) -> bytes:
         segment = struct.pack(">BB", _AS_SEQUENCE, len(asns))
         segment += b"".join(struct.pack(pattern, asn) for asn in asns)
     parts.append(_attribute(_ATTR_AS_PATH, segment))
-    parts.append(_attribute(_ATTR_NEXT_HOP, struct.pack(">I", attributes.next_hop.value)))
+    parts.append(_attribute(_ATTR_NEXT_HOP, struct.pack(">I", attributes.next_hop)))
     parts.append(_attribute(_ATTR_MED, struct.pack(">I", attributes.med), optional=True))
     return b"".join(parts)
 

@@ -26,8 +26,8 @@ PREFIX_LENGTH_MIX: Sequence[Tuple[int, float]] = (
 )
 
 _BLOCK_BITS = 10  # each prefix lives in its own /22 (1024 addresses)
-_BASE = IPv4Address("4.0.0.0").value
-_CEILING = IPv4Address("223.255.255.255").value
+_BASE = IPv4Address("4.0.0.0")
+_CEILING = IPv4Address("223.255.255.255")
 
 
 class PrefixGenerator:

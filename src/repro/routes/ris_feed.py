@@ -131,7 +131,9 @@ def churn_stream(
     drawn = random.randints((index + 1, total) for index in positions)
     for prefix, slot in zip(selected, drawn):
         slots.setdefault(slot, []).append(prefix)
-    for index, route in enumerate(feed.routes):
-        yield route.to_update(next_hop)
-        for prefix in slots.get(index + 1, ()):
-            yield UpdateMessage.withdraw(prefix)
+    # Messages are built in place, as ``ScenarioLab.load_feeds`` builds its
+    # attributes: one constructor frame per UPDATE.
+    for index, (prefix, as_path, origin, med) in enumerate(feed.routes, 1):
+        yield UpdateMessage(prefix, PathAttributes(next_hop, as_path, origin, med=med))
+        for withdrawn in slots.get(index, ()):
+            yield UpdateMessage(withdrawn)

@@ -99,10 +99,10 @@ class AddressPlan:
         return IPv4Prefix("192.168.1.0/24" if j == 0 else f"172.16.{j}.0/24")
 
     def edge_source_ip(self, j: int) -> IPv4Address:
-        return IPv4Address(self.source_subnet(j).network.value + 1)
+        return IPv4Address(self.source_subnet(j).network + 1)
 
     def source_ip(self, j: int) -> IPv4Address:
-        return IPv4Address(self.source_subnet(j).network.value + 2)
+        return IPv4Address(self.source_subnet(j).network + 2)
 
     def edge_source_mac(self, j: int) -> MacAddress:
         return (
@@ -137,10 +137,10 @@ class AddressPlan:
         return IPv4Prefix(f"192.168.{2 + i}.0/30")
 
     def provider_sink_ip(self, i: int) -> IPv4Address:
-        return IPv4Address(self.sink_subnet(i).network.value + 1)
+        return IPv4Address(self.sink_subnet(i).network + 1)
 
     def sink_ip(self, i: int) -> IPv4Address:
-        return IPv4Address(self.sink_subnet(i).network.value + 2)
+        return IPv4Address(self.sink_subnet(i).network + 2)
 
     def provider_sink_mac(self, i: int) -> MacAddress:
         return MacAddress(f"00:00:00:00:{2 + i:02x}:01")
@@ -930,7 +930,7 @@ class ScenarioLab:
         self.monitored_destinations = []
         self._destination_prefix = {}
         for prefix in chosen:
-            destination = IPv4Address(prefix.network.value + 1)
+            destination = IPv4Address(prefix.network + 1)
             self.monitored_destinations.append(destination)
             self._destination_prefix[destination] = prefix
 

@@ -36,7 +36,7 @@ so campaign sweeps stay byte-identical and A/B-comparable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.bgp.rib import RibChange
 from repro.core.backup_groups import GroupKey, ProvisioningAction
@@ -173,7 +173,7 @@ class RemoteRepointEngine:
             decision = self._decide(group)
             if decision is not None:
                 target, new_key = decision
-                if target != group.active_next_hop:
+                if target != group.active:
                     repoints.append((group, target))
                     refreshed_keys.append(new_key)
                 else:
@@ -248,34 +248,26 @@ class RemoteRepointEngine:
         self, group: RemoteGroup
     ) -> Optional[Tuple[IPv4Address, GroupKey]]:
         """``(target, refreshed key)`` when the whole group shares one live
-        fate; ``None`` sends the pending members to the per-prefix path."""
+        fate; ``None`` sends the pending members to the per-prefix path.
+
+        At DFZ scale a group drains hundreds of thousands of members but
+        their rankings collapse to a handful of distinct tuples, so the
+        liveness probe runs once per distinct ranking: the tuples are
+        deduplicated by value (one C int hash per address), in first-seen
+        order.  Equal rankings have equal first live hops, and liveness
+        cannot change here (no simulated time passes), so the decision is
+        the one a probe per member would reach."""
         pending = group.pending
         if len(pending) != group.prefix_count:
             return None  # partial drain: the survivors must keep their rule
         target: Optional[IPv4Address] = None
-        # At DFZ scale a group drains hundreds of thousands of members but
-        # their rankings collapse to a handful of distinct tuples — and
-        # :class:`~repro.bgp.rib.CompactPeerRib` interns them, so the
-        # liveness probe is memoised by tuple identity (an int hash, no
-        # element hashing).  Non-interned callers merely recompute; the
-        # tuples stay alive in ``pending`` for the dict's lifetime, so
-        # ids cannot be recycled mid-decision, and liveness cannot change
-        # here (no simulated time passes).
-        live_cache: Dict[int, Optional[IPv4Address]] = {}
-        missing = object()
-        for hops in pending.values():
+        for hops in dict.fromkeys(pending.values()):
             # No live hop: no single rule can carry the group safely, so
             # the members take the per-prefix path.  That path follows
             # BGP's view (it may announce a BFD-dead next hop) — exactly
             # the base manager's behaviour, which is also what rescues a
             # BFD false positive where the "dead" peer still forwards.
-            # detlint: disable=DET004 (next two sites) -- memo over interned
-            # ranking tuples, scoped to this single flush decision; the
-            # comment block above documents why ids cannot be recycled.
-            hop_target = live_cache.get(id(hops), missing)  # detlint: disable=DET004
-            if hop_target is missing:
-                hop_target = next((h for h in hops if self._peer_alive(h)), None)
-                live_cache[id(hops)] = hop_target  # detlint: disable=DET004
+            hop_target = next((h for h in hops if self._peer_alive(h)), None)
             if hop_target is None:
                 return None
             if target is None:

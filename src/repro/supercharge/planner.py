@@ -55,7 +55,8 @@ class RemoteGroup(BackupGroup):
     """A shared-fate group with data-plane state and a drain buffer."""
 
     #: Next hop the group's switch rule currently rewrites towards (may
-    #: diverge from ``primary`` between a failover and the key refresh).
+    #: diverge from ``primary`` between a failover and the key refresh);
+    #: a new group's rule points at its primary.
     active: Optional[IPv4Address] = None
     #: Members whose ranking moved away from the group, awaiting the
     #: engine's flush: prefix -> its new ranked distinct next hops.
@@ -63,10 +64,9 @@ class RemoteGroup(BackupGroup):
     #: How many times the group's rule was repointed by the remote path.
     repoints: int = 0
 
-    @property
-    def active_next_hop(self) -> IPv4Address:
-        """Where the group's rule points right now."""
-        return self.active if self.active is not None else self.primary
+    def __post_init__(self) -> None:
+        if self.active is None:
+            self.active = self.key[0]
 
 
 class RemoteGroupPlanner(BackupGroupManager):
@@ -128,7 +128,7 @@ class RemoteGroupPlanner(BackupGroupManager):
         return [
             group
             for group in self._groups.values()
-            if group.active_next_hop == next_hop
+            if group.active == next_hop
         ]
 
     def groups_restorable_to(self, peer: IPv4Address) -> List[RemoteGroup]:
@@ -157,7 +157,7 @@ class RemoteGroupPlanner(BackupGroupManager):
         group = self._group_of_prefix.get(prefix)
         if group is None:
             return self._assign(prefix, hops, had_ranking=bool(change.old_ranking))
-        if hops[: self.group_size] == group.key and group.active_next_hop == group.primary:
+        if hops[: self.group_size] == group.key and group.active == group.primary:
             # Ranking churned back to (or never left) the group's steady
             # state: drop any parked deferral for this prefix.
             if group.pending.pop(prefix, None) is not None and not group.pending:
@@ -187,7 +187,10 @@ class RemoteGroupPlanner(BackupGroupManager):
             return False
         key: GroupKey = hops[: self.group_size]
         group = self._join_index.get(key)
-        if group is None or not self._joinable(group):
+        # ``not self._joinable(group)``, inlined: an index entry's key is
+        # its group's key, so the primary is ``key[0]`` and the key is
+        # long enough.
+        if group is None or group.pending or group.active != key[0]:
             group = self._create_group(key)
             if group is None:
                 return False  # VNH pool exhausted: stays ungrouped
@@ -205,21 +208,7 @@ class RemoteGroupPlanner(BackupGroupManager):
         group = self._group_of_prefix.get(code)
         if group is None:
             return False
-        key = group.key
-        # Equivalent to ``hops[:group_size] == key`` without slicing or a
-        # generator: the deferral stream calls this once per prefix, and
-        # during a failover the comparison fails on hops[0] — one address
-        # compare, zero allocations.
-        length = len(hops)
-        if length > self.group_size:
-            length = self.group_size
-        still_ranked = length == len(key)
-        if still_ranked:
-            for index in range(length):
-                if hops[index] != key[index]:
-                    still_ranked = False
-                    break
-        if still_ranked and group.active_next_hop == group.primary:
+        if hops[: self.group_size] == group.key and group.active == group.primary:
             if group.pending.pop(code, None) is not None and not group.pending:
                 self._dirty.pop(group.vmac, None)
             return True
@@ -295,7 +284,7 @@ class RemoteGroupPlanner(BackupGroupManager):
         point at its own primary and no drain may be in flight."""
         return (
             len(group.key) >= 2
-            and group.active_next_hop == group.primary
+            and group.active == group.primary
             and not group.pending
         )
 
@@ -342,7 +331,7 @@ class RemoteGroupPlanner(BackupGroupManager):
         if not self._allocator.can_allocate:
             return None
         vnh, vmac = self._allocator.allocate()
-        group = RemoteGroup(key=key, vnh=vnh, vmac=vmac, active=key[0])
+        group = RemoteGroup(key=key, vnh=vnh, vmac=vmac)
         self._groups[vmac] = group
         self._join_index[key] = group
         return group

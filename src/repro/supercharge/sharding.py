@@ -63,7 +63,7 @@ def shard_of_key(key: GroupKey, num_shards: int) -> int:
     """
     if num_shards <= 1:
         return 0
-    packed = b"".join(hop.value.to_bytes(4, "big") for hop in key)
+    packed = b"".join(hop.to_bytes(4, "big") for hop in key)
     return zlib.crc32(packed) % num_shards
 
 
@@ -172,7 +172,7 @@ def shard_vnh_pool(base: str, shard: int, num_shards: int) -> IPv4Prefix:
             f"pool {base} too small for {num_shards} shards (would need /{sub_len})"
         )
     sub_size = 1 << (32 - sub_len)
-    return IPv4Prefix(IPv4Address(pool.network.value + shard * sub_size), sub_len)
+    return IPv4Prefix(IPv4Address(pool.network + shard * sub_size), sub_len)
 
 
 def _iter_shard_codes(
@@ -262,18 +262,16 @@ def build_shard(spec: ShardWorkSpec) -> ShardBuildResult:
         result.prefixes_covered = engine.prefixes_covered
         result.fallback_prefixes = engine.fallback_prefixes
 
-    groups = sorted(planner.groups(), key=lambda g: g.vmac.value)
+    groups = sorted(planner.groups(), key=lambda g: g.vmac)
     result.groups = len(groups)
     crc = 0
     for group in groups:
-        packed = b"".join(hop.value.to_bytes(4, "big") for hop in group.key)
+        packed = b"".join(hop.to_bytes(4, "big") for hop in group.key)
         crc = zlib.crc32(packed, crc)
         for code in sorted(group.members):
             crc = zlib.crc32(code.to_bytes(5, "big"), crc)
     result.membership_crc = crc
-    result.group_keys = sorted(
-        tuple(hop.value for hop in group.key) for group in groups
-    )
+    result.group_keys = sorted(group.key for group in groups)
     result.rss_mb = round(peak_rss_mb(), 1)
     return result
 

@@ -206,7 +206,7 @@ class ReachabilityMonitor:
             buckets = self._covered[length] = {}
             mask = IPv4Prefix.mask_for(length)
             for state in self._destinations.values():
-                buckets.setdefault(state.destination.value & mask, []).append(state)
+                buckets.setdefault(state.destination & mask, []).append(state)
         for state in buckets.get(network, ()):
             self._evaluate(state)
 

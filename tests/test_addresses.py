@@ -1,12 +1,15 @@
 """Tests for MAC/IPv4 address and prefix types."""
 
 import copy
+import dataclasses
 import json
 import multiprocessing
 import pickle
 
 import pytest
 
+from repro import cli
+from repro.bgp.messages import OpenMessage
 from repro.net.addresses import (
     BROADCAST_MAC,
     AddressError,
@@ -14,7 +17,9 @@ from repro.net.addresses import (
     IPv4Prefix,
     MacAddress,
 )
+from repro.net.packets import ArpOp, ArpPacket
 from repro.routes.prefix_gen import PrefixGenerator
+from repro.scenarios.campaign import CampaignResult
 
 
 class TestMacAddress:
@@ -290,3 +295,122 @@ class TestPrefixIsItsCode:
         top = IPv4Prefix("255.255.255.255/32")
         assert top < 1 << (32 + IPv4Prefix.LENGTH_BITS)
         assert top >> IPv4Prefix.LENGTH_BITS == 0xFFFFFFFF
+
+
+class TestAddressesAreInts:
+    """An address is its 32-bit value and a MAC its 48-bit value, the way a
+    prefix is its code: these pin what ``int`` would otherwise change."""
+
+    def test_are_ints_equal_to_their_values(self):
+        assert isinstance(IPv4Address("10.0.0.1"), int)
+        assert IPv4Address("10.0.0.1") == 0x0A000001
+        assert MacAddress("00:00:00:00:01:02") == 0x0102
+        assert type(IPv4Address("10.0.0.1").value) is int
+        assert type(MacAddress(7).value) is int
+
+    def test_zero_is_truthy(self):
+        assert IPv4Address("0.0.0.0") == 0
+        assert bool(IPv4Address("0.0.0.0"))
+        assert MacAddress(0) == 0
+        assert bool(MacAddress(0))
+
+    @pytest.mark.parametrize(
+        "build, value",
+        [(MacAddress, IPv4Address("10.0.0.1")), (IPv4Address, MacAddress("00:00:00:00:00:05"))],
+        ids=["mac-from-ip", "ip-from-mac"],
+    )
+    def test_other_kinds_are_refused_although_they_are_ints(self, build, value):
+        # A prefix passed to either constructor: test_prefix_rejected_although_it_is_an_int.
+        with pytest.raises(AddressError):
+            build(value)
+
+    def test_pickle_deepcopy_and_asdict_keep_the_type(self):
+        values = [IPv4Address("0.0.0.0"), IPv4Address("192.0.2.1"), MacAddress(0), BROADCAST_MAC]
+        packet = ArpPacket(
+            ArpOp.REPLY, MacAddress(5), IPv4Address(5), MacAddress(0), IPv4Address(0)
+        )
+        clones = [
+            pickle.loads(pickle.dumps(values)),
+            [copy.copy(value) for value in values],
+            copy.deepcopy({"key": values})["key"],
+            list(dataclasses.asdict(packet).values())[1:],
+        ]
+        assert [type(v) for v in clones[-1]] == [MacAddress, IPv4Address] * 2
+        for cloned in clones[:3]:
+            assert [type(clone) for clone in cloned] == [type(v) for v in values]
+            assert cloned == values
+        router_id = dataclasses.asdict(OpenMessage(router_id=IPv4Address("1.1.1.1")))["router_id"]
+        assert type(router_id) is IPv4Address and str(router_id) == "1.1.1.1"
+
+    def test_format_as_text_not_as_a_number(self):
+        address, mac = IPv4Address("10.1.0.7"), MacAddress("00:1a:2b:3c:4d:5e")
+        assert str(address) == f"{address}" == "%s" % address == "10.1.0.7"
+        assert f"{address:>10}" == "  10.1.0.7"
+        assert repr(address) == "IPv4Address('10.1.0.7')"
+        assert str(mac) == f"{mac}" == "00:1a:2b:3c:4d:5e"
+        assert f"{mac:<18}|" == "00:1a:2b:3c:4d:5e |"
+        assert repr(mac) == "MacAddress('00:1a:2b:3c:4d:5e')"
+        assert str(MacAddress(0)) == "00:00:00:00:00:00"
+        assert json.dumps(str(address)) == '"10.1.0.7"'
+
+
+_ADDRESS_TYPES = (IPv4Address, MacAddress, IPv4Prefix)
+
+
+def _leaked_values(payload, path="$"):
+    """Every address, MAC or prefix object inside a JSON-ready payload."""
+    if isinstance(payload, _ADDRESS_TYPES):
+        return [f"{path}={payload!r}"]
+    if isinstance(payload, dict):
+        found = [f"{path}[key {key!r}]" for key in payload if isinstance(key, _ADDRESS_TYPES)]
+        for key, value in payload.items():
+            found.extend(_leaked_values(value, f"{path}.{key}"))
+        return found
+    if isinstance(payload, (list, tuple)):
+        return [
+            leak
+            for index, item in enumerate(payload)
+            for leak in _leaked_values(item, f"{path}[{index}]")
+        ]
+    return []
+
+
+class TestExportsCarryNoAddressObjects:
+    """``json.dumps`` writes an address, a MAC or a prefix as a number, so a
+    leaked one would silently change an export: exports must ``str()`` them.
+    Each test captures the object a CLI command serialises and walks it."""
+
+    def test_sweep_record(self, monkeypatch, tmp_path):
+        reports = []
+        monkeypatch.setattr(
+            CampaignResult, "write", lambda self, path: reports.append(self.to_report())
+        )
+        cli.main(
+            ["scenarios", "sweep", "--preset", "remote-supercharge", "--prefixes-grid", "40",
+             "--flows", "4", "--failures", "remote_withdraw", "link_down",
+             "--output", str(tmp_path / "sweep.json")]
+        )
+        (report,) = reports
+        assert len(report["scenarios"]) == 2
+        assert _leaked_values(report) == []
+
+    def test_trace_dump(self, monkeypatch):
+        payloads = []
+        monkeypatch.setattr(cli, "_print_json", payloads.append)
+        cli.main(
+            ["trace", "--preset", "remote-supercharge", "--prefixes", "40", "--flows", "4",
+             "--json"]
+        )
+        (payload,) = payloads
+        assert payload["events"]
+        assert _leaked_values(payload) == []
+
+    def test_report_json(self, monkeypatch):
+        reports = []
+        real = cli.report_to_json
+        monkeypatch.setattr(
+            cli, "report_to_json", lambda report: reports.append(report) or real(report)
+        )
+        cli.main(["report", "--preset", "figure4", "--prefixes", "40", "--flows", "4", "--json"])
+        (report,) = reports
+        assert _leaked_values(report) == []

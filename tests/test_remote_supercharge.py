@@ -73,8 +73,8 @@ class TestGroupedFullTableWithdraw:
         for group in controller.backup_groups.groups():
             if not group.members:
                 continue
-            assert group.active_next_hop != primary_ip
-            assert group.key[0] == group.active_next_hop
+            assert group.active != primary_ip
+            assert group.key[0] == group.active
 
     def test_detection_still_attributed_to_bgp(self):
         failures = [FailureSpec(kind="remote_withdraw", at=1.0, prefix_fraction=1.0)]
@@ -94,7 +94,7 @@ class TestPartialAndRestore:
         # The surviving majority kept its rule and membership.
         group = lab.controllers[0].backup_groups.groups()[0]
         assert len(group.members) == N_PREFIXES - 16
-        assert group.active_next_hop == lab.plan.provider_core_ip(0)
+        assert group.active == lab.plan.provider_core_ip(0)
 
     def test_restore_repoints_the_group_back(self):
         failures = [
@@ -106,7 +106,7 @@ class TestPartialAndRestore:
         engine = controller.remote_engine
         assert engine.groups_repointed == 2  # away and back
         group = controller.backup_groups.groups()[0]
-        assert group.active_next_hop == lab.plan.provider_core_ip(0)
+        assert group.active == lab.plan.provider_core_ip(0)
         assert len(group.members) == N_PREFIXES
 
     def test_nexthop_shift_stays_steady_under_local_pref(self):
@@ -135,7 +135,7 @@ class TestOverlapWithLinkFailures:
         assert recovered
         third_ip = lab.plan.provider_core_ip(2)
         groups = [g for g in lab.controllers[0].backup_groups.groups() if g.members]
-        assert groups and all(g.active_next_hop == third_ip for g in groups)
+        assert groups and all(g.active == third_ip for g in groups)
 
     def test_alternate_dies_during_repoint_no_blackholed_vnh(self):
         """Repoint ordering: the withdraw flushes before BFD notices the
@@ -151,10 +151,10 @@ class TestOverlapWithLinkFailures:
         controller = lab.controllers[0]
         third_ip = lab.plan.provider_core_ip(2)
         groups = [g for g in controller.backup_groups.groups() if g.members]
-        assert groups and all(g.active_next_hop == third_ip for g in groups)
+        assert groups and all(g.active == third_ip for g in groups)
         # Every active next hop must be a live peer.
         for group in groups:
-            session = controller.bfd.session(group.active_next_hop)
+            session = controller.bfd.session(group.active)
             assert session is not None and session.is_up
         # The outage is bounded by BFD detection, far below FIB download.
         assert result.max_convergence < 0.2
@@ -172,7 +172,7 @@ class TestLocalFailureCycle:
         primary = lab.plan.provider_core_ip(0)
         back = lab.run_until(
             lambda: all(
-                group.active_next_hop == primary
+                group.active == primary
                 for group in lab.controllers[0].backup_groups.groups()
                 if group.members
             ),

@@ -107,7 +107,7 @@ def test_steady_state_matches_base_manager():
     assert base_group.key == remote_group.key
     assert base_group.vnh == remote_group.vnh
     assert base_group.vmac == remote_group.vmac
-    assert remote_group.active_next_hop == remote_group.primary
+    assert remote_group.active == remote_group.primary
 
 
 def test_single_path_announced_real_and_group_on_second_path():
@@ -148,7 +148,7 @@ def test_full_drain_repoints_group_without_router_actions():
     assert harness.applied == []  # the router never hears about it
     assert harness.provisioner.batches == [[(group, P2)]]
     assert group.key == (P2,)
-    assert group.active_next_hop == P2
+    assert group.active == P2
     assert group.pending == {}
     assert harness.engine.groups_repointed == 1
     assert harness.engine.flow_mods == 1
@@ -177,7 +177,7 @@ def test_partial_drain_falls_back_per_prefix():
     assert harness.applied[0].next_hop == P2
     assert harness.provisioner.batches == []
     assert group.members == {PREFIX_B}
-    assert group.active_next_hop == P1
+    assert group.active == P1
     assert harness.engine.fallback_prefixes == 1
 
 
@@ -229,7 +229,7 @@ def test_dead_alternate_is_skipped_for_next_live_hop():
     # first), so P2's later recovery can reclaim the group.
     assert harness.provisioner.batches == [[(group, P3)]]
     assert group.key == (P2, P3)
-    assert group.active_next_hop == P3
+    assert group.active == P3
     assert harness.applied == []
 
 
@@ -299,11 +299,11 @@ def test_peer_restored_reclaims_groups_for_the_recovered_primary():
     convergence = DataPlaneConvergence(harness.planner, harness.provisioner)
     # BFD kills the primary: the group is redirected to its backup.
     convergence.peer_down(P1, now=1.0)
-    assert group.active_next_hop == P2
+    assert group.active == P2
     # The primary recovers: the group is pointed straight back at it.
     event = convergence.peer_restored(P1, now=2.0)
     assert event.groups_redirected == 1
-    assert group.active_next_hop == P1
+    assert group.active == P1
 
 
 def test_recovered_backup_never_drags_group_to_dead_primary():
@@ -313,12 +313,12 @@ def test_recovered_backup_never_drags_group_to_dead_primary():
     group = _two_prefix_group(harness)
     convergence = DataPlaneConvergence(harness.planner, harness.provisioner)
     convergence.peer_down(P1, now=1.0)
-    assert group.active_next_hop == P2
+    assert group.active == P2
     # The BACKUP flaps and recovers while the primary is still down: the
     # restore pass must not touch the group (P1 would blackhole it).
     event = convergence.peer_restored(P2, now=2.0)
     assert event.groups_redirected == 0
-    assert group.active_next_hop == P2
+    assert group.active == P2
 
 
 def test_liveness_overridden_target_keeps_primary_reclaimable():
@@ -338,10 +338,10 @@ def test_liveness_overridden_target_keeps_primary_reclaimable():
     harness.announce(P1, PREFIX_B, path_length=1)
     harness.flush()
     assert group.key == (P1, P2)
-    assert group.active_next_hop == P2
+    assert group.active == P2
     event = convergence.peer_restored(P1, now=3.0)
     assert event.groups_redirected == 1
-    assert group.active_next_hop == P1
+    assert group.active == P1
 
 
 def test_active_peer_failure_can_fall_back_to_the_keys_head():
@@ -355,7 +355,7 @@ def test_active_peer_failure_can_fall_back_to_the_keys_head():
     harness.planner.note_group_pointed(group, P2)  # active on the backup
     event = convergence.peer_down(P2, now=1.0)
     assert event.groups_redirected == 1
-    assert group.active_next_hop == P1
+    assert group.active == P1
 
 
 def test_active_peer_failure_skips_dead_key_head():
@@ -376,7 +376,7 @@ def test_active_peer_failure_skips_dead_key_head():
     assert event.groups_redirected == 0
     assert event.groups_unprotected == 1
     assert len(harness.provisioner.batches) == before
-    assert group.active_next_hop == P2  # untouched, honestly blackholed
+    assert group.active == P2  # untouched, honestly blackholed
 
 
 def test_failed_switch_outcome_falls_back_instead_of_committing():
@@ -391,7 +391,7 @@ def test_failed_switch_outcome_falls_back_instead_of_committing():
     harness.flush()
     assert harness.engine.groups_repointed == 0
     assert harness.engine.fallback_prefixes == 2
-    assert group.active_next_hop == group.primary == P1  # never committed
+    assert group.active == group.primary == P1  # never committed
     assert kinds(harness.applied) == [ActionKind.ANNOUNCE_REAL, ActionKind.ANNOUNCE_REAL]
 
 
@@ -458,7 +458,7 @@ def test_shutdown_cancels_armed_flush_and_goes_silent():
     assert harness.provisioner.batches == []
     assert harness.applied == []
     assert harness.engine.events == []
-    assert group.active_next_hop == P1  # rule untouched after the crash
+    assert group.active == P1  # rule untouched after the crash
 
 
 def test_controller_crash_stops_the_remote_engine():
