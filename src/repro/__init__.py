@@ -25,7 +25,7 @@ True
 """
 
 import importlib
-from typing import Any
+from typing import Any, Dict, Mapping
 
 #: Keep in sync with ``version`` in pyproject.toml.
 __version__ = "1.1.0"
@@ -54,27 +54,32 @@ _EXPORTS = {
     "BoxStats": "repro.stats",
     "ControllerMicrobench": "repro.experiments.controller_bench",
     "Figure5Experiment": "repro.experiments.figure5",
-    "PRIMARY_LINK_DOWN": "repro.scenarios",
-    "CampaignRunner": "repro.scenarios",
-    "FailoverResult": "repro.scenarios",
-    "FailureInjector": "repro.scenarios",
-    "FailureSpec": "repro.scenarios",
-    "ScenarioLab": "repro.scenarios",
-    "ScenarioSpec": "repro.scenarios",
-    "build_scenario": "repro.scenarios",
-    "expand_grid": "repro.scenarios",
-    "get_preset": "repro.scenarios",
-    "run_campaign": "repro.scenarios",
-    "run_failover": "repro.scenarios",
-    "run_scenario": "repro.scenarios",
+    "PRIMARY_LINK_DOWN": "repro.scenarios.campaign",
+    "CampaignRunner": "repro.scenarios.campaign",
+    "FailoverResult": "repro.scenarios.campaign",
+    "FailureInjector": "repro.scenarios.failures",
+    "FailureSpec": "repro.scenarios.spec",
+    "ScenarioLab": "repro.scenarios.testbed",
+    "ScenarioSpec": "repro.scenarios.spec",
+    "build_scenario": "repro.scenarios.testbed",
+    "expand_grid": "repro.scenarios.campaign",
+    "get_preset": "repro.scenarios.presets",
+    "run_campaign": "repro.scenarios.campaign",
+    "run_failover": "repro.scenarios.campaign",
+    "run_scenario": "repro.scenarios.campaign",
 }
 
 __all__ = [*_EXPORTS, "__version__"]
 
 
-def __getattr__(name: str) -> Any:
-    module = _EXPORTS.get(name)
+def lazy_export(namespace: Dict[str, Any], exports: Mapping[str, str], name: str) -> Any:
+    """A package's PEP 562 ``__getattr__``: import ``name``, cached in ``namespace``."""
+    module = exports.get(name)
     if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(importlib.import_module(module), name)
+        raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+    value = namespace[name] = getattr(importlib.import_module(module), name)
     return value
+
+
+def __getattr__(name: str) -> Any:
+    return lazy_export(globals(), _EXPORTS, name)

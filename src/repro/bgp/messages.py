@@ -1,7 +1,11 @@
 """BGP-4 message types (RFC 4271, simulated subset).
 
 Messages are immutable value objects exchanged over the abstracted BGP
-transport (:class:`repro.net.packets.BgpTransport`).  An UPDATE carries at
+transport (:class:`repro.net.packets.BgpTransport`), each a ``NamedTuple``:
+building one is a tuple build, not a frozen dataclass's ``__init__``.
+Tuples of two kinds with equal fields compare equal (and
+``KeepaliveMessage()`` is falsy): receivers tell kinds apart with
+``isinstance``.  An UPDATE carries at
 most one NLRI prefix, mirroring the per-prefix processing of the paper's
 Listing 1 and keeping bookkeeping simple; feeds with hundreds of thousands
 of prefixes are simply streams of single-prefix updates (which is also how
@@ -29,22 +33,14 @@ the number of routes.  What a burst does share is its (session, instant).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple, Union
 
 from repro.bgp.attributes import PathAttributes
 from repro.net.addresses import IPv4Address, IPv4Prefix
 from repro.net.packets import BGP_MESSAGE_BYTES
 
 
-@dataclass(frozen=True)
-class BgpMessage:
-    """Base class for all BGP messages.  A message is its payload: two
-    messages with equal fields are equal."""
-
-
-@dataclass(frozen=True)
-class OpenMessage(BgpMessage):
+class OpenMessage(NamedTuple):
     """OPEN: announces the speaker's AS number, router id and hold time."""
 
     asn: int = 0
@@ -52,13 +48,11 @@ class OpenMessage(BgpMessage):
     hold_time: float = 90.0
 
 
-@dataclass(frozen=True)
-class KeepaliveMessage(BgpMessage):
+class KeepaliveMessage(NamedTuple):
     """KEEPALIVE: refreshes the hold timer."""
 
 
-@dataclass(frozen=True)
-class NotificationMessage(BgpMessage):
+class NotificationMessage(NamedTuple):
     """NOTIFICATION: signals an error and closes the session."""
 
     error_code: int = 0
@@ -66,8 +60,7 @@ class NotificationMessage(BgpMessage):
     reason: str = ""
 
 
-@dataclass(frozen=True)
-class UpdateMessage(BgpMessage):
+class UpdateMessage(NamedTuple):
     """UPDATE: announce or withdraw a single prefix.
 
     ``attributes is None`` means the message is a withdraw of ``prefix``.
@@ -84,16 +77,15 @@ class UpdateMessage(BgpMessage):
     @classmethod
     def announce(cls, prefix: IPv4Prefix, attributes: PathAttributes) -> "UpdateMessage":
         """Build an announcement."""
-        return cls(prefix=prefix, attributes=attributes)
+        return cls(prefix, attributes)
 
     @classmethod
     def withdraw(cls, prefix: IPv4Prefix) -> "UpdateMessage":
         """Build a withdraw."""
-        return cls(prefix=prefix, attributes=None)
+        return cls(prefix)
 
 
-@dataclass(frozen=True)
-class UpdateTrain(BgpMessage):
+class UpdateTrain(NamedTuple):
     """UPDATEs one session sent in the same simulated instant, carried as
     one transport segment (TCP coalescing) and applied in send order."""
 
@@ -103,3 +95,7 @@ class UpdateTrain(BgpMessage):
     def size_bytes(self) -> int:
         """Bytes on the wire: what the members would occupy sent alone."""
         return BGP_MESSAGE_BYTES * len(self.updates)
+
+
+#: Any BGP message (an annotation: receivers dispatch with ``isinstance``).
+BgpMessage = Union[OpenMessage, KeepaliveMessage, NotificationMessage, UpdateMessage, UpdateTrain]

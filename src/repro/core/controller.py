@@ -19,7 +19,7 @@ attached to the SDN switch that plays three roles simultaneously:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.bfd.manager import BfdManager
 from repro.bgp.rib import RibChange, Route
@@ -33,12 +33,13 @@ from repro.net.addresses import IPv4Address, IPv4Prefix, MacAddress
 from repro.net.host import Host
 from repro.net.links import Port
 from repro.net.packets import ArpPacket, EthernetFrame
-from repro.openflow.controller_channel import ControllerChannel
-from repro.telemetry.process import sample_scale_gauges
 from repro.openflow.messages import PacketIn, PacketOut
 from repro.sim.engine import Simulator
-from repro.supercharge.engine import RemoteRepointEngine
-from repro.supercharge.planner import RemoteGroupPlanner
+from repro.telemetry.process import sample_scale_gauges
+
+if TYPE_CHECKING:
+    from repro.openflow.controller_channel import ControllerChannel
+    from repro.supercharge.engine import RemoteRepointEngine
 
 
 @dataclass
@@ -97,6 +98,8 @@ class SuperchargedController(Host):
         reserved = {config.ip, config.router_ip} | {peer.ip for peer in config.peers}
         self.allocator = VnhAllocator(config.vnh_pool, reserved=reserved)
         if config.remote_groups:
+            from repro.supercharge.planner import RemoteGroupPlanner
+
             self.backup_groups: BackupGroupManager = RemoteGroupPlanner(self.allocator)
         else:
             self.backup_groups = BackupGroupManager(self.allocator)
@@ -147,7 +150,9 @@ class SuperchargedController(Host):
         self.convergence = DataPlaneConvergence(
             self.backup_groups, self.provisioner, peer_alive=self._peer_alive
         )
-        if isinstance(self.backup_groups, RemoteGroupPlanner):
+        if self.config.remote_groups:
+            from repro.supercharge.engine import RemoteRepointEngine
+
             # The engine's jitter comes from a private fork of the seeded
             # stream: enabling remote groups must not shift any other
             # random draw, so A/B campaigns stay byte-comparable.

@@ -15,11 +15,10 @@ because it is part of the supercharged convergence budget.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.net.links import LinkState, Port
 from repro.net.packets import EthernetFrame
-from repro.openflow.controller_channel import ControllerChannel
 from repro.openflow.flow_table import FLOOD_PORT, FlowTable
 from repro.openflow.messages import (
     FlowMod,
@@ -31,6 +30,8 @@ from repro.openflow.messages import (
 )
 from repro.sim.engine import Simulator
 
+if TYPE_CHECKING:  # a standalone lab's switch has no controller
+    from repro.openflow.controller_channel import ControllerChannel
 
 #: Per-frame forwarding pipeline latency in seconds.
 FORWARDING_LATENCY = 5e-6

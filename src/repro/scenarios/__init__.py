@@ -18,52 +18,40 @@ platform:
   campaign runner with its aggregated JSON results store.
 """
 
-from repro.scenarios.campaign import (
-    PRIMARY_LINK_DOWN,
-    CampaignResult,
-    CampaignRunner,
-    FailoverResult,
-    execute_scenario,
-    expand_grid,
-    run_campaign,
-    run_failover,
-    run_scenario,
-)
-from repro.scenarios.failures import FailureInjector
-from repro.scenarios.generator import random_fan_spec, random_fan_specs
-from repro.scenarios.presets import PRESETS, get_preset, preset_names
-from repro.scenarios.spec import (
-    FAILURE_KINDS,
-    REMOTE_FAILURE_KINDS,
-    FailureSpec,
-    ScenarioSpec,
-    ScenarioSpecError,
-    failure_campaign,
-)
-from repro.scenarios.testbed import ScenarioLab, build_scenario
+from typing import Any
 
-__all__ = [
-    "CampaignResult",
-    "CampaignRunner",
-    "FAILURE_KINDS",
-    "REMOTE_FAILURE_KINDS",
-    "FailoverResult",
-    "FailureInjector",
-    "FailureSpec",
-    "PRESETS",
-    "PRIMARY_LINK_DOWN",
-    "ScenarioLab",
-    "ScenarioSpec",
-    "ScenarioSpecError",
-    "build_scenario",
-    "execute_scenario",
-    "expand_grid",
-    "failure_campaign",
-    "get_preset",
-    "preset_names",
-    "random_fan_spec",
-    "random_fan_specs",
-    "run_campaign",
-    "run_failover",
-    "run_scenario",
-]
+from repro import lazy_export
+
+#: Public name -> the module that defines it, resolved on first access
+#: (PEP 562): importing the testbed does not load the campaign runner.
+_EXPORTS = {
+    "CampaignResult": "repro.scenarios.campaign",
+    "CampaignRunner": "repro.scenarios.campaign",
+    "FailoverResult": "repro.scenarios.campaign",
+    "PRIMARY_LINK_DOWN": "repro.scenarios.campaign",
+    "execute_scenario": "repro.scenarios.campaign",
+    "expand_grid": "repro.scenarios.campaign",
+    "run_campaign": "repro.scenarios.campaign",
+    "run_failover": "repro.scenarios.campaign",
+    "run_scenario": "repro.scenarios.campaign",
+    "FailureInjector": "repro.scenarios.failures",
+    "random_fan_spec": "repro.scenarios.generator",
+    "random_fan_specs": "repro.scenarios.generator",
+    "PRESETS": "repro.scenarios.presets",
+    "get_preset": "repro.scenarios.presets",
+    "preset_names": "repro.scenarios.presets",
+    "FAILURE_KINDS": "repro.scenarios.spec",
+    "REMOTE_FAILURE_KINDS": "repro.scenarios.spec",
+    "FailureSpec": "repro.scenarios.spec",
+    "ScenarioSpec": "repro.scenarios.spec",
+    "ScenarioSpecError": "repro.scenarios.spec",
+    "failure_campaign": "repro.scenarios.spec",
+    "ScenarioLab": "repro.scenarios.testbed",
+    "build_scenario": "repro.scenarios.testbed",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    return lazy_export(globals(), _EXPORTS, name)

@@ -26,18 +26,15 @@ callers that time them apart.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, IO, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, IO, List, Optional
 
 from repro.bgp.attributes import PathAttributes
 from repro.bgp.messages import UpdateMessage
 from repro.bgp.rib import RibChange
 from repro.bgp.speaker import BgpSpeaker, PeerConfig
-from repro.core.controller import ControllerConfig, PeerSpec, SuperchargedController
-from repro.core.reliability import ControllerCluster
 from repro.net.addresses import IPv4Address, IPv4Prefix, MacAddress
 from repro.net.host import Host
 from repro.net.links import Link, Port
-from repro.openflow.controller_channel import ControllerChannel
 from repro.openflow.flow_table import Actions, FlowEntry, FlowMatch
 from repro.openflow.messages import FlowMod, FlowModCommand
 from repro.openflow.switch import OpenFlowSwitch, SwitchConfig
@@ -57,6 +54,10 @@ from repro.traffic.flows import FlowSpec
 from repro.traffic.generator import TrafficSource, TrafficSourceConfig
 from repro.traffic.monitor import TrafficSink
 from repro.traffic.reachability import PathTracer, ReachabilityMonitor
+
+if TYPE_CHECKING:
+    from repro.core.controller import SuperchargedController
+    from repro.core.reliability import ControllerCluster
 
 #: ASN shared by every controller replica (private-use, as in the paper).
 CONTROLLER_ASN = 64512
@@ -443,10 +444,13 @@ class ScenarioLab:
                 )
             )
 
-    def _controller_config(self, k: int, edge_index: int) -> ControllerConfig:
+    def _attach_controller(self, k: int, edge_index: int) -> SuperchargedController:
+        from repro.core.controller import ControllerConfig, PeerSpec, SuperchargedController
+        from repro.openflow.controller_channel import ControllerChannel
+
         spec = self.spec
         plan = self.plan
-        return ControllerConfig(
+        config = ControllerConfig(
             ip=plan.controller_ip(k),
             mac=plan.controller_mac(k),
             subnet=plan.CORE_SUBNET,
@@ -471,12 +475,7 @@ class ScenarioLab:
             remote_groups=spec.remote_groups,
             remote_holddown=spec.remote_holddown,
         )
-
-    def _attach_controller(self, k: int, edge_index: int) -> SuperchargedController:
-        plan = self.plan
-        controller = SuperchargedController(
-            self.sim, plan.controller_name(k), self._controller_config(k, edge_index)
-        )
+        controller = SuperchargedController(self.sim, plan.controller_name(k), config)
         self._link_to_switch(
             f"{plan.controller_name(k)}-sw", controller.port, plan.controller_switch_port(k)
         )
@@ -497,6 +496,9 @@ class ScenarioLab:
         return controller
 
     def _build_controllers(self) -> None:
+        # Only a supercharged spec imports the controller stack.
+        from repro.core.reliability import ControllerCluster
+
         self.cluster = ControllerCluster(self.sim)
         replicas = 2 if self.spec.redundant_controllers else 1
         k = 0

@@ -29,6 +29,8 @@ from contextlib import contextmanager
 from heapq import heappop, heappush
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from repro.sim.random import SeededRandom
+
 _isfinite = math.isfinite
 _INF = float("inf")
 
@@ -114,9 +116,6 @@ class Simulator:
     """
 
     def __init__(self, seed: int = 0) -> None:
-        # Imported lazily to avoid a circular import at package init time.
-        from repro.sim.random import SeededRandom
-
         self._now = 0.0
         #: The event queue: a binary heap of entries.
         self._heap: List[_Entry] = []

@@ -36,15 +36,17 @@ so campaign sweeps stay byte-identical and A/B-comparable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 from repro.bgp.rib import RibChange
 from repro.core.backup_groups import GroupKey, ProvisioningAction
-from repro.core.flow_provisioner import FlowProvisioner
 from repro.net.addresses import IPv4Address
 from repro.sim.engine import Simulator
 from repro.sim.random import SeededRandom
 from repro.supercharge.planner import RemoteGroup, RemoteGroupPlanner
+
+if TYPE_CHECKING:  # an annotation only: a sharded build has no switch to push to
+    from repro.core.flow_provisioner import FlowProvisioner
 
 
 @dataclass(frozen=True)

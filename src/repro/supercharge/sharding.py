@@ -35,7 +35,6 @@ which is salted), so a spec maps to the same shard layout everywhere.
 
 from __future__ import annotations
 
-import multiprocessing
 import zlib
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -314,6 +313,8 @@ def run_sharded_build(
         for shard in range(num_shards)
     ]
     if workers > 1 and num_shards > 1:
+        import multiprocessing  # the serial path never pays for it
+
         ctx = multiprocessing.get_context(pool_start_method())
         with ctx.Pool(processes=min(workers, num_shards)) as pool:
             results = pool.map(build_shard, specs)

@@ -41,12 +41,12 @@ def peak_rss_mb() -> float:
     report the parent's peak; ``VmHWM`` in ``/proc/self/status`` resets
     on exec and measures only this process.  The getrusage fallback
     covers non-procfs platforms (``ru_maxrss`` is KiB on Linux, bytes on
-    macOS).
+    macOS).  Read as bytes: text would import a codec on the first call.
     """
     try:
-        with open("/proc/self/status", "r", encoding="ascii") as handle:
+        with open("/proc/self/status", "rb") as handle:
             for line in handle:
-                if line.startswith("VmHWM:"):
+                if line.startswith(b"VmHWM:"):
                     return int(line.split()[1]) / 1024  # kB -> MiB
     except (OSError, ValueError, IndexError):
         pass

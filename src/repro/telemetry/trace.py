@@ -23,7 +23,7 @@ opens it, ``span.end()`` emits one ``TraceEvent`` whose ``duration`` field
 is the elapsed simulated seconds.
 
 The bus knows nothing of failure episodes: stamping events with the open
-outage's id is :meth:`repro.telemetry.Telemetry.emit`'s job, one layer up,
+outage's id is the job of :meth:`Telemetry.emit`, one layer up (below),
 which is why spans are opened there and close through it.
 """
 
@@ -32,10 +32,10 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, IO, List, Optional
+from typing import Any, Callable, Deque, Dict, IO, List, Optional, Sequence
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (the facade imports us)
-    from repro.telemetry import Telemetry
+from repro.telemetry.causal import CausalContext
+from repro.telemetry.metrics import Counter, Gauge, Histogram, MetricsRegistry
 
 
 @dataclass(frozen=True)
@@ -118,3 +118,69 @@ class TraceBus:
 
     def __repr__(self) -> str:
         return f"TraceBus({len(self._events)}/{self.capacity} buffered, {self.emitted} emitted)"
+
+
+class Telemetry:
+    """One scenario's observability context (trace bus + metrics)."""
+
+    def __init__(
+        self,
+        clock: Callable[[], float],
+        trace_capacity: int = 4096,
+        sink: Optional[IO[str]] = None,
+        causal: Optional[CausalContext] = None,
+    ) -> None:
+        self.trace = TraceBus(clock, capacity=trace_capacity, sink=sink)
+        self.metrics = MetricsRegistry()
+        # The episode book is its owner's (the lab hands its own in; a
+        # bare context gets a fresh one) and never learns who writes to
+        # it: :meth:`emit` stamps the open outage's id into every event
+        # and shows the book each event's name, :meth:`restored` notes the
+        # per-prefix restorations.
+        self.causal = causal if causal is not None else CausalContext()
+
+    def emit(self, name: str, **fields: Any) -> TraceEvent:
+        """Emit a trace event (see :meth:`TraceBus.emit`).
+
+        While an outage is open the event is stamped with its root id as
+        an ``outage`` field — the passive thread that chains detection,
+        engine flush, flow-mod push and FIB install records back to one
+        failure injection; purely additive (pre-failure events are
+        unchanged, an explicit ``outage`` field wins) — and may be the
+        episode's first mark of a convergence stage."""
+        outage_id = self.causal.current_id
+        if outage_id is not None:
+            fields.setdefault("outage", outage_id)
+        event = self.trace.emit(name, **fields)
+        self.causal.mark_stage(name, event.at)  # a no-op outside an outage
+        return event
+
+    def span(self, name: str, **fields: Any) -> Span:
+        """Open a sim-time :class:`Span` at the current clock reading; its
+        closing event goes through :meth:`emit`, so it is stamped with the
+        outage open when it *ends*."""
+        return Span(self, name, self.trace.now(), fields)
+
+    def counter(self, name: str) -> Counter:
+        """Get or create a counter."""
+        return self.metrics.counter(name)
+
+    def gauge(self, name: str) -> Gauge:
+        """Get or create a gauge."""
+        return self.metrics.gauge(name)
+
+    def histogram(self, name: str, edges: Sequence[float]) -> Histogram:
+        """Get or create a fixed-edge histogram."""
+        return self.metrics.histogram(name, edges)
+
+    def restored(self, subject: Any, kind: str = "prefix") -> None:
+        """Record a restored subject into the episode book.
+
+        No-op outside an outage, so the initial table load stays free of
+        chains and the per-entry hot path pays one ``is None`` test.
+        ``subject`` (a prefix, a VMAC: anything hashable) is kept as it
+        is; the book formats it when chains are folded.
+        """
+        if self.causal.current is None:
+            return
+        self.causal.note_restored(subject, self.trace.now(), kind=kind)

@@ -339,7 +339,8 @@ class TestAddressesAreInts:
         for cloned in clones[:3]:
             assert [type(clone) for clone in cloned] == [type(v) for v in values]
             assert cloned == values
-        router_id = dataclasses.asdict(OpenMessage(router_id=IPv4Address("1.1.1.1")))["router_id"]
+        message = copy.deepcopy(OpenMessage(router_id=IPv4Address("1.1.1.1")))
+        router_id = message._asdict()["router_id"]
         assert type(router_id) is IPv4Address and str(router_id) == "1.1.1.1"
 
     def test_format_as_text_not_as_a_number(self):
