@@ -61,6 +61,7 @@ class BfdSession:
         self._sim = sim
         self._send = send
         self.name = name
+        self._detect_name = f"bfd-detect:{name}"
         self.local_discriminator = next(_discriminators)
         self.remote_discriminator = 0
         self.desired_min_tx_interval = desired_min_tx_interval
@@ -198,12 +199,11 @@ class BfdSession:
 
     def _restart_detection_timer(self) -> None:
         if self._detect_timer is not None:
-            self._detect_timer.cancel()
-        self._detect_timer = self._sim.schedule(
-            self.detection_time,
-            lambda: self._detection_expired(),
-            name=f"bfd-detect:{self.name}",
-        )
+            self._detect_timer = self._sim.postpone(self._detect_timer, self.detection_time)
+        else:
+            self._detect_timer = self._sim.schedule(
+                self.detection_time, self._detection_expired, name=self._detect_name
+            )
 
     def _detection_expired(self) -> None:
         if self._state is not BfdSessionState.DOWN:

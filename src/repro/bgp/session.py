@@ -92,6 +92,8 @@ class BgpSession:
         self.local_router_id = local_router_id
         self.peer_ip = peer_ip
         self._send = send
+        self._flush_name = f"bgp-flush:{peer_ip}"
+        self._hold_name = f"bgp-hold:{peer_ip}"
         self.configured_hold_time = hold_time
         self.negotiated_hold_time = hold_time
         self._connect_delay = connect_delay
@@ -199,7 +201,7 @@ class BgpSession:
                 return
         # Not the first UPDATE of this instant: cork behind the first.
         if not self._corked:
-            self._sim.call_soon(self._flush, name=f"bgp-flush:{self.peer_ip}")
+            self._sim.call_soon(self._flush, name=self._flush_name)
         self._corked.extend(updates)
 
     def _flush(self) -> None:
@@ -327,16 +329,19 @@ class BgpSession:
         self._keepalive_process.start(initial_delay=interval)
 
     def _restart_hold_timer(self) -> None:
-        if self._hold_timer is not None:
-            self._hold_timer.cancel()
         if self.negotiated_hold_time <= 0:
+            if self._hold_timer is not None:
+                self._hold_timer.cancel()
             self._hold_timer = None
-            return
-        self._hold_timer = self._sim.schedule(
-            self.negotiated_hold_time,
-            lambda: self._tear_down("hold timer expired"),
-            name=f"bgp-hold:{self.peer_ip}",
-        )
+        elif self._hold_timer is not None:
+            self._hold_timer = self._sim.postpone(self._hold_timer, self.negotiated_hold_time)
+        else:
+            self._hold_timer = self._sim.schedule(
+                self.negotiated_hold_time, self._hold_expired, name=self._hold_name
+            )
+
+    def _hold_expired(self) -> None:
+        self._tear_down("hold timer expired")
 
     def _tear_down(self, reason: str) -> None:
         was_established = self._state is BgpSessionState.ESTABLISHED

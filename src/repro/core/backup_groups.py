@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.bgp.rib import RibChange
 from repro.net.addresses import IPv4Address, IPv4Prefix, MacAddress
@@ -58,8 +58,7 @@ class ActionKind(enum.Enum):
     GROUP_CREATED = "group_created"  # new group: provision switch rule + ARP
 
 
-@dataclass(frozen=True)
-class ProvisioningAction:
+class ProvisioningAction(NamedTuple):
     """One action produced by the backup-group computation."""
 
     kind: ActionKind

@@ -144,6 +144,7 @@ class Link:
         self._ports: Tuple[Port, Port] = (port_a, port_b)
         self.latency = latency
         self.name = name or f"{port_a.owner_name}<->{port_b.owner_name}"
+        self._event_name = f"link:{self.name}"
         self._state = LinkState.UP
         self._drop_filter: Optional[Callable[[EthernetFrame], bool]] = None
         self.frames_dropped = 0
@@ -232,7 +233,7 @@ class Link:
             self.frames_delivered += 1
             destination.deliver(frame)
 
-        self._sim.schedule(self.latency, deliver, name=f"link:{self.name}")
+        self._sim.schedule(self.latency, deliver, name=self._event_name)
         return True
 
     def __repr__(self) -> str:

@@ -55,6 +55,7 @@ class OpenFlowSwitch:
     def __init__(self, sim: Simulator, name: str, config: Optional[SwitchConfig] = None) -> None:
         self._sim = sim
         self.name = name
+        self._fwd_name = f"{name}:fwd"
         self.config = config or SwitchConfig()
         if self.config.table_miss not in ("drop", "flood", "controller"):
             raise ValueError(f"invalid table_miss policy: {self.config.table_miss}")
@@ -143,7 +144,7 @@ class OpenFlowSwitch:
             port.send(frame)
             self.frames_forwarded += 1
 
-        self._sim.schedule(FORWARDING_LATENCY, transmit, name=f"{self.name}:fwd")
+        self._sim.schedule(FORWARDING_LATENCY, transmit, name=self._fwd_name)
 
     def _punt(self, frame: EthernetFrame, in_port: int, reason: str) -> None:
         self.packet_ins += 1

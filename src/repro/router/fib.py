@@ -25,16 +25,14 @@ memory (docs/performance.md has the table).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Generic, Iterator, List, Optional, Tuple, TypeVar
+from typing import Dict, Generic, Iterator, List, NamedTuple, Optional, Tuple, TypeVar
 
 from repro.net.addresses import MASKS, IPv4Address, IPv4Prefix, MacAddress
 
 ValueT = TypeVar("ValueT")
 
 
-@dataclass(frozen=True)
-class Adjacency:
+class Adjacency(NamedTuple):
     """An L2 next hop: destination MAC plus output interface name."""
 
     mac: MacAddress
@@ -42,8 +40,7 @@ class Adjacency:
     next_hop_ip: Optional[IPv4Address] = None
 
 
-@dataclass(frozen=True)
-class FibEntry:
+class FibEntry(NamedTuple):
     """One prefix's forwarding state as seen by the data plane."""
 
     prefix: IPv4Prefix

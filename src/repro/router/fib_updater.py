@@ -76,6 +76,8 @@ class FibUpdater:
         self._fib = fib
         self.config = config or FibUpdaterConfig()
         self.name = name
+        self._first_name = f"{name}:first"
+        self._entry_name = f"{name}:entry"
         self._queue: Deque[FibWriteRequest] = deque()
         self._busy = False
         self._pending_event: Optional[Event] = None
@@ -171,31 +173,30 @@ class FibUpdater:
         """Idle -> busy: the batch's first entry pays ``first_entry_latency``."""
         self._busy = True
         self._pending_event = self._sim.schedule(
-            self.config.first_entry_latency, self._apply_next, name=f"{self.name}:first"
+            self.config.first_entry_latency, self._apply_next, name=self._first_name
         )
         if self._telemetry is not None:
             self._note_batch_start()
 
     def _apply_next(self) -> None:
-        if not self._queue:
-            self._busy = False
-            self._pending_event = None
-            if self._telemetry is not None:
-                self._note_batch_drain()
-            self._notify_idle()
-            return
-        request = self._queue.popleft()
-        self._apply(request)
-        if self._queue:
-            self._pending_event = self._sim.schedule(
-                self.config.per_entry_latency, self._apply_next, name=f"{self.name}:entry"
-            )
-        else:
-            self._busy = False
-            self._pending_event = None
-            if self._telemetry is not None:
-                self._note_batch_drain()
-            self._notify_idle()
+        """Apply queued entries, one per ``per_entry_latency``: in place
+        while :meth:`Simulator.advance` allows, else as a scheduled event."""
+        queue = self._queue
+        while queue:
+            self._apply(queue.popleft())
+            if not queue:
+                break
+            delay = self.config.per_entry_latency
+            if not self._sim.advance(delay, self._entry_name):
+                self._pending_event = self._sim.schedule(
+                    delay, self._apply_next, name=self._entry_name
+                )
+                return
+        self._busy = False
+        self._pending_event = None
+        if self._telemetry is not None:
+            self._note_batch_drain()
+        self._notify_idle()
 
     def _apply(self, request: FibWriteRequest) -> None:
         now = self._sim.now

@@ -63,6 +63,7 @@ class Router(Host):
 
     def __init__(self, sim: Simulator, name: str, config: RouterConfig) -> None:
         super().__init__(sim, name)
+        self._fwd_name = f"{name}:fwd"
         self.config = config
         self.fib = HierarchicalFib() if config.hierarchical_fib else FlatFib()
         # The serial updater only drives flat FIBs; hierarchical routers
@@ -244,7 +245,7 @@ class Router(Host):
                 interface.port.send(frame)
                 self.packets_forwarded += 1
 
-        self._sim.schedule(FORWARDING_LATENCY, transmit, name=f"{self.name}:fwd")
+        self._sim.schedule(FORWARDING_LATENCY, transmit, name=self._fwd_name)
 
     # ------------------------------------------------------------------
     # RIB -> FIB plumbing

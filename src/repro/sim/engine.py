@@ -15,6 +15,11 @@ events on the ``fig4-*`` benchmark workloads, 88% on ``churn-failover``);
 an append-only in-order lane would serve the remainder only
 (docs/performance.md).
 
+The heap holds only what can interleave: a serial FIB download runs
+its next entry in place while nothing queued is due first
+(:meth:`Simulator.advance`), and a watchdog restarted per message keeps
+its one entry, re-filed when the stale key surfaces (:meth:`Simulator.postpone`).
+
 A cancelled event stays in the heap until it reaches the head, where
 the run loop discards it.  :meth:`Simulator.schedule_batch` amortises
 the per-call overhead for components that arm many events at once
@@ -26,7 +31,7 @@ from __future__ import annotations
 import gc
 import math
 from contextlib import contextmanager
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heapreplace
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.sim.random import SeededRandom
@@ -73,10 +78,11 @@ class Event:
     the order they were scheduled (deterministic FIFO tie-breaking, which
     matters for reproducibility).
 
-    The schedule/run hot path allocates exactly one object per event:
-    the record :meth:`Simulator.schedule` returns *is* the handle,
-    exposing ``time``/``name``/``cancelled``/``executed`` and
-    :meth:`cancel`.
+    The schedule/run hot path allocates one object per queued event (none
+    for one run in place): the record :meth:`Simulator.schedule` returns
+    *is* the handle, exposing ``time``/``name``/``cancelled``/``executed``
+    and :meth:`cancel`.  ``time`` and ``sequence`` are its current key; a
+    postponed event's heap entry holds an older one until re-filed.
     """
 
     __slots__ = ("time", "sequence", "callback", "name", "cancelled", "executed")
@@ -122,6 +128,9 @@ class Simulator:
         self._sequence = 0
         self._executed = 0
         self._running = False
+        #: Latest instant :meth:`advance` may move the clock to: the run's
+        #: ``until`` inside an unbudgeted :meth:`run`, ``-inf`` otherwise.
+        self._advance_horizon = -_INF
         #: Optional passive observer called as ``observer(name, when)``
         #: after each executed event (see :meth:`set_observer`).
         self._observer: Optional[Callable[[str, float], None]] = None
@@ -235,6 +244,52 @@ class Simulator:
         heappush(self._heap, (when, sequence, callback, event))
         return event
 
+    def postpone(self, event: Event, delay: float) -> Event:
+        """``event.cancel()`` + ``schedule(delay, event.callback, event.name)``,
+        returning the handle that now stands for the event.
+
+        A pending event moving forward is that handle: it takes the next
+        sequence number, and its heap entry is re-filed when it surfaces.
+        One that has run, was cancelled or would move earlier is replaced.
+        """
+        when = self._now + delay
+        if event.cancelled or event.executed or not event.time <= when < _INF:
+            event.cancel()
+            return self.schedule(delay, event.callback, event.name)
+        event.time = when
+        event.sequence = self._sequence
+        self._sequence += 1
+        return event
+
+    def advance(self, delay: float, name: str = "") -> bool:
+        """In place of a callback's last act, ``schedule(delay, successor,
+        name)``: if that event would run next, move the clock to it, count
+        and observe it, and return ``True`` (the caller then runs the
+        successor's work).  Return ``False`` and change nothing when a live
+        event is due at or before that instant (equal times keep FIFO), it
+        is beyond ``until``, the run has a ``max_events`` budget, or outside
+        :meth:`run`."""
+        when = self._now + delay
+        if not 0.0 <= delay < _INF or when > self._advance_horizon:
+            return False
+        heap = self._heap
+        while heap:
+            head_time, sequence, callback, event = heap[0]
+            if head_time > when:
+                break
+            if event.cancelled:
+                heappop(heap)
+            elif sequence != event.sequence:
+                heapreplace(heap, (event.time, event.sequence, callback, event))
+            else:
+                return False
+        self._now = when
+        self._executed += 1
+        observer = self._observer
+        if observer is not None:
+            observer(name, when)
+        return True
+
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
@@ -262,13 +317,18 @@ class Simulator:
         pop = heappop
         horizon = _INF if until is None else until
         budget = _INF if max_events is None else max_events
+        if max_events is None:
+            self._advance_horizon = horizon
         try:
             # The executed counter is accumulated locally and flushed in the
             # finally block, so an exception from a callback keeps it exact.
             while heap and executed < budget:
-                when, _sequence, callback, event = heap[0]
+                when, sequence, callback, event = heap[0]
                 if event.cancelled:
                     pop(heap)
+                    continue
+                if sequence != event.sequence:
+                    heapreplace(heap, (event.time, event.sequence, callback, event))
                     continue
                 if when > horizon:
                     break
@@ -288,6 +348,7 @@ class Simulator:
         finally:
             self._executed += executed
             self._running = False
+            self._advance_horizon = -_INF
             if collector_was_enabled:
                 gc.enable()
 

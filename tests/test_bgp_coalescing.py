@@ -355,14 +355,21 @@ def test_re_established_session_gets_a_clean_initial_transfer(sim):
 def test_receiver_restarts_hold_timer_once_per_train_and_counts_every_update(sim):
     a, b, _wire = _pair(sim)
     hold_restarts = []
-    schedule = sim.schedule
+    schedule, postpone = sim.schedule, sim.postpone
 
     def counting_schedule(delay, callback, name=""):
         if name == f"bgp-hold:{A_IP}":
             hold_restarts.append(sim.now)
         return schedule(delay, callback, name)
 
+    def counting_postpone(event, delay):
+        # A restart moves the pending hold timer instead of re-filing it.
+        if event.name == f"bgp-hold:{A_IP}":
+            hold_restarts.append(sim.now)
+        return postpone(event, delay)
+
     sim.schedule = counting_schedule
+    sim.postpone = counting_postpone
     seen = []
     b.on_update(lambda session, updates: seen.append(updates))
     train = tuple(_announce(i) for i in range(10))
