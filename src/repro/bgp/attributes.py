@@ -46,6 +46,14 @@ class AsPath:
     def __init__(self, asns: Tuple[int, ...] = ()) -> None:
         self._asns = tuple(map(_valid_asn, asns))
 
+    @classmethod
+    def trusted(cls, asns: Tuple[int, ...]) -> "AsPath":
+        """A path over a tuple of AS numbers its caller drew from a valid
+        range, built without re-checking each one (bulk feed generation)."""
+        path = cls.__new__(cls)
+        path._asns = asns
+        return path
+
     @property
     def asns(self) -> Tuple[int, ...]:
         """The AS numbers, left-most (most recent) first."""

@@ -37,7 +37,6 @@ from typing import NamedTuple, Optional, Tuple, Union
 
 from repro.bgp.attributes import PathAttributes
 from repro.net.addresses import IPv4Address, IPv4Prefix
-from repro.net.packets import BGP_MESSAGE_BYTES
 
 
 class OpenMessage(NamedTuple):
@@ -90,11 +89,6 @@ class UpdateTrain(NamedTuple):
     one transport segment (TCP coalescing) and applied in send order."""
 
     updates: Tuple[UpdateMessage, ...] = ()
-
-    @property
-    def size_bytes(self) -> int:
-        """Bytes on the wire: what the members would occupy sent alone."""
-        return BGP_MESSAGE_BYTES * len(self.updates)
 
 
 #: Any BGP message (an annotation: receivers dispatch with ``isinstance``).

@@ -144,13 +144,13 @@ class Host:
         self, interface: Interface, mac: MacAddress, ethertype: EtherType, payload: object
     ) -> bool:
         return interface.is_up and interface.port.send(
-            EthernetFrame(src_mac=interface.mac, dst_mac=mac, ethertype=ethertype, payload=payload)
+            EthernetFrame(interface.mac, mac, ethertype, payload)
         )
 
     def _send_bgp(self, peer_ip: IPv4Address, message: "BgpMessage") -> None:
         interface = self._egress(peer_ip)
         if interface is not None:
-            transport = BgpTransport(src_ip=interface.ip, dst_ip=peer_ip, message=message)
+            transport = BgpTransport(interface.ip, peer_ip, message)
             self._send_on(interface, peer_ip, EtherType.BGP_TRANSPORT, transport)
 
     def _send_bfd(self, peer_ip: IPv4Address, packet: BfdControl) -> None:

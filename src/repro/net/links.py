@@ -49,8 +49,6 @@ class Port:
         #: Counters, useful in tests and benchmarks.
         self.frames_sent = 0
         self.frames_received = 0
-        self.bytes_sent = 0
-        self.bytes_received = 0
 
     # ------------------------------------------------------------------
     # Wiring
@@ -96,13 +94,11 @@ class Port:
         accepted = self._link.transmit(frame, self)
         if accepted:
             self.frames_sent += 1
-            self.bytes_sent += frame.size_bytes
         return accepted
 
     def deliver(self, frame: EthernetFrame) -> None:
         """Hand a frame received from the link to the owner (called by the link)."""
         self.frames_received += 1
-        self.bytes_received += frame.size_bytes
         if self._frame_handler is not None:
             self._frame_handler(frame, self)
 
@@ -148,7 +144,6 @@ class Link:
         self._state = LinkState.UP
         self._drop_filter: Optional[Callable[[EthernetFrame], bool]] = None
         self.frames_dropped = 0
-        self.frames_delivered = 0
         port_a.attach(self)
         port_b.attach(self)
 
@@ -230,7 +225,6 @@ class Link:
             # A failure that happened while the frame was in flight does not
             # destroy it — it is already on the wire — matching the paper's
             # observation that loss starts at the instant of failure.
-            self.frames_delivered += 1
             destination.deliver(frame)
 
         self._sim.schedule(self.latency, deliver, name=self._event_name)

@@ -1,11 +1,15 @@
 """Frame and packet models.
 
-Packets are plain immutable dataclasses: an :class:`EthernetFrame` carries
+Packets are plain immutable values: an :class:`EthernetFrame` carries
 one payload object — an :class:`ArpPacket`, an :class:`IPv4Packet` or a
 :class:`BgpTransport` message — and an :class:`IPv4Packet` in turn carries
-a :class:`UdpDatagram` or a :class:`BfdControl` packet.  Sizes are tracked
-so links and traffic generators can account for load in bytes, but no
-byte-level serialisation is performed (it is never needed in simulation).
+a :class:`UdpDatagram` or a :class:`BfdControl` packet.  There are no
+wire sizes and no byte-level serialisation: the experiments measure time
+and reachability, never load in bytes.
+
+The frame, the BGP transport and the BFD packet, built on every hop, are
+``NamedTuple``s (C-level constructors); receivers tell payloads apart by
+``ethertype`` / ``protocol``, never by equality.
 """
 
 from __future__ import annotations
@@ -13,14 +17,11 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 from repro.net.addresses import IPv4Address, MacAddress
 
 _packet_ids = itertools.count(1)
-
-#: Nominal wire size of one BGP message inside its transport segment.
-BGP_MESSAGE_BYTES = 64
 
 
 class EtherType(enum.IntEnum):
@@ -56,11 +57,6 @@ class ArpPacket:
     target_mac: MacAddress
     target_ip: IPv4Address
 
-    @property
-    def size_bytes(self) -> int:
-        """Wire size of an Ethernet ARP payload."""
-        return 28
-
 
 @dataclass(frozen=True)
 class UdpDatagram:
@@ -69,16 +65,9 @@ class UdpDatagram:
     src_port: int
     dst_port: int
     payload: Any = None
-    payload_bytes: int = 18  # fills a 64-byte minimum Ethernet frame
-
-    @property
-    def size_bytes(self) -> int:
-        """UDP header plus payload."""
-        return 8 + self.payload_bytes
 
 
-@dataclass(frozen=True)
-class BfdControl:
+class BfdControl(NamedTuple):
     """Simplified BFD control packet (RFC 5880 asynchronous mode)."""
 
     my_discriminator: int
@@ -88,14 +77,8 @@ class BfdControl:
     required_min_rx_interval: float
     detect_multiplier: int
 
-    @property
-    def size_bytes(self) -> int:
-        """Wire size of a BFD control packet."""
-        return 24
 
-
-@dataclass(frozen=True)
-class BgpTransport:
+class BgpTransport(NamedTuple):
     """Abstracted BGP transport segment.
 
     Real BGP runs over TCP.  Simulating a byte-accurate TCP stack adds
@@ -107,12 +90,6 @@ class BgpTransport:
     src_ip: IPv4Address
     dst_ip: IPv4Address
     message: Any
-
-    @property
-    def size_bytes(self) -> int:
-        """Segment size: the message's own size when it has one (an UPDATE
-        train weighs the sum of its members), else one nominal message."""
-        return getattr(self.message, "size_bytes", BGP_MESSAGE_BYTES)
 
 
 @dataclass(frozen=True)
@@ -126,12 +103,6 @@ class IPv4Packet:
     ttl: int = 64
     packet_id: int = field(default_factory=lambda: next(_packet_ids))
 
-    @property
-    def size_bytes(self) -> int:
-        """IPv4 header plus payload size."""
-        inner = getattr(self.payload, "size_bytes", 0)
-        return 20 + inner
-
     def decremented(self) -> "IPv4Packet":
         """Copy of the packet with TTL reduced by one (same packet id)."""
         return IPv4Packet(
@@ -144,8 +115,7 @@ class IPv4Packet:
         )
 
 
-@dataclass(frozen=True)
-class EthernetFrame:
+class EthernetFrame(NamedTuple):
     """Ethernet II frame."""
 
     src_mac: MacAddress
@@ -154,28 +124,10 @@ class EthernetFrame:
     payload: Any
     vlan: Optional[int] = None
 
-    @property
-    def size_bytes(self) -> int:
-        """Frame size including the 18-byte Ethernet header/FCS (64-byte minimum)."""
-        inner = getattr(self.payload, "size_bytes", 0)
-        return max(64, 18 + inner + (4 if self.vlan is not None else 0))
-
     def with_dst_mac(self, dst_mac: MacAddress) -> "EthernetFrame":
         """Copy of the frame with a rewritten destination MAC (switch action)."""
-        return EthernetFrame(
-            src_mac=self.src_mac,
-            dst_mac=dst_mac,
-            ethertype=self.ethertype,
-            payload=self.payload,
-            vlan=self.vlan,
-        )
+        return EthernetFrame(self.src_mac, dst_mac, self.ethertype, self.payload, self.vlan)
 
     def with_src_mac(self, src_mac: MacAddress) -> "EthernetFrame":
         """Copy of the frame with a rewritten source MAC."""
-        return EthernetFrame(
-            src_mac=src_mac,
-            dst_mac=self.dst_mac,
-            ethertype=self.ethertype,
-            payload=self.payload,
-            vlan=self.vlan,
-        )
+        return EthernetFrame(src_mac, self.dst_mac, self.ethertype, self.payload, self.vlan)

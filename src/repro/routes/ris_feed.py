@@ -9,7 +9,7 @@ peers" workload used by the controller micro-benchmark.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import islice
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence
 
 from repro.bgp.attributes import AsPath, Origin, PathAttributes
@@ -77,20 +77,24 @@ def synthetic_full_table(
         prefixes = PrefixGenerator(seed=seed).generate(count)
     elif len(prefixes) < count:
         raise ValueError(f"need at least {count} prefixes, got {len(prefixes)}")
+    # The provider ASN is checked once per table; the hops are drawn from
+    # a valid range, so the paths are built without re-checking them.
+    (provider_asn,) = AsPath((provider_asn,)).asns
+    path_of = AsPath.trusted
     roll = random.random
-    path_lengths = random.randints(repeat((1, 5))).__next__
+    path_lengths = random.integers(1, 5).__next__
     # Random hops stay strictly below every ASN the testbeds reserve for
     # their own devices (64512 controller, 65000+ routers): a synthetic
     # path that contained a device ASN would be silently dropped by that
     # device's BGP loop prevention and the scenario could never converge.
-    hops = random.randints(repeat((1000, 64000)))
-    meds = random.randints(repeat((0, 10))).__next__
+    hops = random.integers(1000, 64000)
+    meds = random.integers(0, 10).__next__
     # Arguments evaluate left to right: path length, hops, origin, MED —
     # one route's draws in the order the pinned table digests fix.
     routes = [
         FeedRoute(
             prefix,
-            AsPath((provider_asn, *islice(hops, path_lengths()))),
+            path_of((provider_asn, *islice(hops, path_lengths()))),
             Origin.IGP if roll() < 0.9 else Origin.INCOMPLETE,
             meds(),
         )

@@ -717,15 +717,8 @@ class ScenarioLab:
                     seed=spec.seed + 104729,
                 )
             )
-            interval = 1.0 / spec.churn_rate_ups
-            provider = self.providers[0]
-            self.sim.schedule_batch(
-                (
-                    (index + 1) * interval,
-                    lambda u=update: self._replay_churn_update(provider, u),
-                    "churn:replay",
-                )
-                for index, update in enumerate(updates)
+            self.sim.schedule_series(
+                1.0 / spec.churn_rate_ups, updates, self._replay_churn_update, "churn:replay"
             )
         self.churn_updates_scheduled = len(updates)
         return len(updates)
@@ -738,7 +731,8 @@ class ScenarioLab:
             return 0.0
         return self.churn_updates_scheduled / self.spec.churn_rate_ups
 
-    def _replay_churn_update(self, provider: Router, update: UpdateMessage) -> None:
+    def _replay_churn_update(self, update: UpdateMessage) -> None:
+        provider = self.providers[0]
         if update.is_withdraw:
             provider.bgp.withdraw_origin(update.prefix)
         elif not provider.blackholes_prefix(update.prefix):

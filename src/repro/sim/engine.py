@@ -23,7 +23,8 @@ its one entry, re-filed when the stale key surfaces (:meth:`Simulator.postpone`)
 A cancelled event stays in the heap until it reaches the head, where
 the run loop discards it.  :meth:`Simulator.schedule_batch` amortises
 the per-call overhead for components that arm many events at once
-(failure campaigns, traffic flows).
+(failure campaigns, traffic flows); :meth:`Simulator.schedule_series`
+paces a long replay with one event pending at a time.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import gc
 import math
 from contextlib import contextmanager
 from heapq import heappop, heappush, heapreplace
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.sim.random import SeededRandom
 
@@ -108,6 +109,34 @@ class Event:
             return False
         self.cancelled = True
         return True
+
+
+class _Series:
+    """The pending event of a :meth:`Simulator.schedule_series`.  Only its
+    heap entry refers to it, so a finished series is freed by reference
+    count."""
+
+    __slots__ = ("heap", "start", "first", "interval", "items", "callback", "name", "index")
+
+    def __init__(self, sim: "Simulator", interval: float, items: Sequence[Any],
+                 callback: Callable[[Any], None], name: str) -> None:
+        self.heap, self.start, self.first = sim._heap, sim._now, sim._sequence
+        sim._sequence += len(items)  # the batch's block of sequence numbers
+        self.interval, self.items, self.callback, self.name = interval, items, callback, name
+
+    def arm(self, index: int) -> None:
+        """File item ``index`` at the key the batch would have given it."""
+        self.index = index
+        when = self.start + (index + 1) * self.interval
+        sequence = self.first + index
+        fire = self.fire
+        heappush(self.heap, (when, sequence, fire, Event(when, sequence, fire, self.name)))
+
+    def fire(self) -> None:
+        index = self.index
+        if index + 1 < len(self.items):
+            self.arm(index + 1)
+        self.callback(self.items[index])
 
 
 class Simulator:
@@ -232,6 +261,19 @@ class Simulator:
             append(event)
         self._sequence = sequence
         return handles
+
+    def schedule_series(
+        self, interval: float, items: Sequence[Any], callback: Callable[[Any], None], name: str = ""
+    ) -> None:
+        """``schedule_batch`` of ``((k + 1) * interval, lambda: callback(items[k]),
+        name)`` for every ``k``, keeping one event pending: the series reserves
+        the batch's sequence numbers now, and each event files its successor
+        before it calls ``callback``, so every event runs at the batch's
+        ``(time, sequence)`` key."""
+        if not 0.0 <= len(items) * interval < _INF:
+            raise SimulationError(f"interval must be non-negative and finite, got {interval}")
+        if items:
+            _Series(self, interval, items, callback, name).arm(0)
 
     def call_soon(self, callback: Callable[[], None], name: str = "") -> Event:
         """Schedule ``callback`` at the current instant (after pending same-time events)."""

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 import zlib
+from itertools import repeat
 from typing import Iterable, Iterator, List, Sequence, Tuple, TypeVar
 
 T = TypeVar("T")
@@ -44,14 +45,20 @@ class SeededRandom:
         """Uniform integer in ``[low, high]`` inclusive."""
         return self._rng.randint(low, high)
 
+    def integers(self, low: int, high: int) -> Iterator[int]:
+        """Endless ``randint(low, high)`` draws, each made when pulled: the
+        ``getrandbits`` rejection loop :meth:`randint` runs, as a chain of C
+        iterators, so a pull runs no Python frame."""
+        span = high - low + 1
+        if span < 1:
+            raise ValueError(f"empty range for randint({low}, {high})")
+        bits = span.bit_length()
+        return map(low.__add__, filter(span.__gt__, map(self._rng.getrandbits, repeat(bits))))
+
     def randints(self, bounds: Iterable[Tuple[int, int]]) -> Iterator[int]:
         """``randint(low, high)`` for each ``(low, high)`` of ``bounds``,
-        drawn when pulled.
-
-        The same ``getrandbits`` rejection loop :meth:`randint` runs, so
-        the stream yields the same integers in one generator frame instead
-        of four Python frames per draw; bulk feeds pull fixed ranges from
-        ``bounds=itertools.repeat((low, high))``.
+        drawn when pulled: the rejection loop of :meth:`integers` in one
+        generator frame, for ranges that vary from draw to draw.
         """
         getrandbits = self._rng.getrandbits
         for low, high in bounds:

@@ -33,25 +33,27 @@ from repro.telemetry.metrics import MetricsRegistry
 class SimProfiler:
     """Per-handler (event-name) execution counts and sim-time attribution."""
 
-    __slots__ = ("_counts", "_sim_time", "_last_now", "events_observed")
+    __slots__ = ("_counts", "_sim_time", "_last_now")
 
     def __init__(self) -> None:
         self._counts: Dict[str, int] = {}
         self._sim_time: Dict[str, float] = {}
-        self._last_now: Optional[float] = None
-        self.events_observed = 0
+        #: Clocks start at zero, so the first event is attributed its own time.
+        self._last_now = 0.0
+
+    @property
+    def events_observed(self) -> int:
+        """Number of events observed so far."""
+        return sum(self._counts.values())
 
     def observe(self, name: str, when: float) -> None:
         """Record one executed event (called by the simulator's observer
         hook).  The sim time advanced since the previously observed event
         is attributed to this event's handler."""
         key = name or "(unnamed)"
-        self.events_observed += 1
-        self._counts[key] = self._counts.get(key, 0) + 1
-        if self._last_now is None:
-            advanced = when
-        else:
-            advanced = when - self._last_now
+        counts = self._counts
+        counts[key] = counts.get(key, 0) + 1
+        advanced = when - self._last_now
         self._last_now = when
         if advanced > 0.0:
             self._sim_time[key] = self._sim_time.get(key, 0.0) + advanced

@@ -16,7 +16,6 @@ class FlowSpec:
     rate_pps: float = 1000.0
     src_port: int = 10000
     dst_port: int = 9
-    payload_bytes: int = 18
 
     @property
     def interval(self) -> float:

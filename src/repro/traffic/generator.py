@@ -88,11 +88,7 @@ class TrafficSource(Host):
         self._processes[flow.destination] = process
 
     def _send_packet(self, flow: FlowSpec) -> None:
-        datagram = UdpDatagram(
-            src_port=flow.src_port,
-            dst_port=flow.dst_port,
-            payload_bytes=flow.payload_bytes,
-        )
+        datagram = UdpDatagram(src_port=flow.src_port, dst_port=flow.dst_port)
         packet = IPv4Packet(
             src=self.config.ip,
             dst=flow.destination,

@@ -23,7 +23,6 @@ from repro.bgp.session import SUB_TRAIN, BgpSession
 from repro.bgp.speaker import BgpSpeaker, PeerConfig
 from repro.net.addresses import IPv4Address, IPv4Prefix, MacAddress
 from repro.net.links import Link
-from repro.net.packets import BGP_MESSAGE_BYTES, BgpTransport, EtherType, EthernetFrame
 from repro.router.router import Router, RouterConfig
 
 DATA = Path(__file__).parent / "data"
@@ -154,8 +153,6 @@ def test_burst_crosses_the_link_as_one_bare_update_and_one_train(sim):
     assert [type(m) for m in messages] == [UpdateMessage, UpdateTrain]
     assert len(messages[1].updates) == burst - 1
     assert [u.prefix for u in _flatten(messages)] == [_prefix(i) for i in range(burst)]
-    # The train weighs what its members would have weighed alone.
-    assert frames[1].payload.size_bytes == (burst - 1) * BGP_MESSAGE_BYTES
     # Every route arrived when a frame of its own would have arrived.
     rib = r1.bgp.loc_rib
     assert len(rib.prefixes_from(B_IP)) == burst
@@ -167,19 +164,6 @@ def test_burst_crosses_the_link_as_one_bare_update_and_one_train(sim):
     assert (sender.updates_sent, sender.trains_sent) == (burst, 1)
     assert (receiver.updates_received, receiver.trains_received) == (burst, 1)
 
-
-def test_train_transport_size_is_the_sum_of_its_messages():
-    lone = BgpTransport(src_ip=A_IP, dst_ip=B_IP, message=_announce(0))
-    train = BgpTransport(
-        src_ip=A_IP, dst_ip=B_IP,
-        message=UpdateTrain(updates=tuple(_announce(i) for i in range(7))),
-    )
-    assert lone.size_bytes == BGP_MESSAGE_BYTES
-    assert train.size_bytes == 7 * BGP_MESSAGE_BYTES
-    frame = EthernetFrame(
-        MacAddress(1), MacAddress(2), EtherType.BGP_TRANSPORT, train
-    )
-    assert frame.size_bytes == 18 + 7 * BGP_MESSAGE_BYTES
 
 
 def test_updates_at_distinct_instants_never_build_a_train(sim):

@@ -2,9 +2,6 @@
 
 from repro.net.addresses import IPv4Address, MacAddress
 from repro.net.packets import (
-    ArpOp,
-    ArpPacket,
-    BfdControl,
     BgpTransport,
     EtherType,
     EthernetFrame,
@@ -21,50 +18,6 @@ def _udp_packet():
         protocol=IpProtocol.UDP,
         payload=UdpDatagram(src_port=1000, dst_port=9),
     )
-
-
-def test_frame_minimum_size_is_64_bytes():
-    frame = EthernetFrame(
-        src_mac=MacAddress(1),
-        dst_mac=MacAddress(2),
-        ethertype=EtherType.ARP,
-        payload=ArpPacket(
-            op=ArpOp.REQUEST,
-            sender_mac=MacAddress(1),
-            sender_ip=IPv4Address("10.0.0.1"),
-            target_mac=MacAddress(0),
-            target_ip=IPv4Address("10.0.0.2"),
-        ),
-    )
-    assert frame.size_bytes == 64
-
-
-def test_ipv4_packet_size_includes_payload():
-    packet = _udp_packet()
-    assert packet.size_bytes == 20 + 8 + 18
-
-
-def test_udp_default_payload_fills_minimum_frame():
-    frame = EthernetFrame(
-        src_mac=MacAddress(1),
-        dst_mac=MacAddress(2),
-        ethertype=EtherType.IPV4,
-        payload=_udp_packet(),
-    )
-    assert frame.size_bytes == 64
-
-
-def test_vlan_tag_adds_four_bytes():
-    big_payload = UdpDatagram(src_port=1, dst_port=2, payload_bytes=200)
-    packet = IPv4Packet(
-        src=IPv4Address("10.0.0.1"),
-        dst=IPv4Address("10.0.0.2"),
-        protocol=IpProtocol.UDP,
-        payload=big_payload,
-    )
-    untagged = EthernetFrame(MacAddress(1), MacAddress(2), EtherType.IPV4, packet)
-    tagged = EthernetFrame(MacAddress(1), MacAddress(2), EtherType.IPV4, packet, vlan=10)
-    assert tagged.size_bytes == untagged.size_bytes + 4
 
 
 def test_ttl_decrement_preserves_identity():
@@ -94,18 +47,6 @@ def test_with_src_mac_rewrites_only_source():
     assert rewritten.dst_mac == frame.dst_mac
 
 
-def test_bfd_control_size():
-    packet = BfdControl(
-        my_discriminator=1,
-        your_discriminator=0,
-        state="down",
-        desired_min_tx_interval=0.015,
-        required_min_rx_interval=0.015,
-        detect_multiplier=3,
-    )
-    assert packet.size_bytes == 24
-
-
 def test_bgp_transport_wraps_message():
     transport = BgpTransport(
         src_ip=IPv4Address("10.0.0.1"),
@@ -113,15 +54,3 @@ def test_bgp_transport_wraps_message():
         message={"kind": "open"},
     )
     assert transport.message == {"kind": "open"}
-    assert transport.size_bytes == 64
-
-
-def test_arp_packet_size():
-    packet = ArpPacket(
-        op=ArpOp.REPLY,
-        sender_mac=MacAddress(1),
-        sender_ip=IPv4Address("10.0.0.1"),
-        target_mac=MacAddress(2),
-        target_ip=IPv4Address("10.0.0.2"),
-    )
-    assert packet.size_bytes == 28

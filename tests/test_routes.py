@@ -2,7 +2,7 @@
 
 import hashlib
 import random
-from itertools import repeat
+from itertools import islice, repeat
 
 import pytest
 
@@ -100,6 +100,24 @@ class TestPinnedDraws:
     def test_randints_rejects_an_empty_range(self):
         with pytest.raises(ValueError):
             next(SeededRandom(1).randints([(5, 4)]))
+
+    @pytest.mark.parametrize("span", [1, 2, 5, 11, 2**16, 63001])
+    def test_integers_draw_what_randints_draws(self, span):
+        # Pulls of 0-3 values alternate with random() on the same generator,
+        # so each stream must consume exactly the draws randints consumes.
+        low = 1000
+        for seed in (0, 1, 7):
+            fast, reference = SeededRandom(seed), SeededRandom(seed)
+            stream = fast.integers(low, low + span - 1)
+            expected = reference.randints(repeat((low, low + span - 1)))
+            for step in range(400):
+                pulls = step % 4
+                assert list(islice(stream, pulls)) == list(islice(expected, pulls))
+                assert fast.random() == reference.random()
+
+    def test_integers_reject_an_empty_range(self):
+        with pytest.raises(ValueError):
+            SeededRandom(1).integers(5, 4)
 
     def test_invalid_provider_asn_rejected(self):
         with pytest.raises(ValueError):
