@@ -22,7 +22,6 @@ Run with::
 from __future__ import annotations
 
 import argparse
-import dataclasses
 
 from repro.experiments.detection import DetectionExperiment
 from repro.scenarios import CampaignRunner, get_preset
@@ -69,11 +68,7 @@ def main() -> int:
                 base.with_overrides(
                     name=f"remote/{mode}/frac={fraction}",
                     supercharged=supercharged,
-                    failures=[
-                        dataclasses.replace(
-                            base.failures[0], prefix_fraction=fraction
-                        )
-                    ],
+                    failures=[base.failures[0]._replace(prefix_fraction=fraction)],
                 ).validate()
             )
     result = CampaignRunner(specs, workers=arguments.workers).run()

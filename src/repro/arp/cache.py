@@ -6,14 +6,12 @@ lazily on lookup, so no timers are needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional
 
 from repro.net.addresses import IPv4Address, MacAddress
 
 
-@dataclass
-class ArpCacheEntry:
+class ArpCacheEntry(NamedTuple):
     """One resolved IP → MAC binding."""
 
     ip: IPv4Address

@@ -23,7 +23,6 @@ object-based RIBs would dominate RSS.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.bgp.attributes import PathAttributes
@@ -31,8 +30,7 @@ from repro.bgp.decision import rank_routes
 from repro.net.addresses import IPv4Address, IPv4Prefix
 
 
-@dataclass(frozen=True)
-class RouteSource:
+class RouteSource(NamedTuple):
     """Identity of the peer a route was learned from."""
 
     peer_ip: IPv4Address

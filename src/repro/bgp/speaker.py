@@ -18,8 +18,7 @@ the resulting :class:`RibChange` list, one batched advertisement per peer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.bgp.attributes import PathAttributes
 from repro.bgp.messages import BgpMessage, UpdateMessage
@@ -34,8 +33,7 @@ Advertisement = Tuple[IPv4Prefix, Optional[PathAttributes]]
 RibListener = Callable[[List[RibChange], IPv4Address], None]
 
 
-@dataclass
-class PeerConfig:
+class PeerConfig(NamedTuple):
     """Configuration of one BGP neighbor."""
 
     peer_ip: IPv4Address

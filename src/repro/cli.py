@@ -245,7 +245,7 @@ def _cmd_scenarios_list(arguments: argparse.Namespace) -> int:
         ("redundant", lambda row: "yes" if row["redundant_controllers"] else "no"),
         ("failures", lambda row: ",".join(f.kind for f in row["failures"]) or "-"),
     )
-    rows = [dict(vars(get_preset(name)), preset=name) for name in preset_names()]
+    rows = [dict(get_preset(name)._asdict(), preset=name) for name in preset_names()]
     print(render(rows, columns))
     return 0
 

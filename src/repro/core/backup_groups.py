@@ -16,7 +16,6 @@ to the supercharged router and what must be installed on the switch.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.bgp.rib import RibChange
@@ -26,17 +25,19 @@ from repro.core.vnh_allocator import VnhAllocator
 GroupKey = Tuple[IPv4Address, ...]
 
 
-@dataclass
 class BackupGroup:
     """One (primary, backup, …) group and its virtual identity."""
 
-    key: GroupKey
-    vnh: IPv4Address
-    vmac: MacAddress
-    #: Member prefixes.  A prefix is its int code, so the bulk build path
-    #: (``RemoteGroupPlanner.load_code``) stores plain ints here and they
-    #: compare, hash and sort as the prefixes they are.
-    members: Set[IPv4Prefix] = field(default_factory=set)
+    __slots__ = ("key", "vnh", "vmac", "members")
+
+    def __init__(self, key: GroupKey, vnh: IPv4Address, vmac: MacAddress) -> None:
+        self.key = key
+        self.vnh = vnh
+        self.vmac = vmac
+        #: Member prefixes.  A prefix is its int code, so the bulk build
+        #: path (``RemoteGroupPlanner.load_code``) stores plain ints here
+        #: and they compare, hash and sort as the prefixes they are.
+        self.members: Set[IPv4Prefix] = set()
 
     @property
     def primary(self) -> IPv4Address:

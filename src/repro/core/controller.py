@@ -18,8 +18,7 @@ attached to the SDN switch that plays three roles simultaneously:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.bfd.manager import BfdManager
 from repro.bgp.rib import RibChange, Route
@@ -42,8 +41,7 @@ if TYPE_CHECKING:
     from repro.supercharge.engine import RemoteRepointEngine
 
 
-@dataclass
-class PeerSpec:
+class PeerSpec(NamedTuple):
     """One upstream peer of the supercharged router, as the controller sees it."""
 
     ip: IPv4Address
@@ -55,8 +53,7 @@ class PeerSpec:
     local_pref: int = 100
 
 
-@dataclass
-class ControllerConfig:
+class ControllerConfig(NamedTuple):
     """Configuration of a supercharged controller instance."""
 
     ip: IPv4Address
@@ -69,7 +66,7 @@ class ControllerConfig:
     router_asn: int = 65000
     #: Pool virtual next hops are allocated from (inside ``subnet``).
     vnh_pool: IPv4Prefix = IPv4Prefix("10.0.0.128/25")
-    peers: List[PeerSpec] = field(default_factory=list)
+    peers: Sequence[PeerSpec] = ()
     #: BFD timing towards the peers.
     bfd_interval: float = 0.03
     bfd_multiplier: int = 3

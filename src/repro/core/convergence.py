@@ -9,23 +9,21 @@ router converges in constant time regardless of the FIB size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List, NamedTuple, Optional, Sequence
 
 from repro.core.backup_groups import BackupGroup, BackupGroupManager
 from repro.core.flow_provisioner import FlowProvisioner
 from repro.net.addresses import IPv4Address
 
 
-@dataclass
-class ConvergenceEvent:
+class ConvergenceEvent(NamedTuple):
     """Record of one data-plane convergence run (diagnostics/benchmarks)."""
 
     failed_peer: IPv4Address
     triggered_at: float
     groups_redirected: int
     groups_unprotected: int
-    redirected_groups: List[BackupGroup] = field(default_factory=list)
+    redirected_groups: Sequence[BackupGroup] = ()
 
 
 class DataPlaneConvergence:

@@ -12,8 +12,7 @@ convergence procedure (Listing 2) flips it to the backup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.backup_groups import BackupGroup
 from repro.core.rest_api import FloodlightRestApi, StaticFlowEntry
@@ -23,8 +22,7 @@ from repro.net.addresses import IPv4Address, MacAddress
 BATCH_SIZE_EDGES = (1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 500.0, 1_000.0)
 
 
-@dataclass(frozen=True)
-class NextHopLocation:
+class NextHopLocation(NamedTuple):
     """Where a (real) next hop lives: its MAC and the switch port behind it."""
 
     mac: MacAddress

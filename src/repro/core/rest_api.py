@@ -9,8 +9,7 @@ HTTP round trip.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from repro.net.addresses import MacAddress
 from repro.openflow.controller_channel import ControllerChannel
@@ -19,8 +18,7 @@ from repro.openflow.messages import FlowMod, FlowModBatch, FlowModCommand
 from repro.sim.engine import Simulator
 
 
-@dataclass(frozen=True)
-class StaticFlowEntry:
+class StaticFlowEntry(NamedTuple):
     """A named static flow, mirroring Floodlight's staticflowpusher JSON."""
 
     name: str

@@ -7,8 +7,8 @@ a :class:`UdpDatagram` or a :class:`BfdControl` packet.  There are no
 wire sizes and no byte-level serialisation: the experiments measure time
 and reachability, never load in bytes.
 
-The frame, the BGP transport and the BFD packet, built on every hop, are
-``NamedTuple``s (C-level constructors); receivers tell payloads apart by
+Every packet is a ``NamedTuple`` (building one is a tuple build, and no
+dataclass code is generated at import); receivers tell payloads apart by
 ``ethertype`` / ``protocol``, never by equality.
 """
 
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
 from typing import Any, NamedTuple, Optional
 
 from repro.net.addresses import IPv4Address, MacAddress
@@ -47,8 +46,7 @@ class ArpOp(enum.IntEnum):
     REPLY = 2
 
 
-@dataclass(frozen=True)
-class ArpPacket:
+class ArpPacket(NamedTuple):
     """ARP request or reply."""
 
     op: ArpOp
@@ -58,8 +56,7 @@ class ArpPacket:
     target_ip: IPv4Address
 
 
-@dataclass(frozen=True)
-class UdpDatagram:
+class UdpDatagram(NamedTuple):
     """UDP datagram carrying opaque test-traffic payload."""
 
     src_port: int
@@ -92,27 +89,39 @@ class BgpTransport(NamedTuple):
     message: Any
 
 
-@dataclass(frozen=True)
-class IPv4Packet:
-    """IPv4 packet carrying a UDP datagram or a BFD control packet."""
+class _IPv4Header(NamedTuple):
+    """The fields of :class:`IPv4Packet` (whose ``__new__`` draws the id)."""
 
     src: IPv4Address
     dst: IPv4Address
     protocol: IpProtocol
     payload: Any
     ttl: int = 64
-    packet_id: int = field(default_factory=lambda: next(_packet_ids))
+    packet_id: int = 0
+
+
+class IPv4Packet(_IPv4Header):
+    """IPv4 packet carrying a UDP datagram or a BFD control packet; one
+    built without a ``packet_id`` draws the next id."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        src: IPv4Address,
+        dst: IPv4Address,
+        protocol: IpProtocol,
+        payload: Any,
+        ttl: int = 64,
+        packet_id: Optional[int] = None,
+    ) -> "IPv4Packet":
+        if packet_id is None:
+            packet_id = next(_packet_ids)
+        return tuple.__new__(cls, (src, dst, protocol, payload, ttl, packet_id))
 
     def decremented(self) -> "IPv4Packet":
         """Copy of the packet with TTL reduced by one (same packet id)."""
-        return IPv4Packet(
-            src=self.src,
-            dst=self.dst,
-            protocol=self.protocol,
-            payload=self.payload,
-            ttl=self.ttl - 1,
-            packet_id=self.packet_id,
-        )
+        return self._replace(ttl=self.ttl - 1)
 
 
 class EthernetFrame(NamedTuple):
@@ -122,12 +131,11 @@ class EthernetFrame(NamedTuple):
     dst_mac: MacAddress
     ethertype: EtherType
     payload: Any
-    vlan: Optional[int] = None
 
     def with_dst_mac(self, dst_mac: MacAddress) -> "EthernetFrame":
         """Copy of the frame with a rewritten destination MAC (switch action)."""
-        return EthernetFrame(self.src_mac, dst_mac, self.ethertype, self.payload, self.vlan)
+        return EthernetFrame(self.src_mac, dst_mac, self.ethertype, self.payload)
 
     def with_src_mac(self, src_mac: MacAddress) -> "EthernetFrame":
         """Copy of the frame with a rewritten source MAC."""
-        return EthernetFrame(src_mac, self.dst_mac, self.ethertype, self.payload, self.vlan)
+        return EthernetFrame(src_mac, self.dst_mac, self.ethertype, self.payload)

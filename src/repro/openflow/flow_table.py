@@ -17,8 +17,7 @@ moves it to the back of its priority class, ``modify`` keeps its slot
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.net.addresses import MacAddress
 from repro.net.packets import EtherType, EthernetFrame
@@ -37,8 +36,7 @@ CONTROLLER_PORT = 0xFFFFFFFD
 FLOOD_PORT = 0xFFFFFFFB
 
 
-@dataclass(frozen=True)
-class FlowMatch:
+class FlowMatch(NamedTuple):
     """Match on in-port, EtherType and/or destination MAC (``None`` = wildcard)."""
 
     in_port: Optional[int] = None
@@ -59,8 +57,7 @@ class FlowMatch:
         return True
 
 
-@dataclass(frozen=True)
-class Actions:
+class Actions(NamedTuple):
     """Action list applied to matching frames, in OpenFlow apply-actions order:
     optional MAC rewrites, then output."""
 
@@ -88,8 +85,7 @@ class Actions:
         return result
 
 
-@dataclass(frozen=True)
-class FlowEntry:
+class FlowEntry(NamedTuple):
     """One flow-table entry."""
 
     match: FlowMatch
@@ -100,7 +96,7 @@ class FlowEntry:
 
     def with_actions(self, actions: Actions) -> "FlowEntry":
         """Copy of the entry with different actions (a MODIFY flow-mod)."""
-        return replace(self, actions=actions)
+        return self._replace(actions=actions)
 
 
 class FlowTable:

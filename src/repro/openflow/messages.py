@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from repro.net.packets import EthernetFrame
 from repro.openflow.flow_table import Actions, FlowMatch
@@ -18,8 +17,7 @@ class FlowModCommand(enum.Enum):
     DELETE = "delete"
 
 
-@dataclass(frozen=True)
-class FlowMod:
+class FlowMod(NamedTuple):
     """Install, modify or delete a flow entry."""
 
     command: FlowModCommand
@@ -29,8 +27,7 @@ class FlowMod:
     cookie: int = 0
 
 
-@dataclass(frozen=True)
-class FlowModBatch:
+class FlowModBatch(NamedTuple):
     """A bundle of flow-mods committed as one unit (OpenFlow bundles).
 
     The switch programs the whole bundle after a single flow-mod latency
@@ -45,8 +42,7 @@ class FlowModBatch:
         return len(self.mods)
 
 
-@dataclass(frozen=True)
-class PacketIn:
+class PacketIn(NamedTuple):
     """Frame punted from the switch to the controller."""
 
     frame: EthernetFrame
@@ -54,8 +50,7 @@ class PacketIn:
     reason: str = "action"
 
 
-@dataclass(frozen=True)
-class PacketOut:
+class PacketOut(NamedTuple):
     """Frame injected by the controller into the switch data plane."""
 
     frame: EthernetFrame
@@ -69,8 +64,7 @@ class PortStatusReason(enum.Enum):
     LINK_UP = "link_up"
 
 
-@dataclass(frozen=True)
-class PortStatus:
+class PortStatus(NamedTuple):
     """Asynchronous notification of a port state change."""
 
     port: int

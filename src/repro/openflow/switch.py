@@ -14,8 +14,7 @@ because it is part of the supercharged convergence budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.net.links import LinkState, Port
 from repro.net.packets import EthernetFrame
@@ -37,8 +36,7 @@ if TYPE_CHECKING:  # a standalone lab's switch has no controller
 FORWARDING_LATENCY = 5e-6
 
 
-@dataclass
-class SwitchConfig:
+class SwitchConfig(NamedTuple):
     """Hardware characteristics of the switch."""
 
     #: Time to program one flow entry into the hardware table.

@@ -19,7 +19,6 @@ actually repaired.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable, Deque, List, NamedTuple, Optional, Sequence
 
 from repro.net.addresses import IPv4Prefix
@@ -34,8 +33,7 @@ INSTALL_MS_EDGES = (1.0, 10.0, 50.0, 100.0, 250.0, 500.0, 1_000.0,
 BATCH_ENTRIES_EDGES = (1.0, 10.0, 100.0, 1_000.0, 10_000.0, 100_000.0)
 
 
-@dataclass
-class FibUpdaterConfig:
+class FibUpdaterConfig(NamedTuple):
     """Timing characteristics of the FIB download path."""
 
     #: Delay before the first entry of an idle-to-busy batch is written.

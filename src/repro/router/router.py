@@ -16,13 +16,12 @@ peers) in the evaluation lab — only the configuration differs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.bfd.manager import BfdManager
 from repro.bgp.rib import RibChange
 from repro.bgp.speaker import BgpSpeaker, PeerConfig
-from repro.net.addresses import IPv4Address, IPv4Prefix, MacAddress
+from repro.net.addresses import MASKS, IPv4Address, IPv4Prefix, MacAddress
 from repro.net.host import Host
 from repro.net.interfaces import Interface
 from repro.net.links import LinkState, Port
@@ -36,13 +35,12 @@ from repro.sim.engine import Simulator
 FORWARDING_LATENCY = 10e-6
 
 
-@dataclass
-class RouterConfig:
+class RouterConfig(NamedTuple):
     """Per-router knobs."""
 
     asn: int
     router_id: IPv4Address
-    fib_updater: FibUpdaterConfig = field(default_factory=FibUpdaterConfig)
+    fib_updater: FibUpdaterConfig = FibUpdaterConfig()
     #: Use a PIC-style hierarchical FIB instead of a flat one (ablation).
     hierarchical_fib: bool = False
     #: BFD transmit interval; ``None`` disables BFD on this router.
@@ -50,8 +48,7 @@ class RouterConfig:
     bfd_multiplier: int = 3
 
 
-@dataclass(frozen=True)
-class StaticRoute:
+class StaticRoute(NamedTuple):
     """A statically configured route (installed at boot, bypassing BGP)."""
 
     prefix: IPv4Prefix
@@ -99,7 +96,10 @@ class Router(Host):
         # default) exists.  Models a failure *beyond* this router — the
         # upstream path died while the local links stayed up (remote-failure
         # scenarios).
-        self._blackholes: set = set()
+        self._blackholes: Set[IPv4Prefix] = set()
+        # Blackholed prefixes per mask length: a prefix is its code, so a
+        # packet costs one exact-match probe per length present.
+        self._blackhole_lengths: Dict[int, int] = {}
         # Listeners notified when forwarding state changes outside the serial
         # FIB updater (hierarchical-FIB writes and repoints); the argument is
         # the affected prefix, or None for a change affecting many prefixes.
@@ -144,11 +144,19 @@ class Router(Host):
 
     def add_blackhole(self, prefix: IPv4Prefix) -> None:
         """Start dropping traffic towards ``prefix`` (upstream path lost)."""
-        self._blackholes.add(prefix)
+        if prefix not in self._blackholes:
+            self._blackholes.add(prefix)
+            lengths = self._blackhole_lengths
+            lengths[prefix.length] = lengths.get(prefix.length, 0) + 1
 
     def clear_blackhole(self, prefix: IPv4Prefix) -> None:
         """Stop blackholing ``prefix`` (upstream path restored)."""
-        self._blackholes.discard(prefix)
+        if prefix in self._blackholes:
+            self._blackholes.remove(prefix)
+            lengths = self._blackhole_lengths
+            lengths[prefix.length] -= 1
+            if not lengths[prefix.length]:
+                del lengths[prefix.length]
 
     def blackholes_prefix(self, prefix: IPv4Prefix) -> bool:
         """Whether exactly ``prefix`` is currently blackholed."""
@@ -156,9 +164,11 @@ class Router(Host):
 
     def is_blackholed(self, destination: IPv4Address) -> bool:
         """Whether traffic to ``destination`` is currently blackholed."""
-        if not self._blackholes:
-            return False
-        return any(prefix.contains(destination) for prefix in self._blackholes)
+        blackholes = self._blackholes
+        for length in self._blackhole_lengths:
+            if (((destination & MASKS[length]) << 6) | length) in blackholes:
+                return True
+        return False
 
     def on_fib_changed(self, handler: Callable[[Optional[IPv4Prefix]], None]) -> None:
         """Register a listener for forwarding changes not visible through the

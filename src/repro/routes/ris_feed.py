@@ -8,7 +8,6 @@ peers" workload used by the controller micro-benchmark.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence
 
@@ -41,12 +40,14 @@ class FeedRoute(NamedTuple):
         return UpdateMessage.announce(self.prefix, self.attributes(next_hop))
 
 
-@dataclass
 class RouteFeed:
     """A full table: an ordered list of routes sharing a generation seed."""
 
-    routes: List[FeedRoute]
-    seed: int
+    __slots__ = ("routes", "seed")
+
+    def __init__(self, routes: List[FeedRoute], seed: int) -> None:
+        self.routes = routes
+        self.seed = seed
 
     def __len__(self) -> int:
         return len(self.routes)

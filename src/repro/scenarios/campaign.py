@@ -18,8 +18,8 @@ from __future__ import annotations
 import itertools
 import json
 import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, IO, List, Mapping, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Any, Dict, IO, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.net.addresses import IPv4Address
 from repro.runconfig import pool_start_method
@@ -63,7 +63,7 @@ def expand_grid(
     ``base.seed + index`` so simulations are decorrelated but reproducible
     from the single base seed.
     """
-    spec_fields = set(ScenarioSpec.__dataclass_fields__)
+    spec_fields = set(ScenarioSpec._fields)
     for key in grid:
         if key != FAILURE_GRID_KEY and key not in spec_fields:
             raise ScenarioSpecError(f"unknown grid key {key!r}")
@@ -103,8 +103,7 @@ def expand_grid(
 PRIMARY_LINK_DOWN = FailureSpec(kind="link_down", at=0.0)
 
 
-@dataclass
-class FailoverResult:
+class FailoverResult(NamedTuple):
     """The one read-out of a driven failover, in raw simulated seconds."""
 
     supercharged: bool
@@ -119,7 +118,7 @@ class FailoverResult:
     #: Seconds until the router first heard from the controller, if it did.
     push_time: Optional[float] = None
     #: Samples per detection label of their dominating outage.
-    detection_paths: Dict[str, int] = field(default_factory=dict)
+    detection_paths: Mapping[str, int] = MappingProxyType({})
     recovered: bool = True
     events_fired: int = 0
     churn_updates: int = 0
@@ -176,6 +175,7 @@ def run_failover(
         num_prefixes=lab.spec.num_prefixes,
         failure_time=failure_time,
         convergence_times={d: 0.0 for d in lab.monitored_destinations},
+        detection_paths={},
         recovered=bool(recovered),
         events_fired=len(injector.log),
         churn_updates=churn_updates,
@@ -183,20 +183,21 @@ def run_failover(
     if failure_time is None:
         return result
     details = lab.monitor.convergence_details(failure_time)
-    result.convergence_times = {d: duration for d, (duration, _) in details.items()}
+    detection_paths: Dict[str, int] = {}
     for _, label in details.values():
         key = label if label is not None else "none"
-        result.detection_paths[key] = result.detection_paths.get(key, 0) + 1
+        detection_paths[key] = detection_paths.get(key, 0) + 1
     event = lab.detection.first_detection(
         failure_time, lab.plan.provider_core_ip(injector.first_failed_provider or 0)
     )
-    if event is not None:
-        result.detection_time = event.at - failure_time
-        result.detection_path = event.path
     push = lab.detection.first_push(failure_time)
-    if push is not None:
-        result.push_time = push.at - failure_time
-    return result
+    return result._replace(
+        convergence_times={d: duration for d, (duration, _) in details.items()},
+        detection_paths=detection_paths,
+        detection_time=None if event is None else event.at - failure_time,
+        detection_path=None if event is None else event.path,
+        push_time=None if push is None else push.at - failure_time,
+    )
 
 
 def _ms(seconds: Optional[float]) -> Optional[float]:
@@ -339,8 +340,7 @@ STAGE_TABLE_COLUMNS = (
 # ----------------------------------------------------------------------
 # Campaign result
 # ----------------------------------------------------------------------
-@dataclass
-class CampaignResult:
+class CampaignResult(NamedTuple):
     """All per-scenario records plus campaign-level aggregation."""
 
     scenarios: List[Dict[str, Any]]
@@ -460,7 +460,6 @@ class CampaignResult:
 # ----------------------------------------------------------------------
 # Runner
 # ----------------------------------------------------------------------
-@dataclass
 class CampaignRunner:
     """Executes a list of scenario specs, optionally on a worker pool.
 
@@ -470,11 +469,16 @@ class CampaignRunner:
     of the pool size.
     """
 
-    specs: List[ScenarioSpec]
-    workers: int = 1
-    timeout: float = 600.0
-    #: Populated by :meth:`run`.
-    result: Optional[CampaignResult] = field(default=None, repr=False)
+    __slots__ = ("specs", "workers", "timeout", "result")
+
+    def __init__(
+        self, specs: List[ScenarioSpec], workers: int = 1, timeout: float = 600.0
+    ) -> None:
+        self.specs = specs
+        self.workers = workers
+        self.timeout = timeout
+        #: Populated by :meth:`run`.
+        self.result: Optional[CampaignResult] = None
 
     def run(self) -> CampaignResult:
         """Execute every scenario and aggregate the results."""

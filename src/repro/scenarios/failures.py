@@ -22,8 +22,7 @@ whole campaign is declared up front and replayed deterministically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 from repro.bgp.attributes import AsPath
 from repro.net.links import Link, LinkState
@@ -54,8 +53,7 @@ def _is_bfd_frame(frame: EthernetFrame) -> bool:
     )
 
 
-@dataclass
-class InjectionRecord:
+class InjectionRecord(NamedTuple):
     """One fired (or scheduled) fault, for post-run inspection."""
 
     kind: str
@@ -64,17 +62,19 @@ class InjectionRecord:
     description: str = ""
 
 
-@dataclass
 class FailureInjector:
     """Schedules a list of :class:`FailureSpec` events on a built lab."""
 
-    lab: ScenarioLab
-    #: Chronological log of every sub-event actually fired.
-    log: List[InjectionRecord] = field(default_factory=list)
-    #: Simulated time of the first disruptive event (measurement anchor)
-    #: and the provider it hit (None when not attributable to one).
-    first_failure_time: Optional[float] = None
-    first_failed_provider: Optional[int] = None
+    __slots__ = ("lab", "log", "first_failure_time", "first_failed_provider")
+
+    def __init__(self, lab: ScenarioLab) -> None:
+        self.lab = lab
+        #: Chronological log of every sub-event actually fired.
+        self.log: List[InjectionRecord] = []
+        #: Simulated time of the first disruptive event (measurement
+        #: anchor) and the provider it hit (None when not attributable).
+        self.first_failure_time: Optional[float] = None
+        self.first_failed_provider: Optional[int] = None
 
     # ------------------------------------------------------------------
     # Arming

@@ -21,10 +21,8 @@ Compilation into a wired simulation happens in
 
 from __future__ import annotations
 
-import dataclasses
 import json
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence
 
 #: Failure kinds understood by :class:`repro.scenarios.failures.FailureInjector`.
 FAILURE_KINDS = (
@@ -52,8 +50,7 @@ class ScenarioSpecError(ValueError):
     """Raised when a scenario specification is internally inconsistent."""
 
 
-@dataclass(frozen=True)
-class FailureSpec:
+class FailureSpec(NamedTuple):
     """One scheduled fault event.
 
     ``at`` is relative to the instant the failure campaign is armed (i.e.
@@ -119,13 +116,12 @@ class FailureSpec:
 
     def to_dict(self) -> Dict[str, Any]:
         """Primitive-only dict representation."""
-        return dataclasses.asdict(self)
+        return self._asdict()
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "FailureSpec":
         """Inverse of :meth:`to_dict` (unknown keys rejected)."""
-        known = {f.name for f in dataclasses.fields(cls)}
-        extra = set(data) - known
+        extra = set(data) - set(cls._fields)
         if extra:
             raise ScenarioSpecError(f"unknown FailureSpec fields: {sorted(extra)}")
         return cls(**data)
@@ -141,9 +137,8 @@ class FailureSpec:
         return horizon
 
 
-@dataclass(frozen=True)
-class ScenarioSpec:
-    """Declarative description of one experiment scenario."""
+class _ScenarioFields(NamedTuple):
+    """The fields of :class:`ScenarioSpec` (whose ``__new__`` normalises them)."""
 
     name: str = "scenario"
     #: Synthetic full-table size advertised by every provider.
@@ -186,7 +181,23 @@ class ScenarioSpec:
     #: accumulate before flushing.
     remote_holddown: float = 0.001
     #: The failure campaign, armed once the testbed has converged.
-    failures: List[FailureSpec] = field(default_factory=list)
+    failures: Sequence[FailureSpec] = ()
+
+
+class ScenarioSpec(_ScenarioFields):
+    """Declarative description of one experiment scenario.
+
+    ``failures`` is always a list: one given as any other sequence, or
+    left out, becomes a fresh list, so equal campaigns make equal specs.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args: Any, **kwargs: Any) -> "ScenarioSpec":
+        spec = super().__new__(cls, *args, **kwargs)
+        if type(spec.failures) is list:
+            return spec
+        return spec._replace(failures=list(spec.failures))
 
     # ------------------------------------------------------------------
     # Derived views
@@ -302,15 +313,14 @@ class ScenarioSpec:
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
         """Primitive-only dict representation (JSON- and pickle-safe)."""
-        data = dataclasses.asdict(self)
+        data = self._asdict()
         data["failures"] = [f.to_dict() for f in self.failures]
         return data
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ScenarioSpec":
         """Inverse of :meth:`to_dict` (unknown keys rejected)."""
-        known = {f.name for f in dataclasses.fields(cls)}
-        extra = set(data) - known
+        extra = set(data) - set(cls._fields)
         if extra:
             raise ScenarioSpecError(f"unknown ScenarioSpec fields: {sorted(extra)}")
         payload = dict(data)
@@ -332,7 +342,7 @@ class ScenarioSpec:
 
     def with_overrides(self, **overrides: Any) -> "ScenarioSpec":
         """A copy with the given fields replaced (validation deferred)."""
-        return dataclasses.replace(self, **overrides)
+        return type(self)(**{**self._asdict(), **overrides})
 
 
 def failure_campaign(kind: str, at: float = 1.0, **params: Any) -> List[FailureSpec]:

@@ -7,8 +7,7 @@ module level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, List, Mapping, Sequence, Tuple, Union
+from typing import Any, Callable, List, Mapping, NamedTuple, Sequence, Tuple, Union
 
 
 def quantile_from_sorted(values: Sequence[float], q: float) -> float:
@@ -31,8 +30,7 @@ def percentile(samples: Sequence[float], fraction: float) -> float:
     return quantile_from_sorted(sorted(samples), fraction)
 
 
-@dataclass(frozen=True)
-class BoxStats:
+class BoxStats(NamedTuple):
     """The statistics Figure 5 shows for each box."""
 
     count: int
@@ -66,8 +64,7 @@ class BoxStats:
 
     def scaled(self, factor: float) -> "BoxStats":
         """Return the same statistics multiplied by ``factor`` (unit changes)."""
-        scaled = {name: value * factor for name, value in vars(self).items() if name != "count"}
-        return BoxStats(count=self.count, **scaled)
+        return BoxStats(self.count, *(value * factor for value in self[1:]))
 
     def as_milliseconds(self) -> "BoxStats":
         """Convert second-based samples to milliseconds."""

@@ -35,8 +35,7 @@ so campaign sweeps stay byte-identical and A/B-comparable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, List, NamedTuple, Optional, Tuple
 
 from repro.bgp.rib import RibChange
 from repro.core.backup_groups import GroupKey, ProvisioningAction
@@ -49,8 +48,7 @@ if TYPE_CHECKING:  # an annotation only: a sharded build has no switch to push t
     from repro.core.flow_provisioner import FlowProvisioner
 
 
-@dataclass(frozen=True)
-class RemoteRepointEvent:
+class RemoteRepointEvent(NamedTuple):
     """Record of one flush run (diagnostics and benchmarks)."""
 
     at: float

@@ -34,7 +34,6 @@ worker processes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.bgp.rib import RibChange
@@ -50,23 +49,22 @@ from repro.core.vnh_allocator import VnhAllocator
 from repro.net.addresses import IPv4Address, IPv4Prefix, MacAddress
 
 
-@dataclass
 class RemoteGroup(BackupGroup):
     """A shared-fate group with data-plane state and a drain buffer."""
 
-    #: Next hop the group's switch rule currently rewrites towards (may
-    #: diverge from ``primary`` between a failover and the key refresh);
-    #: a new group's rule points at its primary.
-    active: Optional[IPv4Address] = None
-    #: Members whose ranking moved away from the group, awaiting the
-    #: engine's flush: prefix -> its new ranked distinct next hops.
-    pending: Dict[IPv4Prefix, GroupKey] = field(default_factory=dict)
-    #: How many times the group's rule was repointed by the remote path.
-    repoints: int = 0
+    __slots__ = ("active", "pending", "repoints")
 
-    def __post_init__(self) -> None:
-        if self.active is None:
-            self.active = self.key[0]
+    def __init__(self, key: GroupKey, vnh: IPv4Address, vmac: MacAddress) -> None:
+        super().__init__(key, vnh, vmac)
+        #: Next hop the group's switch rule currently rewrites towards (may
+        #: diverge from ``primary`` between a failover and the key refresh);
+        #: a new group's rule points at its primary.
+        self.active: IPv4Address = key[0]
+        #: Members whose ranking moved away from the group, awaiting the
+        #: engine's flush: prefix -> its new ranked distinct next hops.
+        self.pending: Dict[IPv4Prefix, GroupKey] = {}
+        #: How many times the group's rule was repointed by the remote path.
+        self.repoints = 0
 
 
 class RemoteGroupPlanner(BackupGroupManager):

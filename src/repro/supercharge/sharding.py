@@ -36,8 +36,7 @@ which is salted), so a spec maps to the same shard layout everywhere.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.bgp.rib import CompactPeerRib
 from repro.core.backup_groups import GroupKey, ProvisioningAction
@@ -66,8 +65,7 @@ def shard_of_key(key: GroupKey, num_shards: int) -> int:
     return zlib.crc32(packed) % num_shards
 
 
-@dataclass(frozen=True)
-class ShardWorkSpec:
+class ShardWorkSpec(NamedTuple):
     """Everything a worker needs to regenerate and build its shard.
 
     Picklable by construction: addresses travel as dotted-quad strings
@@ -95,8 +93,7 @@ class ShardWorkSpec:
     fail_primary: bool = True
 
 
-@dataclass
-class ShardBuildResult:
+class ShardBuildResult(NamedTuple):
     """Deterministic per-shard summary (no wall-clock, no RSS)."""
 
     shard: int
@@ -107,7 +104,7 @@ class ShardBuildResult:
     #: CRC32 over sorted (group key, sorted member codes) — the
     #: serial/pooled parity witness for membership.
     membership_crc: int = 0
-    group_keys: List[Tuple[int, ...]] = field(default_factory=list)
+    group_keys: Sequence[Tuple[int, ...]] = ()
     #: Failover absorption (zeros when ``fail_primary`` is off).
     flow_mods: int = 0
     groups_repointed: int = 0
@@ -226,18 +223,17 @@ def build_shard(spec: ShardWorkSpec) -> ShardBuildResult:
     )
     planner = RemoteGroupPlanner(allocator, group_size=spec.group_size)
 
-    result = ShardBuildResult(shard=spec.shard)
+    loaded = grouped = 0
     for code, indices in _iter_shard_codes(spec, peers):
         for index in indices:
             rib.load(code, index)
         hops = tuple(peers[i] for i in indices)
-        result.prefixes_loaded += 1
+        loaded += 1
         if planner.load_code(code, hops):
-            result.grouped += 1
-        else:
-            result.ungrouped += 1
+            grouped += 1
 
-    if spec.fail_primary and result.prefixes_loaded:
+    absorbed: Dict[str, int] = {}
+    if spec.fail_primary and loaded:
         sim = Simulator(seed=spec.seed)
         provisioner = _CountingProvisioner()
         dead = peers[0]
@@ -256,23 +252,31 @@ def build_shard(spec: ShardWorkSpec) -> ShardBuildResult:
                 planner.reassign(code, new_ranking)
         engine.absorb_deferred()
         sim.run_for(engine.holddown * 2)
-        result.flow_mods = engine.flow_mods
-        result.groups_repointed = engine.groups_repointed
-        result.prefixes_covered = engine.prefixes_covered
-        result.fallback_prefixes = engine.fallback_prefixes
+        absorbed = {
+            "flow_mods": engine.flow_mods,
+            "groups_repointed": engine.groups_repointed,
+            "prefixes_covered": engine.prefixes_covered,
+            "fallback_prefixes": engine.fallback_prefixes,
+        }
 
     groups = sorted(planner.groups(), key=lambda g: g.vmac)
-    result.groups = len(groups)
     crc = 0
     for group in groups:
         packed = b"".join(hop.to_bytes(4, "big") for hop in group.key)
         crc = zlib.crc32(packed, crc)
         for code in sorted(group.members):
             crc = zlib.crc32(code.to_bytes(5, "big"), crc)
-    result.membership_crc = crc
-    result.group_keys = sorted(group.key for group in groups)
-    result.rss_mb = round(peak_rss_mb(), 1)
-    return result
+    return ShardBuildResult(
+        shard=spec.shard,
+        prefixes_loaded=loaded,
+        grouped=grouped,
+        ungrouped=loaded - grouped,
+        groups=len(groups),
+        membership_crc=crc,
+        group_keys=sorted(group.key for group in groups),
+        rss_mb=round(peak_rss_mb(), 1),
+        **absorbed,
+    )
 
 
 def run_sharded_build(

@@ -45,8 +45,7 @@ campaigns stay byte-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Hashable, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.stats import quantile_from_sorted
 
@@ -97,8 +96,7 @@ STAGE_OF_EVENT = {
 }
 
 
-@dataclass(frozen=True)
-class DetectionEvent:
+class DetectionEvent(NamedTuple):
     """One failure-detection observation at the measuring vantage point."""
 
     at: float

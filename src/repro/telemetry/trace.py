@@ -31,20 +31,18 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, IO, List, Optional, Sequence
+from typing import Any, Callable, Deque, Dict, IO, List, NamedTuple, Optional, Sequence
 
 from repro.telemetry.causal import CausalContext
 from repro.telemetry.metrics import Counter, Gauge, Histogram, MetricsRegistry
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """One structured trace record at a simulated instant."""
 
     at: float
     name: str
-    fields: Dict[str, Any] = field(default_factory=dict)
+    fields: Dict[str, Any]
 
     def to_dict(self) -> Dict[str, Any]:
         """Primitive representation (field keys sorted for stable JSON)."""

@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from repro.net.addresses import IPv4Address
 
 
-@dataclass(frozen=True)
-class FlowSpec:
+class FlowSpec(NamedTuple):
     """One monitored UDP flow."""
 
     destination: IPv4Address
@@ -23,17 +21,22 @@ class FlowSpec:
         return 1.0 / self.rate_pps
 
 
-@dataclass
 class FlowStats:
     """Arrival statistics of one flow at the sink."""
 
-    destination: IPv4Address
-    packets_received: int = 0
-    first_arrival: Optional[float] = None
-    last_arrival: Optional[float] = None
-    max_gap: float = 0.0
-    max_gap_start: Optional[float] = None
-    gaps: List[float] = field(default_factory=list)
+    __slots__ = (
+        "destination", "packets_received", "first_arrival", "last_arrival",
+        "max_gap", "max_gap_start", "gaps",
+    )
+
+    def __init__(self, destination: IPv4Address) -> None:
+        self.destination = destination
+        self.packets_received = 0
+        self.first_arrival: Optional[float] = None
+        self.last_arrival: Optional[float] = None
+        self.max_gap = 0.0
+        self.max_gap_start: Optional[float] = None
+        self.gaps: List[float] = []
 
     def record(self, now: float) -> None:
         """Record a packet arrival at simulated time ``now``."""

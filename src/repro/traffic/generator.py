@@ -8,8 +8,7 @@ gateway was configured as a static neighbour.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, NamedTuple, Sequence
 
 from repro.net.addresses import IPv4Address, IPv4Prefix, MacAddress
 from repro.net.host import Host
@@ -20,15 +19,14 @@ from repro.sim.process import PeriodicProcess
 from repro.traffic.flows import FlowSpec
 
 
-@dataclass
-class TrafficSourceConfig:
+class TrafficSourceConfig(NamedTuple):
     """Configuration of the source board."""
 
     ip: IPv4Address
     mac: MacAddress
     subnet: IPv4Prefix
     gateway_ip: IPv4Address
-    flows: List[FlowSpec] = field(default_factory=list)
+    flows: Sequence[FlowSpec] = ()
     #: Add up to this fraction of jitter to each flow's interval so flows
     #: do not stay phase-locked (the FPGA generator round-robins flows).
     jitter: float = 0.05
@@ -40,6 +38,7 @@ class TrafficSource(Host):
     def __init__(self, sim: Simulator, name: str, config: TrafficSourceConfig) -> None:
         super().__init__(sim, name)
         self.config = config
+        self.flows = list(config.flows)
         self.interface = self.add_interface("eth0", config.mac, config.ip, config.subnet)
         self._processes: Dict[IPv4Address, PeriodicProcess] = {}
         self.packets_sent = 0
@@ -55,7 +54,7 @@ class TrafficSource(Host):
     # ------------------------------------------------------------------
     def start(self) -> None:
         """Start all flows."""
-        for flow in self.config.flows:
+        for flow in self.flows:
             self._start_flow(flow)
 
     def stop(self) -> None:
@@ -66,7 +65,7 @@ class TrafficSource(Host):
 
     def add_flow(self, flow: FlowSpec) -> None:
         """Add (and immediately start) a flow."""
-        self.config.flows.append(flow)
+        self.flows.append(flow)
         self._start_flow(flow)
 
     # ------------------------------------------------------------------

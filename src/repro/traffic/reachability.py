@@ -11,8 +11,7 @@ convergence times even for full-table experiments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.net.addresses import IPv4Address, IPv4Prefix, MacAddress
 from repro.net.links import Port
@@ -23,27 +22,28 @@ from repro.sim.engine import Simulator
 from repro.traffic.monitor import TrafficSink
 
 
-@dataclass(frozen=True)
-class TraceHop:
+class TraceHop(NamedTuple):
     """One hop of a forwarding-state walk (diagnostics)."""
 
     node: str
     detail: str
 
 
-@dataclass
 class _DestinationState:
     """Book-keeping for one monitored destination."""
 
-    destination: IPv4Address
-    prefix: Optional[IPv4Prefix]
-    reachable: Optional[bool] = None
-    down_since: Optional[float] = None
-    outages: List[Tuple[float, float]] = field(default_factory=list)
-    #: Detection label of each closed outage (parallel to ``outages``):
-    #: how the failure behind it was detected ("bfd", "bgp", …), or None
-    #: when no detection event was reported before the outage closed.
-    detections: List[Optional[str]] = field(default_factory=list)
+    __slots__ = ("destination", "prefix", "reachable", "down_since", "outages", "detections")
+
+    def __init__(self, destination: IPv4Address, prefix: Optional[IPv4Prefix]) -> None:
+        self.destination = destination
+        self.prefix = prefix
+        self.reachable: Optional[bool] = None
+        self.down_since: Optional[float] = None
+        self.outages: List[Tuple[float, float]] = []
+        #: Detection label of each closed outage (parallel to ``outages``):
+        #: how the failure behind it was detected ("bfd", "bgp", …), or
+        #: None when no detection event was reported before it closed.
+        self.detections: List[Optional[str]] = []
 
 
 class PathTracer:

@@ -1,7 +1,6 @@
 """Tests for MAC/IPv4 address and prefix types."""
 
 import copy
-import dataclasses
 import json
 import multiprocessing
 import pickle
@@ -333,7 +332,7 @@ class TestAddressesAreInts:
             pickle.loads(pickle.dumps(values)),
             [copy.copy(value) for value in values],
             copy.deepcopy({"key": values})["key"],
-            list(dataclasses.asdict(packet).values())[1:],
+            list(copy.deepcopy(packet)._asdict().values())[1:],
         ]
         assert [type(v) for v in clones[-1]] == [MacAddress, IPv4Address] * 2
         for cloned in clones[:3]:

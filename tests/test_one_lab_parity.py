@@ -69,7 +69,7 @@ def _figure5_rows():
     finally:
         figure5.BoxStats = BoxStats
     return [
-        {**dataclasses.asdict(row), "samples": samples}
+        {**dataclasses.asdict(row), "stats": row.stats._asdict(), "samples": samples}
         for row, samples in zip(rows, raw_samples)
     ]
 

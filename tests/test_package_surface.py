@@ -1,7 +1,8 @@
 """The package surface: every name the lazy packages (``repro``,
 ``repro.scenarios``, ``repro.telemetry``) export imports, and a run
 imports only the code it runs — ``import repro`` loads nothing, a
-``dfz-build`` shard no OpenFlow stack, a standalone lab no controller, and
+``dfz-build`` shard no OpenFlow stack, a standalone lab no controller, no
+run generates code at import (no ``dataclasses``, so no ``inspect``), and
 no import lands in a converge or failover phase."""
 
 import doctest
@@ -126,6 +127,7 @@ print(json.dumps({
     "loaded": sorted(m for m in sys.modules if m.startswith(("repro.", "multiprocessing"))),
     "late": sorted(set(sys.modules) - before),
     "repointed": result.groups_repointed,
+    "codegen": sorted({"dataclasses", "inspect"} & set(sys.modules)),
 }))
 """
     report = json.loads(run_fresh(probe)[0])
@@ -138,6 +140,7 @@ print(json.dumps({
     assert unwanted == []
     assert report["late"] == []
     assert report["repointed"] > 0
+    assert report["codegen"] == []
 
 
 LAB_PROBE = LAB_IMPORTS + """
@@ -160,6 +163,7 @@ print(json.dumps({
     "loaded": sorted(m for m in ready if m.startswith("repro.")),
     "late": sorted(set(sys.modules) - ready),
     "ok": [converged, recovered],
+    "codegen": sorted({"dataclasses", "inspect"} & set(sys.modules)),
 }))
 """
 
@@ -197,14 +201,16 @@ def test_a_lab_imports_only_what_its_spec_chose_and_nothing_after_load_feeds(
     spec, absent, present
 ):
     """The controller stack is imported when a spec is supercharged, remote
-    supercharge when it sets ``remote_groups``; and every import a rep
-    does lands in its setup phase: ``sys.modules`` after ``load_feeds()``
-    is ``sys.modules`` after ``wait_recovered()``."""
+    supercharge when it sets ``remote_groups``; no lab shape loads
+    ``dataclasses`` or ``inspect``; and every import a rep does lands in
+    its setup phase: ``sys.modules`` after ``load_feeds()`` is
+    ``sys.modules`` after ``wait_recovered()``."""
     report = json.loads(run_fresh(LAB_PROBE, spec)[0])
     assert report["ok"] == [True, True]
     assert [m for m in report["loaded"] if m.startswith(absent)] == []
     assert [m for m in present if m not in report["loaded"]] == []
     assert report["late"] == []
+    assert report["codegen"] == []
 
 
 def test_importing_one_telemetry_module_loads_no_other():

@@ -4,6 +4,8 @@ The fixtures build a miniature two-router topology directly (without the
 full evaluation lab): host — R1 — R2 — host, joined by point-to-point links.
 """
 
+import random
+
 import pytest
 
 from repro.bgp.attributes import AsPath, PathAttributes
@@ -211,6 +213,79 @@ def test_blackhole_query_is_exact_per_prefix(sim):
     assert router.blackholes_prefix(prefixes[1])
     assert not router.blackholes_prefix(prefixes[0])
     assert not router.blackholes_prefix(IPv4Prefix("10.1.5.0/24"))
+
+
+def _blackholing_router(sim):
+    return Router(sim, "X", RouterConfig(asn=1, router_id=IPv4Address("1.1.1.1")))
+
+
+def test_blackhole_probe_agrees_with_testing_every_prefix(sim):
+    """Seeded blackholes of mixed lengths, some added twice, some cleared
+    (and cleared twice): the per-length probe answers exactly what testing
+    each live prefix answers, for addresses inside them and at random."""
+    rng = random.Random(2015)
+    router = _blackholing_router(sim)
+    prefixes = [
+        IPv4Prefix(IPv4Address(rng.getrandbits(32)), rng.choice((8, 13, 16, 21, 24, 27, 32)))
+        for _ in range(300)
+    ]
+    live = set()
+    for prefix in prefixes + prefixes[::7]:
+        router.add_blackhole(prefix)
+        live.add(prefix)
+    for prefix in prefixes[::3] + prefixes[::6]:
+        router.clear_blackhole(prefix)
+        live.discard(prefix)
+    inside = [
+        IPv4Address(prefix.network | rng.getrandbits(32 - prefix.length)) for prefix in prefixes
+    ]
+    destinations = inside + [IPv4Address(rng.getrandbits(32)) for _ in range(2000)]
+    answers = [router.is_blackholed(destination) for destination in destinations]
+    assert answers == [any(p.contains(d) for p in live) for d in destinations]
+    assert True in answers and False in answers
+    for prefix in prefixes:
+        router.clear_blackhole(prefix)
+    assert not any(router.is_blackholed(destination) for destination in destinations)
+
+
+class _CountingSet(set):
+    probes = 0
+
+    def __contains__(self, item):
+        _CountingSet.probes += 1
+        return set.__contains__(self, item)
+
+
+def test_blackhole_probe_work_does_not_grow_with_the_blackhole_count(sim, monkeypatch):
+    """Counted, not timed: per queried packet no ``IPv4Prefix.contains``
+    call and one set probe per blackholed mask length (at most 33),
+    whether 10 or 5,000 prefixes are blackholed, and none once every
+    blackhole (each added twice) is cleared."""
+    contains = IPv4Prefix.contains
+    calls = []
+    monkeypatch.setattr(
+        IPv4Prefix, "contains", lambda self, item: calls.append(self) or contains(self, item)
+    )
+    lengths = (16, 20, 24)
+    destinations = [IPv4Address(f"192.0.{i}.1") for i in range(50)]
+    work = {}
+    for count in (10, 5_000):
+        router = _blackholing_router(sim)
+        router._blackholes = _CountingSet()
+        prefixes = [
+            IPv4Prefix(IPv4Address((10 << 24) + (i << 8)), lengths[i % 3]) for i in range(count)
+        ]
+        for prefix in prefixes + prefixes:
+            router.add_blackhole(prefix)
+        _CountingSet.probes, calls[:] = 0, []
+        assert not any(router.is_blackholed(destination) for destination in destinations)
+        work[count] = (_CountingSet.probes / len(destinations), len(calls))
+        for prefix in prefixes:
+            router.clear_blackhole(prefix)
+        _CountingSet.probes = 0
+        assert not any(router.is_blackholed(destination) for destination in destinations)
+        assert _CountingSet.probes == 0
+    assert work[10] == work[5_000] == (len(lengths), 0)
 
 
 def test_bfd_disabled_router_rejects_bfd_peer(sim):

@@ -1,7 +1,11 @@
 """Tests for the declarative scenario specification layer."""
 
+import pickle
+
 import pytest
 
+from repro.scenarios.campaign import CampaignRunner
+from repro.scenarios.presets import PRESETS, get_preset
 from repro.scenarios.spec import (
     FAILURE_KINDS,
     FailureSpec,
@@ -164,3 +168,44 @@ def test_provider_names_must_not_shadow_reserved_devices():
         ScenarioSpec(num_providers=2, provider_names=["R1", "Zed"]).validate()
     with pytest.raises(ScenarioSpecError):
         ScenarioSpec(num_providers=2, provider_names=["ctrl1", "Zed"]).validate()
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+class TestEveryPresetSpec:
+    """A spec is a value: each preset survives JSON, overrides and pickling
+    unchanged, and how its (empty) campaign was spelled does not matter."""
+
+    def test_json_and_override_round_trips_are_the_identity(self, name):
+        spec = get_preset(name)
+        assert ScenarioSpec.from_json(spec.to_json()) == spec
+        assert ScenarioSpec.from_dict(spec.to_dict()) == spec
+        assert spec.with_overrides() == spec
+        assert spec.with_overrides(**spec._asdict()) == spec
+        moved = spec.with_overrides(num_prefixes=spec.num_prefixes + 1, failures=())
+        assert moved.failures == [] and moved.num_prefixes == spec.num_prefixes + 1
+        assert moved.with_overrides(num_prefixes=spec.num_prefixes) == spec.with_overrides(
+            failures=[]
+        )
+
+    def test_an_empty_campaign_equals_the_default_one(self, name):
+        spec = get_preset(name)
+        for empty in ([], (), failure_campaign("none")):
+            assert spec.with_overrides(failures=empty) == spec.with_overrides(failures=[])
+            assert type(spec.with_overrides(failures=empty).failures) is list
+        assert ScenarioSpec(name=name, failures=[]) == ScenarioSpec(name=name)
+        assert ScenarioSpec().failures is not ScenarioSpec().failures
+
+    def test_pickles_to_an_equal_spec(self, name):
+        spec = get_preset(name)
+        clone = pickle.loads(pickle.dumps(spec))
+        assert clone == spec and type(clone) is ScenarioSpec
+        assert type(clone.failures) is list
+
+
+def test_every_preset_runs_the_same_through_a_two_worker_campaign():
+    specs = [get_preset(name, num_prefixes=20, monitored_flows=2) for name in sorted(PRESETS)]
+    pooled = CampaignRunner(specs, workers=2).run()
+    serial = CampaignRunner(specs, workers=1).run()
+    assert pooled.workers == 2
+    assert pooled.scenarios_json() == serial.scenarios_json()
+    assert [row["name"] for row in pooled.scenarios] == [spec.name for spec in specs]

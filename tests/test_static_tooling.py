@@ -16,7 +16,6 @@ other than a test (or is allow-listed with its reason).
 """
 
 import ast
-import dataclasses
 import os
 import shutil
 import subprocess
@@ -227,7 +226,7 @@ def test_every_scenario_knob_is_turned_by_something():
     from repro.scenarios.spec import ScenarioSpec
 
     default_spec = ScenarioSpec()
-    defaults = {f.name: getattr(default_spec, f.name) for f in dataclasses.fields(ScenarioSpec)}
+    defaults = default_spec._asdict()
     turned = {"failures" if axis == "failure" else axis for axis in GRID_AXES.values()}
     for name in PRESETS:
         spec = get_preset(name)
