@@ -1,11 +1,9 @@
 """Per-rule configuration for the determinism linter.
 
-Every rule carries a :class:`RuleSettings`: whether it is enabled, which
-paths it is scoped to (``include`` — ``None`` means every linted file)
-and which paths are exempt by design (``allow``).  Globs are
-:mod:`fnmatch` patterns matched against the POSIX form of the linted
-file's path, so they work identically for ``src/repro/...`` trees and
-test fixture directories.
+Every rule carries a :class:`RuleSettings`: the paths exempt from it by
+design (``allow``).  Globs are :mod:`fnmatch` patterns matched against
+the POSIX form of the linted file's path, so they work identically for
+``src/repro/...`` trees and test fixture directories.
 
 The defaults below *are* this repository's determinism contract — see
 ``docs/static_analysis.md`` for the rationale behind each entry.
@@ -13,99 +11,45 @@ The defaults below *are* this repository's determinism contract — see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from fnmatch import fnmatch
-from typing import Dict, Iterable, Mapping, Optional, Tuple
-
-#: Rule codes in catalog order.
-ALL_RULES: Tuple[str, ...] = (
-    "DET001",
-    "DET002",
-    "DET003",
-    "DET004",
-    "DET005",
-    "DET006",
-)
+from typing import Dict, Mapping, NamedTuple, Tuple
 
 
-@dataclass(frozen=True)
-class RuleSettings:
-    """Scope and switches for one rule."""
+class RuleSettings(NamedTuple):
+    """Scope of one rule."""
 
-    enabled: bool = True
-    #: Only files matching one of these globs are checked (None = all).
-    include: Optional[Tuple[str, ...]] = None
     #: Files matching one of these globs are exempt *by design* (they do
     #: not need inline suppressions; the exemption is part of the rule).
     allow: Tuple[str, ...] = ()
 
     def applies_to(self, path: str) -> bool:
         """Whether the rule runs against ``path`` at all."""
-        if not self.enabled:
-            return False
-        if self.include is not None and not _matches(path, self.include):
-            return False
-        return not _matches(path, self.allow)
-
-
-def _matches(path: str, patterns: Iterable[str]) -> bool:
-    return any(fnmatch(path, pattern) for pattern in patterns)
+        return not any(fnmatch(path, pattern) for pattern in self.allow)
 
 
 #: The codebase's hazard contract, rule by rule:
 #:
-#: * DET001 — only ``sim/random.py`` may touch the stdlib RNGs; everyone
-#:   else forks a ``SeededRandom``.
-#: * DET002 — wall clocks are legal only in benchmark harnesses and the
-#:   process-gauge module that is documented as wall-clock-only.
-#: * DET003/DET004 — no by-design exemptions: every in-process memo that
-#:   is genuinely order/identity-safe carries an inline suppression with
-#:   a rationale, so the exemption is visible at the hazard site.
+#: * DET004 — no by-design exemptions: an in-process memo that is
+#:   genuinely identity-safe carries an inline suppression with a
+#:   rationale, so the exemption is visible at the hazard site.
 #: * DET005 — environment reads are routed through ``runconfig.py``, the
 #:   single sanctioned accessor (read at experiment-setup time only).
-#: * DET006 — telemetry passivity only constrains ``telemetry/``.
 DEFAULT_RULE_SETTINGS: Dict[str, RuleSettings] = {
-    "DET001": RuleSettings(allow=("*/sim/random.py", "sim/random.py")),
-    "DET002": RuleSettings(
-        allow=(
-            "*/telemetry/process.py",
-            "telemetry/process.py",
-            "benchmarks/*",
-            "*/benchmarks/*",
-        )
-    ),
-    "DET003": RuleSettings(),
     "DET004": RuleSettings(),
     "DET005": RuleSettings(allow=("*/repro/runconfig.py", "runconfig.py")),
-    "DET006": RuleSettings(include=("*/telemetry/*", "telemetry/*")),
 }
 
 
-@dataclass(frozen=True)
-class LintConfig:
-    """The analyzer's full configuration."""
+class LintConfig(NamedTuple):
+    """The analyzer's full configuration: settings by rule code."""
 
-    rules: Mapping[str, RuleSettings] = field(
-        default_factory=lambda: dict(DEFAULT_RULE_SETTINGS)
-    )
+    rules: Mapping[str, RuleSettings]
 
     @classmethod
     def default(cls) -> "LintConfig":
         """The repository contract (module docstring above)."""
-        return cls()
+        return cls(DEFAULT_RULE_SETTINGS)
 
     def settings(self, rule: str) -> RuleSettings:
-        """Settings for ``rule`` (disabled if unknown)."""
-        return self.rules.get(rule, RuleSettings(enabled=False))
-
-    def select(self, codes: Iterable[str]) -> "LintConfig":
-        """A copy with only ``codes`` enabled (``cli lint --rules``)."""
-        wanted = set(codes)
-        unknown = wanted - set(ALL_RULES)
-        if unknown:
-            raise ValueError(f"unknown rule(s): {', '.join(sorted(unknown))}")
-        updated = {
-            code: replace(settings, enabled=settings.enabled and code in wanted)
-            for code, settings in self.rules.items()
-        }
-        return LintConfig(rules=updated)
+        """Settings for ``rule``."""
+        return self.rules[rule]

@@ -8,14 +8,12 @@ primitive the rule tests drive fixture snippets through.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Union
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Union
 
-from repro.analysis.baseline import Baseline
 from repro.analysis.config import LintConfig
 from repro.analysis.core import Finding, ModuleSource
-from repro.analysis.rules import RULE_CLASSES, Rule
+from repro.analysis.rules import RULE_CLASSES
 
 _SKIP_DIRS = frozenset({"__pycache__", ".git", ".mypy_cache", ".ruff_cache"})
 
@@ -51,93 +49,62 @@ def lint_source(
     if module.tree is None:
         error = module.syntax_error
         line = error.lineno if error is not None and error.lineno else 1
+        column = (error.offset or 1) - 1 if error is not None else 0
         return [
             Finding(
-                rule="DET000",
-                path=module.path,
-                line=line,
-                column=(error.offset or 1) - 1 if error is not None else 0,
-                message=f"file does not parse: {error and error.msg}",
-                line_text=module.line_text(line),
+                module.path, line, column, "DET000",
+                f"file does not parse: {error and error.msg}",
             )
         ]
-    findings: List[Finding] = []
-    for rule_class in RULE_CLASSES:
-        settings = active.settings(rule_class.CODE)
-        if not settings.applies_to(module.path):
-            continue
-        rule: Rule = rule_class()
-        findings.extend(
-            finding
-            for finding in rule.check(module)
-            if not module.suppressions.covers(finding)
-        )
-    # One location can legally trip one rule once (e.g. DET003 sees a
-    # set both as a loop iterable and a list() argument).
-    deduped: Dict[tuple, Finding] = {}
-    for finding in findings:
-        deduped.setdefault((finding.rule, finding.line, finding.column), finding)
-    return sorted(deduped.values(), key=lambda f: f.sort_key)
+    findings = {
+        finding
+        for rule_class in RULE_CLASSES
+        if active.settings(rule_class.CODE).applies_to(module.path)
+        for finding in rule_class().check(module)
+        if not module.suppressions.covers(finding)
+    }
+    return sorted(findings)
 
 
-@dataclass
-class LintReport:
-    """Outcome of one lint run, split against the baseline."""
+class LintReport(NamedTuple):
+    """Outcome of one lint run."""
 
-    new: List[Finding] = field(default_factory=list)
-    baselined: List[Finding] = field(default_factory=list)
-    files_checked: int = 0
+    findings: List[Finding]
+    files_checked: int
 
     @property
     def clean(self) -> bool:
-        """Gate condition: no non-baselined findings."""
-        return not self.new
-
-    @property
-    def all_findings(self) -> List[Finding]:
-        return sorted(self.new + self.baselined, key=lambda f: f.sort_key)
+        """Gate condition: no findings."""
+        return not self.findings
 
     def to_dict(self) -> Dict[str, object]:
         """Primitive representation for ``cli lint --json``."""
         return {
             "files_checked": self.files_checked,
             "clean": self.clean,
-            "new": [finding.to_dict() for finding in self.new],
-            "baselined": [finding.to_dict() for finding in self.baselined],
+            "findings": [finding._asdict() for finding in self.findings],
         }
 
     def render_text(self) -> str:
-        """The human report: new findings, then a one-line summary."""
-        lines = [finding.render() for finding in self.new]
-        summary = (
-            f"{self.files_checked} files checked:"
-            f" {len(self.new)} finding(s)"
-            f" ({len(self.baselined)} baselined)"
-        )
-        lines.append(summary)
+        """The human report: findings, then a one-line summary."""
+        lines = [finding.render() for finding in self.findings]
+        lines.append(f"{self.files_checked} files checked: {len(self.findings)} finding(s)")
         return "\n".join(lines)
 
 
 def lint_paths(
     paths: Sequence[Union[str, Path]],
     config: Optional[LintConfig] = None,
-    baseline: Optional[Baseline] = None,
 ) -> LintReport:
-    """Lint every Python file under ``paths`` and split by baseline.
+    """Lint every Python file under ``paths``.
 
     Paths in findings are kept as given (relative in, relative out) with
-    POSIX separators, so baselines written from the repo root match runs
-    from the repo root regardless of platform.
+    POSIX separators.
     """
-    report = LintReport()
-    collected: List[Finding] = []
+    findings: List[Finding] = []
+    files_checked = 0
     for file_path in iter_python_files(paths):
-        report.files_checked += 1
+        files_checked += 1
         source = file_path.read_text(encoding="utf-8")
-        collected.extend(lint_source(source, path=file_path.as_posix(), config=config))
-    collected.sort(key=lambda f: f.sort_key)
-    if baseline is None:
-        report.new = collected
-    else:
-        report.new, report.baselined = baseline.partition(collected)
-    return report
+        findings.extend(lint_source(source, path=file_path.as_posix(), config=config))
+    return LintReport(sorted(findings), files_checked)

@@ -31,7 +31,6 @@ import sys
 from contextlib import nullcontext
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis import ALL_RULES, RULES_BY_CODE, Baseline, LintConfig, lint_paths
 from repro.experiments.ablations import compare_fib_designs
 from repro.experiments.backup_group_analysis import backup_group_counts
 from repro.experiments.controller_bench import ControllerMicrobench
@@ -401,24 +400,14 @@ def _cmd_trace(arguments: argparse.Namespace) -> int:
 
 def _cmd_lint(arguments: argparse.Namespace) -> int:
     """Run the determinism linter (see docs/static_analysis.md).  Exit status
-    gates CI: 0 only when every finding is baselined (or none exist);
-    ``--write-baseline`` regenerates the grandfather list instead of gating."""
+    gates CI: 0 only when there is no finding."""
+    from repro.analysis import RULE_CLASSES, lint_paths  # only this command lints
+
     if arguments.list_rules:
-        for code in ALL_RULES:
-            print(f"{code}  {RULES_BY_CODE[code].SUMMARY}")
+        for rule in RULE_CLASSES:
+            print(f"{rule.CODE}  {rule.SUMMARY}")
         return 0
-    config = LintConfig.default()
-    if arguments.rules:
-        config = config.select(arguments.rules)
-    baseline = None if arguments.no_baseline else Baseline.load(arguments.baseline)
-    report = lint_paths(arguments.paths, config=config, baseline=baseline)
-    if arguments.write_baseline:
-        Baseline.from_findings(report.all_findings).save(arguments.baseline)
-        print(
-            f"baseline written to {arguments.baseline}:"
-            f" {len(report.all_findings)} finding(s) grandfathered"
-        )
-        return 0
+    report = lint_paths(arguments.paths)
     if arguments.json:
         _print_json(report.to_dict())
     else:
@@ -513,14 +502,9 @@ COMMANDS: Sequence[Command] = (
       _opt("--out", metavar="FILE",
            help="stream every emitted event to FILE as JSONL (not bounded by the ring capacity)"),
       _flag("--json", "emit the trace as JSON")]),
-    ("lint", "determinism linter: AST sim-purity analysis (DET001-DET006)", _cmd_lint,
+    ("lint", "determinism linter: AST sim-purity analysis (DET004, DET005)", _cmd_lint,
      [_opt("paths", default=["src/repro"], nargs="*",
            help="files/directories to lint (default: src/repro)"),
-      _opt("--rules", help="run only these rules", nargs="*", metavar="DET00N"),
-      _opt("--baseline", default="detlint_baseline.json",
-           help="grandfathered-findings file (default: detlint_baseline.json)"),
-      _flag("--no-baseline", "report every finding, ignoring the baseline"),
-      _flag("--write-baseline", "record the current findings as the new baseline"),
       _flag("--list-rules", "print the rule catalog and exit"),
       _flag("--json", "emit the report as JSON")]),
 )

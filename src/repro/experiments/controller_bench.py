@@ -129,9 +129,9 @@ class ControllerMicrobench:
                 # This experiment *is* a wall-clock microbench (paper §4:
                 # per-update controller processing time); its output is a
                 # printed report, never a byte-stable campaign export.
-                started = time.perf_counter()  # detlint: disable=DET002
+                started = time.perf_counter()
                 process_update(peer_ip, update)
-                samples.append(time.perf_counter() - started)  # detlint: disable=DET002
+                samples.append(time.perf_counter() - started)
                 sim.run_for(2 * _WIRE_LATENCY)
         result = MicrobenchResult(
             updates_processed=len(samples),

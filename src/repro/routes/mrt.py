@@ -25,8 +25,7 @@ regenerated from code instead of being opaque blobs.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.bgp.attributes import AsPath, Origin, PathAttributes
 from repro.bgp.messages import UpdateMessage
@@ -61,8 +60,7 @@ class MrtError(ValueError):
     """Raised when an MRT file is structurally invalid."""
 
 
-@dataclass(frozen=True)
-class MrtRecord:
+class MrtRecord(NamedTuple):
     """One raw MRT record (common header + undecoded payload)."""
 
     timestamp: int
@@ -71,8 +69,7 @@ class MrtRecord:
     payload: bytes
 
 
-@dataclass(frozen=True)
-class MrtPeer:
+class MrtPeer(NamedTuple):
     """One collector peer from a PEER_INDEX_TABLE.
 
     ``ip`` is ``None`` for IPv6 peers: real RIS/RouteViews peer tables
@@ -89,8 +86,7 @@ class MrtPeer:
         return self.ip is None
 
 
-@dataclass(frozen=True)
-class MrtRibRoute:
+class MrtRibRoute(NamedTuple):
     """One peer's path for one prefix in a RIB dump."""
 
     prefix: IPv4Prefix

@@ -34,13 +34,14 @@ Telemetry` is handed it (stamping the open outage's id into every event
 it emits and passing each event's name to :meth:`mark_stage`), and the
 book knows neither.
 
-Determinism contract (DET006 applies to this file): everything here is
-*passive bookkeeping*.  Opening an outage, marking stages and recording
-restorations never schedule simulator work, never draw randomness and
-never touch component state.  Ids are minted from a plain counter (never
-``id()`` or wall clock), subjects are stringified where chains are
-folded and every export sorts its keys — serial, pooled and rerun
-campaigns stay byte-identical.
+Determinism contract: everything here is *passive bookkeeping*.
+Opening an outage, marking stages and recording restorations never
+schedule simulator work, never draw randomness and never touch component
+state (``tests/test_telemetry.py`` runs a lab with its telemetry wired
+and unwired and compares the two simulations).  Ids are minted from a
+plain counter (never ``id()`` or wall clock), subjects are stringified
+where chains are folded and every export sorts its keys — serial, pooled
+and rerun campaigns stay byte-identical.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ does the event loop spend sim time on?" and is byte-identical across
 serial/pooled/rerun, so it can be exported and diffed like any other
 telemetry.
 
-The observer is strictly passive (DET006 applies): it counts and sums,
+The observer is strictly passive: it counts and sums,
 never schedules, cancels or mutates simulator state.  When no observer
 is installed the engine pays one attribute load + ``is not None`` test
 per event — the same bargain as every other telemetry guard.

@@ -143,6 +143,30 @@ print(json.dumps({
     assert report["codegen"] == []
 
 
+def test_an_mrt_backed_shard_generates_no_code(tmp_path):
+    """A shard that streams its table from an MRT dump (the records of
+    ``repro.routes.mrt``) loads neither ``dataclasses`` nor ``inspect``."""
+    from repro.net.addresses import IPv4Address
+    from repro.routes.mrt import MrtPeer, write_rib
+    from repro.routes.ris_feed import synthetic_full_table
+
+    peer = IPv4Address("10.0.0.2")
+    path = tmp_path / "rib.mrt"
+    write_rib(str(path), synthetic_full_table(40, seed=3), MrtPeer(peer, peer, 65001))
+    probe = """
+import json, sys
+from repro.supercharge.sharding import ShardWorkSpec, build_shard
+spec = ShardWorkSpec(shard=0, num_shards=1, peers=(sys.argv[1], "10.0.0.3"), mrt_path=sys.argv[2])
+result = build_shard(spec)
+print(json.dumps({
+    "loaded": result.prefixes_loaded,
+    "codegen": sorted({"dataclasses", "inspect"} & set(sys.modules)),
+}))
+"""
+    report = json.loads(run_fresh(probe, str(peer), str(path))[0])
+    assert report == {"loaded": 40, "codegen": []}
+
+
 LAB_PROBE = LAB_IMPORTS + """
 import json, sys
 spec = eval(sys.argv[1])

@@ -102,7 +102,8 @@ def module_names():
 def test_every_module_is_reached_by_the_cli():
     """``import repro.cli`` plus one ``scenarios run`` of a spec that
     chooses the controller stack and remote supercharge (a lab imports
-    those where its spec chooses them) loads every module file under
+    those where its spec chooses them) and one ``lint --list-rules`` (only
+    that command loads the linter) loads every module file under
     ``src/repro`` but the allow-listed ones — in a fresh interpreter, so
     what other tests imported does not count."""
     probe = (
@@ -111,6 +112,7 @@ def test_every_module_is_reached_by_the_cli():
         " '--prefixes', '20', '--flows', '2']\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert repro.cli.main(argv) == 0\n"
+        "    assert repro.cli.main(['lint', '--list-rules']) == 0\n"
         "print('\\n'.join(m for m in sys.modules if m.startswith('repro')))"
     )
     # ``-B``: leave no ``.pyc`` in ``src/`` — the e2e benchmark compares

@@ -385,9 +385,9 @@ def _small_spec(**overrides):
 
 class TestScenarioTelemetry:
     def test_unwired_telemetry_does_not_change_the_simulation(self, monkeypatch):
-        # Passivity, checked dynamically beside DET006: a lab whose
-        # components never had the telemetry context attached runs the
-        # same simulation and reads out the same failure.
+        # Passivity, checked by running: a lab whose components never
+        # had the telemetry context attached runs the same simulation and
+        # reads out the same failure.
         wired = run_scenario(_small_spec())
         monkeypatch.setattr(ScenarioLab, "_wire_telemetry", lambda self: None)
         unwired = run_scenario(_small_spec())
