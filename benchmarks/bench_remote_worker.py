@@ -55,7 +55,7 @@ def run(config: dict) -> dict:
         }
     return {
         "sizes": sizes,
-        "rows": [vars(row) for row in rows],
+        "rows": [row._asdict() for row in rows],
         "speedups": {str(size): round(value, 2) for size, value in speedups.items()},
         "largest": largest_pair,
         "acceptance_ok": experiment.acceptance_ok(),

@@ -109,7 +109,7 @@ def _telemetry(mode: str):
         return None
     # A throwaway clock is fine: the bench never reads recorded values,
     # it only pays their recording cost.
-    telemetry = Telemetry(clock=lambda: 0.0, trace_capacity=4096)
+    telemetry = Telemetry(clock=lambda: 0.0)
     if mode == "causal":
         telemetry.causal.open_outage(0.0, kind="bench")
     return telemetry

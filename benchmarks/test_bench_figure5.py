@@ -42,7 +42,6 @@ def test_figure5_cell(benchmark, num_prefixes, supercharged):
         prefix_counts=[num_prefixes],
         repetitions=3,
         monitored_flows=100,
-        modes=[supercharged],
     )
 
     def run_cell():

@@ -45,7 +45,6 @@ _EXPORTS = {
     "RouterConfig": "repro.router.router",
     "FibUpdaterConfig": "repro.router.fib_updater",
     "OpenFlowSwitch": "repro.openflow.switch",
-    "SwitchConfig": "repro.openflow.switch",
     "BackupGroupManager": "repro.core.backup_groups",
     "ControllerCluster": "repro.core.reliability",
     "SuperchargedController": "repro.core.controller",

@@ -20,7 +20,7 @@ any finding).  The contract and the per-rule evidence live in
 
 from __future__ import annotations
 
-from repro.analysis.config import DEFAULT_RULE_SETTINGS, LintConfig, RuleSettings
+from repro.analysis.config import DEFAULT_RULE_SETTINGS, RuleSettings
 from repro.analysis.core import Finding, ModuleSource, Suppressions, scan_suppressions
 from repro.analysis.rules import RULE_CLASSES, RULES_BY_CODE, Rule
 from repro.analysis.runner import LintReport, iter_python_files, lint_paths, lint_source
@@ -28,7 +28,6 @@ from repro.analysis.runner import LintReport, iter_python_files, lint_paths, lin
 __all__ = [
     "DEFAULT_RULE_SETTINGS",
     "Finding",
-    "LintConfig",
     "LintReport",
     "ModuleSource",
     "RULES_BY_CODE",

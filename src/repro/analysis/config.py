@@ -12,7 +12,7 @@ The defaults below *are* this repository's determinism contract — see
 from __future__ import annotations
 
 from fnmatch import fnmatch
-from typing import Dict, Mapping, NamedTuple, Tuple
+from typing import Dict, NamedTuple, Tuple
 
 
 class RuleSettings(NamedTuple):
@@ -39,17 +39,3 @@ DEFAULT_RULE_SETTINGS: Dict[str, RuleSettings] = {
     "DET005": RuleSettings(allow=("*/repro/runconfig.py", "runconfig.py")),
 }
 
-
-class LintConfig(NamedTuple):
-    """The analyzer's full configuration: settings by rule code."""
-
-    rules: Mapping[str, RuleSettings]
-
-    @classmethod
-    def default(cls) -> "LintConfig":
-        """The repository contract (module docstring above)."""
-        return cls(DEFAULT_RULE_SETTINGS)
-
-    def settings(self, rule: str) -> RuleSettings:
-        """Settings for ``rule``."""
-        return self.rules[rule]

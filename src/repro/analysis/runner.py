@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Union
+from typing import Dict, Iterator, List, NamedTuple, Sequence, Union
 
-from repro.analysis.config import LintConfig
+from repro.analysis.config import DEFAULT_RULE_SETTINGS
 from repro.analysis.core import Finding, ModuleSource
 from repro.analysis.rules import RULE_CLASSES
 
@@ -33,18 +33,13 @@ def iter_python_files(paths: Sequence[Union[str, Path]]) -> Iterator[Path]:
                     yield Path(dirpath) / name
 
 
-def lint_source(
-    source: str,
-    path: str = "<string>",
-    config: Optional[LintConfig] = None,
-) -> List[Finding]:
+def lint_source(source: str, path: str = "<string>") -> List[Finding]:
     """Lint one source string as if it lived at ``path``.
 
     Returns the *unsuppressed* findings, sorted by location.  A syntax
     error yields a single ``DET000`` finding (a file the linter cannot
     parse cannot be certified).
     """
-    active = config or LintConfig.default()
     module = ModuleSource(path, source)
     if module.tree is None:
         error = module.syntax_error
@@ -59,7 +54,7 @@ def lint_source(
     findings = {
         finding
         for rule_class in RULE_CLASSES
-        if active.settings(rule_class.CODE).applies_to(module.path)
+        if DEFAULT_RULE_SETTINGS[rule_class.CODE].applies_to(module.path)
         for finding in rule_class().check(module)
         if not module.suppressions.covers(finding)
     }
@@ -92,10 +87,7 @@ class LintReport(NamedTuple):
         return "\n".join(lines)
 
 
-def lint_paths(
-    paths: Sequence[Union[str, Path]],
-    config: Optional[LintConfig] = None,
-) -> LintReport:
+def lint_paths(paths: Sequence[Union[str, Path]]) -> LintReport:
     """Lint every Python file under ``paths``.
 
     Paths in findings are kept as given (relative in, relative out) with
@@ -106,5 +98,5 @@ def lint_paths(
     for file_path in iter_python_files(paths):
         files_checked += 1
         source = file_path.read_text(encoding="utf-8")
-        findings.extend(lint_source(source, path=file_path.as_posix(), config=config))
+        findings.extend(lint_source(source, path=file_path.as_posix()))
     return LintReport(sorted(findings), files_checked)

@@ -1,7 +1,7 @@
 """ARP cache with ageing.
 
-Entries expire after a configurable lifetime; expired entries are pruned
-lazily on lookup, so no timers are needed.
+Dynamic entries expire after :data:`ARP_LIFETIME`; expired entries are
+pruned lazily on lookup, so no timers are needed.
 """
 
 from __future__ import annotations
@@ -9,6 +9,9 @@ from __future__ import annotations
 from typing import Dict, NamedTuple, Optional
 
 from repro.net.addresses import IPv4Address, MacAddress
+
+#: Seconds a dynamically learned binding stays valid (20 minutes).
+ARP_LIFETIME = 1200.0
 
 
 class ArpCacheEntry(NamedTuple):
@@ -19,20 +22,17 @@ class ArpCacheEntry(NamedTuple):
     learned_at: float
     static: bool = False
 
-    def is_expired(self, now: float, lifetime: float) -> bool:
+    def is_expired(self, now: float) -> bool:
         """Whether the entry is stale (static entries never expire)."""
         if self.static:
             return False
-        return (now - self.learned_at) > lifetime
+        return (now - self.learned_at) > ARP_LIFETIME
 
 
 class ArpCache:
     """IP → MAC cache with lazy expiry."""
 
-    def __init__(self, lifetime: float = 1200.0) -> None:
-        if lifetime <= 0:
-            raise ValueError(f"lifetime must be positive, got {lifetime}")
-        self.lifetime = lifetime
+    def __init__(self) -> None:
         self._entries: Dict[IPv4Address, ArpCacheEntry] = {}
 
     def learn(
@@ -55,7 +55,7 @@ class ArpCache:
         entry = self._entries.get(ip)
         if entry is None:
             return None
-        if entry.is_expired(now, self.lifetime):
+        if entry.is_expired(now):
             del self._entries[ip]
             return None
         return entry.mac

@@ -17,21 +17,18 @@ from repro.net.interfaces import Interface
 from repro.net.packets import ArpOp, ArpPacket
 from repro.sim.engine import Simulator
 
+#: Seconds between two requests for the same unresolved address.
+RETRY_INTERVAL = 1.0
+#: Requests sent for one address before its waiters are told it failed.
+MAX_RETRIES = 3
+
 
 class ArpClient:
     """Per-host ARP resolution with pending-callback queues and retries."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        cache: ArpCache,
-        retry_interval: float = 1.0,
-        max_retries: int = 3,
-    ) -> None:
+    def __init__(self, sim: Simulator, cache: ArpCache) -> None:
         self._sim = sim
         self._cache = cache
-        self.retry_interval = retry_interval
-        self.max_retries = max_retries
         self._pending: Dict[IPv4Address, List[Callable[[Optional[MacAddress]], None]]] = {}
         self._attempts: Dict[IPv4Address, int] = {}
         self.requests_sent = 0
@@ -43,7 +40,7 @@ class ArpClient:
         callback: Callable[[Optional[MacAddress]], None],
     ) -> None:
         """Resolve ``ip`` on ``interface``; the callback receives the MAC or
-        ``None`` after ``max_retries`` unanswered requests."""
+        ``None`` after :data:`MAX_RETRIES` unanswered requests."""
         cached = self._cache.lookup(ip, self._sim.now)
         if cached is not None:
             callback(cached)
@@ -69,7 +66,7 @@ class ArpClient:
         if ip not in self._pending:
             return
         attempts = self._attempts.get(ip, 0)
-        if attempts >= self.max_retries:
+        if attempts >= MAX_RETRIES:
             waiting = self._pending.pop(ip, [])
             self._attempts.pop(ip, None)
             for callback in waiting:
@@ -84,7 +81,5 @@ class ArpClient:
         )
         interface.port.send(frame)
         self._sim.schedule(
-            self.retry_interval,
-            lambda: self._send_request(ip, interface),
-            name="arp-retry",
+            RETRY_INTERVAL, lambda: self._send_request(ip, interface), name="arp-retry"
         )

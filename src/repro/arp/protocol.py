@@ -53,21 +53,17 @@ class ArpHandler:
     """Answers ARP requests for a set of owned IP addresses and learns
     bindings from every ARP packet seen.
 
-    ``owned`` maps each IP address the handler answers for to the MAC it
-    should advertise — for a host's interface this is the interface MAC,
-    for a virtual next hop the supercharged controller registers it is
-    the *virtual* MAC of the backup group the virtual IP belongs to.
+    :meth:`register` names each IP address the handler answers for and
+    the MAC it should advertise — for a host's interface this is the
+    interface MAC, for a virtual next hop the supercharged controller
+    registers it is the *virtual* MAC of the backup group the virtual IP
+    belongs to.
     """
 
-    def __init__(
-        self,
-        cache,
-        now: Callable[[], float],
-        owned: Optional[Dict[IPv4Address, MacAddress]] = None,
-    ) -> None:
+    def __init__(self, cache, now: Callable[[], float]) -> None:
         self._cache = cache
         self._now = now
-        self._owned: Dict[IPv4Address, MacAddress] = dict(owned or {})
+        self._owned: Dict[IPv4Address, MacAddress] = {}
         self.requests_answered = 0
         self.requests_seen = 0
 

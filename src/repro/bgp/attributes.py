@@ -2,7 +2,7 @@
 
 Only the attributes that influence the decision process (and therefore the
 backup-group computation) are modelled: ORIGIN, AS_PATH, NEXT_HOP,
-MULTI_EXIT_DISC, LOCAL_PREF and COMMUNITIES.  Attributes are immutable;
+MULTI_EXIT_DISC and LOCAL_PREF.  Attributes are immutable;
 "modification" helpers return new instances so routes can be shared safely
 between RIBs.  The helpers run once or twice per relayed UPDATE, so
 :class:`PathAttributes` is a ``NamedTuple`` (built at C speed, still
@@ -13,7 +13,7 @@ through ``_replace``.
 from __future__ import annotations
 
 import enum
-from typing import FrozenSet, NamedTuple, Tuple
+from typing import NamedTuple, Tuple
 
 from repro.net.addresses import IPv4Address
 
@@ -98,29 +98,19 @@ class PathAttributes(NamedTuple):
     origin: Origin = Origin.IGP
     local_pref: int = 100
     med: int = 0
-    communities: FrozenSet[Tuple[int, int]] = frozenset()
 
     def with_next_hop(self, next_hop: IPv4Address) -> "PathAttributes":
         """Copy with a rewritten NEXT_HOP — the controller's core trick."""
-        return PathAttributes(
-            next_hop, self.as_path, self.origin, self.local_pref, self.med, self.communities
-        )
+        return PathAttributes(next_hop, self.as_path, self.origin, self.local_pref, self.med)
 
     def with_local_pref(self, local_pref: int) -> "PathAttributes":
         """Copy with a different LOCAL_PREF (set by import policy)."""
         if local_pref < 0:
             raise ValueError(f"local_pref must be non-negative, got {local_pref}")
-        return PathAttributes(
-            self.next_hop, self.as_path, self.origin, local_pref, self.med, self.communities
-        )
+        return PathAttributes(self.next_hop, self.as_path, self.origin, local_pref, self.med)
 
     def prepended(self, asn: int, count: int = 1) -> "PathAttributes":
         """Copy with ``asn`` prepended to the AS path (done when exporting eBGP)."""
         return PathAttributes(
-            self.next_hop,
-            self.as_path.prepend(asn, count),
-            self.origin,
-            self.local_pref,
-            self.med,
-            self.communities,
+            self.next_hop, self.as_path.prepend(asn, count), self.origin, self.local_pref, self.med
         )

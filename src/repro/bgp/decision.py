@@ -11,9 +11,11 @@ with the standard tie-breaking ladder:
    keeps the ranking a total order; per-neighbor MED comparison is not a
    total order and would make backup ranking ambiguous).
 5. eBGP preferred over iBGP.
-6. Lowest IGP cost to the next hop.
-7. Lowest router id.
-8. Lowest peer address.
+6. Lowest router id.
+7. Lowest peer address.
+
+Every next hop is on a connected subnet, so the RFC 4271 step "lowest IGP
+cost to the next hop" would compare equal costs and is left out.
 
 Ranking the *entire* list — not just picking a winner — is what lets the
 supercharged controller read off (primary, backup) pairs directly.  The
@@ -37,7 +39,6 @@ def _preference_key(route: Route) -> Tuple:
         int(route.attributes.origin),
         route.attributes.med,
         0 if route.source.is_ebgp else 1,
-        route.igp_cost,
         route.source.router_id,
         route.source.peer_ip,
     )

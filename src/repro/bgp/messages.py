@@ -40,11 +40,10 @@ from repro.net.addresses import IPv4Address, IPv4Prefix
 
 
 class OpenMessage(NamedTuple):
-    """OPEN: announces the speaker's AS number, router id and hold time."""
+    """OPEN: announces the speaker's AS number and router id."""
 
     asn: int = 0
     router_id: IPv4Address = IPv4Address(0)
-    hold_time: float = 90.0
 
 
 class KeepaliveMessage(NamedTuple):
@@ -55,7 +54,6 @@ class NotificationMessage(NamedTuple):
     """NOTIFICATION: signals an error and closes the session."""
 
     error_code: int = 0
-    error_subcode: int = 0
     reason: str = ""
 
 

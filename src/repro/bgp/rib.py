@@ -47,7 +47,6 @@ class Route(NamedTuple):
     attributes: PathAttributes
     source: RouteSource
     learned_at: float = 0.0
-    igp_cost: int = 0
 
     @property
     def next_hop(self) -> IPv4Address:

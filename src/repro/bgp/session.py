@@ -46,6 +46,14 @@ SUB_TRAIN = 256
 #: Bucket edges of the ``bgp.updates_per_train`` histogram.
 TRAIN_SIZE_EDGES = (2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096, 16384, 65536)
 
+#: Hold time in seconds.  Every speaker proposes the same one, so it is
+#: also the negotiated value; keepalives go every third of it.
+HOLD_TIME = 90.0
+#: Simulated TCP establishment delay before the first OPEN is sent.
+CONNECT_DELAY = 0.01
+#: How long a stalled handshake waits before re-sending the OPEN.
+CONNECT_RETRY = 5.0
+
 
 class BgpSessionState(enum.Enum):
     """RFC 4271 session states (Active is folded into Connect)."""
@@ -70,10 +78,6 @@ class BgpSession:
         The peer's address (used only for diagnostics and callbacks).
     send:
         Callable delivering a :class:`BgpMessage` to the peer.
-    hold_time:
-        Negotiated-down hold time proposed in our OPEN, in seconds.
-    connect_delay:
-        Simulated TCP establishment delay before the OPEN is sent.
     """
 
     def __init__(
@@ -83,9 +87,6 @@ class BgpSession:
         local_router_id: IPv4Address,
         peer_ip: IPv4Address,
         send: Callable[[BgpMessage], None],
-        hold_time: float = 90.0,
-        connect_delay: float = 0.01,
-        connect_retry: float = 5.0,
     ) -> None:
         self._sim = sim
         self.local_asn = local_asn
@@ -94,10 +95,6 @@ class BgpSession:
         self._send = send
         self._flush_name = f"bgp-flush:{peer_ip}"
         self._hold_name = f"bgp-hold:{peer_ip}"
-        self.configured_hold_time = hold_time
-        self.negotiated_hold_time = hold_time
-        self._connect_delay = connect_delay
-        self._connect_retry = connect_retry
         self._state = BgpSessionState.IDLE
         self._hold_timer: Optional[Event] = None
         self._keepalive_process: Optional[PeriodicProcess] = None
@@ -160,7 +157,7 @@ class BgpSession:
         if self._state is not BgpSessionState.IDLE:
             return
         self._state = BgpSessionState.CONNECT
-        self._sim.schedule(self._connect_delay, self._send_open, name="bgp-open")
+        self._sim.schedule(CONNECT_DELAY, self._send_open, name="bgp-open")
 
     def stop(self, reason: str = "administrative stop") -> None:
         """Administrative stop: notify the peer and fall back to Idle."""
@@ -259,13 +256,7 @@ class BgpSession:
 
     def _transmit_open(self) -> None:
         """Put our OPEN on the wire (first send, retry or re-send alike)."""
-        self._send_control(
-            OpenMessage(
-                asn=self.local_asn,
-                router_id=self.local_router_id,
-                hold_time=self.configured_hold_time,
-            )
-        )
+        self._send_control(OpenMessage(asn=self.local_asn, router_id=self.local_router_id))
 
     def _schedule_connect_retry(self) -> None:
         """Re-send our OPEN if the handshake stalls (e.g. the first OPEN was
@@ -277,7 +268,7 @@ class BgpSession:
                 self._state = BgpSessionState.OPEN_SENT
                 self._schedule_connect_retry()
 
-        self._sim.schedule(self._connect_retry, retry, name=f"bgp-retry:{self.peer_ip}")
+        self._sim.schedule(CONNECT_RETRY, retry, name=f"bgp-retry:{self.peer_ip}")
 
     def _handle_open(self, message: OpenMessage) -> None:
         if self._state not in (
@@ -287,7 +278,6 @@ class BgpSession:
             return
         self.peer_asn = message.asn
         self.peer_router_id = message.router_id
-        self.negotiated_hold_time = min(self.configured_hold_time, message.hold_time)
         # Re-send our OPEN unconditionally: if ours was lost (e.g. dropped
         # while the peer's L2 address was unresolved) the peer is still
         # waiting for it, and a duplicate OPEN is ignored otherwise.
@@ -319,25 +309,20 @@ class BgpSession:
                 callback(self, members)
 
     def _start_keepalives(self) -> None:
-        interval = max(self.negotiated_hold_time / 3.0, 1e-3)
         self._keepalive_process = PeriodicProcess(
             self._sim,
-            interval,
+            HOLD_TIME / 3.0,
             lambda: self._send_control(KeepaliveMessage()),
             name=f"bgp-keepalive:{self.peer_ip}",
         )
-        self._keepalive_process.start(initial_delay=interval)
+        self._keepalive_process.start(initial_delay=HOLD_TIME / 3.0)
 
     def _restart_hold_timer(self) -> None:
-        if self.negotiated_hold_time <= 0:
-            if self._hold_timer is not None:
-                self._hold_timer.cancel()
-            self._hold_timer = None
-        elif self._hold_timer is not None:
-            self._hold_timer = self._sim.postpone(self._hold_timer, self.negotiated_hold_time)
+        if self._hold_timer is not None:
+            self._hold_timer = self._sim.postpone(self._hold_timer, HOLD_TIME)
         else:
             self._hold_timer = self._sim.schedule(
-                self.negotiated_hold_time, self._hold_expired, name=self._hold_name
+                HOLD_TIME, self._hold_expired, name=self._hold_name
             )
 
     def _hold_expired(self) -> None:

@@ -41,7 +41,6 @@ class PeerConfig(NamedTuple):
     #: LOCAL_PREF set on every route learned from this peer (``None``
     #: keeps the announced value): how R1 is "configured to prefer R2".
     local_pref: Optional[int] = None
-    hold_time: float = 90.0
     #: When False the speaker never re-advertises routes to this peer
     #: (e.g. the monitoring sink sessions in the evaluation lab).
     advertise: bool = True
@@ -116,7 +115,6 @@ class BgpSpeaker:
             local_router_id=self.router_id,
             peer_ip=config.peer_ip,
             send=lambda message, peer=config.peer_ip: self._transport(peer, message),
-            hold_time=config.hold_time,
         )
         session.attach_telemetry(self._telemetry)
         session.on_established(self._session_established)

@@ -31,15 +31,6 @@ import sys
 from contextlib import nullcontext
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments.ablations import compare_fib_designs
-from repro.experiments.backup_group_analysis import backup_group_counts
-from repro.experiments.controller_bench import ControllerMicrobench
-from repro.experiments.detection import DetectionExperiment
-from repro.experiments.figure5 import Figure5Experiment
-from repro.experiments.remote_supercharge import (
-    DEFAULT_PREFIX_COUNTS as REMOTE_PREFIX_COUNTS,
-    RemoteSuperchargeExperiment,
-)
 from repro.scenarios import (
     PRIMARY_LINK_DOWN,
     CampaignRunner,
@@ -63,6 +54,10 @@ from repro.telemetry.export import (
     report_to_json,
 )
 from repro.telemetry.process import peak_rss_mb
+
+
+#: Default prefix-table sizes of ``remote-supercharge``'s convergence-vs-size curve.
+REMOTE_PREFIX_COUNTS = (200, 500, 1000)
 
 
 def _print_json(payload: Any) -> None:
@@ -144,7 +139,11 @@ def _cmd_failover(arguments: argparse.Namespace) -> int:
     return 0 if result.max_convergence < 3600 else 1
 
 
+# Each experiment command imports its module itself, as ``lint`` does:
+# building the parser, or running any other command, loads none of them.
 def _cmd_figure5(arguments: argparse.Namespace) -> int:
+    from repro.experiments.figure5 import Figure5Experiment
+
     experiment = Figure5Experiment(
         prefix_counts=arguments.prefixes,
         repetitions=arguments.repetitions,
@@ -157,6 +156,8 @@ def _cmd_figure5(arguments: argparse.Namespace) -> int:
 
 
 def _cmd_microbench(arguments: argparse.Namespace) -> int:
+    from repro.experiments.controller_bench import ControllerMicrobench
+
     bench = ControllerMicrobench(updates_per_peer=arguments.updates, seed=arguments.seed)
     result = bench.run()
     print(bench.report(result))
@@ -164,6 +165,8 @@ def _cmd_microbench(arguments: argparse.Namespace) -> int:
 
 
 def _cmd_groups(arguments: argparse.Namespace) -> int:
+    from repro.experiments.backup_group_analysis import backup_group_counts
+
     results = backup_group_counts(tuple(arguments.peers), num_prefixes=arguments.prefixes)
     columns = (
         ("peers", "num_peers"),
@@ -175,6 +178,8 @@ def _cmd_groups(arguments: argparse.Namespace) -> int:
 
 
 def _cmd_ablations(arguments: argparse.Namespace) -> int:
+    from repro.experiments.ablations import compare_fib_designs
+
     points = compare_fib_designs(arguments.prefixes, monitored_flows=arguments.flows)
     columns = (
         ("FIB organisation", "label"),
@@ -186,6 +191,8 @@ def _cmd_ablations(arguments: argparse.Namespace) -> int:
 
 
 def _cmd_detection(arguments: argparse.Namespace) -> int:
+    from repro.experiments.detection import DetectionExperiment
+
     experiment = DetectionExperiment(
         num_prefixes=arguments.prefixes,
         monitored_flows=arguments.flows,
@@ -207,6 +214,8 @@ def _cmd_detection(arguments: argparse.Namespace) -> int:
 
 
 def _cmd_remote_supercharge(arguments: argparse.Namespace) -> int:
+    from repro.experiments.remote_supercharge import RemoteSuperchargeExperiment
+
     experiment = RemoteSuperchargeExperiment(
         prefix_counts=arguments.prefixes,
         monitored_flows=arguments.flows,
@@ -219,7 +228,7 @@ def _cmd_remote_supercharge(arguments: argparse.Namespace) -> int:
     if arguments.json:
         _print_json(
             {
-                "points": [vars(point) for point in experiment.rows],
+                "points": [point._asdict() for point in experiment.rows],
                 "speedups": {str(k): v for k, v in speedups.items()},
                 "acceptance_ok": accepted,
             }

@@ -31,8 +31,7 @@ from repro.core.vnh_allocator import VnhAllocator
 from repro.net.addresses import IPv4Address, IPv4Prefix, MacAddress
 from repro.net.host import Host
 from repro.net.links import Port
-from repro.net.packets import ArpPacket, EthernetFrame
-from repro.openflow.messages import PacketIn, PacketOut
+from repro.net.packets import EthernetFrame
 from repro.sim.engine import Simulator
 from repro.telemetry.process import sample_scale_gauges
 
@@ -353,15 +352,9 @@ class SuperchargedController(Host):
     # Switch / data-plane frame handling
     # ------------------------------------------------------------------
     def _handle_switch_message(self, message: object) -> None:
-        if self._crashed or not isinstance(message, PacketIn):
-            return
-        # Packet-in mode: an ARP request punted by the switch is answered
-        # with a packet-out on the port it came in on.
-        payload = message.frame.payload
-        if isinstance(payload, ArpPacket) and self._channel is not None:
-            reply = self._arp_handler.handle(payload)
-            if reply is not None:
-                self._channel.send_packet_out(PacketOut(frame=reply, out_port=message.in_port))
+        """A port-status notification changes nothing here: BFD detects a
+        dead peer first.  The subscription stays all the same, so every
+        notification is one delivery event on the simulator's clock."""
 
     def _handle_frame(self, frame: EthernetFrame, port: Port) -> None:
         if not self._crashed:

@@ -18,6 +18,8 @@ from repro.core.backup_groups import BackupGroup
 from repro.core.rest_api import FloodlightRestApi, StaticFlowEntry
 from repro.net.addresses import IPv4Address, MacAddress
 
+#: Priority of every group rule: above the testbed's static per-MAC rules.
+GROUP_RULE_PRIORITY = 200
 #: Fixed bucket edges of the flow-mods-per-batch histogram.
 BATCH_SIZE_EDGES = (1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 500.0, 1_000.0)
 
@@ -36,12 +38,10 @@ class FlowProvisioner:
         self,
         rest_api: FloodlightRestApi,
         locate: Callable[[IPv4Address], Optional[NextHopLocation]],
-        priority: int = 200,
     ) -> None:
         """``locate`` resolves a peer IP to its :class:`NextHopLocation`."""
         self._rest = rest_api
         self._locate = locate
-        self.priority = priority
         #: Group VMAC -> next hop currently programmed for that group.
         self._active_next_hop: Dict[MacAddress, IPv4Address] = {}
         self.rules_pushed = 0
@@ -102,7 +102,7 @@ class FlowProvisioner:
                     eth_dst=group.vmac,
                     set_eth_dst=location.mac,
                     output_port=location.switch_port,
-                    priority=self.priority,
+                    priority=GROUP_RULE_PRIORITY,
                 )
             )
             # Record intent immediately so a later pair for the same group

@@ -12,8 +12,7 @@ compare:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.scenarios.campaign import PRIMARY_LINK_DOWN, run_failover
 from repro.scenarios.presets import figure4
@@ -21,8 +20,7 @@ from repro.scenarios.testbed import build_scenario
 from repro.sim.engine import Simulator
 
 
-@dataclass(frozen=True)
-class AblationPoint:
+class AblationPoint(NamedTuple):
     """One configuration point of an ablation sweep."""
 
     label: str

@@ -10,8 +10,7 @@ bound and the typical much-smaller count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, NamedTuple, Sequence
 
 from repro.bgp.rib import LocRib, Route, RouteSource
 from repro.core.backup_groups import BackupGroupManager
@@ -22,8 +21,7 @@ from repro.routes.ris_feed import synthetic_full_table
 from repro.sim.random import SeededRandom
 
 
-@dataclass(frozen=True)
-class BackupGroupCount:
+class BackupGroupCount(NamedTuple):
     """Observed vs theoretical group counts for one peer count."""
 
     num_peers: int

@@ -13,8 +13,7 @@ listener runs Listing 1 and relays the rewritten route to the router.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, NamedTuple
 
 from repro.bgp.messages import KeepaliveMessage, OpenMessage, UpdateMessage
 from repro.core.controller import ControllerConfig, PeerSpec, SuperchargedController
@@ -36,16 +35,19 @@ _ROUTER_ASN = 65000
 #: Latency of the stub link the relayed routes leave on; the clock
 #: advances two of them per sample, so every UPDATE leaves on its own.
 _WIRE_LATENCY = 1e-6
+#: The two peers feeding the controller (the paper's 2 x 500k updates).
+_PEER_IPS = (IPv4Address("10.0.0.2"), IPv4Address("10.0.0.3"))
 
 
-@dataclass
-class MicrobenchResult:
+class MicrobenchResult(NamedTuple):
     """Per-update processing-time distribution."""
 
     updates_processed: int
     stats: BoxStats
     announcements_to_router: int
     groups_created: int
+    #: Every per-update processing time, in seconds.
+    samples: List[float]
 
     @property
     def p99(self) -> float:
@@ -53,38 +55,22 @@ class MicrobenchResult:
         return self.samples_percentile(0.99)
 
     def samples_percentile(self, fraction: float) -> float:
-        """Percentile over the recorded samples (kept on the instance)."""
-        return self._samples_percentile(fraction)
-
-    # Populated by the bench; stored privately to keep the dataclass light.
-    _samples: List[float] = None  # type: ignore[assignment]
-
-    def _samples_percentile(self, fraction: float) -> float:
-        if not self._samples:
-            return 0.0
-        return percentile(self._samples, fraction)
+        """Percentile over the recorded samples."""
+        return percentile(self.samples, fraction) if self.samples else 0.0
 
 
 class ControllerMicrobench:
     """Feeds N updates per peer through the controller processing pipeline."""
 
-    def __init__(
-        self,
-        updates_per_peer: int = 10_000,
-        seed: int = 1,
-        peer_ips: Sequence[str] = ("10.0.0.2", "10.0.0.3"),
-        vnh_pool: str = "10.0.0.128/25",
-    ) -> None:
+    def __init__(self, updates_per_peer: int = 10_000, seed: int = 1) -> None:
         self.updates_per_peer = updates_per_peer
         self.seed = seed
-        self.peer_ips = [IPv4Address(ip) for ip in peer_ips]
-        self.vnh_pool = IPv4Prefix(vnh_pool)
 
     def build_workload(self) -> List[List[UpdateMessage]]:
         """One UPDATE stream per peer, same prefixes, peer-specific paths."""
         prefixes = PrefixGenerator(seed=self.seed).generate(self.updates_per_peer)
         streams = []
-        for index, peer_ip in enumerate(self.peer_ips):
+        for index, peer_ip in enumerate(_PEER_IPS):
             feed = synthetic_full_table(
                 self.updates_per_peer,
                 seed=self.seed + index,
@@ -101,12 +87,12 @@ class ControllerMicrobench:
         peers = [
             PeerSpec(ip=ip, asn=65001 + index, switch_port=2 + index,
                      mac=MacAddress(2 + index), local_pref=200 if index == 0 else 100)
-            for index, ip in enumerate(self.peer_ips)
+            for index, ip in enumerate(_PEER_IPS)
         ]
         controller = SuperchargedController(sim, "microbench", ControllerConfig(
             ip=_CONTROLLER_IP, mac=MacAddress(0x64), subnet=IPv4Prefix("10.0.0.0/24"),
             asn=64512, router_id=_CONTROLLER_IP, router_ip=_ROUTER_IP,
-            router_asn=_ROUTER_ASN, vnh_pool=self.vnh_pool, peers=peers,
+            router_asn=_ROUTER_ASN, peers=peers,
         ))
         controller.add_static_neighbor(_ROUTER_IP, MacAddress(1))
         Link(sim, Port("stub", 0), controller.port, latency=_WIRE_LATENCY)
@@ -124,7 +110,7 @@ class ControllerMicrobench:
         controller = self.build_controller(sim)
         process_update = controller.bgp.process_update
         samples: List[float] = []
-        for peer_ip, stream in zip(self.peer_ips, self.build_workload()):
+        for peer_ip, stream in zip(_PEER_IPS, self.build_workload()):
             for update in stream:
                 # This experiment *is* a wall-clock microbench (paper §4:
                 # per-update controller processing time); its output is a
@@ -133,14 +119,13 @@ class ControllerMicrobench:
                 process_update(peer_ip, update)
                 samples.append(time.perf_counter() - started)
                 sim.run_for(2 * _WIRE_LATENCY)
-        result = MicrobenchResult(
+        return MicrobenchResult(
             updates_processed=len(samples),
             stats=BoxStats.from_samples(samples),
             announcements_to_router=controller.updates_relayed,
             groups_created=controller.group_count(),
+            samples=samples,
         )
-        result._samples = samples
-        return result
 
     def report(self, result: MicrobenchResult) -> str:
         """Short text report including the paper's reference numbers."""

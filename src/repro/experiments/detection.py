@@ -18,7 +18,6 @@ data-plane convergence spread.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Sequence
 
 from repro.scenarios.campaign import run_scenario
@@ -45,16 +44,23 @@ REPORT_COLUMNS = (
 )
 
 
-@dataclass
 class DetectionExperiment:
     """Runs the 2×2 fault-class × mode grid and tabulates detection paths."""
 
-    num_prefixes: int = 1000
-    monitored_flows: int = 20
-    prefix_fraction: float = 1.0
-    seed: int = 1
-    timeout: float = 600.0
-    rows: List[Dict[str, Any]] = field(default_factory=list, init=False)
+    __slots__ = ("num_prefixes", "monitored_flows", "prefix_fraction", "seed", "rows")
+
+    def __init__(
+        self,
+        num_prefixes: int = 1000,
+        monitored_flows: int = 20,
+        prefix_fraction: float = 1.0,
+        seed: int = 1,
+    ) -> None:
+        self.num_prefixes = num_prefixes
+        self.monitored_flows = monitored_flows
+        self.prefix_fraction = prefix_fraction
+        self.seed = seed
+        self.rows: List[Dict[str, Any]] = []
 
     def _spec(self, fault_kind: str, supercharged: bool) -> ScenarioSpec:
         mode = "sc" if supercharged else "standalone"
@@ -74,7 +80,7 @@ class DetectionExperiment:
         self.rows = []
         for fault, kind in FAULT_CLASSES:
             for supercharged in (True, False):
-                record = run_scenario(self._spec(kind, supercharged), timeout=self.timeout)
+                record = run_scenario(self._spec(kind, supercharged))
                 self.rows.append({"fault": fault, **{key: record[key] for key in ROW_KEYS}})
         return self.rows
 

@@ -16,8 +16,7 @@ preserves the paper's shape; EXPERIMENTS.md records both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from repro.runconfig import env_flag
 from repro.scenarios.campaign import PRIMARY_LINK_DOWN, run_failover
@@ -63,8 +62,7 @@ def active_prefix_counts() -> Sequence[int]:
     return DEFAULT_PREFIX_COUNTS
 
 
-@dataclass
-class Figure5Row:
+class Figure5Row(NamedTuple):
     """One box of Figure 5."""
 
     num_prefixes: int
@@ -74,24 +72,32 @@ class Figure5Row:
     repetitions: int
 
 
-@dataclass
+#: Each prefix count runs standalone first, then supercharged.
+MODES: Sequence[bool] = (False, True)
+
+
 class Figure5Experiment:
     """Runs the full convergence sweep."""
 
-    prefix_counts: Optional[Sequence[int]] = None
-    repetitions: int = 3
-    monitored_flows: int = 100
-    seed: int = 1
-    modes: Sequence[bool] = (False, True)
-    rows: List[Figure5Row] = field(default_factory=list, init=False)
+    __slots__ = ("prefix_counts", "repetitions", "monitored_flows", "seed", "rows")
 
-    def __post_init__(self) -> None:
-        self.prefix_counts = list(self.prefix_counts or active_prefix_counts())
+    def __init__(
+        self,
+        prefix_counts: Optional[Sequence[int]] = None,
+        repetitions: int = 3,
+        monitored_flows: int = 100,
+        seed: int = 1,
+    ) -> None:
+        self.prefix_counts = list(prefix_counts or active_prefix_counts())
+        self.repetitions = repetitions
+        self.monitored_flows = monitored_flows
+        self.seed = seed
+        self.rows: List[Figure5Row] = []
 
     def run(self) -> List[Figure5Row]:
         """Run every (prefix count, mode) cell and return the rows."""
         self.rows = [
-            self.run_cell(count, mode) for count in self.prefix_counts for mode in self.modes
+            self.run_cell(count, mode) for count in self.prefix_counts for mode in MODES
         ]
         return self.rows
 

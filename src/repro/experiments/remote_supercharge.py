@@ -20,8 +20,7 @@ size instead of growing with it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.scenarios.campaign import run_failover
 from repro.scenarios.spec import FailureSpec, ScenarioSpec
@@ -29,18 +28,17 @@ from repro.scenarios.testbed import build_scenario
 from repro.sim.engine import Simulator
 from repro.stats import render
 
-#: Default prefix-table sizes of the convergence-vs-size curve.
-DEFAULT_PREFIX_COUNTS = (200, 500, 1000)
+#: Simulated seconds a cell's bring-up, and then its failover, may take.
+TIMEOUT = 600.0
 
 #: Acceptance threshold: grouped restoration must beat per-prefix by at
 #: least this factor at the largest table size.
 MIN_SPEEDUP = 5.0
 
 
-@dataclass(frozen=True)
-class RemotePoint:
-    """One (table size, mode) cell of the comparison; ``vars(point)`` is
-    its primitive-only JSON form."""
+class RemotePoint(NamedTuple):
+    """One (table size, mode) cell of the comparison; ``point._asdict()``
+    is its primitive-only JSON form."""
 
     num_prefixes: int
     grouped: bool
@@ -64,17 +62,23 @@ class RemotePoint:
         return "grouped" if self.grouped else "per-prefix"
 
 
-@dataclass
 class RemoteSuperchargeExperiment:
     """Runs the grouped-vs-per-prefix curve over a list of table sizes."""
 
-    prefix_counts: Sequence[int] = DEFAULT_PREFIX_COUNTS
-    monitored_flows: int = 12
-    num_providers: int = 2
-    prefix_fraction: float = 1.0
-    seed: int = 1
-    timeout: float = 600.0
-    rows: List[RemotePoint] = field(default_factory=list, init=False)
+    __slots__ = ("prefix_counts", "monitored_flows", "num_providers", "seed", "rows")
+
+    def __init__(
+        self,
+        prefix_counts: Sequence[int],
+        monitored_flows: int = 12,
+        num_providers: int = 2,
+        seed: int = 1,
+    ) -> None:
+        self.prefix_counts = prefix_counts
+        self.monitored_flows = monitored_flows
+        self.num_providers = num_providers
+        self.seed = seed
+        self.rows: List[RemotePoint] = []
 
     def run(self) -> List[RemotePoint]:
         """Run every cell; rows are deterministic from the seed."""
@@ -95,22 +99,18 @@ class RemoteSuperchargeExperiment:
             monitored_flows=self.monitored_flows,
             seed=self.seed,
             remote_groups=grouped,
-            failures=[
-                FailureSpec(
-                    kind="remote_withdraw", at=1.0, prefix_fraction=self.prefix_fraction
-                )
-            ],
+            failures=[FailureSpec(kind="remote_withdraw", at=1.0)],
         ).validate()
 
     def _run_cell(self, num_prefixes: int, grouped: bool) -> RemotePoint:
         spec = self._spec(num_prefixes, grouped)
         lab = build_scenario(Simulator(seed=spec.seed), spec)
-        lab.bring_up(timeout=self.timeout)
+        lab.bring_up(timeout=TIMEOUT)
         controller = lab.controllers[0]
         rules_before = controller.provisioner.rules_pushed
         batches_before = controller.provisioner.batches_pushed
         messages_before = controller.updates_relayed + controller.withdraws_relayed
-        result = run_failover(lab, timeout=self.timeout)
+        result = run_failover(lab, timeout=TIMEOUT)
         stats = result.stats
         detection = result.detection_time
         return RemotePoint(

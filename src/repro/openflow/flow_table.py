@@ -1,9 +1,8 @@
 """Flow table: matches, actions, entries, priority lookup.
 
 The match fields are the ones the supercharged controller needs
-(destination MAC, in-port, EtherType); wildcarding any field is done by
-leaving it ``None``.  Actions model OpenFlow ``set_field(eth_dst)``,
-``set_field(eth_src)``, ``output`` and ``CONTROLLER`` output.
+(destination MAC, in-port); wildcarding either is done by leaving it
+``None``.  Actions model OpenFlow ``set_field(eth_dst)`` and ``output``.
 
 The table is one list kept highest-priority-first, install order within
 a priority, and every operation is a scan of it.  That is all the paper's
@@ -20,7 +19,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.net.addresses import MacAddress
-from repro.net.packets import EtherType, EthernetFrame
+from repro.net.packets import EthernetFrame
 
 if TYPE_CHECKING:  # messages.py imports this module
     from repro.openflow.messages import FlowMod
@@ -30,39 +29,30 @@ class FlowTableError(RuntimeError):
     """Raised for invalid flow-table operations (overflow, bad entries)."""
 
 
-#: Pseudo port number meaning "send to the controller" (OFPP_CONTROLLER).
-CONTROLLER_PORT = 0xFFFFFFFD
 #: Pseudo port number meaning "flood on all ports except ingress" (OFPP_FLOOD).
 FLOOD_PORT = 0xFFFFFFFB
 
 
 class FlowMatch(NamedTuple):
-    """Match on in-port, EtherType and/or destination MAC (``None`` = wildcard)."""
+    """Match on in-port and/or destination MAC (``None`` = wildcard)."""
 
     in_port: Optional[int] = None
-    eth_type: Optional[EtherType] = None
     eth_dst: Optional[MacAddress] = None
-    eth_src: Optional[MacAddress] = None
 
     def matches(self, frame: EthernetFrame, in_port: int) -> bool:
         """Whether the frame arriving on ``in_port`` satisfies the match."""
         if self.in_port is not None and self.in_port != in_port:
             return False
-        if self.eth_type is not None and self.eth_type != frame.ethertype:
-            return False
         if self.eth_dst is not None and self.eth_dst != frame.dst_mac:
-            return False
-        if self.eth_src is not None and self.eth_src != frame.src_mac:
             return False
         return True
 
 
 class Actions(NamedTuple):
     """Action list applied to matching frames, in OpenFlow apply-actions order:
-    optional MAC rewrites, then output."""
+    an optional destination-MAC rewrite, then output."""
 
     set_eth_dst: Optional[MacAddress] = None
-    set_eth_src: Optional[MacAddress] = None
     output_port: Optional[int] = None
 
     @property
@@ -70,19 +60,11 @@ class Actions(NamedTuple):
         """No output action means the frame is dropped."""
         return self.output_port is None
 
-    @property
-    def to_controller(self) -> bool:
-        """Whether the frame is punted to the controller."""
-        return self.output_port == CONTROLLER_PORT
-
     def apply(self, frame: EthernetFrame) -> EthernetFrame:
-        """Return the frame after the rewrite actions (output is the caller's job)."""
-        result = frame
+        """Return the frame after the rewrite action (output is the caller's job)."""
         if self.set_eth_dst is not None:
-            result = result.with_dst_mac(self.set_eth_dst)
-        if self.set_eth_src is not None:
-            result = result.with_src_mac(self.set_eth_src)
-        return result
+            return frame.with_dst_mac(self.set_eth_dst)
+        return frame
 
 
 class FlowEntry(NamedTuple):
@@ -91,7 +73,6 @@ class FlowEntry(NamedTuple):
     match: FlowMatch
     actions: Actions
     priority: int = 100
-    cookie: int = 0
     installed_at: float = 0.0
 
     def with_actions(self, actions: Actions) -> "FlowEntry":
@@ -156,7 +137,7 @@ class FlowTable:
         switch programs lone flow-mods and bundles alike through it.
         ``flow_mods`` is any iterable of
         :class:`~repro.openflow.messages.FlowMod`-shaped objects
-        (``command``/``match``/``actions``/``priority``/``cookie``):
+        (``command``/``match``/``actions``/``priority``):
         ``add`` installs (replacing an identical match+priority),
         ``modify`` updates in place or, OpenFlow semantics, adds the entry
         if it is missing, ``delete`` removes.  Entries created by the batch
@@ -178,7 +159,6 @@ class FlowTable:
                         match=mod.match,
                         actions=actions,
                         priority=mod.priority,
-                        cookie=mod.cookie,
                         installed_at=now,
                     )
                 )

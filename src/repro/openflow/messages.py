@@ -24,7 +24,6 @@ class FlowMod(NamedTuple):
     match: FlowMatch
     actions: Optional[Actions] = None
     priority: int = 100
-    cookie: int = 0
 
 
 class FlowModBatch(NamedTuple):

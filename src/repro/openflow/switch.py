@@ -3,9 +3,9 @@
 The switch owns a set of ports wired to :class:`repro.net.links.Link`
 objects, a :class:`~repro.openflow.flow_table.FlowTable`, and one or more
 controller channels.  Incoming frames are matched against the table;
-``output`` actions forward (after the pipeline/processing latency),
-``CONTROLLER`` actions punt the frame as a packet-in, a table miss applies
-the configurable miss behaviour (drop, flood, or punt).
+``output`` actions forward (after the pipeline/processing latency), and a
+frame no entry matches is flooded (ARP and BGP between hosts on the
+switch ride on that).
 
 Rule installation latency — the time between a flow-mod arriving on the
 channel and the entry being active in hardware — is modelled explicitly
@@ -14,7 +14,7 @@ because it is part of the supercharged convergence budget.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from repro.net.links import LinkState, Port
 from repro.net.packets import EthernetFrame
@@ -22,7 +22,6 @@ from repro.openflow.flow_table import FLOOD_PORT, FlowTable
 from repro.openflow.messages import (
     FlowMod,
     FlowModBatch,
-    PacketIn,
     PacketOut,
     PortStatus,
     PortStatusReason,
@@ -36,34 +35,24 @@ if TYPE_CHECKING:  # a standalone lab's switch has no controller
 FORWARDING_LATENCY = 5e-6
 
 
-class SwitchConfig(NamedTuple):
-    """Hardware characteristics of the switch."""
-
-    #: Time to program one flow entry into the hardware table.
-    flow_mod_latency: float = 2e-3
-    #: Flow table capacity (TCAM entries).
-    table_capacity: int = 4096
-    #: What to do with frames that match no entry: "drop", "flood" or "controller".
-    table_miss: str = "drop"
-
-
 class OpenFlowSwitch:
-    """An OpenFlow-style switch with numbered ports."""
+    """An OpenFlow-style switch with numbered ports.
 
-    def __init__(self, sim: Simulator, name: str, config: Optional[SwitchConfig] = None) -> None:
+    ``flow_mod_latency`` is the time to program one flow entry (or one
+    bundle) into the hardware table.
+    """
+
+    def __init__(self, sim: Simulator, name: str, flow_mod_latency: float = 2e-3) -> None:
         self._sim = sim
         self.name = name
         self._fwd_name = f"{name}:fwd"
-        self.config = config or SwitchConfig()
-        if self.config.table_miss not in ("drop", "flood", "controller"):
-            raise ValueError(f"invalid table_miss policy: {self.config.table_miss}")
-        self.flow_table = FlowTable(capacity=self.config.table_capacity)
+        self.flow_mod_latency = flow_mod_latency
+        self.flow_table = FlowTable()
         self._ports: Dict[int, Port] = {}
         self._channels: List[ControllerChannel] = []
         self._flow_mod_listeners: List = []
         self.frames_forwarded = 0
         self.frames_dropped = 0
-        self.packet_ins = 0
         self.flow_mods_applied = 0
 
     def on_flow_mod_applied(self, callback) -> None:
@@ -96,7 +85,7 @@ class OpenFlowSwitch:
     # ------------------------------------------------------------------
     def attach_controller(self, channel: ControllerChannel) -> None:
         """Connect a controller channel; flow-mods and packet-outs from it
-        are applied, packet-ins and port-status events are sent to it."""
+        are applied, port-status events are sent to it."""
         channel.connect_switch(self._handle_controller_message)
         self._channels.append(channel)
 
@@ -106,26 +95,13 @@ class OpenFlowSwitch:
     def _handle_frame(self, frame: EthernetFrame, port: Port) -> None:
         entry = self.flow_table.lookup(frame, port.number)
         if entry is None:
-            self._handle_miss(frame, port)
+            self._forward(frame, FLOOD_PORT, in_port=port.number)
             return
         actions = entry.actions
         if actions.is_drop:
             self.frames_dropped += 1
             return
-        rewritten = actions.apply(frame)
-        if actions.to_controller:
-            self._punt(rewritten, port.number, reason="action")
-            return
-        self._forward(rewritten, actions.output_port, in_port=port.number)
-
-    def _handle_miss(self, frame: EthernetFrame, port: Port) -> None:
-        policy = self.config.table_miss
-        if policy == "drop":
-            self.frames_dropped += 1
-        elif policy == "flood":
-            self._forward(frame, FLOOD_PORT, in_port=port.number)
-        else:
-            self._punt(frame, port.number, reason="no_match")
+        self._forward(actions.apply(frame), actions.output_port, in_port=port.number)
 
     def _forward(self, frame: EthernetFrame, out_port: int, in_port: int) -> None:
         def transmit() -> None:
@@ -143,12 +119,6 @@ class OpenFlowSwitch:
             self.frames_forwarded += 1
 
         self._sim.schedule(FORWARDING_LATENCY, transmit, name=self._fwd_name)
-
-    def _punt(self, frame: EthernetFrame, in_port: int, reason: str) -> None:
-        self.packet_ins += 1
-        packet_in = PacketIn(frame=frame, in_port=in_port, reason=reason)
-        for channel in self._channels:
-            channel.send_packet_in(packet_in)
 
     # ------------------------------------------------------------------
     # Controller plane
@@ -179,7 +149,7 @@ class OpenFlowSwitch:
                 for callback in listeners:
                     callback(flow_mod)
 
-        self._sim.schedule(self.config.flow_mod_latency, program, name=name)
+        self._sim.schedule(self.flow_mod_latency, program, name=name)
 
     # ------------------------------------------------------------------
     # Port status

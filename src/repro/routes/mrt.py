@@ -24,6 +24,7 @@ regenerated from code instead of being opaque blobs.
 
 from __future__ import annotations
 
+import io
 import struct
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -104,18 +105,11 @@ class MrtRibRoute(NamedTuple):
 def read_records(source: Union[str, bytes]) -> Iterator[MrtRecord]:
     """Iterate the MRT records of a file path or an in-memory buffer.
 
-    File paths are read *streaming* — one record at a time off a buffered
+    Both are read *streaming* — one record at a time off a buffered
     handle, never the whole dump — so a full-DFZ TABLE_DUMP_V2 (hundreds
-    of MB) can be ingested with constant memory.  In-memory buffers walk
-    the bytes directly.
+    of MB) can be ingested with constant memory.
     """
-    if isinstance(source, str):
-        return _read_records_streaming(source)
-    return _read_records_buffer(source)
-
-
-def _read_records_streaming(path: str) -> Iterator[MrtRecord]:
-    with open(path, "rb") as handle:
+    with open(source, "rb") if isinstance(source, str) else io.BytesIO(source) as handle:
         offset = 0
         while True:
             header = handle.read(12)
@@ -129,20 +123,6 @@ def _read_records_streaming(path: str) -> Iterator[MrtRecord]:
                 raise MrtError(f"truncated MRT record at byte {offset + 12}")
             yield MrtRecord(timestamp, rtype, subtype, payload)
             offset += 12 + length
-
-
-def _read_records_buffer(data: bytes) -> Iterator[MrtRecord]:
-    offset = 0
-    total = len(data)
-    while offset < total:
-        if total - offset < 12:
-            raise MrtError(f"truncated MRT header at byte {offset}")
-        timestamp, rtype, subtype, length = struct.unpack_from(">IHHI", data, offset)
-        offset += 12
-        if total - offset < length:
-            raise MrtError(f"truncated MRT record at byte {offset}")
-        yield MrtRecord(timestamp, rtype, subtype, bytes(data[offset : offset + length]))
-        offset += length
 
 
 # ----------------------------------------------------------------------
@@ -316,14 +296,6 @@ def load_updates(
         as_size = 4 if record.subtype == BGP4MP_MESSAGE_AS4 else 2
         updates.extend(_parse_bgp4mp_message(record.payload, as_size, next_hop))
     return updates
-
-
-def mrt_churn_stream(
-    source: Union[str, bytes], next_hop: Optional[IPv4Address] = None
-) -> Iterator[UpdateMessage]:
-    """Generator form of :func:`load_updates` (drop-in for
-    :func:`~repro.routes.ris_feed.churn_stream` replay sites)."""
-    return iter(load_updates(source, next_hop=next_hop))
 
 
 def _parse_bgp4mp_message(

@@ -29,29 +29,23 @@ _BLOCK_BITS = 10  # each prefix lives in its own /22 (1024 addresses)
 _BASE = IPv4Address("4.0.0.0")
 _CEILING = IPv4Address("223.255.255.255")
 
+# A length is the first whose cumulative share reaches the roll.  The
+# thresholds are non-decreasing, so that first index is ``bisect_left``'s;
+# a roll above the last threshold (float rounding) takes the last length,
+# appended once more.
+_TOTAL_WEIGHT = sum(weight for _, weight in PREFIX_LENGTH_MIX)
+_CUMULATIVE = list(accumulate(weight / _TOTAL_WEIGHT for _, weight in PREFIX_LENGTH_MIX))
+# Lengths shorter than /22 would escape the block; clamp them so prefixes
+# stay disjoint (the mix still skews towards /24).
+_LENGTHS = [max(length, 32 - _BLOCK_BITS) for length, _ in PREFIX_LENGTH_MIX]
+_LENGTHS.append(_LENGTHS[-1])
+
 
 class PrefixGenerator:
     """Generates non-overlapping prefixes, deterministically per seed."""
 
-    def __init__(self, seed: int = 0, length_mix: Sequence[Tuple[int, float]] = PREFIX_LENGTH_MIX) -> None:
-        if not length_mix:
-            raise ValueError("length_mix must not be empty")
-        if any(weight < 0 for _, weight in length_mix):
-            raise ValueError("length_mix weights must be non-negative")
-        total = sum(weight for _, weight in length_mix)
-        if total <= 0:
-            raise ValueError("length_mix weights must sum to a positive value")
+    def __init__(self, seed: int = 0) -> None:
         self._random = SeededRandom(seed)
-        # A length is the first whose cumulative share reaches the roll.
-        # Non-negative weights make the thresholds non-decreasing, so that
-        # first index is ``bisect_left``'s; a roll above the last threshold
-        # (float rounding) takes the last length, appended once more.
-        self._cumulative = list(accumulate(weight / total for _, weight in length_mix))
-        # Lengths shorter than /22 would escape the block; clamp them so
-        # prefixes stay disjoint (the mix still skews towards /24).
-        min_length = 32 - _BLOCK_BITS
-        self._lengths = [max(length, min_length) for length, _ in length_mix]
-        self._lengths.append(self._lengths[-1])
 
     def stream_codes(self, count: int) -> Iterator[int]:
         """Stream ``count`` prefixes as integer codes (the scale core).
@@ -71,7 +65,7 @@ class PrefixGenerator:
                 f"cannot generate {count} prefixes; only {max_blocks} disjoint blocks available"
             )
         roll = self._random.random
-        cumulative, lengths = self._cumulative, self._lengths
+        cumulative, lengths = _CUMULATIVE, _LENGTHS
         shift = IPv4Prefix.LENGTH_BITS
         first = _BASE << shift
         step = 1 << (_BLOCK_BITS + shift)

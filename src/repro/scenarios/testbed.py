@@ -37,7 +37,7 @@ from repro.net.host import Host
 from repro.net.links import Link, Port
 from repro.openflow.flow_table import Actions, FlowEntry, FlowMatch
 from repro.openflow.messages import FlowMod, FlowModCommand
-from repro.openflow.switch import OpenFlowSwitch, SwitchConfig
+from repro.openflow.switch import OpenFlowSwitch
 from repro.router.fib_updater import FibUpdaterConfig
 from repro.router.router import Router, RouterConfig, StaticRoute
 from repro.routes.prefix_gen import PrefixGenerator
@@ -286,11 +286,7 @@ class ScenarioLab:
         if self._built:
             return self
         self._built = True
-        self.switch = OpenFlowSwitch(
-            self.sim,
-            "sw1",
-            SwitchConfig(flow_mod_latency=self.spec.flow_mod_latency, table_miss="flood"),
-        )
+        self.switch = OpenFlowSwitch(self.sim, "sw1", self.spec.flow_mod_latency)
         self._build_routers()
         self._build_traffic_boards()
         self._wire_links()

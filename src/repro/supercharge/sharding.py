@@ -88,9 +88,6 @@ class ShardWorkSpec(NamedTuple):
     #: Base VNH pool; each shard carves slice ``shard`` out of it.
     vnh_pool: str = "10.200.0.0/16"
     group_size: int = 2
-    #: Simulate the loss of the primary peer after the build and absorb
-    #: it through the real repoint engine.
-    fail_primary: bool = True
 
 
 class ShardBuildResult(NamedTuple):
@@ -105,7 +102,8 @@ class ShardBuildResult(NamedTuple):
     #: serial/pooled parity witness for membership.
     membership_crc: int = 0
     group_keys: Sequence[Tuple[int, ...]] = ()
-    #: Failover absorption (zeros when ``fail_primary`` is off).
+    #: Failover absorption: the loss of the primary peer (zeros when the
+    #: shard loaded nothing).
     flow_mods: int = 0
     groups_repointed: int = 0
     prefixes_covered: int = 0
@@ -203,8 +201,8 @@ def build_shard(spec: ShardWorkSpec) -> ShardBuildResult:
     """Build one shard's planner domain end to end (worker entry point).
 
     Streams the shard's codes into a :class:`CompactPeerRib` and a
-    :class:`RemoteGroupPlanner`, then (optionally) withdraws the
-    primary peer and absorbs the loss through the real
+    :class:`RemoteGroupPlanner`, then withdraws the primary peer and
+    absorbs the loss through the real
     :class:`RemoteRepointEngine` — so a shard exercises exactly the code
     the single-process controller runs, just on a slice of the table.
     """
@@ -233,7 +231,7 @@ def build_shard(spec: ShardWorkSpec) -> ShardBuildResult:
             grouped += 1
 
     absorbed: Dict[str, int] = {}
-    if spec.fail_primary and loaded:
+    if loaded:
         sim = Simulator(seed=spec.seed)
         provisioner = _CountingProvisioner()
         dead = peers[0]
@@ -289,7 +287,6 @@ def run_sharded_build(
     workers: int = 1,
     group_size: int = 2,
     vnh_pool: str = "10.200.0.0/16",
-    fail_primary: bool = True,
     telemetry: Optional[MetricsRegistry] = None,
 ) -> Dict[str, object]:
     """Build a full table as ``num_shards`` planner domains and merge.
@@ -312,7 +309,6 @@ def run_sharded_build(
             mrt_path=mrt_path,
             vnh_pool=vnh_pool,
             group_size=group_size,
-            fail_primary=fail_primary,
         )
         for shard in range(num_shards)
     ]

@@ -36,6 +36,10 @@ from typing import Any, Callable, Deque, Dict, IO, List, NamedTuple, Optional, S
 from repro.telemetry.causal import CausalContext
 from repro.telemetry.metrics import Counter, Gauge, Histogram, MetricsRegistry
 
+#: Events the in-memory ring keeps (the oldest are evicted first); a JSONL
+#: sink sees every one.
+TRACE_CAPACITY = 4096
+
 
 class TraceEvent(NamedTuple):
     """One structured trace record at a simulated instant."""
@@ -80,17 +84,9 @@ class Span:
 class TraceBus:
     """Bounded in-memory trace stream with an optional JSONL sink."""
 
-    def __init__(
-        self,
-        clock: Callable[[], float],
-        capacity: int = 4096,
-        sink: Optional[IO[str]] = None,
-    ) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
+    def __init__(self, clock: Callable[[], float], sink: Optional[IO[str]] = None) -> None:
         self._clock = clock
-        self.capacity = capacity
-        self._events: Deque[TraceEvent] = deque(maxlen=capacity)
+        self._events: Deque[TraceEvent] = deque(maxlen=TRACE_CAPACITY)
         self._sink = sink
         self.emitted = 0
 
@@ -115,7 +111,7 @@ class TraceBus:
         return [event for event in self._events if event.name == name]
 
     def __repr__(self) -> str:
-        return f"TraceBus({len(self._events)}/{self.capacity} buffered, {self.emitted} emitted)"
+        return f"TraceBus({len(self._events)}/{TRACE_CAPACITY} buffered, {self.emitted} emitted)"
 
 
 class Telemetry:
@@ -124,11 +120,10 @@ class Telemetry:
     def __init__(
         self,
         clock: Callable[[], float],
-        trace_capacity: int = 4096,
         sink: Optional[IO[str]] = None,
         causal: Optional[CausalContext] = None,
     ) -> None:
-        self.trace = TraceBus(clock, capacity=trace_capacity, sink=sink)
+        self.trace = TraceBus(clock, sink=sink)
         self.metrics = MetricsRegistry()
         # The episode book is its owner's (the lab hands its own in; a
         # bare context gets a fresh one) and never learns who writes to

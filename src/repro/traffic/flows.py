@@ -12,8 +12,6 @@ class FlowSpec(NamedTuple):
 
     destination: IPv4Address
     rate_pps: float = 1000.0
-    src_port: int = 10000
-    dst_port: int = 9
 
     @property
     def interval(self) -> float:

@@ -8,7 +8,7 @@ gateway was configured as a static neighbour.
 
 from __future__ import annotations
 
-from typing import Dict, NamedTuple, Sequence
+from typing import Dict, List, NamedTuple
 
 from repro.net.addresses import IPv4Address, IPv4Prefix, MacAddress
 from repro.net.host import Host
@@ -18,6 +18,13 @@ from repro.sim.engine import Simulator
 from repro.sim.process import PeriodicProcess
 from repro.traffic.flows import FlowSpec
 
+#: Up to this fraction of jitter on each flow's interval, so flows do not
+#: stay phase-locked (the FPGA generator round-robins flows).
+FLOW_JITTER = 0.05
+#: The UDP header of every probe (nothing reads its ports; one immutable
+#: value serves every packet).
+PROBE_DATAGRAM = UdpDatagram(src_port=10000, dst_port=9)
+
 
 class TrafficSourceConfig(NamedTuple):
     """Configuration of the source board."""
@@ -26,10 +33,6 @@ class TrafficSourceConfig(NamedTuple):
     mac: MacAddress
     subnet: IPv4Prefix
     gateway_ip: IPv4Address
-    flows: Sequence[FlowSpec] = ()
-    #: Add up to this fraction of jitter to each flow's interval so flows
-    #: do not stay phase-locked (the FPGA generator round-robins flows).
-    jitter: float = 0.05
 
 
 class TrafficSource(Host):
@@ -38,7 +41,7 @@ class TrafficSource(Host):
     def __init__(self, sim: Simulator, name: str, config: TrafficSourceConfig) -> None:
         super().__init__(sim, name)
         self.config = config
-        self.flows = list(config.flows)
+        self.flows: List[FlowSpec] = []
         self.interface = self.add_interface("eth0", config.mac, config.ip, config.subnet)
         self._processes: Dict[IPv4Address, PeriodicProcess] = {}
         self.packets_sent = 0
@@ -78,7 +81,7 @@ class TrafficSource(Host):
             self._sim,
             flow.interval,
             lambda: self._send_packet(flow),
-            jitter=self.config.jitter,
+            jitter=FLOW_JITTER,
             name=f"{self.name}:flow:{flow.destination}",
         )
         # Spread flow start times over one interval to avoid bursts.
@@ -87,12 +90,11 @@ class TrafficSource(Host):
         self._processes[flow.destination] = process
 
     def _send_packet(self, flow: FlowSpec) -> None:
-        datagram = UdpDatagram(src_port=flow.src_port, dst_port=flow.dst_port)
         packet = IPv4Packet(
             src=self.config.ip,
             dst=flow.destination,
             protocol=IpProtocol.UDP,
-            payload=datagram,
+            payload=PROBE_DATAGRAM,
         )
         # A packet queued behind the gateway's ARP exchange is not counted.
         if self.send_to_neighbor(self.config.gateway_ip, EtherType.IPV4, packet):

@@ -118,8 +118,8 @@ class PathTracer:
             hops.append(TraceHop(switch.name, "table miss"))
             return None
         actions = entry.actions
-        if actions.is_drop or actions.to_controller:
-            hops.append(TraceHop(switch.name, "dropped/punted"))
+        if actions.is_drop:
+            hops.append(TraceHop(switch.name, "dropped"))
             return None
         next_mac = actions.set_eth_dst if actions.set_eth_dst is not None else dst_mac
         out_port = switch.ports().get(actions.output_port)

@@ -1,7 +1,7 @@
 """Tests for the ARP cache, protocol handler and client."""
 
-from repro.arp.cache import ArpCache
-from repro.arp.client import ArpClient
+from repro.arp.cache import ARP_LIFETIME, ArpCache
+from repro.arp.client import MAX_RETRIES, RETRY_INTERVAL, ArpClient
 from repro.arp.protocol import ArpHandler, build_arp_reply, build_arp_request
 from repro.net.addresses import BROADCAST_MAC, IPv4Address, IPv4Prefix, MacAddress
 from repro.net.interfaces import Interface
@@ -21,21 +21,22 @@ class TestArpCache:
         assert cache.lookup(IP_B, now=1.0) == MAC_B
 
     def test_expiry(self):
-        cache = ArpCache(lifetime=10.0)
+        cache = ArpCache()
         cache.learn(IP_B, MAC_B, now=0.0)
-        assert cache.lookup(IP_B, now=11.0) is None
+        assert cache.lookup(IP_B, now=ARP_LIFETIME) == MAC_B
+        assert cache.lookup(IP_B, now=ARP_LIFETIME + 1.0) is None
         assert IP_B not in cache
 
     def test_static_entries_never_expire(self):
-        cache = ArpCache(lifetime=10.0)
+        cache = ArpCache()
         cache.learn(IP_B, MAC_B, now=0.0, static=True)
         assert cache.lookup(IP_B, now=1e6) == MAC_B
 
     def test_dynamic_learn_never_demotes_a_static_entry(self):
         """Regression: every received ARP packet is learned from, so the
         first one a configured neighbour sent used to turn "never expires"
-        into "expires after ``lifetime``" (and could replace its MAC)."""
-        cache = ArpCache(lifetime=10.0)
+        into "expires after ``ARP_LIFETIME``" (and could replace its MAC)."""
+        cache = ArpCache()
         cache.learn(IP_B, MAC_B, now=0.0, static=True)
         cache.learn(IP_B, MAC_A, now=1.0)
         assert cache.lookup(IP_B, now=1e6) == MAC_B
@@ -47,16 +48,10 @@ class TestArpCache:
         assert cache.lookup(IP_B, now=1e6) == MAC_A
 
     def test_refresh_resets_age(self):
-        cache = ArpCache(lifetime=10.0)
+        cache = ArpCache()
         cache.learn(IP_B, MAC_B, now=0.0)
-        cache.learn(IP_B, MAC_B, now=9.0)
-        assert cache.lookup(IP_B, now=15.0) == MAC_B
-
-    def test_invalid_lifetime_rejected(self):
-        import pytest
-
-        with pytest.raises(ValueError):
-            ArpCache(lifetime=0.0)
+        cache.learn(IP_B, MAC_B, now=ARP_LIFETIME - 1.0)
+        assert cache.lookup(IP_B, now=ARP_LIFETIME + 5.0) == MAC_B
 
 
 class TestArpProtocol:
@@ -73,7 +68,8 @@ class TestArpProtocol:
 
     def test_handler_answers_for_owned_ip(self):
         cache = ArpCache()
-        handler = ArpHandler(cache, now=lambda: 0.0, owned={IP_B: MAC_B})
+        handler = ArpHandler(cache, now=lambda: 0.0)
+        handler.register(IP_B, MAC_B)
         request = build_arp_request(MAC_A, IP_A, IP_B).payload
         reply = handler.handle(request)
         assert reply is not None
@@ -109,9 +105,10 @@ class TestArpClient:
             "eth0", client_port, MAC_A, IP_A, IPv4Prefix("10.0.0.0/24")
         )
         cache = ArpCache()
-        client = ArpClient(sim, cache, retry_interval=0.5, max_retries=3)
+        client = ArpClient(sim, cache)
 
-        responder_handler = ArpHandler(ArpCache(), now=lambda: sim.now, owned={IP_B: MAC_B})
+        responder_handler = ArpHandler(ArpCache(), now=lambda: sim.now)
+        responder_handler.register(IP_B, MAC_B)
 
         def respond(frame, port):
             reply = responder_handler.handle(frame.payload)
@@ -153,6 +150,6 @@ class TestArpClient:
         results = []
         missing = IPv4Address("10.0.0.77")
         client.resolve(missing, interface, results.append)
-        sim.run(until=10.0)
+        sim.run(until=RETRY_INTERVAL * (MAX_RETRIES + 1))
         assert results == [None]
-        assert client.requests_sent == 3
+        assert client.requests_sent == MAX_RETRIES

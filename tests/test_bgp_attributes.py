@@ -76,16 +76,16 @@ class TestPathAttributes:
         assert attrs.as_path.asns[0] == 65000
         assert attrs.as_path.length == 3
 
-    def test_every_copy_helper_keeps_the_other_five_fields(self):
+    def test_every_copy_helper_keeps_the_other_four_fields(self):
         base = PathAttributes(
             next_hop=IPv4Address("10.0.0.2"),
             as_path=AsPath((65001, 100)),
             origin=Origin.EGP,
             local_pref=150,
             med=5,
-            communities=frozenset({(65001, 7)}),
         )
-        fields = ("next_hop", "as_path", "origin", "local_pref", "med", "communities")
+        fields = PathAttributes._fields
+        assert fields == ("next_hop", "as_path", "origin", "local_pref", "med")
         copies = {
             "next_hop": base.with_next_hop(IPv4Address("10.0.0.9")),
             "local_pref": base.with_local_pref(300),

@@ -19,7 +19,7 @@ from repro.bgp.messages import (
     UpdateMessage,
     UpdateTrain,
 )
-from repro.bgp.session import SUB_TRAIN, BgpSession
+from repro.bgp.session import HOLD_TIME, SUB_TRAIN, BgpSession
 from repro.bgp.speaker import BgpSpeaker, PeerConfig
 from repro.net.addresses import IPv4Address, IPv4Prefix, MacAddress
 from repro.net.links import Link
@@ -61,7 +61,7 @@ def _log_prefixes(session, log):
     session.on_update(lambda _session, updates: log.extend(u.prefix for u in updates))
 
 
-def _pair(sim, hold_time=90.0, loss=None):
+def _pair(sim, loss=None):
     """Sessions ``a`` and ``b`` joined by a 1 ms pipe; ``wire`` records
     ``(send time, sender, message)`` for everything handed to it."""
     sessions = {}
@@ -78,11 +78,11 @@ def _pair(sim, hold_time=90.0, loss=None):
 
     sessions["a"] = BgpSession(
         sim, local_asn=65000, local_router_id=A_IP, peer_ip=B_IP,
-        send=make_send("a", "b"), hold_time=hold_time,
+        send=make_send("a", "b"),
     )
     sessions["b"] = BgpSession(
         sim, local_asn=65001, local_router_id=B_IP, peer_ip=A_IP,
-        send=make_send("b", "a"), hold_time=hold_time,
+        send=make_send("b", "a"),
     )
     sessions["a"].start()
     sessions["b"].start()
@@ -230,7 +230,7 @@ def test_updates_queued_after_the_flush_of_their_instant_form_the_next_train(sim
 # Order is TCP order
 # ----------------------------------------------------------------------
 def test_keepalive_sent_mid_burst_arrives_after_the_corked_updates(sim):
-    a, b, wire = _pair(sim, hold_time=3.0)
+    a, b, wire = _pair(sim)
     log = []
     _log_prefixes(b, log)
     fired = []
@@ -244,7 +244,7 @@ def test_keepalive_sent_mid_burst_arrives_after_the_corked_updates(sim):
                 a.send_update(_announce(index))
 
     sim.set_observer(burst_just_before_the_keepalive)
-    sim.run(until=2.5)
+    sim.run(until=HOLD_TIME / 3.0 + 1.5)
     sim.set_observer(None)
     assert fired
     at_tick = [m for when, s, m in wire if s == "a" and when == fired[0]]
@@ -286,11 +286,7 @@ def test_connection_lost_mid_burst_delivers_none_of_the_corked_updates(sim):
 
 def test_hold_expiry_mid_burst_delivers_none_of_the_corked_updates(sim):
     silenced = []
-    a, b, wire = _pair(
-        sim,
-        hold_time=3.0,
-        loss=lambda sender, message: bool(silenced) and sender == "b",
-    )
+    a, b, wire = _pair(sim, loss=lambda sender, message: bool(silenced) and sender == "b")
     silenced.append(True)  # b goes quiet: a's hold timer will expire
     fired = []
 
@@ -301,7 +297,7 @@ def test_hold_expiry_mid_burst_delivers_none_of_the_corked_updates(sim):
                 a.send_update(_announce(index))
 
     sim.set_observer(burst_just_before_the_expiry)
-    sim.run(until=10.0)
+    sim.run(until=HOLD_TIME + 10.0)
     sim.set_observer(None)
     assert fired and not a.is_established
     updates = _flatten(m for _w, s, m in wire if s == "a")

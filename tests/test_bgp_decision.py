@@ -15,7 +15,6 @@ def _route(
     origin=Origin.IGP,
     med=0,
     is_ebgp=True,
-    igp_cost=0,
     router_id=None,
     neighbor_as=65001,
 ):
@@ -35,7 +34,6 @@ def _route(
             router_id=IPv4Address(router_id or peer),
             is_ebgp=is_ebgp,
         ),
-        igp_cost=igp_cost,
     )
 
 
@@ -67,12 +65,6 @@ def test_ebgp_preferred_over_ibgp():
     external = _route(peer="10.0.0.2", is_ebgp=True)
     internal = _route(peer="10.0.0.3", is_ebgp=False)
     assert rank_routes([internal, external])[0] == external
-
-
-def test_lower_igp_cost_wins():
-    near = _route(peer="10.0.0.2", igp_cost=5)
-    far = _route(peer="10.0.0.3", igp_cost=50)
-    assert rank_routes([far, near])[0] == near
 
 
 def test_lower_router_id_breaks_ties():

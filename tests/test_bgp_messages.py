@@ -31,7 +31,6 @@ def test_a_message_is_its_payload():
 
 
 def test_open_message_carries_identity():
-    message = OpenMessage(asn=65000, router_id=IPv4Address("10.0.0.1"), hold_time=30.0)
+    message = OpenMessage(asn=65000, router_id=IPv4Address("10.0.0.1"))
     assert message.asn == 65000
     assert message.router_id == IPv4Address("10.0.0.1")
-    assert message.hold_time == 30.0

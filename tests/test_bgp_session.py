@@ -3,12 +3,12 @@
 import pytest
 
 from repro.bgp.messages import NotificationMessage, OpenMessage, UpdateMessage
-from repro.bgp.session import BgpSession, BgpSessionState
+from repro.bgp.session import HOLD_TIME, BgpSession, BgpSessionState
 from repro.bgp.attributes import AsPath, PathAttributes
 from repro.net.addresses import IPv4Address, IPv4Prefix
 
 
-def _pair(sim, hold_time=90.0, loss=None):
+def _pair(sim, loss=None):
     """Two sessions exchanging messages through the simulator with 1 ms delay.
 
     ``loss`` is an optional predicate deciding whether a message is dropped.
@@ -29,7 +29,6 @@ def _pair(sim, hold_time=90.0, loss=None):
         local_router_id=IPv4Address("10.0.0.1"),
         peer_ip=IPv4Address("10.0.0.2"),
         send=make_send("b"),
-        hold_time=hold_time,
     )
     sessions["b"] = BgpSession(
         sim,
@@ -37,7 +36,6 @@ def _pair(sim, hold_time=90.0, loss=None):
         local_router_id=IPv4Address("10.0.0.2"),
         peer_ip=IPv4Address("10.0.0.1"),
         send=make_send("a"),
-        hold_time=hold_time,
     )
     return sessions["a"], sessions["b"]
 
@@ -99,7 +97,7 @@ def test_send_update_requires_established(sim):
 
 
 def test_hold_timer_expires_without_keepalives(sim):
-    a, b = _pair(sim, hold_time=3.0)
+    a, b = _pair(sim)
     downs = []
     a.on_down(lambda session, reason: downs.append(reason))
     a.start()
@@ -108,16 +106,18 @@ def test_hold_timer_expires_without_keepalives(sim):
     assert a.is_established
     # Kill the peer silently: stop its keepalive process.
     b._keepalive_process.stop()
-    sim.run(until=10.0)
+    sim.run(until=HOLD_TIME)
+    assert a.is_established
+    sim.run(until=HOLD_TIME + 1.0)
     assert not a.is_established
     assert any("hold timer" in reason for reason in downs)
 
 
 def test_keepalives_maintain_session(sim):
-    a, b = _pair(sim, hold_time=3.0)
+    a, b = _pair(sim)
     a.start()
     b.start()
-    sim.run(until=20.0)
+    sim.run(until=5 * HOLD_TIME)
     assert a.is_established and b.is_established
 
 
@@ -164,17 +164,6 @@ def test_open_retry_recovers_from_lost_open(sim):
     b.start()
     sim.run(until=15.0)
     assert a.is_established and b.is_established
-
-
-def test_hold_time_negotiated_to_minimum(sim):
-    a, b = _pair(sim)
-    a.configured_hold_time = 30.0
-    b.configured_hold_time = 90.0
-    a.start()
-    b.start()
-    sim.run(until=1.0)
-    assert a.negotiated_hold_time == 30.0
-    assert b.negotiated_hold_time == 30.0
 
 
 def test_notification_message_reason_preserved():

@@ -31,6 +31,7 @@ from repro.telemetry.export import (
 )
 from repro.telemetry.metrics import Histogram, MetricsRegistry
 from repro.telemetry.profile import SimProfiler, sample_shard_gauges
+from repro.telemetry.trace import TRACE_CAPACITY
 
 
 class FakeClock:
@@ -435,13 +436,16 @@ class TestScenarioIntegration:
         assert any(
             event["fields"].get("outage") == "outage-1" for event in events
         )
-        # Replayed through a four-slot ring: it evicts, the sink does not.
+        # Replayed until it overflows the ring: the ring evicts, the sink
+        # does not.
         replay = io.StringIO()
-        small = Telemetry(FakeClock(), trace_capacity=4, sink=replay)
-        for event in events:
-            small.emit(event["name"], **event["fields"])
-        assert len(small.trace.events()) == 4
-        assert len(replay.getvalue().splitlines()) == len(lines)
+        again = Telemetry(FakeClock(), sink=replay)
+        rounds = TRACE_CAPACITY // len(events) + 1
+        for _ in range(rounds):
+            for event in events:
+                again.emit(event["name"], **event["fields"])
+        assert len(again.trace.events()) == TRACE_CAPACITY
+        assert len(replay.getvalue().splitlines()) == rounds * len(lines) > TRACE_CAPACITY
 
     def test_report_entry_pipeline_from_live_scenario(self):
         record, lab = execute_scenario(_withdraw_spec())

@@ -53,6 +53,11 @@ COMMANDS = {
          "--prefixes", "40", "--flows", "4"],
         "\nscale:",
     ),
+    # Its ``profile`` section counts every executed event by name.
+    "report --json": (
+        ["report", "--json", "--preset", "ris-churn", "--prefixes", "60", "--flows", "4"],
+        None,
+    ),
 }
 
 

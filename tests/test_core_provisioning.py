@@ -12,7 +12,7 @@ from repro.core.backup_groups import (
 )
 from repro.core.controller import ControllerConfig, SuperchargedController
 from repro.core.convergence import DataPlaneConvergence
-from repro.core.flow_provisioner import FlowProvisioner, NextHopLocation
+from repro.core.flow_provisioner import GROUP_RULE_PRIORITY, FlowProvisioner, NextHopLocation
 from repro.core.rest_api import FloodlightRestApi, StaticFlowEntry
 from repro.core.vnh_allocator import VnhAllocator
 from repro.net.addresses import BROADCAST_MAC, IPv4Address, IPv4Prefix, MacAddress
@@ -21,7 +21,7 @@ from repro.net.packets import ArpOp, ArpPacket, EthernetFrame, EtherType
 from repro.openflow.controller_channel import ControllerChannel
 from repro.openflow.flow_table import FlowMatch
 from repro.openflow.messages import FlowMod, FlowModCommand, PacketIn
-from repro.openflow.switch import OpenFlowSwitch, SwitchConfig
+from repro.openflow.switch import OpenFlowSwitch
 from repro.sim.engine import Simulator
 
 R2 = IPv4Address("10.0.0.2")
@@ -36,7 +36,7 @@ LOCATIONS = {
 
 
 def _switch_with_channel(sim, flow_mod_latency=0.002):
-    switch = OpenFlowSwitch(sim, "sw", SwitchConfig(flow_mod_latency=flow_mod_latency))
+    switch = OpenFlowSwitch(sim, "sw", flow_mod_latency)
     channel = ControllerChannel(sim, latency=0.001)
     switch.attach_controller(channel)
     return switch, channel
@@ -97,7 +97,7 @@ class TestFlowProvisioner:
         group = _group()
         assert provisioner.provision_group(group) is True
         sim.run()
-        entry = switch.flow_table.find(FlowMatch(eth_dst=group.vmac), provisioner.priority)
+        entry = switch.flow_table.find(FlowMatch(eth_dst=group.vmac), GROUP_RULE_PRIORITY)
         assert entry.actions.set_eth_dst == R2_MAC
         assert entry.actions.output_port == 2
         assert provisioner.active_next_hop(group) == R2
@@ -109,7 +109,7 @@ class TestFlowProvisioner:
         sim.run()
         assert provisioner.redirect_group(group, R3) is True
         sim.run()
-        entry = switch.flow_table.find(FlowMatch(eth_dst=group.vmac), provisioner.priority)
+        entry = switch.flow_table.find(FlowMatch(eth_dst=group.vmac), GROUP_RULE_PRIORITY)
         assert entry.actions.set_eth_dst == R3_MAC
         assert entry.actions.output_port == 3
 
@@ -210,11 +210,11 @@ class TestDataPlaneConvergence:
         assert event.groups_unprotected == 0
         redirected = event.redirected_groups[0]
         assert redirected.primary == R2
-        entry = switch.flow_table.find(FlowMatch(eth_dst=redirected.vmac), provisioner.priority)
+        entry = switch.flow_table.find(FlowMatch(eth_dst=redirected.vmac), GROUP_RULE_PRIORITY)
         assert entry.actions.set_eth_dst == R3_MAC
         # The group whose primary is R3 must be untouched.
         untouched = manager.groups_with_primary(R3)[0]
-        other_entry = switch.flow_table.find(FlowMatch(eth_dst=untouched.vmac), provisioner.priority)
+        other_entry = switch.flow_table.find(FlowMatch(eth_dst=untouched.vmac), GROUP_RULE_PRIORITY)
         assert other_entry.actions.set_eth_dst == R3_MAC
 
     def test_flow_rewrites_bounded_by_peer_count(self, sim):
@@ -234,7 +234,7 @@ class TestDataPlaneConvergence:
         sim.run()
         assert event.groups_redirected == 1
         group = manager.groups_with_primary(R2)[0]
-        entry = switch.flow_table.find(FlowMatch(eth_dst=group.vmac), provisioner.priority)
+        entry = switch.flow_table.find(FlowMatch(eth_dst=group.vmac), GROUP_RULE_PRIORITY)
         assert entry.actions.set_eth_dst == R2_MAC
 
     def test_group_without_usable_backup_reported_unprotected(self, sim):
@@ -263,8 +263,8 @@ class TestVirtualArpResponder:
     ROUTER_IP = IPv4Address("10.0.0.1")
 
     def _controller(self, sim):
-        """A controller wired to a bare port (direct mode) and to an
-        OpenFlow channel (packet-in mode) with one provisioned group."""
+        """A controller wired to a bare port (its ARP handler answers
+        there) and to an OpenFlow channel, with one provisioned group."""
         controller = SuperchargedController(sim, "ctrl", ControllerConfig(
             ip=self.CTRL_IP, mac=self.CTRL_MAC, subnet=IPv4Prefix("10.0.0.0/24"),
             asn=64512, router_id=self.CTRL_IP))
@@ -309,18 +309,12 @@ class TestVirtualArpResponder:
         sim.run()
         assert heard == []
 
-    def test_packet_in_mode_emits_packet_out(self, sim):
-        _controller, group, _wire, _heard, channel, packet_outs = self._controller(sim)
-        channel.send_packet_in(PacketIn(frame=self._request(group.vnh), in_port=1))
-        sim.run()
-        (packet_out,) = packet_outs
-        assert packet_out.out_port == 1
-        assert packet_out.frame.payload.sender_mac == group.vmac
-
     def test_packet_in_with_non_arp_payload_ignored(self, sim):
-        _controller, _group, _wire, _heard, channel, packet_outs = self._controller(sim)
+        """A packet-in changes nothing at the controller: ARP requests
+        reach its port through the switch's flood, never the channel."""
+        _controller, group, _wire, _heard, channel, packet_outs = self._controller(sim)
         frame = EthernetFrame(ROUTER_MAC, MacAddress(1), EtherType.IPV4, object())
         channel.send_packet_in(PacketIn(frame=frame, in_port=1))
-        channel.send_packet_in(PacketIn(frame=self._request(IPv4Address("10.0.0.201")), in_port=1))
+        channel.send_packet_in(PacketIn(frame=self._request(group.vnh), in_port=1))
         sim.run()
         assert packet_outs == []

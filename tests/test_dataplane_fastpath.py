@@ -6,14 +6,14 @@ branch pruning."""
 import pytest
 
 from repro.core.backup_groups import BackupGroup
-from repro.core.flow_provisioner import FlowProvisioner, NextHopLocation
+from repro.core.flow_provisioner import GROUP_RULE_PRIORITY, FlowProvisioner, NextHopLocation
 from repro.core.rest_api import FloodlightRestApi, StaticFlowEntry
 from repro.net.addresses import IPv4Address, IPv4Prefix, MacAddress
 from repro.net.packets import EtherType, EthernetFrame, IpProtocol, IPv4Packet, UdpDatagram
 from repro.openflow.controller_channel import ControllerChannel
 from repro.openflow.flow_table import Actions, FlowEntry, FlowMatch, FlowTable
 from repro.openflow.messages import FlowMod, FlowModBatch, FlowModCommand
-from repro.openflow.switch import OpenFlowSwitch, SwitchConfig
+from repro.openflow.switch import OpenFlowSwitch
 from repro.router.fib import LpmTable
 from repro.router.fib_updater import FibUpdater, FibWriteRequest
 from repro.router.fib import Adjacency, FlatFib
@@ -87,7 +87,6 @@ class TestFlowTableApplyBatch:
             match = FlowMatch()
             actions = None
             priority = 100
-            cookie = 0
 
         with pytest.raises(FlowTableError):
             FlowTable().apply_batch([Bogus()])
@@ -95,7 +94,7 @@ class TestFlowTableApplyBatch:
 
 class TestFlowModBatchOnSwitch:
     def test_bundle_programs_after_one_latency(self, sim):
-        switch = OpenFlowSwitch(sim, "sw", SwitchConfig(flow_mod_latency=0.5))
+        switch = OpenFlowSwitch(sim, "sw", flow_mod_latency=0.5)
         channel = ControllerChannel(sim, latency=0.001)
         switch.attach_controller(channel)
         channel.send_flow_mod_batch(FlowModBatch(mods=tuple(_mods(8))))
@@ -191,7 +190,7 @@ class TestProvisionerBatch:
         sim.run()
         for group in groups:
             entry = switch.flow_table.find(
-                FlowMatch(eth_dst=group.vmac), provisioner.priority
+                FlowMatch(eth_dst=group.vmac), GROUP_RULE_PRIORITY
             )
             assert entry.actions.set_eth_dst == MAC_3
             assert provisioner.active_next_hop(group) == R3

@@ -7,6 +7,7 @@ to a bare port that records what the device puts on the wire.
 
 import pytest
 
+from repro.arp.client import MAX_RETRIES, RETRY_INTERVAL
 from repro.arp.protocol import build_arp_reply, build_arp_request
 from repro.core.controller import ControllerConfig, SuperchargedController
 from repro.net.addresses import BROADCAST_MAC, IPv4Address, IPv4Prefix, MacAddress
@@ -117,13 +118,13 @@ def test_send_to_neighbor_queues_behind_one_arp_request(wired, sim):
 def test_send_to_neighbor_drops_after_max_retries(wired, sim):
     host, _wire, heard, _link = wired
     host.send_to_neighbor(PEER_IP, EtherType.IPV4, "lost")
-    sim.run_for(host.arp_client.retry_interval * (host.arp_client.max_retries + 2))
-    assert len(heard) == host.arp_client.max_retries
+    sim.run_for(RETRY_INTERVAL * (MAX_RETRIES + 2))
+    assert len(heard) == MAX_RETRIES
     assert all(frame.ethertype is EtherType.ARP for frame in heard)
     # The queue is gone with the payload: a late answer sends nothing.
     host.arp_cache.learn(PEER_IP, PEER_MAC, sim.now)
     sim.run_for(1.0)
-    assert len(heard) == host.arp_client.max_retries
+    assert len(heard) == MAX_RETRIES
 
 
 def test_an_interface_that_is_down_sends_nothing(wired, sim):

@@ -18,7 +18,6 @@ from repro.routes.mrt import (
     iter_rib_routes,
     load_rib,
     load_updates,
-    mrt_churn_stream,
     read_records,
     write_rib,
     write_updates,
@@ -54,18 +53,26 @@ def _bgp4mp(payload):
     return mrt._record(0, BGP4MP, BGP4MP_MESSAGE_AS4, payload)
 
 
+def sources(path):
+    """A written file as a reader takes it: its path, then its bytes.
+    Both go through the one streaming record reader."""
+    with open(path, "rb") as handle:
+        return [path, handle.read()]
+
+
 class TestRoundTrip:
     def test_rib_round_trip(self, tmp_path):
         feed = synthetic_full_table(12, seed=11, provider_asn=65001)
         path = str(tmp_path / "rib.mrt")
         assert write_rib(path, feed, PEER) == 12
-        parsed = load_rib(path)
-        assert len(parsed) == 12
-        for original, loaded in zip(feed.routes, parsed.routes):
-            assert loaded.prefix == original.prefix
-            assert loaded.as_path == original.as_path
-            assert loaded.origin == original.origin
-            assert loaded.med == original.med
+        for source in sources(path):
+            parsed = load_rib(source)
+            assert len(parsed) == 12
+            for original, loaded in zip(feed.routes, parsed.routes):
+                assert loaded.prefix == original.prefix
+                assert loaded.as_path == original.as_path
+                assert loaded.origin == original.origin
+                assert loaded.med == original.med
 
     def test_updates_round_trip_preserves_announce_withdraw_mix(self, tmp_path):
         feed = synthetic_full_table(10, seed=5, provider_asn=65001)
@@ -74,26 +81,28 @@ class TestRoundTrip:
         )
         path = str(tmp_path / "updates.mrt")
         assert write_updates(path, updates, PEER) == len(updates)
-        parsed = load_updates(path)
-        assert len(parsed) == len(updates)
-        for original, loaded in zip(updates, parsed):
-            assert loaded.prefix == original.prefix
-            assert loaded.is_withdraw == original.is_withdraw
-            if not original.is_withdraw:
-                assert loaded.attributes.as_path == original.attributes.as_path
-                assert loaded.attributes.next_hop == original.attributes.next_hop
-                assert loaded.attributes.med == original.attributes.med
-                assert loaded.attributes.origin == original.attributes.origin
+        for source in sources(path):
+            parsed = load_updates(source)
+            assert len(parsed) == len(updates)
+            for original, loaded in zip(updates, parsed):
+                assert loaded.prefix == original.prefix
+                assert loaded.is_withdraw == original.is_withdraw
+                if not original.is_withdraw:
+                    assert loaded.attributes.as_path == original.attributes.as_path
+                    assert loaded.attributes.next_hop == original.attributes.next_hop
+                    assert loaded.attributes.med == original.attributes.med
+                    assert loaded.attributes.origin == original.attributes.origin
 
     def test_rib_entries_carry_peer_identity(self, tmp_path):
         feed = synthetic_full_table(3, seed=2, provider_asn=65001)
         path = str(tmp_path / "rib.mrt")
         write_rib(path, feed, PEER)
-        entries = list(iter_rib_routes(path))
-        assert len(entries) == 3
-        for paths in entries:
-            assert len(paths) == 1
-            assert paths[0].peer == PEER
+        for source in sources(path):
+            entries = list(iter_rib_routes(source))
+            assert len(entries) == 3
+            for paths in entries:
+                assert len(paths) == 1
+                assert paths[0].peer == PEER
 
 
 class TestCommittedFixtures:
@@ -127,9 +136,8 @@ class TestCommittedFixtures:
 class TestChurnStreamCompatibility:
     def test_stream_is_update_messages_with_next_hop_override(self):
         replacement = IPv4Address("10.0.0.9")
-        stream = mrt_churn_stream(UPDATES_FIXTURE, next_hop=replacement)
         count = 0
-        for update in stream:
+        for update in load_updates(UPDATES_FIXTURE, next_hop=replacement):
             assert isinstance(update, UpdateMessage)
             if not update.is_withdraw:
                 assert update.attributes.next_hop == replacement
@@ -246,10 +254,21 @@ class TestWireEdgeCases:
         blob = mrt._record(0, 99, 1, b"\x00\x01") + open(RIB_FIXTURE, "rb").read()
         assert len(load_rib(blob)) == 8
 
-    def test_truncated_file_raises(self):
+    def test_truncated_file_raises(self, tmp_path):
         data = open(RIB_FIXTURE, "rb").read()
-        with pytest.raises(MrtError):
-            list(read_records(data[:-3]))
+        # The last record cut short, then a partial header behind the last
+        # whole record: the same text from a path and from bytes.
+        cases = [
+            (data[:-3], r"truncated MRT record at byte \d+"),
+            (data + data[:5], r"truncated MRT header at byte \d+"),
+        ]
+        path = str(tmp_path / "truncated.mrt")
+        for blob, message in cases:
+            with open(path, "wb") as handle:
+                handle.write(blob)
+            for source in sources(path):
+                with pytest.raises(MrtError, match=message):
+                    list(read_records(source))
 
     def test_rib_before_peer_index_raises(self):
         from repro.routes import mrt

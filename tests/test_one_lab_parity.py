@@ -15,7 +15,6 @@ three sub-trains per table) — as digests, not as a second set of records.
 """
 
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
@@ -69,7 +68,7 @@ def _figure5_rows():
     finally:
         figure5.BoxStats = BoxStats
     return [
-        {**dataclasses.asdict(row), "stats": row.stats._asdict(), "samples": samples}
+        {**row._asdict(), "stats": row.stats._asdict(), "samples": samples}
         for row, samples in zip(rows, raw_samples)
     ]
 
@@ -81,7 +80,7 @@ def _ablation_points():
         "sweep_flow_mod_latency": ablations.sweep_flow_mod_latency,
     }
     return {
-        name: [dataclasses.asdict(point) for point in sweep(num_prefixes=100)]
+        name: [point._asdict() for point in sweep(num_prefixes=100)]
         for name, sweep in sweeps.items()
     }
 

@@ -7,7 +7,6 @@ from repro.net.links import Link, Port
 from repro.net.packets import EtherType, EthernetFrame, IpProtocol, IPv4Packet, UdpDatagram
 from repro.openflow.controller_channel import ControllerChannel
 from repro.openflow.flow_table import (
-    CONTROLLER_PORT,
     Actions,
     FlowEntry,
     FlowMatch,
@@ -23,7 +22,7 @@ from repro.openflow.messages import (
     PortStatus,
     PortStatusReason,
 )
-from repro.openflow.switch import OpenFlowSwitch, SwitchConfig
+from repro.openflow.switch import OpenFlowSwitch
 from repro.sim.engine import Simulator
 
 MAC_1 = MacAddress("00:00:00:00:00:01")
@@ -56,11 +55,11 @@ class TestFlowTable:
         table.install(FlowEntry(FlowMatch(), Actions(output_port=3), priority=1))
         assert table.lookup(_frame(), in_port=9).actions.output_port == 3
 
-    def test_match_on_in_port_and_ethertype(self):
-        match = FlowMatch(in_port=4, eth_type=EtherType.IPV4)
+    def test_match_on_in_port_and_destination_mac(self):
+        match = FlowMatch(in_port=4, eth_dst=MAC_2)
         assert match.matches(_frame(), in_port=4)
         assert not match.matches(_frame(), in_port=5)
-        assert not match.matches(_frame(ethertype=EtherType.ARP), in_port=4)
+        assert not match.matches(_frame(dst_mac=VMAC), in_port=4)
 
     def test_install_replaces_same_match_and_priority(self):
         table = FlowTable()
@@ -94,14 +93,16 @@ class TestFlowTable:
             table.install(FlowEntry(FlowMatch(eth_dst=VMAC), Actions(output_port=1)))
 
     def test_actions_apply_rewrites(self):
-        actions = Actions(set_eth_dst=MAC_1, set_eth_src=MAC_2, output_port=1)
-        rewritten = actions.apply(_frame())
-        assert rewritten.dst_mac == MAC_1
-        assert rewritten.src_mac == MAC_2
+        actions = Actions(set_eth_dst=MAC_2, output_port=1)
+        rewritten = actions.apply(_frame(dst_mac=VMAC))
+        assert rewritten.dst_mac == MAC_2
+        assert rewritten.src_mac == MAC_1
+        frame = _frame()
+        assert Actions(output_port=1).apply(frame) is frame
 
-    def test_drop_and_controller_flags(self):
+    def test_no_output_action_is_a_drop(self):
         assert Actions().is_drop
-        assert Actions(output_port=CONTROLLER_PORT).to_controller
+        assert not Actions(output_port=1).is_drop
 
 
 
@@ -131,8 +132,8 @@ class TestControllerChannel:
 
 
 class TestSwitch:
-    def _switch_with_hosts(self, sim, config=None):
-        switch = OpenFlowSwitch(sim, "sw", config or SwitchConfig())
+    def _switch_with_hosts(self, sim, flow_mod_latency=2e-3):
+        switch = OpenFlowSwitch(sim, "sw", flow_mod_latency)
         received = {1: [], 2: []}
         host_ports = {}
         for number in (1, 2):
@@ -167,42 +168,15 @@ class TestSwitch:
         sim.run()
         assert received[2][0].dst_mac == MAC_2
 
-    def test_table_miss_drop(self, sim):
-        switch, hosts, received = self._switch_with_hosts(
-            sim, SwitchConfig(table_miss="drop")
-        )
-        hosts[1].send(_frame())
-        sim.run()
-        assert received[2] == []
-        assert switch.frames_dropped == 1
-
     def test_table_miss_flood_excludes_ingress(self, sim):
-        switch, hosts, received = self._switch_with_hosts(
-            sim, SwitchConfig(table_miss="flood")
-        )
+        switch, hosts, received = self._switch_with_hosts(sim)
         hosts[1].send(_frame())
         sim.run()
         assert len(received[2]) == 1
         assert received[1] == []
 
-    def test_table_miss_controller_punts(self, sim):
-        switch, hosts, _received = self._switch_with_hosts(
-            sim, SwitchConfig(table_miss="controller")
-        )
-        channel = ControllerChannel(sim, latency=0.001)
-        punted = []
-        channel.connect_controller(punted.append)
-        switch.attach_controller(channel)
-        hosts[1].send(_frame())
-        sim.run()
-        assert len(punted) == 1
-        assert isinstance(punted[0], PacketIn)
-        assert punted[0].in_port == 1
-
     def test_flow_mod_add_takes_install_latency(self, sim):
-        switch, hosts, received = self._switch_with_hosts(
-            sim, SwitchConfig(flow_mod_latency=0.5)
-        )
+        switch, hosts, received = self._switch_with_hosts(sim, flow_mod_latency=0.5)
         channel = ControllerChannel(sim, latency=0.001)
         switch.attach_controller(channel)
         channel.send_flow_mod(
@@ -280,7 +254,8 @@ class TestSwitch:
     def test_rejected_flow_mod_is_not_counted_as_applied(self, sim):
         # TCAM full: the third ADD raises out of the programming event.  It
         # is neither counted nor announced to the listeners.
-        switch = OpenFlowSwitch(sim, "sw", SwitchConfig(table_capacity=2))
+        switch = OpenFlowSwitch(sim, "sw")
+        switch.flow_table = FlowTable(capacity=2)
         channel = ControllerChannel(sim, latency=0.001)
         switch.attach_controller(channel)
         applied = []
@@ -311,7 +286,7 @@ class TestSwitch:
         outcomes = []
         for send in ("send_flow_mod", "send_flow_mod_batch"):
             run = Simulator(seed=1)
-            switch = OpenFlowSwitch(run, "sw", SwitchConfig(flow_mod_latency=0.25))
+            switch = OpenFlowSwitch(run, "sw", flow_mod_latency=0.25)
             channel = ControllerChannel(run, latency=0.001)
             switch.attach_controller(channel)
             heard = []
@@ -330,10 +305,6 @@ class TestSwitch:
         assert [when for _name, when in single[3]] == [when for _name, when in bundle[3]]
         assert single[3][-1][0] == "sw:flow-mod"
         assert bundle[3][-1][0] == "sw:flow-mod-batch"
-
-    def test_invalid_table_miss_policy_rejected(self, sim):
-        with pytest.raises(ValueError):
-            OpenFlowSwitch(sim, "bad", SwitchConfig(table_miss="teleport"))
 
     def test_duplicate_port_number_rejected(self, sim):
         switch = OpenFlowSwitch(sim, "sw")

@@ -71,6 +71,19 @@ def test_import_repro_loads_no_subpackage():
     assert run_fresh(probe)[:2] == ["[]", "False False"]
 
 
+def test_the_cli_parser_generates_no_code():
+    """``import repro.cli`` and its parser load no experiment module and
+    so no ``dataclasses`` (nor the ``inspect`` it drags in): each
+    experiment command imports its module when it runs."""
+    probe = (
+        "import sys, repro.cli;"
+        "repro.cli.build_parser();"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)),"
+        " sorted(m for m in sys.modules if m.startswith('repro.experiments.')))"
+    )
+    assert run_fresh(probe)[0] == "[] []"
+
+
 def test_a_serial_rep_never_imports_multiprocessing_and_a_pooled_campaign_still_does():
     """What every rep imports leaves ``multiprocessing`` (and the
     ``pickle`` / ``socket`` / ``selectors`` it drags in) unloaded; the

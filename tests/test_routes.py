@@ -157,19 +157,6 @@ class TestPrefixGenerator:
         with pytest.raises(ValueError):
             PrefixGenerator().generate(-1)
 
-    def test_empty_mix_rejected(self):
-        with pytest.raises(ValueError):
-            PrefixGenerator(length_mix=())
-
-    def test_negative_weight_rejected(self):
-        # The total is positive, but /23 could never be drawn.
-        with pytest.raises(ValueError):
-            PrefixGenerator(length_mix=((24, 1.0), (23, -0.5), (22, 0.5)))
-
-    def test_zero_weight_length_is_never_drawn(self):
-        prefixes = PrefixGenerator(seed=1, length_mix=((24, 1.0), (23, 0.0), (22, 1.0))).generate(500)
-        assert {prefix.length for prefix in prefixes} == {22, 24}
-
     def test_stream_matches_generate(self):
         generator = PrefixGenerator(seed=9)
         assert list(PrefixGenerator(seed=9).stream_codes(50)) == generator.generate(50)

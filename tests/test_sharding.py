@@ -50,7 +50,6 @@ class TestShardBuild:
                     peers=PEERS,
                     prefix_count=600,
                     seed=5,
-                    fail_primary=False,
                 )
             )
             for shard in range(3)

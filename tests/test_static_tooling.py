@@ -11,8 +11,11 @@ rules.
 The audit guards need no tool: every module under ``src/repro`` is on the
 path of a CLI command (or is allow-listed with its reason), the twelve
 substrate packages re-export nothing, no module keeps a top-level import
-it never uses, and every ``ScenarioSpec`` field is turned by something
-other than a test (or is allow-listed with its reason).
+it never uses, and no switch has one position: every ``ScenarioSpec``
+field, and every option of a component (each defaulted field of a
+``*Config`` / ``*Spec`` NamedTuple and each defaulted ``__init__``
+keyword of a public class under ``src/repro``), is turned by something
+other than a test or an example (or is allow-listed with its reason).
 """
 
 import ast
@@ -99,13 +102,26 @@ def module_names():
         yield ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
 
 
+#: One tiny run of each experiment command: each imports its module when
+#: it runs, so only running it reaches the module.
+EXPERIMENT_RUNS = (
+    ["figure5", "--prefixes", "20", "--repetitions", "1", "--flows", "2"],
+    ["microbench", "--updates", "10"],
+    ["groups", "--peers", "2", "--prefixes", "10"],
+    ["ablations", "--prefixes", "20", "--flows", "2"],
+    ["detection", "--prefixes", "20", "--flows", "2"],
+    ["remote-supercharge", "--prefixes", "20", "--flows", "2"],
+)
+
+
 def test_every_module_is_reached_by_the_cli():
     """``import repro.cli`` plus one ``scenarios run`` of a spec that
     chooses the controller stack and remote supercharge (a lab imports
-    those where its spec chooses them) and one ``lint --list-rules`` (only
-    that command loads the linter) loads every module file under
-    ``src/repro`` but the allow-listed ones — in a fresh interpreter, so
-    what other tests imported does not count."""
+    those where its spec chooses them), one ``lint --list-rules`` (only
+    that command loads the linter) and one tiny run of each experiment
+    command loads every module file under ``src/repro`` but the
+    allow-listed ones — in a fresh interpreter, so what other tests
+    imported does not count."""
     probe = (
         "import contextlib, io, sys, repro.cli\n"
         "argv = ['scenarios', 'run', '--preset', 'remote-supercharge',"
@@ -113,6 +129,8 @@ def test_every_module_is_reached_by_the_cli():
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert repro.cli.main(argv) == 0\n"
         "    assert repro.cli.main(['lint', '--list-rules']) == 0\n"
+        f"    for argv in {list(EXPERIMENT_RUNS)!r}:\n"
+        "        repro.cli.main(argv)\n"
         "print('\\n'.join(m for m in sys.modules if m.startswith('repro')))"
     )
     # ``-B``: leave no ``.pyc`` in ``src/`` — the e2e benchmark compares
@@ -262,3 +280,116 @@ def test_every_scenario_knob_is_turned_by_something():
                 pairs = [(key.value, value) for key, value in zip(node.keys, node.values)]
             turned.update(f for f, value in pairs if f in defaults and differs(f, value))
     assert set(defaults) - turned == set(KNOBS_NOTHING_TURNS)
+
+
+#: Component options nothing outside ``tests/``, ``examples/`` and the
+#: frozen ``benchmarks/e2e/`` gives a non-default value, each with why it
+#: is an option all the same.  Anything else that no run turns is a switch
+#: with one position and should be a module constant (ROADMAP item 8).
+OPTIONS_NOTHING_TURNS = {
+    # Names benchmarks/e2e/worker.py passes; that directory is the frozen
+    # benchmark, so its calls keep the keywords without turning them.
+    "RemoteGroupPlanner.int_keys": "unread; the e2e dfz-build rep passes it (ROADMAP 1(b))",
+}
+
+#: Where a non-default value counts: the program and its benchmarks.  The
+#: e2e benchmark is frozen, so what it passes is pinned, not chosen.
+CALLER_ROOTS = ("src", "benchmarks")
+FROZEN_CALLERS = ("benchmarks/e2e/",)
+
+
+def _component_options():
+    """Every independently settable value of a component under
+    ``src/repro``: each defaulted field of a ``*Config`` / ``*Spec``
+    NamedTuple and each defaulted ``__init__`` keyword of a public class,
+    as ``{(class, name): default node}``, plus each class's positional
+    order and bases (for ``super().__init__`` calls)."""
+    options, positions, bases = {}, {}, {}
+    for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+                continue
+            bases[node.name] = [getattr(base, "id", None) for base in node.bases]
+            if "NamedTuple" in bases[node.name] and node.name.endswith(("Config", "Spec")):
+                fields = [
+                    item for item in node.body
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                ]
+                positions[node.name] = [field.target.id for field in fields]
+                for field in fields:
+                    if field.value is not None:
+                        options[node.name, field.target.id] = field.value
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                    arguments = item.args
+                    ordered = arguments.posonlyargs + arguments.args
+                    positions[node.name] = [argument.arg for argument in ordered[1:]]
+                    defaulted = ordered[len(ordered) - len(arguments.defaults):]
+                    pairs = [*zip(defaulted, arguments.defaults),
+                             *zip(arguments.kwonlyargs, arguments.kw_defaults)]
+                    for argument, default in pairs:
+                        if default is not None:
+                            options[node.name, argument.arg] = default
+    return options, positions, bases
+
+
+def _same_value(node, default):
+    """Whether a call's argument reads as the option's default; anything
+    the scan cannot evaluate (a name, a computation) varies."""
+    try:
+        return ast.literal_eval(node) == ast.literal_eval(default)
+    except ValueError:
+        return ast.dump(node) == ast.dump(default)
+
+
+def _constructions(tree, bases):
+    """Every call in ``tree`` with the class names it may construct: its
+    callee's, or for a ``super().__init__(...)`` call, its class's bases."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            yield node, [getattr(node.func, "id", getattr(node.func, "attr", None))]
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            for node in ast.walk(cls):
+                if (
+                    isinstance(node, ast.Call)
+                    and getattr(node.func, "attr", None) == "__init__"
+                    and getattr(getattr(node.func.value, "func", None), "id", None) == "super"
+                ):
+                    yield node, bases.get(cls.name, [])
+
+
+def _turned_options(options, positions, bases):
+    """The options some call in a :data:`CALLER_ROOTS` tree gives a
+    non-default value: by keyword, by position, or through a ``**``
+    mapping the scan cannot read (so it may set any of them)."""
+    turned = set()
+    for root in CALLER_ROOTS:
+        for path in sorted((REPO_ROOT / root).rglob("*.py")):
+            if path.relative_to(REPO_ROOT).as_posix().startswith(FROZEN_CALLERS):
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for call, classes in _constructions(tree, bases):
+                for cls in classes:
+                    if any(keyword.arg is None for keyword in call.keywords):
+                        turned.update(option for option in options if option[0] == cls)
+                        continue
+                    given = [*zip(positions.get(cls, []), call.args),
+                             *((keyword.arg, keyword.value) for keyword in call.keywords)]
+                    turned.update(
+                        (cls, name) for name, value in given
+                        if (cls, name) in options and not _same_value(value, options[cls, name])
+                    )
+    return turned
+
+
+def test_every_component_option_is_turned_by_something():
+    """Each option of a component (see :func:`_component_options`) gets a
+    non-default value from a call in ``src/`` or ``benchmarks/`` — tests
+    and examples do not count — or sits in :data:`OPTIONS_NOTHING_TURNS`
+    with its reason.  ``ScenarioSpec`` declares its fields on a private
+    base and has its own guard above."""
+    options, positions, bases = _component_options()
+    turned = _turned_options(options, positions, bases)
+    unturned = {f"{cls}.{name}" for cls, name in options if (cls, name) not in turned}
+    assert unturned == set(OPTIONS_NOTHING_TURNS)

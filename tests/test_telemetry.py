@@ -42,6 +42,7 @@ from repro.telemetry import (
     Telemetry,
     TraceBus,
 )
+from repro.telemetry.trace import TRACE_CAPACITY
 from repro.telemetry.causal import (
     DETECTION_BFD,
     DETECTION_BGP,
@@ -169,15 +170,13 @@ class TestTraceBus:
         assert bus.events(name="second") == [event]
 
     def test_ring_buffer_evicts_oldest(self):
-        bus = TraceBus(clock=lambda: 0.0, capacity=3)
-        for i in range(5):
+        bus = TraceBus(clock=lambda: 0.0)
+        for i in range(TRACE_CAPACITY + 2):
             bus.emit(f"e{i}")
-        assert [e.name for e in bus.events()] == ["e2", "e3", "e4"]
-        assert bus.emitted == 5  # the counter survives eviction
-
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError):
-            TraceBus(clock=lambda: 0.0, capacity=0)
+        names = [e.name for e in bus.events()]
+        assert len(names) == TRACE_CAPACITY
+        assert names[0] == "e2" and names[-1] == f"e{TRACE_CAPACITY + 1}"
+        assert bus.emitted == TRACE_CAPACITY + 2  # the counter survives eviction
 
     def test_jsonl_sink_writes_sorted_lines(self):
         sink = io.StringIO()

@@ -48,17 +48,19 @@ class TestFlowStats:
 
 
 class TestTrafficSourceAndSink:
-    def _wire_source_to_sink(self, sim, flows, jitter=0.0):
-        """Source wired straight to the sink (no routers) for unit testing."""
+    def _wire_source_to_sink(self, sim, flows):
+        """Source wired straight to the sink (no routers) for unit testing;
+        the flows start at once, as the testbed's do."""
         source = TrafficSource(sim, "src", TrafficSourceConfig(
-            ip=SRC_IP, mac=SRC_MAC, subnet=SRC_SUBNET, gateway_ip=GW_IP,
-            flows=list(flows), jitter=jitter))
+            ip=SRC_IP, mac=SRC_MAC, subnet=SRC_SUBNET, gateway_ip=GW_IP))
         sink = TrafficSink(sim, "sink")
         sink.add_interface("eth0", SINK_MAC, SINK_IP, SINK_SUBNET)
         Link(sim, source.port, sink.interfaces["eth0"].port, latency=1e-5)
         # The sink plays the gateway role: packets sent to the gateway MAC
         # are the sink interface's MAC in this reduced setup.
         source.add_static_neighbor(GW_IP, SINK_MAC)
+        for flow in flows:
+            source.add_flow(flow)
         return source, sink
 
     def test_packets_flow_at_configured_rate(self, sim):
@@ -118,7 +120,7 @@ class TestTrafficSourceAndSink:
         """Without a static gateway MAC, the source ARPs for it."""
         flow = FlowSpec(destination=DEST, rate_pps=100.0)
         source = TrafficSource(sim, "src", TrafficSourceConfig(
-            ip=SRC_IP, mac=SRC_MAC, subnet=SRC_SUBNET, gateway_ip=GW_IP, flows=[flow]))
+            ip=SRC_IP, mac=SRC_MAC, subnet=SRC_SUBNET, gateway_ip=GW_IP))
         # A fake gateway host that answers ARP and records data frames.
         received = []
         gateway_port = Port("gw", 0)
@@ -135,6 +137,7 @@ class TestTrafficSourceAndSink:
 
         gateway_port.set_frame_handler(gateway_handler)
         Link(sim, source.port, gateway_port, latency=1e-5)
+        source.add_flow(flow)
         source.start()
         sim.run(until=0.5)
         assert source.arp_cache.lookup(GW_IP, sim.now) == GW_MAC
